@@ -8,11 +8,11 @@ estimator uses the delta method.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .rde import ParticleCloud, g_map
+from .rde import ParticleCloud
 
 _BATCHES = 100
 _CHUNK = 1 << 17
@@ -29,6 +29,16 @@ class BetaEstimate:
     @property
     def total_std_error(self) -> float:
         return float(np.hypot(self.std_error, self.cloud_std_error))
+
+    def to_dict(self) -> dict:
+        return {
+            "method": self.method,
+            "value": self.value,
+            "std_error": self.std_error,
+            "cloud_std_error": self.cloud_std_error,
+            "total_std_error": self.total_std_error,
+            "samples": self.sample_count,
+        }
 
 
 def kappa(cloud: ParticleCloud, r, pair_count: int, rng) -> float:
@@ -137,17 +147,7 @@ class CrossValidation:
 
     def to_dict(self) -> dict:
         return {
-            "estimates": [
-                {
-                    "method": e.method,
-                    "value": e.value,
-                    "std_error": e.std_error,
-                    "cloud_std_error": e.cloud_std_error,
-                    "total_std_error": e.total_std_error,
-                    "samples": e.sample_count,
-                }
-                for e in self.estimates
-            ],
+            "estimates": [e.to_dict() for e in self.estimates],
             "z_matrix": self.z_matrix.tolist(),
             "flagged": self.flagged,
             "budget": self.budget,

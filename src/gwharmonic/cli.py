@@ -10,10 +10,8 @@ byte-reproducible from the flags alone.  Exit codes: 0 all checks pass,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -41,33 +39,6 @@ PRESETS = {
         "eps": EPS_LADDER_DEFAULT, "continuum_trials": 10**4,
     },
 }
-
-
-@dataclass
-class RunConfig:
-    """Echoed verbatim into every report; reproduces the run bit-for-bit at
-    equal thread count."""
-
-    subcommand: str
-    seed: int
-    threads: int
-    out: str
-    offspring: str | None = None
-    n: list | None = None
-    edges: int | None = None
-    particles: int | None = None
-    trials: int | None = None
-    tol: float | None = None
-    eps: list | None = None
-    cloud: str | None = None
-    format: str = "both"
-    preset: str | None = None
-    extras: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["version"] = __version__
-        return d
 
 
 class CliError(Exception):
@@ -121,25 +92,31 @@ def _write_report(report: experiments.ExperimentReport, outdir: Path, fmt: str) 
         p = outdir / f"{report.file_stem()}.json"
         p.write_text(report.to_json())
         paths.append(p)
-    if fmt in ("csv", "both"):
+    if fmt in ("csv", "both") and report.cells:
         p = outdir / f"{report.file_stem()}.csv"
         p.write_text(report.to_csv())
         paths.append(p)
     return paths
 
 
-def _config(args, subcommand, **extras) -> RunConfig:
-    return RunConfig(
-        subcommand=subcommand,
-        seed=args.seed,
-        threads=args.threads,
-        out=args.out,
-        offspring=getattr(args, "offspring", None),
-        cloud=getattr(args, "cloud", None),
-        format=getattr(args, "format", "both"),
-        preset=args.preset,
-        extras=extras,
-    )
+def _config(args, subcommand, **extras) -> dict:
+    """The flags that shaped the run; echoed into its report."""
+    cfg = {"subcommand": subcommand, "seed": args.seed, "out": args.out, "format": args.format,
+           "offspring": getattr(args, "offspring", None), "cloud": getattr(args, "cloud", None),
+           "preset": args.preset}
+    return {k: v for k, v in cfg.items() if v is not None} | {"extras": extras}
+
+
+def _emit(args, report: experiments.ExperimentReport) -> int:
+    """Write the report, print its checks, and return the exit code: 0 when
+    every check passes, 1 otherwise, inverted under --expect-fail."""
+    paths = _write_report(report, _outdir(args), args.format)
+    tally = f"{sum(c['passed'] for c in report.checks)}/{len(report.checks)} checks passed; "
+    print(f"{report.experiment}: {tally if report.checks else ''}"
+          f"wrote {', '.join(map(str, paths))}")
+    for c in report.checks:
+        print(f"  [{'PASS' if c['passed'] else 'FAIL'}] {c['criterion']}: {c['detail']}")
+    return 0 if report.passed != getattr(args, "expect_fail", False) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -153,29 +130,14 @@ def cmd_rde_solve(args) -> int:
     polish = args.polish if args.polish is not None else _preset(args, "polish", 0)
     if m < 1000:
         raise CliError("--particles must be >= 1e3")
-    crude_floor = 1.9 / np.sqrt(m)
-    if tol < crude_floor:
-        print(
-            f"warning: tol {tol:g} is below the estimated Monte Carlo floor "
-            f"{crude_floor:.2e} at M={m}; the run will proceed to --max-iters",
-            file=sys.stderr,
-        )
     rng = task_stream(args.seed, "rde", 0)
     t0 = time.time()
     result = rde.solve_fixpoint(m, tol, args.max_iters, rng, seed=args.seed, polish=polish)
     wall = time.time() - t0
-    outdir = _outdir(args)
-    cloud_path = outdir / f"cloud_M{m}_seed{args.seed}.txt"
+    cloud_path = _outdir(args) / f"cloud_M{m}_seed{args.seed}.txt"
     rde.save_cloud(result.cloud, cloud_path)
-    trace_path = outdir / f"rde_solve_trace_seed{args.seed}.csv"
-    trace_path.write_text(
-        "iteration,d1\n" + "".join(f"{i},{d:.10g}\n" for i, d in result.trace)
-    )
     floor = rde.estimate_floor(result.cloud, task_stream(args.seed, "rde", 1))
-    cfg = _config(args, "rde solve", particles=m, tol=tol, polish=polish,
-                  max_iters=args.max_iters)
-    info = {
-        "config": cfg.to_dict(),
+    summary = {
         "converged": result.converged,
         "iterations": result.cloud.iteration_count,
         "final_d1": result.trace[-1][1],
@@ -183,18 +145,22 @@ def cmd_rde_solve(args) -> int:
         "mean": rde.moment(result.cloud, 1),
         "K0": rde.estimate_K0(result.cloud),
         "cloud_file": str(cloud_path),
-        "wall_clock_s": wall,
     }
-    (outdir / f"rde_solve_seed{args.seed}.json").write_text(json.dumps(info, indent=2, sort_keys=True))
     if tol < floor:
-        print(f"warning: tol {tol:g} below measured floor {floor:.2e}", file=sys.stderr)
+        print(f"warning: tol {tol:g} is below the measured Monte Carlo floor {floor:.2e} "
+              f"at M={m}", file=sys.stderr)
     print(f"cloud written to {cloud_path} (converged={result.converged}, "
-          f"iters={result.cloud.iteration_count}, E[C]={info['mean']:.4f})")
-    return 0
+          f"iters={summary['iterations']}, E[C]={summary['mean']:.4f})")
+    cfg = _config(args, "rde solve", particles=m, tol=tol, polish=polish,
+                  max_iters=args.max_iters)
+    trace = [{"iteration": i, "d1": d} for i, d in result.trace]
+    return _emit(args, experiments.ExperimentReport(
+        "rde_solve", cfg, trace, [], wall, rows_key="trace", summary=summary))
 
 
 def cmd_rde_validate(args) -> int:
     cloud = _load_cloud(args.cloud)
+    t0 = time.time()
     rng = task_stream(args.seed, "rde", 2)
     checks = []
     m1, m2, m3 = (rde.moment(cloud, k) for k in (1, 2, 3))
@@ -217,50 +183,34 @@ def cmd_rde_validate(args) -> int:
                        "passed": bool(abs(chk.z) <= 3),
                        "detail": f"residual={chk.residual:.3e} z={chk.z:+.2f}"})
     cfg = _config(args, "rde validate", moments={"m1": m1, "m2": m2, "m3": m3})
-    report = experiments.ExperimentReport("rde_validate", cfg.to_dict(), [], checks)
-    outdir = _outdir(args)
-    (outdir / f"rde_validate_seed{args.seed}.json").write_text(report.to_json())
-    n_passed = sum(c["passed"] for c in checks)
-    print(f"rde validate: {n_passed}/{len(checks)} checks passed")
-    for c in checks:
-        print(f"  [{'PASS' if c['passed'] else 'FAIL'}] {c['criterion']}: {c['detail']}")
-    ok = report.passed
-    if args.expect_fail:
-        return 0 if not ok else 1
-    return 0 if ok else 1
+    return _emit(args, experiments.ExperimentReport(
+        "rde_validate", cfg, [], checks, time.time() - t0))
 
 
 def cmd_beta(args) -> int:
     cloud = _load_cloud(args.cloud)
+    t0 = time.time()
     budget = args.trials or _preset(args, "budget", 10**7)
     rng = task_stream(args.seed, "beta", 0)
-    outdir = _outdir(args)
     cfg = _config(args, "beta", budget=budget, method=args.method, inner=args.inner)
     if args.method != "all":
         fn = {"moment": beta_mod.beta_moment, "triple": beta_mod.beta_triple,
               "shift": beta_mod.beta_shift}[args.method]
         est = fn(cloud, budget, rng)
-        payload = {"config": cfg.to_dict(), "method": est.method, "value": est.value,
-                   "std_error": est.std_error, "samples": est.sample_count,
-                   "seed": args.seed}
-        (outdir / f"beta_{args.method}_seed{args.seed}.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True))
         print(f"beta[{est.method}] = {est.value:.5f} +- {est.std_error:.5f}")
-        return 0
+        return _emit(args, experiments.ExperimentReport(
+            f"beta_{args.method}", cfg, [est.to_dict()], [], time.time() - t0,
+            rows_key="estimates"))
     cv = beta_mod.cross_validate(cloud, budget, rng, inner=args.inner)
-    payload = {"config": cfg.to_dict(), **cv.to_dict()}
-    (outdir / f"beta_cross_validate_seed{args.seed}.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True))
-    if args.format in ("csv", "both"):
-        rows = ["method,value,std_error,cloud_std_error,samples,seed"]
-        for e in cv.estimates:
-            rows.append(f"{e.method},{e.value!r},{e.std_error!r},{e.cloud_std_error!r},"
-                        f"{e.sample_count},{args.seed}")
-        (outdir / f"beta_cross_validate_seed{args.seed}.csv").write_text("\n".join(rows) + "\n")
     for e in cv.estimates:
         print(f"beta[{e.method}] = {e.value:.5f} +- {e.total_std_error:.5f}")
-    print(f"max pairwise |z| = {np.max(cv.z_matrix):.2f} -> {'FLAGGED' if cv.flagged else 'ok'}")
-    return 1 if cv.flagged else 0
+    summary = cv.to_dict()
+    rows = summary.pop("estimates")
+    checks = [{"criterion": "beta-cross-validate", "passed": not cv.flagged,
+               "detail": f"max pairwise |z| = {np.max(cv.z_matrix):.2f} (flag above 3)"}]
+    return _emit(args, experiments.ExperimentReport(
+        "beta_cross_validate", cfg, rows, checks, time.time() - t0,
+        rows_key="estimates", summary=summary))
 
 
 def _dist(args):
@@ -271,49 +221,42 @@ def _dist(args):
 
 def cmd_discrete(args) -> int:
     dist = _dist(args)
-    outdir = _outdir(args)
     rng = task_stream(args.seed, "experiments", 0)
     if args.experiment == "levelset":
         n = _parse_int_list(args.n)[0] if args.n else _preset(args, "levelset_n", 100)
         p_list = _parse_int_list(args.p) if args.p else _preset(args, "levelset_p", [20, 50])
         trials = args.trials or _preset(args, "levelset_trials", 2000)
-        cfg = _config(args, f"discrete {args.experiment}", p_list=p_list)
-        report = experiments.run_levelset(dist, n, p_list, trials, rng, config=cfg.to_dict())
-    else:
+        cfg = _config(args, "discrete levelset")
+        report = experiments.run_levelset(dist, n, p_list, trials, rng, config=cfg)
+    elif args.experiment == "conductance":
         cloud = _load_cloud(args.cloud)
-        brng = task_stream(args.seed, "beta", 1)
-        beta_ref = experiments.beta_reference(cloud, brng)
-        if args.experiment == "theorem1":
-            n_list = _parse_int_list(args.n) if args.n else _preset(args, "theorem1_n", [50, 100, 200, 400])
-            trials = args.trials or _preset(args, "theorem1_trials", 2000)
-            cfg = _config(args, "discrete theorem1", delta=args.delta)
-            report = experiments.run_theorem1(
-                dist, n_list, args.delta, trials, cloud, rng,
-                beta_ref=beta_ref, config=cfg.to_dict())
-        elif args.experiment == "conductance":
-            n_list = _parse_int_list(args.n) if args.n else _preset(args, "conductance_n", [50, 100, 200, 400])
-            trials = args.trials or _preset(args, "conductance_trials", 10**4)
-            cfg = _config(args, "discrete conductance")
-            report = experiments.run_conductance_convergence(
-                dist, n_list, trials, cloud, rng, config=cfg.to_dict())
-        elif args.experiment == "fixed-size":
-            edges = args.edges or _preset(args, "edges", 40000)
-            n = _parse_int_list(args.n)[0] if args.n else _preset(args, "fixed_n", 80)
-            trials = args.trials or _preset(args, "fixed_trials", 2000)
-            if n > np.sqrt(edges) / 2:
-                raise CliError(f"need n <= sqrt(N)/2, got n={n}, N={edges}")
-            cfg = _config(args, "discrete fixed-size", delta=args.delta)
-            report = experiments.run_corollary_fixed_size(
-                dist, edges, n, trials, cloud, rng,
-                beta_ref=beta_ref, delta=args.delta, config=cfg.to_dict())
-        else:  # pragma: no cover
-            raise CliError(f"unknown discrete experiment {args.experiment}")
-    paths = _write_report(report, outdir, args.format)
-    print(f"{report.experiment}: {sum(c['passed'] for c in report.checks)}/"
-          f"{len(report.checks)} checks passed; wrote {', '.join(map(str, paths))}")
-    for c in report.checks:
-        print(f"  [{'PASS' if c['passed'] else 'FAIL'}] {c['criterion']}: {c['detail']}")
-    return 0 if report.passed else 1
+        n_list = _parse_int_list(args.n) if args.n else _preset(args, "conductance_n", [50, 100, 200, 400])
+        trials = args.trials or _preset(args, "conductance_trials", 10**4)
+        cfg = _config(args, "discrete conductance")
+        report = experiments.run_conductance_convergence(
+            dist, n_list, trials, cloud, rng, config=cfg)
+    elif args.experiment == "theorem1":
+        cloud = _load_cloud(args.cloud)
+        n_list = _parse_int_list(args.n) if args.n else _preset(args, "theorem1_n", [50, 100, 200, 400])
+        trials = args.trials or _preset(args, "theorem1_trials", 2000)
+        beta_ref = experiments.beta_reference(cloud, task_stream(args.seed, "beta", 1))
+        cfg = _config(args, "discrete theorem1")
+        report = experiments.run_theorem1(
+            dist, n_list, args.delta, trials, cloud, rng, beta_ref=beta_ref, config=cfg)
+    elif args.experiment == "fixed-size":
+        cloud = _load_cloud(args.cloud)
+        edges = args.edges or _preset(args, "edges", 40000)
+        n = _parse_int_list(args.n)[0] if args.n else _preset(args, "fixed_n", 80)
+        trials = args.trials or _preset(args, "fixed_trials", 2000)
+        if n > np.sqrt(edges) / 2:
+            raise CliError(f"need n <= sqrt(N)/2, got n={n}, N={edges}")
+        beta_ref = experiments.beta_reference(cloud, task_stream(args.seed, "beta", 1))
+        cfg = _config(args, "discrete fixed-size")
+        report = experiments.run_corollary_fixed_size(
+            dist, edges, n, trials, cloud, rng, beta_ref=beta_ref, delta=args.delta, config=cfg)
+    else:  # pragma: no cover
+        raise CliError(f"unknown discrete experiment {args.experiment}")
+    return _emit(args, report)
 
 
 def cmd_continuum(args) -> int:
@@ -324,25 +267,15 @@ def cmd_continuum(args) -> int:
     t0 = time.time()
     curve = continuum.dimension_curve(cloud, eps_list, trials, rng)
     wall = time.time() - t0
-    outdir = _outdir(args)
-    cfg = _config(args, "continuum dimension", eps_list=eps_list, trials=trials)
-    rows = curve.to_rows()
-    csv_lines = ["eps,exponent,std_error,trials,extrapolated"]
-    for r in rows:
-        csv_lines.append(f"{r['eps']!r},{r['exponent']!r},{r['std_error']!r},"
-                         f"{r['trials']},{r['extrapolated']!r}")
-    (outdir / f"continuum_dimension_seed{args.seed}.csv").write_text("\n".join(csv_lines) + "\n")
-    payload = {"config": cfg.to_dict(), "points": rows,
-               "extrapolated": curve.extrapolated,
-               "extrapolated_se": curve.extrapolated_se,
-               "wall_clock_s": wall}
-    (outdir / f"continuum_dimension_seed{args.seed}.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True))
     if curve.extrapolated is not None:
         print(f"extrapolated exponent = {curve.extrapolated:.4f} +- {curve.extrapolated_se:.4f}")
     for p in curve.points:
         print(f"  eps=2^{np.log2(p.eps):.0f}: exponent {p.exponent:.4f} +- {p.std_error:.4f}")
-    return 0
+    cfg = _config(args, "continuum dimension", eps_list=eps_list, trials=trials)
+    summary = {"extrapolated": curve.extrapolated, "extrapolated_se": curve.extrapolated_se}
+    return _emit(args, experiments.ExperimentReport(
+        "continuum_dimension", cfg, curve.to_rows(), [], wall, rows_key="points",
+        summary=summary))
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +285,6 @@ def cmd_continuum(args) -> int:
 
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads (results are thread-count independent)")
     p.add_argument("--out", default="runs", help="output directory")
     p.add_argument("--format", choices=["json", "csv", "both"], default="both")
     p.add_argument("--preset", choices=["smoke", "full"], default=None)

@@ -18,7 +18,7 @@ reproducible regardless of chunk scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

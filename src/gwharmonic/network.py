@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .trees import ReducedTree, level_set, sample_conditioned_batch
+from .trees import ReducedTree, level_set
 
 LINSOLVE_MAX_VERTICES = 20_000
 
@@ -135,11 +135,6 @@ def simulate_walk_exits(reduced: ReducedTree, walks: int, rng) -> np.ndarray:
     return out
 
 
-def simulate_walk_exit(reduced: ReducedTree, rng) -> int:
-    """Single walk; returns the exit vertex index."""
-    return int(simulate_walk_exits(reduced, 1, rng)[0])
-
-
 def sample_boundary(mu: HarmonicMeasure, rng, size=None):
     """Positions into the boundary array drawn from the exact exit law
     (inverse CDF in tree order; distributionally identical to walking)."""
@@ -186,24 +181,3 @@ def check_conductance_invariants(reduced: ReducedTree, c_level: float) -> None:
         nw = level_set(reduced.tree, j).size / j
         if c_level > nw + 1e-12:
             raise AssertionError(f"C_n={c_level} violates the cutset bound {nw}")
-
-
-def exit_exponent_sample(dist, n: int, rng) -> float:
-    """-log mu_n(Sigma_n)/log n for a fresh conditioned tree, with Sigma_n
-    drawn from the exact measure."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    reds, _, _ = sample_conditioned_batch(dist, n, 1, rng, reduce_at_n=True)
-    mu = harmonic_measure_exact(reds[0])
-    b = sample_boundary(mu, rng)
-    return float(-mu.boundary_log_mass[b] / np.log(n))
-
-
-def scaled_conductance_sample(dist, n: int, rng) -> float:
-    """n * C_n(T^{*n}) for a fresh conditioned tree."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    reds, _, _ = sample_conditioned_batch(dist, n, 1, rng, reduce_at_n=True)
-    c = conductance_to_level(reds[0])
-    check_conductance_invariants(reds[0], c)
-    return float(n * c)

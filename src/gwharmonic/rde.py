@@ -14,7 +14,7 @@ residual of the Laplace-transform ODE 2 l phi'' + l phi' + phi^2 - phi = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

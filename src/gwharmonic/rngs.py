@@ -27,8 +27,3 @@ def task_stream(seed: int, module: str, task: int = 0) -> np.random.Generator:
     """Independent generator for task `task` of `module` under `seed`."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(MODULE_IDS[module], task))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def substreams(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Spawn n child generators; deterministic given the parent's history."""
-    return rng.spawn(n)

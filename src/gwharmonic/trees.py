@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .offspring import OffspringDistribution, sample_offspring, survival_prob
+from .offspring import sample_offspring, survival_prob
 
 DEFAULT_NODE_CAP = 10_000_000
 DEFAULT_TRIAL_CAP = 10_000_000

@@ -25,7 +25,7 @@ def test_solve_writes_cloud_and_trace(cloud_file):
     assert cloud_file.exists()
     cloud = rde.load_cloud(cloud_file)
     assert cloud.size == 100000
-    trace = (cloud_file.parent / "rde_solve_trace_seed7.csv").read_text().splitlines()
+    trace = (cloud_file.parent / "rde_solve_seed7.csv").read_text().splitlines()
     assert trace[0] == "iteration,d1"
     assert len(trace) >= 3
     info = json.loads((cloud_file.parent / "rde_solve_seed7.json").read_text())
@@ -99,7 +99,7 @@ def test_beta_single_method(cloud_file, tmp_path):
                 "--method", "triple", "--seed", "4", "--out", str(tmp_path)])
     assert code == 0
     rep = json.loads((tmp_path / "beta_triple_seed4.json").read_text())
-    assert 0.7 < rep["value"] < 0.85
+    assert 0.7 < rep["estimates"][0]["value"] < 0.85
 
 
 def test_discrete_levelset(tmp_path):
@@ -149,3 +149,62 @@ def test_continuum_dimension(cloud_file, tmp_path):
 def test_bad_eps_rejected(cloud_file, tmp_path):
     assert run(["continuum", "dimension", "--cloud", str(cloud_file),
                 "--eps", "0.7", "--out", str(tmp_path)]) == 2
+
+
+def _reports(out):
+    """Every report file in `out`, JSON parsed with its wall clock dropped."""
+    reports = {}
+    for path in sorted(out.glob("*.json")):
+        rep = json.loads(path.read_text())
+        rep.pop("wall_clock_s")
+        reports[path.name] = rep
+    reports.update({path.name: path.read_text() for path in sorted(out.glob("*.csv"))})
+    return reports
+
+
+def test_every_command_writes_one_schema(cloud_file, tmp_path):
+    cloud = str(cloud_file)
+    out = str(tmp_path)
+    assert run(["rde", "validate", "--cloud", cloud, "--seed", "3", "--out", out]) == 0
+    assert run(["beta", "--cloud", cloud, "--trials", "100000", "--seed", "3",
+                "--out", out]) == 0
+    assert run(["discrete", "levelset", "--offspring", "geometric", "--n", "20", "--p", "5",
+                "--trials", "200", "--seed", "3", "--out", out]) == 0
+    assert run(["continuum", "dimension", "--cloud", cloud, "--eps", "2^-4,2^-5",
+                "--trials", "100", "--seed", "3", "--out", out]) == 0
+    paths = [cloud_file.parent / "rde_solve_seed7.json", *sorted(tmp_path.glob("*.json"))]
+    assert sorted(p.name for p in paths[1:]) == [
+        "beta_cross_validate_seed3.json", "continuum_dimension_seed3.json",
+        "levelset_geometric_3.json", "rde_validate_seed3.json"]
+    rows_key = {"rde_solve_seed7.json": "trace", "beta_cross_validate_seed3.json": "estimates",
+                "continuum_dimension_seed3.json": "points"}
+    for path in paths:
+        rep = json.loads(path.read_text())
+        assert {"experiment", "version", "config", "checks", "wall_clock_s"} <= set(rep)
+        assert isinstance(rep[rows_key.get(path.name, "cells")], list)
+        cfg = rep["config"]
+        assert "threads" not in cfg
+        assert all(v is not None for v in cfg.values())
+        assert all(v is not None for v in cfg["extras"].values())
+    beta = json.loads((tmp_path / "beta_cross_validate_seed3.json").read_text())
+    assert [c["criterion"] for c in beta["checks"]] == ["beta-cross-validate"]
+    assert beta["checks"][0]["passed"] is not beta["flagged"]
+
+
+def test_same_seed_reports_equal_but_wall_clock(cloud_file, tmp_path):
+    cloud = str(cloud_file)
+    for argv in (["beta", "--cloud", cloud, "--trials", "100000"],
+                 ["continuum", "dimension", "--cloud", cloud, "--eps", "2^-4,2^-6",
+                  "--trials", "200"]):
+        out = tmp_path / argv[0]
+        runs = []
+        for _ in range(2):
+            assert run([*argv, "--seed", "8", "--out", str(out)]) == 0
+            runs.append(_reports(out))
+        assert len(runs[0]) == 2 and runs[0] == runs[1]
+
+
+def test_threads_flag_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["rde", "solve", "--particles", "2000", "--threads", "2", "--out", str(tmp_path)])
+    assert exc.value.code == 2

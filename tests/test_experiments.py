@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -79,6 +80,7 @@ def test_run_conductance_convergence(solved_cloud):
         off.geometric(), [10, 25, 60], 1500, solved_cloud, rng
     )
     d1s = [c["d1_to_cloud"] for c in rep.cells]
+    assert [c["criterion"] for c in rep.checks] == ["conductance-d1-decreasing"]
     assert all(d > 0 for d in d1s)
     assert d1s[-1] < d1s[0]
     for c in rep.cells:
@@ -110,8 +112,22 @@ def test_report_roundtrip_and_hash(solved_cloud):
     d = json.loads(rep1.to_json())
     assert d["experiment"] == "levelset" and "version" in d
     csv = rep1.to_csv()
-    assert csv.splitlines()[0].startswith("exact")
+    assert csv.splitlines()[0] == "n,p,trials,mean,std_error,exact,z"
     assert len(csv.splitlines()) == 2
+
+
+def test_report_rows_key_summary_and_stem():
+    rep = ex.ExperimentReport("beta_cross_validate", {"seed": 3},
+                              [{"method": "moment", "value": 0.5}], [], 1.5,
+                              rows_key="estimates", summary={"flagged": False})
+    d = rep.to_dict()
+    assert d["estimates"] == rep.cells and "cells" not in d and d["flagged"] is False
+    assert rep.file_stem() == "beta_cross_validate_seed3"
+    assert dataclasses.replace(rep, config={"seed": 3, "offspring": "poisson"}).file_stem() \
+        == "beta_cross_validate_poisson_3"
+    assert rep.to_csv() == "method,value\nmoment,0.5\n"
+    assert dataclasses.replace(rep, wall_clock_s=9.0).content_hash() == rep.content_hash()
+    assert dataclasses.replace(rep, summary={"flagged": True}).content_hash() != rep.content_hash()
 
 
 def test_exponent_gap_z(solved_cloud):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from gwharmonic import experiments as ex
 from gwharmonic import network as net
 from gwharmonic import offspring as off
 from gwharmonic import trees as tr
@@ -224,25 +225,34 @@ def test_exit_exponent_point_mass_is_zero():
 
 def test_exit_exponent_rejects_small_n():
     rng = task_stream(31, "network", 11)
-    with pytest.raises(ValueError):
-        net.exit_exponent_sample(off.geometric(), 1, rng)
+    for n in (1, 3):
+        with pytest.raises(ValueError):
+            ex.run_theorem1(off.geometric(), [n], 0.25, 10, None, rng, beta_ref=0.7845)
 
 
 def test_exit_exponent_mean_range_n200():
     rng = task_stream(32, "network", 12)
-    dist = off.geometric()
-    vals = [net.exit_exponent_sample(dist, 200, rng) for _ in range(400)]
-    assert 0.6 <= np.mean(vals) <= 0.95
+    rep = ex.run_theorem1(off.geometric(), [200], 0.25, 400, None, rng, beta_ref=0.7845)
+    assert 0.6 <= rep.cells[0]["exponent_mean"] <= 0.95
 
 
-def test_scaled_conductance_path_and_bounds():
+def test_scaled_conductance_path_and_bounds(solved_cloud, monkeypatch):
     r = as_reduced(path_tree(12), 12)
     c = net.conductance_to_level(r)
     assert 12 * c == pytest.approx(12.0 / 13.0, abs=1e-12)
+    # every sample the driver draws, seen through its per-sample invariant check
+    seen = []
+
+    def record(reduced, c_level):
+        net.check_conductance_invariants(reduced, c_level)
+        seen.append((reduced.n, reduced.n * c_level))
+
+    monkeypatch.setattr(ex, "check_conductance_invariants", record)
     rng = task_stream(33, "network", 13)
-    for n in (5, 30):
-        v = net.scaled_conductance_sample(off.geometric(), n, rng)
-        assert v >= n / (n + 1) - 1e-12
+    rep = ex.run_conductance_convergence(off.geometric(), [5, 30], 50, solved_cloud, rng)
+    assert sorted({n for n, _ in seen}) == [5, 30] and len(seen) == 100
+    assert all(v >= n / (n + 1) - 1e-12 for n, v in seen)
+    assert all(cell["mean"] >= cell["n"] / (cell["n"] + 1) - 1e-12 for cell in rep.cells)
 
 
 def test_scaled_conductance_second_moment_bounded():
