@@ -1,0 +1,91 @@
+"""Compare the JSON and CSV reports of two run directories.
+
+Usage: python scripts/compare_reports.py DIR_A DIR_B
+
+Every `*.json` and `*.csv` file in either directory is compared with its
+namesake in the other; `wall_clock_s` and `config.out` are ignored.  For
+each file that differs, the first differing key path is printed (CSV paths
+read `file.csv:row[i].column`).  Exits 1 on any difference, 0 when the
+directories match.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import sys
+from pathlib import Path
+
+IGNORED = {("wall_clock_s",), ("config", "out")}
+MISSING = object()
+
+
+def first_difference(a, b, path=()):
+    """Key path (a tuple) of the first difference between two JSON values, or None."""
+    if path in IGNORED:
+        return None
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            found = first_difference(a.get(key, MISSING), b.get(key, MISSING), path + (key,))
+            if found is not None:
+                return found
+        return None
+    if isinstance(a, list) and isinstance(b, list):
+        for i in range(max(len(a), len(b))):
+            found = first_difference(a[i] if i < len(a) else MISSING,
+                                     b[i] if i < len(b) else MISSING, path + (i,))
+            if found is not None:
+                return found
+        return None
+    same = a == b or (a != a and b != b)  # NaN equals NaN here
+    return None if type(a) is type(b) and same else path
+
+
+def _load(path: Path):
+    if path.suffix == ".json":
+        return json.loads(path.read_text())
+    with open(path, newline="") as fh:
+        return [dict(row) for row in csv.DictReader(fh)]
+
+
+def _format(name: str, path: tuple) -> str:
+    out = name
+    for i, key in enumerate(path):
+        if isinstance(key, int):
+            out += f"{':row' if i == 0 else ''}[{key}]"
+        else:
+            out += f"{':' if i == 0 else '.'}{key}"
+    return out
+
+
+def compare(dir_a: Path, dir_b: Path) -> list[str]:
+    """One line per differing or unmatched report file."""
+    names = sorted({p.name for d in (dir_a, dir_b) for p in d.iterdir()
+                    if p.suffix in (".json", ".csv")})
+    lines = []
+    for name in names:
+        pa, pb = dir_a / name, dir_b / name
+        if not (pa.exists() and pb.exists()):
+            lines.append(f"{name}: only in {dir_a if pa.exists() else dir_b}")
+            continue
+        found = first_difference(_load(pa), _load(pb))
+        if found is not None:
+            lines.append(f"{_format(name, found)} differs")
+    return lines
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2 or not all(Path(d).is_dir() for d in argv):
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    lines = compare(Path(argv[0]), Path(argv[1]))
+    for line in lines:
+        print(line)
+    if not lines:
+        print("reports match")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

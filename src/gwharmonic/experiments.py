@@ -1,7 +1,9 @@
 """End-to-end experiment drivers for the discrete limit theorems.
 
-Each driver samples conditioned trees, runs the exact network computations,
-asserts the per-sample invariants fail-fast, and returns an ExperimentReport
+Each driver samples conditioned trees as one level forest per n, runs the
+exact network computations over the whole forest, asserts the per-sample
+invariants fail-fast, checks the rejection sampler's acceptance count against
+the exact q_n, and returns an ExperimentReport
 whose config echo reproduces the run bit-for-bit under the same seed.  The
 theorems are asymptotic, so drivers report finite-size trends (Mann-Kendall)
 and identity z-scores rather than exact limits.
@@ -23,18 +25,20 @@ from scipy.stats import norm
 from . import __version__
 from .beta import cross_validate
 from .network import (
+    HarmonicMeasure,
     check_conductance_invariants,
     concentration_statistic,
-    conductance_to_level,
+    forest_boundary_log_mass,
+    forest_conductance_to_level,
     harmonic_measure_exact,
     sample_boundary,
 )
-from .offspring import survival_probs
+from .offspring import survival_prob, survival_probs
 from .rde import ParticleCloud, wasserstein1
 from .trees import (
     level_set,
     reduce as reduce_tree,
-    sample_conditioned_batch,
+    sample_conditioned_forest,
     sample_fixed_size_conditioned,
 )
 
@@ -142,8 +146,24 @@ def _summary(values: np.ndarray) -> dict:
     }
 
 
-def _measure_and_exponent(red, rng, beta_ref, delta, n):
-    mu = harmonic_measure_exact(red)
+def acceptance_check(dist, n, trials, successes, capped) -> dict:
+    """The rejection sampler's accepted-trial count against Binomial(trials,
+    q_n) with the exact q_n of `dist`; fails as well when any trial was
+    dropped at the node cap (a silent bias against large trees)."""
+    q = survival_prob(dist, n)
+    z = (successes - trials * q) / np.sqrt(trials * q * (1.0 - q))
+    return {"criterion": f"conditioned-acceptance-n{n}",
+            "passed": bool(abs(z) <= 4 and capped == 0),
+            "detail": f"trials={trials} survivors={successes} capped={capped} z={z:+.2f}"}
+
+
+def _conditioned_forest(dist, n, trials, rng):
+    """`trials` height-n conditioned reduced trees and their acceptance check."""
+    forest, run, found = sample_conditioned_forest(dist, n, trials, rng)
+    return forest, acceptance_check(dist, n, run, found, forest.capped)
+
+
+def _measure_and_exponent(mu, rng, beta_ref, delta, n):
     total = logsumexp(mu.boundary_log_mass)
     if abs(total) > 1e-12:
         raise AssertionError(f"harmonic measure mass off by {total}")
@@ -160,15 +180,19 @@ def run_theorem1(dist, n_list, delta, trials, cloud, rng, beta_ref=None, config=
     t0 = time.time()
     if beta_ref is None:
         beta_ref = beta_reference(cloud, rng)
-    cells = []
+    cells, accepts = [], []
     for n in n_list:
         if n < 4:
             raise ValueError("n must be >= 4")
-        reds, _, _ = sample_conditioned_batch(dist, n, trials, rng, reduce_at_n=True)
+        forest, accept = _conditioned_forest(dist, n, trials, rng)
+        accepts.append(accept)
+        log_mass = forest_boundary_log_mass(forest)
+        off = forest.boundary_offsets()
         concs = np.empty(trials)
         expos = np.empty(trials)
-        for i, red in enumerate(reds):
-            concs[i], expos[i] = _measure_and_exponent(red, rng, beta_ref, delta, n)
+        for i in range(trials):
+            mu = HarmonicMeasure(log_mass[off[i] : off[i + 1]], n)
+            concs[i], expos[i] = _measure_and_exponent(mu, rng, beta_ref, delta, n)
         cell = {"n": n, "trials": trials, "concentration_mean": float(concs.mean()),
                 "concentration_se": float(concs.std(ddof=1) / np.sqrt(trials))}
         cell.update({f"exponent_{k}": v for k, v in _summary(expos).items()})
@@ -189,6 +213,7 @@ def run_theorem1(dist, n_list, delta, trials, cloud, rng, beta_ref=None, config=
             {"criterion": "theorem1-exponent-at-nmax", "passed": bool(gap <= 0.1),
              "detail": f"|mean - beta| = {gap:.4f} at n={max(n_list)}"}
         )
+    checks += accepts
     cfg = dict(config or {})
     cfg.update({"n_list": list(map(int, n_list)), "delta": delta, "trials": trials,
                 "beta_ref": beta_ref})
@@ -198,14 +223,13 @@ def run_theorem1(dist, n_list, delta, trials, cloud, rng, beta_ref=None, config=
 def run_conductance_convergence(dist, n_list, trials, cloud, rng, config=None):
     """Law of n C_n against the cloud: d1 must fall as n grows."""
     t0 = time.time()
-    cells = []
+    cells, accepts = [], []
     for n in n_list:
-        reds, _, _ = sample_conditioned_batch(dist, n, trials, rng, reduce_at_n=True)
-        vals = np.empty(trials)
-        for i, red in enumerate(reds):
-            c = conductance_to_level(red)
-            check_conductance_invariants(red, c)
-            vals[i] = n * c
+        forest, accept = _conditioned_forest(dist, n, trials, rng)
+        accepts.append(accept)
+        c = forest_conductance_to_level(forest)
+        check_conductance_invariants(forest, c)
+        vals = n * c
         d1 = wasserstein1(ParticleCloud(np.sort(vals)), cloud)
         cells.append({"n": n, "trials": trials, "d1_to_cloud": float(d1),
                       "mean": float(vals.mean()),
@@ -215,6 +239,7 @@ def run_conductance_convergence(dist, n_list, trials, cloud, rng, config=None):
         {"criterion": "conductance-d1-decreasing",
          "passed": bool(all(b < a for a, b in zip(d1s, d1s[1:]))),
          "detail": f"d1 ladder {['%.4f' % d for d in d1s]}"},
+        *accepts,
     ]
     cfg = dict(config or {})
     cfg.update({"n_list": list(map(int, n_list)), "trials": trials})
@@ -223,13 +248,15 @@ def run_conductance_convergence(dist, n_list, trials, cloud, rng, config=None):
 
 def run_levelset(dist, n, p_list, trials, rng, config=None):
     """Reduced-tree level sizes against the exact identity
-    E[#level(n-p)] = q_p/q_n; the same sampled trees serve every p."""
+    E[#level(n-p)] = q_p/q_n; the same sampled trees serve every p.  The
+    sizes are read through level_set on the forest's per-tree views."""
     t0 = time.time()
     for p in p_list:
         if not 1 <= p <= n / 2:
             raise ValueError("p must lie in [1, n/2]")
     qs = survival_probs(dist, n)
-    reds, _, _ = sample_conditioned_batch(dist, n, trials, rng, reduce_at_n=True)
+    forest, accept = _conditioned_forest(dist, n, trials, rng)
+    reds = forest.views()
     cells, checks = [], []
     for p in p_list:
         sizes = np.array([level_set(r.tree, n - p).size for r in reds], float)
@@ -240,6 +267,7 @@ def run_levelset(dist, n, p_list, trials, rng, config=None):
                       "std_error": float(se), "exact": float(exact), "z": float(z)})
         checks.append({"criterion": f"levelset-z-n{n}-p{p}", "passed": bool(abs(z) <= 3),
                        "detail": f"z={z:+.2f}"})
+    checks.append(accept)
     cfg = dict(config or {})
     cfg.update({"n": n, "p_list": list(map(int, p_list)), "trials": trials})
     return ExperimentReport("levelset", cfg, cells, checks, time.time() - t0)
@@ -260,8 +288,8 @@ def run_corollary_fixed_size(dist, N, n, trials, cloud, rng, beta_ref=None,
     for i in range(trials):
         tree, tcount = sample_fixed_size_conditioned(dist, N, n, rng)
         attempts += tcount
-        red = reduce_tree(tree, n)
-        concs[i], expos[i] = _measure_and_exponent(red, rng, beta_ref, delta, n)
+        mu = harmonic_measure_exact(reduce_tree(tree, n))
+        concs[i], expos[i] = _measure_and_exponent(mu, rng, beta_ref, delta, n)
     cell = {"N": N, "n": n, "trials": trials,
             "acceptance_rate": trials / attempts,
             "concentration_mean": float(concs.mean()),

@@ -2,7 +2,10 @@
 
 Harmonic measure at generation n is computed exactly by conductance
 splitting: one bottom-up sweep for subtree conductances, one top-down sweep
-distributing flow proportionally to c/(1+c) per branch.  Two independent
+distributing flow proportionally to c/(1+c) per branch (the harmonic flow
+rule of Lyons, Pemantle and Peres, "Ergodic theory on Galton-Watson trees").
+Both sweeps run over a LevelForest, one numpy pass per level for every tree
+at once; a single ReducedTree is swept as a one-tree forest.  Two independent
 oracles are kept alongside: a sparse solve of the harmonic system and plain
 random-walk simulation.  All masses live in log-space end to end; the
 infinite conductance of boundary vertices is an explicit sentinel whose
@@ -17,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .trees import ReducedTree, level_set
+from .trees import LevelForest, ReducedTree
 
 LINSOLVE_MAX_VERTICES = 20_000
 
@@ -35,52 +38,64 @@ class HarmonicMeasure:
     log_flow: np.ndarray | None = None
 
 
-def _conductance_sweep(reduced: ReducedTree):
-    """Bottom-up pass; returns (c, log_r) with c=+inf and log_r=0 on the boundary."""
-    t, n = reduced.tree, reduced.n
-    c = np.full(t.node_count, np.inf)
-    log_r = np.zeros(t.node_count)
+def _conductance_sweep(forest: LevelForest):
+    """Bottom-up pass; per generation g <= n returns (c[g], log_r[g]), with
+    c=+inf and log_r=0 on generation n.  Each parent sums its children's
+    escape ratios in child order, so a tree's values do not depend on the
+    other trees of the forest."""
+    n = forest.n
+    c, log_r = [None] * (n + 1), [None] * (n + 1)
+    c[n] = np.full(forest.tree_index[n].size, np.inf)
+    log_r[n] = np.zeros(forest.tree_index[n].size)
     for g in range(n - 1, -1, -1):
-        lo, hi = t.gen_offsets[g], t.gen_offsets[g + 1]
-        clo, chi = t.gen_offsets[g + 1], t.gen_offsets[g + 2]
-        r_child = np.exp(log_r[clo:chi])
-        s = np.bincount(
-            (t.parent[clo:chi] - lo).astype(np.int64),
-            weights=r_child,
-            minlength=int(hi - lo),
-        )
-        c[lo:hi] = s
-        log_r[lo:hi] = -np.log1p(1.0 / s)
+        k = forest.counts[g]
+        s = np.bincount(np.repeat(np.arange(k.size), k), weights=np.exp(log_r[g + 1]),
+                        minlength=k.size)
+        c[g] = s
+        log_r[g] = -np.log1p(1.0 / s)
     return c, log_r
+
+
+def _flow_sweep(forest: LevelForest) -> list:
+    """Top-down pass: log_flow[g] is the log-mass of the subtree above each
+    generation-g vertex (0 at the roots)."""
+    c, log_r = _conductance_sweep(forest)
+    log_flow = [np.zeros(forest.size)]
+    for g in range(forest.n):
+        k = forest.counts[g]
+        log_flow.append(np.repeat(log_flow[g], k) + log_r[g + 1] - np.repeat(np.log(c[g]), k))
+    return log_flow
+
+
+def forest_conductance_to_level(forest: LevelForest) -> np.ndarray:
+    """C_n of every tree of the forest (see conductance_to_level)."""
+    c_root = _conductance_sweep(forest)[0][0]
+    return c_root / (1.0 + c_root)
+
+
+def forest_boundary_log_mass(forest: LevelForest) -> np.ndarray:
+    """Exit-law log-masses of generation n of every tree, in forest order;
+    tree i owns the slice forest.boundary_offsets()[i:i+2]."""
+    return _flow_sweep(forest)[forest.n]
 
 
 def subtree_conductances(reduced: ReducedTree) -> np.ndarray:
     """c(v) = conductance from v through its subtree to generation n, with
     unit resistance per edge; +inf sentinel on the boundary itself."""
-    return _conductance_sweep(reduced)[0]
+    return np.concatenate(_conductance_sweep(reduced.as_forest())[0])
 
 
 def conductance_to_level(reduced: ReducedTree) -> float:
     """C_n: probability that walk started at the root hits generation n
     before an extra vertex attached to the root by a unit edge."""
-    c_root = float(_conductance_sweep(reduced)[0][0])
-    if np.isinf(c_root):
-        return 1.0
-    return c_root / (1.0 + c_root)
+    return float(forest_conductance_to_level(reduced.as_forest())[0])
 
 
 def harmonic_measure_exact(reduced: ReducedTree) -> HarmonicMeasure:
     """Exit law of generation n by current splitting (two linear passes)."""
-    t, n = reduced.tree, reduced.n
-    c, log_r = _conductance_sweep(reduced)
-    log_c = np.log(c)  # +inf at the boundary, never indexed below
-    log_flow = np.zeros(t.node_count)
-    for g in range(n):
-        clo, chi = t.gen_offsets[g + 1], t.gen_offsets[g + 2]
-        par = t.parent[clo:chi]
-        log_flow[clo:chi] = log_flow[par] + log_r[clo:chi] - log_c[par]
+    log_flow = np.concatenate(_flow_sweep(reduced.as_forest()))
     return HarmonicMeasure(
-        boundary_log_mass=log_flow[reduced.boundary].copy(), n=n, log_flow=log_flow
+        boundary_log_mass=log_flow[reduced.boundary].copy(), n=reduced.n, log_flow=log_flow
     )
 
 
@@ -170,14 +185,17 @@ def concentration_statistic(mu: HarmonicMeasure, n: int, beta: float, delta: flo
     return min(float(np.exp(lm[sel]).sum()), 1.0)
 
 
-def check_conductance_invariants(reduced: ReducedTree, c_level: float) -> None:
-    """Fail fast on the two pathwise bounds: C_n in [1/(n+1), 1] and the
-    cutset bound C_n <= #level(n/2) / (n/2)."""
-    n = reduced.n
-    if not 1.0 / (n + 1) - 1e-12 <= c_level <= 1.0 + 1e-12:
-        raise AssertionError(f"C_n={c_level} outside [1/(n+1), 1] at n={n}")
+def check_conductance_invariants(forest: LevelForest, c_level: np.ndarray) -> None:
+    """Fail fast on the two pathwise bounds, for every tree of the forest:
+    C_n in [1/(n+1), 1] and the cutset bound C_n <= #level(n/2) / (n/2)."""
+    n = forest.n
+    c_level = np.asarray(c_level, float)
+    bad = ~((1.0 / (n + 1) - 1e-12 <= c_level) & (c_level <= 1.0 + 1e-12))
+    if bad.any():
+        raise AssertionError(f"C_n={c_level[bad][0]} outside [1/(n+1), 1] at n={n}")
     if n >= 2:
         j = n // 2
-        nw = level_set(reduced.tree, j).size / j
-        if c_level > nw + 1e-12:
-            raise AssertionError(f"C_n={c_level} violates the cutset bound {nw}")
+        nw = forest.level_sizes(j) / j
+        over = c_level > nw + 1e-12
+        if over.any():
+            raise AssertionError(f"C_n={c_level[over][0]} violates the cutset bound {nw[over][0]}")

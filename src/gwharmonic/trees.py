@@ -6,10 +6,16 @@ parents form consecutive blocks.  That layout makes the bottom-up and
 top-down passes of the network module single vectorised sweeps per level.
 
 Height-conditioning is done by plain rejection (exactly distributed); trials
-are run in waves so the offspring draws vectorise across trials.  Fixed-size
-conditioning uses the cycle lemma: a uniformly shuffled step multiset has
-exactly one cyclic rotation that is a valid depth-first walk, and rotating to
-it preserves the conditional law.
+are run in waves so the offspring draws vectorise across trials.  The chosen
+survivors of a wave are reduced together, bottom-up, into one LevelForest:
+generation g of every tree sits in one array, so marking, reduction and the
+network sweeps are one numpy pass per level over all trees.  PlaneTree and
+ReducedTree remain the single-tree views used by the oracles and the text
+dump, and reduce() runs the same bottom-up marking on a one-tree forest.
+
+Fixed-size conditioning uses the cycle lemma: a uniformly shuffled step
+multiset has exactly one cyclic rotation that is a valid depth-first walk,
+and rotating to it preserves the conditional law.
 """
 
 from __future__ import annotations
@@ -76,6 +82,116 @@ class ReducedTree:
     @property
     def boundary_size(self) -> int:
         return self.boundary.size
+
+    def as_forest(self) -> LevelForest:
+        """This tree as a one-tree LevelForest (it is already reduced)."""
+        off = self.tree.gen_offsets
+        counts = [self.tree.child_count[off[g] : off[g + 1]] for g in range(self.n)]
+        tree_index = [np.zeros(off[g + 1] - off[g], np.int64) for g in range(self.n + 1)]
+        return LevelForest(self.n, counts, tree_index)
+
+
+@dataclass(eq=False)
+class LevelForest:
+    """Trees of height n, stored generation by generation; reduced to the
+    ancestors of generation n unless sampled whole.
+
+    Generation g of every tree lives in one array: the trees in order, and
+    each tree's generation-g vertices in breadth-first order.  The children of
+    consecutive vertices are consecutive, so generation g+1 is generation g
+    repeated by its child counts.
+    """
+
+    n: int
+    counts: list       # counts[g]: child counts of generation g, for g < n
+    tree_index: list   # tree_index[g]: owning tree of each generation-g vertex, g <= n
+    capped: int = 0    # sampling trials dropped at the node cap
+
+    @property
+    def size(self) -> int:
+        return self.tree_index[0].size
+
+    def level_sizes(self, g: int) -> np.ndarray:
+        """Generation-g vertex count of every tree."""
+        return np.bincount(self.tree_index[g], minlength=self.size)
+
+    def boundary_offsets(self) -> np.ndarray:
+        """Tree i owns vertices [off[i], off[i+1]) of generation n."""
+        return np.concatenate(([0], np.cumsum(self.level_sizes(self.n))))
+
+    def trees(self) -> list[PlaneTree]:
+        """Every tree as a PlaneTree in breadth-first layout.
+
+        A stable sort by tree index turns the level-major arrays into the
+        trees' breadth-first layouts back to back; each tree slices them.
+        """
+        n, size = self.n, self.size
+        tree = np.concatenate(self.tree_index)
+        order = np.argsort(tree, kind="stable")
+        tree = tree[order]
+        counts = np.concatenate(self.counts + [np.zeros(self.tree_index[n].size, np.int64)])[order]
+        depth = np.repeat(np.arange(n + 1), [t.size for t in self.tree_index])[order]
+        start = np.concatenate(([0], np.cumsum(np.bincount(tree, minlength=size))))
+        first = start[tree]  # global index of each vertex's root
+        parent = np.full(tree.size, -1, np.int64)
+        nonroot = np.arange(tree.size) != first
+        parent[nonroot] = np.repeat(np.arange(tree.size), counts) - first[nonroot]
+        child_start = np.cumsum(counts) - counts - first + tree + 1
+        gens = np.bincount(tree * (n + 1) + depth, minlength=size * (n + 1))
+        gen_offsets = np.zeros((size, n + 2), np.int64)
+        np.cumsum(gens.reshape(size, n + 1), axis=1, out=gen_offsets[:, 1:])
+        return [PlaneTree(parent[s:e], child_start[s:e], counts[s:e], depth[s:e], off)
+                for s, e, off in zip(start[:-1], start[1:], gen_offsets)]
+
+    def views(self) -> list[ReducedTree]:
+        """Every tree as a ReducedTree (for a reduced forest)."""
+        return [ReducedTree(t, self.n, np.arange(t.gen_offsets[self.n], t.gen_offsets[self.n + 1]))
+                for t in self.trees()]
+
+
+def _concat_forests(parts: list[LevelForest], n: int) -> LevelForest:
+    if len(parts) == 1:
+        return parts[0]
+    shift = np.cumsum([0] + [f.size for f in parts])
+    counts = [np.concatenate([f.counts[g] for f in parts]) for g in range(n)]
+    tree_index = [np.concatenate([f.tree_index[g] + k for f, k in zip(parts, shift)])
+                  for g in range(n + 1)]
+    return LevelForest(n, counts, tree_index)
+
+
+def _reduce_levels(n: int, level, reduce: bool = True) -> LevelForest:
+    """Bottom-up marking: keep the ancestors of generation n of a forest.
+
+    level(g) returns the raw child counts and the tree indices of generation
+    g < n in level order.  Generation n is kept whole; a vertex is kept iff
+    it has a kept child, and its reduced child count is the number of them.
+    Only the reduced generation is held once the step is done.  With
+    reduce=False the generations are kept as given (whole trees).
+    """
+    counts = [None] * n
+    tree_index = [None] * (n + 1)
+    marks = None
+    for g in range(n - 1, -1, -1):
+        raw, tree = level(g)
+        if not reduce:
+            counts[g], tree_index[g] = raw, tree
+            continue
+        red = raw if marks is None else _segment_sums(marks, raw)
+        marks = red > 0
+        counts[g] = red[marks]
+        tree_index[g] = tree[marks]
+    tree_index[n] = np.repeat(tree_index[n - 1], counts[n - 1])
+    return LevelForest(n, counts, tree_index)
+
+
+def _tree_levels(tree: PlaneTree):
+    """level(g) of one PlaneTree for _reduce_levels."""
+    off = tree.gen_offsets
+
+    def level(g):
+        return tree.child_count[off[g] : off[g + 1]], np.zeros(off[g + 1] - off[g], np.int64)
+
+    return level
 
 
 def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -179,8 +295,9 @@ def sample_gw(dist, rng, node_cap: int = DEFAULT_NODE_CAP, max_gen: int | None =
 def _conditioned_wave(dist, n, wave, rng, node_cap):
     """Run `wave` independent trials jointly up to generation n.
 
-    Returns (counts_levels, labels_levels, survivor_labels); trials that hit
-    the per-trial node cap are dropped (treated as rejections).
+    Returns (counts_levels, labels_levels, survivor_labels, capped); the
+    `capped` trials that hit the per-trial node cap are dropped (treated as
+    rejections).
     """
     labels = np.arange(wave, dtype=np.int64)
     counts_levels, labels_levels = [], []
@@ -200,17 +317,74 @@ def _conditioned_wave(dist, n, wave, rng, node_cap):
             children = children[~capped[children]]
         labels = children
     survivors = np.unique(labels) if len(counts_levels) == n else np.array([], np.int64)
-    return counts_levels, labels_levels, survivors
+    return counts_levels, labels_levels, survivors, int(capped.sum())
 
 
-def _extract_counts(counts_levels, labels_levels, label) -> list[np.ndarray]:
-    # label arrays are sorted (np.repeat of a sorted array), so slice by bisection
-    out = []
-    for c, l in zip(counts_levels, labels_levels):
-        lo = np.searchsorted(l, label, side="left")
-        hi = np.searchsorted(l, label, side="right")
-        out.append(c[lo:hi])
-    return out
+def _wave_levels(counts_levels, labels_levels, chosen):
+    """level(g) of the chosen trials of a wave for _reduce_levels.
+
+    Label arrays are sorted (np.repeat of a sorted array), so each chosen
+    trial's generation-g vertices are one block found by one searchsorted.
+    """
+    bounds = np.stack((chosen, chosen + 1))
+
+    def level(g):
+        lo, hi = np.searchsorted(labels_levels[g], bounds)
+        sizes = hi - lo
+        idx = np.arange(sizes.sum()) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
+        return counts_levels[g][idx], np.repeat(np.arange(chosen.size), sizes)
+
+    return level
+
+
+def sample_conditioned_forest(
+    dist,
+    n: int,
+    count: int,
+    rng,
+    node_cap: int = DEFAULT_NODE_CAP,
+    trial_cap: int = DEFAULT_TRIAL_CAP,
+    reduce: bool = True,
+):
+    """Exact iid samples of the tree conditioned on height >= n, reduced to
+    the ancestors of generation n, as one LevelForest of `count` trees.
+
+    Trials run in waves; each wave's chosen survivors are reduced bottom-up,
+    one numpy pass per level, before the next wave runs.  Returns (forest,
+    trials, successes): `trials` counts every rejection trial run and
+    `successes` every accepted trial, including iid survivors beyond `count`
+    that were found but not used (so trials/successes is an unbiased
+    estimate of 1/q_n).  forest.capped counts the trials dropped at the node
+    cap.  With reduce=False the forest holds the whole trees chopped at
+    generation n.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    q = survival_prob(dist, n)
+    parts = []
+    taken = trials = successes = capped = 0
+    while taken < count:
+        if trials >= trial_cap:
+            raise TrialCapError(f"no height-{n} sample within {trial_cap} trials")
+        wave = int(np.clip(np.ceil(1.3 * (count - taken) / q), 64, 65536))
+        wave = min(wave, trial_cap - trials)
+        counts_levels, labels_levels, survivors, wave_capped = _conditioned_wave(
+            dist, n, wave, rng, node_cap
+        )
+        trials += wave
+        successes += survivors.size
+        capped += wave_capped
+        chosen = survivors[: count - taken]
+        if chosen.size:
+            parts.append(_reduce_levels(n, _wave_levels(counts_levels, labels_levels, chosen),
+                                        reduce))
+            taken += chosen.size
+        del counts_levels, labels_levels  # free this wave before the next one runs
+    forest = _concat_forests(parts, n)
+    forest.capped = capped
+    return forest, trials, successes
 
 
 def sample_conditioned_batch(
@@ -222,40 +396,16 @@ def sample_conditioned_batch(
     trial_cap: int = DEFAULT_TRIAL_CAP,
     reduce_at_n: bool = False,
 ):
-    """Exact iid samples of the tree conditioned on height >= n, chopped at
-    generation n (all level-n statistics, reduced trees and the harmonic
-    measure at level n are unaffected by the chop).
-
-    With reduce_at_n the reduction to ancestors of generation n is fused into
-    extraction and ReducedTree objects are returned instead.
-    Returns (trees, trials, successes): `trials` counts every rejection trial
-    run and `successes` every accepted trial, including iid survivors beyond
-    `count` that were found but not materialised (so trials/successes is an
-    unbiased estimate of 1/q_n).
+    """The samples of sample_conditioned_forest, tree by tree: whole trees
+    chopped at generation n (all level-n statistics, reduced trees and the
+    harmonic measure at level n are unaffected by the chop), or with
+    reduce_at_n the reduced trees as ReducedTree views.  Returns (trees,
+    trials, successes); both read the rng identically.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    q = survival_prob(dist, n)
-    out = []
-    trials = 0
-    successes = 0
-    while len(out) < count:
-        if trials >= trial_cap:
-            raise TrialCapError(f"no height-{n} sample within {trial_cap} trials")
-        wave = int(np.clip(np.ceil(1.3 * (count - len(out)) / q), 64, 65536))
-        wave = min(wave, trial_cap - trials)
-        counts_levels, labels_levels, survivors = _conditioned_wave(
-            dist, n, wave, rng, node_cap
-        )
-        trials += wave
-        successes += survivors.size
-        for t in survivors[: count - len(out)]:
-            counts_t = _extract_counts(counts_levels, labels_levels, t)
-            if reduce_at_n:
-                out.append(_reduce_from_counts(counts_t, n))
-            else:
-                out.append(tree_from_generation_counts(counts_t))
-    return out, trials, successes
+    forest, trials, successes = sample_conditioned_forest(
+        dist, n, count, rng, node_cap, trial_cap, reduce=reduce_at_n
+    )
+    return (forest.views() if reduce_at_n else forest.trees()), trials, successes
 
 
 def sample_conditioned_height(
@@ -387,22 +537,6 @@ def sample_fixed_size_conditioned(dist, N: int, n: int, rng, trial_cap=DEFAULT_T
 # ---------------------------------------------------------------------------
 
 
-def _reduce_from_counts(counts_per_gen: list[np.ndarray], n: int) -> ReducedTree:
-    """Reduced tree straight from per-generation counts of a height->=n tree."""
-    marks = [None] * (n + 1)
-    marks[n] = np.ones(int(counts_per_gen[n - 1].sum()), bool)
-    for g in range(n - 1, -1, -1):
-        marks[g] = _segment_sums(marks[g + 1].astype(np.int64), counts_per_gen[g]) > 0
-    red_counts = []
-    for g in range(n):
-        kept = marks[g]
-        child_marks = marks[g + 1].astype(np.int64)
-        red_counts.append(_segment_sums(child_marks, counts_per_gen[g])[kept])
-    tree = tree_from_generation_counts(red_counts)
-    boundary = np.arange(tree.gen_offsets[n], tree.gen_offsets[n + 1])
-    return ReducedTree(tree=tree, n=n, boundary=boundary)
-
-
 def reduce(tree: PlaneTree, n: int):
     """Subtree of ancestors of depth-n vertices, relabelled preserving order;
     NoSurvivor (a value) if the tree does not reach depth n."""
@@ -410,19 +544,7 @@ def reduce(tree: PlaneTree, n: int):
         raise ValueError("n must be >= 1")
     if tree.height < n:
         return NoSurvivor(n)
-    mark = tree.depth == n
-    for g in range(n - 1, -1, -1):
-        lo, hi = tree.gen_offsets[g], tree.gen_offsets[g + 1]
-        clo, chi = tree.gen_offsets[g + 1], tree.gen_offsets[g + 2]
-        seg = _segment_sums(mark[clo:chi].astype(np.int64), tree.child_count[lo:hi])
-        mark[lo:hi] = seg > 0
-    keep = np.flatnonzero(mark)
-    newidx = np.full(tree.node_count, -1, np.int64)
-    newidx[keep] = np.arange(keep.size)
-    parent = np.where(tree.parent[keep] >= 0, newidx[tree.parent[keep]], -1)
-    out = tree_from_parent_depth(parent, tree.depth[keep])
-    boundary = np.arange(out.gen_offsets[n], out.gen_offsets[n + 1])
-    return ReducedTree(tree=out, n=n, boundary=boundary)
+    return _reduce_levels(n, _tree_levels(tree)).views()[0]
 
 
 def validate_reduced(r: ReducedTree) -> None:
@@ -430,13 +552,8 @@ def validate_reduced(r: ReducedTree) -> None:
     t = r.tree
     validate_tree(t)
     assert t.height == r.n and r.boundary.size > 0
-    reach = t.depth == r.n
-    for g in range(r.n - 1, -1, -1):
-        lo, hi = t.gen_offsets[g], t.gen_offsets[g + 1]
-        clo, chi = t.gen_offsets[g + 1], t.gen_offsets[g + 2]
-        seg = _segment_sums(reach[clo:chi].astype(np.int64), t.child_count[lo:hi])
-        reach[lo:hi] = seg > 0
-    assert bool(reach[: t.gen_offsets[r.n + 1]].all())
+    kept = _reduce_levels(r.n, _tree_levels(t))
+    assert [g.size for g in kept.tree_index] == np.diff(t.gen_offsets).tolist()
 
 
 def level_set(tree: PlaneTree, k: int) -> np.ndarray:

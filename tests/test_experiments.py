@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from gwharmonic import experiments as ex
+from gwharmonic import network as net
 from gwharmonic import offspring as off
+from gwharmonic import trees as tr
 from gwharmonic.rngs import task_stream
 
 
@@ -74,18 +76,64 @@ def test_run_theorem1_rejects_small_n(solved_cloud):
         ex.run_theorem1(off.geometric(), [2], 0.25, 10, solved_cloud, rng)
 
 
-def test_run_conductance_convergence(solved_cloud):
+def test_run_conductance_convergence(solved_cloud, monkeypatch):
+    seen = []
+
+    def record(forest, c_level):
+        net.check_conductance_invariants(forest, c_level)
+        seen.extend((forest.n, forest.n * c) for c in c_level)
+
+    monkeypatch.setattr(ex, "check_conductance_invariants", record)
     rng = task_stream(6, "experiments", 6)
     rep = ex.run_conductance_convergence(
         off.geometric(), [10, 25, 60], 1500, solved_cloud, rng
     )
+    assert len(seen) == 3 * 1500
+    assert all(v >= n / (n + 1) - 1e-12 for n, v in seen)
     d1s = [c["d1_to_cloud"] for c in rep.cells]
-    assert [c["criterion"] for c in rep.checks] == ["conductance-d1-decreasing"]
+    assert [c["criterion"] for c in rep.checks] == [
+        "conductance-d1-decreasing", "conditioned-acceptance-n10",
+        "conditioned-acceptance-n25", "conditioned-acceptance-n60"]
+    assert rep.passed
     assert all(d > 0 for d in d1s)
     assert d1s[-1] < d1s[0]
     for c in rep.cells:
         assert c["mean"] >= c["n"] / (c["n"] + 1) - 1e-9
         assert c["second_moment"] < 12.0
+
+
+def _acceptance(law, n, count, seed, node_cap=tr.DEFAULT_NODE_CAP, checked_law=None):
+    rng = task_stream(seed, "experiments", 11)
+    forest, trials, successes = tr.sample_conditioned_forest(law, n, count, rng, node_cap)
+    return ex.acceptance_check(checked_law or law, n, trials, successes, forest.capped)
+
+
+def test_acceptance_check_passes_on_correct_runs():
+    for law in (off.geometric(), off.poisson(), off.binary()):
+        for n in (5, 40):
+            chk = _acceptance(law, n, 400, 12)
+            assert chk["criterion"] == f"conditioned-acceptance-n{n}"
+            assert chk["passed"], chk["detail"]
+            assert "capped=0" in chk["detail"]
+
+
+def test_acceptance_check_fails_against_the_wrong_law():
+    # Poisson samples against the geometric q_n, which is about half as large
+    chk = _acceptance(off.poisson(), 40, 400, 13, checked_law=off.geometric())
+    assert not chk["passed"]
+    z = float(chk["detail"].split("z=")[1])
+    assert z > 4
+
+
+def test_acceptance_check_fails_at_a_tiny_node_cap():
+    chk = _acceptance(off.geometric(), 20, 20, 14, node_cap=60)
+    assert not chk["passed"]
+    assert int(chk["detail"].split("capped=")[1].split()[0]) > 0
+    # a few capped trials fail the check even when z alone would pass
+    chk = _acceptance(off.geometric(), 20, 200, 16, node_cap=1000)
+    assert not chk["passed"]
+    assert int(chk["detail"].split("capped=")[1].split()[0]) > 0
+    assert abs(float(chk["detail"].split("z=")[1])) <= 4
 
 
 def test_run_corollary_fixed_size(solved_cloud):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from gwharmonic import experiments as ex
@@ -8,7 +10,7 @@ from gwharmonic import offspring as off
 from gwharmonic import trees as tr
 from gwharmonic.rngs import task_stream
 
-from test_trees import build, path_tree
+from test_trees import build, path_tree, tree_key
 
 
 def as_reduced(tree, n):
@@ -63,7 +65,7 @@ def test_conductance_lower_bound_and_cutset():
     for _ in range(50):
         r = random_reduced(rng)
         cl = net.conductance_to_level(r)
-        net.check_conductance_invariants(r, cl)
+        net.check_conductance_invariants(r.as_forest(), [cl])
         assert 1.0 / (r.n + 1) - 1e-12 <= cl <= 1.0
 
 
@@ -240,12 +242,12 @@ def test_scaled_conductance_path_and_bounds(solved_cloud, monkeypatch):
     r = as_reduced(path_tree(12), 12)
     c = net.conductance_to_level(r)
     assert 12 * c == pytest.approx(12.0 / 13.0, abs=1e-12)
-    # every sample the driver draws, seen through its per-sample invariant check
+    # every sample the driver draws, seen through its forest invariant check
     seen = []
 
-    def record(reduced, c_level):
-        net.check_conductance_invariants(reduced, c_level)
-        seen.append((reduced.n, reduced.n * c_level))
+    def record(forest, c_level):
+        net.check_conductance_invariants(forest, c_level)
+        seen.extend((forest.n, forest.n * c) for c in c_level)
 
     monkeypatch.setattr(ex, "check_conductance_invariants", record)
     rng = task_stream(33, "network", 13)
@@ -253,6 +255,16 @@ def test_scaled_conductance_path_and_bounds(solved_cloud, monkeypatch):
     assert sorted({n for n, _ in seen}) == [5, 30] and len(seen) == 100
     assert all(v >= n / (n + 1) - 1e-12 for n, v in seen)
     assert all(cell["mean"] >= cell["n"] / (cell["n"] + 1) - 1e-12 for cell in rep.cells)
+    assert "conductance-baseline" not in {chk["criterion"] for chk in rep.checks}
+
+
+def test_conductance_invariants_fail_on_violations():
+    f = as_reduced(path_tree(6), 6).as_forest()  # C_6 = 1/7, one vertex at level 3
+    net.check_conductance_invariants(f, [1.0 / 7.0])
+    with pytest.raises(AssertionError, match="outside"):
+        net.check_conductance_invariants(f, [0.1])
+    with pytest.raises(AssertionError, match="cutset"):
+        net.check_conductance_invariants(f, [0.5])
 
 
 def test_scaled_conductance_second_moment_bounded():
@@ -266,3 +278,57 @@ def test_scaled_conductance_second_moment_bounded():
     # Lemma-style bound: second moments stay bounded (no growth with n)
     assert all(1.0 <= m <= 12.0 for m in moments.values())
     assert max(moments.values()) / min(moments.values()) < 1.6
+
+
+# ---------------------------------------------------------------------------
+# level forest against the single-tree oracles
+# ---------------------------------------------------------------------------
+
+
+def per_tree_sweeps(r):
+    """Reference: the per-tree loops over parent pointers that the level
+    forest replaced, with the same arithmetic; returns (C_n, boundary log-masses)."""
+    t, n = r.tree, r.n
+    log_r = np.zeros(t.node_count)
+    c = np.full(t.node_count, np.inf)
+    for g in range(n - 1, -1, -1):
+        lo, hi = t.gen_offsets[g], t.gen_offsets[g + 1]
+        clo, chi = t.gen_offsets[g + 1], t.gen_offsets[g + 2]
+        s = np.bincount(t.parent[clo:chi] - lo, weights=np.exp(log_r[clo:chi]),
+                        minlength=int(hi - lo))
+        c[lo:hi] = s
+        log_r[lo:hi] = -np.log1p(1.0 / s)
+    log_c = np.log(c)
+    log_flow = np.zeros(t.node_count)
+    for g in range(n):
+        clo, chi = t.gen_offsets[g + 1], t.gen_offsets[g + 2]
+        par = t.parent[clo:chi]
+        log_flow[clo:chi] = log_flow[par] + log_r[clo:chi] - log_c[par]
+    return c[0] / (1.0 + c[0]), log_flow[r.boundary]
+
+
+@given(st.sampled_from(["geometric", "poisson", "binary"]), st.integers(1, 12),
+       st.integers(0, 2**31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_forest_matches_single_tree_oracles(law, n, seed):
+    dist = off.from_spec(law)
+    # the same stream drawn twice: whole chopped trees, then the reduced forest
+    full, _, _ = tr.sample_conditioned_batch(dist, n, 6, task_stream(seed, "network", 15))
+    forest, _, _ = tr.sample_conditioned_forest(dist, n, 6, task_stream(seed, "network", 15))
+    views = forest.views()
+    assert forest.size == len(views) == len(full) == 6
+    c_level = net.forest_conductance_to_level(forest)
+    log_mass = net.forest_boundary_log_mass(forest)
+    off_ = forest.boundary_offsets()
+    for i, (t, view) in enumerate(zip(full, views)):
+        assert tree_key(view.tree) == tree_key(tr.reduce(t, n).tree)
+        tr.validate_reduced(view)
+        t_view = view.tree  # reduced: every leaf sits at generation n
+        assert np.all(t_view.child_count[: t_view.gen_offsets[n]] > 0)
+        assert c_level[i] == net.conductance_to_level(view)
+        mine = log_mass[off_[i] : off_[i + 1]]
+        assert np.array_equal(mine, net.harmonic_measure_exact(view).boundary_log_mass)
+        ref_c, ref_mass = per_tree_sweeps(view)
+        assert c_level[i] == ref_c and np.array_equal(mine, ref_mass)
+        oracle = net.hitting_distribution_linsolve(view).boundary_log_mass
+        assert np.max(np.abs(np.exp(mine) - np.exp(oracle))) < 1e-10

@@ -106,7 +106,7 @@ def test_sample_gw_p_single_node():
     # P(node_count = 1) = theta(0) = 1/2; only generation 1 matters
     dist = off.geometric()
     rng = task_stream(2, "trees", 1)
-    counts_levels, _, _ = tr._conditioned_wave(dist, 1, 10**6, rng, 10**7)
+    counts_levels, _, _, _ = tr._conditioned_wave(dist, 1, 10**6, rng, 10**7)
     frac = np.mean(counts_levels[0] == 0)
     assert abs(frac - 0.5) < 0.002
 
@@ -115,7 +115,7 @@ def test_sample_gw_height_tail_matches_survival():
     # P(height >= 10) = q_10 = 1/11 for geometric
     dist = off.geometric()
     rng = task_stream(3, "trees", 2)
-    _, _, survivors = tr._conditioned_wave(dist, 10, 10**6, rng, 10**7)
+    _, _, survivors, _ = tr._conditioned_wave(dist, 10, 10**6, rng, 10**7)
     frac = survivors.size / 10**6
     assert abs(frac - 1.0 / 11.0) < 0.001
 
@@ -126,7 +126,7 @@ def test_sample_gw_size_law_catalan():
     dist = off.geometric()
     rng = task_stream(4, "trees", 3)
     trials = 10**6
-    counts_levels, labels_levels, _ = tr._conditioned_wave(dist, 7, trials, rng, 10**7)
+    counts_levels, labels_levels, _, _ = tr._conditioned_wave(dist, 7, trials, rng, 10**7)
     sizes = np.ones(trials, np.int64)
     for lab, cnt in zip(labels_levels, counts_levels):
         sizes += np.bincount(np.repeat(lab, cnt), minlength=trials)
