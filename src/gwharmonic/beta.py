@@ -3,7 +3,8 @@
 All expectations over the conductance law are bootstrap resamples from the
 cloud, so estimation cost is decoupled from fixed-point cost.  Ratio
 estimators report standard errors via 100 batch means; the plug-in moment
-estimator uses the delta method.
+estimator uses the delta method.  The node-shift estimator reads its weights
+from one kappa table per call, whose own Monte Carlo error is reported apart.
 """
 
 from __future__ import annotations
@@ -16,6 +17,12 @@ from .rde import ParticleCloud
 
 _BATCHES = 100
 _CHUNK = 1 << 17
+# kappa table: a uniform grid on x = 1/G in [0, 1], estimated as independent
+# sub-tables whose spread is the table's Monte Carlo error.
+_TABLE_NODES = 257
+_SUBTABLES = 8
+_SUBTABLE_PAIRS = 25_000
+TABLE_GRID = np.linspace(0.0, 1.0, _TABLE_NODES)
 
 
 @dataclass
@@ -25,10 +32,12 @@ class BetaEstimate:
     method: str
     sample_count: int
     cloud_std_error: float = 0.0  # finite-cloud component, when estimated
+    table_std_error: float = 0.0  # kappa-table component (shift only)
 
     @property
     def total_std_error(self) -> float:
-        return float(np.hypot(self.std_error, self.cloud_std_error))
+        return float(np.sqrt(self.std_error**2 + self.cloud_std_error**2
+                             + self.table_std_error**2))
 
     def to_dict(self) -> dict:
         return {
@@ -36,6 +45,7 @@ class BetaEstimate:
             "value": self.value,
             "std_error": self.std_error,
             "cloud_std_error": self.cloud_std_error,
+            "table_std_error": self.table_std_error,
             "total_std_error": self.total_std_error,
             "samples": self.sample_count,
         }
@@ -104,37 +114,60 @@ def beta_triple(cloud: ParticleCloud, sample_count: int, rng) -> BetaEstimate:
     return BetaEstimate(value, std_error, "triple", batch * _BATCHES)
 
 
-def beta_shift(cloud: ParticleCloud, sample_count: int, rng, inner: int = 64) -> BetaEstimate:
-    """Node-shift estimator: importance weights kappa-hat(G(U, C1, C2)) with a
-    fixed inner resampling count, applied to the branch entropy and the
-    branch-spacing length."""
+def kappa_table(cloud: ParticleCloud, rng) -> np.ndarray:
+    """kappa(x) = E[S / (1 + x (S+T-1))] on TABLE_GRID, where x = 1/r turns
+    kappa(r) into a smooth function on [0, 1].  Row k is one sub-table: the
+    mean over its own cloud pairs, common to every node; rows are independent."""
     s = cloud.samples
+    shape = (_SUBTABLES, _SUBTABLE_PAIRS)
+    a = s[rng.integers(0, s.size, size=shape)]
+    d = a + s[rng.integers(0, s.size, size=shape)] - 1.0
+    table = np.empty((_SUBTABLES, _TABLE_NODES))
+    for j, x in enumerate(TABLE_GRID):
+        table[:, j] = np.mean(a / (1.0 + x * d), axis=1)
+    return table
+
+
+def beta_shift(cloud: ParticleCloud, sample_count: int, rng) -> BetaEstimate:
+    """Node-shift estimator: importance weights kappa(G(U, C1, C2)) applied to
+    the branch entropy and the branch-spacing length.  The weight is the
+    linear interpolation of one kappa table at x = 1/G = U + (1-U)/(C1+C2).
+
+    Interpolation is linear in the table values, so each batch keeps its
+    numerator and denominator as per-node coefficient vectors.  Against the
+    mean table they give the batch means (tuple error); against each
+    sub-table they give one estimate per sub-table, whose spread is the
+    table error that all tuples share and batch means cannot see."""
+    table = kappa_table(cloud, rng)
+    s = cloud.samples
+    last = _TABLE_NODES - 1
     batch = max(sample_count // _BATCHES, 1)
-    num_b = np.empty(_BATCHES)
-    den_b = np.empty(_BATCHES)
+    num_c = np.zeros((_BATCHES, _TABLE_NODES))
+    den_c = np.zeros((_BATCHES, _TABLE_NODES))
     for k in range(_BATCHES):
-        nacc, dacc, done = 0.0, 0.0, 0
+        done = 0
         while done < batch:
             m = min(_CHUNK, batch - done)
             c1 = s[rng.integers(0, s.size, size=m)]
             c2 = s[rng.integers(0, s.size, size=m)]
             u = rng.random(m)
-            g = 1.0 / (u + (1.0 - u) / (c1 + c2))
-            w = np.zeros(m)
-            for _ in range(inner):
-                a = s[rng.integers(0, s.size, size=m)]
-                b = s[rng.integers(0, s.size, size=m)]
-                w += g * a / (g + a + b - 1.0)
-            w /= inner
+            pos = (u + (1.0 - u) / (c1 + c2)) * last
+            j = np.minimum(pos.astype(np.intp), last - 1)
+            t = pos - j
             frac = c1 / (c1 + c2)
-            nacc += float(np.sum(w * frac * np.log(frac)))
-            dacc += float(np.sum(w * -np.log1p(-u)))
+            for coef, f in ((num_c[k], frac * np.log(frac)), (den_c[k], -np.log1p(-u))):
+                coef[:-1] += np.bincount(j, (1.0 - t) * f, minlength=last)
+                coef[1:] += np.bincount(j, t * f, minlength=last)
             done += m
-        num_b[k], den_b[k] = nacc / batch, dacc / batch
-    value = float(-2.0 * num_b.mean() / den_b.mean())
-    ratios = -2.0 * num_b / den_b
+    mean_table = table.mean(axis=0)
+    num, den = num_c.sum(axis=0), den_c.sum(axis=0)
+    value = float(-2.0 * (num @ mean_table) / (den @ mean_table))
+    ratios = -2.0 * (num_c @ mean_table) / (den_c @ mean_table)
     std_error = float(ratios.std(ddof=1) / np.sqrt(_BATCHES))
-    return BetaEstimate(value, std_error, "shift", batch * _BATCHES)
+    per_table = -2.0 * (table @ num) / (table @ den)
+    table_std_error = float(per_table.std(ddof=1) / np.sqrt(_SUBTABLES))
+    return BetaEstimate(value, std_error, "shift", batch * _BATCHES,
+                        table_std_error=table_std_error)
 
 
 @dataclass
@@ -177,9 +210,7 @@ def _cloud_component(cloud: ParticleCloud, runner, rng, k: int = 10, sub_budget:
     return float(np.sqrt(var_sub / k))
 
 
-def cross_validate(
-    cloud: ParticleCloud, budget: int, rng, inner: int = 64, cloud_se: bool = True
-) -> CrossValidation:
+def cross_validate(cloud: ParticleCloud, budget: int, rng, cloud_se: bool = True) -> CrossValidation:
     """Run the three estimators on derived streams and compare pairwise;
     |z| > 3 between any two flags the report.
 
@@ -188,13 +219,14 @@ def cross_validate(
     M^{-1/2} that tuple resampling cannot see; with cloud_se it is estimated
     by disjoint sub-cloud splits and folded into the pairwise z denominators
     ("agreement within combined statistical error").  The shift estimator's
-    tuple noise dominates its cloud component at the supported budgets.
+    tuple noise dominates its cloud component at the supported budgets; its
+    kappa-table error is always folded in.
     """
     streams = rng.spawn(5)
     ests = [
         beta_moment(cloud, budget, streams[0]),
         beta_triple(cloud, budget, streams[1]),
-        beta_shift(cloud, budget, streams[2], inner=inner),
+        beta_shift(cloud, budget, streams[2]),
     ]
     if cloud_se and cloud.size >= 10**5:
         sub_budget = int(min(max(budget // 50, 10**6), 10**7))

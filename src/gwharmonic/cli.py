@@ -137,10 +137,14 @@ def cmd_rde_solve(args) -> int:
     cloud_path = _outdir(args) / f"cloud_M{m}_seed{args.seed}.txt"
     rde.save_cloud(result.cloud, cloud_path)
     floor = rde.estimate_floor(result.cloud, task_stream(args.seed, "rde", 1))
+    final_d1 = result.trace[-1][1]
+    rho = rde.CONTRACTION_RATE
     summary = {
         "converged": result.converged,
         "iterations": result.cloud.iteration_count,
-        "final_d1": result.trace[-1][1],
+        "final_d1": final_d1,
+        # d1 from the cloud to the fixed point, for a map contracting by rho
+        "residual_bias_bound": final_d1 * rho / (1.0 - rho),
         "bootstrap_floor": floor,
         "mean": rde.moment(result.cloud, 1),
         "K0": rde.estimate_K0(result.cloud),
@@ -192,16 +196,16 @@ def cmd_beta(args) -> int:
     t0 = time.time()
     budget = args.trials or _preset(args, "budget", 10**7)
     rng = task_stream(args.seed, "beta", 0)
-    cfg = _config(args, "beta", budget=budget, method=args.method, inner=args.inner)
+    cfg = _config(args, "beta", budget=budget, method=args.method)
     if args.method != "all":
         fn = {"moment": beta_mod.beta_moment, "triple": beta_mod.beta_triple,
               "shift": beta_mod.beta_shift}[args.method]
         est = fn(cloud, budget, rng)
-        print(f"beta[{est.method}] = {est.value:.5f} +- {est.std_error:.5f}")
+        print(f"beta[{est.method}] = {est.value:.5f} +- {est.total_std_error:.5f}")
         return _emit(args, experiments.ExperimentReport(
             f"beta_{args.method}", cfg, [est.to_dict()], [], time.time() - t0,
             rows_key="estimates"))
-    cv = beta_mod.cross_validate(cloud, budget, rng, inner=args.inner)
+    cv = beta_mod.cross_validate(cloud, budget, rng)
     for e in cv.estimates:
         print(f"beta[{e.method}] = {e.value:.5f} +- {e.total_std_error:.5f}")
     summary = cv.to_dict()
@@ -219,9 +223,14 @@ def _dist(args):
     return offspring.from_spec(args.offspring)
 
 
+# One task stream per discrete experiment, so that no two reports at one
+# seed share random numbers.
+DISCRETE_TASKS = {"theorem1": 0, "conductance": 1, "levelset": 2, "fixed-size": 3}
+
+
 def cmd_discrete(args) -> int:
     dist = _dist(args)
-    rng = task_stream(args.seed, "experiments", 0)
+    rng = task_stream(args.seed, "experiments", DISCRETE_TASKS[args.experiment])
     if args.experiment == "levelset":
         n = _parse_int_list(args.n)[0] if args.n else _preset(args, "levelset_n", 100)
         p_list = _parse_int_list(args.p) if args.p else _preset(args, "levelset_p", [20, 50])
@@ -317,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     beta_p.add_argument("--cloud", default=None)
     beta_p.add_argument("--trials", type=int, default=None, help="resampled tuples per estimator")
     beta_p.add_argument("--method", choices=["all", "moment", "triple", "shift"], default="all")
-    beta_p.add_argument("--inner", type=int, default=64, help="inner pair count for the shift weights")
     _add_common(beta_p)
 
     disc = sub.add_parser("discrete", help="discrete-tree experiments")

@@ -58,6 +58,92 @@ def test_beta_shift_all_ones_quad_oracle(ones):
     den = quad(lambda u: -np.log(1.0 - u) * 2.0 / (3.0 + u), 0, 1)[0]
     expect = num / den
     assert est.value == pytest.approx(expect, abs=4 * est.std_error + 1e-4)
+    # every sub-table sees the same pairs (1, 1), so the table has no error
+    assert est.table_std_error == 0.0
+    assert est.total_std_error == est.std_error
+
+
+def _table_mean_and_se(table):
+    return table.mean(axis=0), table.std(axis=0, ddof=1) / np.sqrt(table.shape[0])
+
+
+def test_kappa_table_end_nodes(solved_cloud):
+    # x = 1: kappa = E[S/(S+T)] = 1/2 by exchangeability; x = 0: kappa = E[S]
+    mean, se = _table_mean_and_se(beta.kappa_table(solved_cloud, task_stream(16, "beta", 16)))
+    assert beta.TABLE_GRID[0] == 0.0 and beta.TABLE_GRID[-1] == 1.0
+    assert abs(mean[-1] - 0.5) <= 4 * se[-1]
+    assert abs(mean[0] - solved_cloud.samples.mean()) <= 4 * se[0]
+    assert np.all(np.diff(mean) < 0)
+
+
+def test_kappa_table_matches_kappa_oracle(solved_cloud):
+    table = beta.kappa_table(solved_cloud, task_stream(17, "beta", 17))
+    mean, se = _table_mean_and_se(table)
+    pairs, table_pairs = 10**6, beta._SUBTABLES * beta._SUBTABLE_PAIRS
+    rng = task_stream(17, "beta", 18)
+    for j in (16, 64, 128, 256):
+        direct = beta.kappa(solved_cloud, 1.0 / beta.TABLE_GRID[j], pairs, rng)
+        # the same per-pair variance, over the table's pairs and over `pairs`
+        combined = se[j] * np.sqrt(1.0 + table_pairs / pairs)
+        assert abs(direct - mean[j]) <= 4 * combined
+    # linear interpolation errs by about |second difference| / 8 between nodes
+    assert np.max(np.abs(np.diff(mean, 2)) / 8 / mean[1:-1]) <= 1e-4
+
+
+def test_beta_shift_error_bar_is_calibrated(solved_cloud):
+    ests = [beta.beta_shift(solved_cloud, 10**5, task_stream(seed, "beta", 20))
+            for seed in range(20)]
+    assert all(e.table_std_error > 0 for e in ests)
+    spread = np.std([e.value for e in ests], ddof=1)
+    assert 0.6 <= spread / np.mean([e.total_std_error for e in ests]) <= 1.6
+
+
+def test_beta_shift_matches_direct_interpolation(solved_cloud):
+    # reference loop on the same draws: weights read by np.interp, from the
+    # mean table for the value and batch means, from each sub-table for the
+    # table error
+    budget = 20 * beta._BATCHES
+    rng = task_stream(22, "beta", 22)
+    table = beta.kappa_table(solved_cloud, rng)
+    s = solved_cloud.samples
+    num = np.zeros((beta._BATCHES, 1 + table.shape[0]))  # mean table, then each sub-table
+    den = np.zeros_like(num)
+    for k in range(beta._BATCHES):
+        c1 = s[rng.integers(0, s.size, size=20)]
+        c2 = s[rng.integers(0, s.size, size=20)]
+        u = rng.random(20)
+        frac = c1 / (c1 + c2)
+        for i, row in enumerate([table.mean(axis=0), *table]):
+            w = np.interp(u + (1.0 - u) / (c1 + c2), beta.TABLE_GRID, row)
+            num[k, i] = np.sum(w * frac * np.log(frac))
+            den[k, i] = np.sum(w * -np.log1p(-u))
+    est = beta.beta_shift(solved_cloud, budget, task_stream(22, "beta", 22))
+    ratios = -2.0 * num / den
+    assert est.value == pytest.approx(-2.0 * num[:, 0].sum() / den[:, 0].sum(), rel=1e-12)
+    assert est.std_error == pytest.approx(
+        ratios[:, 0].std(ddof=1) / np.sqrt(beta._BATCHES), rel=1e-9)
+    per_table = -2.0 * num[:, 1:].sum(axis=0) / den[:, 1:].sum(axis=0)
+    assert est.table_std_error == pytest.approx(
+        per_table.std(ddof=1) / np.sqrt(table.shape[0]), rel=1e-9)
+
+
+def test_beta_shift_table_error_bar_when_it_dominates(solved_cloud, monkeypatch):
+    # with 20 pairs per sub-table the table error outweighs the tuple error
+    monkeypatch.setattr(beta, "_SUBTABLE_PAIRS", 20)
+    ests = [beta.beta_shift(solved_cloud, 10**6, task_stream(seed, "beta", 23))
+            for seed in range(20)]
+    assert np.mean([e.table_std_error for e in ests]) > 1.5 * np.mean([e.std_error for e in ests])
+    spread = np.std([e.value for e in ests], ddof=1)
+    assert 0.6 <= spread / np.mean([e.total_std_error for e in ests]) <= 1.6
+
+
+def test_beta_shift_detects_a_planted_table_fault(solved_cloud, monkeypatch):
+    clean = beta.beta_shift(solved_cloud, 10**6, task_stream(21, "beta", 21))
+    table = beta.kappa_table
+    monkeypatch.setattr(beta, "kappa_table",
+                        lambda cloud, rng: table(cloud, rng) * (1.0 + 0.05 * beta.TABLE_GRID))
+    faulty = beta.beta_shift(solved_cloud, 10**6, task_stream(21, "beta", 21))
+    assert abs(faulty.value - clean.value) > 4 * clean.total_std_error
 
 
 def test_beta_moment_duplication_invariance(solved_cloud):
@@ -76,6 +162,9 @@ def test_estimators_agree_near_paper_value(solved_cloud):
         assert 0.75 < est.value < 0.82
         assert 0.0 < est.value < 1.0
         assert est.std_error > 0
+    shift = cv.estimates[2]
+    assert shift.method == "shift" and shift.table_std_error > 0
+    assert shift.total_std_error == pytest.approx(np.hypot(shift.std_error, shift.table_std_error))
     assert not cv.flagged
     assert np.max(cv.z_matrix) <= 3.0
 
@@ -90,7 +179,7 @@ def test_cross_validate_deterministic(solved_cloud):
     a = beta.cross_validate(solved_cloud, 10**5, task_stream(12, "beta", 12))
     b = beta.cross_validate(solved_cloud, 10**5, task_stream(12, "beta", 12))
     for x, y in zip(a.estimates, b.estimates):
-        assert x.value == y.value and x.std_error == y.std_error
+        assert x.to_dict() == y.to_dict()
 
 
 def test_se_scaling_with_budget(solved_cloud):

@@ -31,6 +31,10 @@ def test_solve_writes_cloud_and_trace(cloud_file):
     info = json.loads((cloud_file.parent / "rde_solve_seed7.json").read_text())
     assert info["converged"] is True
     assert info["config"]["seed"] == 7
+    bound = info["residual_bias_bound"]
+    assert np.isfinite(bound) and bound > 0
+    rho = rde.CONTRACTION_RATE
+    assert bound == pytest.approx(info["final_d1"] * rho / (1 - rho))
 
 
 def test_solve_reproducible_byte_for_byte(tmp_path):
@@ -120,6 +124,21 @@ def test_discrete_theorem1_smoke_preset(cloud_file, tmp_path):
     assert code in (0, 1)  # trend checks may be noisy at smoke scale
 
 
+def test_discrete_commands_draw_from_their_own_streams(cloud_file, tmp_path):
+    argv = ["--offspring", "geometric", "--n", "10,25", "--trials", "40",
+            "--cloud", str(cloud_file), "--seed", "1", "--out", str(tmp_path)]
+    run(["discrete", "conductance", *argv])
+    run(["discrete", "theorem1", *argv])
+    details = []
+    for stem in ("conductance", "theorem1"):
+        rep = json.loads((tmp_path / f"{stem}_geometric_1.json").read_text())
+        details.append({c["criterion"]: c["detail"] for c in rep["checks"]
+                        if c["criterion"].startswith("conditioned-acceptance")})
+    assert list(details[0]) == ["conditioned-acceptance-n10", "conditioned-acceptance-n25"]
+    for name in details[0]:
+        assert details[0][name] != details[1][name]
+
+
 def test_discrete_fixed_size_rejects_big_n(cloud_file, tmp_path, capsys):
     code = run(["discrete", "fixed-size", "--offspring", "geometric",
                 "--edges", "400", "--n", "30", "--cloud", str(cloud_file),
@@ -202,6 +221,13 @@ def test_same_seed_reports_equal_but_wall_clock(cloud_file, tmp_path):
             assert run([*argv, "--seed", "8", "--out", str(out)]) == 0
             runs.append(_reports(out))
         assert len(runs[0]) == 2 and runs[0] == runs[1]
+
+
+def test_inner_flag_is_gone(cloud_file, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["beta", "--cloud", str(cloud_file), "--trials", "10000", "--inner", "64",
+             "--out", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_threads_flag_is_gone(tmp_path):

@@ -70,6 +70,28 @@ def test_run_theorem1_structure(solved_cloud):
     assert rep.file_stem() == "theorem1_geometric_4"
 
 
+def test_exponent_trend_passes_approaching_from_below():
+    chk = ex.exponent_trend_check([0.70, 0.74, 0.76, 0.78], 0.7845)
+    assert chk["criterion"] == "theorem1-exponent-trend"
+    assert chk["passed"], chk["detail"]
+    assert "S=6" in chk["detail"] and "|mean - beta| decreasing" in chk["detail"]
+
+
+def test_exponent_trend_passes_approaching_from_above():
+    chk = ex.exponent_trend_check([0.87, 0.83, 0.80, 0.79], 0.7845)
+    assert chk["passed"], chk["detail"]
+
+
+def test_exponent_trend_fails_moving_away():
+    # starts below and ends further above: the old data-chosen direction
+    # (beta_ref >= first mean, so "increasing") passed this series
+    means = [0.77, 0.79, 0.81, 0.85]
+    assert ex.mann_kendall(means, 1)[1] < 0.05
+    chk = ex.exponent_trend_check(means, 0.7845)
+    assert not chk["passed"], chk["detail"]
+    assert not ex.exponent_trend_check([0.78, 0.76, 0.74, 0.70], 0.7845)["passed"]
+
+
 def test_run_theorem1_rejects_small_n(solved_cloud):
     rng = task_stream(5, "experiments", 5)
     with pytest.raises(ValueError):
