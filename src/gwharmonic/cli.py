@@ -283,8 +283,8 @@ def cmd_continuum(args) -> int:
     cfg = _config(args, "continuum dimension", eps_list=eps_list, trials=trials)
     summary = {"extrapolated": curve.extrapolated, "extrapolated_se": curve.extrapolated_se}
     return _emit(args, experiments.ExperimentReport(
-        "continuum_dimension", cfg, curve.to_rows(), [], wall, rows_key="points",
-        summary=summary))
+        "continuum_dimension", cfg, curve.to_rows(), [curve.regenerated_check()], wall,
+        rows_key="points", summary=summary))
 
 
 # ---------------------------------------------------------------------------

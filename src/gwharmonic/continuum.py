@@ -34,114 +34,89 @@ class _ChunkCapExceeded(RuntimeError):
 
 @dataclass(eq=False)
 class DeltaBatch:
-    """Flat level-order arena for a chunk of independent truncated trees.
+    """A chunk of independent truncated trees, stored level by level.
 
-    Roots are nodes [0, n_trees); children of an internal node v are
-    (child[v], child[v]+1).  `lo` is the height where v's segment starts
-    (= parent's branch height), `y` the drawn branch height Y_v; v is a leaf
-    when y >= 1-eps, and its segment then ends at 1-eps with closure
-    conductance `closure`/eps attached above.
+    Level 0 holds one root per tree.  Level g+1 is level g's internal
+    vertices repeated twice: the children of the k-th internal vertex of
+    level g are vertices 2k and 2k+1 of level g+1.  `lo[g]` is where each
+    segment starts (= parent's branch height), `y[g]` the drawn branch height
+    Y_v; v is a leaf when y >= 1-eps, and its segment then ends at 1-eps with
+    closure conductance closure/eps attached above.  `closure[g]` holds the
+    closure draws of level g's leaves only, in order.
     """
 
     eps: float
-    n_trees: int
-    parent: np.ndarray
-    tree: np.ndarray
-    lo: np.ndarray
-    y: np.ndarray
-    leaf: np.ndarray
-    closure: np.ndarray
-    child: np.ndarray
-    levels: list  # (start, count) per level
-    _cond: np.ndarray | None = None
+    lo: list
+    y: list
+    leaf: list
+    closure: list
+
+    @property
+    def n_trees(self) -> int:
+        return self.lo[0].size
 
     @property
     def node_count(self) -> int:
-        return self.parent.size
+        return sum(lo.size for lo in self.lo)
 
 
-def _build_batch(eps, samples, rng, n_trees, node_budget=NODE_BUDGET) -> DeltaBatch:
+def _build_batch(eps, samples, rng, n_trees) -> DeltaBatch:
     top = 1.0 - eps
-    cols = {k: [] for k in ("parent", "tree", "lo", "y", "leaf", "closure", "child")}
-    levels = []
+    batch = DeltaBatch(eps, [], [], [], [])
     lo = np.zeros(n_trees)
-    par = np.full(n_trees, -1, np.int64)
-    tree = np.arange(n_trees, dtype=np.int64)
-    start = 0
+    nodes = 0
     while lo.size:
-        m = lo.size
-        u = rng.random(m)
+        u = rng.random(lo.size)
         y = lo + u * (1.0 - lo)
         leaf = y >= top
-        closure = np.full(m, np.nan)
-        n_leaf = int(leaf.sum())
-        if n_leaf:
-            closure[leaf] = samples[rng.integers(0, samples.size, size=n_leaf)]
-        internal = np.flatnonzero(~leaf)
-        child = np.full(m, -1, np.int64)
-        child[internal] = start + m + 2 * np.arange(internal.size)
-        for k, v in (
-            ("parent", par), ("tree", tree), ("lo", lo), ("y", y),
-            ("leaf", leaf), ("closure", closure), ("child", child),
-        ):
-            cols[k].append(v)
-        levels.append((start, m))
-        start += m
-        if start > node_budget:
-            raise _ChunkCapExceeded(f"chunk passed {node_budget} nodes")
-        lo = np.repeat(y[internal], 2)
-        par = np.repeat(start - m + internal, 2)
-        tree = np.repeat(tree[internal], 2)
-    return DeltaBatch(
-        eps=eps,
-        n_trees=n_trees,
-        parent=np.concatenate(cols["parent"]),
-        tree=np.concatenate(cols["tree"]),
-        lo=np.concatenate(cols["lo"]),
-        y=np.concatenate(cols["y"]),
-        leaf=np.concatenate(cols["leaf"]),
-        closure=np.concatenate(cols["closure"]),
-        child=np.concatenate(cols["child"]),
-        levels=levels,
-    )
+        batch.lo.append(lo)
+        batch.y.append(y)
+        batch.leaf.append(leaf)
+        batch.closure.append(samples[rng.integers(0, samples.size, size=int(leaf.sum()))])
+        nodes += lo.size
+        if nodes > NODE_BUDGET:
+            raise _ChunkCapExceeded(f"chunk passed {NODE_BUDGET} nodes")
+        lo = np.repeat(y[~leaf], 2)
+    return batch
 
 
-def _conductances(batch: DeltaBatch) -> np.ndarray:
-    """Bottom-up: leaf = 1/((1-eps-lo) + eps/C*); internal = series(segment,
-    parallel(children)).  Cached on the batch."""
-    if batch._cond is not None:
-        return batch._cond
+def _conductances(batch: DeltaBatch) -> list[np.ndarray]:
+    """Bottom-up, one array per level: leaf = 1/((1-eps-lo) + eps/C*);
+    internal = series(segment, parallel(children))."""
     eps, top = batch.eps, 1.0 - batch.eps
-    a = np.empty(batch.node_count)
-    for start, count in reversed(batch.levels):
-        sl = slice(start, start + count)
-        lf = batch.leaf[sl]
-        out = np.empty(count)
-        out[lf] = 1.0 / ((top - batch.lo[sl][lf]) + eps / batch.closure[sl][lf])
-        idx = batch.child[sl][~lf]
-        s = a[idx] + a[idx + 1]
-        out[~lf] = 1.0 / ((batch.y[sl][~lf] - batch.lo[sl][~lf]) + 1.0 / s)
-        a[sl] = out
-    batch._cond = a
-    return a
+    out = [None] * len(batch.lo)
+    above = np.empty(0)
+    for g in reversed(range(len(batch.lo))):
+        lo, y, leaf = batch.lo[g], batch.y[g], batch.leaf[g]
+        a = np.empty(lo.size)
+        a[leaf] = 1.0 / ((top - lo[leaf]) + eps / batch.closure[g])
+        inner = ~leaf
+        a[inner] = 1.0 / ((y[inner] - lo[inner]) + 1.0 / (above[0::2] + above[1::2]))
+        out[g] = above = a
+    return out
 
 
-def _ray_masses(batch: DeltaBatch, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Descend each tree choosing child i with probability C_i/(C_1+C_2);
-    returns (leaf node index, accumulated log mass) per tree."""
-    a = _conductances(batch)
-    cur = np.arange(batch.n_trees, dtype=np.int64)
+def _ray_masses(batch: DeltaBatch, cond: list, rng) -> tuple[tuple, np.ndarray]:
+    """Descend each tree choosing child i with probability C_i/(C_1+C_2), one
+    level per step, given the batch's `_conductances`; returns each tree's
+    leaf as (level, position) arrays and its accumulated log mass."""
+    pos = np.arange(batch.n_trees)
+    level = np.zeros(batch.n_trees, np.int64)
     logm = np.zeros(batch.n_trees)
-    active = np.flatnonzero(~batch.leaf[cur])
+    active = np.flatnonzero(~batch.leaf[0])
+    g = 0
     while active.size:
-        c1 = batch.child[cur[active]]
-        a1, a2 = a[c1], a[c1 + 1]
+        rank = np.cumsum(~batch.leaf[g]) - 1
+        c1 = 2 * rank[pos[active]]
+        a1, a2 = cond[g + 1][c1], cond[g + 1][c1 + 1]
         tot = a1 + a2
         left = rng.random(active.size) * tot < a1
         logm[active] += np.log(np.where(left, a1, a2) / tot)
-        cur[active] = np.where(left, c1, c1 + 1)
-        active = active[~batch.leaf[cur[active]]]
-    return cur, logm
+        pos[active] = np.where(left, c1, c1 + 1)
+        g += 1
+        level[active] = g
+        active = active[~batch.leaf[g][pos[active]]]
+    return (level, pos), logm
 
 
 def _chunk_sizes(eps: float, trials: int) -> list[int]:
@@ -154,8 +129,8 @@ def _chunk_sizes(eps: float, trials: int) -> list[int]:
 
 def _batches(eps, cloud, trials, rng):
     """Deterministic chunk plan; a chunk that trips the node budget is
-    regenerated from a fresh spawned stream (negligible probability at the
-    supported eps range, noted bias)."""
+    regenerated from a fresh spawned stream (a bias against large trees,
+    counted by `dimension_curve` as `regenerated_chunks`)."""
     for size in _chunk_sizes(eps, trials):
         for _ in range(8):
             stream = rng.spawn(1)[0]
@@ -173,61 +148,32 @@ def _batches(eps, cloud, trials, rng):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class DeltaTree:
-    """One truncated continuum tree (a batch of size 1)."""
-
-    batch: DeltaBatch
-
-    @property
-    def eps(self) -> float:
-        return self.batch.eps
-
-    @property
-    def node_count(self) -> int:
-        return self.batch.node_count
-
-    @property
-    def leaf_count(self) -> int:
-        return int(self.batch.leaf.sum())
-
-    @property
-    def branch_heights(self) -> np.ndarray:
-        return self.batch.y
-
-    def leftmost_ray_branches(self) -> int:
-        """Number of branch points on the all-left ray."""
-        v, n = 0, 0
-        while not self.batch.leaf[v]:
-            v = self.batch.child[v]
-            n += 1
-        return n
-
-
-def sample_delta(eps: float, cloud: ParticleCloud, rng) -> DeltaTree:
-    """One truncated tree with cloud closures at height 1-eps."""
+def sample_delta(eps: float, cloud: ParticleCloud, rng) -> DeltaBatch:
+    """One truncated tree (a batch of size 1) with cloud closures at height
+    1-eps.  The cloud is not validated here; clouds are checked where they
+    enter the program (`rde.load_cloud`)."""
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
-    cloud.validate()
     for _ in range(8):
         try:
-            return DeltaTree(_build_batch(eps, cloud.samples, rng, 1))
+            return _build_batch(eps, cloud.samples, rng, 1)
         except _ChunkCapExceeded:
             continue
     raise RuntimeError("node budget exceeded repeatedly")
 
 
-def delta_conductance(tree: DeltaTree) -> float:
-    """Root-to-boundary conductance of the closed truncated tree; its law is
-    the cloud's law up to truncation and cloud error."""
-    return float(_conductances(tree.batch)[0])
+def delta_conductance(tree: DeltaBatch) -> float:
+    """Root-to-boundary conductance of a one-tree batch; its law is the
+    cloud's law up to truncation and cloud error."""
+    return float(_conductances(tree)[0][0])
 
 
-def harmonic_ray_mass(tree: DeltaTree, rng) -> tuple[int, float]:
-    """(leaf index, log mass of its boundary cylinder) for one ray chosen by
-    splitting flow proportionally to subtree conductances."""
-    leaf, logm = _ray_masses(tree.batch, rng)
-    return int(leaf[0]), float(logm[0])
+def harmonic_ray_mass(tree: DeltaBatch, rng) -> tuple[tuple[int, int], float]:
+    """((level, position) of the leaf, log mass of its boundary cylinder) for
+    one ray of a one-tree batch, chosen by splitting flow proportionally to
+    subtree conductances."""
+    (level, pos), logm = _ray_masses(tree, _conductances(tree), rng)
+    return (int(level[0]), int(pos[0])), float(logm[0])
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +189,7 @@ def conductance_samples(cloud: ParticleCloud, eps: float, trials: int, rng) -> n
     out = np.empty(trials)
     done = 0
     for batch in _batches(eps, cloud, trials, rng):
-        out[done : done + batch.n_trees] = _conductances(batch)[: batch.n_trees]
+        out[done : done + batch.n_trees] = _conductances(batch)[0]
         done += batch.n_trees
     return out
 
@@ -255,7 +201,7 @@ def ray_mass_samples(cloud: ParticleCloud, eps: float, trials: int, rng) -> np.n
     out = np.empty(trials)
     done = 0
     for batch in _batches(eps, cloud, trials, rng):
-        _, logm = _ray_masses(batch, rng)
+        _, logm = _ray_masses(batch, _conductances(batch), rng)
         out[done : done + batch.n_trees] = logm
         done += batch.n_trees
     return out
@@ -267,6 +213,7 @@ class DimensionPoint:
     exponent: float
     std_error: float
     trials: int
+    regenerated_chunks: int
 
 
 @dataclass
@@ -283,9 +230,19 @@ class DimensionCurve:
                 "std_error": p.std_error,
                 "trials": p.trials,
                 "extrapolated": self.extrapolated,
+                "regenerated_chunks": p.regenerated_chunks,
             }
             for p in self.points
         ]
+
+    def regenerated_check(self) -> dict:
+        """Fails when any chunk was regenerated at the node budget, a bias
+        against large trees (bound 0, as for the discrete sampler's node-cap
+        drops)."""
+        return {"criterion": "continuum-regenerated-chunks",
+                "passed": all(p.regenerated_chunks == 0 for p in self.points),
+                "detail": "regenerated chunks per eps: "
+                          + ", ".join(f"{p.eps:g}:{p.regenerated_chunks}" for p in self.points)}
 
 
 def dimension_curve(cloud: ParticleCloud, eps_list, trials: int, rng) -> DimensionCurve:
@@ -294,10 +251,14 @@ def dimension_curve(cloud: ParticleCloud, eps_list, trials: int, rng) -> Dimensi
     controlled by a quantity vanishing with |log eps|; the linear-in-x model
     is an implementation choice, flagged as such)."""
     points = []
+    seq = rng.bit_generator.seed_seq
     for eps in eps_list:
         if trials <= 0:
             continue
+        spawned = seq.n_children_spawned
         logm = ray_mass_samples(cloud, eps, trials, rng)
+        # every chunk build, kept or regenerated, draws one spawned stream
+        builds = seq.n_children_spawned - spawned
         ln = np.log(1.0 / eps)
         points.append(
             DimensionPoint(
@@ -305,6 +266,7 @@ def dimension_curve(cloud: ParticleCloud, eps_list, trials: int, rng) -> Dimensi
                 exponent=float(-logm.mean() / ln),
                 std_error=float(logm.std(ddof=1) / np.sqrt(trials) / ln),
                 trials=trials,
+                regenerated_chunks=builds - len(_chunk_sizes(eps, trials)),
             )
         )
     if len(points) >= 2:

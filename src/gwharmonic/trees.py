@@ -477,21 +477,21 @@ def _parents_from_preorder_depths(d: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def tree_from_preorder_degrees(ks: np.ndarray) -> PlaneTree:
-    """Decode a preorder child-count sequence (a depth-first walk) to a tree."""
+    """Decode a preorder child-count sequence (a depth-first walk) to a tree.
+
+    With the Lukasiewicz path s = (0, cumsum(ks - 1)), the subtree of vertex
+    u ends at tau(u), the first k > u with s[k] = s[u] - 1; the depth of
+    vertex j is the number of earlier vertices whose subtree has not ended.
+    """
     v = ks.size
-    depth = np.zeros(v, np.int64)
-    parent = np.full(v, -1, np.int64)
-    stack = [[0, int(ks[0])]]
-    for j in range(1, v):
-        while stack[-1][1] == 0:
-            stack.pop()
-        p = stack[-1][0]
-        stack[-1][1] -= 1
-        parent[j] = p
-        depth[j] = depth[p] + 1
-        stack.append([j, int(ks[j])])
-    order, parent_bfs = _parents_from_preorder_depths(depth)
-    return tree_from_parent_depth(parent_bfs, depth[order])
+    s = np.concatenate(([0], np.cumsum(ks - 1)))
+    key = s * (v + 1) + np.arange(v + 1)  # orders k by (s[k], k)
+    order = np.argsort(key)
+    # key[u] - v is the key of (s[u] - 1, u + 1)
+    tau = order[np.searchsorted(key[order], key[:v] - v)]
+    depth = np.arange(v) - np.cumsum(np.bincount(tau, minlength=v + 1))[:v]
+    bfs, parent_bfs = _parents_from_preorder_depths(depth)
+    return tree_from_parent_depth(parent_bfs, depth[bfs])
 
 
 def sample_fixed_size(dist, N: int, rng) -> PlaneTree:

@@ -159,10 +159,13 @@ def test_continuum_dimension(cloud_file, tmp_path):
                 "--seed", "21", "--out", str(tmp_path)])
     assert code == 0
     csv = (tmp_path / "continuum_dimension_seed21.csv").read_text().splitlines()
-    assert csv[0] == "eps,exponent,std_error,trials,extrapolated"
+    assert csv[0] == "eps,exponent,std_error,trials,extrapolated,regenerated_chunks"
     assert len(csv) == 4
     rep = json.loads((tmp_path / "continuum_dimension_seed21.json").read_text())
     assert 0.4 < rep["extrapolated"] < 1.1
+    assert [p["regenerated_chunks"] for p in rep["points"]] == [0, 0, 0]
+    assert [(c["criterion"], c["passed"]) for c in rep["checks"]] == [
+        ("continuum-regenerated-chunks", True)]
 
 
 def test_bad_eps_rejected(cloud_file, tmp_path):

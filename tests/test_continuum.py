@@ -3,48 +3,59 @@ import pytest
 
 from gwharmonic import continuum as co
 from gwharmonic import rde
+from gwharmonic.cli import EPS_LADDER_DEFAULT
 from gwharmonic.rngs import task_stream
 
 
-def manual_tree(eps, nodes):
-    """Build a DeltaTree from (parent, lo, y, closure-or-None) rows."""
-    parent = np.array([r[0] for r in nodes], np.int64)
-    lo = np.array([r[1] for r in nodes], float)
-    y = np.array([r[2] for r in nodes], float)
-    closure = np.array([np.nan if r[3] is None else r[3] for r in nodes], float)
-    leaf = ~np.isnan(closure)
-    child = np.full(len(nodes), -1, np.int64)
-    for v in range(len(nodes)):
-        kids = [w for w in range(len(nodes)) if parent[w] == v]
-        if kids:
-            assert len(kids) == 2 and kids[1] == kids[0] + 1
-            child[v] = kids[0]
-    depth = np.zeros(len(nodes), np.int64)
-    for v in range(1, len(nodes)):
-        depth[v] = depth[parent[v]] + 1
-    levels = [(int(np.flatnonzero(depth == d)[0]), int(np.sum(depth == d))) for d in range(depth.max() + 1)]
-    batch = co.DeltaBatch(
-        eps=eps, n_trees=1, parent=parent, tree=np.zeros(len(nodes), np.int64),
-        lo=lo, y=y, leaf=leaf, closure=closure, child=child, levels=levels,
-    )
-    return co.DeltaTree(batch)
+def manual_tree(eps, levels):
+    """Build a one-tree DeltaBatch from per-level (lo, y, closure-or-None) rows."""
+    def col(i):
+        return [np.array([r[i] for r in rows], float) for rows in levels]
+
+    lo, y = col(0), col(1)
+    leaf = [np.array([r[2] is not None for r in rows]) for rows in levels]
+    closure = [np.array([r[2] for r in rows if r[2] is not None], float) for rows in levels]
+    for g in range(len(levels) - 1):
+        assert lo[g + 1].size == 2 * np.sum(~leaf[g])
+    return co.DeltaBatch(eps, lo, y, leaf, closure)
+
+
+def leaf_count(batch):
+    return sum(int(lf.sum()) for lf in batch.leaf)
+
+
+def leftmost_ray_branches(batch):
+    """Branch points on the all-left ray: vertex 0 of each level lies on it."""
+    return next(g for g, lf in enumerate(batch.leaf) if lf[0])
+
+
+def root_side(batch, level, pos):
+    """Which root child (0 left, 1 right) is the ancestor of (level, pos)."""
+    while level > 1:
+        pos = int(np.flatnonzero(~batch.leaf[level - 1])[pos // 2])
+        level -= 1
+    return pos
 
 
 def test_sample_delta_structure(solved_cloud):
     rng = task_stream(1, "continuum", 1)
-    t = co.sample_delta(1 / 8, solved_cloud, rng)
-    b = t.batch
-    eps = t.eps
-    # heights strictly increase along every parent-child segment
-    assert np.all(b.y > b.lo)
-    nonroot = b.parent >= 0
-    assert np.allclose(b.lo[nonroot], b.y[b.parent[nonroot]])
-    # leaves are exactly the segments crossing 1-eps; internals have 2 children
-    assert np.array_equal(b.leaf, b.y >= 1 - eps)
-    assert np.all(b.child[~b.leaf] >= 0)
-    assert np.all(np.isnan(b.closure[~b.leaf]))
-    # closure conductance C*/eps >= 1/eps since cloud support is [1, inf)
-    assert np.all(b.closure[b.leaf] >= 1.0)
+    b = co.sample_delta(1 / 8, solved_cloud, rng)
+    eps = b.eps
+    assert b.n_trees == 1 and b.lo[0].tolist() == [0.0]
+    assert b.node_count == sum(lo.size for lo in b.lo) > 1
+    for g in range(len(b.lo)):
+        # heights strictly increase along every parent-child segment
+        assert np.all(b.y[g] > b.lo[g])
+        # leaves are exactly the segments crossing 1-eps
+        assert np.array_equal(b.leaf[g], b.y[g] >= 1 - eps)
+        # one closure per leaf; closure conductance C*/eps >= 1/eps since the
+        # cloud support is [1, inf)
+        assert b.closure[g].size == b.leaf[g].sum()
+        assert np.all(b.closure[g] >= 1.0)
+    # each internal vertex has two children, which start at its branch height
+    for g in range(len(b.lo) - 1):
+        assert np.array_equal(b.lo[g + 1], np.repeat(b.y[g][~b.leaf[g]], 2))
+    assert np.all(b.leaf[-1])
 
 
 def test_sample_delta_eps_domain(solved_cloud):
@@ -60,7 +71,12 @@ def test_leaf_count_mean(solved_cloud):
     eps = 1 / 16
     counts = []
     for batch in co._batches(eps, solved_cloud, 10**4, rng):
-        counts.append(np.bincount(batch.tree[batch.leaf], minlength=batch.n_trees))
+        tree = np.arange(batch.n_trees)
+        per_tree = np.zeros(batch.n_trees, np.int64)
+        for leaf in batch.leaf:
+            per_tree += np.bincount(tree[leaf], minlength=batch.n_trees)
+            tree = np.repeat(tree[~leaf], 2)
+        counts.append(per_tree)
     counts = np.concatenate(counts)
     assert counts.mean() == pytest.approx(16.0, abs=0.5)
 
@@ -69,7 +85,7 @@ def test_leaf_count_halves_when_eps_doubles(solved_cloud):
     rng = task_stream(4, "continuum", 4)
     means = {}
     for eps in (1 / 8, 1 / 16):
-        c = [co.sample_delta(eps, solved_cloud, rng).leaf_count for _ in range(3000)]
+        c = [leaf_count(co.sample_delta(eps, solved_cloud, rng)) for _ in range(3000)]
         means[eps] = np.mean(c)
     assert means[1 / 16] / means[1 / 8] == pytest.approx(2.0, abs=0.15)
 
@@ -78,17 +94,17 @@ def test_leftmost_ray_branch_count(solved_cloud):
     # in log coordinates, ray spacings are Exp(1): mean branches = -log eps
     rng = task_stream(5, "continuum", 5)
     eps = 2.0**-8
-    n = [co.sample_delta(eps, solved_cloud, rng).leftmost_ray_branches() for _ in range(4000)]
+    n = [leftmost_ray_branches(co.sample_delta(eps, solved_cloud, rng)) for _ in range(4000)]
     assert np.mean(n) == pytest.approx(-np.log(eps), rel=0.1)
 
 
 def test_single_segment_series_formula():
     eps = 0.25
     big = 1e12
-    t = manual_tree(eps, [(-1, 0.0, 0.9, big)])
+    t = manual_tree(eps, [[(0.0, 0.9, big)]])
     # series resistance (1-eps) + eps/C*; infinite closure leaves 1/(1-eps)
     assert co.delta_conductance(t) == pytest.approx(1.0 / (1.0 - eps), rel=1e-9)
-    t2 = manual_tree(eps, [(-1, 0.0, 0.9, 2.0)])
+    t2 = manual_tree(eps, [[(0.0, 0.9, 2.0)]])
     assert co.delta_conductance(t2) == pytest.approx(1.0 / ((1 - eps) + eps / 2.0))
 
 
@@ -96,7 +112,7 @@ def test_conductance_matches_g_map_algebra():
     # two-leaf tree: C = 1/(y + 1/(A1+A2)) with Ai the child conductances
     eps = 0.125
     y0 = 0.4
-    t = manual_tree(eps, [(-1, 0.0, y0, None), (0, y0, 0.95, 3.0), (0, y0, 0.91, 1.5)])
+    t = manual_tree(eps, [[(0.0, y0, None)], [(y0, 0.95, 3.0), (y0, 0.91, 1.5)]])
     a1 = 1.0 / ((1 - eps - y0) + eps / 3.0)
     a2 = 1.0 / ((1 - eps - y0) + eps / 1.5)
     assert co.delta_conductance(t) == pytest.approx(1.0 / (y0 + 1.0 / (a1 + a2)), rel=1e-12)
@@ -107,7 +123,7 @@ def test_conductance_bounds(solved_cloud):
     for _ in range(300):
         t = co.sample_delta(1 / 8, solved_cloud, rng)
         c = co.delta_conductance(t)
-        first_joint = min(float(t.batch.y[0]), 1 - t.eps)
+        first_joint = min(float(t.y[0][0]), 1 - t.eps)
         assert 1.0 - 1e-12 <= c <= 1.0 / first_joint + 1e-12
 
 
@@ -121,42 +137,39 @@ def test_conductance_law_reproduces_cloud(solved_cloud):
 
 def test_ray_symmetric_two_leaves():
     eps = 0.125
-    t = manual_tree(eps, [(-1, 0.0, 0.5, None), (0, 0.5, 0.95, 2.0), (0, 0.5, 0.97, 2.0)])
+    t = manual_tree(eps, [[(0.0, 0.5, None)], [(0.5, 0.95, 2.0), (0.5, 0.97, 2.0)]])
     rng = task_stream(8, "continuum", 8)
     for _ in range(5):
         leaf, lm = co.harmonic_ray_mass(t, rng)
-        assert leaf in (1, 2)
+        assert leaf in ((1, 0), (1, 1))
         assert lm == pytest.approx(np.log(0.5), abs=1e-12)
 
 
 def test_ray_splits_normalised(solved_cloud):
     rng = task_stream(9, "continuum", 9)
     t = co.sample_delta(1 / 8, solved_cloud, rng)
-    a = co._conductances(t.batch)
-    internal = np.flatnonzero(~t.batch.leaf)
-    c1 = t.batch.child[internal]
-    p1 = a[c1] / (a[c1] + a[c1 + 1])
-    p2 = a[c1 + 1] / (a[c1] + a[c1 + 1])
-    assert np.allclose(p1 + p2, 1.0, atol=1e-15)
+    a = co._conductances(t)
+    for g in range(len(t.lo) - 1):
+        c = a[g + 1]
+        p1 = c[0::2] / (c[0::2] + c[1::2])
+        p2 = c[1::2] / (c[0::2] + c[1::2])
+        assert p1.size == np.sum(~t.leaf[g])
+        assert np.allclose(p1 + p2, 1.0, atol=1e-15)
 
 
 def test_ray_mass_matches_split_frequencies(solved_cloud):
     # empirical child-choice frequency at the root matches C1/(C1+C2)
     rng = task_stream(10, "continuum", 10)
     t = co.sample_delta(1 / 4, solved_cloud, rng)
-    while t.batch.leaf[0]:
+    while t.leaf[0][0]:
         t = co.sample_delta(1 / 4, solved_cloud, rng)
-    a = co._conductances(t.batch)
-    c1 = int(t.batch.child[0])
-    p_left = a[c1] / (a[c1] + a[c1 + 1])
+    a1, a2 = co._conductances(t)[1]
+    p_left = a1 / (a1 + a2)
     went_left = 0
     trials = 20000
     for _ in range(trials):
         leaf, _ = co.harmonic_ray_mass(t, rng)
-        v = leaf
-        while t.batch.parent[v] != 0:
-            v = int(t.batch.parent[v])
-        went_left += v == c1
+        went_left += root_side(t, *leaf) == 0
     se = np.sqrt(p_left * (1 - p_left) / trials)
     assert went_left / trials == pytest.approx(p_left, abs=4 * se)
 
@@ -199,3 +212,89 @@ def test_batched_and_single_agree_in_law(solved_cloud):
         rde.ParticleCloud(np.sort(batched)), rde.ParticleCloud(np.sort(single))
     )
     assert d1 < 0.05
+
+
+def reference_rays(batch, rng):
+    """Per-vertex reference for `_conductances` and `_ray_masses`: explicit
+    child pointers, recursive conductances, and one descent per tree reading
+    the same step-synchronous draws (one rng.random per step over the trees
+    still descending, in tree order)."""
+    eps, top = batch.eps, 1.0 - batch.eps
+    kids, closure = {}, {}
+    for g, leaf in enumerate(batch.leaf):
+        k = c = 0
+        for i, is_leaf in enumerate(leaf):
+            if is_leaf:
+                closure[g, i] = batch.closure[g][c]
+                c += 1
+            else:
+                kids[g, i] = ((g + 1, 2 * k), (g + 1, 2 * k + 1))
+                k += 1
+
+    def cond(v):
+        lo, y = batch.lo[v[0]][v[1]], batch.y[v[0]][v[1]]
+        if v in closure:
+            return 1.0 / ((top - lo) + eps / closure[v])
+        c1, c2 = kids[v]
+        return 1.0 / ((y - lo) + 1.0 / (cond(c1) + cond(c2)))
+
+    conds = {(g, i): cond((g, i)) for g in range(len(batch.lo)) for i in range(batch.lo[g].size)}
+    cur = [(0, t) for t in range(batch.n_trees)]
+    logm = [0.0] * batch.n_trees
+    active = [t for t in range(batch.n_trees) if cur[t] in kids]
+    while active:
+        u = rng.random(len(active))
+        for j, t in enumerate(active):
+            c1, c2 = kids[cur[t]]
+            tot = conds[c1] + conds[c2]
+            cur[t] = c1 if u[j] * tot < conds[c1] else c2
+            logm[t] += np.log(conds[cur[t]] / tot)
+        active = [t for t in active if cur[t] in kids]
+    return conds, cur, logm
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_level_passes_match_per_vertex_reference(solved_cloud, seed):
+    rng = task_stream(seed, "continuum", 16)
+    eps = (1 / 4, 1 / 8, 1 / 32)[seed % 3]
+    batch = co._build_batch(eps, solved_cloud.samples, rng, int(rng.integers(1, 20)))
+    cond = co._conductances(batch)
+    (level, pos), logm = co._ray_masses(batch, cond, task_stream(seed, "continuum", 17))
+    ref_cond, ref_leaf, ref_logm = reference_rays(batch, task_stream(seed, "continuum", 17))
+    assert [a.size for a in cond] == [lo.size for lo in batch.lo]
+    assert all(cond[g][i] == c for (g, i), c in ref_cond.items())
+    assert list(zip(level.tolist(), pos.tolist())) == ref_leaf
+    assert logm.tolist() == ref_logm
+
+
+def test_regenerated_chunks_pass_on_the_default_ladder(solved_cloud):
+    rng = task_stream(17, "continuum", 17)
+    curve = co.dimension_curve(solved_cloud, EPS_LADDER_DEFAULT, 200, rng)
+    assert [r["regenerated_chunks"] for r in curve.to_rows()] == [0] * len(EPS_LADDER_DEFAULT)
+    check = curve.regenerated_check()
+    assert check["criterion"] == "continuum-regenerated-chunks" and check["passed"]
+
+
+def test_regenerated_chunks_fail_with_a_small_node_budget(solved_cloud, monkeypatch):
+    # the chunk plan scaled by 1/1000: at eps = 2^-10 a chunk holds one tree,
+    # as at eps = 2^-20 under the real constants, and a few trees per thousand
+    # pass the budget
+    monkeypatch.setattr(co, "NODE_BUDGET", co.NODE_BUDGET // 1000)
+    monkeypatch.setattr(co, "_TARGET_CHUNK_NODES", co._TARGET_CHUNK_NODES // 1000)
+    real, tripped = co._build_batch, []
+
+    def counted(*args):
+        try:
+            return real(*args)
+        except co._ChunkCapExceeded:
+            tripped.append(args[0])
+            raise
+
+    monkeypatch.setattr(co, "_build_batch", counted)
+    rng = task_stream(18, "continuum", 18)
+    curve = co.dimension_curve(solved_cloud, [2.0**-6, 2.0**-10], 1000, rng)
+    counts = [r["regenerated_chunks"] for r in curve.to_rows()]
+    assert counts[0] == 0 and counts[1] > 0
+    assert counts == [tripped.count(eps) for eps in (2.0**-6, 2.0**-10)]
+    check = curve.regenerated_check()
+    assert not check["passed"] and f"{2.0**-10:g}:{counts[1]}" in check["detail"]

@@ -269,6 +269,36 @@ def test_fixed_size_poisson_n3_matches_enumeration():
     assert tv < 0.01
 
 
+def preorder_degrees_oracle(ks):
+    """Per-vertex stack decoder: the reference for `tree_from_preorder_degrees`."""
+    v = ks.size
+    depth = np.zeros(v, np.int64)
+    stack = [[0, int(ks[0])]]
+    for j in range(1, v):
+        while stack[-1][1] == 0:
+            stack.pop()
+        p = stack[-1][0]
+        stack[-1][1] -= 1
+        depth[j] = depth[p] + 1
+        stack.append([j, int(ks[j])])
+    order, parent_bfs = tr._parents_from_preorder_depths(depth)
+    return tr.tree_from_parent_depth(parent_bfs, depth[order])
+
+
+@given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=80))
+@settings(max_examples=200, deadline=None)
+def test_preorder_decoder_matches_stack_oracle(counts):
+    # add or drop leaves until sum(ks) = len(ks) - 1, then rotate to a valid walk
+    excess = len(counts) - 1 - sum(counts)
+    for _ in range(excess):
+        counts.remove(0)
+    ks = np.array(counts + [0] * max(0, -excess), np.int64)
+    ks = tr._first_passage_rotation(ks - 1) + 1
+    t, ref = tr.tree_from_preorder_degrees(ks), preorder_degrees_oracle(ks)
+    for name in ("parent", "child_start", "child_count", "depth", "gen_offsets"):
+        assert np.array_equal(getattr(t, name), getattr(ref, name))
+
+
 def test_fixed_size_conditioned_height():
     rng = task_stream(16, "trees", 14)
     t, trials = tr.sample_fixed_size_conditioned(off.geometric(), 100, 15, rng)
