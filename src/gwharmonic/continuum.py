@@ -191,6 +191,7 @@ def conductance_samples(cloud: ParticleCloud, eps: float, trials: int, rng) -> n
     for batch in _batches(eps, cloud, trials, rng):
         out[done : done + batch.n_trees] = _conductances(batch)[0]
         done += batch.n_trees
+        del batch  # free this chunk before _batches builds the next one
     return out
 
 
@@ -204,6 +205,7 @@ def ray_mass_samples(cloud: ParticleCloud, eps: float, trials: int, rng) -> np.n
         _, logm = _ray_masses(batch, _conductances(batch), rng)
         out[done : done + batch.n_trees] = logm
         done += batch.n_trees
+        del batch  # free this chunk before _batches builds the next one
     return out
 
 

@@ -1,10 +1,11 @@
 """End-to-end experiment drivers for the discrete limit theorems.
 
-Each driver samples conditioned trees as one level forest per n, runs the
-exact network computations over the whole forest, asserts the per-sample
-invariants fail-fast, checks the rejection sampler's acceptance count against
-the exact q_n, and returns an ExperimentReport
-whose config echo reproduces the run bit-for-bit under the same seed.  The
+Each driver samples the reduced conditioned trees directly, as level forests
+of at most FOREST_CHUNK trees per n (per-tree statistics are independent, so
+chunking is exact), runs the exact network computations over each forest,
+asserts the per-sample invariants fail-fast, checks the mean mid-level size
+against the exact q_{n-h}/q_n, and returns an ExperimentReport whose config
+echo reproduces the run bit-for-bit under the same seed.  The
 theorems are asymptotic, so drivers report finite-size trends (Mann-Kendall)
 and identity z-scores rather than exact limits.
 """
@@ -14,18 +15,16 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from itertools import permutations
 
 import numpy as np
-from scipy.special import logsumexp
-from scipy.stats import norm
 
 from . import __version__
 from .beta import cross_validate
 from .network import (
-    HarmonicMeasure,
     check_conductance_invariants,
     concentration_statistic,
     forest_boundary_log_mass,
@@ -33,14 +32,20 @@ from .network import (
     harmonic_measure_exact,
     sample_boundary,
 )
-from .offspring import survival_prob, survival_probs
+from .offspring import survival_probs
 from .rde import ParticleCloud, wasserstein1
 from .trees import (
     level_set,
     reduce as reduce_tree,
+    reduced_child_cdf,
     sample_conditioned_forest,
     sample_fixed_size_conditioned,
+    sample_reduced_forest,
 )
+
+# Trees per level forest in theorem1 and conductance: bounds peak memory at
+# large n and trial counts.
+FOREST_CHUNK = 2000
 
 
 @dataclass
@@ -125,7 +130,7 @@ def mann_kendall(values, direction: int = 1) -> tuple[int, float]:
     else:
         var = n * (n - 1) * (2 * n + 5) / 18.0
         z = (s - 1) / np.sqrt(var) if s > 0 else (s + 1) / np.sqrt(var)
-        p = float(1.0 - norm.cdf(z))
+        p = 0.5 * math.erfc(z / math.sqrt(2.0))
     return s, p
 
 
@@ -146,31 +151,64 @@ def _summary(values: np.ndarray) -> dict:
     }
 
 
-def acceptance_check(dist, n, trials, successes, capped) -> dict:
-    """The rejection sampler's accepted-trial count against Binomial(trials,
-    q_n) with the exact q_n of `dist`; fails as well when any trial was
-    dropped at the node cap (a silent bias against large trees)."""
-    q = survival_prob(dist, n)
-    z = (successes - trials * q) / np.sqrt(trials * q * (1.0 - q))
-    return {"criterion": f"conditioned-acceptance-n{n}",
-            "passed": bool(abs(z) <= 4 and capped == 0),
-            "detail": f"trials={trials} survivors={successes} capped={capped} z={z:+.2f}"}
+def _forests(dist, n, trials, rng):
+    """The `trials` reduced trees of height n, in level forests of at most
+    FOREST_CHUNK trees; the child-count table is built once."""
+    cdf = reduced_child_cdf(dist, n)
+    for start in range(0, trials, FOREST_CHUNK):
+        yield sample_reduced_forest(cdf, min(FOREST_CHUNK, trials - start), rng)
 
 
-def _conditioned_forest(dist, n, trials, rng):
-    """`trials` height-n conditioned reduced trees and their acceptance check."""
-    forest, run, found = sample_conditioned_forest(dist, n, trials, rng)
-    return forest, acceptance_check(dist, n, run, found, forest.capped)
+def midlevel_check(dist, n, sizes) -> dict:
+    """The mean generation-h size of the reduced trees, h = n // 2, against
+    the exact E = q_{n-h}/q_n, as a z check with SE sd/sqrt(trials)."""
+    h = n // 2
+    q = survival_probs(dist, n)
+    exact = q[n - h] / q[n]
+    mean, se = sizes.mean(), sizes.std(ddof=1) / np.sqrt(sizes.size)
+    z = (mean - exact) / se if se > 0 else (0.0 if mean == exact else math.inf)
+    return {"criterion": f"reduced-midlevel-n{n}", "passed": bool(abs(z) <= 4),
+            "detail": f"h={h} mean={mean:.4f} exact={exact:.4f} z={z:+.2f}"}
+
+
+def _check_mass(log_mass, starts):
+    """Per-tree max-shifted masses (each tree's largest is 1) and their sums;
+    raises unless every tree's harmonic measure sums to 1.  Tree i owns
+    log_mass[starts[i]:starts[i+1]]."""
+    top = np.maximum.reduceat(log_mass, starts)
+    p = np.exp(log_mass - np.repeat(top, np.diff(np.append(starts, log_mass.size))))
+    total = np.add.reduceat(p, starts)
+    off_by = np.max(np.abs(top + np.log(total)))
+    if off_by > 1e-12:
+        raise AssertionError(f"harmonic measure mass off by {off_by}")
+    return p, total
 
 
 def _measure_and_exponent(mu, rng, beta_ref, delta, n):
-    total = logsumexp(mu.boundary_log_mass)
-    if abs(total) > 1e-12:
-        raise AssertionError(f"harmonic measure mass off by {total}")
+    _check_mass(mu.boundary_log_mass, np.zeros(1, np.int64))
     conc = concentration_statistic(mu, n, beta_ref, delta)
     b = sample_boundary(mu, rng)
     expo = float(-mu.boundary_log_mass[b] / np.log(n))
     return conc, expo
+
+
+def _tree_statistics(log_mass, off, u, n, beta, delta):
+    """theorem1's per-tree statistics in one pass over a forest's boundary
+    log-masses (tree i owns log_mass[off[i]:off[i+1]]): the concentration
+    statistic and the exit exponent -log mu_n(b)/log n of the boundary vertex
+    b drawn by uniform u[i] through the tree's inverse CDF, as
+    concentration_statistic and sample_boundary do for one tree."""
+    starts, sizes = off[:-1], np.diff(off)
+    tree = np.repeat(np.arange(sizes.size), sizes)
+    p, total = _check_mass(log_mass, starts)
+    ln = np.log(n)
+    inside = (log_mass >= -(beta + delta) * ln) & (log_mass <= -(beta - delta) * ln)
+    conc = np.minimum(np.bincount(tree, weights=np.where(inside, np.exp(log_mass), 0.0),
+                                  minlength=sizes.size), 1.0)
+    cdf = np.cumsum(p / total[tree])  # tree i covers (i, i+1]
+    b = np.clip(np.searchsorted(cdf, np.arange(sizes.size) + u, side="right"),
+                starts, off[1:] - 1)
+    return conc, -log_mass[b] / ln
 
 
 def exponent_trend_check(means, beta_ref) -> dict:
@@ -189,19 +227,21 @@ def run_theorem1(dist, n_list, delta, trials, cloud, rng, beta_ref=None, config=
     t0 = time.time()
     if beta_ref is None:
         beta_ref = beta_reference(cloud, rng)
-    cells, accepts = [], []
+    cells, mids = [], []
     for n in n_list:
         if n < 4:
             raise ValueError("n must be >= 4")
-        forest, accept = _conditioned_forest(dist, n, trials, rng)
-        accepts.append(accept)
-        log_mass = forest_boundary_log_mass(forest)
-        off = forest.boundary_offsets()
-        concs = np.empty(trials)
-        expos = np.empty(trials)
-        for i in range(trials):
-            mu = HarmonicMeasure(log_mass[off[i] : off[i + 1]], n)
-            concs[i], expos[i] = _measure_and_exponent(mu, rng, beta_ref, delta, n)
+        concs, expos, sizes = [], [], []
+        for forest in _forests(dist, n, trials, rng):
+            u = rng.random(forest.size)
+            conc, expo = _tree_statistics(forest_boundary_log_mass(forest),
+                                          forest.boundary_offsets(), u, n, beta_ref, delta)
+            concs.append(conc)
+            expos.append(expo)
+            sizes.append(forest.level_sizes(n // 2))
+            del forest  # free this chunk before the next one is drawn
+        concs, expos = np.concatenate(concs), np.concatenate(expos)
+        mids.append(midlevel_check(dist, n, np.concatenate(sizes)))
         cell = {"n": n, "trials": trials, "concentration_mean": float(concs.mean()),
                 "concentration_se": float(concs.std(ddof=1) / np.sqrt(trials))}
         cell.update({f"exponent_{k}": v for k, v in _summary(expos).items()})
@@ -219,7 +259,7 @@ def run_theorem1(dist, n_list, delta, trials, cloud, rng, beta_ref=None, config=
             {"criterion": "theorem1-exponent-at-nmax", "passed": bool(gap <= 0.1),
              "detail": f"|mean - beta| = {gap:.4f} at n={max(n_list)}"}
         )
-    checks += accepts
+    checks += mids
     cfg = dict(config or {})
     cfg.update({"n_list": list(map(int, n_list)), "delta": delta, "trials": trials,
                 "beta_ref": beta_ref})
@@ -229,13 +269,17 @@ def run_theorem1(dist, n_list, delta, trials, cloud, rng, beta_ref=None, config=
 def run_conductance_convergence(dist, n_list, trials, cloud, rng, config=None):
     """Law of n C_n against the cloud: d1 must fall as n grows."""
     t0 = time.time()
-    cells, accepts = [], []
+    cells, mids = [], []
     for n in n_list:
-        forest, accept = _conditioned_forest(dist, n, trials, rng)
-        accepts.append(accept)
-        c = forest_conductance_to_level(forest)
-        check_conductance_invariants(forest, c)
-        vals = n * c
+        vals, sizes = [], []
+        for forest in _forests(dist, n, trials, rng):
+            c = forest_conductance_to_level(forest)
+            check_conductance_invariants(forest, c)
+            vals.append(n * c)
+            sizes.append(forest.level_sizes(n // 2))
+            del forest  # free this chunk before the next one is drawn
+        vals = np.concatenate(vals)
+        mids.append(midlevel_check(dist, n, np.concatenate(sizes)))
         d1 = wasserstein1(ParticleCloud(np.sort(vals)), cloud)
         cells.append({"n": n, "trials": trials, "d1_to_cloud": float(d1),
                       "mean": float(vals.mean()),
@@ -245,7 +289,7 @@ def run_conductance_convergence(dist, n_list, trials, cloud, rng, config=None):
         {"criterion": "conductance-d1-decreasing",
          "passed": bool(all(b < a for a, b in zip(d1s, d1s[1:]))),
          "detail": f"d1 ladder {['%.4f' % d for d in d1s]}"},
-        *accepts,
+        *mids,
     ]
     cfg = dict(config or {})
     cfg.update({"n_list": list(map(int, n_list)), "trials": trials})
@@ -261,8 +305,7 @@ def run_levelset(dist, n, p_list, trials, rng, config=None):
         if not 1 <= p <= n / 2:
             raise ValueError("p must lie in [1, n/2]")
     qs = survival_probs(dist, n)
-    forest, accept = _conditioned_forest(dist, n, trials, rng)
-    reds = forest.views()
+    reds = sample_conditioned_forest(dist, n, trials, rng).views()
     cells, checks = [], []
     for p in p_list:
         sizes = np.array([level_set(r.tree, n - p).size for r in reds], float)
@@ -273,7 +316,6 @@ def run_levelset(dist, n, p_list, trials, rng, config=None):
                       "std_error": float(se), "exact": float(exact), "z": float(z)})
         checks.append({"criterion": f"levelset-z-n{n}-p{p}", "passed": bool(abs(z) <= 3),
                        "detail": f"z={z:+.2f}"})
-    checks.append(accept)
     cfg = dict(config or {})
     cfg.update({"n": n, "p_list": list(map(int, p_list)), "trials": trials})
     return ExperimentReport("levelset", cfg, cells, checks, time.time() - t0)

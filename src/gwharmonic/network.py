@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .trees import LevelForest, ReducedTree
 
@@ -105,6 +103,9 @@ def hitting_distribution_linsolve(reduced: ReducedTree) -> HarmonicMeasure:
     Solves L_II phi = e_root (unit current injected at the root, boundary
     grounded); the mass exiting at a boundary vertex b is phi[parent(b)].
     """
+    import scipy.sparse as sp  # the oracle alone needs scipy; keep it off the import path
+    import scipy.sparse.linalg as spla
+
     t, n = reduced.tree, reduced.n
     if t.node_count > LINSOLVE_MAX_VERTICES:
         raise ValueError(f"linsolve oracle capped at {LINSOLVE_MAX_VERTICES} vertices")

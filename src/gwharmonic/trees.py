@@ -5,13 +5,15 @@ siblings are consecutive in birth order, and the children of consecutive
 parents form consecutive blocks.  That layout makes the bottom-up and
 top-down passes of the network module single vectorised sweeps per level.
 
-Height-conditioning is done by plain rejection (exactly distributed); trials
-are run in waves so the offspring draws vectorise across trials.  The chosen
-survivors of a wave are reduced together, bottom-up, into one LevelForest:
-generation g of every tree sits in one array, so marking, reduction and the
-network sweeps are one numpy pass per level over all trees.  PlaneTree and
-ReducedTree remain the single-tree views used by the oracles and the text
-dump, and reduce() runs the same bottom-up marking on a one-tree forest.
+Height-conditioned trees are sampled as their reduced trees directly: the
+ancestors of generation n of a critical GW tree conditioned on height >= n
+form a branching process whose offspring law depends on the generation
+(Fleischmann and Siegmund-Schultze 1977), so each generation is one uniform
+draw per vertex against one CDF row.  The draws fill one LevelForest:
+generation g of every tree sits in one array, so the network sweeps are one
+numpy pass per level over all trees.  PlaneTree and ReducedTree remain the
+single-tree views used by the oracles and the text dump, and reduce() marks
+the ancestors of generation n of one whole tree bottom-up.
 
 Fixed-size conditioning uses the cycle lemma: a uniformly shuffled step
 multiset has exactly one cyclic rotation that is a valid depth-first walk,
@@ -20,25 +22,18 @@ and rotating to it preserves the conditional law.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .offspring import sample_offspring, survival_prob
+from .offspring import survival_probs
 
-DEFAULT_NODE_CAP = 10_000_000
 DEFAULT_TRIAL_CAP = 10_000_000
 
 
 class TrialCapError(RuntimeError):
     """Rejection loop exhausted its trial budget (misconfigured n)."""
-
-
-@dataclass(frozen=True)
-class CapExceeded:
-    """Returned (not raised) when a growing tree would pass the node cap."""
-
-    node_cap: int
 
 
 @dataclass(frozen=True)
@@ -93,8 +88,8 @@ class ReducedTree:
 
 @dataclass(eq=False)
 class LevelForest:
-    """Trees of height n, stored generation by generation; reduced to the
-    ancestors of generation n unless sampled whole.
+    """Trees of height n, stored generation by generation; the samplers and
+    reduce() keep only the ancestors of generation n.
 
     Generation g of every tree lives in one array: the trees in order, and
     each tree's generation-g vertices in breadth-first order.  The children of
@@ -105,7 +100,6 @@ class LevelForest:
     n: int
     counts: list       # counts[g]: child counts of generation g, for g < n
     tree_index: list   # tree_index[g]: owning tree of each generation-g vertex, g <= n
-    capped: int = 0    # sampling trials dropped at the node cap
 
     @property
     def size(self) -> int:
@@ -149,33 +143,19 @@ class LevelForest:
                 for t in self.trees()]
 
 
-def _concat_forests(parts: list[LevelForest], n: int) -> LevelForest:
-    if len(parts) == 1:
-        return parts[0]
-    shift = np.cumsum([0] + [f.size for f in parts])
-    counts = [np.concatenate([f.counts[g] for f in parts]) for g in range(n)]
-    tree_index = [np.concatenate([f.tree_index[g] + k for f, k in zip(parts, shift)])
-                  for g in range(n + 1)]
-    return LevelForest(n, counts, tree_index)
-
-
-def _reduce_levels(n: int, level, reduce: bool = True) -> LevelForest:
+def _reduce_levels(n: int, level) -> LevelForest:
     """Bottom-up marking: keep the ancestors of generation n of a forest.
 
     level(g) returns the raw child counts and the tree indices of generation
     g < n in level order.  Generation n is kept whole; a vertex is kept iff
     it has a kept child, and its reduced child count is the number of them.
-    Only the reduced generation is held once the step is done.  With
-    reduce=False the generations are kept as given (whole trees).
+    Only the reduced generation is held once the step is done.
     """
     counts = [None] * n
     tree_index = [None] * (n + 1)
     marks = None
     for g in range(n - 1, -1, -1):
         raw, tree = level(g)
-        if not reduce:
-            counts[g], tree_index[g] = raw, tree
-            continue
         red = raw if marks is None else _segment_sums(marks, raw)
         marks = red > 0
         counts[g] = red[marks]
@@ -266,175 +246,55 @@ def validate_tree(t: PlaneTree) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Galton-Watson sampling
+# Height-conditioned sampling
 # ---------------------------------------------------------------------------
 
 
-def sample_gw(dist, rng, node_cap: int = DEFAULT_NODE_CAP, max_gen: int | None = None):
-    """One unconditioned critical GW tree, generated breadth-first.
+def reduced_child_cdf(dist, n: int) -> np.ndarray:
+    """Row g < n: the CDF over j = 1..K of the reduced child count J of a
+    generation-g vertex of the reduced tree of height n.
 
-    Returns CapExceeded (a value; critical trees are a.s. finite but
-    unbounded) when the population would pass node_cap.  With max_gen set,
-    generation max_gen is kept but given no children.
+    Each of the K children of a vertex of generation g reaches generation n
+    with probability q = q_{n-g-1}, independently, so given K the reduced
+    count is Binomial(K, q), and the vertex itself is kept iff J >= 1:
+    P(J = j) = sum_k theta(k) C(k, j) q^j (1-q)^(k-j) / q_{n-g}, j >= 1,
+    for every offspring law.  Rows are normalised by their computed sum,
+    which is q_{n-g} up to rounding.
     """
+    return _thinned_child_cdf(dist.pmf, survival_probs(dist, n)[n - 1 :: -1])
+
+
+def _thinned_child_cdf(pmf: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """CDF rows over j = 1..K of Binomial(K, keep[g]) given >= 1, K ~ pmf,
+    as one (len(keep), K+1, K+1) product over (g, k, j)."""
+    k = np.arange(pmf.size)
+    comb = np.array([[math.comb(a, b) for b in k] for a in k], float)  # 0 for j > k
+    fail = (1.0 - keep)[:, None, None] ** np.maximum(k[:, None] - k[None, :], 0)
+    mass = np.einsum("k,kj,gkj->gj", pmf, comb, fail) * keep[:, None] ** k
+    cdf = np.cumsum(mass[:, 1:], axis=1)
+    return cdf / cdf[:, -1:]  # x/x is exactly 1, so each row ends at 1
+
+
+def sample_reduced_forest(cdf: np.ndarray, count: int, rng) -> LevelForest:
+    """`count` iid reduced trees of height n = len(cdf) from the table of
+    reduced_child_cdf: one uniform per vertex, one generation at a time."""
+    tree_index = [np.arange(count)]
     counts = []
-    alive = 1
-    total = 1
-    g = 0
-    while alive > 0 and (max_gen is None or g < max_gen):
-        c = sample_offspring(dist, rng, size=alive)
-        counts.append(c)
-        alive = int(c.sum())
-        total += alive
-        if total > node_cap:
-            return CapExceeded(node_cap)
-        g += 1
-    return tree_from_generation_counts(counts)
+    for row in cdf:
+        j = np.searchsorted(row, rng.random(tree_index[-1].size), side="right") + 1
+        counts.append(j)
+        tree_index.append(np.repeat(tree_index[-1], j))
+    return LevelForest(cdf.shape[0], counts, tree_index)
 
 
-def _conditioned_wave(dist, n, wave, rng, node_cap):
-    """Run `wave` independent trials jointly up to generation n.
-
-    Returns (counts_levels, labels_levels, survivor_labels, capped); the
-    `capped` trials that hit the per-trial node cap are dropped (treated as
-    rejections).
-    """
-    labels = np.arange(wave, dtype=np.int64)
-    counts_levels, labels_levels = [], []
-    tally = np.ones(wave, np.int64)
-    capped = np.zeros(wave, bool)
-    for _ in range(n):
-        if labels.size == 0:
-            break
-        c = sample_offspring(dist, rng, size=labels.size).astype(np.int64)
-        counts_levels.append(c)
-        labels_levels.append(labels)
-        children = np.repeat(labels, c)
-        tally += np.bincount(children, minlength=wave)
-        over = tally > node_cap
-        if over.any():
-            capped |= over
-            children = children[~capped[children]]
-        labels = children
-    survivors = np.unique(labels) if len(counts_levels) == n else np.array([], np.int64)
-    return counts_levels, labels_levels, survivors, int(capped.sum())
-
-
-def _wave_levels(counts_levels, labels_levels, chosen):
-    """level(g) of the chosen trials of a wave for _reduce_levels.
-
-    Label arrays are sorted (np.repeat of a sorted array), so each chosen
-    trial's generation-g vertices are one block found by one searchsorted.
-    """
-    bounds = np.stack((chosen, chosen + 1))
-
-    def level(g):
-        lo, hi = np.searchsorted(labels_levels[g], bounds)
-        sizes = hi - lo
-        idx = np.arange(sizes.sum()) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
-        return counts_levels[g][idx], np.repeat(np.arange(chosen.size), sizes)
-
-    return level
-
-
-def sample_conditioned_forest(
-    dist,
-    n: int,
-    count: int,
-    rng,
-    node_cap: int = DEFAULT_NODE_CAP,
-    trial_cap: int = DEFAULT_TRIAL_CAP,
-    reduce: bool = True,
-):
+def sample_conditioned_forest(dist, n: int, count: int, rng) -> LevelForest:
     """Exact iid samples of the tree conditioned on height >= n, reduced to
-    the ancestors of generation n, as one LevelForest of `count` trees.
-
-    Trials run in waves; each wave's chosen survivors are reduced bottom-up,
-    one numpy pass per level, before the next wave runs.  Returns (forest,
-    trials, successes): `trials` counts every rejection trial run and
-    `successes` every accepted trial, including iid survivors beyond `count`
-    that were found but not used (so trials/successes is an unbiased
-    estimate of 1/q_n).  forest.capped counts the trials dropped at the node
-    cap.  With reduce=False the forest holds the whole trees chopped at
-    generation n.
-    """
+    the ancestors of generation n, as one LevelForest of `count` trees."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
-    q = survival_prob(dist, n)
-    parts = []
-    taken = trials = successes = capped = 0
-    while taken < count:
-        if trials >= trial_cap:
-            raise TrialCapError(f"no height-{n} sample within {trial_cap} trials")
-        wave = int(np.clip(np.ceil(1.3 * (count - taken) / q), 64, 65536))
-        wave = min(wave, trial_cap - trials)
-        counts_levels, labels_levels, survivors, wave_capped = _conditioned_wave(
-            dist, n, wave, rng, node_cap
-        )
-        trials += wave
-        successes += survivors.size
-        capped += wave_capped
-        chosen = survivors[: count - taken]
-        if chosen.size:
-            parts.append(_reduce_levels(n, _wave_levels(counts_levels, labels_levels, chosen),
-                                        reduce))
-            taken += chosen.size
-        del counts_levels, labels_levels  # free this wave before the next one runs
-    forest = _concat_forests(parts, n)
-    forest.capped = capped
-    return forest, trials, successes
-
-
-def sample_conditioned_batch(
-    dist,
-    n: int,
-    count: int,
-    rng,
-    node_cap: int = DEFAULT_NODE_CAP,
-    trial_cap: int = DEFAULT_TRIAL_CAP,
-    reduce_at_n: bool = False,
-):
-    """The samples of sample_conditioned_forest, tree by tree: whole trees
-    chopped at generation n (all level-n statistics, reduced trees and the
-    harmonic measure at level n are unaffected by the chop), or with
-    reduce_at_n the reduced trees as ReducedTree views.  Returns (trees,
-    trials, successes); both read the rng identically.
-    """
-    forest, trials, successes = sample_conditioned_forest(
-        dist, n, count, rng, node_cap, trial_cap, reduce=reduce_at_n
-    )
-    return (forest.views() if reduce_at_n else forest.trees()), trials, successes
-
-
-def sample_conditioned_height(
-    dist,
-    n: int,
-    rng,
-    trial_cap: int = DEFAULT_TRIAL_CAP,
-    node_cap: int = DEFAULT_NODE_CAP,
-    max_gen: int | None = None,
-):
-    """One exact sample of the tree conditioned on non-extinction at
-    generation n, by rejection; expected trials 1/q_n ~ sigma^2 n / 2.
-
-    By default the full tree is generated; max_gen=n chops it at generation n
-    (exact for every level-n functional, and avoids the heavy-tailed cost of
-    the unconditioned progeny below level n).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    trials = 0
-    while True:
-        if trials >= trial_cap:
-            raise TrialCapError(f"no height-{n} sample within {trial_cap} trials")
-        t = sample_gw(dist, rng, node_cap=node_cap, max_gen=max_gen)
-        trials += 1
-        if isinstance(t, CapExceeded):
-            continue
-        if t.height >= n:
-            return t
+    return sample_reduced_forest(reduced_child_cdf(dist, n), count, rng)
 
 
 # ---------------------------------------------------------------------------

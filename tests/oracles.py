@@ -1,0 +1,235 @@
+"""Rejection samplers of conditioned Galton-Watson trees: the test oracles
+for the direct reduced-tree sampler `trees.sample_conditioned_forest`.
+
+Height-conditioning here is plain rejection (exactly distributed): trials
+grow generation by generation until generation n, and about 1/q_n of them
+run per kept tree.  Trials are run in waves so the offspring draws
+vectorise across trials; the chosen survivors of a wave are reduced
+together, bottom-up, into one LevelForest by `trees._reduce_levels`.
+`acceptance_check` compares the accepted-trial count with the exact q_n, and
+`faulty_child_cdf` plants a fault in the direct sampler's table.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from gwharmonic.offspring import sample_offspring, survival_prob, survival_probs
+from gwharmonic.trees import (
+    LevelForest,
+    TrialCapError,
+    _reduce_levels,
+    _thinned_child_cdf,
+    tree_from_generation_counts,
+)
+
+DEFAULT_NODE_CAP = 10_000_000
+DEFAULT_TRIAL_CAP = 10_000_000
+
+
+@dataclass(frozen=True)
+class CapExceeded:
+    """Returned (not raised) when a growing tree would pass the node cap."""
+
+    node_cap: int
+
+
+def sample_gw(dist, rng, node_cap: int = DEFAULT_NODE_CAP, max_gen: int | None = None):
+    """One unconditioned critical GW tree, generated breadth-first.
+
+    Returns CapExceeded (a value; critical trees are a.s. finite but
+    unbounded) when the population would pass node_cap.  With max_gen set,
+    generation max_gen is kept but given no children.
+    """
+    counts = []
+    alive = 1
+    total = 1
+    g = 0
+    while alive > 0 and (max_gen is None or g < max_gen):
+        c = sample_offspring(dist, rng, size=alive)
+        counts.append(c)
+        alive = int(c.sum())
+        total += alive
+        if total > node_cap:
+            return CapExceeded(node_cap)
+        g += 1
+    return tree_from_generation_counts(counts)
+
+
+def _conditioned_wave(dist, n, wave, rng, node_cap):
+    """Run `wave` independent trials jointly up to generation n.
+
+    Returns (counts_levels, labels_levels, survivor_labels, capped); the
+    `capped` trials that hit the per-trial node cap are dropped (treated as
+    rejections).
+    """
+    labels = np.arange(wave, dtype=np.int64)
+    counts_levels, labels_levels = [], []
+    tally = np.ones(wave, np.int64)
+    capped = np.zeros(wave, bool)
+    for _ in range(n):
+        if labels.size == 0:
+            break
+        c = sample_offspring(dist, rng, size=labels.size).astype(np.int64)
+        counts_levels.append(c)
+        labels_levels.append(labels)
+        children = np.repeat(labels, c)
+        tally += np.bincount(children, minlength=wave)
+        over = tally > node_cap
+        if over.any():
+            capped |= over
+            children = children[~capped[children]]
+        labels = children
+    survivors = np.unique(labels) if len(counts_levels) == n else np.array([], np.int64)
+    return counts_levels, labels_levels, survivors, int(capped.sum())
+
+
+def _wave_levels(counts_levels, labels_levels, chosen):
+    """level(g) of the chosen trials of a wave for _reduce_levels.
+
+    Label arrays are sorted (np.repeat of a sorted array), so each chosen
+    trial's generation-g vertices are one block found by one searchsorted.
+    """
+    bounds = np.stack((chosen, chosen + 1))
+
+    def level(g):
+        lo, hi = np.searchsorted(labels_levels[g], bounds)
+        sizes = hi - lo
+        idx = np.arange(sizes.sum()) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
+        return counts_levels[g][idx], np.repeat(np.arange(chosen.size), sizes)
+
+    return level
+
+
+def _whole_levels(n, level) -> LevelForest:
+    """The generations of level(g) as given: whole trees chopped at n."""
+    counts, tree_index = map(list, zip(*(level(g) for g in range(n))))
+    tree_index.append(np.repeat(tree_index[n - 1], counts[n - 1]))
+    return LevelForest(n, counts, tree_index)
+
+
+def _concat_forests(parts: list[LevelForest], n: int) -> LevelForest:
+    if len(parts) == 1:
+        return parts[0]
+    shift = np.cumsum([0] + [f.size for f in parts])
+    counts = [np.concatenate([f.counts[g] for f in parts]) for g in range(n)]
+    tree_index = [np.concatenate([f.tree_index[g] + k for f, k in zip(parts, shift)])
+                  for g in range(n + 1)]
+    return LevelForest(n, counts, tree_index)
+
+
+def sample_conditioned_forest(
+    dist,
+    n: int,
+    count: int,
+    rng,
+    node_cap: int = DEFAULT_NODE_CAP,
+    trial_cap: int = DEFAULT_TRIAL_CAP,
+    reduce: bool = True,
+):
+    """Exact iid samples of the tree conditioned on height >= n, reduced to
+    the ancestors of generation n, as one LevelForest of `count` trees.
+
+    Trials run in waves; each wave's chosen survivors are reduced bottom-up,
+    one numpy pass per level, before the next wave runs.  Returns (forest,
+    trials, successes, capped): `trials` counts every rejection trial run,
+    `successes` every accepted trial, including iid survivors beyond `count`
+    that were found but not used (so trials/successes is an unbiased
+    estimate of 1/q_n), and `capped` the trials dropped at the node cap.
+    With reduce=False the forest holds the whole trees chopped at
+    generation n.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    q = survival_prob(dist, n)
+    parts = []
+    taken = trials = successes = capped = 0
+    while taken < count:
+        if trials >= trial_cap:
+            raise TrialCapError(f"no height-{n} sample within {trial_cap} trials")
+        wave = int(np.clip(np.ceil(1.3 * (count - taken) / q), 64, 65536))
+        wave = min(wave, trial_cap - trials)
+        counts_levels, labels_levels, survivors, wave_capped = _conditioned_wave(
+            dist, n, wave, rng, node_cap
+        )
+        trials += wave
+        successes += survivors.size
+        capped += wave_capped
+        chosen = survivors[: count - taken]
+        if chosen.size:
+            level = _wave_levels(counts_levels, labels_levels, chosen)
+            parts.append(_reduce_levels(n, level) if reduce else _whole_levels(n, level))
+            taken += chosen.size
+        del counts_levels, labels_levels  # free this wave before the next one runs
+    return _concat_forests(parts, n), trials, successes, capped
+
+
+def sample_conditioned_batch(
+    dist,
+    n: int,
+    count: int,
+    rng,
+    node_cap: int = DEFAULT_NODE_CAP,
+    trial_cap: int = DEFAULT_TRIAL_CAP,
+    reduce_at_n: bool = False,
+):
+    """The samples of sample_conditioned_forest, tree by tree: whole trees
+    chopped at generation n (all level-n statistics, reduced trees and the
+    harmonic measure at level n are unaffected by the chop), or with
+    reduce_at_n the reduced trees as ReducedTree views.  Returns (trees,
+    trials, successes); both read the rng identically.
+    """
+    forest, trials, successes, _ = sample_conditioned_forest(
+        dist, n, count, rng, node_cap, trial_cap, reduce=reduce_at_n
+    )
+    return (forest.views() if reduce_at_n else forest.trees()), trials, successes
+
+
+def sample_conditioned_height(
+    dist,
+    n: int,
+    rng,
+    trial_cap: int = DEFAULT_TRIAL_CAP,
+    node_cap: int = DEFAULT_NODE_CAP,
+    max_gen: int | None = None,
+):
+    """One exact sample of the tree conditioned on non-extinction at
+    generation n, by rejection; expected trials 1/q_n ~ sigma^2 n / 2.
+
+    By default the full tree is generated; max_gen=n chops it at generation n
+    (exact for every level-n functional, and avoids the heavy-tailed cost of
+    the unconditioned progeny below level n).
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    trials = 0
+    while True:
+        if trials >= trial_cap:
+            raise TrialCapError(f"no height-{n} sample within {trial_cap} trials")
+        t = sample_gw(dist, rng, node_cap=node_cap, max_gen=max_gen)
+        trials += 1
+        if isinstance(t, CapExceeded):
+            continue
+        if t.height >= n:
+            return t
+
+
+def acceptance_check(dist, n, trials, successes, capped) -> dict:
+    """The rejection sampler's accepted-trial count against Binomial(trials,
+    q_n) with the exact q_n of `dist`; fails as well when any trial was
+    dropped at the node cap (a silent bias against large trees)."""
+    q = survival_prob(dist, n)
+    z = (successes - trials * q) / np.sqrt(trials * q * (1.0 - q))
+    return {"criterion": f"conditioned-acceptance-n{n}",
+            "passed": bool(abs(z) <= 4 and capped == 0),
+            "detail": f"trials={trials} survivors={successes} capped={capped} z={z:+.2f}"}
+
+
+def faulty_child_cdf(dist, n: int):
+    """reduced_child_cdf with a planted fault: children thinned with
+    q_{n-g} in place of q_{n-g-1}, so reduced trees branch too rarely."""
+    return _thinned_child_cdf(dist.pmf, survival_probs(dist, n)[n:0:-1])

@@ -133,8 +133,8 @@ def test_discrete_commands_draw_from_their_own_streams(cloud_file, tmp_path):
     for stem in ("conductance", "theorem1"):
         rep = json.loads((tmp_path / f"{stem}_geometric_1.json").read_text())
         details.append({c["criterion"]: c["detail"] for c in rep["checks"]
-                        if c["criterion"].startswith("conditioned-acceptance")})
-    assert list(details[0]) == ["conditioned-acceptance-n10", "conditioned-acceptance-n25"]
+                        if c["criterion"].startswith("reduced-midlevel")})
+    assert list(details[0]) == ["reduced-midlevel-n10", "reduced-midlevel-n25"]
     for name in details[0]:
         assert details[0][name] != details[1][name]
 

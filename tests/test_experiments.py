@@ -2,6 +2,7 @@ import dataclasses
 import json
 
 import numpy as np
+import oracles as orc
 import pytest
 
 from gwharmonic import experiments as ex
@@ -29,6 +30,17 @@ def test_mann_kendall_normal_tail():
     assert s == 36 and p < 0.001
     _, p_wrong_way = ex.mann_kendall(vals, -1)
     assert p_wrong_way > 0.99
+
+
+def test_mann_kendall_normal_tail_matches_scipy():
+    # the tail is 0.5 erfc(z/sqrt 2); scipy's normal survival function is the oracle
+    from scipy.stats import norm
+
+    vals = [0.3, 0.1, 0.4, 0.2, 0.6, 0.5, 0.9, 0.7, 0.8, 1.0]
+    s, p = ex.mann_kendall(vals, 1)
+    z = (s - 1) / np.sqrt(10 * 9 * 25 / 18.0)
+    assert s == 33 and 1e-3 < p < 0.05
+    assert p == pytest.approx(norm.sf(z), rel=1e-12)
 
 
 def test_beta_reference_sane(solved_cloud):
@@ -67,6 +79,9 @@ def test_run_theorem1_structure(solved_cloud):
         assert c["exponent_std_error"] > 0
     names = {chk["criterion"] for chk in rep.checks}
     assert "theorem1-exponent-trend" in names
+    mids = [chk for chk in rep.checks if chk["criterion"].startswith("reduced-midlevel")]
+    assert [chk["criterion"] for chk in mids] == [f"reduced-midlevel-n{n}" for n in (8, 16, 32)]
+    assert all(chk["passed"] for chk in mids), mids
     assert rep.file_stem() == "theorem1_geometric_4"
 
 
@@ -92,6 +107,39 @@ def test_exponent_trend_fails_moving_away():
     assert not ex.exponent_trend_check([0.78, 0.76, 0.74, 0.70], 0.7845)["passed"]
 
 
+class _FixedUniform:
+    """An rng whose next uniform is given: feeds sample_boundary one u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u
+
+
+@pytest.mark.parametrize("law", ["geometric", "poisson", "binary"])
+def test_tree_statistics_match_the_per_tree_loop(law):
+    # the one-pass statistics against concentration_statistic and
+    # sample_boundary run tree by tree on the same uniforms
+    n, beta, delta = 30, 0.7845, 0.25
+    forest = tr.sample_conditioned_forest(off.from_spec(law), n, 300,
+                                          task_stream(18, "experiments", 18))
+    log_mass = net.forest_boundary_log_mass(forest)
+    off_ = forest.boundary_offsets()
+    u = task_stream(18, "experiments", 19).random(forest.size)
+    conc, expo = ex._tree_statistics(log_mass, off_, u, n, beta, delta)
+    for i in range(forest.size):
+        mu = net.HarmonicMeasure(log_mass[off_[i] : off_[i + 1]], n)
+        b = net.sample_boundary(mu, _FixedUniform(u[i]))
+        assert expo[i] == -mu.boundary_log_mass[b] / np.log(n)
+        assert conc[i] == pytest.approx(net.concentration_statistic(mu, n, beta, delta),
+                                        rel=0, abs=1e-12)
+    # a tree whose masses do not sum to one fails the identity
+    log_mass[off_[7] : off_[8]] += 1e-9
+    with pytest.raises(AssertionError, match="mass off by"):
+        ex._tree_statistics(log_mass, off_, u, n, beta, delta)
+
+
 def test_run_theorem1_rejects_small_n(solved_cloud):
     rng = task_stream(5, "experiments", 5)
     with pytest.raises(ValueError):
@@ -114,8 +162,8 @@ def test_run_conductance_convergence(solved_cloud, monkeypatch):
     assert all(v >= n / (n + 1) - 1e-12 for n, v in seen)
     d1s = [c["d1_to_cloud"] for c in rep.cells]
     assert [c["criterion"] for c in rep.checks] == [
-        "conductance-d1-decreasing", "conditioned-acceptance-n10",
-        "conditioned-acceptance-n25", "conditioned-acceptance-n60"]
+        "conductance-d1-decreasing", "reduced-midlevel-n10",
+        "reduced-midlevel-n25", "reduced-midlevel-n60"]
     assert rep.passed
     assert all(d > 0 for d in d1s)
     assert d1s[-1] < d1s[0]
@@ -124,10 +172,49 @@ def test_run_conductance_convergence(solved_cloud, monkeypatch):
         assert c["second_moment"] < 12.0
 
 
-def _acceptance(law, n, count, seed, node_cap=tr.DEFAULT_NODE_CAP, checked_law=None):
+def test_conductance_chunks_draw_every_tree(solved_cloud, monkeypatch):
+    # 5,000 trees in forests of at most FOREST_CHUNK, read through the
+    # per-forest invariant hook
+    sizes = []
+
+    def record(forest, c_level):
+        net.check_conductance_invariants(forest, c_level)
+        sizes.append(forest.size)
+
+    monkeypatch.setattr(ex, "check_conductance_invariants", record)
+    rep = ex.run_conductance_convergence(off.geometric(), [8], 5000, solved_cloud,
+                                         task_stream(19, "experiments", 19))
+    assert sizes == [ex.FOREST_CHUNK, ex.FOREST_CHUNK, 5000 - 2 * ex.FOREST_CHUNK]
+    assert rep.cells[0]["trials"] == 5000 and rep.checks[1]["passed"]
+
+
+def _midlevel_check(monkeypatch, law, fault):
+    if fault:
+        monkeypatch.setattr(ex, "reduced_child_cdf", orc.faulty_child_cdf)
+    rng = task_stream(17, "experiments", 17)
+    sizes = np.concatenate([f.level_sizes(6) for f in ex._forests(law, 12, 20000, rng)])
+    return ex.midlevel_check(law, 12, sizes)
+
+
+@pytest.mark.parametrize("law", ["geometric", "poisson"])
+def test_midlevel_check_passes_on_the_direct_sampler(law, monkeypatch):
+    chk = _midlevel_check(monkeypatch, off.from_spec(law), fault=False)
+    assert chk["criterion"] == "reduced-midlevel-n12"
+    assert chk["passed"], chk["detail"]
+
+
+@pytest.mark.parametrize("law", ["geometric", "poisson"])
+def test_midlevel_check_fails_on_a_planted_fault(law, monkeypatch):
+    chk = _midlevel_check(monkeypatch, off.from_spec(law), fault=True)
+    assert not chk["passed"], chk["detail"]
+    assert float(chk["detail"].split("z=")[1]) < -4
+
+
+def _acceptance(law, n, count, seed, node_cap=orc.DEFAULT_NODE_CAP, checked_law=None):
     rng = task_stream(seed, "experiments", 11)
-    forest, trials, successes = tr.sample_conditioned_forest(law, n, count, rng, node_cap)
-    return ex.acceptance_check(checked_law or law, n, trials, successes, forest.capped)
+    forest, trials, successes, capped = orc.sample_conditioned_forest(law, n, count, rng,
+                                                                      node_cap)
+    return orc.acceptance_check(checked_law or law, n, trials, successes, capped)
 
 
 def test_acceptance_check_passes_on_correct_runs():

@@ -1,7 +1,10 @@
 """Source hygiene checks that need no linter: every name a `gwharmonic`
-module imports must be used in that module."""
+module imports must be used in that module, and the CLI imports no scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +35,14 @@ def test_no_unused_imports(path):
 def test_unused_import_detector():
     assert unused_imports("import numpy as np\nfrom a import b, c\nnp.x(c)\n") == ["line 2: b"]
     assert unused_imports("from __future__ import annotations\nimport os.path\nos.sep\n") == []
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy costs about a second of import; only the test oracles need it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, gwharmonic.cli; "
+            "print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"

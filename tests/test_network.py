@@ -1,4 +1,5 @@
 import numpy as np
+import oracles as orc
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,8 +27,7 @@ def star(k):
 def random_reduced(rng, n=None, dist=None):
     dist = dist or off.geometric()
     n = n or int(rng.integers(2, 13))
-    reds, _, _ = tr.sample_conditioned_batch(dist, n, 1, rng, reduce_at_n=True)
-    return reds[0]
+    return tr.sample_conditioned_forest(dist, n, 1, rng).views()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +272,7 @@ def test_scaled_conductance_second_moment_bounded():
     dist = off.geometric()
     moments = {}
     for n in (50, 100, 200):
-        reds, _, _ = tr.sample_conditioned_batch(dist, n, 800, rng, reduce_at_n=True)
+        reds = tr.sample_conditioned_forest(dist, n, 800, rng).views()
         vals = np.array([n * net.conductance_to_level(r) for r in reds])
         moments[n] = float(np.mean(vals**2))
     # Lemma-style bound: second moments stay bounded (no growth with n)
@@ -312,9 +312,10 @@ def per_tree_sweeps(r):
 @settings(max_examples=40, deadline=None)
 def test_forest_matches_single_tree_oracles(law, n, seed):
     dist = off.from_spec(law)
-    # the same stream drawn twice: whole chopped trees, then the reduced forest
-    full, _, _ = tr.sample_conditioned_batch(dist, n, 6, task_stream(seed, "network", 15))
-    forest, _, _ = tr.sample_conditioned_forest(dist, n, 6, task_stream(seed, "network", 15))
+    # the rejection oracle's stream drawn twice: whole chopped trees, then
+    # the reduced forest
+    full, _, _ = orc.sample_conditioned_batch(dist, n, 6, task_stream(seed, "network", 15))
+    forest = orc.sample_conditioned_forest(dist, n, 6, task_stream(seed, "network", 15))[0]
     views = forest.views()
     assert forest.size == len(views) == len(full) == 6
     c_level = net.forest_conductance_to_level(forest)

@@ -1,8 +1,14 @@
+import math
+from functools import lru_cache
+
 import numpy as np
+import oracles as orc
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
+from gwharmonic import network as net
 from gwharmonic import offspring as off
 from gwharmonic import trees as tr
 from gwharmonic.rngs import task_stream
@@ -95,8 +101,8 @@ def test_sample_gw_single_root_frequency():
     rng = task_stream(1, "trees", 0)
     singles = 0
     for _ in range(2000):
-        t = tr.sample_gw(dist, rng, node_cap=10**5)
-        if not isinstance(t, tr.CapExceeded):
+        t = orc.sample_gw(dist, rng, node_cap=10**5)
+        if not isinstance(t, orc.CapExceeded):
             tr.validate_tree(t)
             singles += t.node_count == 1
     assert abs(singles / 2000 - 0.75) < 0.04
@@ -106,7 +112,7 @@ def test_sample_gw_p_single_node():
     # P(node_count = 1) = theta(0) = 1/2; only generation 1 matters
     dist = off.geometric()
     rng = task_stream(2, "trees", 1)
-    counts_levels, _, _, _ = tr._conditioned_wave(dist, 1, 10**6, rng, 10**7)
+    counts_levels, _, _, _ = orc._conditioned_wave(dist, 1, 10**6, rng, 10**7)
     frac = np.mean(counts_levels[0] == 0)
     assert abs(frac - 0.5) < 0.002
 
@@ -115,7 +121,7 @@ def test_sample_gw_height_tail_matches_survival():
     # P(height >= 10) = q_10 = 1/11 for geometric
     dist = off.geometric()
     rng = task_stream(3, "trees", 2)
-    _, _, survivors, _ = tr._conditioned_wave(dist, 10, 10**6, rng, 10**7)
+    _, _, survivors, _ = orc._conditioned_wave(dist, 10, 10**6, rng, 10**7)
     frac = survivors.size / 10**6
     assert abs(frac - 1.0 / 11.0) < 0.001
 
@@ -126,7 +132,7 @@ def test_sample_gw_size_law_catalan():
     dist = off.geometric()
     rng = task_stream(4, "trees", 3)
     trials = 10**6
-    counts_levels, labels_levels, _, _ = tr._conditioned_wave(dist, 7, trials, rng, 10**7)
+    counts_levels, labels_levels, _, _ = orc._conditioned_wave(dist, 7, trials, rng, 10**7)
     sizes = np.ones(trials, np.int64)
     for lab, cnt in zip(labels_levels, counts_levels):
         sizes += np.bincount(np.repeat(lab, cnt), minlength=trials)
@@ -146,7 +152,7 @@ def test_conditioned_height_postcondition():
     dist = off.geometric()
     rng = task_stream(5, "trees", 4)
     for n in (1, 3, 10):
-        t = tr.sample_conditioned_height(dist, n, rng, max_gen=n)
+        t = orc.sample_conditioned_height(dist, n, rng, max_gen=n)
         assert t.height >= n
 
 
@@ -154,7 +160,7 @@ def test_conditioned_mean_trials():
     # expected accepted-trial count 1/q_50 = 51 for geometric
     dist = off.geometric()
     rng = task_stream(6, "trees", 5)
-    _, trials, successes = tr.sample_conditioned_batch(dist, 50, 2000, rng)
+    _, trials, successes = orc.sample_conditioned_batch(dist, 50, 2000, rng)
     assert successes >= 2000
     assert trials / successes == pytest.approx(51.0, abs=2.0)
 
@@ -164,7 +170,7 @@ def test_conditioned_boundary_identity_poisson():
     dist = off.poisson()
     rng = task_stream(7, "trees", 6)
     n = 100
-    reds, _, _ = tr.sample_conditioned_batch(dist, n, 2000, rng, reduce_at_n=True)
+    reds = tr.sample_conditioned_forest(dist, n, 2000, rng).views()
     sizes = np.array([r.boundary_size for r in reds], float)
     qn = off.survival_prob(dist, n)
     z = (sizes.mean() - 1.0 / qn) / (sizes.std(ddof=1) / np.sqrt(sizes.size))
@@ -176,7 +182,7 @@ def test_levelset_identity(n, p):
     # E[#T*n_{n-p}] = q_p/q_n
     dist = off.geometric()
     rng = task_stream(8, "trees", 100 + n + p)
-    reds, _, _ = tr.sample_conditioned_batch(dist, n, 3000, rng, reduce_at_n=True)
+    reds = tr.sample_conditioned_forest(dist, n, 3000, rng).views()
     sizes = np.array([tr.level_set(r.tree, n - p).size for r in reds], float)
     expect = off.survival_prob(dist, p) / off.survival_prob(dist, n)
     z = (sizes.mean() - expect) / (sizes.std(ddof=1) / np.sqrt(sizes.size))
@@ -187,8 +193,8 @@ def test_reduced_batch_equals_two_step():
     dist = off.geometric()
     rng1 = task_stream(9, "trees", 7)
     rng2 = task_stream(9, "trees", 7)
-    full, _, _ = tr.sample_conditioned_batch(dist, 6, 50, rng1)
-    fused, _, _ = tr.sample_conditioned_batch(dist, 6, 50, rng2, reduce_at_n=True)
+    full, _, _ = orc.sample_conditioned_batch(dist, 6, 50, rng1)
+    fused, _, _ = orc.sample_conditioned_batch(dist, 6, 50, rng2, reduce_at_n=True)
     for t, r in zip(full, fused):
         r2 = tr.reduce(t, 6)
         assert tree_key(r2.tree) == tree_key(r.tree)
@@ -196,11 +202,82 @@ def test_reduced_batch_equals_two_step():
         tr.validate_reduced(r)
 
 
+def test_reduced_child_cdf_matches_the_binomial_sum():
+    # P(J = j) = sum_k theta(k) C(k, j) q^j (1-q)^(k-j) / q_{n-g}, q = q_{n-g-1}
+    n = 9
+    for dist in (off.geometric(), off.poisson(), off.binary(), off.pary(3)):
+        q = off.survival_probs(dist, n)
+        cdf = tr.reduced_child_cdf(dist, n)
+        assert cdf.shape == (n, dist.max_children)
+        for g in range(n):
+            s = q[n - g - 1]
+            pj = [sum(dist.pmf[k] * math.comb(k, j) * s**j * (1 - s) ** (k - j)
+                      for k in range(j, dist.max_children + 1)) / q[n - g]
+                  for j in range(1, dist.max_children + 1)]
+            assert np.max(np.abs(cdf[g] - np.cumsum(pj))) < 1e-13
+        # the last generation keeps every child: K given K >= 1
+        top = dist.pmf[1:] / (1.0 - dist.pmf[0])
+        assert np.allclose(cdf[-1], np.cumsum(top), rtol=0, atol=1e-14)
+
+
+@given(st.sampled_from(["geometric", "poisson", "binary"]), st.integers(1, 15),
+       st.integers(0, 2**31 - 1))
+@settings(max_examples=30, deadline=None)
+def test_direct_forest_is_reduced(law, n, seed):
+    forest = tr.sample_conditioned_forest(off.from_spec(law), n, 7, task_stream(seed, "trees", 19))
+    assert forest.size == 7 and all(np.all(c >= 1) for c in forest.counts)
+    for r in forest.views():
+        tr.validate_reduced(r)
+
+
+def test_sample_conditioned_forest_rejects_bad_sizes():
+    rng = task_stream(20, "trees", 20)
+    with pytest.raises(ValueError):
+        tr.sample_conditioned_forest(off.geometric(), 0, 5, rng)
+    with pytest.raises(ValueError):
+        tr.sample_conditioned_forest(off.geometric(), 5, 0, rng)
+
+
+def _two_sample_stats(forest):
+    """n C_n and the generation-n//2 size of every tree of a forest."""
+    n = forest.n
+    return n * net.forest_conductance_to_level(forest), forest.level_sizes(n // 2)
+
+
+@lru_cache(maxsize=None)
+def _oracle_stats(law, n):
+    rng = task_stream(21, "trees", 1000 + n)
+    return _two_sample_stats(orc.sample_conditioned_forest(off.from_spec(law), n, 4000, rng)[0])
+
+
+def _ks_pvalues(law, n):
+    """KS p-values of the direct sampler against the rejection oracle, 4,000
+    trees a side, on n C_n and on the generation-n//2 sizes."""
+    mine = _two_sample_stats(
+        tr.sample_conditioned_forest(off.from_spec(law), n, 4000, task_stream(22, "trees", n)))
+    return [ks_2samp(a, b).pvalue for a, b in zip(mine, _oracle_stats(law, n))]
+
+
+@pytest.mark.parametrize("law", ["geometric", "poisson"])
+@pytest.mark.parametrize("n", [12, 25])
+def test_direct_sampler_matches_rejection_oracle(law, n):
+    assert min(_ks_pvalues(law, n)) > 1e-3
+
+
+@pytest.mark.parametrize("law", ["geometric", "poisson"])
+@pytest.mark.parametrize("n", [12, 25])
+def test_two_sample_test_fails_on_a_planted_fault(law, n, monkeypatch):
+    # the fault thins by q_{n-g}/q_{n-g-1} - 1 ~ -1/(n-g) too much, so its
+    # signal shrinks with n: every cell fails the 1e-3 gate, n=12 by far
+    monkeypatch.setattr(tr, "reduced_child_cdf", orc.faulty_child_cdf)
+    assert min(_ks_pvalues(law, n)) < (1e-6 if n == 12 else 1e-3)
+
+
 def test_trial_cap_raises():
     dist = off.geometric()
     rng = task_stream(10, "trees", 8)
     with pytest.raises(tr.TrialCapError):
-        tr.sample_conditioned_batch(dist, 400, 5, rng, trial_cap=100)
+        orc.sample_conditioned_batch(dist, 400, 5, rng, trial_cap=100)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +410,7 @@ def test_reduce_no_survivor():
 def test_reduce_idempotent_on_samples():
     dist = off.poisson()
     rng = task_stream(17, "trees", 15)
-    trees, _, _ = tr.sample_conditioned_batch(dist, 8, 40, rng)
+    trees, _, _ = orc.sample_conditioned_batch(dist, 8, 40, rng)
     for t in trees:
         r = tr.reduce(t, 8)
         r2 = tr.reduce(r.tree, 8)
@@ -353,7 +430,7 @@ def test_level_set_basics():
 def test_boundary_equals_level_set():
     dist = off.geometric()
     rng = task_stream(18, "trees", 16)
-    reds, _, _ = tr.sample_conditioned_batch(dist, 10, 20, rng, reduce_at_n=True)
+    reds = tr.sample_conditioned_forest(dist, 10, 20, rng).views()
     for r in reds:
         assert np.array_equal(r.boundary, tr.level_set(r.tree, 10))
 
@@ -361,7 +438,7 @@ def test_boundary_equals_level_set():
 def test_truncate():
     dist = off.geometric()
     rng = task_stream(19, "trees", 17)
-    reds, _, _ = tr.sample_conditioned_batch(dist, 9, 10, rng, reduce_at_n=True)
+    reds = tr.sample_conditioned_forest(dist, 9, 10, rng).views()
     for r in reds:
         whole = tr.truncate(r, 0)
         assert whole.node_count == r.tree.node_count
@@ -377,7 +454,7 @@ def test_truncate():
 def test_conditioned_sample_properties(n, seed):
     dist = off.geometric()
     rng = task_stream(seed, "trees", 18)
-    t = tr.sample_conditioned_height(dist, n, rng, max_gen=n)
+    t = orc.sample_conditioned_height(dist, n, rng, max_gen=n)
     tr.validate_tree(t)
     assert t.height == n  # chopped at n, so exactly n
     r = tr.reduce(t, n)
