@@ -1,13 +1,17 @@
 """End-to-end experiment drivers for the discrete limit theorems.
 
-Each driver samples the reduced conditioned trees directly, as level forests
-of at most FOREST_CHUNK trees per n (per-tree statistics are independent, so
-chunking is exact), runs the exact network computations over each forest,
-asserts the per-sample invariants fail-fast, checks the mean mid-level size
-against the exact q_{n-h}/q_n, and returns an ExperimentReport whose config
-echo reproduces the run bit-for-bit under the same seed.  The
-theorems are asymptotic, so drivers report finite-size trends (Mann-Kendall)
-and identity z-scores rather than exact limits.
+The height-conditioned experiments sample the reduced conditioned trees
+directly, as level forests of at most FOREST_CHUNK trees per n (per-tree
+statistics are independent, so chunking is exact), run the exact network
+computations over each forest, assert the per-sample invariants fail-fast,
+and check the mean mid-level size against the exact q_{n-h}/q_n.  The
+fixed-size experiment reduces each whole tree of N edges to a one-tree
+forest and keeps only its exit-law log-masses; theorem1 and fixed-size then
+compute their per-tree exit statistics in one pass (_tree_statistics).
+Every experiment returns an ExperimentReport whose config echo reproduces
+the run bit-for-bit under the same seed.  The theorems are asymptotic, so
+the experiments report finite-size trends (Mann-Kendall) and identity
+z-scores rather than exact limits.
 """
 
 from __future__ import annotations
@@ -26,11 +30,8 @@ from . import __version__
 from .beta import cross_validate
 from .network import (
     check_conductance_invariants,
-    concentration_statistic,
     forest_boundary_log_mass,
     forest_conductance_to_level,
-    harmonic_measure_exact,
-    sample_boundary,
 )
 from .offspring import survival_probs
 from .rde import ParticleCloud, wasserstein1
@@ -184,20 +185,13 @@ def _check_mass(log_mass, starts):
     return p, total
 
 
-def _measure_and_exponent(mu, rng, beta_ref, delta, n):
-    _check_mass(mu.boundary_log_mass, np.zeros(1, np.int64))
-    conc = concentration_statistic(mu, n, beta_ref, delta)
-    b = sample_boundary(mu, rng)
-    expo = float(-mu.boundary_log_mass[b] / np.log(n))
-    return conc, expo
-
-
 def _tree_statistics(log_mass, off, u, n, beta, delta):
-    """theorem1's per-tree statistics in one pass over a forest's boundary
-    log-masses (tree i owns log_mass[off[i]:off[i+1]]): the concentration
-    statistic and the exit exponent -log mu_n(b)/log n of the boundary vertex
-    b drawn by uniform u[i] through the tree's inverse CDF, as
-    concentration_statistic and sample_boundary do for one tree."""
+    """The per-tree statistics of theorem1 and fixed-size in one pass over
+    the boundary log-masses of many trees (tree i owns
+    log_mass[off[i]:off[i+1]]): the concentration statistic and the exit
+    exponent -log mu_n(b)/log n of the boundary vertex b drawn by uniform
+    u[i] through the tree's inverse CDF, as concentration_statistic and
+    sample_boundary do for one tree."""
     starts, sizes = off[:-1], np.diff(off)
     tree = np.repeat(np.arange(sizes.size), sizes)
     p, total = _check_mass(log_mass, starts)
@@ -330,14 +324,15 @@ def run_corollary_fixed_size(dist, N, n, trials, cloud, rng, beta_ref=None,
         raise ValueError("need n <= sqrt(N)/2")
     if beta_ref is None:
         beta_ref = beta_reference(cloud, rng)
-    concs = np.empty(trials)
-    expos = np.empty(trials)
+    masses, u = [], np.empty(trials)
     attempts = 0
     for i in range(trials):
         tree, tcount = sample_fixed_size_conditioned(dist, N, n, rng)
         attempts += tcount
-        mu = harmonic_measure_exact(reduce_tree(tree, n))
-        concs[i], expos[i] = _measure_and_exponent(mu, rng, beta_ref, delta, n)
+        u[i] = rng.random()  # each tree's boundary uniform, drawn before the next tree
+        masses.append(forest_boundary_log_mass(reduce_tree(tree, n)))
+    off = np.concatenate(([0], np.cumsum([m.size for m in masses])))
+    concs, expos = _tree_statistics(np.concatenate(masses), off, u, n, beta_ref, delta)
     cell = {"N": N, "n": n, "trials": trials,
             "acceptance_rate": trials / attempts,
             "concentration_mean": float(concs.mean()),
@@ -351,9 +346,3 @@ def run_corollary_fixed_size(dist, N, n, trials, cloud, rng, beta_ref=None,
     cfg = dict(config or {})
     cfg.update({"N": N, "n": n, "trials": trials, "delta": delta, "beta_ref": beta_ref})
     return ExperimentReport("fixed_size", cfg, [cell], checks, time.time() - t0)
-
-
-def exponent_gap_z(cell_a: dict, cell_b: dict) -> float:
-    """z-score between the exponent means of two report cells."""
-    gap = cell_a["exponent_mean"] - cell_b["exponent_mean"]
-    return float(gap / np.hypot(cell_a["exponent_std_error"], cell_b["exponent_std_error"]))

@@ -161,21 +161,6 @@ def sample_boundary(mu: HarmonicMeasure, rng, size=None):
     return np.minimum(np.searchsorted(cdf, u, side="right"), lm.size - 1)
 
 
-def ball_mass(mu: HarmonicMeasure, reduced: ReducedTree, v: int, r: int) -> float:
-    """log mu_n(subtree of the depth-(n-r) ancestor of boundary vertex v)."""
-    if mu.log_flow is None:
-        raise ValueError("measure lacks the per-vertex flow cache")
-    if not 0 <= r <= mu.n:
-        raise ValueError("radius outside [0, n]")
-    t = reduced.tree
-    if t.depth[v] != mu.n:
-        raise ValueError("v is not a boundary vertex")
-    anc = v
-    for _ in range(r):
-        anc = t.parent[anc]
-    return float(mu.log_flow[anc])
-
-
 def concentration_statistic(mu: HarmonicMeasure, n: int, beta: float, delta: float) -> float:
     """Total mass of boundary vertices with mass in [n^-(beta+delta), n^-(beta-delta)]."""
     if n < 2:

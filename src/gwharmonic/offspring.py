@@ -7,6 +7,7 @@ renormalised; the dropped mass is recorded on the instance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -101,12 +102,14 @@ def binary() -> OffspringDistribution:
 
 
 def pary(p: int) -> OffspringDistribution:
-    """Binomial(p, 1/p): uniform p-ary trees under fixed-size conditioning."""
+    """Binomial(p, 1/p): uniform p-ary trees under fixed-size conditioning.
+
+    theta(k) = C(p, k) p^-k (1-1/p)^(p-k) = C(p, k) (p-1)^(p-k) / p^p, one
+    exact integer ratio rounded once per k.
+    """
     if p < 2:
         raise OffspringError("p-ary needs p >= 2")
-    from scipy.stats import binom
-
-    pmf = binom.pmf(np.arange(p + 1), p, 1.0 / p)
+    pmf = np.array([math.comb(p, k) * (p - 1) ** (p - k) / p**p for k in range(p + 1)])
     return OffspringDistribution(f"{p}-ary", pmf / pmf.sum())
 
 

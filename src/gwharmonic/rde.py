@@ -7,8 +7,8 @@ metric at rate 2(1-log 2) ~ 0.6137, so iteration from any start converges to
 the fixed point up to the Monte Carlo floor of the population size.
 
 Validation tooling lives here too: moment identities, the tail law
-F(t) = K0/t + 1 - K0 on [1,2], a kernel density profile, and the exact-moment
-residual of the Laplace-transform ODE 2 l phi'' + l phi' + phi^2 - phi = 0.
+F(t) = K0/t + 1 - K0 on [1,2], and the exact-moment residual of the
+Laplace-transform ODE 2 l phi'' + l phi' + phi^2 - phi = 0.
 """
 
 from __future__ import annotations
@@ -54,19 +54,6 @@ class ParticleCloud:
 
 def constant_cloud(m: int, value: float = 1.0, seed: int = 0) -> ParticleCloud:
     return ParticleCloud(np.full(m, float(value)), iteration_count=0, seed=seed)
-
-
-def g_map(u, x, y):
-    """(u + (1-u)/(x+y))^{-1}; lies in [1, x+y] on the stated domain."""
-    u = np.asarray(u, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if np.any(u < 0.0) or np.any(u > 1.0):
-        raise ValueError("u outside [0, 1]")
-    if np.any(x < 1.0) or np.any(y < 1.0):
-        raise ValueError("x, y must be >= 1")
-    out = 1.0 / (u + (1.0 - u) / (x + y))
-    return float(out) if out.ndim == 0 else out
 
 
 def phi_step(cloud: ParticleCloud, rng, out_size: int | None = None) -> ParticleCloud:
@@ -201,32 +188,6 @@ def moment(cloud: ParticleCloud, m: int) -> float:
     if m < 1:
         raise ValueError("moment order must be >= 1")
     return float(np.mean(cloud.samples**m))
-
-
-def density_profile(cloud: ParticleCloud, grid, bandwidth: float | None = None):
-    """Gaussian-kernel density on `grid`, reflected at the support edge t=1.
-
-    Default bandwidth 0.01 at 1e7 samples, scaled by (M/1e7)^{-1/5}.
-    """
-    grid = np.asarray(grid, dtype=np.float64)
-    if np.any(grid < 1.0):
-        raise ValueError("grid must lie in [1, inf)")
-    s = cloud.samples
-    bw = bandwidth if bandwidth is not None else 0.01 * (s.size / 1e7) ** (-0.2)
-    binw = bw / 4.0
-    hi = grid.max() + 6.0 * bw
-    nbins = int(np.ceil((hi - 1.0) / binw))
-    counts, edges = np.histogram(s, bins=nbins, range=(1.0, 1.0 + nbins * binw))
-    pad = int(np.ceil(5.0 * bw / binw))
-    padded = np.concatenate((counts[:pad][::-1], counts))  # reflect mass below 1
-    half = int(np.ceil(4.0 * bw / binw))
-    xs = np.arange(-half, half + 1) * binw
-    kern = np.exp(-0.5 * (xs / bw) ** 2)
-    kern /= kern.sum()
-    smooth = np.convolve(padded, kern, mode="same")[pad:]
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    dens = smooth / (s.size * binw)
-    return np.interp(grid, centers, dens)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,12 @@ form a branching process whose offspring law depends on the generation
 (Fleischmann and Siegmund-Schultze 1977), so each generation is one uniform
 draw per vertex against one CDF row.  The draws fill one LevelForest:
 generation g of every tree sits in one array, so the network sweeps are one
-numpy pass per level over all trees.  PlaneTree and ReducedTree remain the
-single-tree views used by the oracles and the text dump, and reduce() marks
-the ancestors of generation n of one whole tree bottom-up.
+numpy pass per level over all trees.  PlaneTree and ReducedTree are the
+single-tree views used by the oracles and the text dump.
+
+Fixed-size trees are whole PlaneTrees; reduce() marks the ancestors of
+generation n of one of them bottom-up into a one-tree LevelForest, so the
+network sweeps and the exit statistics run on it as on any forest.
 
 Fixed-size conditioning uses the cycle lemma: a uniformly shuffled step
 multiset has exactly one cyclic rotation that is a valid depth-first walk,
@@ -318,21 +321,14 @@ def _parents_from_preorder_depths(d: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """Parent of preorder vertex k is the last earlier vertex at depth d[k]-1.
 
     Returns (bfs_order, parent_in_bfs_ids); bfs_order sorts by (depth,
-    preorder), which is the breadth-first layout.
+    preorder), which is the breadth-first layout.  In key order d*V + index,
+    that parent holds the largest key below (d[k]-1)*V + k = key[k] - V.
     """
     v = d.size
-    order = np.argsort(d, kind="stable")
-    inv = np.empty(v, np.int64)
-    inv[order] = np.arange(v)
-    sizes = np.bincount(d)
-    offs = np.concatenate(([0], np.cumsum(sizes)))
-    parent_pre = np.full(v, -1, np.int64)
-    for k in range(1, sizes.size):
-        here = order[offs[k] : offs[k + 1]]
-        cand = order[offs[k - 1] : offs[k]]
-        parent_pre[here] = cand[np.searchsorted(cand, here) - 1]
+    key = d * v + np.arange(v)
+    order = np.argsort(key)
     parent_bfs = np.full(v, -1, np.int64)
-    parent_bfs[1:] = inv[parent_pre[order[1:]]]
+    parent_bfs[1:] = np.searchsorted(key[order], key[order[1:]] - v) - 1
     return order, parent_bfs
 
 
@@ -393,18 +389,18 @@ def sample_fixed_size_conditioned(dist, N: int, n: int, rng, trial_cap=DEFAULT_T
 
 
 # ---------------------------------------------------------------------------
-# Reduction, level sets, truncation
+# Reduction and level sets
 # ---------------------------------------------------------------------------
 
 
 def reduce(tree: PlaneTree, n: int):
-    """Subtree of ancestors of depth-n vertices, relabelled preserving order;
-    NoSurvivor (a value) if the tree does not reach depth n."""
+    """The ancestors of the depth-n vertices, in order, as a one-tree
+    LevelForest; NoSurvivor (a value) if the tree does not reach depth n."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if tree.height < n:
         return NoSurvivor(n)
-    return _reduce_levels(n, _tree_levels(tree)).views()[0]
+    return _reduce_levels(n, _tree_levels(tree))
 
 
 def validate_reduced(r: ReducedTree) -> None:
@@ -423,16 +419,6 @@ def level_set(tree: PlaneTree, k: int) -> np.ndarray:
     if k > tree.height:
         return np.array([], np.int64)
     return np.arange(tree.gen_offsets[k], tree.gen_offsets[k + 1])
-
-
-def truncate(reduced: ReducedTree, s: float) -> PlaneTree:
-    """Vertices of the reduced tree at depth <= n - floor(s)."""
-    if not 0 <= s <= reduced.n:
-        raise ValueError("s must lie in [0, n]")
-    m = reduced.n - int(np.floor(s))
-    t = reduced.tree
-    cut = int(t.gen_offsets[m + 1])
-    return tree_from_parent_depth(t.parent[:cut], t.depth[:cut])
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@ vectorise across trials; the chosen survivors of a wave are reduced
 together, bottom-up, into one LevelForest by `trees._reduce_levels`.
 `acceptance_check` compares the accepted-trial count with the exact q_n, and
 `faulty_child_cdf` plants a fault in the direct sampler's table.
+
+`parents_from_preorder_depths` is the per-depth loop behind the fixed-size
+decoder's one-sort `trees._parents_from_preorder_depths`.
 """
 
 from __future__ import annotations
@@ -233,3 +236,22 @@ def faulty_child_cdf(dist, n: int):
     """reduced_child_cdf with a planted fault: children thinned with
     q_{n-g} in place of q_{n-g-1}, so reduced trees branch too rarely."""
     return _thinned_child_cdf(dist.pmf, survival_probs(dist, n)[n:0:-1])
+
+
+def parents_from_preorder_depths(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """trees._parents_from_preorder_depths, one depth at a time: the parent of
+    preorder vertex k is the last earlier vertex at depth d[k]-1."""
+    v = d.size
+    order = np.argsort(d, kind="stable")
+    inv = np.empty(v, np.int64)
+    inv[order] = np.arange(v)
+    sizes = np.bincount(d)
+    offs = np.concatenate(([0], np.cumsum(sizes)))
+    parent_pre = np.full(v, -1, np.int64)
+    for k in range(1, sizes.size):
+        here = order[offs[k] : offs[k + 1]]
+        cand = order[offs[k - 1] : offs[k]]
+        parent_pre[here] = cand[np.searchsorted(cand, here) - 1]
+    parent_bfs = np.full(v, -1, np.int64)
+    parent_bfs[1:] = inv[parent_pre[order[1:]]]
+    return order, parent_bfs

@@ -256,6 +256,33 @@ def test_run_corollary_fixed_size(solved_cloud):
     assert rep.passed
 
 
+@pytest.mark.parametrize("law", ["geometric", "poisson"])
+def test_fixed_size_statistics_match_the_per_tree_oracle(law, monkeypatch):
+    # the one-pass statistics against the per-tree path on the same stream:
+    # each tree reduced to a view, swept alone, its boundary drawn at once
+    dist, N, n, trials, beta, delta = off.from_spec(law), 900, 12, 60, 0.7845, 0.25
+    real, seen = ex._tree_statistics, []
+
+    def record(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(ex, "_tree_statistics", record)
+    rep = ex.run_corollary_fixed_size(dist, N, n, trials, None,
+                                      task_stream(20, "experiments", 20), beta_ref=beta)
+    rng = task_stream(20, "experiments", 20)
+    concs, expos = [], []
+    for _ in range(trials):
+        tree, _ = tr.sample_fixed_size_conditioned(dist, N, n, rng)
+        mu = net.harmonic_measure_exact(tr.reduce(tree, n).views()[0])
+        expos.append(-mu.boundary_log_mass[net.sample_boundary(mu, rng)] / np.log(n))
+        concs.append(net.concentration_statistic(mu, n, beta, delta))
+    (conc, expo), = seen
+    assert np.array_equal(expo, expos)
+    assert np.max(np.abs(conc - concs)) <= 1e-12
+    assert rep.cells[0]["exponent_mean"] == ex._summary(np.array(expos))["mean"]
+
+
 def test_corollary_rejects_deep_n(solved_cloud):
     rng = task_stream(8, "experiments", 8)
     with pytest.raises(ValueError):
@@ -285,11 +312,3 @@ def test_report_rows_key_summary_and_stem():
     assert rep.to_csv() == "method,value\nmoment,0.5\n"
     assert dataclasses.replace(rep, wall_clock_s=9.0).content_hash() == rep.content_hash()
     assert dataclasses.replace(rep, summary={"flagged": True}).content_hash() != rep.content_hash()
-
-
-def test_exponent_gap_z(solved_cloud):
-    rng = task_stream(10, "experiments", 10)
-    rep_g = ex.run_theorem1(off.geometric(), [24], 0.25, 250, solved_cloud, rng, beta_ref=0.7845)
-    rep_p = ex.run_theorem1(off.poisson(), [24], 0.25, 250, solved_cloud, rng, beta_ref=0.7845)
-    z = ex.exponent_gap_z(rep_g.cells[0], rep_p.cells[0])
-    assert np.isfinite(z)

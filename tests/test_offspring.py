@@ -139,6 +139,14 @@ def test_from_spec_named():
         off.from_spec("cauchy")
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 12, 40])
+def test_pary_pmf_matches_scipy_binomial(p):
+    from scipy.stats import binom
+
+    ref = binom.pmf(np.arange(p + 1), p, 1.0 / p)
+    assert np.max(np.abs(off.pary(p).pmf / ref - 1.0)) < 1e-12
+
+
 def test_from_spec_custom_file(tmp_path):
     path = tmp_path / "pmf.txt"
     path.write_text("0 0.5\n2 0.5\n")

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gwharmonic import rde
 from gwharmonic.rngs import task_stream
@@ -10,35 +8,6 @@ from gwharmonic.rngs import task_stream
 # ---------------------------------------------------------------------------
 # the single-step map
 # ---------------------------------------------------------------------------
-
-
-def test_g_map_identities():
-    u = np.linspace(0, 1, 11)
-    assert np.allclose(rde.g_map(u, 1.0, 1.0), 2.0 / (1.0 + u), atol=1e-15)
-    assert rde.g_map(1.0, 5.0, 7.0) == pytest.approx(1.0)
-    assert rde.g_map(0.0, 3.5, 4.5) == pytest.approx(8.0)
-    # direct arithmetic: (1/2 + (1/2)/3.44)^{-1}
-    assert rde.g_map(0.5, 1.72, 1.72) == pytest.approx(1.0 / (0.5 + 0.5 / 3.44), abs=1e-12)
-
-
-def test_g_map_domain():
-    with pytest.raises(ValueError):
-        rde.g_map(-0.1, 2.0, 2.0)
-    with pytest.raises(ValueError):
-        rde.g_map(1.2, 2.0, 2.0)
-    with pytest.raises(ValueError):
-        rde.g_map(0.5, 0.5, 2.0)
-
-
-@given(
-    st.floats(min_value=0.0, max_value=1.0),
-    st.floats(min_value=1.0, max_value=1e6),
-    st.floats(min_value=1.0, max_value=1e6),
-)
-@settings(max_examples=200, deadline=None)
-def test_g_map_bounds(u, x, y):
-    v = rde.g_map(u, x, y)
-    assert 1.0 - 1e-12 <= v <= x + y + 1e-9
 
 
 def test_phi_step_from_all_ones():
@@ -203,15 +172,6 @@ def test_tail_law_on_12(solved_cloud):
     # parameter recovered consistently at t=1.5 and t=2
     k0_15 = (1.0 - rde.tail_cdf(solved_cloud, 1.5)) / (1.0 - 1.0 / 1.5)
     assert k0_15 == pytest.approx(k0, abs=0.02)
-
-
-def test_density_profile(solved_cloud):
-    k0 = rde.estimate_K0(solved_cloud)
-    grid = np.linspace(1.0, 1.95, 39)
-    dens = rde.density_profile(solved_cloud, grid)
-    assert abs(dens[0] - k0) / k0 < 0.07  # f(1) = K0
-    flat = dens[2:] * grid[2:] ** 2  # f(t) t^2 = K0 on [1,2]
-    assert np.max(np.abs(flat - k0)) < 0.08
 
 
 def test_laplace_ode_residuals(solved_cloud):

@@ -4,7 +4,7 @@ from functools import lru_cache
 import numpy as np
 import oracles as orc
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
@@ -196,7 +196,7 @@ def test_reduced_batch_equals_two_step():
     full, _, _ = orc.sample_conditioned_batch(dist, 6, 50, rng1)
     fused, _, _ = orc.sample_conditioned_batch(dist, 6, 50, rng2, reduce_at_n=True)
     for t, r in zip(full, fused):
-        r2 = tr.reduce(t, 6)
+        r2 = tr.reduce(t, 6).views()[0]
         assert tree_key(r2.tree) == tree_key(r.tree)
         assert np.array_equal(r2.boundary, r.boundary)
         tr.validate_reduced(r)
@@ -358,7 +358,7 @@ def preorder_degrees_oracle(ks):
         stack[-1][1] -= 1
         depth[j] = depth[p] + 1
         stack.append([j, int(ks[j])])
-    order, parent_bfs = tr._parents_from_preorder_depths(depth)
+    order, parent_bfs = orc.parents_from_preorder_depths(depth)
     return tr.tree_from_parent_depth(parent_bfs, depth[order])
 
 
@@ -376,6 +376,37 @@ def test_preorder_decoder_matches_stack_oracle(counts):
         assert np.array_equal(getattr(t, name), getattr(ref, name))
 
 
+class _GivenWalk:
+    """An rng whose permutation is the given step sequence: feeds
+    sample_fixed_size one chosen walk."""
+
+    def __init__(self, steps):
+        self.steps = np.array(steps, np.int64)
+
+    def permutation(self, x):
+        assert sorted(self.steps.tolist()) == sorted(x.tolist())
+        return self.steps
+
+
+@given(st.integers(1, 300).flatmap(lambda n: st.permutations([1] * n + [-1] * (n + 1))))
+@example([1, -1, -1])
+@example([1, 1, -1, -1, -1])
+@example([1, -1, 1, -1, -1])
+@example([1] * 60 + [-1] * 61)
+@settings(max_examples=150, deadline=None)
+def test_geometric_decode_matches_the_loop_oracle(steps):
+    # one sort for every parent against the per-depth loop, through the
+    # whole geometric decode, bit for bit (N=1, both N=2 trees, a path)
+    dist, n_edges = off.geometric(), (len(steps) - 1) // 2
+    t = tr.sample_fixed_size(dist, n_edges, _GivenWalk(steps))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tr, "_parents_from_preorder_depths", orc.parents_from_preorder_depths)
+        ref = tr.sample_fixed_size(dist, n_edges, _GivenWalk(steps))
+    tr.validate_tree(t)
+    for name in ("parent", "child_start", "child_count", "depth", "gen_offsets"):
+        assert np.array_equal(getattr(t, name), getattr(ref, name))
+
+
 def test_fixed_size_conditioned_height():
     rng = task_stream(16, "trees", 14)
     t, trials = tr.sample_fixed_size_conditioned(off.geometric(), 100, 15, rng)
@@ -383,13 +414,13 @@ def test_fixed_size_conditioned_height():
 
 
 # ---------------------------------------------------------------------------
-# reduce / level_set / truncate
+# reduce / level_set
 # ---------------------------------------------------------------------------
 
 
 def test_reduce_path_is_identity():
     t = path_tree(5)
-    r = tr.reduce(t, 5)
+    r = tr.reduce(t, 5).views()[0]
     assert tree_key(r.tree) == tree_key(t)
     assert r.boundary.tolist() == [5]
 
@@ -397,7 +428,7 @@ def test_reduce_path_is_identity():
 def test_reduce_prunes_dead_branch():
     # root with a leaf child and a path to depth 3 -> single path
     t = build([-1, 0, 0, 2, 3])
-    r = tr.reduce(t, 3)
+    r = tr.reduce(t, 3).views()[0]
     assert tree_key(r.tree) == tree_key(path_tree(3))
 
 
@@ -412,8 +443,8 @@ def test_reduce_idempotent_on_samples():
     rng = task_stream(17, "trees", 15)
     trees, _, _ = orc.sample_conditioned_batch(dist, 8, 40, rng)
     for t in trees:
-        r = tr.reduce(t, 8)
-        r2 = tr.reduce(r.tree, 8)
+        r = tr.reduce(t, 8).views()[0]
+        r2 = tr.reduce(r.tree, 8).views()[0]
         assert tree_key(r.tree) == tree_key(r2.tree)
         tr.validate_reduced(r)
 
@@ -435,20 +466,6 @@ def test_boundary_equals_level_set():
         assert np.array_equal(r.boundary, tr.level_set(r.tree, 10))
 
 
-def test_truncate():
-    dist = off.geometric()
-    rng = task_stream(19, "trees", 17)
-    reds = tr.sample_conditioned_forest(dist, 9, 10, rng).views()
-    for r in reds:
-        whole = tr.truncate(r, 0)
-        assert whole.node_count == r.tree.node_count
-        root_only = tr.truncate(r, r.n)
-        assert root_only.node_count == 1
-        part = tr.truncate(r, 4)
-        depth_cut = r.n - 4
-        assert part.node_count + np.sum(r.tree.depth > depth_cut) == r.tree.node_count
-
-
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=30, deadline=None)
 def test_conditioned_sample_properties(n, seed):
@@ -457,6 +474,6 @@ def test_conditioned_sample_properties(n, seed):
     t = orc.sample_conditioned_height(dist, n, rng, max_gen=n)
     tr.validate_tree(t)
     assert t.height == n  # chopped at n, so exactly n
-    r = tr.reduce(t, n)
+    r = tr.reduce(t, n).views()[0]
     tr.validate_reduced(r)
     assert r.boundary.size == tr.level_set(t, n).size
