@@ -219,8 +219,9 @@ def cross_validate(cloud: ParticleCloud, budget: int, rng, cloud_se: bool = True
     M^{-1/2} that tuple resampling cannot see; with cloud_se it is estimated
     by disjoint sub-cloud splits and folded into the pairwise z denominators
     ("agreement within combined statistical error").  The shift estimator's
-    tuple noise dominates its cloud component at the supported budgets; its
-    kappa-table error is always folded in.
+    finite-cloud error is not estimated, so its `total_std_error` may be too
+    small (at M=1e6 its tuple error is of the order of the triple's cloud
+    error); its kappa-table error is always folded in.
     """
     streams = rng.spawn(5)
     ests = [

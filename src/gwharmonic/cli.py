@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__, beta as beta_mod, continuum, experiments, offspring, rde
 from .rngs import task_stream
 
-EPS_LADDER_DEFAULT = [2.0**-k for k in range(6, 15)]
+EPS_LADDER_DEFAULT = [2.0**-k for k in range(6, 41)]
 
 PRESETS = {
     "smoke": {
@@ -275,15 +275,17 @@ def cmd_continuum(args) -> int:
     rng = task_stream(args.seed, "continuum", 0)
     t0 = time.time()
     curve = continuum.dimension_curve(cloud, eps_list, trials, rng)
+    beta_ref = experiments.beta_reference(cloud, task_stream(args.seed, "beta", 1))
     wall = time.time() - t0
     if curve.extrapolated is not None:
         print(f"extrapolated exponent = {curve.extrapolated:.4f} +- {curve.extrapolated_se:.4f}")
     for p in curve.points:
-        print(f"  eps=2^{np.log2(p.eps):.0f}: exponent {p.exponent:.4f} +- {p.std_error:.4f}")
+        print(f"  eps=2^{np.log2(p.eps):.0f}: exponent {p.exponent:.4f} +- {p.std_error:.4f} "
+              f"(table +- {p.table_std_error:.4f})")
     cfg = _config(args, "continuum dimension", eps_list=eps_list, trials=trials)
-    summary = {"extrapolated": curve.extrapolated, "extrapolated_se": curve.extrapolated_se}
+    summary = curve.summary() | {"beta_ref": beta_ref}
     return _emit(args, experiments.ExperimentReport(
-        "continuum_dimension", cfg, curve.to_rows(), [curve.regenerated_check()], wall,
+        "continuum_dimension", cfg, curve.to_rows(), [curve.exponent_check(beta_ref)], wall,
         rows_key="points", summary=summary))
 
 

@@ -1,19 +1,42 @@
-"""Continuum reduced tree: sampler, conductance, ray mass, dimension curve.
+"""Continuum reduced tree: harmonic rays as a Markov chain on conductances.
 
-The tree is binary with branch heights Y_v = Y_parent + U_v (1 - Y_parent)
-and is truncated at height 1-eps.  Each truncation leaf is closed with
-conductance C*/eps, C* drawn from the solved cloud: the subtree above height
-1-eps is a copy of the whole tree scaled by eps, so its root conductance is
-C/eps in law, and closing this way keeps the truncated tree's root
-conductance exactly on the limiting law (up to cloud error).  A naive open or
-short closure would bias the exponent at every accessible eps.
+The continuum reduced tree is binary.  A vertex whose segment starts at
+remaining height h (its distance below the top, height 1) branches at
+remaining height h(1-U), U uniform, and the two subtrees above the branch
+point are independent copies of the whole tree scaled by h(1-U).  With unit
+resistance per unit height, a subtree of remaining height h has conductance
+C/h, with C from the conductance law gamma (the solved cloud), and the
+normalised conductances satisfy the same algebra as the discrete recursion:
+C = G(U, C1, C2) = 1/(U + (1-U)/(C1+C2)).  The harmonic ray leaves a branch
+point into child i with probability C_i/(C1+C2).
 
-Unit resistance per unit height throughout; the root conductance satisfies
-the same algebra as the discrete recursion: C = G(segment fraction, C1, C2).
+Truncate the tree at height 1-eps and close each vertex crossing 1-eps with
+conductance C*/eps, C* from gamma: the part above 1-eps is a copy of the whole
+tree scaled by eps, so the closure keeps every conductance below 1-eps, and
+with it every ray choice, at its untruncated law (up to cloud error).  The ray
+therefore needs only the conductances along its own path.  Given a vertex's
+normalised conductance c, its (U, C1, C2) have their law given G = c, and the
+child the ray enters has normalised conductance C_i.  So a ray is a Markov
+chain on (c, h), the environment seen from the harmonic ray, whose invariant
+law is the kappa-density measure (Lyons, Pemantle and Peres 1995).  A step
+from (c, h):
 
-Trees are generated level-synchronously in chunks of trials so that all draws
-vectorise; each chunk consumes one spawned RNG stream, making runs
-reproducible regardless of chunk scheduling.
+1. draw (U, C1, C2) given G = c;
+2. stop when h(1-U) <= eps: the vertex crosses 1-eps and is the ray's leaf;
+3. otherwise enter child i with probability C_i/(C1+C2), add
+   log(C_i/(C1+C2)) to the log mass, and move to (C_i, h(1-U)).
+
+A ray costs about log(1/eps) steps, where the truncated tree has about 2/eps
+vertices.  The state holds the remaining height h, never the start height
+1-h, which rounds to 1 below eps = 2^-53.
+
+The conditional draw is a nearest neighbour.  Each call of `ray_mass_samples`
+builds _SUBTABLES independent sub-tables of _SUBTABLE_SIZE fresh cloud
+triples (U, C1, C2), sorted by G, and ray r reads sub-table r mod _SUBTABLES.
+A ray starts at a uniform entry of its sub-table (a uniform triple's G is a
+root draw); each later step takes the entry whose G is nearest c.  The rays
+that read one sub-table share its Monte Carlo error, which `dimension_curve`
+reports apart from the ray error, from the spread between sub-tables.
 """
 
 from __future__ import annotations
@@ -24,205 +47,88 @@ import numpy as np
 
 from .rde import ParticleCloud
 
-NODE_BUDGET = 10_000_000
-_TARGET_CHUNK_NODES = 4_000_000
+# Table sizes from 2.5e5 to 4e6 triples showed no trend beyond the noise
+# between independent tables; that noise is in `table_std_error`.
+_SUBTABLES = 8
+_SUBTABLE_SIZE = 250_000
 
 
-class _ChunkCapExceeded(RuntimeError):
-    pass
+def _tables(samples: np.ndarray, rng):
+    """_SUBTABLES sub-tables of cloud triples, each sorted by x = 1/G.
+
+    Returns the search keys k + x (sub-table k fills the open interval
+    (k, k+1), as 0 < x < 1) and, in key order, 1-U, C1 and C2."""
+    n = _SUBTABLE_SIZE
+    key, keep, c1, c2 = (np.empty(_SUBTABLES * n) for _ in range(4))
+    for k in range(_SUBTABLES):
+        u = rng.random(n)
+        a1 = samples[rng.integers(0, samples.size, size=n)]
+        a2 = samples[rng.integers(0, samples.size, size=n)]
+        x = u + (1.0 - u) / (a1 + a2)
+        order = np.argsort(x)
+        part = slice(k * n, (k + 1) * n)
+        key[part] = k + x[order]
+        keep[part] = 1.0 - u[order]
+        c1[part], c2[part] = a1[order], a2[order]
+    return key, keep, c1, c2
 
 
-@dataclass(eq=False)
-class DeltaBatch:
-    """A chunk of independent truncated trees, stored level by level.
-
-    Level 0 holds one root per tree.  Level g+1 is level g's internal
-    vertices repeated twice: the children of the k-th internal vertex of
-    level g are vertices 2k and 2k+1 of level g+1.  `lo[g]` is where each
-    segment starts (= parent's branch height), `y[g]` the drawn branch height
-    Y_v; v is a leaf when y >= 1-eps, and its segment then ends at 1-eps with
-    closure conductance closure/eps attached above.  `closure[g]` holds the
-    closure draws of level g's leaves only, in order.
-    """
-
-    eps: float
-    lo: list
-    y: list
-    leaf: list
-    closure: list
-
-    @property
-    def n_trees(self) -> int:
-        return self.lo[0].size
-
-    @property
-    def node_count(self) -> int:
-        return sum(lo.size for lo in self.lo)
-
-
-def _build_batch(eps, samples, rng, n_trees) -> DeltaBatch:
-    top = 1.0 - eps
-    batch = DeltaBatch(eps, [], [], [], [])
-    lo = np.zeros(n_trees)
-    nodes = 0
-    while lo.size:
-        u = rng.random(lo.size)
-        y = lo + u * (1.0 - lo)
-        leaf = y >= top
-        batch.lo.append(lo)
-        batch.y.append(y)
-        batch.leaf.append(leaf)
-        batch.closure.append(samples[rng.integers(0, samples.size, size=int(leaf.sum()))])
-        nodes += lo.size
-        if nodes > NODE_BUDGET:
-            raise _ChunkCapExceeded(f"chunk passed {NODE_BUDGET} nodes")
-        lo = np.repeat(y[~leaf], 2)
-    return batch
-
-
-def _conductances(batch: DeltaBatch) -> list[np.ndarray]:
-    """Bottom-up, one array per level: leaf = 1/((1-eps-lo) + eps/C*);
-    internal = series(segment, parallel(children))."""
-    eps, top = batch.eps, 1.0 - batch.eps
-    out = [None] * len(batch.lo)
-    above = np.empty(0)
-    for g in reversed(range(len(batch.lo))):
-        lo, y, leaf = batch.lo[g], batch.y[g], batch.leaf[g]
-        a = np.empty(lo.size)
-        a[leaf] = 1.0 / ((top - lo[leaf]) + eps / batch.closure[g])
-        inner = ~leaf
-        a[inner] = 1.0 / ((y[inner] - lo[inner]) + 1.0 / (above[0::2] + above[1::2]))
-        out[g] = above = a
-    return out
-
-
-def _ray_masses(batch: DeltaBatch, cond: list, rng) -> tuple[tuple, np.ndarray]:
-    """Descend each tree choosing child i with probability C_i/(C_1+C_2), one
-    level per step, given the batch's `_conductances`; returns each tree's
-    leaf as (level, position) arrays and its accumulated log mass."""
-    pos = np.arange(batch.n_trees)
-    level = np.zeros(batch.n_trees, np.int64)
-    logm = np.zeros(batch.n_trees)
-    active = np.flatnonzero(~batch.leaf[0])
-    g = 0
-    while active.size:
-        rank = np.cumsum(~batch.leaf[g]) - 1
-        c1 = 2 * rank[pos[active]]
-        a1, a2 = cond[g + 1][c1], cond[g + 1][c1 + 1]
-        tot = a1 + a2
-        left = rng.random(active.size) * tot < a1
-        logm[active] += np.log(np.where(left, a1, a2) / tot)
-        pos[active] = np.where(left, c1, c1 + 1)
-        g += 1
-        level[active] = g
-        active = active[~batch.leaf[g][pos[active]]]
-    return (level, pos), logm
-
-
-def _chunk_sizes(eps: float, trials: int) -> list[int]:
-    per = max(1, min(trials, int(_TARGET_CHUNK_NODES * eps / 2.0)))
-    out = [per] * (trials // per)
-    if trials % per:
-        out.append(trials % per)
-    return out
-
-
-def _batches(eps, cloud, trials, rng):
-    """Deterministic chunk plan; a chunk that trips the node budget is
-    regenerated from a fresh spawned stream (a bias against large trees,
-    counted by `dimension_curve` as `regenerated_chunks`)."""
-    for size in _chunk_sizes(eps, trials):
-        for _ in range(8):
-            stream = rng.spawn(1)[0]
-            try:
-                yield _build_batch(eps, cloud.samples, stream, size)
-                break
-            except _ChunkCapExceeded:
-                continue
-        else:
-            raise RuntimeError("node budget exceeded in 8 consecutive chunks")
-
-
-# ---------------------------------------------------------------------------
-# single-tree interface
-# ---------------------------------------------------------------------------
-
-
-def sample_delta(eps: float, cloud: ParticleCloud, rng) -> DeltaBatch:
-    """One truncated tree (a batch of size 1) with cloud closures at height
-    1-eps.  The cloud is not validated here; clouds are checked where they
-    enter the program (`rde.load_cloud`)."""
-    if not 0.0 < eps < 0.5:
-        raise ValueError("eps must lie in (0, 1/2)")
-    for _ in range(8):
-        try:
-            return _build_batch(eps, cloud.samples, rng, 1)
-        except _ChunkCapExceeded:
-            continue
-    raise RuntimeError("node budget exceeded repeatedly")
-
-
-def delta_conductance(tree: DeltaBatch) -> float:
-    """Root-to-boundary conductance of a one-tree batch; its law is the
-    cloud's law up to truncation and cloud error."""
-    return float(_conductances(tree)[0][0])
-
-
-def harmonic_ray_mass(tree: DeltaBatch, rng) -> tuple[tuple[int, int], float]:
-    """((level, position) of the leaf, log mass of its boundary cylinder) for
-    one ray of a one-tree batch, chosen by splitting flow proportionally to
-    subtree conductances."""
-    (level, pos), logm = _ray_masses(tree, _conductances(tree), rng)
-    return (int(level[0]), int(pos[0])), float(logm[0])
-
-
-# ---------------------------------------------------------------------------
-# experiments over many trees
-# ---------------------------------------------------------------------------
-
-
-def conductance_samples(cloud: ParticleCloud, eps: float, trials: int, rng) -> np.ndarray:
-    """Root conductances of `trials` independent trees (self-consistency of
-    the closure: this law should reproduce the cloud)."""
-    if not 0.0 < eps < 0.5:
-        raise ValueError("eps must lie in (0, 1/2)")
-    out = np.empty(trials)
-    done = 0
-    for batch in _batches(eps, cloud, trials, rng):
-        out[done : done + batch.n_trees] = _conductances(batch)[0]
-        done += batch.n_trees
-        del batch  # free this chunk before _batches builds the next one
-    return out
+def _nearest(key: np.ndarray, sub: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Per ray, the entry of sub-table `sub` whose G = 1/x is nearest c."""
+    first = sub * _SUBTABLE_SIZE
+    at = np.searchsorted(key, sub + 1.0 / c)
+    below = np.clip(at - 1, first, first + _SUBTABLE_SIZE - 1)
+    above = np.clip(at, first, first + _SUBTABLE_SIZE - 1)
+    # key - sub is exact (Sterbenz), so these are the stored x
+    gap_below = np.abs(1.0 / (key[below] - sub) - c)
+    gap_above = np.abs(1.0 / (key[above] - sub) - c)
+    return np.where(gap_above < gap_below, above, below)
 
 
 def ray_mass_samples(cloud: ParticleCloud, eps: float, trials: int, rng) -> np.ndarray:
-    """log cylinder masses over independent (tree, ray) pairs."""
+    """log cylinder masses of `trials` independent harmonic rays, one fresh
+    table set per call; ray r reads sub-table r mod _SUBTABLES."""
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
-    out = np.empty(trials)
-    done = 0
-    for batch in _batches(eps, cloud, trials, rng):
-        _, logm = _ray_masses(batch, _conductances(batch), rng)
-        out[done : done + batch.n_trees] = logm
-        done += batch.n_trees
-        del batch  # free this chunk before _batches builds the next one
-    return out
+    key, keep, c1, c2 = _tables(cloud.samples, rng)
+    ray = np.arange(trials)
+    sub = ray % _SUBTABLES
+    entry = sub * _SUBTABLE_SIZE + rng.integers(0, _SUBTABLE_SIZE, size=trials)
+    h = np.ones(trials)
+    logm = np.zeros(trials)
+    while ray.size:
+        h = h * keep[entry]  # remaining height at the branch point
+        go = h > eps
+        ray, entry, h = ray[go], entry[go], h[go]
+        a1, a2 = c1[entry], c2[entry]
+        tot = a1 + a2
+        c = np.where(rng.random(ray.size) * tot < a1, a1, a2)
+        logm[ray] += np.log(c / tot)
+        entry = _nearest(key, sub[ray], c)
+    return logm
 
 
 @dataclass
 class DimensionPoint:
     eps: float
     exponent: float
-    std_error: float
+    std_error: float  # ray component
+    table_std_error: float  # shared by the rays of one table set
     trials: int
-    regenerated_chunks: int
 
 
 @dataclass
 class DimensionCurve:
+    """Points, and the weighted line in x = 1/log(1/eps) through them:
+    `extrapolated` is its intercept (x = 0), `chi2_dof` its chi^2 per degree
+    of freedom (None with two points)."""
+
     points: list
-    extrapolated: float | None
-    extrapolated_se: float | None
+    extrapolated: float | None = None
+    extrapolated_se: float | None = None
+    slope: float | None = None
+    slope_se: float | None = None
+    chi2_dof: float | None = None
 
     def to_rows(self):
         return [
@@ -230,52 +136,80 @@ class DimensionCurve:
                 "eps": p.eps,
                 "exponent": p.exponent,
                 "std_error": p.std_error,
+                "table_std_error": p.table_std_error,
                 "trials": p.trials,
                 "extrapolated": self.extrapolated,
-                "regenerated_chunks": p.regenerated_chunks,
             }
             for p in self.points
         ]
 
-    def regenerated_check(self) -> dict:
-        """Fails when any chunk was regenerated at the node budget, a bias
-        against large trees (bound 0, as for the discrete sampler's node-cap
-        drops)."""
-        return {"criterion": "continuum-regenerated-chunks",
-                "passed": all(p.regenerated_chunks == 0 for p in self.points),
-                "detail": "regenerated chunks per eps: "
-                          + ", ".join(f"{p.eps:g}:{p.regenerated_chunks}" for p in self.points)}
+    def summary(self) -> dict:
+        return {"extrapolated": self.extrapolated, "extrapolated_se": self.extrapolated_se,
+                "slope": self.slope, "slope_se": self.slope_se, "chi2_dof": self.chi2_dof}
+
+    def exponent_check(self, beta_ref: float) -> dict:
+        """Passes when the intercept lies within 3 of its standard errors of
+        the cloud's `beta_reference`."""
+        if self.extrapolated is None:
+            return {"criterion": "continuum-exponent", "passed": False,
+                    "detail": "no fit: needs points at two or more eps"}
+        z = (self.extrapolated - beta_ref) / self.extrapolated_se
+        chi2 = "n/a" if self.chi2_dof is None else f"{self.chi2_dof:.2f}"
+        return {"criterion": "continuum-exponent", "passed": bool(abs(z) <= 3.0),
+                "detail": f"intercept {self.extrapolated:.4f} +- {self.extrapolated_se:.4f} "
+                          f"against beta_ref {beta_ref:.4f}: z={z:+.2f} (bound 3); "
+                          f"slope {self.slope:.4f} +- {self.slope_se:.4f}, chi2/dof {chi2}"}
+
+
+def _table_std_error(logm: np.ndarray) -> float:
+    """Standard error of mean(logm) that the table set adds: the variance of
+    the per-sub-table means (ray r in group r mod _SUBTABLES) less their ray
+    variance, over _SUBTABLES; NaN below two rays per sub-table."""
+    if logm.size < 2 * _SUBTABLES:
+        return float("nan")
+    groups = [logm[k::_SUBTABLES] for k in range(_SUBTABLES)]
+    means = np.array([g.mean() for g in groups])
+    ray_var = np.mean([g.var(ddof=1) / g.size for g in groups])
+    return float(np.sqrt(max(means.var(ddof=1) - ray_var, 0.0) / _SUBTABLES))
+
+
+def _fit(points: list) -> DimensionCurve:
+    """The points with their weighted least-squares line of exponent on
+    x = 1/log(1/eps), each point weighted by 1/(std_error^2 +
+    table_std_error^2); no line below two distinct eps."""
+    if len({p.eps for p in points}) < 2:
+        return DimensionCurve(points)
+    x = np.array([1.0 / np.log(1.0 / p.eps) for p in points])
+    y = np.array([p.exponent for p in points])
+    w = 1.0 / np.array([p.std_error**2 + p.table_std_error**2 for p in points])
+    design = np.stack((np.ones_like(x), x), axis=1)
+    cov = np.linalg.inv(design.T @ (w[:, None] * design))
+    a, b = cov @ (design.T @ (w * y))
+    dof = len(points) - 2
+    chi2 = float(np.sum(w * (y - a - b * x) ** 2))
+    a_se, b_se = np.sqrt(np.diag(cov))
+    return DimensionCurve(points, float(a), float(a_se), float(b), float(b_se),
+                          chi2 / dof if dof else None)
 
 
 def dimension_curve(cloud: ParticleCloud, eps_list, trials: int, rng) -> DimensionCurve:
-    """E[-log mass]/log(1/eps) per level, plus a two-point extrapolation in
-    x = 1/log(1/eps) from the two smallest eps (the error at scale eps is
-    controlled by a quantity vanishing with |log eps|; the linear-in-x model
-    is an implementation choice, flagged as such)."""
+    """E[-log mass]/log(1/eps) per eps, each from one fresh table set, and
+    the weighted line through them in x = 1/log(1/eps).  The error at scale
+    eps is controlled by a quantity vanishing with |log eps|; the line in x is
+    an implementation choice, flagged as such, whose fit shows in chi2_dof."""
     points = []
-    seq = rng.bit_generator.seed_seq
     for eps in eps_list:
         if trials <= 0:
-            continue
-        spawned = seq.n_children_spawned
+            break
         logm = ray_mass_samples(cloud, eps, trials, rng)
-        # every chunk build, kept or regenerated, draws one spawned stream
-        builds = seq.n_children_spawned - spawned
         ln = np.log(1.0 / eps)
         points.append(
             DimensionPoint(
                 eps=float(eps),
                 exponent=float(-logm.mean() / ln),
                 std_error=float(logm.std(ddof=1) / np.sqrt(trials) / ln),
+                table_std_error=float(_table_std_error(logm) / ln),
                 trials=trials,
-                regenerated_chunks=builds - len(_chunk_sizes(eps, trials)),
             )
         )
-    if len(points) >= 2:
-        p1, p2 = sorted(points, key=lambda p: p.eps)[:2]  # two smallest eps
-        x1, x2 = 1.0 / np.log(1.0 / p1.eps), 1.0 / np.log(1.0 / p2.eps)
-        w1, w2 = x2 / (x2 - x1), -x1 / (x2 - x1)
-        extrap = w1 * p1.exponent + w2 * p2.exponent
-        se = float(np.hypot(w1 * p1.std_error, w2 * p2.std_error))
-        return DimensionCurve(points, float(extrap), se)
-    return DimensionCurve(points, None, None)
+    return _fit(points)

@@ -11,6 +11,11 @@ together, bottom-up, into one LevelForest by `trees._reduce_levels`.
 
 `parents_from_preorder_depths` is the per-depth loop behind the fixed-size
 decoder's one-sort `trees._parents_from_preorder_depths`.
+
+The continuum section holds the whole-tree sampler that `continuum` replaced
+by its harmonic-ray chain: truncated continuum trees stored level by level,
+their conductances and their harmonic rays, the oracle the chain is tested
+against.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gwharmonic.offspring import sample_offspring, survival_prob, survival_probs
+from gwharmonic.rde import ParticleCloud
 from gwharmonic.trees import (
     LevelForest,
     TrialCapError,
@@ -255,3 +261,143 @@ def parents_from_preorder_depths(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     parent_bfs = np.full(v, -1, np.int64)
     parent_bfs[1:] = inv[parent_pre[order[1:]]]
     return order, parent_bfs
+
+
+# ---------------------------------------------------------------------------
+# continuum trees
+# ---------------------------------------------------------------------------
+
+# Trees per chunk are chosen so that a chunk holds about this many vertices
+# (a truncated tree has about 2/eps).
+_TREE_CHUNK_NODES = 4_000_000
+
+
+@dataclass(eq=False)
+class DeltaBatch:
+    """A chunk of independent truncated trees, stored level by level.
+
+    Level 0 holds one root per tree.  Level g+1 is level g's internal
+    vertices repeated twice: the children of the k-th internal vertex of
+    level g are vertices 2k and 2k+1 of level g+1.  `lo[g]` is where each
+    segment starts (= parent's branch height), `y[g]` the drawn branch height
+    Y_v = lo + U (1 - lo); v is a leaf when y >= 1-eps, and its segment then
+    ends at 1-eps with closure conductance closure/eps attached above.
+    `closure[g]` holds the closure draws of level g's leaves only, in order.
+    """
+
+    eps: float
+    lo: list
+    y: list
+    leaf: list
+    closure: list
+
+    @property
+    def n_trees(self) -> int:
+        return self.lo[0].size
+
+    @property
+    def node_count(self) -> int:
+        return sum(lo.size for lo in self.lo)
+
+
+def build_batch(eps, samples, rng, n_trees) -> DeltaBatch:
+    top = 1.0 - eps
+    batch = DeltaBatch(eps, [], [], [], [])
+    lo = np.zeros(n_trees)
+    while lo.size:
+        u = rng.random(lo.size)
+        y = lo + u * (1.0 - lo)
+        leaf = y >= top
+        batch.lo.append(lo)
+        batch.y.append(y)
+        batch.leaf.append(leaf)
+        batch.closure.append(samples[rng.integers(0, samples.size, size=int(leaf.sum()))])
+        lo = np.repeat(y[~leaf], 2)
+    return batch
+
+
+def conductances(batch: DeltaBatch) -> list[np.ndarray]:
+    """Bottom-up, one array per level: leaf = 1/((1-eps-lo) + eps/C*);
+    internal = series(segment, parallel(children))."""
+    eps, top = batch.eps, 1.0 - batch.eps
+    out = [None] * len(batch.lo)
+    above = np.empty(0)
+    for g in reversed(range(len(batch.lo))):
+        lo, y, leaf = batch.lo[g], batch.y[g], batch.leaf[g]
+        a = np.empty(lo.size)
+        a[leaf] = 1.0 / ((top - lo[leaf]) + eps / batch.closure[g])
+        inner = ~leaf
+        a[inner] = 1.0 / ((y[inner] - lo[inner]) + 1.0 / (above[0::2] + above[1::2]))
+        out[g] = above = a
+    return out
+
+
+def ray_masses(batch: DeltaBatch, cond: list, rng) -> tuple[tuple, np.ndarray]:
+    """Descend each tree choosing child i with probability C_i/(C_1+C_2), one
+    level per step, given the batch's `conductances`; returns each tree's
+    leaf as (level, position) arrays and its accumulated log mass."""
+    pos = np.arange(batch.n_trees)
+    level = np.zeros(batch.n_trees, np.int64)
+    logm = np.zeros(batch.n_trees)
+    active = np.flatnonzero(~batch.leaf[0])
+    g = 0
+    while active.size:
+        rank = np.cumsum(~batch.leaf[g]) - 1
+        c1 = 2 * rank[pos[active]]
+        a1, a2 = cond[g + 1][c1], cond[g + 1][c1 + 1]
+        tot = a1 + a2
+        left = rng.random(active.size) * tot < a1
+        logm[active] += np.log(np.where(left, a1, a2) / tot)
+        pos[active] = np.where(left, c1, c1 + 1)
+        g += 1
+        level[active] = g
+        active = active[~batch.leaf[g][pos[active]]]
+    return (level, pos), logm
+
+
+def tree_batches(eps, cloud: ParticleCloud, trials, rng):
+    """`trials` trees in chunks of about _TREE_CHUNK_NODES vertices, each
+    chunk built from its own spawned stream."""
+    if not 0.0 < eps < 0.5:
+        raise ValueError("eps must lie in (0, 1/2)")
+    per = max(1, min(trials, int(_TREE_CHUNK_NODES * eps / 2.0)))
+    for start in range(0, trials, per):
+        yield build_batch(eps, cloud.samples, rng.spawn(1)[0], min(per, trials - start))
+
+
+def sample_delta(eps: float, cloud: ParticleCloud, rng) -> DeltaBatch:
+    """One truncated tree (a batch of size 1) with cloud closures at height
+    1-eps."""
+    if not 0.0 < eps < 0.5:
+        raise ValueError("eps must lie in (0, 1/2)")
+    return build_batch(eps, cloud.samples, rng, 1)
+
+
+def delta_conductance(tree: DeltaBatch) -> float:
+    """Root-to-boundary conductance of a one-tree batch; its law is the
+    cloud's law up to truncation and cloud error."""
+    return float(conductances(tree)[0][0])
+
+
+def harmonic_ray_mass(tree: DeltaBatch, rng) -> tuple[tuple[int, int], float]:
+    """((level, position) of the leaf, log mass of its boundary cylinder) for
+    one ray of a one-tree batch, chosen by splitting flow proportionally to
+    subtree conductances."""
+    (level, pos), logm = ray_masses(tree, conductances(tree), rng)
+    return (int(level[0]), int(pos[0])), float(logm[0])
+
+
+def conductance_samples(cloud: ParticleCloud, eps: float, trials: int, rng) -> np.ndarray:
+    """Root conductances of `trials` independent trees (self-consistency of
+    the closure: this law should reproduce the cloud)."""
+    return np.concatenate([conductances(b)[0] for b in tree_batches(eps, cloud, trials, rng)])
+
+
+def tree_ray_mass_samples(cloud: ParticleCloud, eps: float, trials: int, rng) -> np.ndarray:
+    """log cylinder masses over independent (tree, ray) pairs: one whole
+    truncated tree per ray, the law `continuum.ray_mass_samples` samples."""
+    out = []
+    for batch in tree_batches(eps, cloud, trials, rng):
+        out.append(ray_masses(batch, conductances(batch), rng)[1])
+        del batch  # free this chunk before the next one is built
+    return np.concatenate(out)

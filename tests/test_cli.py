@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gwharmonic import rde
+from gwharmonic import continuum, rde
 from gwharmonic.cli import main
 
 
@@ -159,13 +159,27 @@ def test_continuum_dimension(cloud_file, tmp_path):
                 "--seed", "21", "--out", str(tmp_path)])
     assert code == 0
     csv = (tmp_path / "continuum_dimension_seed21.csv").read_text().splitlines()
-    assert csv[0] == "eps,exponent,std_error,trials,extrapolated,regenerated_chunks"
+    assert csv[0] == "eps,exponent,std_error,table_std_error,trials,extrapolated"
     assert len(csv) == 4
     rep = json.loads((tmp_path / "continuum_dimension_seed21.json").read_text())
     assert 0.4 < rep["extrapolated"] < 1.1
-    assert [p["regenerated_chunks"] for p in rep["points"]] == [0, 0, 0]
+    assert {"extrapolated_se", "slope", "slope_se", "chi2_dof", "beta_ref"} <= set(rep)
     assert [(c["criterion"], c["passed"]) for c in rep["checks"]] == [
-        ("continuum-regenerated-chunks", True)]
+        ("continuum-exponent", True)]
+
+
+def test_continuum_exponent_check_fails_on_inflated_ray_masses(cloud_file, tmp_path,
+                                                              monkeypatch):
+    argv = ["continuum", "dimension", "--cloud", str(cloud_file),
+            "--eps", "2^-6,2^-10,2^-14,2^-20,2^-30", "--trials", "2000", "--seed", "31"]
+    assert run([*argv, "--out", str(tmp_path / "clean")]) == 0
+    real = continuum.ray_mass_samples
+    monkeypatch.setattr(continuum, "ray_mass_samples", lambda *a: 1.3 * real(*a))
+    assert run([*argv, "--out", str(tmp_path / "fault")]) == 1
+    for out, passed in (("clean", True), ("fault", False)):
+        rep = json.loads((tmp_path / out / "continuum_dimension_seed31.json").read_text())
+        (check,) = rep["checks"]
+        assert check["criterion"] == "continuum-exponent" and check["passed"] is passed
 
 
 def test_bad_eps_rejected(cloud_file, tmp_path):

@@ -1,9 +1,12 @@
+"""The harmonic-ray chain of `continuum`, and the whole-tree sampler in
+`oracles` that it is tested against."""
+
 import numpy as np
+import oracles as orc
 import pytest
 
 from gwharmonic import continuum as co
 from gwharmonic import rde
-from gwharmonic.cli import EPS_LADDER_DEFAULT
 from gwharmonic.rngs import task_stream
 
 
@@ -17,7 +20,7 @@ def manual_tree(eps, levels):
     closure = [np.array([r[2] for r in rows if r[2] is not None], float) for rows in levels]
     for g in range(len(levels) - 1):
         assert lo[g + 1].size == 2 * np.sum(~leaf[g])
-    return co.DeltaBatch(eps, lo, y, leaf, closure)
+    return orc.DeltaBatch(eps, lo, y, leaf, closure)
 
 
 def leaf_count(batch):
@@ -39,7 +42,7 @@ def root_side(batch, level, pos):
 
 def test_sample_delta_structure(solved_cloud):
     rng = task_stream(1, "continuum", 1)
-    b = co.sample_delta(1 / 8, solved_cloud, rng)
+    b = orc.sample_delta(1 / 8, solved_cloud, rng)
     eps = b.eps
     assert b.n_trees == 1 and b.lo[0].tolist() == [0.0]
     assert b.node_count == sum(lo.size for lo in b.lo) > 1
@@ -62,7 +65,7 @@ def test_sample_delta_eps_domain(solved_cloud):
     rng = task_stream(2, "continuum", 2)
     for bad in (0.0, 0.5, 0.9):
         with pytest.raises(ValueError):
-            co.sample_delta(bad, solved_cloud, rng)
+            orc.sample_delta(bad, solved_cloud, rng)
 
 
 def test_leaf_count_mean(solved_cloud):
@@ -70,7 +73,7 @@ def test_leaf_count_mean(solved_cloud):
     rng = task_stream(3, "continuum", 3)
     eps = 1 / 16
     counts = []
-    for batch in co._batches(eps, solved_cloud, 10**4, rng):
+    for batch in orc.tree_batches(eps, solved_cloud, 10**4, rng):
         tree = np.arange(batch.n_trees)
         per_tree = np.zeros(batch.n_trees, np.int64)
         for leaf in batch.leaf:
@@ -85,7 +88,7 @@ def test_leaf_count_halves_when_eps_doubles(solved_cloud):
     rng = task_stream(4, "continuum", 4)
     means = {}
     for eps in (1 / 8, 1 / 16):
-        c = [leaf_count(co.sample_delta(eps, solved_cloud, rng)) for _ in range(3000)]
+        c = [leaf_count(orc.sample_delta(eps, solved_cloud, rng)) for _ in range(3000)]
         means[eps] = np.mean(c)
     assert means[1 / 16] / means[1 / 8] == pytest.approx(2.0, abs=0.15)
 
@@ -94,7 +97,7 @@ def test_leftmost_ray_branch_count(solved_cloud):
     # in log coordinates, ray spacings are Exp(1): mean branches = -log eps
     rng = task_stream(5, "continuum", 5)
     eps = 2.0**-8
-    n = [leftmost_ray_branches(co.sample_delta(eps, solved_cloud, rng)) for _ in range(4000)]
+    n = [leftmost_ray_branches(orc.sample_delta(eps, solved_cloud, rng)) for _ in range(4000)]
     assert np.mean(n) == pytest.approx(-np.log(eps), rel=0.1)
 
 
@@ -103,9 +106,9 @@ def test_single_segment_series_formula():
     big = 1e12
     t = manual_tree(eps, [[(0.0, 0.9, big)]])
     # series resistance (1-eps) + eps/C*; infinite closure leaves 1/(1-eps)
-    assert co.delta_conductance(t) == pytest.approx(1.0 / (1.0 - eps), rel=1e-9)
+    assert orc.delta_conductance(t) == pytest.approx(1.0 / (1.0 - eps), rel=1e-9)
     t2 = manual_tree(eps, [[(0.0, 0.9, 2.0)]])
-    assert co.delta_conductance(t2) == pytest.approx(1.0 / ((1 - eps) + eps / 2.0))
+    assert orc.delta_conductance(t2) == pytest.approx(1.0 / ((1 - eps) + eps / 2.0))
 
 
 def test_conductance_matches_g_map_algebra():
@@ -115,14 +118,14 @@ def test_conductance_matches_g_map_algebra():
     t = manual_tree(eps, [[(0.0, y0, None)], [(y0, 0.95, 3.0), (y0, 0.91, 1.5)]])
     a1 = 1.0 / ((1 - eps - y0) + eps / 3.0)
     a2 = 1.0 / ((1 - eps - y0) + eps / 1.5)
-    assert co.delta_conductance(t) == pytest.approx(1.0 / (y0 + 1.0 / (a1 + a2)), rel=1e-12)
+    assert orc.delta_conductance(t) == pytest.approx(1.0 / (y0 + 1.0 / (a1 + a2)), rel=1e-12)
 
 
 def test_conductance_bounds(solved_cloud):
     rng = task_stream(6, "continuum", 6)
     for _ in range(300):
-        t = co.sample_delta(1 / 8, solved_cloud, rng)
-        c = co.delta_conductance(t)
+        t = orc.sample_delta(1 / 8, solved_cloud, rng)
+        c = orc.delta_conductance(t)
         first_joint = min(float(t.y[0][0]), 1 - t.eps)
         assert 1.0 - 1e-12 <= c <= 1.0 / first_joint + 1e-12
 
@@ -130,7 +133,7 @@ def test_conductance_bounds(solved_cloud):
 def test_conductance_law_reproduces_cloud(solved_cloud):
     # the closure makes the truncated conductance law the cloud's own law
     rng = task_stream(7, "continuum", 7)
-    cs = co.conductance_samples(solved_cloud, 2.0**-10, 2 * 10**4, rng)
+    cs = orc.conductance_samples(solved_cloud, 2.0**-10, 2 * 10**4, rng)
     d1 = rde.wasserstein1(rde.ParticleCloud(np.sort(cs)), solved_cloud)
     assert d1 <= 0.02
 
@@ -140,15 +143,15 @@ def test_ray_symmetric_two_leaves():
     t = manual_tree(eps, [[(0.0, 0.5, None)], [(0.5, 0.95, 2.0), (0.5, 0.97, 2.0)]])
     rng = task_stream(8, "continuum", 8)
     for _ in range(5):
-        leaf, lm = co.harmonic_ray_mass(t, rng)
+        leaf, lm = orc.harmonic_ray_mass(t, rng)
         assert leaf in ((1, 0), (1, 1))
         assert lm == pytest.approx(np.log(0.5), abs=1e-12)
 
 
 def test_ray_splits_normalised(solved_cloud):
     rng = task_stream(9, "continuum", 9)
-    t = co.sample_delta(1 / 8, solved_cloud, rng)
-    a = co._conductances(t)
+    t = orc.sample_delta(1 / 8, solved_cloud, rng)
+    a = orc.conductances(t)
     for g in range(len(t.lo) - 1):
         c = a[g + 1]
         p1 = c[0::2] / (c[0::2] + c[1::2])
@@ -160,15 +163,15 @@ def test_ray_splits_normalised(solved_cloud):
 def test_ray_mass_matches_split_frequencies(solved_cloud):
     # empirical child-choice frequency at the root matches C1/(C1+C2)
     rng = task_stream(10, "continuum", 10)
-    t = co.sample_delta(1 / 4, solved_cloud, rng)
+    t = orc.sample_delta(1 / 4, solved_cloud, rng)
     while t.leaf[0][0]:
-        t = co.sample_delta(1 / 4, solved_cloud, rng)
-    a1, a2 = co._conductances(t)[1]
+        t = orc.sample_delta(1 / 4, solved_cloud, rng)
+    a1, a2 = orc.conductances(t)[1]
     p_left = a1 / (a1 + a2)
     went_left = 0
     trials = 20000
     for _ in range(trials):
-        leaf, _ = co.harmonic_ray_mass(t, rng)
+        leaf, _ = orc.harmonic_ray_mass(t, rng)
         went_left += root_side(t, *leaf) == 0
     se = np.sqrt(p_left * (1 - p_left) / trials)
     assert went_left / trials == pytest.approx(p_left, abs=4 * se)
@@ -190,8 +193,12 @@ def test_dimension_curve_shape_and_extrapolation(solved_cloud):
         assert p.std_error > 0
     assert curve.extrapolated is not None
     assert 0.5 < curve.extrapolated < 1.0
+    assert curve.extrapolated_se > 0 and curve.slope_se > 0 and curve.chi2_dof >= 0
     rows = curve.to_rows()
+    assert list(rows[0]) == ["eps", "exponent", "std_error", "table_std_error", "trials",
+                             "extrapolated"]
     assert rows[0]["extrapolated"] == curve.extrapolated
+    assert all(np.isfinite(r["table_std_error"]) and r["table_std_error"] >= 0 for r in rows)
 
 
 def test_dimension_curve_empty_on_zero_trials(solved_cloud):
@@ -204,9 +211,9 @@ def test_batched_and_single_agree_in_law(solved_cloud):
     # mean root conductance via the chunked path vs one-at-a-time sampling
     rng1 = task_stream(14, "continuum", 14)
     rng2 = task_stream(15, "continuum", 15)
-    batched = co.conductance_samples(solved_cloud, 1 / 8, 4000, rng1)
+    batched = orc.conductance_samples(solved_cloud, 1 / 8, 4000, rng1)
     single = np.array(
-        [co.delta_conductance(co.sample_delta(1 / 8, solved_cloud, rng2)) for _ in range(4000)]
+        [orc.delta_conductance(orc.sample_delta(1 / 8, solved_cloud, rng2)) for _ in range(4000)]
     )
     d1 = rde.wasserstein1(
         rde.ParticleCloud(np.sort(batched)), rde.ParticleCloud(np.sort(single))
@@ -215,7 +222,7 @@ def test_batched_and_single_agree_in_law(solved_cloud):
 
 
 def reference_rays(batch, rng):
-    """Per-vertex reference for `_conductances` and `_ray_masses`: explicit
+    """Per-vertex reference for `conductances` and `ray_masses`: explicit
     child pointers, recursive conductances, and one descent per tree reading
     the same step-synchronous draws (one rng.random per step over the trees
     still descending, in tree order)."""
@@ -257,9 +264,9 @@ def reference_rays(batch, rng):
 def test_level_passes_match_per_vertex_reference(solved_cloud, seed):
     rng = task_stream(seed, "continuum", 16)
     eps = (1 / 4, 1 / 8, 1 / 32)[seed % 3]
-    batch = co._build_batch(eps, solved_cloud.samples, rng, int(rng.integers(1, 20)))
-    cond = co._conductances(batch)
-    (level, pos), logm = co._ray_masses(batch, cond, task_stream(seed, "continuum", 17))
+    batch = orc.build_batch(eps, solved_cloud.samples, rng, int(rng.integers(1, 20)))
+    cond = orc.conductances(batch)
+    (level, pos), logm = orc.ray_masses(batch, cond, task_stream(seed, "continuum", 17))
     ref_cond, ref_leaf, ref_logm = reference_rays(batch, task_stream(seed, "continuum", 17))
     assert [a.size for a in cond] == [lo.size for lo in batch.lo]
     assert all(cond[g][i] == c for (g, i), c in ref_cond.items())
@@ -267,34 +274,98 @@ def test_level_passes_match_per_vertex_reference(solved_cloud, seed):
     assert logm.tolist() == ref_logm
 
 
-def test_regenerated_chunks_pass_on_the_default_ladder(solved_cloud):
-    rng = task_stream(17, "continuum", 17)
-    curve = co.dimension_curve(solved_cloud, EPS_LADDER_DEFAULT, 200, rng)
-    assert [r["regenerated_chunks"] for r in curve.to_rows()] == [0] * len(EPS_LADDER_DEFAULT)
-    check = curve.regenerated_check()
-    assert check["criterion"] == "continuum-regenerated-chunks" and check["passed"]
+# ---------------------------------------------------------------------------
+# the harmonic-ray chain
+# ---------------------------------------------------------------------------
 
 
-def test_regenerated_chunks_fail_with_a_small_node_budget(solved_cloud, monkeypatch):
-    # the chunk plan scaled by 1/1000: at eps = 2^-10 a chunk holds one tree,
-    # as at eps = 2^-20 under the real constants, and a few trees per thousand
-    # pass the budget
-    monkeypatch.setattr(co, "NODE_BUDGET", co.NODE_BUDGET // 1000)
-    monkeypatch.setattr(co, "_TARGET_CHUNK_NODES", co._TARGET_CHUNK_NODES // 1000)
-    real, tripped = co._build_batch, []
+def test_nearest_entry_matches_brute_force(solved_cloud, monkeypatch):
+    monkeypatch.setattr(co, "_SUBTABLE_SIZE", 500)
+    rng = task_stream(23, "continuum", 23)
+    key, keep, c1, c2 = co._tables(solved_cloud.samples, rng)
+    n, k = 500, co._SUBTABLES
+    sub = np.repeat(np.arange(k), n)
+    assert np.all((key > sub) & (key < sub + 1))
+    assert all(np.all(np.diff(key[j * n : (j + 1) * n]) >= 0) for j in range(k))
+    g = 1.0 / (1.0 - keep + keep / (c1 + c2))
+    assert np.allclose(1.0 / (key - sub), g, rtol=1e-12)
+    rays = rng.integers(0, k, size=3000)
+    c = np.concatenate((solved_cloud.samples[rng.integers(0, solved_cloud.size, size=2996)],
+                        [1.0, 1.0 + 2.0**-52, 1e3, 1e9]))
+    got = co._nearest(key, rays, c)
+    assert np.all(got // n == rays)
+    blocks = g.reshape(k, n)[rays]
+    best = np.min(np.abs(blocks - c[:, None]), axis=1)
+    assert np.allclose(np.abs(g[got] - c), best, rtol=1e-12, atol=1e-15)
 
-    def counted(*args):
-        try:
-            return real(*args)
-        except co._ChunkCapExceeded:
-            tripped.append(args[0])
-            raise
 
-    monkeypatch.setattr(co, "_build_batch", counted)
-    rng = task_stream(18, "continuum", 18)
-    curve = co.dimension_curve(solved_cloud, [2.0**-6, 2.0**-10], 1000, rng)
-    counts = [r["regenerated_chunks"] for r in curve.to_rows()]
-    assert counts[0] == 0 and counts[1] > 0
-    assert counts == [tripped.count(eps) for eps in (2.0**-6, 2.0**-10)]
-    check = curve.regenerated_check()
-    assert not check["passed"] and f"{2.0**-10:g}:{counts[1]}" in check["detail"]
+@pytest.mark.parametrize("k", [6, 8])
+def test_chain_matches_the_tree_oracle(solved_cloud, k):
+    # two-sample z of the chain's exponent (ray and table error) against
+    # whole trees, one ray per tree
+    eps = 2.0**-k
+    ln = np.log(1.0 / eps)
+    tree = orc.tree_ray_mass_samples(solved_cloud, eps, 20_000, task_stream(k, "continuum", 20))
+    tree_exp = -tree.mean() / ln
+    tree_se = tree.std(ddof=1) / np.sqrt(tree.size) / ln
+    curve = co.dimension_curve(solved_cloud, [eps], 100_000, task_stream(k, "continuum", 21))
+    (p,) = curve.points
+    z = (p.exponent - tree_exp) / np.sqrt(tree_se**2 + p.std_error**2 + p.table_std_error**2)
+    assert abs(z) <= 4.0
+
+
+def test_chain_reaches_eps_2_pow_minus_60(solved_cloud, monkeypatch):
+    # 1 - 2^-60 == 1.0: a chain that stored start heights would stop near
+    # 2^-53 and read about 0.69
+    eps = 2.0**-60
+    real, steps = co._nearest, []
+
+    def counted(key, sub, c):
+        steps.append(c.size)
+        return real(key, sub, c)
+
+    monkeypatch.setattr(co, "_nearest", counted)
+    lm = co.ray_mass_samples(solved_cloud, eps, 20_000, task_stream(22, "continuum", 22))
+    assert lm.shape == (20_000,) and np.all(np.isfinite(lm)) and np.all(lm < 0)
+    assert steps[-1] == 0  # the last pass held no ray: every ray stopped
+    # a ray costs about log(1/eps) steps (1.18 log(1/eps) at this seed)
+    assert sum(steps) / lm.size < 2.0 * np.log(1.0 / eps)
+    assert 0.75 < -lm.mean() / np.log(1.0 / eps) < 0.82
+
+
+def test_table_std_error_is_the_spread_between_sub_tables(solved_cloud, monkeypatch):
+    # planted log masses: ray r gets its sub-table's offset (r mod K) plus
+    # small ray noise, so the table error is the offsets' spread over sqrt(K)
+    k, trials, eps = co._SUBTABLES, 8000, 2.0**-8
+    ln = np.log(1.0 / eps)
+    offsets = np.linspace(-0.05, 0.05, k)
+    noise = np.random.default_rng(0).normal(0.0, 0.01, trials)
+    planted = -0.78 * ln + offsets[np.arange(trials) % k] + noise
+    monkeypatch.setattr(co, "ray_mass_samples", lambda *a: planted.copy())
+    (p,) = co.dimension_curve(solved_cloud, [eps], trials, None).points
+    assert p.std_error == pytest.approx(planted.std(ddof=1) / np.sqrt(trials) / ln, rel=1e-12)
+    assert p.table_std_error == pytest.approx(offsets.std(ddof=1) / np.sqrt(k) / ln, rel=0.02)
+    # no offsets: the ray noise is subtracted, leaving about nothing
+    monkeypatch.setattr(co, "ray_mass_samples", lambda *a: -0.78 * ln + noise)
+    (p,) = co.dimension_curve(solved_cloud, [eps], trials, None).points
+    assert p.table_std_error < 0.5 * p.std_error
+
+
+def test_fit_matches_numpy_weighted_polyfit():
+    rng = np.random.default_rng(5)
+    eps = 2.0 ** -np.arange(6.0, 41.0, 2.0)
+    x = 1.0 / np.log(1.0 / eps)
+    se, tse = rng.uniform(1e-3, 3e-3, eps.size), rng.uniform(0.0, 2e-3, eps.size)
+    y = 0.785 - 0.06 * x + rng.normal(0.0, 1.0, eps.size) * np.hypot(se, tse)
+    pts = [co.DimensionPoint(*row, trials=100) for row in zip(eps, y, se, tse)]
+    curve = co._fit(pts)
+    (b, a), cov = np.polyfit(x, y, 1, w=1.0 / np.hypot(se, tse), cov="unscaled")
+    assert curve.extrapolated == pytest.approx(a, rel=1e-10)
+    assert curve.slope == pytest.approx(b, rel=1e-10)
+    assert curve.extrapolated_se == pytest.approx(np.sqrt(cov[1, 1]), rel=1e-10)
+    assert curve.slope_se == pytest.approx(np.sqrt(cov[0, 0]), rel=1e-10)
+    resid = (y - a - b * x) / np.hypot(se, tse)
+    assert curve.chi2_dof == pytest.approx(np.sum(resid**2) / (eps.size - 2), rel=1e-10)
+    # one eps: no line
+    assert co._fit(pts[:1]).extrapolated is None
+    assert not co.DimensionCurve(pts[:1]).exponent_check(0.78)["passed"]

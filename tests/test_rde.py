@@ -204,6 +204,23 @@ def test_cloud_roundtrip(tmp_path, solved_cloud):
     assert back.iteration_count == 12 and back.seed == 777
 
 
+@pytest.mark.parametrize("size", [1, 3 * 2**16 + 17])
+def test_save_cloud_bytes_match_savetxt(tmp_path, solved_cloud, size):
+    # awkward values: 1.0, the next double after it, a power of two with an
+    # exponent, a cloud size that is not a multiple of the write block, M=1
+    awkward = [1.0, 1.0 + 2.0**-52, 1.5, 2.0**40, 2.0**53 + 2.0, 1e300]
+    picked = solved_cloud.samples[:max(size - len(awkward), 0)]
+    samples = np.sort(np.concatenate((awkward, picked)))[:size]
+    cloud = rde.ParticleCloud(samples, 3, 41)
+    path = tmp_path / "cloud.txt"
+    rde.save_cloud(cloud, path)
+    with open(tmp_path / "oracle.txt", "w") as fh:
+        fh.write(f"GAMMA-CLOUD v1 {size} 41 3\n")
+        np.savetxt(fh, samples, fmt="%.17g")
+    assert path.read_bytes() == (tmp_path / "oracle.txt").read_bytes()
+    assert np.array_equal(rde.load_cloud(path).samples, samples)
+
+
 def test_cloud_format_errors(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("WRONG v1 2 0 0\n1.0\n2.0\n")
