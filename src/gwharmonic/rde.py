@@ -14,13 +14,14 @@ Laplace-transform ODE 2 l phi'' + l phi' + phi^2 - phi = 0.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 CONTRACTION_RATE = 2.0 * (1.0 - math.log(2.0))  # ~0.6137 per iteration
 _CHUNK = 1 << 20
-_SAVE_BLOCK = 1 << 16  # cloud values formatted per write
+_SAVE_BLOCK = 1 << 16  # cloud values encoded or decoded per block (~1 MB of text)
 
 
 class CloudFormatError(ValueError):
@@ -78,23 +79,6 @@ def phi_step(cloud: ParticleCloud, rng, out_size: int | None = None) -> Particle
         parts.append(1.0 / (u + (1.0 - u) / x))
     out = np.sort(np.concatenate(parts)) if n_chunks > 1 else np.sort(parts[0])
     return ParticleCloud(out, cloud.iteration_count + 1, cloud.seed)
-
-
-def phi_step_coupled(a: ParticleCloud, b: ParticleCloud, rng, out_size: int | None = None):
-    """Apply one step to two equal-size clouds with shared (index, U) draws:
-    the sorted-order coupling that realises the contraction bound."""
-    if a.size != b.size:
-        raise ValueError("coupled step needs equal cloud sizes")
-    m_out = a.size if out_size is None else int(out_size)
-    i = rng.integers(0, a.size, size=m_out)
-    j = rng.integers(0, a.size, size=m_out)
-    u = rng.random(m_out)
-    out_a = 1.0 / (u + (1.0 - u) / (a.samples[i] + a.samples[j]))
-    out_b = 1.0 / (u + (1.0 - u) / (b.samples[i] + b.samples[j]))
-    return (
-        ParticleCloud(np.sort(out_a), a.iteration_count + 1, a.seed),
-        ParticleCloud(np.sort(out_b), b.iteration_count + 1, b.seed),
-    )
 
 
 def wasserstein1(a: ParticleCloud, b: ParticleCloud) -> float:
@@ -297,44 +281,76 @@ def laplace_ode_residual(cloud: ParticleCloud, ell_grid, rng=None) -> list[OdeRe
 
 
 # ---------------------------------------------------------------------------
-# cloud file format (text; consumed by the beta and continuum modules)
+# cloud file format (text, one IEEE-754 bit pattern per line; consumed by the
+# beta and continuum modules)
 # ---------------------------------------------------------------------------
 
 CLOUD_MAGIC = "GAMMA-CLOUD"
-CLOUD_VERSION = "v1"
+CLOUD_VERSION = "v2"
+_LINE = 17  # 16 hex digits and a newline
+_DIGITS = b"0123456789abcdef\n"  # code -> byte: the 16 nibble values, then 16 for the line end
+_ENCODE = _DIGITS.ljust(256, b"\0")
+_DECODE = bytes(_DIGITS.find(b) if b in _DIGITS else len(_DIGITS) for b in range(256))  # 17: no place in a line
 
 
 def save_cloud(cloud: ParticleCloud, path) -> None:
-    """`GAMMA-CLOUD v1 <M> <seed> <iterations>` then one value per line,
-    ascending, at full round-trip precision: the bytes of
-    `np.savetxt(fmt="%.17g")`, formatted one block per call."""
+    """`GAMMA-CLOUD v2 <M> <seed> <iterations>` then M ascending lines, each
+    the 16 lowercase hex digits of the value's big-endian IEEE-754 binary64
+    bits (1.0 is `3ff0000000000000`).  Exact and byte-reproducible; any
+    language reads a line in one call, in Python
+    `struct.unpack(">d", bytes.fromhex(line))`.  Encoded one block per write:
+    nibble codes, then one table translation to text."""
     cloud.validate()
-    with open(path, "w") as fh:
-        fh.write(f"{CLOUD_MAGIC} {CLOUD_VERSION} {cloud.size} {cloud.seed} {cloud.iteration_count}\n")
-        s = cloud.samples
+    s = cloud.samples
+    codes = np.empty((min(s.size, _SAVE_BLOCK), _LINE), dtype=np.uint8)
+    codes[:, 16] = 16
+    with open(path, "wb") as fh:
+        fh.write(f"{CLOUD_MAGIC} {CLOUD_VERSION} {cloud.size} {cloud.seed} {cloud.iteration_count}\n".encode("ascii"))
         for lo in range(0, s.size, _SAVE_BLOCK):
             blk = s[lo : lo + _SAVE_BLOCK]
-            fh.write(("%.17g\n" * blk.size) % tuple(blk.tolist()))
+            octets = blk.astype(">f8").view(np.uint8).reshape(blk.size, 8)
+            lines = codes[: blk.size]
+            np.right_shift(octets, 4, out=lines[:, 0:16:2])
+            np.bitwise_and(octets, 15, out=lines[:, 1:16:2])
+            fh.write(lines.tobytes().translate(_ENCODE))
 
 
 def load_cloud(path) -> ParticleCloud:
-    with open(path, "r") as fh:
-        header = fh.readline().split()
+    """Read a `save_cloud` file block by block, rejecting a wrong header or
+    length and any byte out of place; the values are then checked by
+    `ParticleCloud.validate`.  Files of other versions are refused: re-run
+    `gwharmonic rde solve` to rebuild them."""
+    with open(path, "rb") as fh:
+        header = fh.readline(256).decode("ascii", errors="replace").split()
         if len(header) != 5:
             raise CloudFormatError(f"{path}: header must be '{CLOUD_MAGIC} {CLOUD_VERSION} <M> <seed> <iterations>'")
         magic, version, m_str, seed_str, iters_str = header
         if magic != CLOUD_MAGIC:
             raise CloudFormatError(f"{path}: bad magic {magic!r}")
         if version != CLOUD_VERSION:
-            raise CloudFormatError(f"{path}: unsupported version {version!r}")
+            raise CloudFormatError(f"{path}: unsupported version {version!r}; re-run `gwharmonic rde solve` with "
+                                   f"the same seed and flags to rebuild the same samples as {CLOUD_VERSION}")
         try:
             m, seed, iters = int(m_str), int(seed_str), int(iters_str)
         except ValueError as exc:
             raise CloudFormatError(f"{path}: non-integer header field") from exc
-        samples = np.loadtxt(fh, dtype=np.float64)
-    samples = np.atleast_1d(samples)
-    if samples.size != m:
-        raise CloudFormatError(f"{path}: count field says {m}, file holds {samples.size}")
+        body = os.fstat(fh.fileno()).st_size - fh.tell()
+        if m < 0 or body < _LINE * m:
+            raise CloudFormatError(f"{path}: count field says {m}, file holds {body // _LINE} lines")
+        if body > _LINE * m:
+            raise CloudFormatError(f"{path}: {body - _LINE * m} bytes after line {m}")
+        samples = np.empty(m, dtype=np.float64)
+        for lo in range(0, m, _SAVE_BLOCK):
+            k = min(_SAVE_BLOCK, m - lo)
+            codes = np.frombuffer(fh.read(_LINE * k).translate(_DECODE), dtype=np.uint8).reshape(k, _LINE)
+            bad = np.flatnonzero(codes[:, 16] != 16)
+            if bad.size:
+                raise CloudFormatError(f"{path}: value {lo + bad[0]} is not 16 digits and a newline")
+            if np.count_nonzero(codes > 15) != k:  # the k line ends are the only non-digits
+                bad = np.flatnonzero((codes[:, :16] > 15).any(axis=1))
+                raise CloudFormatError(f"{path}: value {lo + bad[0]} holds a byte that is not a lowercase hex digit")
+            octets = codes[:, 0:16:2] * np.uint8(16) + codes[:, 1:16:2]
+            samples[lo : lo + k] = octets.view(">f8").ravel()
     cloud = ParticleCloud(samples, iteration_count=iters, seed=seed)
     cloud.validate()
     return cloud

