@@ -3,9 +3,11 @@
 Usage: python scripts/compare_reports.py DIR_A DIR_B
 
 Every `*.json` and `*.csv` file in either directory is compared with its
-namesake in the other; `wall_clock_s` and `config.out` are ignored.  For
-each file that differs, the first differing key path is printed (CSV paths
-read `file.csv:row[i].column`).  Exits 1 on any difference, 0 when the
+namesake in the other; `wall_clock_s` and `config.out` are ignored, and a
+string that starts with its report's own `config.out` + "/" (such as the
+cloud path) is compared by the remainder after that prefix.  For each file
+that differs, the first differing key path is printed (CSV paths read
+`file.csv:row[i].column`).  Exits 1 on any difference, 0 when the
 directories match.
 """
 
@@ -20,23 +22,34 @@ IGNORED = {("wall_clock_s",), ("config", "out")}
 MISSING = object()
 
 
-def first_difference(a, b, path=()):
-    """Key path (a tuple) of the first difference between two JSON values, or None."""
+def _out_prefix(report) -> str | None:
+    """The report's `config.out` followed by one "/", or None without one."""
+    config = report.get("config") if isinstance(report, dict) else None
+    out = config.get("out") if isinstance(config, dict) else None
+    return out.rstrip("/") + "/" if isinstance(out, str) else None
+
+
+def first_difference(a, b, path=(), prefixes=(None, None)):
+    """Key path (a tuple) of the first difference between two JSON values, or
+    None; a string starting with its side's prefix is compared without it."""
     if path in IGNORED:
         return None
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
-            found = first_difference(a.get(key, MISSING), b.get(key, MISSING), path + (key,))
+            found = first_difference(a.get(key, MISSING), b.get(key, MISSING), path + (key,),
+                                     prefixes)
             if found is not None:
                 return found
         return None
     if isinstance(a, list) and isinstance(b, list):
         for i in range(max(len(a), len(b))):
             found = first_difference(a[i] if i < len(a) else MISSING,
-                                     b[i] if i < len(b) else MISSING, path + (i,))
+                                     b[i] if i < len(b) else MISSING, path + (i,), prefixes)
             if found is not None:
                 return found
         return None
+    if isinstance(a, str) and isinstance(b, str):
+        a, b = (s.removeprefix(p) if p else s for s, p in zip((a, b), prefixes))
     same = a == b or (a != a and b != b)  # NaN equals NaN here
     return None if type(a) is type(b) and same else path
 
@@ -68,7 +81,8 @@ def compare(dir_a: Path, dir_b: Path) -> list[str]:
         if not (pa.exists() and pb.exists()):
             lines.append(f"{name}: only in {dir_a if pa.exists() else dir_b}")
             continue
-        found = first_difference(_load(pa), _load(pb))
+        a, b = _load(pa), _load(pb)
+        found = first_difference(a, b, prefixes=(_out_prefix(a), _out_prefix(b)))
         if found is not None:
             lines.append(f"{_format(name, found)} differs")
     return lines

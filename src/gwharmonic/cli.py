@@ -280,8 +280,7 @@ def cmd_continuum(args) -> int:
     if curve.extrapolated is not None:
         print(f"extrapolated exponent = {curve.extrapolated:.4f} +- {curve.extrapolated_se:.4f}")
     for p in curve.points:
-        print(f"  eps=2^{np.log2(p.eps):.0f}: exponent {p.exponent:.4f} +- {p.std_error:.4f} "
-              f"(table +- {p.table_std_error:.4f})")
+        print(f"  eps=2^{np.log2(p.eps):.0f}: exponent {p.exponent:.4f} +- {p.std_error:.4f}")
     cfg = _config(args, "continuum dimension", eps_list=eps_list, trials=trials)
     summary = curve.summary() | {"beta_ref": beta_ref}
     return _emit(args, experiments.ExperimentReport(

@@ -30,13 +30,10 @@ A ray costs about log(1/eps) steps, where the truncated tree has about 2/eps
 vertices.  The state holds the remaining height h, never the start height
 1-h, which rounds to 1 below eps = 2^-53.
 
-The conditional draw is a nearest neighbour.  Each call of `ray_mass_samples`
-builds _SUBTABLES independent sub-tables of _SUBTABLE_SIZE fresh cloud
-triples (U, C1, C2), sorted by G, and ray r reads sub-table r mod _SUBTABLES.
-A ray starts at a uniform entry of its sub-table (a uniform triple's G is a
-root draw); each later step takes the entry whose G is nearest c.  The rays
-that read one sub-table share its Monte Carlo error, which `dimension_curve`
-reports apart from the ray error, from the spread between sub-tables.
+The conditional draw is exact (`_given`).  Given S = C1 + C2, x = 1/G is
+uniform on [1/S, 1], so given G = c the cloud pair (C1, C2) has law
+proportional to f(C1) f(C2) S/(S-1) 1{S >= c}, and 1-U = (1-1/c)/(1-1/S).
+The rays are therefore independent given the cloud.
 """
 
 from __future__ import annotations
@@ -47,64 +44,56 @@ import numpy as np
 
 from .rde import ParticleCloud
 
-# Table sizes from 2.5e5 to 4e6 triples showed no trend beyond the noise
-# between independent tables; that noise is in `table_std_error`.
-_SUBTABLES = 8
-_SUBTABLE_SIZE = 250_000
+# Proposals per pending entry in one round of `_given`, at most: about
+# 3 MB of work arrays.  An entry at the cloud maximum can need about M
+# proposals, which unbounded doubling would allocate in one round.
+_MAX_WIDTH = 1 << 16
 
 
-def _tables(samples: np.ndarray, rng):
-    """_SUBTABLES sub-tables of cloud triples, each sorted by x = 1/G.
+def _given(c: np.ndarray, samples: np.ndarray, rng):
+    """(1-U, C1, C2) per entry of c, drawn from their law given G = c, with
+    C1 and C2 from the cloud `samples`; every c must be a cloud value.
 
-    Returns the search keys k + x (sub-table k fills the open interval
-    (k, k+1), as 0 < x < 1) and, in key order, 1-U, C1 and C2."""
-    n = _SUBTABLE_SIZE
-    key, keep, c1, c2 = (np.empty(_SUBTABLES * n) for _ in range(4))
-    for k in range(_SUBTABLES):
-        u = rng.random(n)
-        a1 = samples[rng.integers(0, samples.size, size=n)]
-        a2 = samples[rng.integers(0, samples.size, size=n)]
-        x = u + (1.0 - u) / (a1 + a2)
-        order = np.argsort(x)
-        part = slice(k * n, (k + 1) * n)
-        key[part] = k + x[order]
-        keep[part] = 1.0 - u[order]
-        c1[part], c2[part] = a1[order], a2[order]
-    return key, keep, c1, c2
-
-
-def _nearest(key: np.ndarray, sub: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Per ray, the entry of sub-table `sub` whose G = 1/x is nearest c."""
-    first = sub * _SUBTABLE_SIZE
-    at = np.searchsorted(key, sub + 1.0 / c)
-    below = np.clip(at - 1, first, first + _SUBTABLE_SIZE - 1)
-    above = np.clip(at, first, first + _SUBTABLE_SIZE - 1)
-    # key - sub is exact (Sterbenz), so these are the stored x
-    gap_below = np.abs(1.0 / (key[below] - sub) - c)
-    gap_above = np.abs(1.0 / (key[above] - sub) - c)
-    return np.where(gap_above < gap_below, above, below)
+    Iid cloud pairs are proposed and one is accepted when S >= c, with
+    probability S/(2(S-1)), which lies in (1/2, 1] as S >= 2.  Round j gives
+    every pending entry min(2^j, _MAX_WIDTH) fresh proposals of its own and
+    keeps the first accepted one, so an entry whose proposals pass with
+    probability p costs O(log(1/p)) rounds below the cap.  The pair
+    (c, any) passes S >= c, so every entry ends."""
+    a1, a2 = np.empty_like(c), np.empty_like(c)
+    todo = np.arange(c.size)
+    width = 1
+    while todo.size:
+        p1, p2 = samples[rng.integers(0, samples.size, size=(2, todo.size, width))]
+        s = p1 + p2
+        ok = (s >= c[todo, None]) & (2.0 * (s - 1.0) * rng.random(s.shape) < s)
+        hit = ok.any(axis=1)
+        first = ok.argmax(axis=1)[hit]
+        a1[todo[hit]], a2[todo[hit]] = p1[hit, first], p2[hit, first]
+        todo = todo[~hit]
+        width = min(2 * width, _MAX_WIDTH)
+    return (1.0 - 1.0 / c) / (1.0 - 1.0 / (a1 + a2)), a1, a2
 
 
 def ray_mass_samples(cloud: ParticleCloud, eps: float, trials: int, rng) -> np.ndarray:
-    """log cylinder masses of `trials` independent harmonic rays, one fresh
-    table set per call; ray r reads sub-table r mod _SUBTABLES."""
+    """log cylinder masses of `trials` independent harmonic rays."""
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
-    key, keep, c1, c2 = _tables(cloud.samples, rng)
+    samples = cloud.samples
+    # the root's triple is unconditional
+    keep = 1.0 - rng.random(trials)
+    a1, a2 = samples[rng.integers(0, samples.size, size=(2, trials))]
     ray = np.arange(trials)
-    sub = ray % _SUBTABLES
-    entry = sub * _SUBTABLE_SIZE + rng.integers(0, _SUBTABLE_SIZE, size=trials)
     h = np.ones(trials)
     logm = np.zeros(trials)
     while ray.size:
-        h = h * keep[entry]  # remaining height at the branch point
+        h = h * keep  # remaining height at the branch point
         go = h > eps
-        ray, entry, h = ray[go], entry[go], h[go]
-        a1, a2 = c1[entry], c2[entry]
+        ray, h, a1, a2 = ray[go], h[go], a1[go], a2[go]
         tot = a1 + a2
         c = np.where(rng.random(ray.size) * tot < a1, a1, a2)
         logm[ray] += np.log(c / tot)
-        entry = _nearest(key, sub[ray], c)
+        keep, a1, a2 = _given(c, samples, rng)
     return logm
 
 
@@ -112,8 +101,7 @@ def ray_mass_samples(cloud: ParticleCloud, eps: float, trials: int, rng) -> np.n
 class DimensionPoint:
     eps: float
     exponent: float
-    std_error: float  # ray component
-    table_std_error: float  # shared by the rays of one table set
+    std_error: float
     trials: int
 
 
@@ -136,7 +124,6 @@ class DimensionCurve:
                 "eps": p.eps,
                 "exponent": p.exponent,
                 "std_error": p.std_error,
-                "table_std_error": p.table_std_error,
                 "trials": p.trials,
                 "extrapolated": self.extrapolated,
             }
@@ -161,27 +148,15 @@ class DimensionCurve:
                           f"slope {self.slope:.4f} +- {self.slope_se:.4f}, chi2/dof {chi2}"}
 
 
-def _table_std_error(logm: np.ndarray) -> float:
-    """Standard error of mean(logm) that the table set adds: the variance of
-    the per-sub-table means (ray r in group r mod _SUBTABLES) less their ray
-    variance, over _SUBTABLES; NaN below two rays per sub-table."""
-    if logm.size < 2 * _SUBTABLES:
-        return float("nan")
-    groups = [logm[k::_SUBTABLES] for k in range(_SUBTABLES)]
-    means = np.array([g.mean() for g in groups])
-    ray_var = np.mean([g.var(ddof=1) / g.size for g in groups])
-    return float(np.sqrt(max(means.var(ddof=1) - ray_var, 0.0) / _SUBTABLES))
-
-
 def _fit(points: list) -> DimensionCurve:
     """The points with their weighted least-squares line of exponent on
-    x = 1/log(1/eps), each point weighted by 1/(std_error^2 +
-    table_std_error^2); no line below two distinct eps."""
+    x = 1/log(1/eps), each point weighted by 1/std_error^2; no line below
+    two distinct eps."""
     if len({p.eps for p in points}) < 2:
         return DimensionCurve(points)
     x = np.array([1.0 / np.log(1.0 / p.eps) for p in points])
     y = np.array([p.exponent for p in points])
-    w = 1.0 / np.array([p.std_error**2 + p.table_std_error**2 for p in points])
+    w = 1.0 / np.array([p.std_error for p in points]) ** 2
     design = np.stack((np.ones_like(x), x), axis=1)
     cov = np.linalg.inv(design.T @ (w[:, None] * design))
     a, b = cov @ (design.T @ (w * y))
@@ -193,7 +168,7 @@ def _fit(points: list) -> DimensionCurve:
 
 
 def dimension_curve(cloud: ParticleCloud, eps_list, trials: int, rng) -> DimensionCurve:
-    """E[-log mass]/log(1/eps) per eps, each from one fresh table set, and
+    """E[-log mass]/log(1/eps) per eps, each from `trials` fresh rays, and
     the weighted line through them in x = 1/log(1/eps).  The error at scale
     eps is controlled by a quantity vanishing with |log eps|; the line in x is
     an implementation choice, flagged as such, whose fit shows in chi2_dof."""
@@ -208,7 +183,6 @@ def dimension_curve(cloud: ParticleCloud, eps_list, trials: int, rng) -> Dimensi
                 eps=float(eps),
                 exponent=float(-logm.mean() / ln),
                 std_error=float(logm.std(ddof=1) / np.sqrt(trials) / ln),
-                table_std_error=float(_table_std_error(logm) / ln),
                 trials=trials,
             )
         )

@@ -205,13 +205,21 @@ def _tree_statistics(log_mass, off, u, n, beta, delta):
     return conc, -log_mass[b] / ln
 
 
+def _power_note(n: int) -> str:
+    """Marks a trend check on n points that cannot pass: the smallest p that
+    `mann_kendall` attains (a strictly monotone series) is not below 0.05."""
+    floor = mann_kendall(range(n), 1)[1]
+    return f"; underpowered: smallest attainable p = {floor:.4f}" if floor >= 0.05 else ""
+
+
 def exponent_trend_check(means, beta_ref) -> dict:
     """One-sided Mann-Kendall test that the gap |mean - beta_ref| shrinks
     along the n ladder.  The direction is fixed before the data are seen, so
     the approach may come from either side of beta_ref."""
     s, p = mann_kendall(np.abs(np.asarray(means) - beta_ref), -1)
     return {"criterion": "theorem1-exponent-trend", "passed": bool(p < 0.05),
-            "detail": f"MK S={s} p={p:.4f} on |mean - beta| decreasing, beta={beta_ref:.4f}"}
+            "detail": f"MK S={s} p={p:.4f} on |mean - beta| decreasing, beta={beta_ref:.4f}"
+                      + _power_note(len(means))}
 
 
 def run_theorem1(dist, n_list, delta, trials, cloud, rng, beta_ref=None, config=None):
@@ -245,7 +253,7 @@ def run_theorem1(dist, n_list, delta, trials, cloud, rng, beta_ref=None, config=
     checks = [
         exponent_trend_check(means, beta_ref),
         {"criterion": "theorem1-concentration-trend", "passed": bool(p_conc < 0.05),
-         "detail": f"MK S={s_conc} p={p_conc:.4f}"},
+         "detail": f"MK S={s_conc} p={p_conc:.4f}" + _power_note(len(cells))},
     ]
     if max(n_list) >= 400:
         gap = abs(means[int(np.argmax(n_list))] - beta_ref)

@@ -159,7 +159,7 @@ def test_continuum_dimension(cloud_file, tmp_path):
                 "--seed", "21", "--out", str(tmp_path)])
     assert code == 0
     csv = (tmp_path / "continuum_dimension_seed21.csv").read_text().splitlines()
-    assert csv[0] == "eps,exponent,std_error,table_std_error,trials,extrapolated"
+    assert csv[0] == "eps,exponent,std_error,trials,extrapolated"
     assert len(csv) == 4
     rep = json.loads((tmp_path / "continuum_dimension_seed21.json").read_text())
     assert 0.4 < rep["extrapolated"] < 1.1

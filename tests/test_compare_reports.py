@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
 
 
@@ -11,9 +13,9 @@ def _run(a, b):
                           capture_output=True, text=True)
 
 
-def _write_run(d: Path, wall: float, out: str, mean: float = 0.5):
+def _write_run(d: Path, wall: float, out: str, mean: float = 0.5, cloud: str = "c.txt"):
     d.mkdir()
-    report = {"experiment": "levelset", "config": {"seed": 1, "out": out},
+    report = {"experiment": "levelset", "config": {"seed": 1, "out": out, "cloud": cloud},
               "cells": [{"n": 10, "mean": 0.25}, {"n": 20, "mean": mean}],
               "checks": [{"criterion": "c", "passed": True}], "wall_clock_s": wall}
     (d / "levelset_geometric_1.json").write_text(json.dumps(report))
@@ -26,6 +28,20 @@ def test_equal_runs_match_up_to_wall_clock_and_out(tmp_path):
     res = _run(tmp_path / "a", tmp_path / "b")
     assert res.returncode == 0, res.stdout
     assert res.stdout.strip() == "reports match"
+
+
+@pytest.mark.parametrize("cloud_a, cloud_b, differs", [
+    ("runs-a/cloud.txt", "runs-b/cloud.txt", False),
+    ("runs-a/cloud_M10_seed1.txt", "runs-b/cloud_M10_seed2.txt", True),
+    ("elsewhere-a/cloud.txt", "elsewhere-b/cloud.txt", True),
+])
+def test_paths_under_out_compare_by_their_remainder(tmp_path, cloud_a, cloud_b, differs):
+    _write_run(tmp_path / "a", 1.0, "runs-a", cloud=cloud_a)
+    _write_run(tmp_path / "b", 1.0, "runs-b", cloud=cloud_b)
+    res = _run(tmp_path / "a", tmp_path / "b")
+    assert res.returncode == int(differs), res.stdout
+    expected = ["levelset_geometric_1.json:config.cloud differs"] if differs else ["reports match"]
+    assert res.stdout.splitlines() == expected
 
 
 def test_one_perturbed_cell_fails(tmp_path):

@@ -4,6 +4,7 @@
 import numpy as np
 import oracles as orc
 import pytest
+from scipy.stats import chi2
 
 from gwharmonic import continuum as co
 from gwharmonic import rde
@@ -184,7 +185,7 @@ def test_exponent_mean_in_range(solved_cloud):
     assert 0.7 < exp10 < 0.85
 
 
-def test_dimension_curve_shape_and_extrapolation(solved_cloud):
+def test_dimension_curve_shape_and_extrapolation(solved_cloud, monkeypatch):
     rng = task_stream(12, "continuum", 12)
     curve = co.dimension_curve(solved_cloud, [2.0**-6, 2.0**-8, 2.0**-10], 2000, rng)
     assert len(curve.points) == 3
@@ -195,10 +196,16 @@ def test_dimension_curve_shape_and_extrapolation(solved_cloud):
     assert 0.5 < curve.extrapolated < 1.0
     assert curve.extrapolated_se > 0 and curve.slope_se > 0 and curve.chi2_dof >= 0
     rows = curve.to_rows()
-    assert list(rows[0]) == ["eps", "exponent", "std_error", "table_std_error", "trials",
-                             "extrapolated"]
+    assert list(rows[0]) == ["eps", "exponent", "std_error", "trials", "extrapolated"]
     assert rows[0]["extrapolated"] == curve.extrapolated
-    assert all(np.isfinite(r["table_std_error"]) and r["table_std_error"] >= 0 for r in rows)
+    # planted log masses: exponent and std_error are the mean of
+    # -logm/log(1/eps) and its standard error over the independent rays
+    ln = np.log(2.0**8)
+    planted = np.random.default_rng(0).normal(-0.78 * ln, 0.5, 1000)
+    monkeypatch.setattr(co, "ray_mass_samples", lambda *a: planted.copy())
+    (p,) = co.dimension_curve(solved_cloud, [2.0**-8], 1000, None).points
+    assert p.exponent == pytest.approx(-planted.mean() / ln, rel=1e-12)
+    assert p.std_error == pytest.approx(planted.std(ddof=1) / np.sqrt(1000) / ln, rel=1e-12)
 
 
 def test_dimension_curve_empty_on_zero_trials(solved_cloud):
@@ -279,30 +286,57 @@ def test_level_passes_match_per_vertex_reference(solved_cloud, seed):
 # ---------------------------------------------------------------------------
 
 
-def test_nearest_entry_matches_brute_force(solved_cloud, monkeypatch):
-    monkeypatch.setattr(co, "_SUBTABLE_SIZE", 500)
-    rng = task_stream(23, "continuum", 23)
-    key, keep, c1, c2 = co._tables(solved_cloud.samples, rng)
-    n, k = 500, co._SUBTABLES
-    sub = np.repeat(np.arange(k), n)
-    assert np.all((key > sub) & (key < sub + 1))
-    assert all(np.all(np.diff(key[j * n : (j + 1) * n]) >= 0) for j in range(k))
-    g = 1.0 / (1.0 - keep + keep / (c1 + c2))
-    assert np.allclose(1.0 / (key - sub), g, rtol=1e-12)
-    rays = rng.integers(0, k, size=3000)
-    c = np.concatenate((solved_cloud.samples[rng.integers(0, solved_cloud.size, size=2996)],
-                        [1.0, 1.0 + 2.0**-52, 1e3, 1e9]))
-    got = co._nearest(key, rays, c)
-    assert np.all(got // n == rays)
-    blocks = g.reshape(k, n)[rays]
-    best = np.min(np.abs(blocks - c[:, None]), axis=1)
-    assert np.allclose(np.abs(g[got] - c), best, rtol=1e-12, atol=1e-15)
+@pytest.mark.parametrize("c, cap", [(1.75, None), (3.0, None), (6.0, None), (6.0, 1)])
+def test_conditional_draw_matches_the_exact_pmf(c, cap, monkeypatch):
+    # on a 4-value cloud with weights f, the pair given G = c has pmf
+    # f(c1) f(c2) S/(S-1) 1{S >= c} over the 16 ordered pairs; c = 6 is the
+    # cloud maximum, and a round cap of 1 makes every round one proposal
+    if cap is not None:
+        monkeypatch.setattr(co, "_MAX_WIDTH", cap)
+    values, f = np.array([1.0, 1.5, 2.5, 6.0]), np.array([0.4, 0.3, 0.2, 0.1])
+    samples = np.repeat(values, (10 * f).astype(int))
+    draws = 40_000
+    _, a1, a2 = co._given(np.full(draws, c), samples, task_stream(24, "continuum", 24))
+    pair = 4 * np.searchsorted(values, a1) + np.searchsorted(values, a2)
+    counts = np.bincount(pair, minlength=16)
+    s = values[:, None] + values[None, :]
+    pmf = (np.outer(f, f) * np.where(s >= c, s / (s - 1.0), 0.0)).ravel()
+    pmf /= pmf.sum()
+    live = pmf > 0
+    assert counts.sum() == draws and np.all(counts[~live] == 0)
+    expected = draws * pmf[live]
+    stat = np.sum((counts[live] - expected) ** 2 / expected)
+    assert chi2.sf(stat, live.sum() - 1) > 1e-3
+
+
+def test_conditional_draw_recomputes_g(solved_cloud, monkeypatch):
+    # c includes the cloud maximum, whose draw reaches the (lowered) cap
+    s = solved_cloud.samples
+    rng = task_stream(25, "continuum", 25)
+    c = np.concatenate((s[rng.integers(0, s.size, size=20_000)], s[[0, -1]]))
+    monkeypatch.setattr(co, "_MAX_WIDTH", 256)
+    widths = []
+
+    class Spy:
+        def integers(self, low, high, size):
+            widths.append(size[-1])
+            return rng.integers(low, high, size=size)
+
+        def random(self, size):
+            return rng.random(size)
+
+    keep, a1, a2 = co._given(c, s, Spy())
+    assert max(widths) == 256
+    assert np.all(np.isin(a1, s)) and np.all(np.isin(a2, s))
+    assert np.all((a1 + a2 >= c) & (keep >= 0.0) & (keep <= 1.0))
+    g = 1.0 / (1.0 - keep + keep / (a1 + a2))
+    assert np.allclose(g, c, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("k", [6, 8])
 def test_chain_matches_the_tree_oracle(solved_cloud, k):
-    # two-sample z of the chain's exponent (ray and table error) against
-    # whole trees, one ray per tree
+    # two-sample z of the chain's exponent against whole trees, one ray per
+    # tree
     eps = 2.0**-k
     ln = np.log(1.0 / eps)
     tree = orc.tree_ray_mass_samples(solved_cloud, eps, 20_000, task_stream(k, "continuum", 20))
@@ -310,7 +344,7 @@ def test_chain_matches_the_tree_oracle(solved_cloud, k):
     tree_se = tree.std(ddof=1) / np.sqrt(tree.size) / ln
     curve = co.dimension_curve(solved_cloud, [eps], 100_000, task_stream(k, "continuum", 21))
     (p,) = curve.points
-    z = (p.exponent - tree_exp) / np.sqrt(tree_se**2 + p.std_error**2 + p.table_std_error**2)
+    z = (p.exponent - tree_exp) / np.hypot(tree_se, p.std_error)
     assert abs(z) <= 4.0
 
 
@@ -318,53 +352,35 @@ def test_chain_reaches_eps_2_pow_minus_60(solved_cloud, monkeypatch):
     # 1 - 2^-60 == 1.0: a chain that stored start heights would stop near
     # 2^-53 and read about 0.69
     eps = 2.0**-60
-    real, steps = co._nearest, []
+    real, steps = co._given, []
 
-    def counted(key, sub, c):
+    def counted(c, samples, rng):
         steps.append(c.size)
-        return real(key, sub, c)
+        return real(c, samples, rng)
 
-    monkeypatch.setattr(co, "_nearest", counted)
+    monkeypatch.setattr(co, "_given", counted)
     lm = co.ray_mass_samples(solved_cloud, eps, 20_000, task_stream(22, "continuum", 22))
     assert lm.shape == (20_000,) and np.all(np.isfinite(lm)) and np.all(lm < 0)
-    assert steps[-1] == 0  # the last pass held no ray: every ray stopped
+    assert steps[-1] == 0  # the last draw held no ray: every ray stopped
     # a ray costs about log(1/eps) steps (1.18 log(1/eps) at this seed)
     assert sum(steps) / lm.size < 2.0 * np.log(1.0 / eps)
     assert 0.75 < -lm.mean() / np.log(1.0 / eps) < 0.82
-
-
-def test_table_std_error_is_the_spread_between_sub_tables(solved_cloud, monkeypatch):
-    # planted log masses: ray r gets its sub-table's offset (r mod K) plus
-    # small ray noise, so the table error is the offsets' spread over sqrt(K)
-    k, trials, eps = co._SUBTABLES, 8000, 2.0**-8
-    ln = np.log(1.0 / eps)
-    offsets = np.linspace(-0.05, 0.05, k)
-    noise = np.random.default_rng(0).normal(0.0, 0.01, trials)
-    planted = -0.78 * ln + offsets[np.arange(trials) % k] + noise
-    monkeypatch.setattr(co, "ray_mass_samples", lambda *a: planted.copy())
-    (p,) = co.dimension_curve(solved_cloud, [eps], trials, None).points
-    assert p.std_error == pytest.approx(planted.std(ddof=1) / np.sqrt(trials) / ln, rel=1e-12)
-    assert p.table_std_error == pytest.approx(offsets.std(ddof=1) / np.sqrt(k) / ln, rel=0.02)
-    # no offsets: the ray noise is subtracted, leaving about nothing
-    monkeypatch.setattr(co, "ray_mass_samples", lambda *a: -0.78 * ln + noise)
-    (p,) = co.dimension_curve(solved_cloud, [eps], trials, None).points
-    assert p.table_std_error < 0.5 * p.std_error
 
 
 def test_fit_matches_numpy_weighted_polyfit():
     rng = np.random.default_rng(5)
     eps = 2.0 ** -np.arange(6.0, 41.0, 2.0)
     x = 1.0 / np.log(1.0 / eps)
-    se, tse = rng.uniform(1e-3, 3e-3, eps.size), rng.uniform(0.0, 2e-3, eps.size)
-    y = 0.785 - 0.06 * x + rng.normal(0.0, 1.0, eps.size) * np.hypot(se, tse)
-    pts = [co.DimensionPoint(*row, trials=100) for row in zip(eps, y, se, tse)]
+    se = rng.uniform(1e-3, 3e-3, eps.size)
+    y = 0.785 - 0.06 * x + rng.normal(0.0, 1.0, eps.size) * se
+    pts = [co.DimensionPoint(*row, trials=100) for row in zip(eps, y, se)]
     curve = co._fit(pts)
-    (b, a), cov = np.polyfit(x, y, 1, w=1.0 / np.hypot(se, tse), cov="unscaled")
+    (b, a), cov = np.polyfit(x, y, 1, w=1.0 / se, cov="unscaled")
     assert curve.extrapolated == pytest.approx(a, rel=1e-10)
     assert curve.slope == pytest.approx(b, rel=1e-10)
     assert curve.extrapolated_se == pytest.approx(np.sqrt(cov[1, 1]), rel=1e-10)
     assert curve.slope_se == pytest.approx(np.sqrt(cov[0, 0]), rel=1e-10)
-    resid = (y - a - b * x) / np.hypot(se, tse)
+    resid = (y - a - b * x) / se
     assert curve.chi2_dof == pytest.approx(np.sum(resid**2) / (eps.size - 2), rel=1e-10)
     # one eps: no line
     assert co._fit(pts[:1]).extrapolated is None

@@ -79,6 +79,11 @@ def test_run_theorem1_structure(solved_cloud):
         assert c["exponent_std_error"] > 0
     names = {chk["criterion"] for chk in rep.checks}
     assert "theorem1-exponent-trend" in names
+    # 3 points: p >= 1/3! = 0.1667 whatever the data, and both trends say so
+    trends = [chk for chk in rep.checks if chk["criterion"].endswith("-trend")]
+    assert len(trends) == 2
+    assert all(chk["detail"].endswith("; underpowered: smallest attainable p = 0.1667")
+               for chk in trends), trends
     mids = [chk for chk in rep.checks if chk["criterion"].startswith("reduced-midlevel")]
     assert [chk["criterion"] for chk in mids] == [f"reduced-midlevel-n{n}" for n in (8, 16, 32)]
     assert all(chk["passed"] for chk in mids), mids
@@ -90,6 +95,11 @@ def test_exponent_trend_passes_approaching_from_below():
     assert chk["criterion"] == "theorem1-exponent-trend"
     assert chk["passed"], chk["detail"]
     assert "S=6" in chk["detail"] and "|mean - beta| decreasing" in chk["detail"]
+    # 4 points reach p = 1/4! < 0.05: not marked; 3 points cannot pass
+    assert "underpowered" not in chk["detail"]
+    chk = ex.exponent_trend_check([0.74, 0.76, 0.78], 0.7845)
+    assert not chk["passed"]
+    assert chk["detail"].endswith("; underpowered: smallest attainable p = 0.1667")
 
 
 def test_exponent_trend_passes_approaching_from_above():
