@@ -187,13 +187,6 @@ class CrossValidation:
             "seed": self.seed,
         }
 
-    @property
-    def consensus(self) -> float:
-        """Inverse-variance weighted mean of the three estimates."""
-        v = np.array([e.value for e in self.estimates])
-        w = np.array([1.0 / max(e.total_std_error, 1e-300) ** 2 for e in self.estimates])
-        return float((v * w).sum() / w.sum())
-
 
 def _cloud_component(cloud: ParticleCloud, runner, rng, k: int = 10, sub_budget: int = 10**6) -> float:
     """Finite-cloud std error of an estimator at the full cloud size,
@@ -210,18 +203,19 @@ def _cloud_component(cloud: ParticleCloud, runner, rng, k: int = 10, sub_budget:
     return float(np.sqrt(var_sub / k))
 
 
-def cross_validate(cloud: ParticleCloud, budget: int, rng, cloud_se: bool = True) -> CrossValidation:
+def cross_validate(cloud: ParticleCloud, budget: int, rng) -> CrossValidation:
     """Run the three estimators on derived streams and compare pairwise;
     |z| > 3 between any two flags the report.
 
     The two expectation-style estimators are smooth functionals of the
     empirical cloud, so their values carry a finite-cloud error of order
-    M^{-1/2} that tuple resampling cannot see; with cloud_se it is estimated
-    by disjoint sub-cloud splits and folded into the pairwise z denominators
-    ("agreement within combined statistical error").  The shift estimator's
-    finite-cloud error is not estimated, so its `total_std_error` may be too
-    small (at M=1e6 its tuple error is of the order of the triple's cloud
-    error); its kappa-table error is always folded in.
+    M^{-1/2} that tuple resampling cannot see; on clouds of 1e5 or more
+    particles it is estimated by disjoint sub-cloud splits and folded into
+    the pairwise z denominators ("agreement within combined statistical
+    error").  The shift estimator's finite-cloud error is not estimated, so
+    its `total_std_error` may be too small (at M=1e6 its tuple error is of
+    the order of the triple's cloud error); its kappa-table error is always
+    folded in.
     """
     streams = rng.spawn(5)
     ests = [
@@ -229,7 +223,7 @@ def cross_validate(cloud: ParticleCloud, budget: int, rng, cloud_se: bool = True
         beta_triple(cloud, budget, streams[1]),
         beta_shift(cloud, budget, streams[2]),
     ]
-    if cloud_se and cloud.size >= 10**5:
+    if cloud.size >= 10**5:
         sub_budget = int(min(max(budget // 50, 10**6), 10**7))
         ests[0].cloud_std_error = _cloud_component(cloud, beta_moment, streams[3], sub_budget=sub_budget)
         ests[1].cloud_std_error = _cloud_component(cloud, beta_triple, streams[4], sub_budget=sub_budget)

@@ -248,21 +248,19 @@ def cmd_discrete(args) -> int:
         cloud = _load_cloud(args.cloud)
         n_list = _parse_int_list(args.n) if args.n else _preset(args, "theorem1_n", [50, 100, 200, 400])
         trials = args.trials or _preset(args, "theorem1_trials", 2000)
-        beta_ref = experiments.beta_reference(cloud, task_stream(args.seed, "beta", 1))
-        cfg = _config(args, "discrete theorem1")
+        ref = experiments.beta_reference(cloud, task_stream(args.seed, "beta", 1))
+        cfg = _config(args, "discrete theorem1") | {"beta_ref_se": ref.std_error}
         report = experiments.run_theorem1(
-            dist, n_list, args.delta, trials, cloud, rng, beta_ref=beta_ref, config=cfg)
+            dist, n_list, args.delta, trials, rng, ref.value, config=cfg)
     elif args.experiment == "fixed-size":
         cloud = _load_cloud(args.cloud)
         edges = args.edges or _preset(args, "edges", 40000)
         n = _parse_int_list(args.n)[0] if args.n else _preset(args, "fixed_n", 80)
         trials = args.trials or _preset(args, "fixed_trials", 2000)
-        if n > np.sqrt(edges) / 2:
-            raise CliError(f"need n <= sqrt(N)/2, got n={n}, N={edges}")
-        beta_ref = experiments.beta_reference(cloud, task_stream(args.seed, "beta", 1))
-        cfg = _config(args, "discrete fixed-size")
+        ref = experiments.beta_reference(cloud, task_stream(args.seed, "beta", 1))
+        cfg = _config(args, "discrete fixed-size") | {"beta_ref_se": ref.std_error}
         report = experiments.run_corollary_fixed_size(
-            dist, edges, n, trials, cloud, rng, beta_ref=beta_ref, delta=args.delta, config=cfg)
+            dist, edges, n, trials, rng, ref.value, delta=args.delta, config=cfg)
     else:  # pragma: no cover
         raise CliError(f"unknown discrete experiment {args.experiment}")
     return _emit(args, report)
@@ -275,16 +273,16 @@ def cmd_continuum(args) -> int:
     rng = task_stream(args.seed, "continuum", 0)
     t0 = time.time()
     curve = continuum.dimension_curve(cloud, eps_list, trials, rng)
-    beta_ref = experiments.beta_reference(cloud, task_stream(args.seed, "beta", 1))
+    ref = experiments.beta_reference(cloud, task_stream(args.seed, "beta", 1))
     wall = time.time() - t0
     if curve.extrapolated is not None:
         print(f"extrapolated exponent = {curve.extrapolated:.4f} +- {curve.extrapolated_se:.4f}")
     for p in curve.points:
         print(f"  eps=2^{np.log2(p.eps):.0f}: exponent {p.exponent:.4f} +- {p.std_error:.4f}")
     cfg = _config(args, "continuum dimension", eps_list=eps_list, trials=trials)
-    summary = curve.summary() | {"beta_ref": beta_ref}
+    summary = curve.summary() | {"beta_ref": ref.value, "beta_ref_se": ref.std_error}
     return _emit(args, experiments.ExperimentReport(
-        "continuum_dimension", cfg, curve.to_rows(), [curve.exponent_check(beta_ref)], wall,
+        "continuum_dimension", cfg, curve.to_rows(), [curve.exponent_check(ref.value)], wall,
         rows_key="points", summary=summary))
 
 

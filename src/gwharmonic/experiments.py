@@ -27,7 +27,7 @@ from itertools import permutations
 import numpy as np
 
 from . import __version__
-from .beta import cross_validate
+from .beta import BetaEstimate, beta_triple
 from .network import (
     check_conductance_invariants,
     forest_boundary_log_mass,
@@ -135,10 +135,12 @@ def mann_kendall(values, direction: int = 1) -> tuple[int, float]:
     return s, p
 
 
-def beta_reference(cloud: ParticleCloud, rng, budget: int = 10**6) -> float:
-    """Pipeline-consistent exponent readout: consensus of the three
-    estimators on the supplied cloud (never a hard-coded constant)."""
-    return cross_validate(cloud, budget, rng, cloud_se=False).consensus
+def beta_reference(cloud: ParticleCloud, rng, budget: int = 10**6) -> BetaEstimate:
+    """Pipeline-consistent exponent readout: the triple estimator on the
+    supplied cloud (never a hard-coded constant), the estimator with the
+    smallest total error.  Its `std_error` is the tuple component only; the
+    cloud component (about 4e-5 at M=1e6) is not estimated here."""
+    return beta_triple(cloud, budget, rng)
 
 
 def _summary(values: np.ndarray) -> dict:
@@ -222,17 +224,15 @@ def exponent_trend_check(means, beta_ref) -> dict:
                       + _power_note(len(means))}
 
 
-def run_theorem1(dist, n_list, delta, trials, cloud, rng, beta_ref=None, config=None):
+def run_theorem1(dist, n_list, delta, trials, rng, beta_ref, config=None):
     """Mass-concentration experiment: per n, the exact exit-exponent sample
     -log mu_n(Sigma_n)/log n and the concentration statistic around the
-    cloud-derived exponent; trend across n is the theorem's content."""
+    cloud-derived exponent beta_ref; trend across n is the theorem's content."""
     t0 = time.time()
-    if beta_ref is None:
-        beta_ref = beta_reference(cloud, rng)
+    if min(n_list) < 4:
+        raise ValueError("n must be >= 4")
     cells, mids = [], []
     for n in n_list:
-        if n < 4:
-            raise ValueError("n must be >= 4")
         concs, expos, sizes = [], [], []
         for forest in _forests(dist, n, trials, rng):
             u = rng.random(forest.size)
@@ -271,6 +271,8 @@ def run_theorem1(dist, n_list, delta, trials, cloud, rng, beta_ref=None, config=
 def run_conductance_convergence(dist, n_list, trials, cloud, rng, config=None):
     """Law of n C_n against the cloud: d1 must fall as n grows."""
     t0 = time.time()
+    if min(n_list) < 2:
+        raise ValueError("n must be >= 2")  # below 2 the mid-level is the root
     cells, mids = [], []
     for n in n_list:
         vals, sizes = [], []
@@ -323,15 +325,12 @@ def run_levelset(dist, n, p_list, trials, rng, config=None):
     return ExperimentReport("levelset", cfg, cells, checks, time.time() - t0)
 
 
-def run_corollary_fixed_size(dist, N, n, trials, cloud, rng, beta_ref=None,
-                             delta=0.25, config=None):
+def run_corollary_fixed_size(dist, N, n, trials, rng, beta_ref, delta=0.25, config=None):
     """Fixed-size variant: trees with N edges resampled until height >= n,
     then the same exit statistics as the height-conditioned run."""
     t0 = time.time()
     if n > np.sqrt(N) / 2:
-        raise ValueError("need n <= sqrt(N)/2")
-    if beta_ref is None:
-        beta_ref = beta_reference(cloud, rng)
+        raise ValueError(f"need n <= sqrt(N)/2, got n={n}, N={N}")
     masses, u = [], np.empty(trials)
     attempts = 0
     for i in range(trials):

@@ -194,4 +194,3 @@ def test_cross_validation_report_dict(solved_cloud):
     d = cv.to_dict()
     assert {e["method"] for e in d["estimates"]} == {"moment", "triple", "shift"}
     assert len(d["z_matrix"]) == 3
-    assert 0.0 < cv.consensus < 1.0

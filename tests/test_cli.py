@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gwharmonic import continuum, rde
+from gwharmonic import continuum, experiments, rde
 from gwharmonic.cli import main
+from gwharmonic.rngs import task_stream
 
 
 def run(argv):
@@ -145,6 +146,44 @@ def test_discrete_fixed_size_rejects_big_n(cloud_file, tmp_path, capsys):
                 "--out", str(tmp_path)])
     assert code == 2
     assert "sqrt(N)/2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_discrete_conductance_rejects_levels_below_two(cloud_file, tmp_path, capsys, n):
+    # below n = 2 the mid-level check reads the root, whose size is always 1
+    code = run(["discrete", "conductance", "--offspring", "geometric", "--n", n,
+                "--trials", "20", "--cloud", str(cloud_file), "--out", str(tmp_path)])
+    assert code == 2
+    assert "n must be >= 2" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_discrete_theorem1_checks_the_ladder_before_sampling(cloud_file, tmp_path, capsys,
+                                                             monkeypatch):
+    drawn = []
+    monkeypatch.setattr(experiments, "_forests", lambda dist, n, *a: drawn.append(n) or [])
+    code = run(["discrete", "theorem1", "--offspring", "geometric", "--n", "50,3",
+                "--trials", "20", "--cloud", str(cloud_file), "--out", str(tmp_path)])
+    assert code == 2
+    assert "n must be >= 4" in capsys.readouterr().err
+    assert drawn == []
+
+
+def test_beta_ref_is_the_triple_readout_with_its_se(cloud_file, tmp_path):
+    # theorem1, fixed-size and continuum read one beta_ref at one seed: the
+    # triple estimator on the seed's "beta" task stream
+    common = ["--cloud", str(cloud_file), "--seed", "17", "--out", str(tmp_path)]
+    disc = ["--offspring", "geometric", "--trials", "20", *common]
+    run(["discrete", "theorem1", "--n", "8,16", *disc])
+    run(["discrete", "fixed-size", "--n", "8", "--edges", "400", *disc])
+    run(["continuum", "dimension", "--eps", "2^-4,2^-6", "--trials", "50", *common])
+    ref = experiments.beta_reference(rde.load_cloud(cloud_file), task_stream(17, "beta", 1))
+    reps = [json.loads((tmp_path / name).read_text()) for name in (
+        "theorem1_geometric_17.json", "fixed_size_geometric_17.json",
+        "continuum_dimension_seed17.json")]
+    for where in (reps[0]["config"], reps[1]["config"], reps[2]):
+        assert (where["beta_ref"], where["beta_ref_se"]) == (ref.value, ref.std_error)
+    assert ref.std_error > 0
 
 
 def test_discrete_requires_offspring(cloud_file, tmp_path, capsys):

@@ -9,6 +9,7 @@ from gwharmonic import experiments as ex
 from gwharmonic import network as net
 from gwharmonic import offspring as off
 from gwharmonic import trees as tr
+from gwharmonic.beta import beta_triple
 from gwharmonic.rngs import task_stream
 
 
@@ -46,7 +47,10 @@ def test_mann_kendall_normal_tail_matches_scipy():
 def test_beta_reference_sane(solved_cloud):
     rng = task_stream(1, "experiments", 1)
     b = ex.beta_reference(solved_cloud, rng)
-    assert 0.77 < b < 0.80
+    assert 0.77 < b.value < 0.80
+    assert 0.0 < b.std_error < 5e-4
+    # the readout is the triple estimator at budget 1e6 on the given stream
+    assert b.value == beta_triple(solved_cloud, 10**6, task_stream(1, "experiments", 1)).value
 
 
 def test_run_levelset_identity(solved_cloud):
@@ -66,10 +70,10 @@ def test_run_levelset_rejects_bad_p():
         ex.run_levelset(off.geometric(), 50, [40], 10, rng)
 
 
-def test_run_theorem1_structure(solved_cloud):
+def test_run_theorem1_structure():
     rng = task_stream(4, "experiments", 4)
     rep = ex.run_theorem1(
-        off.geometric(), [8, 16, 32], 0.25, 250, solved_cloud, rng,
+        off.geometric(), [8, 16, 32], 0.25, 250, rng, 0.7845,
         config={"offspring": "geometric", "seed": 4},
     )
     assert [c["n"] for c in rep.cells] == [8, 16, 32]
@@ -88,6 +92,20 @@ def test_run_theorem1_structure(solved_cloud):
     assert [chk["criterion"] for chk in mids] == [f"reduced-midlevel-n{n}" for n in (8, 16, 32)]
     assert all(chk["passed"] for chk in mids), mids
     assert rep.file_stem() == "theorem1_geometric_4"
+
+
+def test_run_theorem1_trees_do_not_depend_on_beta_ref():
+    # beta_ref enters only the concentration statistic and the checks
+    # against it: the trees, exit exponents and mid-level sizes are the same
+    reps = [ex.run_theorem1(off.geometric(), [8, 16], 0.25, 200,
+                            task_stream(22, "experiments", 22), b) for b in (0.70, 0.85)]
+    for a, b in zip(reps[0].cells, reps[1].cells):
+        assert {k: v for k, v in a.items() if not k.startswith("concentration_")} \
+            == {k: v for k, v in b.items() if not k.startswith("concentration_")}
+        assert a["concentration_mean"] != b["concentration_mean"]
+    mids = [[c for c in rep.checks if c["criterion"].startswith("reduced-midlevel")]
+            for rep in reps]
+    assert len(mids[0]) == 2 and mids[0] == mids[1]
 
 
 def test_exponent_trend_passes_approaching_from_below():
@@ -150,10 +168,10 @@ def test_tree_statistics_match_the_per_tree_loop(law):
         ex._tree_statistics(log_mass, off_, u, n, beta, delta)
 
 
-def test_run_theorem1_rejects_small_n(solved_cloud):
+def test_run_theorem1_rejects_small_n():
     rng = task_stream(5, "experiments", 5)
     with pytest.raises(ValueError):
-        ex.run_theorem1(off.geometric(), [2], 0.25, 10, solved_cloud, rng)
+        ex.run_theorem1(off.geometric(), [2], 0.25, 10, rng, 0.7845)
 
 
 def test_run_conductance_convergence(solved_cloud, monkeypatch):
@@ -255,11 +273,9 @@ def test_acceptance_check_fails_at_a_tiny_node_cap():
     assert abs(float(chk["detail"].split("z=")[1])) <= 4
 
 
-def test_run_corollary_fixed_size(solved_cloud):
+def test_run_corollary_fixed_size():
     rng = task_stream(7, "experiments", 7)
-    rep = ex.run_corollary_fixed_size(
-        off.geometric(), 1600, 20, 150, solved_cloud, rng, beta_ref=0.7845
-    )
+    rep = ex.run_corollary_fixed_size(off.geometric(), 1600, 20, 150, rng, 0.7845)
     cell = rep.cells[0]
     assert cell["acceptance_rate"] > 0.3
     assert 0.0 < cell["exponent_mean"] < 1.0
@@ -278,8 +294,8 @@ def test_fixed_size_statistics_match_the_per_tree_oracle(law, monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(ex, "_tree_statistics", record)
-    rep = ex.run_corollary_fixed_size(dist, N, n, trials, None,
-                                      task_stream(20, "experiments", 20), beta_ref=beta)
+    rep = ex.run_corollary_fixed_size(dist, N, n, trials, task_stream(20, "experiments", 20),
+                                      beta)
     rng = task_stream(20, "experiments", 20)
     concs, expos = [], []
     for _ in range(trials):
@@ -293,10 +309,10 @@ def test_fixed_size_statistics_match_the_per_tree_oracle(law, monkeypatch):
     assert rep.cells[0]["exponent_mean"] == ex._summary(np.array(expos))["mean"]
 
 
-def test_corollary_rejects_deep_n(solved_cloud):
+def test_corollary_rejects_deep_n():
     rng = task_stream(8, "experiments", 8)
     with pytest.raises(ValueError):
-        ex.run_corollary_fixed_size(off.geometric(), 400, 30, 5, solved_cloud, rng, beta_ref=0.78)
+        ex.run_corollary_fixed_size(off.geometric(), 400, 30, 5, rng, 0.78)
 
 
 def test_report_roundtrip_and_hash(solved_cloud):

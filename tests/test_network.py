@@ -214,12 +214,12 @@ def test_exit_exponent_rejects_small_n():
     rng = task_stream(31, "network", 11)
     for n in (1, 3):
         with pytest.raises(ValueError):
-            ex.run_theorem1(off.geometric(), [n], 0.25, 10, None, rng, beta_ref=0.7845)
+            ex.run_theorem1(off.geometric(), [n], 0.25, 10, rng, 0.7845)
 
 
 def test_exit_exponent_mean_range_n200():
     rng = task_stream(32, "network", 12)
-    rep = ex.run_theorem1(off.geometric(), [200], 0.25, 400, None, rng, beta_ref=0.7845)
+    rep = ex.run_theorem1(off.geometric(), [200], 0.25, 400, rng, 0.7845)
     assert 0.6 <= rep.cells[0]["exponent_mean"] <= 0.95
 
 
