@@ -51,24 +51,27 @@ def _preset(args, key, fallback=None):
     return fallback
 
 
-def _parse_int_list(text):
-    return [int(x) for x in str(text).split(",") if x]
-
-
-def _parse_eps_list(text):
-    out = []
-    for tok in str(text).split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if tok.startswith("2^"):
-            out.append(2.0 ** float(tok[2:]))
-        else:
-            out.append(float(tok))
-    for e in out:
-        if not 0.0 < e < 0.5:
-            raise CliError(f"eps {e} outside (0, 1/2)")
+def _parse_list(text, parse=int):
+    """Comma-separated values; an empty list is a usage error."""
+    out = [parse(t.strip()) for t in str(text).split(",") if t.strip()]
+    if not out:
+        raise CliError(f"empty list {text!r}")
     return out
+
+
+def _parse_eps(tok):
+    eps = 2.0 ** float(tok[2:]) if tok.startswith("2^") else float(tok)
+    if not 0.0 < eps < 0.5:
+        raise CliError(f"eps {eps} outside (0, 1/2)")
+    return eps
+
+
+def _trials(args, key, fallback):
+    """--trials, else the preset's, else the fallback; an error bar needs two."""
+    trials = args.trials if args.trials is not None else _preset(args, key, fallback)
+    if trials < 2:
+        raise CliError(f"--trials must be >= 2, got {trials}")
+    return trials
 
 
 def _load_cloud(path) -> rde.ParticleCloud:
@@ -232,22 +235,22 @@ def cmd_discrete(args) -> int:
     dist = _dist(args)
     rng = task_stream(args.seed, "experiments", DISCRETE_TASKS[args.experiment])
     if args.experiment == "levelset":
-        n = _parse_int_list(args.n)[0] if args.n else _preset(args, "levelset_n", 100)
-        p_list = _parse_int_list(args.p) if args.p else _preset(args, "levelset_p", [20, 50])
-        trials = args.trials or _preset(args, "levelset_trials", 2000)
+        n = _parse_list(args.n)[0] if args.n else _preset(args, "levelset_n", 100)
+        p_list = _parse_list(args.p) if args.p else _preset(args, "levelset_p", [20, 50])
+        trials = _trials(args, "levelset_trials", 2000)
         cfg = _config(args, "discrete levelset")
         report = experiments.run_levelset(dist, n, p_list, trials, rng, config=cfg)
     elif args.experiment == "conductance":
         cloud = _load_cloud(args.cloud)
-        n_list = _parse_int_list(args.n) if args.n else _preset(args, "conductance_n", [50, 100, 200, 400])
-        trials = args.trials or _preset(args, "conductance_trials", 10**4)
+        n_list = _parse_list(args.n) if args.n else _preset(args, "conductance_n", [50, 100, 200, 400])
+        trials = _trials(args, "conductance_trials", 10**4)
         cfg = _config(args, "discrete conductance")
         report = experiments.run_conductance_convergence(
             dist, n_list, trials, cloud, rng, config=cfg)
     elif args.experiment == "theorem1":
         cloud = _load_cloud(args.cloud)
-        n_list = _parse_int_list(args.n) if args.n else _preset(args, "theorem1_n", [50, 100, 200, 400])
-        trials = args.trials or _preset(args, "theorem1_trials", 2000)
+        n_list = _parse_list(args.n) if args.n else _preset(args, "theorem1_n", [50, 100, 200, 400])
+        trials = _trials(args, "theorem1_trials", 2000)
         ref = experiments.beta_reference(cloud, task_stream(args.seed, "beta", 1))
         cfg = _config(args, "discrete theorem1") | {"beta_ref_se": ref.std_error}
         report = experiments.run_theorem1(
@@ -255,8 +258,8 @@ def cmd_discrete(args) -> int:
     elif args.experiment == "fixed-size":
         cloud = _load_cloud(args.cloud)
         edges = args.edges or _preset(args, "edges", 40000)
-        n = _parse_int_list(args.n)[0] if args.n else _preset(args, "fixed_n", 80)
-        trials = args.trials or _preset(args, "fixed_trials", 2000)
+        n = _parse_list(args.n)[0] if args.n else _preset(args, "fixed_n", 80)
+        trials = _trials(args, "fixed_trials", 2000)
         ref = experiments.beta_reference(cloud, task_stream(args.seed, "beta", 1))
         cfg = _config(args, "discrete fixed-size") | {"beta_ref_se": ref.std_error}
         report = experiments.run_corollary_fixed_size(
@@ -268,8 +271,8 @@ def cmd_discrete(args) -> int:
 
 def cmd_continuum(args) -> int:
     cloud = _load_cloud(args.cloud)
-    eps_list = _parse_eps_list(args.eps) if args.eps else _preset(args, "eps", EPS_LADDER_DEFAULT)
-    trials = args.trials if args.trials is not None else _preset(args, "continuum_trials", 10**4)
+    eps_list = _parse_list(args.eps, _parse_eps) if args.eps else _preset(args, "eps", EPS_LADDER_DEFAULT)
+    trials = _trials(args, "continuum_trials", 10**4)
     rng = task_stream(args.seed, "continuum", 0)
     t0 = time.time()
     curve = continuum.dimension_curve(cloud, eps_list, trials, rng)

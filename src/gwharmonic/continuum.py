@@ -174,8 +174,6 @@ def dimension_curve(cloud: ParticleCloud, eps_list, trials: int, rng) -> Dimensi
     an implementation choice, flagged as such, whose fit shows in chi2_dof."""
     points = []
     for eps in eps_list:
-        if trials <= 0:
-            break
         logm = ray_mass_samples(cloud, eps, trials, rng)
         ln = np.log(1.0 / eps)
         points.append(

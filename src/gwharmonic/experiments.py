@@ -5,9 +5,9 @@ directly, as level forests of at most FOREST_CHUNK trees per n (per-tree
 statistics are independent, so chunking is exact), run the exact network
 computations over each forest, assert the per-sample invariants fail-fast,
 and check the mean mid-level size against the exact q_{n-h}/q_n.  The
-fixed-size experiment reduces each whole tree of N edges to a one-tree
-forest and keeps only its exit-law log-masses; theorem1 and fixed-size then
-compute their per-tree exit statistics in one pass (_tree_statistics).
+fixed-size experiment keeps each tree of N edges as its preorder depths up
+to n, and reduces and sweeps them as one level forest per batch; theorem1
+and fixed-size compute their per-tree exit statistics in one pass.
 Every experiment returns an ExperimentReport whose config echo reproduces
 the run bit-for-bit under the same seed.  The theorems are asymptotic, so
 the experiments report finite-size trends (Mann-Kendall) and identity
@@ -47,6 +47,9 @@ from .trees import (
 # Trees per level forest in theorem1 and conductance: bounds peak memory at
 # large n and trial counts.
 FOREST_CHUNK = 2000
+# Kept vertices per fixed-size forest: bounds the memory of its reduce and
+# sweep without a per-tree pass.
+FIXED_SIZE_BATCH_VERTICES = 2**16
 
 
 @dataclass
@@ -331,14 +334,19 @@ def run_corollary_fixed_size(dist, N, n, trials, rng, beta_ref, delta=0.25, conf
     t0 = time.time()
     if n > np.sqrt(N) / 2:
         raise ValueError(f"need n <= sqrt(N)/2, got n={n}, N={N}")
-    masses, u = [], np.empty(trials)
+    masses, sizes, batch, u = [], [], [], np.empty(trials)
     attempts = 0
     for i in range(trials):
-        tree, tcount = sample_fixed_size_conditioned(dist, N, n, rng)
+        depths, tcount = sample_fixed_size_conditioned(dist, N, n, rng)
         attempts += tcount
         u[i] = rng.random()  # each tree's boundary uniform, drawn before the next tree
-        masses.append(forest_boundary_log_mass(reduce_tree(tree, n)))
-    off = np.concatenate(([0], np.cumsum([m.size for m in masses])))
+        batch.append(depths[depths <= n])
+        if sum(map(len, batch)) >= FIXED_SIZE_BATCH_VERTICES or i == trials - 1:
+            forest = reduce_tree(np.concatenate(batch), n)
+            masses.append(forest_boundary_log_mass(forest))
+            sizes.append(forest.level_sizes(n))
+            batch = []
+    off = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
     concs, expos = _tree_statistics(np.concatenate(masses), off, u, n, beta_ref, delta)
     cell = {"N": N, "n": n, "trials": trials,
             "acceptance_rate": trials / attempts,

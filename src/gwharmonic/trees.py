@@ -14,9 +14,9 @@ generation g of every tree sits in one array, so the network sweeps are one
 numpy pass per level over all trees.  PlaneTree and ReducedTree are the
 single-tree views used by the oracles and the text dump.
 
-Fixed-size trees are whole PlaneTrees; reduce() marks the ancestors of
-generation n of one of them bottom-up into a one-tree LevelForest, so the
-network sweeps and the exit statistics run on it as on any forest.
+Fixed-size trees are their preorder depths, read off the depth-first walk;
+reduce() marks the ancestors of generation n of many of them, back to back,
+bottom-up into one LevelForest, so a batch is reduced and swept at once.
 
 Fixed-size conditioning uses the cycle lemma: a uniformly shuffled step
 multiset has exactly one cyclic rotation that is a valid depth-first walk,
@@ -37,13 +37,6 @@ DEFAULT_TRIAL_CAP = 10_000_000
 
 class TrialCapError(RuntimeError):
     """Rejection loop exhausted its trial budget (misconfigured n)."""
-
-
-@dataclass(frozen=True)
-class NoSurvivor:
-    """Returned by reduce() when the tree has no vertex at the target depth."""
-
-    n: int
 
 
 @dataclass(eq=False)
@@ -167,16 +160,6 @@ def _reduce_levels(n: int, level) -> LevelForest:
     return LevelForest(n, counts, tree_index)
 
 
-def _tree_levels(tree: PlaneTree):
-    """level(g) of one PlaneTree for _reduce_levels."""
-    off = tree.gen_offsets
-
-    def level(g):
-        return tree.child_count[off[g] : off[g + 1]], np.zeros(off[g + 1] - off[g], np.int64)
-
-    return level
-
-
 def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sum `values` over consecutive segments of the given lengths (0 allowed)."""
     cs = np.concatenate(([0], np.cumsum(values)))
@@ -186,22 +169,10 @@ def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def tree_from_parent_depth(parent: np.ndarray, depth: np.ndarray) -> PlaneTree:
     """Assemble arena fields from BFS-ordered parent/depth arrays."""
-    n = parent.size
-    counts = np.bincount(parent[1:], minlength=n) if n > 1 else np.zeros(1, np.int64)
-    counts = counts.astype(np.int64)
-    child_start = np.empty(n, np.int64)
-    child_start[0] = 1
-    np.cumsum(counts[:-1], out=child_start[1:])
-    child_start[1:] += 1
-    gen_sizes = np.bincount(depth)
-    gen_offsets = np.concatenate(([0], np.cumsum(gen_sizes))).astype(np.int64)
-    return PlaneTree(
-        parent=parent.astype(np.int64),
-        child_start=child_start,
-        child_count=counts,
-        depth=depth.astype(np.int64),
-        gen_offsets=gen_offsets,
-    )
+    counts = np.bincount(parent[1:], minlength=parent.size).astype(np.int64)
+    gen_offsets = np.concatenate(([0], np.cumsum(np.bincount(depth)))).astype(np.int64)
+    return PlaneTree(parent.astype(np.int64), np.cumsum(counts) - counts + 1, counts,
+                     depth.astype(np.int64), gen_offsets)
 
 
 def tree_from_generation_counts(counts_per_gen: list[np.ndarray]) -> PlaneTree:
@@ -318,11 +289,13 @@ def _first_passage_rotation(steps: np.ndarray) -> np.ndarray:
 
 
 def _parents_from_preorder_depths(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Parent of preorder vertex k is the last earlier vertex at depth d[k]-1.
+    """Parent of preorder vertex k is the last earlier vertex at depth d[k]-1
+    (-1 for a root).
 
     Returns (bfs_order, parent_in_bfs_ids); bfs_order sorts by (depth,
-    preorder), which is the breadth-first layout.  In key order d*V + index,
-    that parent holds the largest key below (d[k]-1)*V + k = key[k] - V.
+    preorder), which is the breadth-first layout (level-major for a forest).
+    In key order d*V + index, that parent holds the largest key below
+    (d[k]-1)*V + k = key[k] - V.
     """
     v = d.size
     key = d * v + np.arange(v)
@@ -332,8 +305,9 @@ def _parents_from_preorder_depths(d: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return order, parent_bfs
 
 
-def tree_from_preorder_degrees(ks: np.ndarray) -> PlaneTree:
-    """Decode a preorder child-count sequence (a depth-first walk) to a tree.
+def depths_from_preorder_degrees(ks: np.ndarray) -> np.ndarray:
+    """Preorder vertex depths of the tree with preorder child counts ks (a
+    depth-first walk).
 
     With the Lukasiewicz path s = (0, cumsum(ks - 1)), the subtree of vertex
     u ends at tau(u), the first k > u with s[k] = s[u] - 1; the depth of
@@ -345,13 +319,12 @@ def tree_from_preorder_degrees(ks: np.ndarray) -> PlaneTree:
     order = np.argsort(key)
     # key[u] - v is the key of (s[u] - 1, u + 1)
     tau = order[np.searchsorted(key[order], key[:v] - v)]
-    depth = np.arange(v) - np.cumsum(np.bincount(tau, minlength=v + 1))[:v]
-    bfs, parent_bfs = _parents_from_preorder_depths(depth)
-    return tree_from_parent_depth(parent_bfs, depth[bfs])
+    return np.arange(v) - np.cumsum(np.bincount(tau, minlength=v + 1))[:v]
 
 
-def sample_fixed_size(dist, N: int, rng) -> PlaneTree:
-    """Exact GW tree conditioned on N edges; geometric and poisson only.
+def sample_fixed_size(dist, N: int, rng) -> np.ndarray:
+    """Preorder vertex depths of an exact GW tree conditioned on N edges;
+    geometric and poisson only.
 
     geometric: a uniformly shuffled (+1)^N (-1)^{N+1} walk, rotated to its
     first-passage representative, is the depth-first contour of a uniform
@@ -363,14 +336,11 @@ def sample_fixed_size(dist, N: int, rng) -> PlaneTree:
     if dist.kind == "geometric":
         steps = np.concatenate((np.ones(N, np.int64), -np.ones(N + 1, np.int64)))
         rot = _first_passage_rotation(rng.permutation(steps))
-        s = np.cumsum(rot)
-        d = np.concatenate(([0], s[rot == 1]))  # preorder vertex depths
-        order, parent_bfs = _parents_from_preorder_depths(d)
-        return tree_from_parent_depth(parent_bfs, d[order])
+        return np.concatenate(([0], np.cumsum(rot)[rot == 1]))
     if dist.kind == "poisson":
         # N balls in N+1 boxes = offspring vector of iid Poisson(1) given sum N
         ks = np.bincount(rng.integers(0, N + 1, size=N), minlength=N + 1)
-        return tree_from_preorder_degrees(_first_passage_rotation(ks - 1) + 1)
+        return depths_from_preorder_degrees(_first_passage_rotation(ks - 1) + 1)
     raise UnsupportedDistributionError(
         f"fixed-size sampling supports geometric and poisson, not {dist.kind}"
     )
@@ -378,13 +348,13 @@ def sample_fixed_size(dist, N: int, rng) -> PlaneTree:
 
 def sample_fixed_size_conditioned(dist, N: int, n: int, rng, trial_cap=DEFAULT_TRIAL_CAP):
     """Fixed-size tree resampled until height >= n (the joint conditioning of
-    the fixed-size experiments).  Returns (tree, trials)."""
+    the fixed-size experiments).  Returns (preorder depths, trials)."""
     trials = 0
     while trials < trial_cap:
-        t = sample_fixed_size(dist, N, rng)
+        depths = sample_fixed_size(dist, N, rng)
         trials += 1
-        if t.height >= n:
-            return t, trials
+        if depths.max() >= n:
+            return depths, trials
     raise TrialCapError(f"no height-{n} fixed-size sample within {trial_cap} trials")
 
 
@@ -393,22 +363,33 @@ def sample_fixed_size_conditioned(dist, N: int, n: int, rng, trial_cap=DEFAULT_T
 # ---------------------------------------------------------------------------
 
 
-def reduce(tree: PlaneTree, n: int):
-    """The ancestors of the depth-n vertices, in order, as a one-tree
-    LevelForest; NoSurvivor (a value) if the tree does not reach depth n."""
+def reduce(depths: np.ndarray, n: int) -> LevelForest:
+    """The ancestors of generation n of a plane forest given by its preorder
+    depths (the trees back to back, each root at depth 0), as one
+    LevelForest; ValueError if a tree does not reach depth n.  Vertices
+    deeper than n go first; sorting the rest by (depth, index) gives the
+    level-major order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if tree.height < n:
-        return NoSurvivor(n)
-    return _reduce_levels(n, _tree_levels(tree))
+    d = depths[depths <= n]
+    roots = np.flatnonzero(d == 0)
+    if np.maximum.reduceat(d, roots).min() < n:
+        raise ValueError(f"a tree does not reach depth {n}")
+    order, parent = _parents_from_preorder_depths(d)
+    counts = np.bincount(parent[roots.size :], minlength=d.size)
+    tree = (np.cumsum(d == 0) - 1)[order]
+    off = np.concatenate(([0], np.cumsum(np.bincount(d, minlength=n + 1))))
+    return _reduce_levels(n, lambda g: (counts[off[g] : off[g + 1]], tree[off[g] : off[g + 1]]))
 
 
 def validate_reduced(r: ReducedTree) -> None:
-    """Every vertex has a descendant at depth n; max depth exactly n."""
+    """Every vertex has a descendant at depth n; max depth exactly n, so
+    reducing the tree again keeps every vertex."""
     t = r.tree
     validate_tree(t)
     assert t.height == r.n and r.boundary.size > 0
-    kept = _reduce_levels(r.n, _tree_levels(t))
+    f = r.as_forest()
+    kept = _reduce_levels(r.n, lambda g: (f.counts[g], f.tree_index[g]))
     assert [g.size for g in kept.tree_index] == np.diff(t.gen_offsets).tolist()
 
 

@@ -9,8 +9,9 @@ together, bottom-up, into one LevelForest by `trees._reduce_levels`.
 `acceptance_check` compares the accepted-trial count with the exact q_n, and
 `faulty_child_cdf` plants a fault in the direct sampler's table.
 
-`parents_from_preorder_depths` is the per-depth loop behind the fixed-size
-decoder's one-sort `trees._parents_from_preorder_depths`.
+`parents_from_preorder_depths` is the per-depth loop behind the one sort of
+`trees._parents_from_preorder_depths`, and `preorder_depths` turns a
+PlaneTree into the preorder depths that `trees.reduce` takes.
 
 The continuum section holds the whole-tree sampler that `continuum` replaced
 by its harmonic-ray chain: truncated continuum trees stored level by level,
@@ -245,6 +246,17 @@ def faulty_child_cdf(dist, n: int):
     """reduced_child_cdf with a planted fault: children thinned with
     q_{n-g} in place of q_{n-g-1}, so reduced trees branch too rarely."""
     return _thinned_child_cdf(dist.pmf, survival_probs(dist, n)[n:0:-1])
+
+
+def preorder_depths(tree) -> np.ndarray:
+    """The depths of a PlaneTree's vertices in preorder (depth first,
+    children in order), by an explicit stack."""
+    out, stack = [], [0]
+    while stack:
+        v = stack.pop()
+        out.append(tree.depth[v])
+        stack.extend(tree.children(v)[::-1].tolist())
+    return np.array(out, np.int64)
 
 
 def parents_from_preorder_depths(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -192,6 +192,36 @@ def test_discrete_requires_offspring(cloud_file, tmp_path, capsys):
     assert "--offspring" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["discrete", "levelset", "--offspring", "geometric", "--n", ","],
+    ["discrete", "fixed-size", "--offspring", "geometric", "--n", ","],
+    ["discrete", "levelset", "--offspring", "geometric", "--n", "30", "--p", ","],
+    ["continuum", "dimension", "--eps", ","],
+], ids=["levelset-n", "fixed-size-n", "levelset-p", "continuum-eps"])
+def test_empty_lists_are_usage_errors(cloud_file, tmp_path, capsys, argv):
+    # an empty --n raised IndexError, an empty --p ran no checks and passed,
+    # and an empty --eps failed on an empty fit
+    assert run([*argv, "--cloud", str(cloud_file), "--out", str(tmp_path)]) == 2
+    assert "empty list" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["discrete", "fixed-size", "--offspring", "geometric", "--edges", "400", "--n", "5",
+     "--trials", "1"],
+    ["discrete", "levelset", "--offspring", "geometric", "--n", "30", "--p", "5",
+     "--trials", "0"],
+    ["continuum", "dimension", "--eps", "2^-6,2^-8", "--trials", "0"],
+    ["continuum", "dimension", "--eps", "2^-6,2^-8", "--trials", "1"],
+], ids=["fixed-size-1", "levelset-0", "continuum-0", "continuum-1"])
+def test_trials_below_two_are_usage_errors(cloud_file, tmp_path, capsys, argv):
+    # one trial has no error bar (it wrote NaN, which is not JSON), and 0
+    # either meant the default or failed on an empty fit
+    assert run([*argv, "--cloud", str(cloud_file), "--out", str(tmp_path)]) == 2
+    assert "--trials must be >= 2" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))
+
+
 def test_continuum_dimension(cloud_file, tmp_path):
     code = run(["continuum", "dimension", "--cloud", str(cloud_file),
                 "--eps", "2^-4,2^-6,2^-8", "--trials", "400",

@@ -208,12 +208,6 @@ def test_dimension_curve_shape_and_extrapolation(solved_cloud, monkeypatch):
     assert p.std_error == pytest.approx(planted.std(ddof=1) / np.sqrt(1000) / ln, rel=1e-12)
 
 
-def test_dimension_curve_empty_on_zero_trials(solved_cloud):
-    rng = task_stream(13, "continuum", 13)
-    curve = co.dimension_curve(solved_cloud, [2.0**-6, 2.0**-8], 0, rng)
-    assert curve.points == [] and curve.extrapolated is None
-
-
 def test_batched_and_single_agree_in_law(solved_cloud):
     # mean root conductance via the chunked path vs one-at-a-time sampling
     rng1 = task_stream(14, "continuum", 14)

@@ -309,6 +309,19 @@ def test_fixed_size_statistics_match_the_per_tree_oracle(law, monkeypatch):
     assert rep.cells[0]["exponent_mean"] == ex._summary(np.array(expos))["mean"]
 
 
+def test_fixed_size_report_does_not_depend_on_the_batch_budget(monkeypatch):
+    # the default budget holds every tree in one forest; a budget of one
+    # vertex sweeps each tree alone
+    def report():
+        rep = ex.run_corollary_fixed_size(off.poisson(), 1600, 20, 40,
+                                          task_stream(21, "experiments", 21), 0.7845)
+        return dataclasses.replace(rep, wall_clock_s=0.0)
+
+    default = report()
+    monkeypatch.setattr(ex, "FIXED_SIZE_BATCH_VERTICES", 1)
+    assert report() == default
+
+
 def test_corollary_rejects_deep_n():
     rng = task_stream(8, "experiments", 8)
     with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ from test_trees import build, path_tree, tree_key
 
 
 def as_reduced(tree, n):
-    r = tr.reduce(tree, n).views()[0]
+    r = tr.reduce(orc.preorder_depths(tree), n).views()[0]
     assert isinstance(r, tr.ReducedTree)
     return r
 
@@ -307,7 +307,7 @@ def test_forest_matches_single_tree_oracles(law, n, seed):
     log_mass = net.forest_boundary_log_mass(forest)
     off_ = forest.boundary_offsets()
     for i, (t, view) in enumerate(zip(full, views)):
-        assert tree_key(view.tree) == tree_key(tr.reduce(t, n).views()[0].tree)
+        assert tree_key(view.tree) == tree_key(as_reduced(t, n).tree)
         tr.validate_reduced(view)
         t_view = view.tree  # reduced: every leaf sits at generation n
         assert np.all(t_view.child_count[: t_view.gen_offsets[n]] > 0)

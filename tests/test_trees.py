@@ -49,8 +49,15 @@ def tree_key(t):
     return tuple(t.parent.tolist())
 
 
-def preorder_degrees_to_key(seq):
-    return tree_key(tr.tree_from_preorder_degrees(np.array(seq, np.int64)))
+def depths_key(seq):
+    """The preorder depths of the tree with preorder child counts `seq`."""
+    return tuple(tr.depths_from_preorder_degrees(np.array(seq, np.int64)).tolist())
+
+
+def assert_same_forest(a, b):
+    assert a.n == b.n
+    for x, y in zip(a.counts + a.tree_index, b.counts + b.tree_index, strict=True):
+        assert np.array_equal(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +203,7 @@ def test_reduced_batch_equals_two_step():
     full, _, _ = orc.sample_conditioned_batch(dist, 6, 50, rng1)
     fused, _, _ = orc.sample_conditioned_batch(dist, 6, 50, rng2, reduce_at_n=True)
     for t, r in zip(full, fused):
-        r2 = tr.reduce(t, 6).views()[0]
+        r2 = tr.reduce(orc.preorder_depths(t), 6).views()[0]
         assert tree_key(r2.tree) == tree_key(r.tree)
         assert np.array_equal(r2.boundary, r.boundary)
         tr.validate_reduced(r)
@@ -286,12 +293,14 @@ def test_trial_cap_raises():
 
 
 def test_fixed_size_edge_count():
+    # preorder depths of a plane tree: one root, then each vertex at most one
+    # deeper than the vertex before it
     rng = task_stream(11, "trees", 9)
     for dist in (off.geometric(), off.poisson()):
         for N in (1, 2, 7, 40):
-            t = tr.sample_fixed_size(dist, N, rng)
-            tr.validate_tree(t)
-            assert t.node_count == N + 1
+            d = tr.sample_fixed_size(dist, N, rng)
+            assert d.size == N + 1 and d[0] == 0
+            assert np.all(d[1:] >= 1) and np.all(np.diff(d) <= 1)
 
 
 def test_fixed_size_unsupported():
@@ -303,9 +312,8 @@ def test_fixed_size_unsupported():
 def test_fixed_size_geometric_n2_uniform():
     rng = task_stream(13, "trees", 11)
     dist = off.geometric()
-    keys = [tree_key(tr.sample_fixed_size(dist, 2, rng)) for _ in range(10**5)]
-    path = tree_key(path_tree(2))
-    cherry = tree_key(build([-1, 0, 0]))
+    keys = [tuple(tr.sample_fixed_size(dist, 2, rng).tolist()) for _ in range(10**5)]
+    path, cherry = (0, 1, 2), (0, 1, 1)  # preorder depths
     freq_path = np.mean([k == path for k in keys])
     freq_cherry = np.mean([k == cherry for k in keys])
     assert abs(freq_path - 0.5) < 0.01
@@ -315,12 +323,12 @@ def test_fixed_size_geometric_n2_uniform():
 def test_fixed_size_geometric_n3_uniform():
     rng = task_stream(14, "trees", 12)
     dist = off.geometric()
-    shapes = [preorder_degrees_to_key(s) for s in enumerate_plane_trees(3)]
+    shapes = [depths_key(s) for s in enumerate_plane_trees(3)]
     assert len(shapes) == 5
     draws = {}
     trials = 10**5
     for _ in range(trials):
-        k = tree_key(tr.sample_fixed_size(dist, 3, rng))
+        k = tuple(tr.sample_fixed_size(dist, 3, rng).tolist())
         draws[k] = draws.get(k, 0) + 1
     assert set(draws) == set(shapes)
     for k in shapes:
@@ -336,18 +344,18 @@ def test_fixed_size_poisson_n3_matches_enumeration():
     seqs = enumerate_plane_trees(3)
     weights = np.array([np.prod([1.0 / math.factorial(k) for k in s]) for s in seqs])
     probs = weights / weights.sum()
-    exact = {preorder_degrees_to_key(s): p for s, p in zip(seqs, probs)}
+    exact = {depths_key(s): p for s, p in zip(seqs, probs)}
     trials = 10**5
     draws = {}
     for _ in range(trials):
-        k = tree_key(tr.sample_fixed_size(dist, 3, rng))
+        k = tuple(tr.sample_fixed_size(dist, 3, rng).tolist())
         draws[k] = draws.get(k, 0) + 1
     tv = 0.5 * sum(abs(draws.get(k, 0) / trials - p) for k, p in exact.items())
     assert tv < 0.01
 
 
 def preorder_degrees_oracle(ks):
-    """Per-vertex stack decoder: the reference for `tree_from_preorder_degrees`."""
+    """Per-vertex stack decoder: the reference for `depths_from_preorder_degrees`."""
     v = ks.size
     depth = np.zeros(v, np.int64)
     stack = [[0, int(ks[0])]]
@@ -358,8 +366,7 @@ def preorder_degrees_oracle(ks):
         stack[-1][1] -= 1
         depth[j] = depth[p] + 1
         stack.append([j, int(ks[j])])
-    order, parent_bfs = orc.parents_from_preorder_depths(depth)
-    return tr.tree_from_parent_depth(parent_bfs, depth[order])
+    return depth
 
 
 @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=80))
@@ -371,9 +378,7 @@ def test_preorder_decoder_matches_stack_oracle(counts):
         counts.remove(0)
     ks = np.array(counts + [0] * max(0, -excess), np.int64)
     ks = tr._first_passage_rotation(ks - 1) + 1
-    t, ref = tr.tree_from_preorder_degrees(ks), preorder_degrees_oracle(ks)
-    for name in ("parent", "child_start", "child_count", "depth", "gen_offsets"):
-        assert np.array_equal(getattr(t, name), getattr(ref, name))
+    assert np.array_equal(tr.depths_from_preorder_degrees(ks), preorder_degrees_oracle(ks))
 
 
 class _GivenWalk:
@@ -396,21 +401,36 @@ class _GivenWalk:
 @settings(max_examples=150, deadline=None)
 def test_geometric_decode_matches_the_loop_oracle(steps):
     # one sort for every parent against the per-depth loop, through the
-    # whole geometric decode, bit for bit (N=1, both N=2 trees, a path)
+    # geometric decode and reduce, bit for bit (N=1, both N=2 trees, a path)
     dist, n_edges = off.geometric(), (len(steps) - 1) // 2
-    t = tr.sample_fixed_size(dist, n_edges, _GivenWalk(steps))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tr, "_parents_from_preorder_depths", orc.parents_from_preorder_depths)
-        ref = tr.sample_fixed_size(dist, n_edges, _GivenWalk(steps))
-    tr.validate_tree(t)
-    for name in ("parent", "child_start", "child_count", "depth", "gen_offsets"):
-        assert np.array_equal(getattr(t, name), getattr(ref, name))
+    d = tr.sample_fixed_size(dist, n_edges, _GivenWalk(steps))
+    h = int(d.max())
+    for n in {1, (h + 1) // 2, h}:
+        forest = tr.reduce(d, n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tr, "_parents_from_preorder_depths", orc.parents_from_preorder_depths)
+            assert_same_forest(forest, tr.reduce(d, n))
+        tr.validate_reduced(forest.views()[0])
+
+
+@given(st.lists(st.tuples(st.sampled_from(["geometric", "poisson"]), st.integers(1, 60)),
+                min_size=1, max_size=4),
+       st.integers(0, 2**31 - 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_reduce_of_a_forest_is_its_trees_reductions(laws_and_sizes, seed, data):
+    # k walks back to back reduce to the k one-tree reductions, level by
+    # level, with each tree index shifted by the tree's position
+    rng = task_stream(seed, "trees", 23)
+    walks = [tr.sample_fixed_size(off.from_spec(law), N, rng) for law, N in laws_and_sizes]
+    n = data.draw(st.integers(1, min(int(w.max()) for w in walks)))
+    ones = [tr.reduce(w, n) for w in walks]
+    assert_same_forest(tr.reduce(np.concatenate(walks), n), orc._concat_forests(ones, n))
 
 
 def test_fixed_size_conditioned_height():
     rng = task_stream(16, "trees", 14)
-    t, trials = tr.sample_fixed_size_conditioned(off.geometric(), 100, 15, rng)
-    assert t.height >= 15 and t.node_count == 101 and trials >= 1
+    d, trials = tr.sample_fixed_size_conditioned(off.geometric(), 100, 15, rng)
+    assert d.max() >= 15 and d.size == 101 and trials >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +440,7 @@ def test_fixed_size_conditioned_height():
 
 def test_reduce_path_is_identity():
     t = path_tree(5)
-    r = tr.reduce(t, 5).views()[0]
+    r = tr.reduce(orc.preorder_depths(t), 5).views()[0]
     assert tree_key(r.tree) == tree_key(t)
     assert r.boundary.tolist() == [5]
 
@@ -428,14 +448,19 @@ def test_reduce_path_is_identity():
 def test_reduce_prunes_dead_branch():
     # root with a leaf child and a path to depth 3 -> single path
     t = build([-1, 0, 0, 2, 3])
-    r = tr.reduce(t, 3).views()[0]
+    r = tr.reduce(orc.preorder_depths(t), 3).views()[0]
     assert tree_key(r.tree) == tree_key(path_tree(3))
 
 
 def test_reduce_no_survivor():
-    t = path_tree(3)
-    out = tr.reduce(t, 7)
-    assert isinstance(out, tr.NoSurvivor) and out.n == 7
+    short, tall = orc.preorder_depths(path_tree(3)), orc.preorder_depths(path_tree(7))
+    with pytest.raises(ValueError, match="depth 7"):
+        tr.reduce(short, 7)
+    # a forest in which only one tree falls short, first or last
+    for forest in ((short, tall), (tall, short)):
+        with pytest.raises(ValueError, match="depth 7"):
+            tr.reduce(np.concatenate(forest), 7)
+    assert tr.reduce(np.concatenate((tall, tall)), 7).size == 2
 
 
 def test_reduce_idempotent_on_samples():
@@ -443,8 +468,8 @@ def test_reduce_idempotent_on_samples():
     rng = task_stream(17, "trees", 15)
     trees, _, _ = orc.sample_conditioned_batch(dist, 8, 40, rng)
     for t in trees:
-        r = tr.reduce(t, 8).views()[0]
-        r2 = tr.reduce(r.tree, 8).views()[0]
+        r = tr.reduce(orc.preorder_depths(t), 8).views()[0]
+        r2 = tr.reduce(orc.preorder_depths(r.tree), 8).views()[0]
         assert tree_key(r.tree) == tree_key(r2.tree)
         tr.validate_reduced(r)
 
@@ -474,6 +499,6 @@ def test_conditioned_sample_properties(n, seed):
     t = orc.sample_conditioned_height(dist, n, rng, max_gen=n)
     tr.validate_tree(t)
     assert t.height == n  # chopped at n, so exactly n
-    r = tr.reduce(t, n).views()[0]
+    r = tr.reduce(orc.preorder_depths(t), n).views()[0]
     tr.validate_reduced(r)
     assert r.boundary.size == tr.level_set(t, n).size
