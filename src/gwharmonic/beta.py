@@ -51,23 +51,6 @@ class BetaEstimate:
         }
 
 
-def kappa(cloud: ParticleCloud, r, pair_count: int, rng) -> float:
-    """Monte Carlo kappa(r) = E[r S / (r + S + T - 1)] over cloud pairs."""
-    r = float(r)
-    if r < 1.0:
-        raise ValueError("kappa is defined for r >= 1")
-    s = cloud.samples
-    total = 0.0
-    done = 0
-    while done < pair_count:
-        m = min(_CHUNK, pair_count - done)
-        a = s[rng.integers(0, s.size, size=m)]
-        b = s[rng.integers(0, s.size, size=m)]
-        total += float(np.sum(r * a / (r + a + b - 1.0)))
-        done += m
-    return total / pair_count
-
-
 def beta_moment(cloud: ParticleCloud, sample_count: int, rng) -> BetaEstimate:
     """Plug-in 0.5 ((E C)^2 / E[C0 C1/(C0+C1-1)] - 1) over resampled pairs."""
     s = cloud.samples

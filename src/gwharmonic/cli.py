@@ -365,10 +365,7 @@ def main(argv=None) -> int:
         if args.command == "continuum":
             return cmd_continuum(args)
         raise CliError(f"unknown command {args.command}")  # pragma: no cover
-    except (CliError, rde.CloudFormatError, offspring.OffspringError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, ValueError) as exc:
+    except (CliError, FileNotFoundError, ValueError) as exc:  # CloudFormatError, OffspringError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import permutations
 
 import numpy as np
 
@@ -114,23 +113,18 @@ def mann_kendall(values, direction: int = 1) -> tuple[int, float]:
 
     Returns (S, p) for the alternative `increasing` (direction=+1) or
     `decreasing` (-1).  Exact permutation null for <= 7 points, normal
-    approximation with continuity correction beyond.
+    approximation with continuity correction beyond.  A permutation with
+    `inv` inversions has S = C(n,2) - 2 inv, and the inversion counts of the
+    n! permutations are the coefficients of prod_k (1 + x + ... + x^(k-1)).
     """
     v = direction * np.asarray(values, dtype=float)
     n = v.size
     s = int(sum(np.sign(v[j] - v[i]) for i in range(n) for j in range(i + 1, n)))
     if n <= 7:
-        null = []
-        for perm in permutations(range(n)):
-            null.append(
-                sum(
-                    np.sign(perm[j] - perm[i])
-                    for i in range(n)
-                    for j in range(i + 1, n)
-                )
-            )
-        null = np.array(null)
-        p = float(np.mean(null >= s))
+        inv = np.ones(1, np.int64)
+        for k in range(2, n + 1):
+            inv = np.convolve(inv, np.ones(k, np.int64))
+        p = int(inv[: (n * (n - 1) // 2 - s) // 2 + 1].sum()) / math.factorial(n)
     else:
         var = n * (n - 1) * (2 * n + 5) / 18.0
         z = (s - 1) / np.sqrt(var) if s > 0 else (s + 1) / np.sqrt(var)
@@ -195,8 +189,8 @@ def _tree_statistics(log_mass, off, u, n, beta, delta):
     the boundary log-masses of many trees (tree i owns
     log_mass[off[i]:off[i+1]]): the concentration statistic and the exit
     exponent -log mu_n(b)/log n of the boundary vertex b drawn by uniform
-    u[i] through the tree's inverse CDF, as concentration_statistic and
-    sample_boundary do for one tree."""
+    u[i] through the tree's inverse CDF.  The test oracles
+    concentration_statistic and sample_boundary do the same for one tree."""
     starts, sizes = off[:-1], np.diff(off)
     tree = np.repeat(np.arange(sizes.size), sizes)
     p, total = _check_mass(log_mass, starts)
@@ -306,16 +300,16 @@ def run_conductance_convergence(dist, n_list, trials, cloud, rng, config=None):
 def run_levelset(dist, n, p_list, trials, rng, config=None):
     """Reduced-tree level sizes against the exact identity
     E[#level(n-p)] = q_p/q_n; the same sampled trees serve every p.  The
-    sizes are read through level_set on the forest's per-tree views."""
+    sizes are read through level_set on the forest's PlaneTrees."""
     t0 = time.time()
     for p in p_list:
         if not 1 <= p <= n / 2:
             raise ValueError("p must lie in [1, n/2]")
     qs = survival_probs(dist, n)
-    reds = sample_conditioned_forest(dist, n, trials, rng).views()
+    trees = sample_conditioned_forest(dist, n, trials, rng).trees()
     cells, checks = [], []
     for p in p_list:
-        sizes = np.array([level_set(r.tree, n - p).size for r in reds], float)
+        sizes = np.array([level_set(t, n - p).size for t in trees], float)
         exact = qs[p] / qs[n]
         se = sizes.std(ddof=1) / np.sqrt(trials)
         z = (sizes.mean() - exact) / se

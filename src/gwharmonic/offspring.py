@@ -154,14 +154,6 @@ def from_spec(spec: str) -> OffspringDistribution:
     raise OffspringError(f"unknown offspring spec {spec!r}")
 
 
-def pgf_eval(dist: OffspringDistribution, s: float) -> float:
-    """Generating function G(s) = sum_k theta(k) s^k for s in [0, 1]."""
-    s = float(s)
-    if not 0.0 <= s <= 1.0:
-        raise OffspringError(f"pgf argument {s} outside [0, 1]")
-    return float(np.polynomial.polynomial.polyval(s, dist.pmf))
-
-
 def survival_probs(dist: OffspringDistribution, n: int) -> np.ndarray:
     """Exact q_0..q_n where q_m = P(height >= m) = 1 - G^(m)(0).
 
@@ -178,13 +170,3 @@ def survival_probs(dist: OffspringDistribution, n: int) -> np.ndarray:
         q.append(float(w @ -np.expm1(ks * lg)))
     return np.array(q[: n + 1])
 
-
-def survival_prob(dist: OffspringDistribution, n: int) -> float:
-    """q_n = P(a tree with this offspring law has height >= n)."""
-    return float(survival_probs(dist, n)[n])
-
-
-def sample_offspring(dist: OffspringDistribution, rng: np.random.Generator, size=None):
-    """Draw child counts by inverse CDF on the precomputed table."""
-    u = rng.random(size)
-    return np.searchsorted(dist.cdf, u, side="right")

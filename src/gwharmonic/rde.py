@@ -22,6 +22,7 @@ import numpy as np
 CONTRACTION_RATE = 2.0 * (1.0 - math.log(2.0))  # ~0.6137 per iteration
 _CHUNK = 1 << 20
 _SAVE_BLOCK = 1 << 16  # cloud values encoded or decoded per block (~1 MB of text)
+_BATCHES = 100  # batch means behind each identity and ODE standard error
 
 
 class CloudFormatError(ValueError):
@@ -213,21 +214,22 @@ def _g_funcs(g_spec):
     raise ValueError(f"unknown identity test function {g_spec!r}")
 
 
-def check_identity(cloud: ParticleCloud, g_spec, rng, n: int | None = None, batches: int = 100):
+def check_identity(cloud: ParticleCloud, g_spec, rng):
     """Monte Carlo residual of E[X(X-1)g'(X)] + E[g(X)] - E[g(X1+X2)] with
-    X, X1, X2 resampled from the cloud; zero at the fixed point."""
+    cloud-size many X, X1, X2 resampled from the cloud; zero at the fixed
+    point.  Standard error by _BATCHES batch means."""
     name, g, gp = _g_funcs(g_spec)
     s = cloud.samples
-    n = s.size if n is None else int(n)
-    x = s[rng.integers(0, s.size, size=n)]
-    y = s[rng.integers(0, s.size, size=n)]
+    n = s.size
+    x = s[rng.integers(0, n, size=n)]
+    y = s[rng.integers(0, n, size=n)]
     res = x * (x - 1.0) * gp(x) + g(x) - g(x + y)
-    m = n // batches
-    bmeans = res[: m * batches].reshape(batches, m).mean(axis=1)
+    m = n // _BATCHES
+    bmeans = res[: m * _BATCHES].reshape(_BATCHES, m).mean(axis=1)
     return IdentityCheck(
         name=name,
         residual=float(res.mean()),
-        std_error=float(bmeans.std(ddof=1) / np.sqrt(batches)),
+        std_error=float(bmeans.std(ddof=1) / np.sqrt(_BATCHES)),
         n=n,
     )
 
@@ -245,16 +247,15 @@ class OdeResidual:
         return self.residual / self.std_error
 
 
-def laplace_ode_residual(cloud: ParticleCloud, ell_grid, rng=None) -> list[OdeResidual]:
+def laplace_ode_residual(cloud: ParticleCloud, ell_grid) -> list[OdeResidual]:
     """Residual of 2 l phi'' + l phi' + phi^2 - phi at each l, with phi and
     its derivatives computed as exact sample averages (no numerical
-    differentiation); standard errors by 100 batch means."""
-    if rng is None:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cloud.seed)))
+    differentiation); standard errors by _BATCHES batch means over the cloud
+    in an order drawn from the cloud seed's Philox stream."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cloud.seed)))
     s = cloud.samples[rng.permutation(cloud.size)]
-    batches = 100
-    m = s.size // batches
-    arr = s[: m * batches].reshape(batches, m)
+    m = s.size // _BATCHES
+    arr = s[: m * _BATCHES].reshape(_BATCHES, m)
     out = []
     for ell in np.asarray(ell_grid, dtype=np.float64):
         e = np.exp(-ell * arr / 2.0)
@@ -274,7 +275,7 @@ def laplace_ode_residual(cloud: ParticleCloud, ell_grid, rng=None) -> list[OdeRe
             OdeResidual(
                 ell=float(ell),
                 residual=float(res),
-                std_error=float(res_b.std(ddof=1) / np.sqrt(batches)),
+                std_error=float(res_b.std(ddof=1) / np.sqrt(_BATCHES)),
             )
         )
     return out

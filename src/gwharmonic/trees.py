@@ -11,8 +11,8 @@ form a branching process whose offspring law depends on the generation
 (Fleischmann and Siegmund-Schultze 1977), so each generation is one uniform
 draw per vertex against one CDF row.  The draws fill one LevelForest:
 generation g of every tree sits in one array, so the network sweeps are one
-numpy pass per level over all trees.  PlaneTree and ReducedTree are the
-single-tree views used by the oracles and the text dump.
+numpy pass per level over all trees.  LevelForest.trees() turns a forest
+into PlaneTrees, the single-tree layout that level_set reads.
 
 Fixed-size trees are their preorder depths, read off the depth-first walk;
 reduce() marks the ancestors of generation n of many of them, back to back,
@@ -60,26 +60,6 @@ class PlaneTree:
     def children(self, v: int) -> np.ndarray:
         s = self.child_start[v]
         return np.arange(s, s + self.child_count[v])
-
-
-@dataclass(eq=False)
-class ReducedTree:
-    """Ancestors of the depth-n vertices of some tree, relabelled in order."""
-
-    tree: PlaneTree
-    n: int
-    boundary: np.ndarray  # indices of the depth-n vertices
-
-    @property
-    def boundary_size(self) -> int:
-        return self.boundary.size
-
-    def as_forest(self) -> LevelForest:
-        """This tree as a one-tree LevelForest (it is already reduced)."""
-        off = self.tree.gen_offsets
-        counts = [self.tree.child_count[off[g] : off[g + 1]] for g in range(self.n)]
-        tree_index = [np.zeros(off[g + 1] - off[g], np.int64) for g in range(self.n + 1)]
-        return LevelForest(self.n, counts, tree_index)
 
 
 @dataclass(eq=False)
@@ -133,11 +113,6 @@ class LevelForest:
         return [PlaneTree(parent[s:e], child_start[s:e], counts[s:e], depth[s:e], off)
                 for s, e, off in zip(start[:-1], start[1:], gen_offsets)]
 
-    def views(self) -> list[ReducedTree]:
-        """Every tree as a ReducedTree (for a reduced forest)."""
-        return [ReducedTree(t, self.n, np.arange(t.gen_offsets[self.n], t.gen_offsets[self.n + 1]))
-                for t in self.trees()]
-
 
 def _reduce_levels(n: int, level) -> LevelForest:
     """Bottom-up marking: keep the ancestors of generation n of a forest.
@@ -165,58 +140,6 @@ def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     cs = np.concatenate(([0], np.cumsum(values)))
     ends = np.cumsum(counts)
     return cs[ends] - cs[ends - counts]
-
-
-def tree_from_parent_depth(parent: np.ndarray, depth: np.ndarray) -> PlaneTree:
-    """Assemble arena fields from BFS-ordered parent/depth arrays."""
-    counts = np.bincount(parent[1:], minlength=parent.size).astype(np.int64)
-    gen_offsets = np.concatenate(([0], np.cumsum(np.bincount(depth)))).astype(np.int64)
-    return PlaneTree(parent.astype(np.int64), np.cumsum(counts) - counts + 1, counts,
-                     depth.astype(np.int64), gen_offsets)
-
-
-def tree_from_generation_counts(counts_per_gen: list[np.ndarray]) -> PlaneTree:
-    """Build a tree from per-generation offspring-count arrays.
-
-    counts_per_gen[g][i] is the child count of the i-th node of generation g;
-    the final generation's counts may be omitted (its nodes become leaves).
-    """
-    sizes = [1]
-    for c in counts_per_gen:
-        if c.size != sizes[-1]:
-            raise ValueError("generation size mismatch in counts")
-        sizes.append(int(c.sum()))
-    if sizes[-1] == 0:
-        sizes.pop()
-        gens = len(counts_per_gen)
-    else:
-        gens = len(counts_per_gen) + 1
-    gen_offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
-    total = int(gen_offsets[-1])
-    parent = np.full(total, -1, np.int64)
-    depth = np.empty(total, np.int64)
-    depth[0] = 0
-    for g in range(1, gens):
-        lo, hi = gen_offsets[g], gen_offsets[g + 1]
-        ids = np.arange(gen_offsets[g - 1], gen_offsets[g])
-        parent[lo:hi] = np.repeat(ids, counts_per_gen[g - 1])
-        depth[lo:hi] = g
-    return tree_from_parent_depth(parent, depth)
-
-
-def validate_tree(t: PlaneTree) -> None:
-    """Structural invariants; test helper, O(n)."""
-    assert t.parent[0] == -1 and t.depth[0] == 0
-    if t.node_count > 1:
-        assert np.all(t.parent[1:] >= 0)
-        assert np.all(t.depth[1:] == t.depth[t.parent[1:]] + 1)
-    assert np.all(np.diff(t.depth) >= 0), "not BFS sorted"
-    assert int(t.child_count.sum()) == t.node_count - 1
-    for v in range(t.node_count):
-        ch = t.children(v)
-        assert np.all(t.parent[ch] == v)
-    sizes = np.diff(t.gen_offsets)
-    assert np.array_equal(sizes, np.bincount(t.depth))
 
 
 # ---------------------------------------------------------------------------
@@ -346,16 +269,17 @@ def sample_fixed_size(dist, N: int, rng) -> np.ndarray:
     )
 
 
-def sample_fixed_size_conditioned(dist, N: int, n: int, rng, trial_cap=DEFAULT_TRIAL_CAP):
+def sample_fixed_size_conditioned(dist, N: int, n: int, rng):
     """Fixed-size tree resampled until height >= n (the joint conditioning of
-    the fixed-size experiments).  Returns (preorder depths, trials)."""
+    the fixed-size experiments), at most DEFAULT_TRIAL_CAP times.  Returns
+    (preorder depths, trials)."""
     trials = 0
-    while trials < trial_cap:
+    while trials < DEFAULT_TRIAL_CAP:
         depths = sample_fixed_size(dist, N, rng)
         trials += 1
         if depths.max() >= n:
             return depths, trials
-    raise TrialCapError(f"no height-{n} fixed-size sample within {trial_cap} trials")
+    raise TrialCapError(f"no height-{n} fixed-size sample within {DEFAULT_TRIAL_CAP} trials")
 
 
 # ---------------------------------------------------------------------------
@@ -382,17 +306,6 @@ def reduce(depths: np.ndarray, n: int) -> LevelForest:
     return _reduce_levels(n, lambda g: (counts[off[g] : off[g + 1]], tree[off[g] : off[g + 1]]))
 
 
-def validate_reduced(r: ReducedTree) -> None:
-    """Every vertex has a descendant at depth n; max depth exactly n, so
-    reducing the tree again keeps every vertex."""
-    t = r.tree
-    validate_tree(t)
-    assert t.height == r.n and r.boundary.size > 0
-    f = r.as_forest()
-    kept = _reduce_levels(r.n, lambda g: (f.counts[g], f.tree_index[g]))
-    assert [g.size for g in kept.tree_index] == np.diff(t.gen_offsets).tolist()
-
-
 def level_set(tree: PlaneTree, k: int) -> np.ndarray:
     """All depth-k vertices, in order."""
     if k < 0:
@@ -401,20 +314,3 @@ def level_set(tree: PlaneTree, k: int) -> np.ndarray:
         return np.array([], np.int64)
     return np.arange(tree.gen_offsets[k], tree.gen_offsets[k + 1])
 
-
-# ---------------------------------------------------------------------------
-# Text dump (debugging / cross-implementation diffing)
-# ---------------------------------------------------------------------------
-
-
-def dump_tree(tree: PlaneTree, path) -> None:
-    with open(path, "w") as fh:
-        for i in range(tree.node_count):
-            fh.write(f"{i} {tree.parent[i]} {tree.depth[i]}\n")
-
-
-def load_tree(path) -> PlaneTree:
-    rows = np.loadtxt(path, dtype=np.int64, ndmin=2)
-    if not np.array_equal(rows[:, 0], np.arange(rows.shape[0])):
-        raise ValueError("node indices must be 0..n-1 in order")
-    return tree_from_parent_depth(rows[:, 1], rows[:, 2])

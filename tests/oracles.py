@@ -1,25 +1,27 @@
-"""Rejection samplers of conditioned Galton-Watson trees: the test oracles
-for the direct reduced-tree sampler `trees.sample_conditioned_forest`.
+"""Reference implementations that the runtime modules are tested against.
 
-Height-conditioning here is plain rejection (exactly distributed): trials
-grow generation by generation until generation n, and about 1/q_n of them
-run per kept tree.  Trials are run in waves so the offspring draws
-vectorise across trials; the chosen survivors of a wave are reduced
-together, bottom-up, into one LevelForest by `trees._reduce_levels`.
-`acceptance_check` compares the accepted-trial count with the exact q_n, and
-`faulty_child_cdf` plants a fault in the direct sampler's table.
+Single trees: `PlaneTree` builders and validators, and `ReducedTree`, one
+tree of a reduced forest (`views`) that `as_forest` sweeps alone.  Its
+exit law has two independent checks of the network sweeps, the sparse
+harmonic solve and plain walk simulation; `sample_boundary` and
+`concentration_statistic` are the per-tree `experiments._tree_statistics`.
 
-`parents_from_preorder_depths` is the per-depth loop behind the one sort of
+Rejection samplers of conditioned Galton-Watson trees, the oracles of the
+direct sampler `trees.sample_conditioned_forest`: trials grow generation by
+generation (`sample_offspring` draws by inverse CDF) until generation n,
+about 1/q_n per kept tree, in waves so the draws vectorise; each wave's
+chosen survivors are reduced together into one LevelForest by
+`trees._reduce_levels`.  `acceptance_check` compares the accepted-trial
+count with the exact q_n, `faulty_child_cdf` plants a fault in the direct
+sampler's table, and `pgf_eval` is the map `offspring.survival_probs`
+iterates.  `parents_from_preorder_depths` is the per-depth loop behind
 `trees._parents_from_preorder_depths`, and `preorder_depths` turns a
-PlaneTree into the preorder depths that `trees.reduce` takes.
+PlaneTree into the depths that `trees.reduce` takes.
 
-The continuum section holds the whole-tree sampler that `continuum` replaced
-by its harmonic-ray chain: truncated continuum trees stored level by level,
-their conductances and their harmonic rays, the oracle the chain is tested
-against.
-
-The population-step section holds `phi_step_coupled`, which checks the
-contraction rate of `rde.phi_step` behind `residual_bias_bound`.
+The continuum section holds the whole-tree sampler that `continuum`
+replaced by its harmonic-ray chain.  `phi_step_coupled` checks the
+contraction rate of `rde.phi_step` behind `residual_bias_bound`, and
+`kappa` is the direct Monte Carlo that `beta.kappa_table` tabulates.
 """
 
 from __future__ import annotations
@@ -27,19 +29,201 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from gwharmonic.offspring import sample_offspring, survival_prob, survival_probs
+from gwharmonic.beta import _CHUNK
+from gwharmonic.offspring import OffspringDistribution, OffspringError, survival_probs
 from gwharmonic.rde import ParticleCloud
 from gwharmonic.trees import (
     LevelForest,
+    PlaneTree,
     TrialCapError,
     _reduce_levels,
     _thinned_child_cdf,
-    tree_from_generation_counts,
 )
 
 DEFAULT_NODE_CAP = 10_000_000
 DEFAULT_TRIAL_CAP = 10_000_000
+
+
+# ---------------------------------------------------------------------------
+# single trees and their exit law
+# ---------------------------------------------------------------------------
+
+
+@dataclass(eq=False)
+class ReducedTree:
+    """Ancestors of the depth-n vertices of some tree, relabelled in order."""
+
+    tree: PlaneTree
+    n: int
+    boundary: np.ndarray  # indices of the depth-n vertices
+
+    def as_forest(self) -> LevelForest:
+        """This tree as a one-tree LevelForest (it is already reduced)."""
+        off = self.tree.gen_offsets
+        counts = [self.tree.child_count[off[g] : off[g + 1]] for g in range(self.n)]
+        tree_index = [np.zeros(off[g + 1] - off[g], np.int64) for g in range(self.n + 1)]
+        return LevelForest(self.n, counts, tree_index)
+
+
+def views(forest: LevelForest) -> list[ReducedTree]:
+    """Every tree of a reduced forest as a ReducedTree."""
+    n = forest.n
+    return [ReducedTree(t, n, np.arange(t.gen_offsets[n], t.gen_offsets[n + 1]))
+            for t in forest.trees()]
+
+
+def tree_from_parent_depth(parent: np.ndarray, depth: np.ndarray) -> PlaneTree:
+    """Assemble arena fields from BFS-ordered parent/depth arrays."""
+    counts = np.bincount(parent[1:], minlength=parent.size).astype(np.int64)
+    gen_offsets = np.concatenate(([0], np.cumsum(np.bincount(depth)))).astype(np.int64)
+    return PlaneTree(parent.astype(np.int64), np.cumsum(counts) - counts + 1, counts,
+                     depth.astype(np.int64), gen_offsets)
+
+
+def tree_from_generation_counts(counts_per_gen: list[np.ndarray]) -> PlaneTree:
+    """Build a tree from per-generation offspring-count arrays.
+
+    counts_per_gen[g][i] is the child count of the i-th node of generation g;
+    the final generation's counts may be omitted (its nodes become leaves).
+    """
+    sizes = [1]
+    for c in counts_per_gen:
+        if c.size != sizes[-1]:
+            raise ValueError("generation size mismatch in counts")
+        sizes.append(int(c.sum()))
+    if sizes[-1] == 0:
+        sizes.pop()
+        gens = len(counts_per_gen)
+    else:
+        gens = len(counts_per_gen) + 1
+    gen_offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    total = int(gen_offsets[-1])
+    parent = np.full(total, -1, np.int64)
+    depth = np.empty(total, np.int64)
+    depth[0] = 0
+    for g in range(1, gens):
+        lo, hi = gen_offsets[g], gen_offsets[g + 1]
+        ids = np.arange(gen_offsets[g - 1], gen_offsets[g])
+        parent[lo:hi] = np.repeat(ids, counts_per_gen[g - 1])
+        depth[lo:hi] = g
+    return tree_from_parent_depth(parent, depth)
+
+
+def validate_tree(t: PlaneTree) -> None:
+    """Structural invariants, O(n)."""
+    assert t.parent[0] == -1 and t.depth[0] == 0
+    if t.node_count > 1:
+        assert np.all(t.parent[1:] >= 0)
+        assert np.all(t.depth[1:] == t.depth[t.parent[1:]] + 1)
+    assert np.all(np.diff(t.depth) >= 0), "not BFS sorted"
+    assert int(t.child_count.sum()) == t.node_count - 1
+    for v in range(t.node_count):
+        ch = t.children(v)
+        assert np.all(t.parent[ch] == v)
+    sizes = np.diff(t.gen_offsets)
+    assert np.array_equal(sizes, np.bincount(t.depth))
+
+
+def validate_reduced(r: ReducedTree) -> None:
+    """Every vertex has a descendant at depth n; max depth exactly n, so
+    reducing the tree again keeps every vertex."""
+    t = r.tree
+    validate_tree(t)
+    assert t.height == r.n and r.boundary.size > 0
+    f = r.as_forest()
+    kept = _reduce_levels(r.n, lambda g: (f.counts[g], f.tree_index[g]))
+    assert [g.size for g in kept.tree_index] == np.diff(t.gen_offsets).tolist()
+
+
+def hitting_distribution_linsolve(reduced: ReducedTree) -> np.ndarray:
+    """Exit-law log-masses of the boundary from the sparse harmonic system.
+
+    Solves L_II phi = e_root (unit current injected at the root, boundary
+    grounded); the mass exiting at a boundary vertex b is phi[parent(b)].
+    """
+    t, n = reduced.tree, reduced.n
+    if t.node_count > 20_000:
+        raise ValueError("linsolve oracle capped at 20000 vertices")
+    interior = int(t.gen_offsets[n])  # BFS layout: depth < n is a prefix
+    deg = t.child_count.astype(np.float64)
+    deg[1:] += 1.0
+    kids = np.arange(1, interior)
+    par = t.parent[1:interior]
+    lap = sp.coo_matrix(
+        (
+            np.concatenate((deg[:interior], -np.ones(kids.size), -np.ones(kids.size))),
+            (
+                np.concatenate((np.arange(interior), par, kids)),
+                np.concatenate((np.arange(interior), kids, par)),
+            ),
+        ),
+        shape=(interior, interior),
+    ).tocsc()
+    rhs = np.zeros(interior)
+    rhs[0] = 1.0
+    phi = spla.spsolve(lap, rhs)
+    return np.log(phi[t.parent[reduced.boundary]])
+
+
+def simulate_walk_exits(reduced: ReducedTree, walks: int, rng) -> np.ndarray:
+    """Exit vertices of `walks` independent simple random walks from the root
+    (uniform over graph neighbours, reflecting at the root)."""
+    t, n = reduced.tree, reduced.n
+    out = np.empty(walks, np.int64)
+    pos = np.zeros(walks, np.int64)
+    alive = np.arange(walks)
+    while alive.size:
+        at_root = pos == 0
+        deg = t.child_count[pos] + ~at_root
+        choice = (rng.random(alive.size) * deg).astype(np.int64)
+        to_parent = ~at_root & (choice == 0)
+        child = t.child_start[pos] + choice - ~at_root
+        pos = np.where(to_parent, t.parent[pos], child)
+        done = t.depth[pos] == n
+        out[alive[done]] = pos[done]
+        alive, pos = alive[~done], pos[~done]
+    return out
+
+
+def sample_boundary(log_mass: np.ndarray, rng, size=None):
+    """Positions into the boundary array drawn from the exit law with these
+    log-masses (inverse CDF in tree order; distributionally identical to
+    walking)."""
+    p = np.exp(log_mass - log_mass.max())
+    cdf = np.cumsum(p)
+    u = rng.random(size) * cdf[-1]
+    return np.minimum(np.searchsorted(cdf, u, side="right"), log_mass.size - 1)
+
+
+def concentration_statistic(log_mass: np.ndarray, n: int, beta: float, delta: float) -> float:
+    """Total mass of boundary vertices with mass in [n^-(beta+delta), n^-(beta-delta)]."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    ln = np.log(n)
+    sel = (log_mass >= -(beta + delta) * ln) & (log_mass <= -(beta - delta) * ln)
+    return min(float(np.exp(log_mass[sel]).sum()), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# rejection samplers
+# ---------------------------------------------------------------------------
+
+
+def pgf_eval(dist: OffspringDistribution, s: float) -> float:
+    """Generating function G(s) = sum_k theta(k) s^k for s in [0, 1]."""
+    s = float(s)
+    if not 0.0 <= s <= 1.0:
+        raise OffspringError(f"pgf argument {s} outside [0, 1]")
+    return float(np.polynomial.polynomial.polyval(s, dist.pmf))
+
+
+def sample_offspring(dist: OffspringDistribution, rng: np.random.Generator, size=None):
+    """Draw child counts by inverse CDF on the precomputed table."""
+    u = rng.random(size)
+    return np.searchsorted(dist.cdf, u, side="right")
 
 
 @dataclass(frozen=True)
@@ -158,7 +342,7 @@ def sample_conditioned_forest(
         raise ValueError("n must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
-    q = survival_prob(dist, n)
+    q = survival_probs(dist, n)[n]
     parts = []
     taken = trials = successes = capped = 0
     while taken < count:
@@ -199,7 +383,7 @@ def sample_conditioned_batch(
     forest, trials, successes, _ = sample_conditioned_forest(
         dist, n, count, rng, node_cap, trial_cap, reduce=reduce_at_n
     )
-    return (forest.views() if reduce_at_n else forest.trees()), trials, successes
+    return (views(forest) if reduce_at_n else forest.trees()), trials, successes
 
 
 def sample_conditioned_height(
@@ -235,7 +419,7 @@ def acceptance_check(dist, n, trials, successes, capped) -> dict:
     """The rejection sampler's accepted-trial count against Binomial(trials,
     q_n) with the exact q_n of `dist`; fails as well when any trial was
     dropped at the node cap (a silent bias against large trees)."""
-    q = survival_prob(dist, n)
+    q = survival_probs(dist, n)[n]
     z = (successes - trials * q) / np.sqrt(trials * q * (1.0 - q))
     return {"criterion": f"conditioned-acceptance-n{n}",
             "passed": bool(abs(z) <= 4 and capped == 0),
@@ -419,7 +603,7 @@ def tree_ray_mass_samples(cloud: ParticleCloud, eps: float, trials: int, rng) ->
 
 
 # ---------------------------------------------------------------------------
-# population step
+# particle clouds
 # ---------------------------------------------------------------------------
 
 
@@ -438,3 +622,20 @@ def phi_step_coupled(a: ParticleCloud, b: ParticleCloud, rng, out_size: int | No
         ParticleCloud(np.sort(out_a), a.iteration_count + 1, a.seed),
         ParticleCloud(np.sort(out_b), b.iteration_count + 1, b.seed),
     )
+
+
+def kappa(cloud: ParticleCloud, r, pair_count: int, rng) -> float:
+    """Monte Carlo kappa(r) = E[r S / (r + S + T - 1)] over cloud pairs."""
+    r = float(r)
+    if r < 1.0:
+        raise ValueError("kappa is defined for r >= 1")
+    s = cloud.samples
+    total = 0.0
+    done = 0
+    while done < pair_count:
+        m = min(_CHUNK, pair_count - done)
+        a = s[rng.integers(0, s.size, size=m)]
+        b = s[rng.integers(0, s.size, size=m)]
+        total += float(np.sum(r * a / (r + a + b - 1.0)))
+        done += m
+    return total / pair_count

@@ -1,4 +1,5 @@
 import numpy as np
+import oracles as orc
 import pytest
 from scipy.integrate import quad
 
@@ -14,18 +15,18 @@ def ones():
 def test_kappa_all_ones_closed_form(ones):
     rng = task_stream(1, "beta", 1)
     for r in (1.0, 1.5, 3.0, 10.0):
-        assert beta.kappa(ones, r, 10**4, rng) == pytest.approx(r / (r + 1), abs=1e-12)
+        assert orc.kappa(ones, r, 10**4, rng) == pytest.approx(r / (r + 1), abs=1e-12)
 
 
 def test_kappa_symmetry_oracle(solved_cloud):
     # kappa(1) = E[S/(S+T)] = 1/2 exactly, by exchangeability of (S, T)
     rng = task_stream(2, "beta", 2)
-    assert beta.kappa(solved_cloud, 1.0, 10**6, rng) == pytest.approx(0.5, abs=0.002)
+    assert orc.kappa(solved_cloud, 1.0, 10**6, rng) == pytest.approx(0.5, abs=0.002)
 
 
 def test_kappa_increasing_in_r(solved_cloud):
     rng = task_stream(3, "beta", 3)
-    vals = [beta.kappa(solved_cloud, r, 10**6, rng) for r in (1.0, 2.0, 4.0, 8.0)]
+    vals = [orc.kappa(solved_cloud, r, 10**6, rng) for r in (1.0, 2.0, 4.0, 8.0)]
     assert np.all(np.diff(vals) > 0)
     assert 0.0 < vals[0] < 1.0
 
@@ -33,7 +34,7 @@ def test_kappa_increasing_in_r(solved_cloud):
 def test_kappa_domain(solved_cloud):
     rng = task_stream(4, "beta", 4)
     with pytest.raises(ValueError):
-        beta.kappa(solved_cloud, 0.5, 100, rng)
+        orc.kappa(solved_cloud, 0.5, 100, rng)
 
 
 def test_beta_moment_all_ones_diagnostic(ones):
@@ -82,7 +83,7 @@ def test_kappa_table_matches_kappa_oracle(solved_cloud):
     pairs, table_pairs = 10**6, beta._SUBTABLES * beta._SUBTABLE_PAIRS
     rng = task_stream(17, "beta", 18)
     for j in (16, 64, 128, 256):
-        direct = beta.kappa(solved_cloud, 1.0 / beta.TABLE_GRID[j], pairs, rng)
+        direct = orc.kappa(solved_cloud, 1.0 / beta.TABLE_GRID[j], pairs, rng)
         # the same per-pair variance, over the table's pairs and over `pairs`
         combined = se[j] * np.sqrt(1.0 + table_pairs / pairs)
         assert abs(direct - mean[j]) <= 4 * combined

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 import oracles as orc
@@ -23,6 +25,24 @@ def test_mann_kendall_exact_small():
     # one adjacent inversion is not significant on four points
     _, p = ex.mann_kendall([1.0, 3.0, 2.0, 4.0], 1)
     assert p > 0.05
+
+
+@lru_cache(maxsize=None)
+def _permutation_null(n):
+    """S of each of the n! orders of n distinct values: mann_kendall's exact
+    null by enumeration, the reference for its inversion-count recursion."""
+    return np.array([sum(np.sign(p[j] - p[i]) for i in range(n) for j in range(i + 1, n))
+                     for p in permutations(range(n))])
+
+
+def test_mann_kendall_exact_null_matches_enumeration():
+    # bit for bit, for every n the exact branch covers, with and without ties
+    rng = task_stream(23, "experiments", 23)
+    for n in range(8):
+        for v in [rng.random(n) for _ in range(40)] + [rng.integers(0, 3, n) for _ in range(40)]:
+            for d in (1, -1):
+                s, p = ex.mann_kendall(v, d)
+                assert p == float(np.mean(_permutation_null(n) >= s))
 
 
 def test_mann_kendall_normal_tail():
@@ -157,10 +177,10 @@ def test_tree_statistics_match_the_per_tree_loop(law):
     u = task_stream(18, "experiments", 19).random(forest.size)
     conc, expo = ex._tree_statistics(log_mass, off_, u, n, beta, delta)
     for i in range(forest.size):
-        mu = net.HarmonicMeasure(log_mass[off_[i] : off_[i + 1]], n)
-        b = net.sample_boundary(mu, _FixedUniform(u[i]))
-        assert expo[i] == -mu.boundary_log_mass[b] / np.log(n)
-        assert conc[i] == pytest.approx(net.concentration_statistic(mu, n, beta, delta),
+        tree_mass = log_mass[off_[i] : off_[i + 1]]
+        b = orc.sample_boundary(tree_mass, _FixedUniform(u[i]))
+        assert expo[i] == -tree_mass[b] / np.log(n)
+        assert conc[i] == pytest.approx(orc.concentration_statistic(tree_mass, n, beta, delta),
                                         rel=0, abs=1e-12)
     # a tree whose masses do not sum to one fails the identity
     log_mass[off_[7] : off_[8]] += 1e-9
@@ -285,7 +305,7 @@ def test_run_corollary_fixed_size():
 @pytest.mark.parametrize("law", ["geometric", "poisson"])
 def test_fixed_size_statistics_match_the_per_tree_oracle(law, monkeypatch):
     # the one-pass statistics against the per-tree path on the same stream:
-    # each tree reduced to a view, swept alone, its boundary drawn at once
+    # each tree reduced alone, swept alone, its boundary drawn at once
     dist, N, n, trials, beta, delta = off.from_spec(law), 900, 12, 60, 0.7845, 0.25
     real, seen = ex._tree_statistics, []
 
@@ -300,9 +320,9 @@ def test_fixed_size_statistics_match_the_per_tree_oracle(law, monkeypatch):
     concs, expos = [], []
     for _ in range(trials):
         tree, _ = tr.sample_fixed_size_conditioned(dist, N, n, rng)
-        mu = net.harmonic_measure_exact(tr.reduce(tree, n).views()[0])
-        expos.append(-mu.boundary_log_mass[net.sample_boundary(mu, rng)] / np.log(n))
-        concs.append(net.concentration_statistic(mu, n, beta, delta))
+        tree_mass = net.forest_boundary_log_mass(tr.reduce(tree, n))
+        expos.append(-tree_mass[orc.sample_boundary(tree_mass, rng)] / np.log(n))
+        concs.append(orc.concentration_statistic(tree_mass, n, beta, delta))
     (conc, expo), = seen
     assert np.array_equal(expo, expos)
     assert np.max(np.abs(conc - concs)) <= 1e-12

@@ -1,11 +1,14 @@
 """Source hygiene checks that need no linter: every name a `gwharmonic`
-module imports must be used in that module, and the CLI imports no scipy,
-not even to build a p-ary law."""
+module imports must be used in that module, every public function and class
+must be used somewhere in the package (code that only tests reach belongs
+in tests/oracles.py), and the CLI imports no scipy, not even to build a
+p-ary law."""
 
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -36,6 +39,38 @@ def test_no_unused_imports(path):
 def test_unused_import_detector():
     assert unused_imports("import numpy as np\nfrom a import b, c\nnp.x(c)\n") == ["line 2: b"]
     assert unused_imports("from __future__ import annotations\nimport os.path\nos.sep\n") == []
+
+
+def _references(node):
+    """Names a node reads: bare names, attributes, and the imported name of
+    `from m import a as b` (a)."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """Public top-level functions and classes of the given modules that no
+    module refers to outside their own definition."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    used = Counter(ref for tree in trees.values() for ref in _references(tree))
+    return [f"{name}.{node.name}" for name, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+            and used[node.name] == Counter(_references(node))[node.name]]
+
+
+def test_every_public_definition_is_used_in_the_package():
+    assert unreferenced_definitions({p.stem: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+def test_unreferenced_definition_detector():
+    sources = {"a": "def f():\n    return f()\n\ndef g():\n    pass\n\ndef _h():\n    pass\n",
+               "b": "from .a import g as k\n\nclass C:\n    pass\n\nk()\n"}
+    assert unreferenced_definitions(sources) == ["a.f", "b.C"]
 
 
 def test_cli_import_loads_no_scipy():

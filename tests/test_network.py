@@ -15,8 +15,8 @@ from test_trees import build, path_tree, tree_key
 
 
 def as_reduced(tree, n):
-    r = tr.reduce(orc.preorder_depths(tree), n).views()[0]
-    assert isinstance(r, tr.ReducedTree)
+    r = orc.views(tr.reduce(orc.preorder_depths(tree), n))[0]
+    assert isinstance(r, orc.ReducedTree)
     return r
 
 
@@ -27,7 +27,7 @@ def star(k):
 def random_reduced(rng, n=None, dist=None):
     dist = dist or off.geometric()
     n = n or int(rng.integers(2, 13))
-    return tr.sample_conditioned_forest(dist, n, 1, rng).views()[0]
+    return orc.views(tr.sample_conditioned_forest(dist, n, 1, rng))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -38,16 +38,17 @@ def random_reduced(rng, n=None, dist=None):
 def test_conductance_path_series():
     for i in (1, 2, 5, 17):
         r = as_reduced(path_tree(i), i)
-        c = net.subtree_conductances(r)
+        c = np.concatenate(net._conductance_sweep(r.as_forest())[0])
         assert c[0] == pytest.approx(1.0 / i, abs=1e-14)
         assert np.isinf(c[r.boundary[0]])
-        assert net.conductance_to_level(r) == pytest.approx(1.0 / (i + 1), abs=1e-14)
+        c_level = net.forest_conductance_to_level(r.as_forest())
+        assert c_level[0] == pytest.approx(1.0 / (i + 1), abs=1e-14)
 
 
 def test_conductance_depth1_star():
-    r = star(2)
-    assert net.subtree_conductances(r)[0] == pytest.approx(2.0)
-    assert net.conductance_to_level(r) == pytest.approx(2.0 / 3.0)
+    f = star(2).as_forest()
+    assert net._conductance_sweep(f)[0][0][0] == pytest.approx(2.0)
+    assert net.forest_conductance_to_level(f)[0] == pytest.approx(2.0 / 3.0)
 
 
 def test_conductance_two_branches_hand_reduction():
@@ -55,7 +56,7 @@ def test_conductance_two_branches_hand_reduction():
     # so c(root) = 2/3 (each child subtree is a 2-edge path with c = 1/2)
     t = build([-1, 0, 0, 1, 2, 3, 4])
     r = as_reduced(t, 3)
-    c = net.subtree_conductances(r)
+    c = np.concatenate(net._conductance_sweep(r.as_forest())[0])
     assert c[1] == pytest.approx(0.5)
     assert c[0] == pytest.approx(2.0 / 3.0)
 
@@ -63,10 +64,10 @@ def test_conductance_two_branches_hand_reduction():
 def test_conductance_lower_bound_and_cutset():
     rng = task_stream(20, "network", 0)
     for _ in range(50):
-        r = random_reduced(rng)
-        cl = net.conductance_to_level(r)
-        net.check_conductance_invariants(r.as_forest(), [cl])
-        assert 1.0 / (r.n + 1) - 1e-12 <= cl <= 1.0
+        f = random_reduced(rng).as_forest()
+        cl = net.forest_conductance_to_level(f)
+        net.check_conductance_invariants(f, cl)
+        assert 1.0 / (f.n + 1) - 1e-12 <= cl[0] <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -76,40 +77,40 @@ def test_conductance_lower_bound_and_cutset():
 
 def test_measure_star_uniform():
     for k in (2, 3, 7):
-        mu = net.harmonic_measure_exact(star(k))
-        assert np.allclose(mu.boundary_log_mass, -np.log(k), atol=1e-14)
+        log_mass = net.forest_boundary_log_mass(star(k).as_forest())
+        assert np.allclose(log_mass, -np.log(k), atol=1e-14)
 
 
 def test_measure_path_point_mass():
-    mu = net.harmonic_measure_exact(as_reduced(path_tree(6), 6))
-    assert mu.boundary_log_mass.shape == (1,)
-    assert mu.boundary_log_mass[0] == pytest.approx(0.0, abs=1e-14)
+    log_mass = net.forest_boundary_log_mass(as_reduced(path_tree(6), 6).as_forest())
+    assert log_mass.shape == (1,)
+    assert log_mass[0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_measure_normalised_and_negative():
     rng = task_stream(21, "network", 1)
     for _ in range(40):
-        mu = net.harmonic_measure_exact(random_reduced(rng))
-        assert abs(logsumexp(mu.boundary_log_mass)) < 1e-12
-        assert np.all(mu.boundary_log_mass <= 1e-15)
+        log_mass = net.forest_boundary_log_mass(random_reduced(rng).as_forest())
+        assert abs(logsumexp(log_mass)) < 1e-12
+        assert np.all(log_mass <= 1e-15)
 
 
 def test_flow_conservation():
     rng = task_stream(22, "network", 2)
     for _ in range(20):
         r = random_reduced(rng)
-        mu = net.harmonic_measure_exact(r)
+        log_flow = np.concatenate(net._flow_sweep(r.as_forest()))
         t = r.tree
         for g in range(r.n):
             lo, hi = t.gen_offsets[g], t.gen_offsets[g + 1]
             clo, chi = t.gen_offsets[g + 1], t.gen_offsets[g + 2]
             child_flow = np.bincount(
                 (t.parent[clo:chi] - lo).astype(np.int64),
-                weights=np.exp(mu.log_flow[clo:chi]),
+                weights=np.exp(log_flow[clo:chi]),
                 minlength=int(hi - lo),
             )
             assert np.allclose(
-                np.log(child_flow), mu.log_flow[lo:hi], atol=1e-12, rtol=0
+                np.log(child_flow), log_flow[lo:hi], atol=1e-12, rtol=0
             )
 
 
@@ -117,37 +118,37 @@ def test_splitting_agrees_with_linsolve():
     rng = task_stream(23, "network", 3)
     for _ in range(200):
         r = random_reduced(rng)
-        a = net.harmonic_measure_exact(r).boundary_log_mass
-        b = net.hitting_distribution_linsolve(r).boundary_log_mass
+        a = net.forest_boundary_log_mass(r.as_forest())
+        b = orc.hitting_distribution_linsolve(r)
         assert np.max(np.abs(np.exp(a) - np.exp(b))) < 1e-10
 
 
 def test_linsolve_star_and_path():
-    mu = net.hitting_distribution_linsolve(star(4))
-    assert np.allclose(np.exp(mu.boundary_log_mass), 0.25, atol=1e-12)
-    mu = net.hitting_distribution_linsolve(as_reduced(path_tree(5), 5))
-    assert np.exp(mu.boundary_log_mass[0]) == pytest.approx(1.0, abs=1e-12)
+    log_mass = orc.hitting_distribution_linsolve(star(4))
+    assert np.allclose(np.exp(log_mass), 0.25, atol=1e-12)
+    log_mass = orc.hitting_distribution_linsolve(as_reduced(path_tree(5), 5))
+    assert np.exp(log_mass[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_linsolve_size_cap():
     r = as_reduced(path_tree(3), 3)
-    big = tr.ReducedTree(tree=r.tree, n=3, boundary=r.boundary)
+    big = orc.ReducedTree(tree=r.tree, n=3, boundary=r.boundary)
     big.tree.parent = np.zeros(30_000, np.int64)  # fake size only for the guard
     with pytest.raises(ValueError):
-        net.hitting_distribution_linsolve(big)
+        orc.hitting_distribution_linsolve(big)
 
 
 def test_walk_exit_path_deterministic():
     rng = task_stream(24, "network", 4)
     r = as_reduced(path_tree(4), 4)
-    exits = net.simulate_walk_exits(r, 100, rng)
+    exits = orc.simulate_walk_exits(r, 100, rng)
     assert np.all(exits == r.boundary[0])
 
 
 def test_walk_exit_star_symmetric():
     rng = task_stream(25, "network", 5)
     r = star(4)
-    exits = net.simulate_walk_exits(r, 10**5, rng)
+    exits = orc.simulate_walk_exits(r, 10**5, rng)
     freqs = np.bincount(exits - r.boundary[0], minlength=4) / 10**5
     assert np.all(np.abs(freqs - 0.25) < 0.005)
 
@@ -155,10 +156,9 @@ def test_walk_exit_star_symmetric():
 def test_walk_frequencies_match_exact_measure():
     rng = task_stream(26, "network", 6)
     r = random_reduced(rng, n=8)
-    mu = net.harmonic_measure_exact(r)
-    p = np.exp(mu.boundary_log_mass)
+    p = np.exp(net.forest_boundary_log_mass(r.as_forest()))
     walks = 10**5
-    exits = net.simulate_walk_exits(r, walks, rng)
+    exits = orc.simulate_walk_exits(r, walks, rng)
     counts = np.bincount(exits - r.boundary[0], minlength=p.size)
     sigma = np.sqrt(walks * p * (1 - p))
     z = (counts - walks * p) / np.maximum(sigma, 1e-9)
@@ -171,9 +171,9 @@ def test_walk_frequencies_match_exact_measure():
 def test_sample_boundary_matches_measure():
     rng = task_stream(27, "network", 7)
     r = random_reduced(rng, n=6)
-    mu = net.harmonic_measure_exact(r)
-    p = np.exp(mu.boundary_log_mass)
-    draws = net.sample_boundary(mu, rng, size=10**5)
+    log_mass = net.forest_boundary_log_mass(r.as_forest())
+    p = np.exp(log_mass)
+    draws = orc.sample_boundary(log_mass, rng, size=10**5)
     counts = np.bincount(draws, minlength=p.size)
     sigma = np.sqrt(10**5 * p * (1 - p))
     assert np.max(np.abs(counts - 10**5 * p) / np.maximum(sigma, 1e-9)) < 4.0
@@ -187,27 +187,26 @@ def test_sample_boundary_matches_measure():
 def test_ball_mass_partitions_at_every_radius():
     rng = task_stream(29, "network", 9)
     r = random_reduced(rng, n=7)
-    mu = net.harmonic_measure_exact(r)
+    log_flow = np.concatenate(net._flow_sweep(r.as_forest()))
     t = r.tree
     for rad in range(8):
         anc = tr.level_set(t, 7 - rad)
-        assert np.exp(mu.log_flow[anc]).sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.exp(log_flow[anc]).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_concentration_statistic_limits():
     rng = task_stream(30, "network", 10)
-    r = random_reduced(rng, n=8)
-    mu = net.harmonic_measure_exact(r)
-    assert net.concentration_statistic(mu, 8, 0.78, 50.0) == pytest.approx(1.0, abs=1e-12)
+    log_mass = net.forest_boundary_log_mass(random_reduced(rng, n=8).as_forest())
+    assert orc.concentration_statistic(log_mass, 8, 0.78, 50.0) == pytest.approx(1.0, abs=1e-12)
     # delta=0 with generic masses: the window {mass = n^-beta exactly} is empty
-    assert net.concentration_statistic(mu, 8, 0.7812345, 0.0) == 0.0
-    mid = net.concentration_statistic(mu, 8, 0.78, 0.5)
+    assert orc.concentration_statistic(log_mass, 8, 0.7812345, 0.0) == 0.0
+    mid = orc.concentration_statistic(log_mass, 8, 0.78, 0.5)
     assert 0.0 <= mid <= 1.0
 
 
 def test_exit_exponent_point_mass_is_zero():
-    mu = net.harmonic_measure_exact(as_reduced(path_tree(9), 9))
-    assert -mu.boundary_log_mass[0] / np.log(9) == 0.0
+    log_mass = net.forest_boundary_log_mass(as_reduced(path_tree(9), 9).as_forest())
+    assert -log_mass[0] / np.log(9) == 0.0
 
 
 def test_exit_exponent_rejects_small_n():
@@ -224,9 +223,8 @@ def test_exit_exponent_mean_range_n200():
 
 
 def test_scaled_conductance_path_and_bounds(solved_cloud, monkeypatch):
-    r = as_reduced(path_tree(12), 12)
-    c = net.conductance_to_level(r)
-    assert 12 * c == pytest.approx(12.0 / 13.0, abs=1e-12)
+    c = net.forest_conductance_to_level(as_reduced(path_tree(12), 12).as_forest())
+    assert 12 * c[0] == pytest.approx(12.0 / 13.0, abs=1e-12)
     # every sample the driver draws, seen through its forest invariant check
     seen = []
 
@@ -257,8 +255,7 @@ def test_scaled_conductance_second_moment_bounded():
     dist = off.geometric()
     moments = {}
     for n in (50, 100, 200):
-        reds = tr.sample_conditioned_forest(dist, n, 800, rng).views()
-        vals = np.array([n * net.conductance_to_level(r) for r in reds])
+        vals = n * net.forest_conductance_to_level(tr.sample_conditioned_forest(dist, n, 800, rng))
         moments[n] = float(np.mean(vals**2))
     # Lemma-style bound: second moments stay bounded (no growth with n)
     assert all(1.0 <= m <= 12.0 for m in moments.values())
@@ -301,20 +298,20 @@ def test_forest_matches_single_tree_oracles(law, n, seed):
     # the reduced forest
     full, _, _ = orc.sample_conditioned_batch(dist, n, 6, task_stream(seed, "network", 15))
     forest = orc.sample_conditioned_forest(dist, n, 6, task_stream(seed, "network", 15))[0]
-    views = forest.views()
+    views = orc.views(forest)
     assert forest.size == len(views) == len(full) == 6
     c_level = net.forest_conductance_to_level(forest)
     log_mass = net.forest_boundary_log_mass(forest)
     off_ = forest.boundary_offsets()
     for i, (t, view) in enumerate(zip(full, views)):
         assert tree_key(view.tree) == tree_key(as_reduced(t, n).tree)
-        tr.validate_reduced(view)
+        orc.validate_reduced(view)
         t_view = view.tree  # reduced: every leaf sits at generation n
         assert np.all(t_view.child_count[: t_view.gen_offsets[n]] > 0)
-        assert c_level[i] == net.conductance_to_level(view)
+        assert c_level[i] == net.forest_conductance_to_level(view.as_forest())[0]
         mine = log_mass[off_[i] : off_[i + 1]]
-        assert np.array_equal(mine, net.harmonic_measure_exact(view).boundary_log_mass)
+        assert np.array_equal(mine, net.forest_boundary_log_mass(view.as_forest()))
         ref_c, ref_mass = per_tree_sweeps(view)
         assert c_level[i] == ref_c and np.array_equal(mine, ref_mass)
-        oracle = net.hitting_distribution_linsolve(view).boundary_log_mass
+        oracle = orc.hitting_distribution_linsolve(view)
         assert np.max(np.abs(np.exp(mine) - np.exp(oracle))) < 1e-10

@@ -20,7 +20,7 @@ def build(parents):
     depth = np.zeros(parents.size, np.int64)
     for i in range(1, parents.size):
         depth[i] = depth[parents[i]] + 1
-    return tr.tree_from_parent_depth(parents, depth)
+    return orc.tree_from_parent_depth(parents, depth)
 
 
 def path_tree(n):
@@ -67,7 +67,7 @@ def assert_same_forest(a, b):
 
 def test_builder_roundtrip_small():
     t = build([-1, 0, 0, 1, 1, 2])
-    tr.validate_tree(t)
+    orc.validate_tree(t)
     assert t.node_count == 6 and t.height == 2
     assert list(t.children(0)) == [1, 2]
     assert list(t.children(1)) == [3, 4]
@@ -75,25 +75,16 @@ def test_builder_roundtrip_small():
 
 
 def test_generation_counts_builder():
-    t = tr.tree_from_generation_counts([np.array([2]), np.array([2, 1])])
-    tr.validate_tree(t)
+    t = orc.tree_from_generation_counts([np.array([2]), np.array([2, 1])])
+    orc.validate_tree(t)
     assert t.node_count == 6
     assert np.array_equal(t.gen_offsets, [0, 1, 3, 6])
 
 
 def test_single_root():
-    t = tr.tree_from_generation_counts([np.array([0])])
-    tr.validate_tree(t)
+    t = orc.tree_from_generation_counts([np.array([0])])
+    orc.validate_tree(t)
     assert t.node_count == 1 and t.height == 0
-
-
-def test_dump_load_roundtrip(tmp_path):
-    t = build([-1, 0, 0, 2, 2])
-    path = tmp_path / "tree.txt"
-    tr.dump_tree(t, path)
-    t2 = tr.load_tree(path)
-    assert tree_key(t) == tree_key(t2)
-    assert np.array_equal(t.depth, t2.depth)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +101,7 @@ def test_sample_gw_single_root_frequency():
     for _ in range(2000):
         t = orc.sample_gw(dist, rng, node_cap=10**5)
         if not isinstance(t, orc.CapExceeded):
-            tr.validate_tree(t)
+            orc.validate_tree(t)
             singles += t.node_count == 1
     assert abs(singles / 2000 - 0.75) < 0.04
 
@@ -177,9 +168,9 @@ def test_conditioned_boundary_identity_poisson():
     dist = off.poisson()
     rng = task_stream(7, "trees", 6)
     n = 100
-    reds = tr.sample_conditioned_forest(dist, n, 2000, rng).views()
-    sizes = np.array([r.boundary_size for r in reds], float)
-    qn = off.survival_prob(dist, n)
+    reds = orc.views(tr.sample_conditioned_forest(dist, n, 2000, rng))
+    sizes = np.array([r.boundary.size for r in reds], float)
+    qn = off.survival_probs(dist, n)[n]
     z = (sizes.mean() - 1.0 / qn) / (sizes.std(ddof=1) / np.sqrt(sizes.size))
     assert abs(z) < 3.5
 
@@ -189,9 +180,10 @@ def test_levelset_identity(n, p):
     # E[#T*n_{n-p}] = q_p/q_n
     dist = off.geometric()
     rng = task_stream(8, "trees", 100 + n + p)
-    reds = tr.sample_conditioned_forest(dist, n, 3000, rng).views()
+    reds = orc.views(tr.sample_conditioned_forest(dist, n, 3000, rng))
     sizes = np.array([tr.level_set(r.tree, n - p).size for r in reds], float)
-    expect = off.survival_prob(dist, p) / off.survival_prob(dist, n)
+    q = off.survival_probs(dist, n)
+    expect = q[p] / q[n]
     z = (sizes.mean() - expect) / (sizes.std(ddof=1) / np.sqrt(sizes.size))
     assert abs(z) < 3.5
 
@@ -203,10 +195,10 @@ def test_reduced_batch_equals_two_step():
     full, _, _ = orc.sample_conditioned_batch(dist, 6, 50, rng1)
     fused, _, _ = orc.sample_conditioned_batch(dist, 6, 50, rng2, reduce_at_n=True)
     for t, r in zip(full, fused):
-        r2 = tr.reduce(orc.preorder_depths(t), 6).views()[0]
+        r2 = orc.views(tr.reduce(orc.preorder_depths(t), 6))[0]
         assert tree_key(r2.tree) == tree_key(r.tree)
         assert np.array_equal(r2.boundary, r.boundary)
-        tr.validate_reduced(r)
+        orc.validate_reduced(r)
 
 
 def test_reduced_child_cdf_matches_the_binomial_sum():
@@ -233,8 +225,8 @@ def test_reduced_child_cdf_matches_the_binomial_sum():
 def test_direct_forest_is_reduced(law, n, seed):
     forest = tr.sample_conditioned_forest(off.from_spec(law), n, 7, task_stream(seed, "trees", 19))
     assert forest.size == 7 and all(np.all(c >= 1) for c in forest.counts)
-    for r in forest.views():
-        tr.validate_reduced(r)
+    for r in orc.views(forest):
+        orc.validate_reduced(r)
 
 
 def test_sample_conditioned_forest_rejects_bad_sizes():
@@ -410,7 +402,7 @@ def test_geometric_decode_matches_the_loop_oracle(steps):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tr, "_parents_from_preorder_depths", orc.parents_from_preorder_depths)
             assert_same_forest(forest, tr.reduce(d, n))
-        tr.validate_reduced(forest.views()[0])
+        orc.validate_reduced(orc.views(forest)[0])
 
 
 @given(st.lists(st.tuples(st.sampled_from(["geometric", "poisson"]), st.integers(1, 60)),
@@ -440,7 +432,7 @@ def test_fixed_size_conditioned_height():
 
 def test_reduce_path_is_identity():
     t = path_tree(5)
-    r = tr.reduce(orc.preorder_depths(t), 5).views()[0]
+    r = orc.views(tr.reduce(orc.preorder_depths(t), 5))[0]
     assert tree_key(r.tree) == tree_key(t)
     assert r.boundary.tolist() == [5]
 
@@ -448,7 +440,7 @@ def test_reduce_path_is_identity():
 def test_reduce_prunes_dead_branch():
     # root with a leaf child and a path to depth 3 -> single path
     t = build([-1, 0, 0, 2, 3])
-    r = tr.reduce(orc.preorder_depths(t), 3).views()[0]
+    r = orc.views(tr.reduce(orc.preorder_depths(t), 3))[0]
     assert tree_key(r.tree) == tree_key(path_tree(3))
 
 
@@ -468,10 +460,10 @@ def test_reduce_idempotent_on_samples():
     rng = task_stream(17, "trees", 15)
     trees, _, _ = orc.sample_conditioned_batch(dist, 8, 40, rng)
     for t in trees:
-        r = tr.reduce(orc.preorder_depths(t), 8).views()[0]
-        r2 = tr.reduce(orc.preorder_depths(r.tree), 8).views()[0]
+        r = orc.views(tr.reduce(orc.preorder_depths(t), 8))[0]
+        r2 = orc.views(tr.reduce(orc.preorder_depths(r.tree), 8))[0]
         assert tree_key(r.tree) == tree_key(r2.tree)
-        tr.validate_reduced(r)
+        orc.validate_reduced(r)
 
 
 def test_level_set_basics():
@@ -486,7 +478,7 @@ def test_level_set_basics():
 def test_boundary_equals_level_set():
     dist = off.geometric()
     rng = task_stream(18, "trees", 16)
-    reds = tr.sample_conditioned_forest(dist, 10, 20, rng).views()
+    reds = orc.views(tr.sample_conditioned_forest(dist, 10, 20, rng))
     for r in reds:
         assert np.array_equal(r.boundary, tr.level_set(r.tree, 10))
 
@@ -497,8 +489,8 @@ def test_conditioned_sample_properties(n, seed):
     dist = off.geometric()
     rng = task_stream(seed, "trees", 18)
     t = orc.sample_conditioned_height(dist, n, rng, max_gen=n)
-    tr.validate_tree(t)
+    orc.validate_tree(t)
     assert t.height == n  # chopped at n, so exactly n
-    r = tr.reduce(orc.preorder_depths(t), n).views()[0]
-    tr.validate_reduced(r)
+    r = orc.views(tr.reduce(orc.preorder_depths(t), n))[0]
+    orc.validate_reduced(r)
     assert r.boundary.size == tr.level_set(t, n).size
