@@ -8,7 +8,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from gwharmonic.cli import PRESETS, main
+from gwharmonic.cli import main, settings
 
 
 def run(argv):
@@ -20,12 +20,13 @@ def run(argv):
 
 
 def pipeline(preset: str, seed: int, out: str) -> int:
-    particles = PRESETS[preset]["particles"]
+    particles = settings("rde solve", preset)["particles"]
     cloud = str(Path(out) / f"cloud_M{particles}_seed{seed}.txt")
-    base = ["--preset", preset, "--seed", str(seed), "--out", out]
+    seed_out = ["--seed", str(seed), "--out", out]
+    base = ["--preset", preset, *seed_out]
     worst = 0
     worst |= run(["rde", "solve", *base])
-    worst |= run(["rde", "validate", "--cloud", cloud, *base])
+    worst |= run(["rde", "validate", "--cloud", cloud, *seed_out])  # no preset changes it
     worst |= run(["beta", "--cloud", cloud, *base])
     for exp in ("theorem1", "conductance", "fixed-size"):
         worst |= run(["discrete", exp, "--offspring", "geometric", "--cloud", cloud, *base])

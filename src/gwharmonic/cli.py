@@ -1,8 +1,10 @@
 """Command-line front end: configuration, seeding, orchestration, persistence.
 
 Subcommands: `rde solve|validate`, `beta`, `discrete theorem1|conductance|
-levelset|fixed-size`, `continuum dimension`.  A master --seed expands into
-per-task Philox streams keyed on (seed, module, task), so every artifact is
+levelset|fixed-size`, `continuum dimension`.  Each command accepts only the
+flags it reads, and every flag left unset takes its value from DEFAULTS,
+under --preset's overrides.  A master --seed expands into per-task Philox
+streams keyed on (seed, module, task), so every artifact is
 byte-reproducible from the flags alone.  Exit codes: 0 all checks pass,
 1 a statistical check failed, 2 usage or I/O error.
 """
@@ -19,64 +21,79 @@ import numpy as np
 from . import __version__, beta as beta_mod, continuum, experiments, offspring, rde
 from .rngs import task_stream
 
-EPS_LADDER_DEFAULT = [2.0**-k for k in range(6, 41)]
+# The value of every unset flag, per command (keys are argparse dests).
+DEFAULTS = {
+    "rde solve": {"particles": 10**6, "tol": 2e-3, "max_iters": 60, "polish": 0},
+    "beta": {"trials": 10**7},
+    "discrete theorem1": {"n": [50, 100, 200, 400], "trials": 2000, "delta": 0.25},
+    "discrete conductance": {"n": [50, 100, 200, 400], "trials": 10**4},
+    "discrete levelset": {"n": 100, "p": [20, 50], "trials": 2000},
+    "discrete fixed-size": {"edges": 40000, "n": 80, "trials": 2000, "delta": 0.25},
+    "continuum dimension": {"eps": [2.0**-k for k in range(6, 41)], "trials": 10**4},
+}
 
+# What each --preset changes in DEFAULTS; a command takes --preset only when
+# some preset changes one of its values.
 PRESETS = {
     "smoke": {
-        "particles": 10**5, "tol": 3e-3, "polish": 0, "budget": 10**6,
-        "theorem1_n": [16, 32, 64], "theorem1_trials": 200,
-        "conductance_n": [10, 25, 50], "conductance_trials": 500,
-        "levelset_n": 50, "levelset_p": [10, 25], "levelset_trials": 1000,
-        "edges": 1600, "fixed_n": 20, "fixed_trials": 100,
-        "eps": [2.0**-k for k in range(4, 9)], "continuum_trials": 500,
+        "rde solve": {"particles": 10**5, "tol": 3e-3},
+        "beta": {"trials": 10**6},
+        "discrete theorem1": {"n": [16, 32, 64], "trials": 200},
+        "discrete conductance": {"n": [10, 25, 50], "trials": 500},
+        "discrete levelset": {"n": 50, "p": [10, 25], "trials": 1000},
+        "discrete fixed-size": {"edges": 1600, "n": 20, "trials": 100},
+        "continuum dimension": {"eps": [2.0**-k for k in range(4, 9)], "trials": 500},
     },
-    "full": {
-        "particles": 10**6, "tol": 2e-3, "polish": 4, "budget": 10**8,
-        "theorem1_n": [50, 100, 200, 400], "theorem1_trials": 2000,
-        "conductance_n": [50, 100, 200, 400], "conductance_trials": 10**4,
-        "levelset_n": 100, "levelset_p": [20, 50], "levelset_trials": 10**4,
-        "edges": 40000, "fixed_n": 80, "fixed_trials": 2000,
-        "eps": EPS_LADDER_DEFAULT, "continuum_trials": 10**4,
-    },
+    "full": {"rde solve": {"polish": 4}, "beta": {"trials": 10**8},
+             "discrete levelset": {"trials": 10**4}},
 }
+
+
+def settings(command: str, preset: str | None = None) -> dict:
+    """The values a command's unset flags take under `preset`."""
+    return DEFAULTS.get(command, {}) | PRESETS.get(preset, {}).get(command, {})
 
 
 class CliError(Exception):
     """Usage or I/O problem; exits with code 2."""
 
 
-def _preset(args, key, fallback=None):
-    if args.preset and key in PRESETS[args.preset]:
-        return PRESETS[args.preset][key]
-    return fallback
+def _fill(args) -> None:
+    """Set every flag the command line left unset; an error bar needs two trials."""
+    for key, value in settings(args.stage, getattr(args, "preset", None)).items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
+    if getattr(args, "trials", 2) < 2:
+        raise CliError(f"--trials must be >= 2, got {args.trials}")
 
 
 def _parse_list(text, parse=int):
-    """Comma-separated values; an empty list is a usage error."""
-    out = [parse(t.strip()) for t in str(text).split(",") if t.strip()]
+    """Comma-separated values, as an argparse type: argparse reports a ValueError
+    itself, and a CliError (an empty list, an eps out of range) reaches main."""
+    out = [parse(t.strip()) for t in text.split(",") if t.strip()]
     if not out:
         raise CliError(f"empty list {text!r}")
     return out
 
 
-def _parse_eps(tok):
-    eps = 2.0 ** float(tok[2:]) if tok.startswith("2^") else float(tok)
-    if not 0.0 < eps < 0.5:
-        raise CliError(f"eps {eps} outside (0, 1/2)")
+def _eps_list(text):
+    """Comma-separated eps in (0, 1/2); a token 2^x reads as 2**x."""
+    eps = [2.0 ** float(t[2:]) if t.startswith("2^") else float(t) for t in _parse_list(text, str)]
+    for e in eps:
+        if not 0.0 < e < 0.5:
+            raise CliError(f"eps {e} outside (0, 1/2)")
     return eps
 
 
-def _trials(args, key, fallback):
-    """--trials, else the preset's, else the fallback; an error bar needs two."""
-    trials = args.trials if args.trials is not None else _preset(args, key, fallback)
-    if trials < 2:
-        raise CliError(f"--trials must be >= 2, got {trials}")
-    return trials
+def _one_level(text):
+    """The --n of levelset and fixed-size: one level, not a ladder."""
+    levels = _parse_list(text)
+    if len(levels) > 1:
+        raise argparse.ArgumentTypeError(f"takes one level, got {text!r}")
+    return levels[0]
 
 
 def _load_cloud(path) -> rde.ParticleCloud:
-    if path is None:
-        raise CliError("this command needs --cloud; produce one with `gwharmonic rde solve`")
     p = Path(path)
     if not p.exists():
         raise CliError(f"cloud file {p} not found; run `gwharmonic rde solve` first")
@@ -102,11 +119,11 @@ def _write_report(report: experiments.ExperimentReport, outdir: Path, fmt: str) 
     return paths
 
 
-def _config(args, subcommand, **extras) -> dict:
+def _config(args, **extras) -> dict:
     """The flags that shaped the run; echoed into its report."""
-    cfg = {"subcommand": subcommand, "seed": args.seed, "out": args.out, "format": args.format,
+    cfg = {"subcommand": args.stage, "seed": args.seed, "out": args.out, "format": args.format,
            "offspring": getattr(args, "offspring", None), "cloud": getattr(args, "cloud", None),
-           "preset": args.preset}
+           "preset": getattr(args, "preset", None)}
     return {k: v for k, v in cfg.items() if v is not None} | {"extras": extras}
 
 
@@ -128,14 +145,14 @@ def _emit(args, report: experiments.ExperimentReport) -> int:
 
 
 def cmd_rde_solve(args) -> int:
-    m = args.particles or _preset(args, "particles", 10**6)
-    tol = args.tol if args.tol is not None else _preset(args, "tol", 2e-3)
-    polish = args.polish if args.polish is not None else _preset(args, "polish", 0)
-    if m < 1000:
+    if args.particles < 1000:
         raise CliError("--particles must be >= 1e3")
+    if args.max_iters < 1:
+        raise CliError("--max-iters must be >= 1")
+    m, tol = args.particles, args.tol
     rng = task_stream(args.seed, "rde", 0)
     t0 = time.time()
-    result = rde.solve_fixpoint(m, tol, args.max_iters, rng, seed=args.seed, polish=polish)
+    result = rde.solve_fixpoint(m, tol, args.max_iters, rng, seed=args.seed, polish=args.polish)
     wall = time.time() - t0
     cloud_path = _outdir(args) / f"cloud_M{m}_seed{args.seed}.txt"
     rde.save_cloud(result.cloud, cloud_path)
@@ -158,8 +175,7 @@ def cmd_rde_solve(args) -> int:
               f"at M={m}", file=sys.stderr)
     print(f"cloud written to {cloud_path} (converged={result.converged}, "
           f"iters={summary['iterations']}, E[C]={summary['mean']:.4f})")
-    cfg = _config(args, "rde solve", particles=m, tol=tol, polish=polish,
-                  max_iters=args.max_iters)
+    cfg = _config(args, particles=m, tol=tol, polish=args.polish, max_iters=args.max_iters)
     trace = [{"iteration": i, "d1": d} for i, d in result.trace]
     return _emit(args, experiments.ExperimentReport(
         "rde_solve", cfg, trace, [], wall, rows_key="trace", summary=summary))
@@ -189,7 +205,7 @@ def cmd_rde_validate(args) -> int:
         checks.append({"criterion": f"laplace-ode-l{chk.ell:g}",
                        "passed": bool(abs(chk.z) <= 3),
                        "detail": f"residual={chk.residual:.3e} z={chk.z:+.2f}"})
-    cfg = _config(args, "rde validate", moments={"m1": m1, "m2": m2, "m3": m3})
+    cfg = _config(args, moments={"m1": m1, "m2": m2, "m3": m3})
     return _emit(args, experiments.ExperimentReport(
         "rde_validate", cfg, [], checks, time.time() - t0))
 
@@ -197,18 +213,17 @@ def cmd_rde_validate(args) -> int:
 def cmd_beta(args) -> int:
     cloud = _load_cloud(args.cloud)
     t0 = time.time()
-    budget = args.trials or _preset(args, "budget", 10**7)
     rng = task_stream(args.seed, "beta", 0)
-    cfg = _config(args, "beta", budget=budget, method=args.method)
+    cfg = _config(args, budget=args.trials, method=args.method)
     if args.method != "all":
         fn = {"moment": beta_mod.beta_moment, "triple": beta_mod.beta_triple,
               "shift": beta_mod.beta_shift}[args.method]
-        est = fn(cloud, budget, rng)
+        est = fn(cloud, args.trials, rng)
         print(f"beta[{est.method}] = {est.value:.5f} +- {est.total_std_error:.5f}")
         return _emit(args, experiments.ExperimentReport(
             f"beta_{args.method}", cfg, [est.to_dict()], [], time.time() - t0,
             rows_key="estimates"))
-    cv = beta_mod.cross_validate(cloud, budget, rng)
+    cv = beta_mod.cross_validate(cloud, args.trials, rng)
     for e in cv.estimates:
         print(f"beta[{e.method}] = {e.value:.5f} +- {e.total_std_error:.5f}")
     summary = cv.to_dict()
@@ -220,69 +235,58 @@ def cmd_beta(args) -> int:
         rows_key="estimates", summary=summary))
 
 
-def _dist(args):
-    if args.offspring is None:
-        raise CliError("--offspring is required (geometric|poisson|binary|pary:<p>|custom:<path>)")
-    return offspring.from_spec(args.offspring)
-
-
-# One task stream per discrete experiment, so that no two reports at one
-# seed share random numbers.
+# One task stream per discrete experiment: no two reports at one seed share draws.
 DISCRETE_TASKS = {"theorem1": 0, "conductance": 1, "levelset": 2, "fixed-size": 3}
 
 
-def cmd_discrete(args) -> int:
-    dist = _dist(args)
+def _discrete(args):
+    """The offspring law and the experiment's own task stream."""
+    if args.offspring is None:
+        raise CliError("--offspring is required (geometric|poisson|binary|pary:<p>|custom:<path>)")
     rng = task_stream(args.seed, "experiments", DISCRETE_TASKS[args.experiment])
-    if args.experiment == "levelset":
-        n = _parse_list(args.n)[0] if args.n else _preset(args, "levelset_n", 100)
-        p_list = _parse_list(args.p) if args.p else _preset(args, "levelset_p", [20, 50])
-        trials = _trials(args, "levelset_trials", 2000)
-        cfg = _config(args, "discrete levelset")
-        report = experiments.run_levelset(dist, n, p_list, trials, rng, config=cfg)
-    elif args.experiment == "conductance":
-        cloud = _load_cloud(args.cloud)
-        n_list = _parse_list(args.n) if args.n else _preset(args, "conductance_n", [50, 100, 200, 400])
-        trials = _trials(args, "conductance_trials", 10**4)
-        cfg = _config(args, "discrete conductance")
-        report = experiments.run_conductance_convergence(
-            dist, n_list, trials, cloud, rng, config=cfg)
-    elif args.experiment == "theorem1":
-        cloud = _load_cloud(args.cloud)
-        n_list = _parse_list(args.n) if args.n else _preset(args, "theorem1_n", [50, 100, 200, 400])
-        trials = _trials(args, "theorem1_trials", 2000)
-        ref = experiments.beta_reference(cloud, task_stream(args.seed, "beta", 1))
-        cfg = _config(args, "discrete theorem1") | {"beta_ref_se": ref.std_error}
-        report = experiments.run_theorem1(
-            dist, n_list, args.delta, trials, rng, ref.value, config=cfg)
-    elif args.experiment == "fixed-size":
-        cloud = _load_cloud(args.cloud)
-        edges = args.edges or _preset(args, "edges", 40000)
-        n = _parse_list(args.n)[0] if args.n else _preset(args, "fixed_n", 80)
-        trials = _trials(args, "fixed_trials", 2000)
-        ref = experiments.beta_reference(cloud, task_stream(args.seed, "beta", 1))
-        cfg = _config(args, "discrete fixed-size") | {"beta_ref_se": ref.std_error}
-        report = experiments.run_corollary_fixed_size(
-            dist, edges, n, trials, rng, ref.value, delta=args.delta, config=cfg)
-    else:  # pragma: no cover
-        raise CliError(f"unknown discrete experiment {args.experiment}")
-    return _emit(args, report)
+    return offspring.from_spec(args.offspring), rng
+
+
+def cmd_theorem1(args) -> int:
+    dist, rng = _discrete(args)
+    ref = experiments.beta_reference(_load_cloud(args.cloud), task_stream(args.seed, "beta", 1))
+    cfg = _config(args) | {"beta_ref_se": ref.std_error}
+    return _emit(args, experiments.run_theorem1(
+        dist, args.n, args.delta, args.trials, rng, ref.value, config=cfg))
+
+
+def cmd_conductance(args) -> int:
+    dist, rng = _discrete(args)
+    return _emit(args, experiments.run_conductance_convergence(
+        dist, args.n, args.trials, _load_cloud(args.cloud), rng, config=_config(args)))
+
+
+def cmd_levelset(args) -> int:
+    dist, rng = _discrete(args)
+    return _emit(args, experiments.run_levelset(
+        dist, args.n, args.p, args.trials, rng, config=_config(args)))
+
+
+def cmd_fixed_size(args) -> int:
+    dist, rng = _discrete(args)
+    ref = experiments.beta_reference(_load_cloud(args.cloud), task_stream(args.seed, "beta", 1))
+    cfg = _config(args) | {"beta_ref_se": ref.std_error}
+    return _emit(args, experiments.run_corollary_fixed_size(
+        dist, args.edges, args.n, args.trials, rng, ref.value, delta=args.delta, config=cfg))
 
 
 def cmd_continuum(args) -> int:
     cloud = _load_cloud(args.cloud)
-    eps_list = _parse_list(args.eps, _parse_eps) if args.eps else _preset(args, "eps", EPS_LADDER_DEFAULT)
-    trials = _trials(args, "continuum_trials", 10**4)
     rng = task_stream(args.seed, "continuum", 0)
-    t0 = time.time()
-    curve = continuum.dimension_curve(cloud, eps_list, trials, rng)
     ref = experiments.beta_reference(cloud, task_stream(args.seed, "beta", 1))
+    t0 = time.time()
+    curve = continuum.dimension_curve(cloud, args.eps, args.trials, rng)
     wall = time.time() - t0
     if curve.extrapolated is not None:
         print(f"extrapolated exponent = {curve.extrapolated:.4f} +- {curve.extrapolated_se:.4f}")
     for p in curve.points:
         print(f"  eps=2^{np.log2(p.eps):.0f}: exponent {p.exponent:.4f} +- {p.std_error:.4f}")
-    cfg = _config(args, "continuum dimension", eps_list=eps_list, trials=trials)
+    cfg = _config(args, eps_list=args.eps, trials=args.trials)
     summary = curve.summary() | {"beta_ref": ref.value, "beta_ref_se": ref.std_error}
     return _emit(args, experiments.ExperimentReport(
         "continuum_dimension", cfg, curve.to_rows(), [curve.exponent_check(ref.value)], wall,
@@ -294,77 +298,73 @@ def cmd_continuum(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p):
+def _command(parent, stage, run, help=None, cloud=True):
+    """One command's parser, with the flags every (discrete) command reads."""
+    p = parent.add_parser(stage.split()[-1], help=help)
+    p.set_defaults(stage=stage, run=run)
     p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     p.add_argument("--out", default="runs", help="output directory")
     p.add_argument("--format", choices=["json", "csv", "both"], default="both")
-    p.add_argument("--preset", choices=["smoke", "full"], default=None)
+    if any(stage in overrides for overrides in PRESETS.values()):
+        p.add_argument("--preset", choices=list(PRESETS), help="run sizes: smoke is quick")
+    if cloud:
+        p.add_argument("--cloud", required=True, help="cloud file from `gwharmonic rde solve`")
+    if stage.startswith("discrete "):
+        p.add_argument("--offspring", help="offspring law, e.g. geometric or pary:3")
+        p.add_argument("--trials", type=int, help="trees per level")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="gwharmonic",
-        description="Harmonic-measure experiments on critical Galton-Watson trees",
-    )
+    ap = argparse.ArgumentParser(prog="gwharmonic", description="Harmonic-measure experiments "
+                                 "on critical Galton-Watson trees")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    rde_p = sub.add_parser("rde", help="conductance-law fixed point")
-    rde_sub = rde_p.add_subparsers(dest="rde_command", required=True)
-    solve = rde_sub.add_parser("solve", help="solve the distributional fixed point")
-    solve.add_argument("--particles", type=int, default=None)
-    solve.add_argument("--tol", type=float, default=None)
-    solve.add_argument("--max-iters", type=int, default=60)
-    solve.add_argument("--polish", type=int, default=None,
-                       help="extra steps after the stopping rule fires")
-    _add_common(solve)
-    validate = rde_sub.add_parser("validate", help="fixed-point identity checks")
-    validate.add_argument("--cloud", default=None)
+    rde_sub = sub.add_parser("rde", help="conductance-law fixed point").add_subparsers(
+        dest="rde_command", required=True)
+    solve = _command(rde_sub, "rde solve", cmd_rde_solve,
+                     "solve the distributional fixed point", cloud=False)
+    solve.add_argument("--particles", type=int)
+    solve.add_argument("--tol", type=float)
+    solve.add_argument("--max-iters", type=int)
+    solve.add_argument("--polish", type=int, help="extra steps after the stopping rule fires")
+    validate = _command(rde_sub, "rde validate", cmd_rde_validate, "fixed-point identity checks")
     validate.add_argument("--expect-fail", action="store_true",
                           help="negative-control mode: exit 0 if checks fail")
-    _add_common(validate)
 
-    beta_p = sub.add_parser("beta", help="triangulate the exponent from a cloud")
-    beta_p.add_argument("--cloud", default=None)
-    beta_p.add_argument("--trials", type=int, default=None, help="resampled tuples per estimator")
+    beta_p = _command(sub, "beta", cmd_beta, "triangulate the exponent from a cloud")
+    beta_p.add_argument("--trials", type=int, help="resampled tuples per estimator")
     beta_p.add_argument("--method", choices=["all", "moment", "triple", "shift"], default="all")
-    _add_common(beta_p)
 
-    disc = sub.add_parser("discrete", help="discrete-tree experiments")
-    disc.add_argument("experiment", choices=["theorem1", "conductance", "levelset", "fixed-size"])
-    disc.add_argument("--offspring", default=None)
-    disc.add_argument("--n", default=None, help="level (comma list for ladders)")
-    disc.add_argument("--p", default=None, help="comma list of p for levelset")
-    disc.add_argument("--edges", type=int, default=None, help="edge count N for fixed-size")
-    disc.add_argument("--trials", type=int, default=None)
-    disc.add_argument("--delta", type=float, default=0.25)
-    disc.add_argument("--cloud", default=None)
-    _add_common(disc)
+    disc = sub.add_parser("discrete", help="discrete-tree experiments").add_subparsers(
+        dest="experiment", required=True)
+    theorem1 = _command(disc, "discrete theorem1", cmd_theorem1)
+    theorem1.add_argument("--n", type=_parse_list, help="comma list of levels")
+    theorem1.add_argument("--delta", type=float)
+    conductance = _command(disc, "discrete conductance", cmd_conductance)
+    conductance.add_argument("--n", type=_parse_list, help="comma list of levels")
+    levelset = _command(disc, "discrete levelset", cmd_levelset, cloud=False)
+    levelset.add_argument("--n", type=_one_level, help="one level")
+    levelset.add_argument("--p", type=_parse_list, help="comma list of p; level n-p is measured")
+    fixed = _command(disc, "discrete fixed-size", cmd_fixed_size)
+    fixed.add_argument("--edges", type=int, help="edge count N")
+    fixed.add_argument("--n", type=_one_level, help="one level")
+    fixed.add_argument("--delta", type=float)
 
-    cont = sub.add_parser("continuum", help="continuum-tree experiments")
-    cont.add_argument("experiment", choices=["dimension"])
-    cont.add_argument("--cloud", default=None)
-    cont.add_argument("--eps", default=None, help="comma list, accepts 2^-k tokens")
-    cont.add_argument("--trials", type=int, default=None)
-    _add_common(cont)
+    cont = sub.add_parser("continuum", help="continuum-tree experiments").add_subparsers(
+        dest="experiment", required=True)
+    dimension = _command(cont, "continuum dimension", cmd_continuum)
+    dimension.add_argument("--eps", type=_eps_list, help="comma list, accepts 2^-k tokens")
+    dimension.add_argument("--trials", type=int, help="rays per eps")
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
-        if args.command == "rde":
-            if args.rde_command == "solve":
-                return cmd_rde_solve(args)
-            return cmd_rde_validate(args)
-        if args.command == "beta":
-            return cmd_beta(args)
-        if args.command == "discrete":
-            return cmd_discrete(args)
-        if args.command == "continuum":
-            return cmd_continuum(args)
-        raise CliError(f"unknown command {args.command}")  # pragma: no cover
+        args = build_parser().parse_args(argv)
+        _fill(args)
+        return args.run(args)
     except (CliError, FileNotFoundError, ValueError) as exc:  # CloudFormatError, OffspringError too
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,7 +2,7 @@
 
 Every law here has mean one and finite positive variance.  Infinite-support
 laws (geometric, Poisson) are truncated where the pmf drops below 1e-16 and
-renormalised; the dropped mass is recorded on the instance.
+renormalised.
 """
 
 from __future__ import annotations
@@ -26,16 +26,13 @@ class OffspringError(ValueError):
 class OffspringDistribution:
     """Critical offspring law on {0, 1, ..., K}.  Immutable after construction.
 
-    `pmf[k]` is the probability of k children.  `truncated_mass` is the tail
-    probability dropped before renormalisation (0 for finitely supported laws).
+    `pmf[k]` is the probability of k children.
     """
 
     kind: str
     pmf: np.ndarray
-    truncated_mass: float = 0.0
     mean: float = field(init=False)
     variance: float = field(init=False)
-    cdf: np.ndarray = field(init=False, repr=False)
     _q: list = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -56,15 +53,8 @@ class OffspringDistribution:
         self.variance = float((ks * ks) @ self.pmf) - 1.0
         if self.variance <= 0:
             raise OffspringError("variance must be positive (degenerate law theta(1)=1?)")
-        self.cdf = np.cumsum(self.pmf)
-        self.cdf[-1] = 1.0
         self.pmf.flags.writeable = False
-        self.cdf.flags.writeable = False
         self._q = [1.0]  # survival probabilities q_0, q_1, ...
-
-    @property
-    def max_children(self) -> int:
-        return self.pmf.size - 1
 
 
 def geometric() -> OffspringDistribution:
@@ -72,8 +62,7 @@ def geometric() -> OffspringDistribution:
     k = np.arange(54)
     pmf = 0.5 ** (k + 1)
     pmf = pmf[pmf >= PMF_TAIL_CUTOFF]
-    dropped = 1.0 - pmf.sum()
-    return OffspringDistribution("geometric", pmf / pmf.sum(), truncated_mass=dropped)
+    return OffspringDistribution("geometric", pmf / pmf.sum())
 
 
 def poisson() -> OffspringDistribution:
@@ -82,8 +71,7 @@ def poisson() -> OffspringDistribution:
     while pmf[-1] >= PMF_TAIL_CUTOFF:
         pmf.append(pmf[-1] / len(pmf))
     pmf = np.array(pmf[:-1])
-    dropped = 1.0 - pmf.sum()
-    return OffspringDistribution("poisson", pmf / pmf.sum(), truncated_mass=dropped)
+    return OffspringDistribution("poisson", pmf / pmf.sum())
 
 
 def strict_pary(p: int) -> OffspringDistribution:

@@ -221,9 +221,11 @@ def pgf_eval(dist: OffspringDistribution, s: float) -> float:
 
 
 def sample_offspring(dist: OffspringDistribution, rng: np.random.Generator, size=None):
-    """Draw child counts by inverse CDF on the precomputed table."""
+    """Draw child counts by inverse CDF; the table's last entry is exactly 1."""
+    cdf = np.cumsum(dist.pmf)
+    cdf[-1] = 1.0
     u = rng.random(size)
-    return np.searchsorted(dist.cdf, u, side="right")
+    return np.searchsorted(cdf, u, side="right")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
+import argparse
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gwharmonic import continuum, experiments, rde
+from gwharmonic import cli, continuum, experiments, rde
 from gwharmonic.cli import main
 from gwharmonic.rngs import task_stream
 
@@ -201,7 +201,7 @@ def test_discrete_requires_offspring(cloud_file, tmp_path, capsys):
 def test_empty_lists_are_usage_errors(cloud_file, tmp_path, capsys, argv):
     # an empty --n raised IndexError, an empty --p ran no checks and passed,
     # and an empty --eps failed on an empty fit
-    assert run([*argv, "--cloud", str(cloud_file), "--out", str(tmp_path)]) == 2
+    assert run([*argv, *_cloud_flag(argv, cloud_file), "--out", str(tmp_path)]) == 2
     assert "empty list" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.json"))
 
@@ -213,13 +213,34 @@ def test_empty_lists_are_usage_errors(cloud_file, tmp_path, capsys, argv):
      "--trials", "0"],
     ["continuum", "dimension", "--eps", "2^-6,2^-8", "--trials", "0"],
     ["continuum", "dimension", "--eps", "2^-6,2^-8", "--trials", "1"],
-], ids=["fixed-size-1", "levelset-0", "continuum-0", "continuum-1"])
+    ["beta", "--trials", "0"],
+], ids=["fixed-size-1", "levelset-0", "continuum-0", "continuum-1", "beta-0"])
 def test_trials_below_two_are_usage_errors(cloud_file, tmp_path, capsys, argv):
     # one trial has no error bar (it wrote NaN, which is not JSON), and 0
     # either meant the default or failed on an empty fit
-    assert run([*argv, "--cloud", str(cloud_file), "--out", str(tmp_path)]) == 2
+    assert run([*argv, *_cloud_flag(argv, cloud_file), "--out", str(tmp_path)]) == 2
     assert "--trials must be >= 2" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rde", "solve", "--particles", "0"], "--particles must be >= 1e3"),
+    (["rde", "solve", "--particles", "2000", "--max-iters", "0"], "--max-iters must be >= 1"),
+    (["discrete", "fixed-size", "--offspring", "geometric", "--edges", "0", "--n", "5",
+      "--trials", "20"], "sqrt(N)/2"),
+], ids=["particles-0", "max-iters-0", "edges-0"])
+def test_zero_counts_are_usage_errors(cloud_file, tmp_path, capsys, argv, message):
+    # zero is a value, not "use the default": --particles 0 ran a 1e6 solve,
+    # --edges 0 ran N = 40000, and --max-iters 0 wrote a cloud, then crashed
+    assert run([*argv, *_cloud_flag(argv, cloud_file), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def _cloud_flag(argv, cloud_file):
+    """--cloud for the commands that read a cloud."""
+    return [] if argv[:2] in (["discrete", "levelset"], ["rde", "solve"]) else [
+        "--cloud", str(cloud_file)]
 
 
 def test_continuum_dimension(cloud_file, tmp_path):
@@ -314,6 +335,53 @@ def test_inner_flag_is_gone(cloud_file, tmp_path):
         run(["beta", "--cloud", str(cloud_file), "--trials", "10000", "--inner", "64",
              "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["discrete", "levelset", "--n", "30", "--cloud", "CLOUD"],
+    ["discrete", "levelset", "--n", "30", "--edges", "400"],
+    ["discrete", "levelset", "--n", "30", "--delta", "0.25"],
+    ["discrete", "theorem1", "--cloud", "CLOUD", "--p", "5"],
+    ["discrete", "theorem1", "--cloud", "CLOUD", "--edges", "400"],
+    ["discrete", "conductance", "--cloud", "CLOUD", "--p", "5"],
+    ["discrete", "conductance", "--cloud", "CLOUD", "--edges", "400"],
+    ["discrete", "conductance", "--cloud", "CLOUD", "--delta", "0.25"],
+    ["discrete", "fixed-size", "--cloud", "CLOUD", "--n", "5", "--p", "2"],
+    ["rde", "validate", "--cloud", "CLOUD", "--preset", "smoke"],
+    ["discrete", "levelset", "--n", "20,40"],
+], ids=["levelset-cloud", "levelset-edges", "levelset-delta", "theorem1-p", "theorem1-edges",
+        "conductance-p", "conductance-edges", "conductance-delta", "fixed-size-p",
+        "validate-preset", "levelset-n-ladder"])
+def test_flags_a_command_does_not_read_are_usage_errors(cloud_file, tmp_path, argv):
+    # each was silently ignored (or, for a levelset --n ladder, cut to its
+    # first level) and echoed into the report's config
+    argv = [str(cloud_file) if a == "CLOUD" else a for a in argv]
+    if argv[0] == "discrete":
+        argv += ["--offspring", "geometric", "--trials", "20"]
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
+def _leaf_parsers(parser):
+    """{stage: parser} for every command under `parser`."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {parser.get_default("stage"): parser}
+    return {k: v for sub in subs[0].choices.values() for k, v in _leaf_parsers(sub).items()}
+
+
+def test_defaults_fill_every_flag_left_unset():
+    # a flag that parses to None and has no DEFAULTS entry would reach its
+    # command as None; a preset may only override a value DEFAULTS has
+    parsers = _leaf_parsers(cli.build_parser())
+    assert set(parsers) == set(cli.DEFAULTS) | {"rde validate"}
+    for stage, parser in parsers.items():
+        unset = {a.dest for a in parser._actions if a.default is None and not a.required}
+        assert unset - {"offspring", "preset"} == set(cli.settings(stage)), stage
+        for overrides in cli.PRESETS.values():
+            assert set(overrides.get(stage, {})) <= set(cli.settings(stage)), stage
 
 
 def test_threads_flag_is_gone(tmp_path):

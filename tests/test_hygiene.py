@@ -1,8 +1,8 @@
 """Source hygiene checks that need no linter: every name a `gwharmonic`
-module imports must be used in that module, every public function and class
-must be used somewhere in the package (code that only tests reach belongs
-in tests/oracles.py), and the CLI imports no scipy, not even to build a
-p-ary law."""
+module, a test or a script imports must be used in that file, every public
+function and class must be used somewhere in the package (code that only
+tests reach belongs in tests/oracles.py), and the CLI imports no scipy, not
+even to build a p-ary law."""
 
 import ast
 import os
@@ -13,7 +13,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gwharmonic"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gwharmonic"
+SOURCES = [*sorted(SRC.glob("*.py")), *sorted((ROOT / "tests").glob("*.py")),
+           *sorted((ROOT / "scripts").glob("*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,7 +34,8 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES,
+                         ids=lambda p: p.name if p.parent == SRC else f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -207,12 +207,13 @@ def test_reduced_child_cdf_matches_the_binomial_sum():
     for dist in (off.geometric(), off.poisson(), off.binary(), off.pary(3)):
         q = off.survival_probs(dist, n)
         cdf = tr.reduced_child_cdf(dist, n)
-        assert cdf.shape == (n, dist.max_children)
+        kmax = dist.pmf.size - 1
+        assert cdf.shape == (n, kmax)
         for g in range(n):
             s = q[n - g - 1]
             pj = [sum(dist.pmf[k] * math.comb(k, j) * s**j * (1 - s) ** (k - j)
-                      for k in range(j, dist.max_children + 1)) / q[n - g]
-                  for j in range(1, dist.max_children + 1)]
+                      for k in range(j, kmax + 1)) / q[n - g]
+                  for j in range(1, kmax + 1)]
             assert np.max(np.abs(cdf[g] - np.cumsum(pj))) < 1e-13
         # the last generation keeps every child: K given K >= 1
         top = dist.pmf[1:] / (1.0 - dist.pmf[0])
