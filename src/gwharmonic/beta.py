@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rde import ParticleCloud
+from .rde import _BATCHES, ParticleCloud, se_of_mean, z_score
 
-_BATCHES = 100
 _CHUNK = 1 << 17
 # kappa table: a uniform grid on x = 1/G in [0, 1], estimated as independent
 # sub-tables whose spread is the table's Monte Carlo error.
@@ -51,23 +50,27 @@ class BetaEstimate:
         }
 
 
+def _chunks(batch: int):
+    """(batch index, tuple count) for every draw: _BATCHES batches of `batch`
+    tuples, each drawn in chunks of at most _CHUNK."""
+    for k in range(_BATCHES):
+        for done in range(0, batch, _CHUNK):
+            yield k, min(_CHUNK, batch - done)
+
+
 def beta_moment(cloud: ParticleCloud, sample_count: int, rng) -> BetaEstimate:
     """Plug-in 0.5 ((E C)^2 / E[C0 C1/(C0+C1-1)] - 1) over resampled pairs."""
     s = cloud.samples
     a = float(s.mean())
     batch = max(sample_count // _BATCHES, 1)
-    bmeans = np.empty(_BATCHES)
-    for k in range(_BATCHES):
-        acc, done = 0.0, 0
-        while done < batch:
-            m = min(_CHUNK, batch - done)
-            c0 = s[rng.integers(0, s.size, size=m)]
-            c1 = s[rng.integers(0, s.size, size=m)]
-            acc += float(np.sum(c0 * c1 / (c0 + c1 - 1.0)))
-            done += m
-        bmeans[k] = acc / batch
+    sums = np.zeros(_BATCHES)
+    for k, m in _chunks(batch):
+        c0 = s[rng.integers(0, s.size, size=m)]
+        c1 = s[rng.integers(0, s.size, size=m)]
+        sums[k] += np.sum(c0 * c1 / (c0 + c1 - 1.0))
+    bmeans = sums / batch
     b = float(bmeans.mean())
-    se_b = float(bmeans.std(ddof=1) / np.sqrt(_BATCHES))
+    se_b = se_of_mean(bmeans)
     value = 0.5 * (a * a / b - 1.0)
     std_error = 0.5 * a * a / (b * b) * se_b
     return BetaEstimate(value, std_error, "moment", batch * _BATCHES)
@@ -78,22 +81,16 @@ def beta_triple(cloud: ParticleCloud, sample_count: int, rng) -> BetaEstimate:
     pair integral E[ST/(S+T-1)]; standard error by batching."""
     s = cloud.samples
     batch = max(sample_count // _BATCHES, 1)
-    num_b = np.empty(_BATCHES)
-    den_b = np.empty(_BATCHES)
-    for k in range(_BATCHES):
-        nacc, dacc, done = 0.0, 0.0, 0
-        while done < batch:
-            m = min(_CHUNK, batch - done)
-            r = s[rng.integers(0, s.size, size=m)]
-            t = s[rng.integers(0, s.size, size=m)]
-            u = s[rng.integers(0, s.size, size=m)]
-            nacc += float(np.sum(2.0 * r * t / (r + t + u - 1.0) * np.log((t + u) / t)))
-            dacc += float(np.sum(t * u / (t + u - 1.0)))
-            done += m
-        num_b[k], den_b[k] = nacc / batch, dacc / batch
+    num_b, den_b = np.zeros(_BATCHES), np.zeros(_BATCHES)
+    for k, m in _chunks(batch):
+        r = s[rng.integers(0, s.size, size=m)]
+        t = s[rng.integers(0, s.size, size=m)]
+        u = s[rng.integers(0, s.size, size=m)]
+        num_b[k] += np.sum(2.0 * r * t / (r + t + u - 1.0) * np.log((t + u) / t))
+        den_b[k] += np.sum(t * u / (t + u - 1.0))
+    num_b, den_b = num_b / batch, den_b / batch
     value = float(num_b.mean() / den_b.mean())
-    ratios = num_b / den_b
-    std_error = float(ratios.std(ddof=1) / np.sqrt(_BATCHES))
+    std_error = se_of_mean(num_b / den_b)
     return BetaEstimate(value, std_error, "triple", batch * _BATCHES)
 
 
@@ -127,28 +124,23 @@ def beta_shift(cloud: ParticleCloud, sample_count: int, rng) -> BetaEstimate:
     batch = max(sample_count // _BATCHES, 1)
     num_c = np.zeros((_BATCHES, _TABLE_NODES))
     den_c = np.zeros((_BATCHES, _TABLE_NODES))
-    for k in range(_BATCHES):
-        done = 0
-        while done < batch:
-            m = min(_CHUNK, batch - done)
-            c1 = s[rng.integers(0, s.size, size=m)]
-            c2 = s[rng.integers(0, s.size, size=m)]
-            u = rng.random(m)
-            pos = (u + (1.0 - u) / (c1 + c2)) * last
-            j = np.minimum(pos.astype(np.intp), last - 1)
-            t = pos - j
-            frac = c1 / (c1 + c2)
-            for coef, f in ((num_c[k], frac * np.log(frac)), (den_c[k], -np.log1p(-u))):
-                coef[:-1] += np.bincount(j, (1.0 - t) * f, minlength=last)
-                coef[1:] += np.bincount(j, t * f, minlength=last)
-            done += m
+    for k, m in _chunks(batch):
+        c1 = s[rng.integers(0, s.size, size=m)]
+        c2 = s[rng.integers(0, s.size, size=m)]
+        u = rng.random(m)
+        pos = (u + (1.0 - u) / (c1 + c2)) * last
+        j = np.minimum(pos.astype(np.intp), last - 1)
+        t = pos - j
+        frac = c1 / (c1 + c2)
+        for coef, f in ((num_c[k], frac * np.log(frac)), (den_c[k], -np.log1p(-u))):
+            coef[:-1] += np.bincount(j, (1.0 - t) * f, minlength=last)
+            coef[1:] += np.bincount(j, t * f, minlength=last)
     mean_table = table.mean(axis=0)
     num, den = num_c.sum(axis=0), den_c.sum(axis=0)
     value = float(-2.0 * (num @ mean_table) / (den @ mean_table))
     ratios = -2.0 * (num_c @ mean_table) / (den_c @ mean_table)
-    std_error = float(ratios.std(ddof=1) / np.sqrt(_BATCHES))
-    per_table = -2.0 * (table @ num) / (table @ den)
-    table_std_error = float(per_table.std(ddof=1) / np.sqrt(_SUBTABLES))
+    std_error = se_of_mean(ratios)
+    table_std_error = se_of_mean(-2.0 * (table @ num) / (table @ den))
     return BetaEstimate(value, std_error, "shift", batch * _BATCHES,
                         table_std_error=table_std_error)
 
@@ -213,11 +205,9 @@ def cross_validate(cloud: ParticleCloud, budget: int, rng) -> CrossValidation:
     z = np.zeros((3, 3))
     for i in range(3):
         for j in range(3):
-            if i == j:
-                continue
-            denom = np.hypot(ests[i].total_std_error, ests[j].total_std_error)
-            diff = abs(ests[i].value - ests[j].value)
-            z[i, j] = diff / denom if denom > 0 else (0.0 if diff == 0 else np.inf)
+            if i != j:
+                z[i, j] = z_score(abs(ests[i].value - ests[j].value),
+                                  np.hypot(ests[i].total_std_error, ests[j].total_std_error))
     return CrossValidation(
         estimates=ests,
         z_matrix=z,

@@ -93,6 +93,16 @@ def _one_level(text):
     return levels[0]
 
 
+def _with_default(action, value) -> str:
+    """The flag's help, ending in its default as the flag is written: lists
+    comma-joined (a long one as its first two and last values), eps as 2^-k."""
+    if isinstance(value, list):
+        if action.type is _eps_list:
+            value = [f"2^{np.log2(e):g}" for e in value]
+        value = ",".join(map(str, value if len(value) <= 4 else [*value[:2], "...", value[-1]]))
+    return f"{action.help or ''} (default: {value})".lstrip()
+
+
 def _load_cloud(path) -> rde.ParticleCloud:
     p = Path(path)
     if not p.exists():
@@ -201,8 +211,9 @@ def cmd_rde_validate(args) -> int:
     fit_tol = 5e-3 if cloud.size >= 10**7 else 5e-3 * np.sqrt(10**7 / cloud.size)
     checks.append({"criterion": "tail-law-on-[1,2]", "passed": bool(sup_gap <= fit_tol),
                    "detail": f"sup gap {sup_gap:.2e} (tol {fit_tol:.2e})"})
-    for chk in rde.laplace_ode_residual(cloud, [0.5, 1.0, 2.0, 4.0]):
-        checks.append({"criterion": f"laplace-ode-l{chk.ell:g}",
+    ells = [0.5, 1.0, 2.0, 4.0]
+    for ell, chk in zip(ells, rde.laplace_ode_residual(cloud, ells)):
+        checks.append({"criterion": f"laplace-ode-l{ell:g}",
                        "passed": bool(abs(chk.z) <= 3),
                        "detail": f"residual={chk.residual:.3e} z={chk.z:+.2f}"})
     cfg = _config(args, moments={"m1": m1, "m2": m2, "m3": m3})
@@ -241,8 +252,6 @@ DISCRETE_TASKS = {"theorem1": 0, "conductance": 1, "levelset": 2, "fixed-size": 
 
 def _discrete(args):
     """The offspring law and the experiment's own task stream."""
-    if args.offspring is None:
-        raise CliError("--offspring is required (geometric|poisson|binary|pary:<p>|custom:<path>)")
     rng = task_stream(args.seed, "experiments", DISCRETE_TASKS[args.experiment])
     return offspring.from_spec(args.offspring), rng
 
@@ -310,7 +319,8 @@ def _command(parent, stage, run, help=None, cloud=True):
     if cloud:
         p.add_argument("--cloud", required=True, help="cloud file from `gwharmonic rde solve`")
     if stage.startswith("discrete "):
-        p.add_argument("--offspring", help="offspring law, e.g. geometric or pary:3")
+        p.add_argument("--offspring", required=True, help="offspring law: geometric, poisson, "
+                       "binary, pary:<p>, strict-pary:<p> or custom:<path>")
         p.add_argument("--trials", type=int, help="trees per level")
     return p
 
@@ -357,6 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
     dimension = _command(cont, "continuum dimension", cmd_continuum)
     dimension.add_argument("--eps", type=_eps_list, help="comma list, accepts 2^-k tokens")
     dimension.add_argument("--trials", type=int, help="rays per eps")
+
+    for p in (solve, beta_p, theorem1, conductance, levelset, fixed, dimension):
+        defaults = settings(p.get_default("stage"))
+        for action in p._actions:
+            if action.dest in defaults:
+                action.help = _with_default(action, defaults[action.dest])
     return ap
 
 

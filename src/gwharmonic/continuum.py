@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rde import ParticleCloud
+from .rde import ParticleCloud, se_of_mean, z_score
 
 # Proposals per pending entry in one round of `_given`, at most: about
 # 3 MB of work arrays.  An entry at the cloud maximum can need about M
@@ -140,7 +140,7 @@ class DimensionCurve:
         if self.extrapolated is None:
             return {"criterion": "continuum-exponent", "passed": False,
                     "detail": "no fit: needs points at two or more eps"}
-        z = (self.extrapolated - beta_ref) / self.extrapolated_se
+        z = z_score(self.extrapolated - beta_ref, self.extrapolated_se)
         chi2 = "n/a" if self.chi2_dof is None else f"{self.chi2_dof:.2f}"
         return {"criterion": "continuum-exponent", "passed": bool(abs(z) <= 3.0),
                 "detail": f"intercept {self.extrapolated:.4f} +- {self.extrapolated_se:.4f} "
@@ -180,7 +180,7 @@ def dimension_curve(cloud: ParticleCloud, eps_list, trials: int, rng) -> Dimensi
             DimensionPoint(
                 eps=float(eps),
                 exponent=float(-logm.mean() / ln),
-                std_error=float(logm.std(ddof=1) / np.sqrt(trials) / ln),
+                std_error=float(se_of_mean(logm) / ln),
                 trials=trials,
             )
         )

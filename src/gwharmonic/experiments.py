@@ -16,7 +16,6 @@ z-scores rather than exact limits.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import math
@@ -33,7 +32,7 @@ from .network import (
     forest_conductance_to_level,
 )
 from .offspring import survival_probs
-from .rde import ParticleCloud, wasserstein1
+from .rde import ParticleCloud, se_of_mean, wasserstein1, z_score
 from .trees import (
     level_set,
     reduce as reduce_tree,
@@ -64,7 +63,6 @@ class ExperimentReport:
     cells: list
     checks: list
     wall_clock_s: float = 0.0
-    version: str = __version__
     rows_key: str = "cells"
     summary: dict = field(default_factory=dict)
 
@@ -75,7 +73,7 @@ class ExperimentReport:
     def to_dict(self) -> dict:
         return {
             "experiment": self.experiment,
-            "version": self.version,
+            "version": __version__,
             "config": self.config,
             **self.summary,
             self.rows_key: self.cells,
@@ -85,12 +83,6 @@ class ExperimentReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def content_hash(self) -> str:
-        """Hash of everything except the wall clock (reproducibility check)."""
-        d = self.to_dict()
-        d.pop("wall_clock_s")
-        return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
 
     def to_csv(self) -> str:
         """One line per row; columns in first-seen row key order."""
@@ -144,7 +136,7 @@ def _summary(values: np.ndarray) -> dict:
     q = np.quantile(values, [0.1, 0.5, 0.9])
     return {
         "mean": float(values.mean()),
-        "std_error": float(values.std(ddof=1) / np.sqrt(values.size)),
+        "std_error": se_of_mean(values),
         "q10": float(q[0]),
         "median": float(q[1]),
         "q90": float(q[2]),
@@ -165,8 +157,8 @@ def midlevel_check(dist, n, sizes) -> dict:
     h = n // 2
     q = survival_probs(dist, n)
     exact = q[n - h] / q[n]
-    mean, se = sizes.mean(), sizes.std(ddof=1) / np.sqrt(sizes.size)
-    z = (mean - exact) / se if se > 0 else (0.0 if mean == exact else math.inf)
+    mean = sizes.mean()
+    z = z_score(mean - exact, se_of_mean(sizes))
     return {"criterion": f"reduced-midlevel-n{n}", "passed": bool(abs(z) <= 4),
             "detail": f"h={h} mean={mean:.4f} exact={exact:.4f} z={z:+.2f}"}
 
@@ -242,7 +234,7 @@ def run_theorem1(dist, n_list, delta, trials, rng, beta_ref, config=None):
         concs, expos = np.concatenate(concs), np.concatenate(expos)
         mids.append(midlevel_check(dist, n, np.concatenate(sizes)))
         cell = {"n": n, "trials": trials, "concentration_mean": float(concs.mean()),
-                "concentration_se": float(concs.std(ddof=1) / np.sqrt(trials))}
+                "concentration_se": se_of_mean(concs)}
         cell.update({f"exponent_{k}": v for k, v in _summary(expos).items()})
         cells.append(cell)
     means = [c["exponent_mean"] for c in cells]
@@ -311,10 +303,10 @@ def run_levelset(dist, n, p_list, trials, rng, config=None):
     for p in p_list:
         sizes = np.array([level_set(t, n - p).size for t in trees], float)
         exact = qs[p] / qs[n]
-        se = sizes.std(ddof=1) / np.sqrt(trials)
-        z = (sizes.mean() - exact) / se
+        se = se_of_mean(sizes)
+        z = z_score(sizes.mean() - exact, se)
         cells.append({"n": n, "p": p, "trials": trials, "mean": float(sizes.mean()),
-                      "std_error": float(se), "exact": float(exact), "z": float(z)})
+                      "std_error": se, "exact": float(exact), "z": z})
         checks.append({"criterion": f"levelset-z-n{n}-p{p}", "passed": bool(abs(z) <= 3),
                        "detail": f"z={z:+.2f}"})
     cfg = dict(config or {})
@@ -345,7 +337,7 @@ def run_corollary_fixed_size(dist, N, n, trials, rng, beta_ref, delta=0.25, conf
     cell = {"N": N, "n": n, "trials": trials,
             "acceptance_rate": trials / attempts,
             "concentration_mean": float(concs.mean()),
-            "concentration_se": float(concs.std(ddof=1) / np.sqrt(trials))}
+            "concentration_se": se_of_mean(concs)}
     cell.update({f"exponent_{k}": v for k, v in _summary(expos).items()})
     checks = [
         {"criterion": "fixed-size-height-acceptance",

@@ -8,7 +8,9 @@ the fixed point up to the Monte Carlo floor of the population size.
 
 Validation tooling lives here too: moment identities, the tail law
 F(t) = K0/t + 1 - K0 on [1,2], and the exact-moment residual of the
-Laplace-transform ODE 2 l phi'' + l phi' + phi^2 - phi = 0.
+Laplace-transform ODE 2 l phi'' + l phi' + phi^2 - phi = 0.  So do the two
+error-bar rules that every reported check of the package uses:
+`se_of_mean` and `z_score`.
 """
 
 from __future__ import annotations
@@ -22,11 +24,25 @@ import numpy as np
 CONTRACTION_RATE = 2.0 * (1.0 - math.log(2.0))  # ~0.6137 per iteration
 _CHUNK = 1 << 20
 _SAVE_BLOCK = 1 << 16  # cloud values encoded or decoded per block (~1 MB of text)
-_BATCHES = 100  # batch means behind each identity and ODE standard error
+_BATCHES = 100  # batch means behind every batched standard error (here and in beta)
 
 
 class CloudFormatError(ValueError):
     pass
+
+
+def se_of_mean(values) -> float:
+    """Standard error of the mean of iid values (or of batch means):
+    sample standard deviation over sqrt(count)."""
+    return float(np.std(values, ddof=1) / np.sqrt(np.size(values)))
+
+
+def z_score(diff: float, se: float) -> float:
+    """diff / se; with a zero standard error, 0 for a zero diff and an
+    infinity of diff's sign for any other."""
+    if se > 0:
+        return float(diff / se)
+    return 0.0 if diff == 0 else math.copysign(math.inf, diff)
 
 
 @dataclass(eq=False)
@@ -59,21 +75,20 @@ def constant_cloud(m: int, value: float = 1.0, seed: int = 0) -> ParticleCloud:
     return ParticleCloud(np.full(m, float(value)), iteration_count=0, seed=seed)
 
 
-def phi_step(cloud: ParticleCloud, rng, out_size: int | None = None) -> ParticleCloud:
-    """One population step: out_size iid draws of G(U, X1, X2) with X1, X2
-    resampled with replacement from the cloud.
+def phi_step(cloud: ParticleCloud, rng) -> ParticleCloud:
+    """One population step: cloud-size many iid draws of G(U, X1, X2) with
+    X1, X2 resampled with replacement from the cloud.
 
     Output indices are produced in fixed chunks, each from its own spawned
     stream (draw order per chunk: X1 indices, X2 indices, U), so the result
     does not depend on how chunks would be scheduled across workers.
     """
-    m_out = cloud.size if out_size is None else int(out_size)
     s = cloud.samples
-    n_chunks = (m_out + _CHUNK - 1) // _CHUNK
+    n_chunks = (s.size + _CHUNK - 1) // _CHUNK
     streams = rng.spawn(n_chunks)
     parts = []
     for k, sub in enumerate(streams):
-        m = min(_CHUNK, m_out - k * _CHUNK)
+        m = min(_CHUNK, s.size - k * _CHUNK)
         x = s[sub.integers(0, s.size, size=m)]
         x += s[sub.integers(0, s.size, size=m)]
         u = sub.random(m)
@@ -125,12 +140,14 @@ def solve_fixpoint(
     """
     if m < 1000:
         raise ValueError("population size must be >= 1e3")
+    if initial is not None and initial.size != m:
+        raise ValueError(f"initial cloud holds {initial.size} particles, not {m}")
     cloud = initial if initial is not None else constant_cloud(m, 1.0, seed)
     trace = []
     converged = False
     for it in range(1, max_iters + 1):
-        nxt = phi_step(cloud, rng, out_size=m)
-        d1 = wasserstein1(nxt, cloud) if nxt.size == cloud.size else float("nan")
+        nxt = phi_step(cloud, rng)
+        d1 = wasserstein1(nxt, cloud)
         trace.append((it, d1))
         cloud = nxt
         if d1 < tol:
@@ -138,7 +155,7 @@ def solve_fixpoint(
             break
     if converged:
         for _ in range(polish):
-            nxt = phi_step(cloud, rng, out_size=m)
+            nxt = phi_step(cloud, rng)
             trace.append((cloud.iteration_count + 1, wasserstein1(nxt, cloud)))
             cloud = nxt
     cloud = ParticleCloud(cloud.samples, cloud.iteration_count, seed)
@@ -182,43 +199,34 @@ def moment(cloud: ParticleCloud, m: int) -> float:
 
 
 @dataclass
-class IdentityCheck:
-    name: str
+class Residual:
+    """A Monte Carlo residual that is zero at the fixed point, and its
+    standard error."""
+
     residual: float
     std_error: float
-    n: int
 
     @property
     def z(self) -> float:
-        if self.std_error == 0.0:
-            return 0.0 if self.residual == 0.0 else float("inf")
-        return self.residual / self.std_error
+        return z_score(self.residual, self.std_error)
 
 
 def _g_funcs(g_spec):
     kind, arg = g_spec
     if kind == "monomial":
         m = int(arg)
-        return (
-            f"x^{m}",
-            lambda x: x**m,
-            lambda x: m * x ** (m - 1) if m > 1 else np.ones_like(x),
-        )
+        return lambda x: x**m, lambda x: m * x ** (m - 1) if m > 1 else np.ones_like(x)
     if kind == "exp":
         ell = float(arg)
-        return (
-            f"exp(-{ell:g}x/2)",
-            lambda x: np.exp(-ell * x / 2.0),
-            lambda x: -(ell / 2.0) * np.exp(-ell * x / 2.0),
-        )
+        return lambda x: np.exp(-ell * x / 2.0), lambda x: -(ell / 2.0) * np.exp(-ell * x / 2.0)
     raise ValueError(f"unknown identity test function {g_spec!r}")
 
 
-def check_identity(cloud: ParticleCloud, g_spec, rng):
+def check_identity(cloud: ParticleCloud, g_spec, rng) -> Residual:
     """Monte Carlo residual of E[X(X-1)g'(X)] + E[g(X)] - E[g(X1+X2)] with
     cloud-size many X, X1, X2 resampled from the cloud; zero at the fixed
     point.  Standard error by _BATCHES batch means."""
-    name, g, gp = _g_funcs(g_spec)
+    g, gp = _g_funcs(g_spec)
     s = cloud.samples
     n = s.size
     x = s[rng.integers(0, n, size=n)]
@@ -226,28 +234,10 @@ def check_identity(cloud: ParticleCloud, g_spec, rng):
     res = x * (x - 1.0) * gp(x) + g(x) - g(x + y)
     m = n // _BATCHES
     bmeans = res[: m * _BATCHES].reshape(_BATCHES, m).mean(axis=1)
-    return IdentityCheck(
-        name=name,
-        residual=float(res.mean()),
-        std_error=float(bmeans.std(ddof=1) / np.sqrt(_BATCHES)),
-        n=n,
-    )
+    return Residual(float(res.mean()), se_of_mean(bmeans))
 
 
-@dataclass
-class OdeResidual:
-    ell: float
-    residual: float
-    std_error: float
-
-    @property
-    def z(self) -> float:
-        if self.std_error == 0.0:
-            return 0.0 if self.residual == 0.0 else float("inf")
-        return self.residual / self.std_error
-
-
-def laplace_ode_residual(cloud: ParticleCloud, ell_grid) -> list[OdeResidual]:
+def laplace_ode_residual(cloud: ParticleCloud, ell_grid) -> list[Residual]:
     """Residual of 2 l phi'' + l phi' + phi^2 - phi at each l, with phi and
     its derivatives computed as exact sample averages (no numerical
     differentiation); standard errors by _BATCHES batch means over the cloud
@@ -271,13 +261,7 @@ def laplace_ode_residual(cloud: ParticleCloud, ell_grid) -> list[OdeResidual]:
             + phi * phi
             - phi
         )
-        out.append(
-            OdeResidual(
-                ell=float(ell),
-                residual=float(res),
-                std_error=float(res_b.std(ddof=1) / np.sqrt(_BATCHES)),
-            )
-        )
+        out.append(Residual(float(res), se_of_mean(res_b)))
     return out
 
 

@@ -50,16 +50,8 @@ class PlaneTree:
     gen_offsets: np.ndarray  # int64; generation d is nodes [gen_offsets[d], gen_offsets[d+1])
 
     @property
-    def node_count(self) -> int:
-        return self.parent.size
-
-    @property
     def height(self) -> int:
         return self.gen_offsets.size - 2
-
-    def children(self, v: int) -> np.ndarray:
-        s = self.child_start[v]
-        return np.arange(s, s + self.child_count[v])
 
 
 @dataclass(eq=False)

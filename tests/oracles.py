@@ -1,10 +1,11 @@
 """Reference implementations that the runtime modules are tested against.
 
-Single trees: `PlaneTree` builders and validators, and `ReducedTree`, one
-tree of a reduced forest (`views`) that `as_forest` sweeps alone.  Its
-exit law has two independent checks of the network sweeps, the sparse
-harmonic solve and plain walk simulation; `sample_boundary` and
-`concentration_statistic` are the per-tree `experiments._tree_statistics`.
+Single trees: `PlaneTree` builders, accessors and validators, and
+`ReducedTree`, one tree of a reduced forest (`views`) that `as_forest`
+sweeps alone.  Its exit law has two independent checks of the network
+sweeps, the sparse harmonic solve and plain walk simulation;
+`sample_boundary` and `concentration_statistic` are the per-tree
+`experiments._tree_statistics`.
 
 Rejection samplers of conditioned Galton-Watson trees, the oracles of the
 direct sampler `trees.sample_conditioned_forest`: trials grow generation by
@@ -22,10 +23,13 @@ The continuum section holds the whole-tree sampler that `continuum`
 replaced by its harmonic-ray chain.  `phi_step_coupled` checks the
 contraction rate of `rde.phi_step` behind `residual_bias_bound`, and
 `kappa` is the direct Monte Carlo that `beta.kappa_table` tabulates.
+`content_hash` fingerprints a report for the reproducibility tests.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,16 +116,26 @@ def tree_from_generation_counts(counts_per_gen: list[np.ndarray]) -> PlaneTree:
     return tree_from_parent_depth(parent, depth)
 
 
+def node_count(t: PlaneTree) -> int:
+    return t.parent.size
+
+
+def children(t: PlaneTree, v: int) -> np.ndarray:
+    """The children of v, consecutive in the breadth-first layout."""
+    s = t.child_start[v]
+    return np.arange(s, s + t.child_count[v])
+
+
 def validate_tree(t: PlaneTree) -> None:
     """Structural invariants, O(n)."""
     assert t.parent[0] == -1 and t.depth[0] == 0
-    if t.node_count > 1:
+    if node_count(t) > 1:
         assert np.all(t.parent[1:] >= 0)
         assert np.all(t.depth[1:] == t.depth[t.parent[1:]] + 1)
     assert np.all(np.diff(t.depth) >= 0), "not BFS sorted"
-    assert int(t.child_count.sum()) == t.node_count - 1
-    for v in range(t.node_count):
-        ch = t.children(v)
+    assert int(t.child_count.sum()) == node_count(t) - 1
+    for v in range(node_count(t)):
+        ch = children(t, v)
         assert np.all(t.parent[ch] == v)
     sizes = np.diff(t.gen_offsets)
     assert np.array_equal(sizes, np.bincount(t.depth))
@@ -145,7 +159,7 @@ def hitting_distribution_linsolve(reduced: ReducedTree) -> np.ndarray:
     grounded); the mass exiting at a boundary vertex b is phi[parent(b)].
     """
     t, n = reduced.tree, reduced.n
-    if t.node_count > 20_000:
+    if node_count(t) > 20_000:
         raise ValueError("linsolve oracle capped at 20000 vertices")
     interior = int(t.gen_offsets[n])  # BFS layout: depth < n is a prefix
     deg = t.child_count.astype(np.float64)
@@ -441,7 +455,7 @@ def preorder_depths(tree) -> np.ndarray:
     while stack:
         v = stack.pop()
         out.append(tree.depth[v])
-        stack.extend(tree.children(v)[::-1].tolist())
+        stack.extend(children(tree, v)[::-1].tolist())
     return np.array(out, np.int64)
 
 
@@ -609,15 +623,14 @@ def tree_ray_mass_samples(cloud: ParticleCloud, eps: float, trials: int, rng) ->
 # ---------------------------------------------------------------------------
 
 
-def phi_step_coupled(a: ParticleCloud, b: ParticleCloud, rng, out_size: int | None = None):
+def phi_step_coupled(a: ParticleCloud, b: ParticleCloud, rng):
     """Apply one step to two equal-size clouds with shared (index, U) draws:
     the sorted-order coupling that realises the contraction bound."""
     if a.size != b.size:
         raise ValueError("coupled step needs equal cloud sizes")
-    m_out = a.size if out_size is None else int(out_size)
-    i = rng.integers(0, a.size, size=m_out)
-    j = rng.integers(0, a.size, size=m_out)
-    u = rng.random(m_out)
+    i = rng.integers(0, a.size, size=a.size)
+    j = rng.integers(0, a.size, size=a.size)
+    u = rng.random(a.size)
     out_a = 1.0 / (u + (1.0 - u) / (a.samples[i] + a.samples[j]))
     out_b = 1.0 / (u + (1.0 - u) / (b.samples[i] + b.samples[j]))
     return (
@@ -641,3 +654,16 @@ def kappa(cloud: ParticleCloud, r, pair_count: int, rng) -> float:
         total += float(np.sum(r * a / (r + a + b - 1.0)))
         done += m
     return total / pair_count
+
+
+# ---------------------------------------------------------------------------
+# reports
+# ---------------------------------------------------------------------------
+
+
+def content_hash(report) -> str:
+    """Hash of an ExperimentReport's dict without the wall clock: equal for
+    two runs that reproduce each other."""
+    d = report.to_dict()
+    d.pop("wall_clock_s")
+    return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()

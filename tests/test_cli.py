@@ -187,9 +187,19 @@ def test_beta_ref_is_the_triple_readout_with_its_se(cloud_file, tmp_path):
 
 
 def test_discrete_requires_offspring(cloud_file, tmp_path, capsys):
-    code = run(["discrete", "theorem1", "--cloud", str(cloud_file), "--out", str(tmp_path)])
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["discrete", "theorem1", "--cloud", str(cloud_file), "--out", str(tmp_path)])
+    assert exc.value.code == 2
     assert "--offspring" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_levelset_with_zero_se_reports_infinite_z(tmp_path):
+    # binary trees of height 2 all have one vertex at level 1: no spread
+    code = run(["discrete", "levelset", "--offspring", "binary", "--n", "2", "--p", "1",
+                "--trials", "2", "--seed", "2", "--out", str(tmp_path)])
+    cell = json.loads((tmp_path / "levelset_binary_2.json").read_text())["cells"][0]
+    assert code == 1 and cell["std_error"] == 0.0 and cell["z"] == -np.inf
 
 
 @pytest.mark.parametrize("argv", [
@@ -379,9 +389,14 @@ def test_defaults_fill_every_flag_left_unset():
     assert set(parsers) == set(cli.DEFAULTS) | {"rde validate"}
     for stage, parser in parsers.items():
         unset = {a.dest for a in parser._actions if a.default is None and not a.required}
-        assert unset - {"offspring", "preset"} == set(cli.settings(stage)), stage
+        assert unset - {"preset"} == set(cli.settings(stage)), stage
         for overrides in cli.PRESETS.values():
             assert set(overrides.get(stage, {})) <= set(cli.settings(stage)), stage
+
+
+def test_help_shows_every_default():
+    for stage, parser in _leaf_parsers(cli.build_parser()).items():
+        assert parser.format_help().count("(default:") == len(cli.settings(stage)), stage
 
 
 def test_threads_flag_is_gone(tmp_path):

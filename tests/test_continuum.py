@@ -379,3 +379,9 @@ def test_fit_matches_numpy_weighted_polyfit():
     # one eps: no line
     assert co._fit(pts[:1]).extrapolated is None
     assert not co.DimensionCurve(pts[:1]).exponent_check(0.78)["passed"]
+
+
+def test_exponent_check_with_zero_se_fails_without_raising():
+    curve = co.DimensionCurve([], extrapolated=0.8, extrapolated_se=0.0, slope=0.0, slope_se=0.0)
+    chk = curve.exponent_check(0.78)
+    assert not chk["passed"] and "z=+inf" in chk["detail"]

@@ -351,7 +351,7 @@ def test_corollary_rejects_deep_n():
 def test_report_roundtrip_and_hash(solved_cloud):
     rep1 = ex.run_levelset(off.geometric(), 30, [5], 400, task_stream(9, "experiments", 9))
     rep2 = ex.run_levelset(off.geometric(), 30, [5], 400, task_stream(9, "experiments", 9))
-    assert rep1.content_hash() == rep2.content_hash()
+    assert orc.content_hash(rep1) == orc.content_hash(rep2)
     d = json.loads(rep1.to_json())
     assert d["experiment"] == "levelset" and "version" in d
     csv = rep1.to_csv()
@@ -369,5 +369,6 @@ def test_report_rows_key_summary_and_stem():
     assert dataclasses.replace(rep, config={"seed": 3, "offspring": "poisson"}).file_stem() \
         == "beta_cross_validate_poisson_3"
     assert rep.to_csv() == "method,value\nmoment,0.5\n"
-    assert dataclasses.replace(rep, wall_clock_s=9.0).content_hash() == rep.content_hash()
-    assert dataclasses.replace(rep, summary={"flagged": True}).content_hash() != rep.content_hash()
+    assert orc.content_hash(dataclasses.replace(rep, wall_clock_s=9.0)) == orc.content_hash(rep)
+    assert orc.content_hash(dataclasses.replace(rep, summary={"flagged": True})) \
+        != orc.content_hash(rep)

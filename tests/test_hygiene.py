@@ -1,8 +1,9 @@
 """Source hygiene checks that need no linter: every name a `gwharmonic`
 module, a test or a script imports must be used in that file, every public
-function and class must be used somewhere in the package (code that only
-tests reach belongs in tests/oracles.py), and the CLI imports no scipy, not
-even to build a p-ary law."""
+function and class, and every public method and property of a class, must be
+used somewhere in the package (code that only tests reach belongs in
+tests/oracles.py), and the CLI imports no scipy, not even to build a p-ary
+law."""
 
 import ast
 import os
@@ -57,14 +58,27 @@ def _references(node):
             yield sub.name
 
 
+def _definitions(tree):
+    """(qualified name, node) of each top-level function and class, and of
+    each method and property of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef):
+                    yield f"{node.name}.{member.name}", member
+
+
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
-    """Public top-level functions and classes of the given modules that no
-    module refers to outside their own definition."""
+    """Public definitions (see _definitions) of the given modules that no
+    module refers to outside their own definition; a member is matched by
+    its bare name."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
     used = Counter(ref for tree in trees.values() for ref in _references(tree))
-    return [f"{name}.{node.name}" for name, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-            and used[node.name] == Counter(_references(node))[node.name]]
+    return [f"{name}.{qualname}" for name, tree in trees.items()
+            for qualname, node in _definitions(tree)
+            if not node.name.startswith("_") and used[node.name] == Counter(_references(node))[node.name]]
 
 
 def test_every_public_definition_is_used_in_the_package():
@@ -75,6 +89,9 @@ def test_unreferenced_definition_detector():
     sources = {"a": "def f():\n    return f()\n\ndef g():\n    pass\n\ndef _h():\n    pass\n",
                "b": "from .a import g as k\n\nclass C:\n    pass\n\nk()\n"}
     assert unreferenced_definitions(sources) == ["a.f", "b.C"]
+    members = {"a": "class C:\n    @property\n    def p(self):\n        return self.p\n\n"
+                    "    def m(self):\n        pass\n\n    def _q(self):\n        pass\n\nC().m()\n"}
+    assert unreferenced_definitions(members) == ["a.C.p"]
 
 
 def test_cli_import_loads_no_scipy():

@@ -271,8 +271,8 @@ def per_tree_sweeps(r):
     """Reference: the per-tree loops over parent pointers that the level
     forest replaced, with the same arithmetic; returns (C_n, boundary log-masses)."""
     t, n = r.tree, r.n
-    log_r = np.zeros(t.node_count)
-    c = np.full(t.node_count, np.inf)
+    log_r = np.zeros(orc.node_count(t))
+    c = np.full(orc.node_count(t), np.inf)
     for g in range(n - 1, -1, -1):
         lo, hi = t.gen_offsets[g], t.gen_offsets[g + 1]
         clo, chi = t.gen_offsets[g + 1], t.gen_offsets[g + 2]
@@ -281,7 +281,7 @@ def per_tree_sweeps(r):
         c[lo:hi] = s
         log_r[lo:hi] = -np.log1p(1.0 / s)
     log_c = np.log(c)
-    log_flow = np.zeros(t.node_count)
+    log_flow = np.zeros(orc.node_count(t))
     for g in range(n):
         clo, chi = t.gen_offsets[g + 1], t.gen_offsets[g + 2]
         par = t.parent[clo:chi]

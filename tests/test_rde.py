@@ -26,7 +26,7 @@ def test_phi_step_from_all_ones():
 
 def test_phi_step_support_bounds(solved_cloud):
     rng = task_stream(2, "rde", 2)
-    out = rde.phi_step(solved_cloud, rng, out_size=10**5)
+    out = rde.phi_step(solved_cloud, rng)
     assert out.samples.min() >= 1.0
     assert out.samples.max() <= 2.0 * solved_cloud.samples.max()
     assert np.all(np.diff(out.samples) >= 0)
@@ -97,6 +97,12 @@ def test_solver_rejects_tiny_population():
         rde.solve_fixpoint(100, 1e-2, 10, rng)
 
 
+def test_solver_rejects_initial_cloud_of_another_size():
+    rng = task_stream(6, "rde", 6)
+    with pytest.raises(ValueError, match="initial cloud"):
+        rde.solve_fixpoint(2000, 1e-2, 10, rng, initial=rde.constant_cloud(1000))
+
+
 def test_unique_fixed_point_from_two_starts():
     rng1 = task_stream(7, "rde", 7)
     rng2 = task_stream(8, "rde", 8)
@@ -124,8 +130,15 @@ def test_nonconvergence_is_reported_not_raised():
 
 
 # ---------------------------------------------------------------------------
-# moments and identities
+# error bars, moments and identities
 # ---------------------------------------------------------------------------
+
+
+def test_se_of_mean_and_z_score():
+    assert rde.se_of_mean(np.array([1.0, 2.0, 3.0, 4.0])) == pytest.approx(np.sqrt(5.0 / 12.0))  # sd sqrt(5/3), n 4
+    assert rde.z_score(3.0, 1.5) == 2.0
+    assert rde.z_score(0.0, 0.0) == 0.0
+    assert rde.z_score(2.0, 0.0) == np.inf and rde.z_score(-2.0, 0.0) == -np.inf
 
 
 def test_moment_identities_at_fixed_point(solved_cloud):
@@ -178,9 +191,9 @@ def test_tail_law_on_12(solved_cloud):
 
 
 def test_laplace_ode_residuals(solved_cloud):
-    checks = rde.laplace_ode_residual(solved_cloud, [0.5, 1.0, 2.0, 4.0])
-    for chk in checks:
-        assert abs(chk.z) < 3, f"l={chk.ell}: z={chk.z}"
+    ells = [0.5, 1.0, 2.0, 4.0]
+    for ell, chk in zip(ells, rde.laplace_ode_residual(solved_cloud, ells)):
+        assert abs(chk.z) < 3, f"l={ell}: z={chk.z}"
     small = rde.laplace_ode_residual(solved_cloud, [1e-6])[0]
     assert abs(small.residual) < 1e-5  # residual -> phi(0)^2 - phi(0) = 0
 

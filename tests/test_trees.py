@@ -68,23 +68,23 @@ def assert_same_forest(a, b):
 def test_builder_roundtrip_small():
     t = build([-1, 0, 0, 1, 1, 2])
     orc.validate_tree(t)
-    assert t.node_count == 6 and t.height == 2
-    assert list(t.children(0)) == [1, 2]
-    assert list(t.children(1)) == [3, 4]
-    assert list(t.children(2)) == [5]
+    assert orc.node_count(t) == 6 and t.height == 2
+    assert list(orc.children(t, 0)) == [1, 2]
+    assert list(orc.children(t, 1)) == [3, 4]
+    assert list(orc.children(t, 2)) == [5]
 
 
 def test_generation_counts_builder():
     t = orc.tree_from_generation_counts([np.array([2]), np.array([2, 1])])
     orc.validate_tree(t)
-    assert t.node_count == 6
+    assert orc.node_count(t) == 6
     assert np.array_equal(t.gen_offsets, [0, 1, 3, 6])
 
 
 def test_single_root():
     t = orc.tree_from_generation_counts([np.array([0])])
     orc.validate_tree(t)
-    assert t.node_count == 1 and t.height == 0
+    assert orc.node_count(t) == 1 and t.height == 0
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +102,7 @@ def test_sample_gw_single_root_frequency():
         t = orc.sample_gw(dist, rng, node_cap=10**5)
         if not isinstance(t, orc.CapExceeded):
             orc.validate_tree(t)
-            singles += t.node_count == 1
+            singles += orc.node_count(t) == 1
     assert abs(singles / 2000 - 0.75) < 0.04
 
 
