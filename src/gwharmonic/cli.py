@@ -29,7 +29,7 @@ DEFAULTS = {
     "discrete conductance": {"n": [50, 100, 200, 400], "trials": 10**4},
     "discrete levelset": {"n": 100, "p": [20, 50], "trials": 2000},
     "discrete fixed-size": {"edges": 40000, "n": 80, "trials": 2000, "delta": 0.25},
-    "continuum dimension": {"eps": [2.0**-k for k in range(6, 41)], "trials": 10**4},
+    "continuum dimension": {"eps": [2.0**-k for k in range(6, 41)], "trials": 6 * 10**4},
 }
 
 # What each --preset changes in DEFAULTS; a command takes --preset only when
@@ -77,11 +77,13 @@ def _parse_list(text, parse=int):
 
 
 def _eps_list(text):
-    """Comma-separated eps in (0, 1/2); a token 2^x reads as 2**x."""
+    """Comma-separated distinct eps in (0, 1/2); a token 2^x reads as 2**x."""
     eps = [2.0 ** float(t[2:]) if t.startswith("2^") else float(t) for t in _parse_list(text, str)]
     for e in eps:
         if not 0.0 < e < 0.5:
             raise CliError(f"eps {e} outside (0, 1/2)")
+    if len(set(eps)) < len(eps):
+        raise CliError(f"repeated eps in {text!r}: one ray pass serves every eps")
     return eps
 
 
@@ -366,13 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
         dest="experiment", required=True)
     dimension = _command(cont, "continuum dimension", cmd_continuum)
     dimension.add_argument("--eps", type=_eps_list, help="comma list, accepts 2^-k tokens")
-    dimension.add_argument("--trials", type=int, help="rays per eps")
+    dimension.add_argument("--trials", type=int, help="rays; each ray serves every eps")
 
-    for p in (solve, beta_p, theorem1, conductance, levelset, fixed, dimension):
+    for p in (solve, validate, beta_p, theorem1, conductance, levelset, fixed, dimension):
         defaults = settings(p.get_default("stage"))
         for action in p._actions:
-            if action.dest in defaults:
-                action.help = _with_default(action, defaults[action.dest])
+            value = defaults.get(action.dest, action.default)
+            if value is not None and action.nargs != 0:  # a flag that takes a value
+                action.help = _with_default(action, value)
     return ap
 
 

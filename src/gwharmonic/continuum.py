@@ -33,7 +33,10 @@ vertices.  The state holds the remaining height h, never the start height
 The conditional draw is exact (`_given`).  Given S = C1 + C2, x = 1/G is
 uniform on [1/S, 1], so given G = c the cloud pair (C1, C2) has law
 proportional to f(C1) f(C2) S/(S-1) 1{S >= c}, and 1-U = (1-1/c)/(1-1/S).
-The rays are therefore independent given the cloud.
+The rays are therefore independent given the cloud.  No choice of a ray
+depends on eps, so one ray run to the smallest eps of a ladder gives its log
+mass at every eps, and the line through these correlated points is fit by
+generalised least squares on the rays' own covariance.
 """
 
 from __future__ import annotations
@@ -75,10 +78,14 @@ def _given(c: np.ndarray, samples: np.ndarray, rng):
     return (1.0 - 1.0 / c) / (1.0 - 1.0 / (a1 + a2)), a1, a2
 
 
-def ray_mass_samples(cloud: ParticleCloud, eps: float, trials: int, rng) -> np.ndarray:
-    """log cylinder masses of `trials` independent harmonic rays."""
-    if not 0.0 < eps < 0.5:
+def ray_mass_samples(cloud: ParticleCloud, trials: int, eps, rng) -> np.ndarray:
+    """log cylinder masses of `trials` independent harmonic rays, a (trials,
+    len(eps)) matrix: each ray runs once, to the smallest eps, and its mass at
+    eps sums its increments at branch heights above eps."""
+    eps = np.asarray(eps, float)
+    if not np.all((0.0 < eps) & (eps < 0.5)):
         raise ValueError("eps must lie in (0, 1/2)")
+    asc = np.sort(eps)
     samples = cloud.samples
     # the root's triple is unconditional
     keep = 1.0 - rng.random(trials)
@@ -86,15 +93,21 @@ def ray_mass_samples(cloud: ParticleCloud, eps: float, trials: int, rng) -> np.n
     ray = np.arange(trials)
     h = np.ones(trials)
     logm = np.zeros(trials)
+    out = np.empty((asc.size, trials))
+    above = np.full(trials, asc.size)  # the ray has crossed asc[above:]
     while ray.size:
         h = h * keep  # remaining height at the branch point
-        go = h > eps
-        ray, h, a1, a2 = ray[go], h[go], a1[go], a2[go]
+        below = np.searchsorted(asc, h)  # it crosses asc[below:above] here
+        n = above - below
+        rows = np.repeat(ray, n)
+        out[np.repeat(above - np.cumsum(n), n) + np.arange(rows.size), rows] = logm[rows]
+        go = below > 0  # h > eps.min()
+        ray, h, a1, a2, above = ray[go], h[go], a1[go], a2[go], below[go]
         tot = a1 + a2
         c = np.where(rng.random(ray.size) * tot < a1, a1, a2)
         logm[ray] += np.log(c / tot)
         keep, a1, a2 = _given(c, samples, rng)
-    return logm
+    return out[np.searchsorted(asc, eps)].T
 
 
 @dataclass
@@ -107,7 +120,7 @@ class DimensionPoint:
 
 @dataclass
 class DimensionCurve:
-    """Points, and the weighted line in x = 1/log(1/eps) through them:
+    """Points, and their generalised least-squares line in x = 1/log(1/eps):
     `extrapolated` is its intercept (x = 0), `chi2_dof` its chi^2 per degree
     of freedom (None with two points)."""
 
@@ -138,8 +151,9 @@ class DimensionCurve:
         """Passes when the intercept lies within 3 of its standard errors of
         the cloud's `beta_reference`."""
         if self.extrapolated is None:
+            need = "points at two or more eps" if len(self.points) < 2 else "more rays than eps"
             return {"criterion": "continuum-exponent", "passed": False,
-                    "detail": "no fit: needs points at two or more eps"}
+                    "detail": f"no fit: needs {need}"}
         z = z_score(self.extrapolated - beta_ref, self.extrapolated_se)
         chi2 = "n/a" if self.chi2_dof is None else f"{self.chi2_dof:.2f}"
         return {"criterion": "continuum-exponent", "passed": bool(abs(z) <= 3.0),
@@ -148,40 +162,32 @@ class DimensionCurve:
                           f"slope {self.slope:.4f} +- {self.slope_se:.4f}, chi2/dof {chi2}"}
 
 
-def _fit(points: list) -> DimensionCurve:
-    """The points with their weighted least-squares line of exponent on
-    x = 1/log(1/eps), each point weighted by 1/std_error^2; no line below
-    two distinct eps."""
-    if len({p.eps for p in points}) < 2:
+def _fit(points: list, cov: np.ndarray) -> DimensionCurve:
+    """The points with their generalised least-squares line of exponent on
+    x = 1/log(1/eps), under the exponents' covariance `cov`; no line below
+    two points or with a singular `cov`."""
+    if len(points) < 2 or np.linalg.matrix_rank(cov) < len(points):
         return DimensionCurve(points)
     x = np.array([1.0 / np.log(1.0 / p.eps) for p in points])
     y = np.array([p.exponent for p in points])
-    w = 1.0 / np.array([p.std_error for p in points]) ** 2
     design = np.stack((np.ones_like(x), x), axis=1)
-    cov = np.linalg.inv(design.T @ (w[:, None] * design))
-    a, b = cov @ (design.T @ (w * y))
+    w = np.linalg.inv(cov)
+    line_cov = np.linalg.inv(design.T @ w @ design)
+    a, b = line_cov @ (design.T @ (w @ y))
+    resid = y - a - b * x
     dof = len(points) - 2
-    chi2 = float(np.sum(w * (y - a - b * x) ** 2))
-    a_se, b_se = np.sqrt(np.diag(cov))
+    a_se, b_se = np.sqrt(np.diag(line_cov))
     return DimensionCurve(points, float(a), float(a_se), float(b), float(b_se),
-                          chi2 / dof if dof else None)
+                          float(resid @ w @ resid) / dof if dof else None)
 
 
 def dimension_curve(cloud: ParticleCloud, eps_list, trials: int, rng) -> DimensionCurve:
-    """E[-log mass]/log(1/eps) per eps, each from `trials` fresh rays, and
-    the weighted line through them in x = 1/log(1/eps).  The error at scale
+    """E[-log mass]/log(1/eps) per eps, all from one pass of `trials` rays, and
+    their line in x = 1/log(1/eps) on the rays' covariance.  The error at scale
     eps is controlled by a quantity vanishing with |log eps|; the line in x is
     an implementation choice, flagged as such, whose fit shows in chi2_dof."""
-    points = []
-    for eps in eps_list:
-        logm = ray_mass_samples(cloud, eps, trials, rng)
-        ln = np.log(1.0 / eps)
-        points.append(
-            DimensionPoint(
-                eps=float(eps),
-                exponent=float(-logm.mean() / ln),
-                std_error=float(se_of_mean(logm) / ln),
-                trials=trials,
-            )
-        )
-    return _fit(points)
+    logm = ray_mass_samples(cloud, trials, eps_list, rng)
+    ln = np.log(1.0 / np.asarray(eps_list))
+    points = [DimensionPoint(float(e), float(-col.mean() / n), float(se_of_mean(col) / n), trials)
+              for e, n, col in zip(eps_list, ln, logm.T)]
+    return _fit(points, np.atleast_2d(np.cov(logm, rowvar=False)) / np.outer(ln, ln) / trials)

@@ -282,9 +282,24 @@ def test_continuum_exponent_check_fails_on_inflated_ray_masses(cloud_file, tmp_p
         assert check["criterion"] == "continuum-exponent" and check["passed"] is passed
 
 
-def test_bad_eps_rejected(cloud_file, tmp_path):
+def test_bad_eps_rejected(cloud_file, tmp_path, capsys):
     assert run(["continuum", "dimension", "--cloud", str(cloud_file),
                 "--eps", "0.7", "--out", str(tmp_path)]) == 2
+    # one ray pass would return a repeated eps's column twice
+    assert run(["continuum", "dimension", "--cloud", str(cloud_file),
+                "--eps", "2^-6,2^-8,0.015625", "--out", str(tmp_path)]) == 2
+    assert "repeated eps" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_continuum_dimension_with_too_few_rays_has_no_fit(cloud_file, tmp_path):
+    # two rays over three eps: the rays' covariance has rank 1
+    assert run(["continuum", "dimension", "--cloud", str(cloud_file), "--eps",
+                "2^-4,2^-5,2^-6", "--trials", "2", "--seed", "3", "--out", str(tmp_path)]) == 1
+    rep = json.loads((tmp_path / "continuum_dimension_seed3.json").read_text())
+    assert rep["extrapolated"] is None and len(rep["points"]) == 3
+    (check,) = rep["checks"]
+    assert not check["passed"] and check["detail"].startswith("no fit")
 
 
 def _reports(out):
@@ -395,8 +410,10 @@ def test_defaults_fill_every_flag_left_unset():
 
 
 def test_help_shows_every_default():
+    # the DEFAULTS flags, --seed, --out, --format, and beta's --method
     for stage, parser in _leaf_parsers(cli.build_parser()).items():
-        assert parser.format_help().count("(default:") == len(cli.settings(stage)), stage
+        shown = len(cli.settings(stage)) + 3 + (stage == "beta")
+        assert parser.format_help().count("(default:") == shown, stage
 
 
 def test_threads_flag_is_gone(tmp_path):

@@ -180,7 +180,8 @@ def test_ray_mass_matches_split_frequencies(solved_cloud):
 
 def test_exponent_mean_in_range(solved_cloud):
     rng = task_stream(11, "continuum", 11)
-    lm = co.ray_mass_samples(solved_cloud, 2.0**-10, 4000, rng)
+    lm = co.ray_mass_samples(solved_cloud, 4000, [2.0**-10], rng)
+    assert lm.shape == (4000, 1)
     exp10 = -lm.mean() / np.log(2.0**10)
     assert 0.7 < exp10 < 0.85
 
@@ -198,14 +199,16 @@ def test_dimension_curve_shape_and_extrapolation(solved_cloud, monkeypatch):
     rows = curve.to_rows()
     assert list(rows[0]) == ["eps", "exponent", "std_error", "trials", "extrapolated"]
     assert rows[0]["extrapolated"] == curve.extrapolated
-    # planted log masses: exponent and std_error are the mean of
-    # -logm/log(1/eps) and its standard error over the independent rays
-    ln = np.log(2.0**8)
-    planted = np.random.default_rng(0).normal(-0.78 * ln, 0.5, 1000)
+    # planted log masses, one column per eps: each point's exponent and
+    # std_error are the mean of its column's -logm/log(1/eps) and its
+    # standard error over the independent rays
+    ln = np.log([2.0**8, 2.0**12])
+    planted = np.random.default_rng(0).normal(-0.78 * ln, 0.5, (1000, 2))
     monkeypatch.setattr(co, "ray_mass_samples", lambda *a: planted.copy())
-    (p,) = co.dimension_curve(solved_cloud, [2.0**-8], 1000, None).points
-    assert p.exponent == pytest.approx(-planted.mean() / ln, rel=1e-12)
-    assert p.std_error == pytest.approx(planted.std(ddof=1) / np.sqrt(1000) / ln, rel=1e-12)
+    points = co.dimension_curve(solved_cloud, [2.0**-8, 2.0**-12], 1000, None).points
+    for p, col, n in zip(points, planted.T, ln):
+        assert p.exponent == pytest.approx(-col.mean() / n, rel=1e-12)
+        assert p.std_error == pytest.approx(col.std(ddof=1) / np.sqrt(1000) / n, rel=1e-12)
 
 
 def test_batched_and_single_agree_in_law(solved_cloud):
@@ -353,12 +356,39 @@ def test_chain_reaches_eps_2_pow_minus_60(solved_cloud, monkeypatch):
         return real(c, samples, rng)
 
     monkeypatch.setattr(co, "_given", counted)
-    lm = co.ray_mass_samples(solved_cloud, eps, 20_000, task_stream(22, "continuum", 22))
-    assert lm.shape == (20_000,) and np.all(np.isfinite(lm)) and np.all(lm < 0)
+    lm = co.ray_mass_samples(solved_cloud, 20_000, [2.0**-30, eps],
+                             task_stream(22, "continuum", 22))
+    assert lm.shape == (20_000, 2) and np.all(np.isfinite(lm)) and np.all(lm < 0)
     assert steps[-1] == 0  # the last draw held no ray: every ray stopped
     # a ray costs about log(1/eps) steps (1.18 log(1/eps) at this seed)
-    assert sum(steps) / lm.size < 2.0 * np.log(1.0 / eps)
-    assert 0.75 < -lm.mean() / np.log(1.0 / eps) < 0.82
+    assert sum(steps) / len(lm) < 2.0 * np.log(1.0 / eps)
+    assert 0.75 < -lm[:, 1].mean() / np.log(1.0 / eps) < 0.82
+
+
+LADDER = [2.0**-9, 2.0**-14, 2.0**-6, 2.0**-11]  # not sorted: columns follow the list
+
+
+def test_ladder_column_matches_a_one_eps_pass(solved_cloud):
+    # the ladder's rays draw what one ray run to its smallest eps draws
+    ladder = co.ray_mass_samples(solved_cloud, 3000, LADDER, task_stream(26, "continuum", 26))
+    (one,) = co.ray_mass_samples(solved_cloud, 3000, [2.0**-14],
+                                 task_stream(26, "continuum", 26)).T
+    assert ladder.shape == (3000, 4) and np.array_equal(ladder[:, 1], one)
+
+
+def test_ray_mass_does_not_increase_as_eps_falls(solved_cloud):
+    lm = co.ray_mass_samples(solved_cloud, 3000, LADDER, task_stream(27, "continuum", 27))
+    falling = lm[:, np.argsort(LADDER)[::-1]]
+    assert np.all(falling[:, 0] <= 0.0) and np.all(np.diff(falling, axis=1) <= 0.0)
+
+
+def test_ladder_means_match_one_eps_passes(solved_cloud):
+    # each column of one pass against its own independent one-eps pass
+    lm = co.ray_mass_samples(solved_cloud, 20_000, LADDER, task_stream(28, "continuum", 28))
+    for k, (eps, col) in enumerate(zip(LADDER, lm.T)):
+        one = co.ray_mass_samples(solved_cloud, 20_000, [eps], task_stream(29, "continuum", k))
+        se = np.hypot(rde.se_of_mean(col), rde.se_of_mean(one))
+        assert abs(rde.z_score(col.mean() - one.mean(), se)) <= 4.0, eps
 
 
 def test_fit_matches_numpy_weighted_polyfit():
@@ -368,7 +398,7 @@ def test_fit_matches_numpy_weighted_polyfit():
     se = rng.uniform(1e-3, 3e-3, eps.size)
     y = 0.785 - 0.06 * x + rng.normal(0.0, 1.0, eps.size) * se
     pts = [co.DimensionPoint(*row, trials=100) for row in zip(eps, y, se)]
-    curve = co._fit(pts)
+    curve = co._fit(pts, np.diag(se**2))
     (b, a), cov = np.polyfit(x, y, 1, w=1.0 / se, cov="unscaled")
     assert curve.extrapolated == pytest.approx(a, rel=1e-10)
     assert curve.slope == pytest.approx(b, rel=1e-10)
@@ -376,9 +406,34 @@ def test_fit_matches_numpy_weighted_polyfit():
     assert curve.slope_se == pytest.approx(np.sqrt(cov[0, 0]), rel=1e-10)
     resid = (y - a - b * x) / se
     assert curve.chi2_dof == pytest.approx(np.sum(resid**2) / (eps.size - 2), rel=1e-10)
-    # one eps: no line
-    assert co._fit(pts[:1]).extrapolated is None
+    # one eps, or a singular covariance: no line
+    assert co._fit(pts[:1], np.diag(se[:1] ** 2)).extrapolated is None
+    assert co._fit(pts[:3], np.full((3, 3), 1e-6)).extrapolated is None
     assert not co.DimensionCurve(pts[:1]).exponent_check(0.78)["passed"]
+
+
+def test_fit_on_correlated_points_matches_whitened_lstsq():
+    # GLS is ordinary least squares on data whitened by the covariance's
+    # Cholesky factor L (cov = L L^T)
+    rng = np.random.default_rng(6)
+    eps = 2.0 ** -np.arange(6.0, 41.0)
+    x = 1.0 / np.log(1.0 / eps)
+    se = rng.uniform(1e-3, 3e-3, eps.size)
+    i = np.arange(eps.size)
+    cov = np.outer(se, se) * 0.9 ** np.abs(i[:, None] - i)
+    chol = np.linalg.cholesky(cov)
+    y = 0.785 - 0.06 * x + chol @ rng.normal(0.0, 1.0, eps.size)
+    pts = [co.DimensionPoint(*row, trials=100) for row in zip(eps, y, se)]
+    curve = co._fit(pts, cov)
+    design = np.linalg.solve(chol, np.stack((np.ones_like(x), x), axis=1))
+    white = np.linalg.solve(chol, y)
+    (a, b), (rss,), *_ = np.linalg.lstsq(design, white)
+    line_cov = np.linalg.inv(design.T @ design)
+    assert curve.extrapolated == pytest.approx(a, rel=1e-9)
+    assert curve.slope == pytest.approx(b, rel=1e-9)
+    assert curve.extrapolated_se == pytest.approx(np.sqrt(line_cov[0, 0]), rel=1e-9)
+    assert curve.slope_se == pytest.approx(np.sqrt(line_cov[1, 1]), rel=1e-9)
+    assert curve.chi2_dof == pytest.approx(rss / (eps.size - 2), rel=1e-9)
 
 
 def test_exponent_check_with_zero_se_fails_without_raising():
