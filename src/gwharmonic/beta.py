@@ -163,10 +163,10 @@ class CrossValidation:
         }
 
 
-def _cloud_component(cloud: ParticleCloud, runner, rng, k: int = 10, sub_budget: int = 10**6) -> float:
+def _cloud_component(cloud: ParticleCloud, runner, rng, sub_budget: int, k: int = 10) -> float:
     """Finite-cloud std error of an estimator at the full cloud size,
-    from its spread over k disjoint random sub-clouds of size M/k (tuple
-    noise subtracted, scaled down by sqrt(k))."""
+    from its spread over k disjoint random sub-clouds of size M/k, each read
+    with sub_budget tuples (tuple noise subtracted, scaled down by sqrt(k))."""
     perm = rng.permutation(cloud.size)
     vals, tup = [], []
     for part in np.array_split(perm, k):
@@ -200,8 +200,8 @@ def cross_validate(cloud: ParticleCloud, budget: int, rng) -> CrossValidation:
     ]
     if cloud.size >= 10**5:
         sub_budget = int(min(max(budget // 50, 10**6), 10**7))
-        ests[0].cloud_std_error = _cloud_component(cloud, beta_moment, streams[3], sub_budget=sub_budget)
-        ests[1].cloud_std_error = _cloud_component(cloud, beta_triple, streams[4], sub_budget=sub_budget)
+        ests[0].cloud_std_error = _cloud_component(cloud, beta_moment, streams[3], sub_budget)
+        ests[1].cloud_std_error = _cloud_component(cloud, beta_triple, streams[4], sub_budget)
     z = np.zeros((3, 3))
     for i in range(3):
         for j in range(3):

@@ -5,8 +5,11 @@ levelset|fixed-size`, `continuum dimension`.  Each command accepts only the
 flags it reads, and every flag left unset takes its value from DEFAULTS,
 under --preset's overrides.  A master --seed expands into per-task Philox
 streams keyed on (seed, module, task), so every artifact is
-byte-reproducible from the flags alone.  Exit codes: 0 all checks pass,
-1 a statistical check failed, 2 usage or I/O error.
+byte-reproducible from the flags alone.  Every command returns its
+ExperimentReport, and one runner reports them all: it times the command,
+stamps the flag echo into the report's config, writes the report and prints
+its checks.  Exit codes: 0 all checks pass, 1 a statistical check failed,
+2 usage or I/O error.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, beta as beta_mod, continuum, experiments, offspring, rde
+from .experiments import ExperimentReport
 from .rngs import task_stream
 
 # The value of every unset flag, per command (keys are argparse dests).
@@ -118,7 +122,7 @@ def _outdir(args) -> Path:
     return out
 
 
-def _write_report(report: experiments.ExperimentReport, outdir: Path, fmt: str) -> list[Path]:
+def _write_report(report: ExperimentReport, outdir: Path, fmt: str) -> list[Path]:
     paths = []
     if fmt in ("json", "both"):
         p = outdir / f"{report.file_stem()}.json"
@@ -131,17 +135,24 @@ def _write_report(report: experiments.ExperimentReport, outdir: Path, fmt: str) 
     return paths
 
 
-def _config(args, **extras) -> dict:
-    """The flags that shaped the run; echoed into its report."""
+def _config(args) -> dict:
+    """The flags that shaped the run; a command's own values go under `extras`."""
     cfg = {"subcommand": args.stage, "seed": args.seed, "out": args.out, "format": args.format,
            "offspring": getattr(args, "offspring", None), "cloud": getattr(args, "cloud", None),
            "preset": getattr(args, "preset", None)}
-    return {k: v for k, v in cfg.items() if v is not None} | {"extras": extras}
+    return {k: v for k, v in cfg.items() if v is not None} | {"extras": {}}
 
 
-def _emit(args, report: experiments.ExperimentReport) -> int:
-    """Write the report, print its checks, and return the exit code: 0 when
-    every check passes, 1 otherwise, inverted under --expect-fail."""
+def _run(args) -> int:
+    """Run the command and report it: its wall clock runs from the parsed
+    flags to the finished report, and the flag echo goes under the report's
+    own config entries.  Writes the report, prints its checks, and returns
+    the exit code: 0 when every check passes, 1 otherwise, inverted under
+    --expect-fail."""
+    t0 = time.perf_counter()
+    report = args.run(args)
+    report.wall_clock_s = time.perf_counter() - t0
+    report.config = _config(args) | report.config
     paths = _write_report(report, _outdir(args), args.format)
     tally = f"{sum(c['passed'] for c in report.checks)}/{len(report.checks)} checks passed; "
     print(f"{report.experiment}: {tally if report.checks else ''}"
@@ -156,16 +167,14 @@ def _emit(args, report: experiments.ExperimentReport) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_rde_solve(args) -> int:
+def cmd_rde_solve(args) -> ExperimentReport:
     if args.particles < 1000:
         raise CliError("--particles must be >= 1e3")
     if args.max_iters < 1:
         raise CliError("--max-iters must be >= 1")
     m, tol = args.particles, args.tol
     rng = task_stream(args.seed, "rde", 0)
-    t0 = time.time()
     result = rde.solve_fixpoint(m, tol, args.max_iters, rng, seed=args.seed, polish=args.polish)
-    wall = time.time() - t0
     cloud_path = _outdir(args) / f"cloud_M{m}_seed{args.seed}.txt"
     rde.save_cloud(result.cloud, cloud_path)
     floor = rde.estimate_floor(result.cloud, task_stream(args.seed, "rde", 1))
@@ -187,15 +196,14 @@ def cmd_rde_solve(args) -> int:
               f"at M={m}", file=sys.stderr)
     print(f"cloud written to {cloud_path} (converged={result.converged}, "
           f"iters={summary['iterations']}, E[C]={summary['mean']:.4f})")
-    cfg = _config(args, particles=m, tol=tol, polish=args.polish, max_iters=args.max_iters)
+    extras = {"particles": m, "tol": tol, "polish": args.polish, "max_iters": args.max_iters}
     trace = [{"iteration": i, "d1": d} for i, d in result.trace]
-    return _emit(args, experiments.ExperimentReport(
-        "rde_solve", cfg, trace, [], wall, rows_key="trace", summary=summary))
+    return ExperimentReport("rde_solve", {"extras": extras}, trace, [], rows_key="trace",
+                            summary=summary)
 
 
-def cmd_rde_validate(args) -> int:
+def cmd_rde_validate(args) -> ExperimentReport:
     cloud = _load_cloud(args.cloud)
-    t0 = time.time()
     rng = task_stream(args.seed, "rde", 2)
     checks = []
     m1, m2, m3 = (rde.moment(cloud, k) for k in (1, 2, 3))
@@ -218,24 +226,21 @@ def cmd_rde_validate(args) -> int:
         checks.append({"criterion": f"laplace-ode-l{ell:g}",
                        "passed": bool(abs(chk.z) <= 3),
                        "detail": f"residual={chk.residual:.3e} z={chk.z:+.2f}"})
-    cfg = _config(args, moments={"m1": m1, "m2": m2, "m3": m3})
-    return _emit(args, experiments.ExperimentReport(
-        "rde_validate", cfg, [], checks, time.time() - t0))
+    cfg = {"extras": {"moments": {"m1": m1, "m2": m2, "m3": m3}}}
+    return ExperimentReport("rde_validate", cfg, [], checks)
 
 
-def cmd_beta(args) -> int:
+def cmd_beta(args) -> ExperimentReport:
     cloud = _load_cloud(args.cloud)
-    t0 = time.time()
     rng = task_stream(args.seed, "beta", 0)
-    cfg = _config(args, budget=args.trials, method=args.method)
+    cfg = {"extras": {"budget": args.trials, "method": args.method}}
     if args.method != "all":
         fn = {"moment": beta_mod.beta_moment, "triple": beta_mod.beta_triple,
               "shift": beta_mod.beta_shift}[args.method]
         est = fn(cloud, args.trials, rng)
         print(f"beta[{est.method}] = {est.value:.5f} +- {est.total_std_error:.5f}")
-        return _emit(args, experiments.ExperimentReport(
-            f"beta_{args.method}", cfg, [est.to_dict()], [], time.time() - t0,
-            rows_key="estimates"))
+        return ExperimentReport(f"beta_{args.method}", cfg, [est.to_dict()], [],
+                                rows_key="estimates")
     cv = beta_mod.cross_validate(cloud, args.trials, rng)
     for e in cv.estimates:
         print(f"beta[{e.method}] = {e.value:.5f} +- {e.total_std_error:.5f}")
@@ -243,9 +248,8 @@ def cmd_beta(args) -> int:
     rows = summary.pop("estimates")
     checks = [{"criterion": "beta-cross-validate", "passed": not cv.flagged,
                "detail": f"max pairwise |z| = {np.max(cv.z_matrix):.2f} (flag above 3)"}]
-    return _emit(args, experiments.ExperimentReport(
-        "beta_cross_validate", cfg, rows, checks, time.time() - t0,
-        rows_key="estimates", summary=summary))
+    return ExperimentReport("beta_cross_validate", cfg, rows, checks, rows_key="estimates",
+                            summary=summary)
 
 
 # One task stream per discrete experiment: no two reports at one seed share draws.
@@ -258,50 +262,53 @@ def _discrete(args):
     return offspring.from_spec(args.offspring), rng
 
 
-def cmd_theorem1(args) -> int:
+def _beta_ref(args, cloud: rde.ParticleCloud) -> beta_mod.BetaEstimate:
+    """The exponent that theorem1, fixed-size and continuum test against:
+    the triple readout of the cloud on the seed's own "beta" task stream."""
+    return experiments.beta_reference(cloud, task_stream(args.seed, "beta", 1))
+
+
+def cmd_theorem1(args) -> ExperimentReport:
     dist, rng = _discrete(args)
-    ref = experiments.beta_reference(_load_cloud(args.cloud), task_stream(args.seed, "beta", 1))
-    cfg = _config(args) | {"beta_ref_se": ref.std_error}
-    return _emit(args, experiments.run_theorem1(
-        dist, args.n, args.delta, args.trials, rng, ref.value, config=cfg))
+    ref = _beta_ref(args, _load_cloud(args.cloud))
+    report = experiments.run_theorem1(dist, args.n, args.delta, args.trials, rng, ref.value)
+    report.config["beta_ref_se"] = ref.std_error
+    return report
 
 
-def cmd_conductance(args) -> int:
+def cmd_conductance(args) -> ExperimentReport:
     dist, rng = _discrete(args)
-    return _emit(args, experiments.run_conductance_convergence(
-        dist, args.n, args.trials, _load_cloud(args.cloud), rng, config=_config(args)))
+    return experiments.run_conductance_convergence(dist, args.n, args.trials,
+                                                   _load_cloud(args.cloud), rng)
 
 
-def cmd_levelset(args) -> int:
+def cmd_levelset(args) -> ExperimentReport:
     dist, rng = _discrete(args)
-    return _emit(args, experiments.run_levelset(
-        dist, args.n, args.p, args.trials, rng, config=_config(args)))
+    return experiments.run_levelset(dist, args.n, args.p, args.trials, rng)
 
 
-def cmd_fixed_size(args) -> int:
+def cmd_fixed_size(args) -> ExperimentReport:
     dist, rng = _discrete(args)
-    ref = experiments.beta_reference(_load_cloud(args.cloud), task_stream(args.seed, "beta", 1))
-    cfg = _config(args) | {"beta_ref_se": ref.std_error}
-    return _emit(args, experiments.run_corollary_fixed_size(
-        dist, args.edges, args.n, args.trials, rng, ref.value, delta=args.delta, config=cfg))
+    ref = _beta_ref(args, _load_cloud(args.cloud))
+    report = experiments.run_corollary_fixed_size(dist, args.edges, args.n, args.trials, rng,
+                                                  ref.value, args.delta)
+    report.config["beta_ref_se"] = ref.std_error
+    return report
 
 
-def cmd_continuum(args) -> int:
+def cmd_continuum(args) -> ExperimentReport:
     cloud = _load_cloud(args.cloud)
-    rng = task_stream(args.seed, "continuum", 0)
-    ref = experiments.beta_reference(cloud, task_stream(args.seed, "beta", 1))
-    t0 = time.time()
-    curve = continuum.dimension_curve(cloud, args.eps, args.trials, rng)
-    wall = time.time() - t0
+    ref = _beta_ref(args, cloud)
+    curve = continuum.dimension_curve(cloud, args.eps, args.trials,
+                                      task_stream(args.seed, "continuum", 0))
     if curve.extrapolated is not None:
         print(f"extrapolated exponent = {curve.extrapolated:.4f} +- {curve.extrapolated_se:.4f}")
     for p in curve.points:
         print(f"  eps=2^{np.log2(p.eps):.0f}: exponent {p.exponent:.4f} +- {p.std_error:.4f}")
-    cfg = _config(args, eps_list=args.eps, trials=args.trials)
+    cfg = {"extras": {"eps_list": args.eps, "trials": args.trials}}
     summary = curve.summary() | {"beta_ref": ref.value, "beta_ref_se": ref.std_error}
-    return _emit(args, experiments.ExperimentReport(
-        "continuum_dimension", cfg, curve.to_rows(), [curve.exponent_check(ref.value)], wall,
-        rows_key="points", summary=summary))
+    return ExperimentReport("continuum_dimension", cfg, curve.to_rows(),
+                            [curve.exponent_check(ref.value)], rows_key="points", summary=summary)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +390,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _fill(args)
-        return args.run(args)
+        return _run(args)
     except (CliError, FileNotFoundError, ValueError) as exc:  # CloudFormatError, OffspringError too
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,10 +8,11 @@ and check the mean mid-level size against the exact q_{n-h}/q_n.  The
 fixed-size experiment keeps each tree of N edges as its preorder depths up
 to n, and reduces and sweeps them as one level forest per batch; theorem1
 and fixed-size compute their per-tree exit statistics in one pass.
-Every experiment returns an ExperimentReport whose config echo reproduces
-the run bit-for-bit under the same seed.  The theorems are asymptotic, so
-the experiments report finite-size trends (Mann-Kendall) and identity
-z-scores rather than exact limits.
+Every experiment returns an ExperimentReport of its results, whose config
+holds the experiment's own parameters; the CLI stamps in the flags and the
+wall clock, and the flags reproduce the run bit-for-bit under the same seed.
+The theorems are asymptotic, so the experiments report finite-size trends
+(Mann-Kendall) and identity z-scores rather than exact limits.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +56,7 @@ class ExperimentReport:
 
     `cells` are the rows, written under `rows_key` in JSON and one per line
     in CSV; `summary` holds scalar results written at the top level.
+    `wall_clock_s` is the whole command's, set by the CLI.
     """
 
     experiment: str
@@ -143,14 +144,6 @@ def _summary(values: np.ndarray) -> dict:
     }
 
 
-def _forests(dist, n, trials, rng):
-    """The `trials` reduced trees of height n, in level forests of at most
-    FOREST_CHUNK trees; the child-count table is built once."""
-    cdf = reduced_child_cdf(dist, n)
-    for start in range(0, trials, FOREST_CHUNK):
-        yield sample_reduced_forest(cdf, min(FOREST_CHUNK, trials - start), rng)
-
-
 def midlevel_check(dist, n, sizes) -> dict:
     """The mean generation-h size of the reduced trees, h = n // 2, against
     the exact E = q_{n-h}/q_n, as a z check with SE sd/sqrt(trials)."""
@@ -161,6 +154,21 @@ def midlevel_check(dist, n, sizes) -> dict:
     z = z_score(mean - exact, se_of_mean(sizes))
     return {"criterion": f"reduced-midlevel-n{n}", "passed": bool(abs(z) <= 4),
             "detail": f"h={h} mean={mean:.4f} exact={exact:.4f} z={z:+.2f}"}
+
+
+def _forest_statistics(dist, n, trials, rng, per_forest):
+    """Per-tree statistics of `trials` reduced trees of height n, drawn in
+    level forests of at most FOREST_CHUNK trees from one child-count table:
+    per_forest(forest) returns a tuple of per-tree arrays, each concatenated
+    over the forests.  Returns them with n's reduced-midlevel check."""
+    cdf = reduced_child_cdf(dist, n)
+    stats, sizes = [], []
+    for start in range(0, trials, FOREST_CHUNK):
+        forest = sample_reduced_forest(cdf, min(FOREST_CHUNK, trials - start), rng)
+        stats.append(per_forest(forest))
+        sizes.append(forest.level_sizes(n // 2))
+        del forest  # free this chunk before the next one is drawn
+    return [np.concatenate(s) for s in zip(*stats)], midlevel_check(dist, n, np.concatenate(sizes))
 
 
 def _check_mass(log_mass, starts):
@@ -213,26 +221,22 @@ def exponent_trend_check(means, beta_ref) -> dict:
                       + _power_note(len(means))}
 
 
-def run_theorem1(dist, n_list, delta, trials, rng, beta_ref, config=None):
+def run_theorem1(dist, n_list, delta, trials, rng, beta_ref):
     """Mass-concentration experiment: per n, the exact exit-exponent sample
     -log mu_n(Sigma_n)/log n and the concentration statistic around the
-    cloud-derived exponent beta_ref; trend across n is the theorem's content."""
-    t0 = time.time()
+    cloud-derived exponent beta_ref; trend across n is the theorem's content.
+    Each forest's boundary uniforms are drawn after the forest."""
     if min(n_list) < 4:
         raise ValueError("n must be >= 4")
+
+    def exit_statistics(forest):
+        return _tree_statistics(forest_boundary_log_mass(forest), forest.boundary_offsets(),
+                                rng.random(forest.size), forest.n, beta_ref, delta)
+
     cells, mids = [], []
     for n in n_list:
-        concs, expos, sizes = [], [], []
-        for forest in _forests(dist, n, trials, rng):
-            u = rng.random(forest.size)
-            conc, expo = _tree_statistics(forest_boundary_log_mass(forest),
-                                          forest.boundary_offsets(), u, n, beta_ref, delta)
-            concs.append(conc)
-            expos.append(expo)
-            sizes.append(forest.level_sizes(n // 2))
-            del forest  # free this chunk before the next one is drawn
-        concs, expos = np.concatenate(concs), np.concatenate(expos)
-        mids.append(midlevel_check(dist, n, np.concatenate(sizes)))
+        (concs, expos), mid = _forest_statistics(dist, n, trials, rng, exit_statistics)
+        mids.append(mid)
         cell = {"n": n, "trials": trials, "concentration_mean": float(concs.mean()),
                 "concentration_se": se_of_mean(concs)}
         cell.update({f"exponent_{k}": v for k, v in _summary(expos).items()})
@@ -251,28 +255,25 @@ def run_theorem1(dist, n_list, delta, trials, rng, beta_ref, config=None):
              "detail": f"|mean - beta| = {gap:.4f} at n={max(n_list)}"}
         )
     checks += mids
-    cfg = dict(config or {})
-    cfg.update({"n_list": list(map(int, n_list)), "delta": delta, "trials": trials,
-                "beta_ref": beta_ref})
-    return ExperimentReport("theorem1", cfg, cells, checks, time.time() - t0)
+    cfg = {"n_list": list(map(int, n_list)), "delta": delta, "trials": trials,
+           "beta_ref": beta_ref}
+    return ExperimentReport("theorem1", cfg, cells, checks)
 
 
-def run_conductance_convergence(dist, n_list, trials, cloud, rng, config=None):
+def run_conductance_convergence(dist, n_list, trials, cloud, rng):
     """Law of n C_n against the cloud: d1 must fall as n grows."""
-    t0 = time.time()
     if min(n_list) < 2:
         raise ValueError("n must be >= 2")  # below 2 the mid-level is the root
+
+    def scaled_conductance(forest):
+        c = forest_conductance_to_level(forest)
+        check_conductance_invariants(forest, c)
+        return (forest.n * c,)
+
     cells, mids = [], []
     for n in n_list:
-        vals, sizes = [], []
-        for forest in _forests(dist, n, trials, rng):
-            c = forest_conductance_to_level(forest)
-            check_conductance_invariants(forest, c)
-            vals.append(n * c)
-            sizes.append(forest.level_sizes(n // 2))
-            del forest  # free this chunk before the next one is drawn
-        vals = np.concatenate(vals)
-        mids.append(midlevel_check(dist, n, np.concatenate(sizes)))
+        (vals,), mid = _forest_statistics(dist, n, trials, rng, scaled_conductance)
+        mids.append(mid)
         d1 = wasserstein1(ParticleCloud(np.sort(vals)), cloud)
         cells.append({"n": n, "trials": trials, "d1_to_cloud": float(d1),
                       "mean": float(vals.mean()),
@@ -284,16 +285,14 @@ def run_conductance_convergence(dist, n_list, trials, cloud, rng, config=None):
          "detail": f"d1 ladder {['%.4f' % d for d in d1s]}"},
         *mids,
     ]
-    cfg = dict(config or {})
-    cfg.update({"n_list": list(map(int, n_list)), "trials": trials})
-    return ExperimentReport("conductance", cfg, cells, checks, time.time() - t0)
+    cfg = {"n_list": list(map(int, n_list)), "trials": trials}
+    return ExperimentReport("conductance", cfg, cells, checks)
 
 
-def run_levelset(dist, n, p_list, trials, rng, config=None):
+def run_levelset(dist, n, p_list, trials, rng):
     """Reduced-tree level sizes against the exact identity
     E[#level(n-p)] = q_p/q_n; the same sampled trees serve every p.  The
     sizes are read through level_set on the forest's PlaneTrees."""
-    t0 = time.time()
     for p in p_list:
         if not 1 <= p <= n / 2:
             raise ValueError("p must lie in [1, n/2]")
@@ -309,15 +308,13 @@ def run_levelset(dist, n, p_list, trials, rng, config=None):
                       "std_error": se, "exact": float(exact), "z": z})
         checks.append({"criterion": f"levelset-z-n{n}-p{p}", "passed": bool(abs(z) <= 3),
                        "detail": f"z={z:+.2f}"})
-    cfg = dict(config or {})
-    cfg.update({"n": n, "p_list": list(map(int, p_list)), "trials": trials})
-    return ExperimentReport("levelset", cfg, cells, checks, time.time() - t0)
+    cfg = {"n": n, "p_list": list(map(int, p_list)), "trials": trials}
+    return ExperimentReport("levelset", cfg, cells, checks)
 
 
-def run_corollary_fixed_size(dist, N, n, trials, rng, beta_ref, delta=0.25, config=None):
+def run_corollary_fixed_size(dist, N, n, trials, rng, beta_ref, delta):
     """Fixed-size variant: trees with N edges resampled until height >= n,
     then the same exit statistics as the height-conditioned run."""
-    t0 = time.time()
     if n > np.sqrt(N) / 2:
         raise ValueError(f"need n <= sqrt(N)/2, got n={n}, N={N}")
     masses, sizes, batch, u = [], [], [], np.empty(trials)
@@ -344,6 +341,5 @@ def run_corollary_fixed_size(dist, N, n, trials, rng, beta_ref, delta=0.25, conf
          "passed": bool(cell["acceptance_rate"] > 0.05),
          "detail": f"acceptance rate {cell['acceptance_rate']:.3f}"},
     ]
-    cfg = dict(config or {})
-    cfg.update({"N": N, "n": n, "trials": trials, "delta": delta, "beta_ref": beta_ref})
-    return ExperimentReport("fixed_size", cfg, [cell], checks, time.time() - t0)
+    cfg = {"N": N, "n": n, "trials": trials, "delta": delta, "beta_ref": beta_ref}
+    return ExperimentReport("fixed_size", cfg, [cell], checks)

@@ -106,27 +106,6 @@ class LevelForest:
                 for s, e, off in zip(start[:-1], start[1:], gen_offsets)]
 
 
-def _reduce_levels(n: int, level) -> LevelForest:
-    """Bottom-up marking: keep the ancestors of generation n of a forest.
-
-    level(g) returns the raw child counts and the tree indices of generation
-    g < n in level order.  Generation n is kept whole; a vertex is kept iff
-    it has a kept child, and its reduced child count is the number of them.
-    Only the reduced generation is held once the step is done.
-    """
-    counts = [None] * n
-    tree_index = [None] * (n + 1)
-    marks = None
-    for g in range(n - 1, -1, -1):
-        raw, tree = level(g)
-        red = raw if marks is None else _segment_sums(marks, raw)
-        marks = red > 0
-        counts[g] = red[marks]
-        tree_index[g] = tree[marks]
-    tree_index[n] = np.repeat(tree_index[n - 1], counts[n - 1])
-    return LevelForest(n, counts, tree_index)
-
-
 def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sum `values` over consecutive segments of the given lengths (0 allowed)."""
     cs = np.concatenate(([0], np.cumsum(values)))
@@ -284,7 +263,9 @@ def reduce(depths: np.ndarray, n: int) -> LevelForest:
     depths (the trees back to back, each root at depth 0), as one
     LevelForest; ValueError if a tree does not reach depth n.  Vertices
     deeper than n go first; sorting the rest by (depth, index) gives the
-    level-major order."""
+    level-major order.  Then bottom-up marking: generation n is kept whole,
+    a vertex is kept iff it has a kept child, and its reduced child count is
+    the number of them."""
     if n < 1:
         raise ValueError("n must be >= 1")
     d = depths[depths <= n]
@@ -292,10 +273,19 @@ def reduce(depths: np.ndarray, n: int) -> LevelForest:
     if np.maximum.reduceat(d, roots).min() < n:
         raise ValueError(f"a tree does not reach depth {n}")
     order, parent = _parents_from_preorder_depths(d)
-    counts = np.bincount(parent[roots.size :], minlength=d.size)
+    raw = np.bincount(parent[roots.size :], minlength=d.size)
     tree = (np.cumsum(d == 0) - 1)[order]
     off = np.concatenate(([0], np.cumsum(np.bincount(d, minlength=n + 1))))
-    return _reduce_levels(n, lambda g: (counts[off[g] : off[g + 1]], tree[off[g] : off[g + 1]]))
+    counts, tree_index = [None] * n, [None] * (n + 1)
+    marks = None
+    for g in range(n - 1, -1, -1):
+        level = slice(off[g], off[g + 1])
+        red = raw[level] if marks is None else _segment_sums(marks, raw[level])
+        marks = red > 0
+        counts[g] = red[marks]
+        tree_index[g] = tree[level][marks]
+    tree_index[n] = np.repeat(tree_index[n - 1], counts[n - 1])
+    return LevelForest(n, counts, tree_index)
 
 
 def level_set(tree: PlaneTree, k: int) -> np.ndarray:

@@ -12,10 +12,11 @@ direct sampler `trees.sample_conditioned_forest`: trials grow generation by
 generation (`sample_offspring` draws by inverse CDF) until generation n,
 about 1/q_n per kept tree, in waves so the draws vectorise; each wave's
 chosen survivors are reduced together into one LevelForest by
-`trees._reduce_levels`.  `acceptance_check` compares the accepted-trial
-count with the exact q_n, `faulty_child_cdf` plants a fault in the direct
-sampler's table, and `pgf_eval` is the map `offspring.survival_probs`
-iterates.  `parents_from_preorder_depths` is the per-depth loop behind
+`_reduce_levels`, the marking of `trees.reduce` one generation at a time.
+`acceptance_check` compares the accepted-trial count with the exact q_n,
+`faulty_child_cdf` plants a fault in the direct sampler's table, and
+`pgf_eval` is the map `offspring.survival_probs` iterates.
+`parents_from_preorder_depths` is the per-depth loop behind
 `trees._parents_from_preorder_depths`, and `preorder_depths` turns a
 PlaneTree into the depths that `trees.reduce` takes.
 
@@ -43,7 +44,7 @@ from gwharmonic.trees import (
     LevelForest,
     PlaneTree,
     TrialCapError,
-    _reduce_levels,
+    _segment_sums,
     _thinned_child_cdf,
 )
 
@@ -314,6 +315,26 @@ def _wave_levels(counts_levels, labels_levels, chosen):
         return counts_levels[g][idx], np.repeat(np.arange(chosen.size), sizes)
 
     return level
+
+
+def _reduce_levels(n: int, level) -> LevelForest:
+    """Bottom-up marking: keep the ancestors of generation n of a forest.
+
+    level(g) returns the raw child counts and the tree indices of generation
+    g < n in level order.  Generation n is kept whole; a vertex is kept iff
+    it has a kept child, and its reduced child count is the number of them.
+    """
+    counts = [None] * n
+    tree_index = [None] * (n + 1)
+    marks = None
+    for g in range(n - 1, -1, -1):
+        raw, tree = level(g)
+        red = raw if marks is None else _segment_sums(marks, raw)
+        marks = red > 0
+        counts[g] = red[marks]
+        tree_index[g] = tree[marks]
+    tree_index[n] = np.repeat(tree_index[n - 1], counts[n - 1])
+    return LevelForest(n, counts, tree_index)
 
 
 def _whole_levels(n, level) -> LevelForest:

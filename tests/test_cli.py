@@ -161,7 +161,7 @@ def test_discrete_conductance_rejects_levels_below_two(cloud_file, tmp_path, cap
 def test_discrete_theorem1_checks_the_ladder_before_sampling(cloud_file, tmp_path, capsys,
                                                              monkeypatch):
     drawn = []
-    monkeypatch.setattr(experiments, "_forests", lambda dist, n, *a: drawn.append(n) or [])
+    monkeypatch.setattr(experiments, "_forest_statistics", lambda dist, n, *a: drawn.append(n))
     code = run(["discrete", "theorem1", "--offspring", "geometric", "--n", "50,3",
                 "--trials", "20", "--cloud", str(cloud_file), "--out", str(tmp_path)])
     assert code == 2
@@ -323,17 +323,26 @@ def test_every_command_writes_one_schema(cloud_file, tmp_path):
                 "--trials", "200", "--seed", "3", "--out", out]) == 0
     assert run(["continuum", "dimension", "--cloud", cloud, "--eps", "2^-4,2^-5",
                 "--trials", "100", "--seed", "3", "--out", out]) == 0
+    disc = ["--offspring", "geometric", "--trials", "40", "--cloud", cloud, "--seed", "3",
+            "--out", out]
+    # two points cannot pass a trend check: theorem1 exits 1
+    assert run(["discrete", "theorem1", "--n", "8,16", *disc]) == 1
+    assert run(["discrete", "conductance", "--n", "8,16", *disc]) == 0
+    assert run(["discrete", "fixed-size", "--edges", "400", "--n", "8", *disc]) == 0
     paths = [cloud_file.parent / "rde_solve_seed7.json", *sorted(tmp_path.glob("*.json"))]
     assert sorted(p.name for p in paths[1:]) == [
-        "beta_cross_validate_seed3.json", "continuum_dimension_seed3.json",
-        "levelset_geometric_3.json", "rde_validate_seed3.json"]
+        "beta_cross_validate_seed3.json", "conductance_geometric_3.json",
+        "continuum_dimension_seed3.json", "fixed_size_geometric_3.json",
+        "levelset_geometric_3.json", "rde_validate_seed3.json", "theorem1_geometric_3.json"]
     rows_key = {"rde_solve_seed7.json": "trace", "beta_cross_validate_seed3.json": "estimates",
                 "continuum_dimension_seed3.json": "points"}
     for path in paths:
         rep = json.loads(path.read_text())
         assert {"experiment", "version", "config", "checks", "wall_clock_s"} <= set(rep)
+        assert rep["wall_clock_s"] > 0
         assert isinstance(rep[rows_key.get(path.name, "cells")], list)
         cfg = rep["config"]
+        assert {"subcommand", "seed", "format", "extras"} <= set(cfg)
         assert "threads" not in cfg
         assert all(v is not None for v in cfg.values())
         assert all(v is not None for v in cfg["extras"].values())

@@ -92,10 +92,9 @@ def test_run_levelset_rejects_bad_p():
 
 def test_run_theorem1_structure():
     rng = task_stream(4, "experiments", 4)
-    rep = ex.run_theorem1(
-        off.geometric(), [8, 16, 32], 0.25, 250, rng, 0.7845,
-        config={"offspring": "geometric", "seed": 4},
-    )
+    rep = ex.run_theorem1(off.geometric(), [8, 16, 32], 0.25, 250, rng, 0.7845)
+    assert rep.config == {"n_list": [8, 16, 32], "delta": 0.25, "trials": 250,
+                          "beta_ref": 0.7845}
     assert [c["n"] for c in rep.cells] == [8, 16, 32]
     for c in rep.cells:
         assert 0.0 < c["exponent_mean"] < 1.0
@@ -111,7 +110,9 @@ def test_run_theorem1_structure():
     mids = [chk for chk in rep.checks if chk["criterion"].startswith("reduced-midlevel")]
     assert [chk["criterion"] for chk in mids] == [f"reduced-midlevel-n{n}" for n in (8, 16, 32)]
     assert all(chk["passed"] for chk in mids), mids
-    assert rep.file_stem() == "theorem1_geometric_4"
+    flags = {"offspring": "geometric", "seed": 4}
+    assert dataclasses.replace(rep, config=flags | rep.config).file_stem() \
+        == "theorem1_geometric_4"
 
 
 def test_run_theorem1_trees_do_not_depend_on_beta_ref():
@@ -240,8 +241,7 @@ def _midlevel_check(monkeypatch, law, fault):
     if fault:
         monkeypatch.setattr(ex, "reduced_child_cdf", orc.faulty_child_cdf)
     rng = task_stream(17, "experiments", 17)
-    sizes = np.concatenate([f.level_sizes(6) for f in ex._forests(law, 12, 20000, rng)])
-    return ex.midlevel_check(law, 12, sizes)
+    return ex._forest_statistics(law, 12, 20000, rng, lambda forest: ())[1]
 
 
 @pytest.mark.parametrize("law", ["geometric", "poisson"])
@@ -295,7 +295,7 @@ def test_acceptance_check_fails_at_a_tiny_node_cap():
 
 def test_run_corollary_fixed_size():
     rng = task_stream(7, "experiments", 7)
-    rep = ex.run_corollary_fixed_size(off.geometric(), 1600, 20, 150, rng, 0.7845)
+    rep = ex.run_corollary_fixed_size(off.geometric(), 1600, 20, 150, rng, 0.7845, 0.25)
     cell = rep.cells[0]
     assert cell["acceptance_rate"] > 0.3
     assert 0.0 < cell["exponent_mean"] < 1.0
@@ -315,7 +315,7 @@ def test_fixed_size_statistics_match_the_per_tree_oracle(law, monkeypatch):
 
     monkeypatch.setattr(ex, "_tree_statistics", record)
     rep = ex.run_corollary_fixed_size(dist, N, n, trials, task_stream(20, "experiments", 20),
-                                      beta)
+                                      beta, delta)
     rng = task_stream(20, "experiments", 20)
     concs, expos = [], []
     for _ in range(trials):
@@ -333,9 +333,8 @@ def test_fixed_size_report_does_not_depend_on_the_batch_budget(monkeypatch):
     # the default budget holds every tree in one forest; a budget of one
     # vertex sweeps each tree alone
     def report():
-        rep = ex.run_corollary_fixed_size(off.poisson(), 1600, 20, 40,
-                                          task_stream(21, "experiments", 21), 0.7845)
-        return dataclasses.replace(rep, wall_clock_s=0.0)
+        return ex.run_corollary_fixed_size(off.poisson(), 1600, 20, 40,
+                                           task_stream(21, "experiments", 21), 0.7845, 0.25)
 
     default = report()
     monkeypatch.setattr(ex, "FIXED_SIZE_BATCH_VERTICES", 1)
@@ -345,7 +344,7 @@ def test_fixed_size_report_does_not_depend_on_the_batch_budget(monkeypatch):
 def test_corollary_rejects_deep_n():
     rng = task_stream(8, "experiments", 8)
     with pytest.raises(ValueError):
-        ex.run_corollary_fixed_size(off.geometric(), 400, 30, 5, rng, 0.78)
+        ex.run_corollary_fixed_size(off.geometric(), 400, 30, 5, rng, 0.78, 0.25)
 
 
 def test_report_roundtrip_and_hash(solved_cloud):

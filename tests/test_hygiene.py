@@ -2,8 +2,9 @@
 module, a test or a script imports must be used in that file, every public
 function and class, and every public method and property of a class, must be
 used somewhere in the package (code that only tests reach belongs in
-tests/oracles.py), and the CLI imports no scipy, not even to build a p-ary
-law."""
+tests/oracles.py), the CLI imports no scipy, not even to build a p-ary
+law, and one function of the CLI reads the clock: every report is timed in
+one place."""
 
 import ast
 import os
@@ -92,6 +93,46 @@ def test_unreferenced_definition_detector():
     members = {"a": "class C:\n    @property\n    def p(self):\n        return self.p\n\n"
                     "    def m(self):\n        pass\n\n    def _q(self):\n        pass\n\nC().m()\n"}
     assert unreferenced_definitions(members) == ["a.C.p"]
+
+
+CLOCKS = {"time", "perf_counter"}
+
+
+def clock_reads(source: str) -> list[str]:
+    """The innermost function around each `time.time` or `time.perf_counter`
+    of a module ("<module>" outside any), in source order; a clock imported
+    by name from `time` counts where it is imported."""
+    reads, scope = [], ["<module>"]
+
+    class Visitor(ast.NodeVisitor):
+        def visit_FunctionDef(self, node):
+            scope.append(node.name)
+            self.generic_visit(node)
+            scope.pop()
+
+        def visit_Attribute(self, node):
+            if isinstance(node.value, ast.Name) and node.value.id == "time" and node.attr in CLOCKS:
+                reads.append(scope[-1])
+            self.generic_visit(node)
+
+        def visit_ImportFrom(self, node):
+            if node.module == "time":
+                reads.extend(scope[-1] for alias in node.names if alias.name in CLOCKS)
+
+    Visitor().visit(ast.parse(source))
+    return reads
+
+
+def test_only_the_cli_runner_reads_the_clock():
+    reads = {p.stem: clock_reads(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {module: funcs for module, funcs in reads.items() if funcs} == {"cli": ["_run"] * 2}
+
+
+def test_clock_read_detector():
+    source = ("import time\nfrom time import perf_counter\n\ndef f():\n    t = time.time()\n\n"
+              "    def g():\n        return time.perf_counter() - t\n\n    return g\n\n"
+              "x = time.sleep\n")
+    assert clock_reads(source) == ["<module>", "f", "g"]
 
 
 def test_cli_import_loads_no_scipy():
