@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rde import _BATCHES, ParticleCloud, se_of_mean, z_score
+from .rngs import pool
 
 _CHUNK = 1 << 17
 # kappa table: a uniform grid on x = 1/G in [0, 1], estimated as independent
@@ -180,7 +181,8 @@ def _cloud_component(cloud: ParticleCloud, runner, rng, sub_budget: int, k: int 
 
 def cross_validate(cloud: ParticleCloud, budget: int, rng) -> CrossValidation:
     """Run the three estimators on derived streams and compare pairwise;
-    |z| > 3 between any two flags the report.
+    |z| > 3 between any two flags the report.  The estimator runs and the
+    sub-cloud runs each draw from their own stream, on the thread pool.
 
     The two expectation-style estimators are smooth functionals of the
     empirical cloud, so their values carry a finite-cloud error of order
@@ -193,15 +195,17 @@ def cross_validate(cloud: ParticleCloud, budget: int, rng) -> CrossValidation:
     folded in.
     """
     streams = rng.spawn(5)
-    ests = [
-        beta_moment(cloud, budget, streams[0]),
-        beta_triple(cloud, budget, streams[1]),
-        beta_shift(cloud, budget, streams[2]),
-    ]
+    # submitted longest first, so that no worker is left with a long run at the end
+    sub_runs = {}
     if cloud.size >= 10**5:
         sub_budget = int(min(max(budget // 50, 10**6), 10**7))
-        ests[0].cloud_std_error = _cloud_component(cloud, beta_moment, streams[3], sub_budget)
-        ests[1].cloud_std_error = _cloud_component(cloud, beta_triple, streams[4], sub_budget)
+        sub_runs = {i: pool().submit(_cloud_component, cloud, fn, streams[3 + i], sub_budget)
+                    for i, fn in ((1, beta_triple), (0, beta_moment))}
+    runs = {i: pool().submit(fn, cloud, budget, streams[i])
+            for i, fn in ((2, beta_shift), (1, beta_triple), (0, beta_moment))}
+    ests = [runs[i].result() for i in range(3)]
+    for i, run in sub_runs.items():
+        ests[i].cloud_std_error = run.result()
     z = np.zeros((3, 3))
     for i in range(3):
         for j in range(3):

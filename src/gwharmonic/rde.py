@@ -21,8 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rngs import pool
+
 CONTRACTION_RATE = 2.0 * (1.0 - math.log(2.0))  # ~0.6137 per iteration
-_CHUNK = 1 << 20
+_CHUNK = 1 << 17  # particles per phi_step chunk: one stream and one pool task each
 _SAVE_BLOCK = 1 << 16  # cloud values encoded or decoded per block (~1 MB of text)
 _BATCHES = 100  # batch means behind every batched standard error (here and in beta)
 
@@ -79,21 +81,29 @@ def phi_step(cloud: ParticleCloud, rng) -> ParticleCloud:
     """One population step: cloud-size many iid draws of G(U, X1, X2) with
     X1, X2 resampled with replacement from the cloud.
 
-    Output indices are produced in fixed chunks, each from its own spawned
-    stream (draw order per chunk: X1 indices, X2 indices, U), so the result
-    does not depend on how chunks would be scheduled across workers.
+    Output indices are produced in fixed chunks of _CHUNK, each from its own
+    spawned stream (draw order per chunk: X1 indices, X2 indices, U) into
+    its own slice of the output, and the chunks run on the thread pool; the
+    result does not depend on the number of workers.  A cloud of at most
+    _CHUNK particles is one chunk.
     """
     s = cloud.samples
-    n_chunks = (s.size + _CHUNK - 1) // _CHUNK
-    streams = rng.spawn(n_chunks)
-    parts = []
-    for k, sub in enumerate(streams):
-        m = min(_CHUNK, s.size - k * _CHUNK)
-        x = s[sub.integers(0, s.size, size=m)]
-        x += s[sub.integers(0, s.size, size=m)]
-        u = sub.random(m)
-        parts.append(1.0 / (u + (1.0 - u) / x))
-    out = np.sort(np.concatenate(parts)) if n_chunks > 1 else np.sort(parts[0])
+    out = np.empty(s.size)
+    starts = range(0, s.size, _CHUNK)
+
+    def chunk(lo, sub):
+        o = out[lo : lo + _CHUNK]
+        x = s[sub.integers(0, s.size, size=o.size)]
+        x += s[sub.integers(0, s.size, size=o.size)]
+        u = sub.random(o.size)
+        # 1 / (u + (1 - u) / x), bit for bit, in place
+        np.subtract(1.0, u, out=o)
+        o /= x
+        o += u
+        np.divide(1.0, o, out=o)
+
+    list(pool().map(chunk, starts, rng.spawn(len(starts))))
+    out.sort()
     return ParticleCloud(out, cloud.iteration_count + 1, cloud.seed)
 
 
@@ -166,8 +176,11 @@ def estimate_floor(cloud: ParticleCloud, rng) -> float:
     """Monte Carlo floor estimate: d1 between two independent bootstrap
     resamples of the cloud (the scale below which d1 cannot shrink)."""
     m = cloud.size
-    a = np.sort(cloud.samples[rng.integers(0, m, size=m)])
-    b = np.sort(cloud.samples[rng.integers(0, m, size=m)])
+    a = cloud.samples[rng.integers(0, m, size=m)]
+    a_sorted = pool().submit(a.sort)  # in place, while b is drawn and sorted
+    b = cloud.samples[rng.integers(0, m, size=m)]
+    b.sort()
+    a_sorted.result()
     return float(np.mean(np.abs(a - b)))
 
 
@@ -241,28 +254,34 @@ def laplace_ode_residual(cloud: ParticleCloud, ell_grid) -> list[Residual]:
     """Residual of 2 l phi'' + l phi' + phi^2 - phi at each l, with phi and
     its derivatives computed as exact sample averages (no numerical
     differentiation); standard errors by _BATCHES batch means over the cloud
-    in an order drawn from the cloud seed's Philox stream."""
+    in an order drawn from the cloud seed's Philox stream.  The l values run
+    on the thread pool; each computes its summands once, and the batch means
+    and the whole mean read the same values."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cloud.seed)))
     s = cloud.samples[rng.permutation(cloud.size)]
     m = s.size // _BATCHES
-    arr = s[: m * _BATCHES].reshape(_BATCHES, m)
-    out = []
-    for ell in np.asarray(ell_grid, dtype=np.float64):
-        e = np.exp(-ell * arr / 2.0)
-        phi_b = e.mean(axis=1)
-        dphi_b = np.mean(-arr / 2.0 * e, axis=1)
-        d2phi_b = np.mean(arr**2 / 4.0 * e, axis=1)
-        res_b = 2.0 * ell * d2phi_b + ell * dphi_b + phi_b**2 - phi_b
-        full = np.exp(-ell * s / 2.0)
-        phi = full.mean()
-        res = (
-            2.0 * ell * np.mean(s**2 / 4.0 * full)
-            + ell * np.mean(-s / 2.0 * full)
-            + phi * phi
-            - phi
-        )
-        out.append(Residual(float(res), se_of_mean(res_b)))
-    return out
+
+    def means(v):
+        """The _BATCHES batch means of v and its whole mean."""
+        return v[: m * _BATCHES].reshape(_BATCHES, m).mean(axis=1), v.mean()
+
+    def residual(ell):
+        # exp(-l x/2), -x/2 exp(-l x/2) and x^2/4 exp(-l x/2) over the cloud,
+        # each operation of those expressions in turn, in two cloud-size buffers
+        e = np.multiply(s, -ell)
+        e /= 2.0
+        np.exp(e, out=e)
+        t = np.negative(s)
+        t /= 2.0
+        t *= e
+        phi, dphi = means(e), means(t)
+        np.square(s, out=t)
+        t /= 4.0
+        t *= e
+        res_b, res = (2.0 * ell * d2 + ell * d1 + p * p - p for p, d1, d2 in zip(phi, dphi, means(t)))
+        return Residual(float(res), se_of_mean(res_b))
+
+    return list(pool().map(residual, np.asarray(ell_grid, dtype=np.float64)))
 
 
 # ---------------------------------------------------------------------------

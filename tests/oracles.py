@@ -21,7 +21,10 @@ chosen survivors are reduced together into one LevelForest by
 PlaneTree into the depths that `trees.reduce` takes.
 
 The continuum section holds the whole-tree sampler that `continuum`
-replaced by its harmonic-ray chain.  `phi_step_coupled` checks the
+replaced by its harmonic-ray chain.  `phi_step_serial` is `rde.phi_step`
+without the thread pool, at any chunk size, and
+`laplace_ode_residual_serial` is `rde.laplace_ode_residual` one l at a time
+over whole-expression temporaries; `phi_step_coupled` checks the
 contraction rate of `rde.phi_step` behind `residual_bias_bound`, and
 `kappa` is the direct Monte Carlo that `beta.kappa_table` tabulates.
 `content_hash` fingerprints a report for the reproducibility tests.
@@ -39,7 +42,7 @@ import scipy.sparse.linalg as spla
 
 from gwharmonic.beta import _CHUNK
 from gwharmonic.offspring import OffspringDistribution, OffspringError, survival_probs
-from gwharmonic.rde import ParticleCloud
+from gwharmonic.rde import _BATCHES, ParticleCloud, Residual, se_of_mean
 from gwharmonic.trees import (
     LevelForest,
     PlaneTree,
@@ -642,6 +645,43 @@ def tree_ray_mass_samples(cloud: ParticleCloud, eps: float, trials: int, rng) ->
 # ---------------------------------------------------------------------------
 # particle clouds
 # ---------------------------------------------------------------------------
+
+
+def phi_step_serial(cloud: ParticleCloud, rng, chunk: int = 1 << 20) -> ParticleCloud:
+    """`rde.phi_step` as a serial loop over the chunks' spawned streams, each
+    chunk's G values by the direct formula; the default chunk is the one
+    `rde.phi_step` used before it ran on the thread pool, one stream for any
+    cloud of at most 2^20 particles."""
+    s = cloud.samples
+    parts = []
+    for k, sub in enumerate(rng.spawn(-(-s.size // chunk))):
+        m = min(chunk, s.size - k * chunk)
+        x = s[sub.integers(0, s.size, size=m)]
+        x += s[sub.integers(0, s.size, size=m)]
+        u = sub.random(m)
+        parts.append(1.0 / (u + (1.0 - u) / x))
+    return ParticleCloud(np.sort(np.concatenate(parts)), cloud.iteration_count + 1, cloud.seed)
+
+
+def laplace_ode_residual_serial(cloud: ParticleCloud, ell_grid) -> list[Residual]:
+    """`rde.laplace_ode_residual` as a loop over l, each expression evaluated
+    whole, the batch means and the whole-cloud mean apart."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cloud.seed)))
+    s = cloud.samples[rng.permutation(cloud.size)]
+    m = s.size // _BATCHES
+    arr = s[: m * _BATCHES].reshape(_BATCHES, m)
+    out = []
+    for ell in np.asarray(ell_grid, dtype=np.float64):
+        e = np.exp(-ell * arr / 2.0)
+        phi_b = e.mean(axis=1)
+        dphi_b = np.mean(-arr / 2.0 * e, axis=1)
+        d2phi_b = np.mean(arr**2 / 4.0 * e, axis=1)
+        res_b = 2.0 * ell * d2phi_b + ell * dphi_b + phi_b**2 - phi_b
+        full = np.exp(-ell * s / 2.0)
+        phi = full.mean()
+        res = 2.0 * ell * np.mean(s**2 / 4.0 * full) + ell * np.mean(-s / 2.0 * full) + phi * phi - phi
+        out.append(Residual(float(res), se_of_mean(res_b)))
+    return out
 
 
 def phi_step_coupled(a: ParticleCloud, b: ParticleCloud, rng):

@@ -49,10 +49,14 @@ def test_solve_reproducible_byte_for_byte(tmp_path):
 
 
 def test_solve_warns_below_floor(tmp_path, capsys):
-    assert run(["rde", "solve", "--particles", "20000", "--tol", "1e-9",
-                "--max-iters", "3", "--seed", "1", "--out", str(tmp_path)]) == 0
-    err = capsys.readouterr().err
-    assert "Monte Carlo floor" in err
+    for tol, below in ((1e-9, True), (0.5, False)):
+        out = tmp_path / str(tol)
+        assert run(["rde", "solve", "--particles", "20000", "--tol", str(tol),
+                    "--max-iters", "3", "--seed", "1", "--out", str(out)]) == 0
+        info = json.loads((out / "rde_solve_seed1.json").read_text())
+        assert info["tol_below_floor"] is below
+        assert (tol < info["bootstrap_floor"]) is below
+        assert ("Monte Carlo floor" in capsys.readouterr().err) is below
 
 
 def test_validate_passes_on_solved(cloud_file, tmp_path):

@@ -3,8 +3,8 @@ module, a test or a script imports must be used in that file, every public
 function and class, and every public method and property of a class, must be
 used somewhere in the package (code that only tests reach belongs in
 tests/oracles.py), the CLI imports no scipy, not even to build a p-ary
-law, and one function of the CLI reads the clock: every report is timed in
-one place."""
+law, nor `concurrent.futures` before the thread pool is first used, and one
+function of the CLI reads the clock: every report is timed in one place."""
 
 import ast
 import os
@@ -135,12 +135,24 @@ def test_clock_read_detector():
     assert clock_reads(source) == ["<module>", "f", "g"]
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy costs about a second of import; only the test oracles need it
+def _fresh_modules(code: str, package: str) -> list[str]:
+    """The modules of `package` loaded after `code` runs in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import sys, gwharmonic.cli; gwharmonic.offspring.from_spec('pary:3'); "
-            "print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout
-    assert out.strip() == "[]"
+    code += f"; print([m for m in sys.modules if m.partition('.')[0] == {package!r}])"
+    out = subprocess.run([sys.executable, "-c", "import sys; " + code], env=env,
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    return ast.literal_eval(out.strip())
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy costs about a second of import; only the test oracles need it
+    assert _fresh_modules("import gwharmonic.cli; gwharmonic.offspring.from_spec('pary:3')",
+                          "scipy") == []
+
+
+def test_thread_pool_is_imported_on_first_use():
+    # the CLI import pays nothing for the pool; its first user imports concurrent.futures
+    assert _fresh_modules("import gwharmonic.cli", "concurrent") == []
+    assert "concurrent.futures" in _fresh_modules("import gwharmonic.rngs; gwharmonic.rngs.pool()",
+                                                  "concurrent")

@@ -1,10 +1,11 @@
 import struct
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import oracles as orc
 import pytest
 
-from gwharmonic import rde
+from gwharmonic import beta, rde, rngs
 from gwharmonic.rngs import task_stream
 
 
@@ -30,6 +31,44 @@ def test_phi_step_support_bounds(solved_cloud):
     assert out.samples.min() >= 1.0
     assert out.samples.max() <= 2.0 * solved_cloud.samples.max()
     assert np.all(np.diff(out.samples) >= 0)
+
+
+@pytest.mark.parametrize("m, chunk", [(1000, 1 << 20), (2**17, 1 << 20),  # one chunk, as before
+                                      (2**17 + 1, rde._CHUNK), (3 * 2**17 + 5, rde._CHUNK)])
+def test_phi_step_matches_the_serial_chunk_loop(m, chunk):
+    cloud = rde.ParticleCloud(np.sort(1.0 + task_stream(14, "rde", 14).random(m)), 3, 14)
+    out = rde.phi_step(cloud, task_stream(15, "rde", 15))
+    ref = orc.phi_step_serial(cloud, task_stream(15, "rde", 15), chunk)
+    assert np.array_equal(out.samples, ref.samples)
+    assert (out.iteration_count, out.seed) == (4, 14)
+
+
+def _under_pool(monkeypatch, workers, run):
+    """run() with the package's thread pool replaced by one of `workers` threads."""
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        monkeypatch.setattr(rngs, "_POOL", ex)
+        return run()
+
+
+def test_results_do_not_depend_on_the_worker_count(monkeypatch):
+    m = 3 * 2**17 + 5  # four phi_step chunks, the last one short
+
+    def run():
+        res = rde.solve_fixpoint(m, 5e-3, 20, task_stream(16, "rde", 16), seed=16)
+        cloud = res.cloud
+        return (rde.phi_step(cloud, task_stream(17, "rde", 17)).samples, cloud.samples, res.trace,
+                rde.estimate_floor(cloud, task_stream(18, "rde", 18)),
+                rde.laplace_ode_residual(cloud, [0.5, 1.0, 2.0, 4.0]),
+                beta.cross_validate(cloud, 10**5, task_stream(19, "beta", 19)).to_dict())
+
+    one, two = (_under_pool(monkeypatch, w, run) for w in (1, 2))
+    assert np.array_equal(one[0], two[0]) and np.array_equal(one[1], two[1])
+    assert one[2:] == two[2:]
+    assert two[5]["estimates"][0]["cloud_std_error"] > 0  # the sub-cloud runs took part
+    # the floor is the serial draw: both index vectors from one stream, a's first
+    rng, s = task_stream(18, "rde", 18), one[1]
+    a = np.sort(s[rng.integers(0, m, size=m)])
+    assert two[3] == float(np.mean(np.abs(a - np.sort(s[rng.integers(0, m, size=m)]))))
 
 
 def test_two_steps_from_point_mass_at_infinity_proxy():
@@ -196,6 +235,13 @@ def test_laplace_ode_residuals(solved_cloud):
         assert abs(chk.z) < 3, f"l={ell}: z={chk.z}"
     small = rde.laplace_ode_residual(solved_cloud, [1e-6])[0]
     assert abs(small.residual) < 1e-5  # residual -> phi(0)^2 - phi(0) = 0
+
+
+@pytest.mark.parametrize("m", [1000, 12345])  # 12345: the batch means leave out 45 values
+def test_laplace_ode_residual_matches_the_serial_loop(m):
+    cloud = rde.ParticleCloud(np.sort(1.0 + task_stream(20, "rde", 20).exponential(size=m)), 0, 20)
+    ells = [1e-6, 0.5, 1.0, 2.0, 4.0]
+    assert rde.laplace_ode_residual(cloud, ells) == orc.laplace_ode_residual_serial(cloud, ells)
 
 
 def test_laplace_ode_negative_control():
