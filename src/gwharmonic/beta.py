@@ -5,6 +5,11 @@ cloud, so estimation cost is decoupled from fixed-point cost.  Ratio
 estimators report standard errors via 100 batch means; the plug-in moment
 estimator uses the delta method.  The node-shift estimator reads its weights
 from one kappa table per call, whose own Monte Carlo error is reported apart.
+
+Every estimator draws its batches through `rde._batch_sums`: ten groups of
+ten consecutive batches, each group one thread-pool task on its own stream
+spawned from the estimator's generator, so an estimate is the same on any
+number of cores.  The estimators themselves run in the calling thread.
 """
 
 from __future__ import annotations
@@ -13,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rde import _BATCHES, ParticleCloud, se_of_mean, z_score
+from .rde import _BATCHES, _TASKS, ParticleCloud, _batch_sums, se_of_mean, z_score
 from .rngs import pool
 
-_CHUNK = 1 << 17
 # kappa table: a uniform grid on x = 1/G in [0, 1], estimated as independent
 # sub-tables whose spread is the table's Monte Carlo error.
 _TABLE_NODES = 257
@@ -51,25 +55,18 @@ class BetaEstimate:
         }
 
 
-def _chunks(batch: int):
-    """(batch index, tuple count) for every draw: _BATCHES batches of `batch`
-    tuples, each drawn in chunks of at most _CHUNK."""
-    for k in range(_BATCHES):
-        for done in range(0, batch, _CHUNK):
-            yield k, min(_CHUNK, batch - done)
-
-
 def beta_moment(cloud: ParticleCloud, sample_count: int, rng) -> BetaEstimate:
     """Plug-in 0.5 ((E C)^2 / E[C0 C1/(C0+C1-1)] - 1) over resampled pairs."""
     s = cloud.samples
     a = float(s.mean())
     batch = max(sample_count // _BATCHES, 1)
-    sums = np.zeros(_BATCHES)
-    for k, m in _chunks(batch):
-        c0 = s[rng.integers(0, s.size, size=m)]
-        c1 = s[rng.integers(0, s.size, size=m)]
-        sums[k] += np.sum(c0 * c1 / (c0 + c1 - 1.0))
-    bmeans = sums / batch
+
+    def kernel(sub, k, m):
+        c0 = s[sub.integers(0, s.size, size=(k, m))]
+        c1 = s[sub.integers(0, s.size, size=(k, m))]
+        return np.sum(c0 * c1 / (c0 + c1 - 1.0), axis=1)
+
+    bmeans = _batch_sums(kernel, batch, rng) / batch
     b = float(bmeans.mean())
     se_b = se_of_mean(bmeans)
     value = 0.5 * (a * a / b - 1.0)
@@ -82,14 +79,15 @@ def beta_triple(cloud: ParticleCloud, sample_count: int, rng) -> BetaEstimate:
     pair integral E[ST/(S+T-1)]; standard error by batching."""
     s = cloud.samples
     batch = max(sample_count // _BATCHES, 1)
-    num_b, den_b = np.zeros(_BATCHES), np.zeros(_BATCHES)
-    for k, m in _chunks(batch):
-        r = s[rng.integers(0, s.size, size=m)]
-        t = s[rng.integers(0, s.size, size=m)]
-        u = s[rng.integers(0, s.size, size=m)]
-        num_b[k] += np.sum(2.0 * r * t / (r + t + u - 1.0) * np.log((t + u) / t))
-        den_b[k] += np.sum(t * u / (t + u - 1.0))
-    num_b, den_b = num_b / batch, den_b / batch
+
+    def kernel(sub, k, m):
+        r = s[sub.integers(0, s.size, size=(k, m))]
+        t = s[sub.integers(0, s.size, size=(k, m))]
+        u = s[sub.integers(0, s.size, size=(k, m))]
+        return np.stack([np.sum(2.0 * r * t / (r + t + u - 1.0) * np.log((t + u) / t), axis=1),
+                         np.sum(t * u / (t + u - 1.0), axis=1)], axis=1)
+
+    num_b, den_b = (_batch_sums(kernel, batch, rng) / batch).T
     value = float(num_b.mean() / den_b.mean())
     std_error = se_of_mean(num_b / den_b)
     return BetaEstimate(value, std_error, "triple", batch * _BATCHES)
@@ -98,14 +96,20 @@ def beta_triple(cloud: ParticleCloud, sample_count: int, rng) -> BetaEstimate:
 def kappa_table(cloud: ParticleCloud, rng) -> np.ndarray:
     """kappa(x) = E[S / (1 + x (S+T-1))] on TABLE_GRID, where x = 1/r turns
     kappa(r) into a smooth function on [0, 1].  Row k is one sub-table: the
-    mean over its own cloud pairs, common to every node; rows are independent."""
+    mean over its own cloud pairs, common to every node; rows are independent.
+    The pairs are drawn in the calling thread, and the columns are computed
+    in _TASKS groups on the thread pool."""
     s = cloud.samples
     shape = (_SUBTABLES, _SUBTABLE_PAIRS)
     a = s[rng.integers(0, s.size, size=shape)]
     d = a + s[rng.integers(0, s.size, size=shape)] - 1.0
     table = np.empty((_SUBTABLES, _TABLE_NODES))
-    for j, x in enumerate(TABLE_GRID):
-        table[:, j] = np.mean(a / (1.0 + x * d), axis=1)
+
+    def columns(nodes):
+        for j in nodes:
+            table[:, j] = np.mean(a / (1.0 + TABLE_GRID[j] * d), axis=1)
+
+    list(pool().map(columns, np.array_split(np.arange(_TABLE_NODES), _TASKS)))
     return table
 
 
@@ -123,19 +127,24 @@ def beta_shift(cloud: ParticleCloud, sample_count: int, rng) -> BetaEstimate:
     s = cloud.samples
     last = _TABLE_NODES - 1
     batch = max(sample_count // _BATCHES, 1)
-    num_c = np.zeros((_BATCHES, _TABLE_NODES))
-    den_c = np.zeros((_BATCHES, _TABLE_NODES))
-    for k, m in _chunks(batch):
-        c1 = s[rng.integers(0, s.size, size=m)]
-        c2 = s[rng.integers(0, s.size, size=m)]
-        u = rng.random(m)
+
+    def kernel(sub, k, m):
+        c1 = s[sub.integers(0, s.size, size=k * m)]
+        c2 = s[sub.integers(0, s.size, size=k * m)]
+        u = sub.random(k * m)
         pos = (u + (1.0 - u) / (c1 + c2)) * last
         j = np.minimum(pos.astype(np.intp), last - 1)
         t = pos - j
         frac = c1 / (c1 + c2)
-        for coef, f in ((num_c[k], frac * np.log(frac)), (den_c[k], -np.log1p(-u))):
-            coef[:-1] += np.bincount(j, (1.0 - t) * f, minlength=last)
-            coef[1:] += np.bincount(j, t * f, minlength=last)
+        bins = k * _TABLE_NODES
+        j += np.repeat(np.arange(0, bins, _TABLE_NODES), m)  # node n of batch i is bin i*_TABLE_NODES + n
+        coef = np.empty((k, 2, _TABLE_NODES))
+        for c, f in enumerate((frac * np.log(frac), -np.log1p(-u))):
+            coef[:, c] = np.bincount(j, (1.0 - t) * f, minlength=bins).reshape(k, -1)
+            coef[:, c, 1:] += np.bincount(j, t * f, minlength=bins).reshape(k, -1)[:, :-1]
+        return coef
+
+    num_c, den_c = _batch_sums(kernel, batch, rng).transpose(1, 0, 2)
     mean_table = table.mean(axis=0)
     num, den = num_c.sum(axis=0), den_c.sum(axis=0)
     value = float(-2.0 * (num @ mean_table) / (den @ mean_table))
@@ -164,25 +173,33 @@ class CrossValidation:
         }
 
 
-def _cloud_component(cloud: ParticleCloud, runner, rng, sub_budget: int, k: int = 10) -> float:
-    """Finite-cloud std error of an estimator at the full cloud size,
-    from its spread over k disjoint random sub-clouds of size M/k, each read
-    with sub_budget tuples (tuple noise subtracted, scaled down by sqrt(k))."""
-    perm = rng.permutation(cloud.size)
+def _sub_clouds(cloud: ParticleCloud, rng, k: int) -> list:
+    """k disjoint random sub-clouds of size M/k, each sorted, from one
+    permutation of the cloud drawn from rng."""
+    parts = np.array_split(rng.permutation(cloud.size), k)
+    return [ParticleCloud(np.sort(cloud.samples[part])) for part in parts]
+
+
+def _cloud_component(subs: list, runner, rng, sub_budget: int) -> float:
+    """Finite-cloud std error of an estimator at the full cloud size, from
+    its spread over k disjoint sub-clouds of size M/k, each read with
+    sub_budget tuples drawn from streams spawned from rng (tuple noise
+    subtracted, scaled down by sqrt(k))."""
     vals, tup = [], []
-    for part in np.array_split(perm, k):
-        sub = ParticleCloud(np.sort(cloud.samples[part]))
+    for sub in subs:
         est = runner(sub, sub_budget, rng)
         vals.append(est.value)
         tup.append(est.std_error**2)
     var_sub = max(float(np.var(vals, ddof=1)) - float(np.mean(tup)), 0.0)
-    return float(np.sqrt(var_sub / k))
+    return float(np.sqrt(var_sub / len(subs)))
 
 
 def cross_validate(cloud: ParticleCloud, budget: int, rng) -> CrossValidation:
     """Run the three estimators on derived streams and compare pairwise;
     |z| > 3 between any two flags the report.  The estimator runs and the
-    sub-cloud runs each draw from their own stream, on the thread pool.
+    sub-cloud runs each draw from their own stream, one after another in the
+    calling thread; each run spreads its own draws over the thread pool, and
+    the two sub-cloud splits are made there while the full-cloud runs draw.
 
     The two expectation-style estimators are smooth functionals of the
     empirical cloud, so their values carry a finite-cloud error of order
@@ -195,17 +212,14 @@ def cross_validate(cloud: ParticleCloud, budget: int, rng) -> CrossValidation:
     folded in.
     """
     streams = rng.spawn(5)
-    # submitted longest first, so that no worker is left with a long run at the end
-    sub_runs = {}
+    splits = []
     if cloud.size >= 10**5:
-        sub_budget = int(min(max(budget // 50, 10**6), 10**7))
-        sub_runs = {i: pool().submit(_cloud_component, cloud, fn, streams[3 + i], sub_budget)
-                    for i, fn in ((1, beta_triple), (0, beta_moment))}
-    runs = {i: pool().submit(fn, cloud, budget, streams[i])
-            for i, fn in ((2, beta_shift), (1, beta_triple), (0, beta_moment))}
-    ests = [runs[i].result() for i in range(3)]
-    for i, run in sub_runs.items():
-        ests[i].cloud_std_error = run.result()
+        # the sub-cloud splits are drawn and sorted on the pool while the full-cloud runs use it too
+        splits = [pool().submit(_sub_clouds, cloud, streams[3 + i], 10) for i in range(2)]
+    ests = [fn(cloud, budget, stream) for fn, stream in zip((beta_moment, beta_triple, beta_shift), streams)]
+    sub_budget = int(min(max(budget // 50, 10**6), 10**7))
+    for i, (fn, split) in enumerate(zip((beta_moment, beta_triple), splits)):
+        ests[i].cloud_std_error = _cloud_component(split.result(), fn, streams[3 + i], sub_budget)
     z = np.zeros((3, 3))
     for i in range(3):
         for j in range(3):

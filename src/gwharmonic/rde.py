@@ -24,9 +24,10 @@ import numpy as np
 from .rngs import pool
 
 CONTRACTION_RATE = 2.0 * (1.0 - math.log(2.0))  # ~0.6137 per iteration
-_CHUNK = 1 << 17  # particles per phi_step chunk: one stream and one pool task each
+_CHUNK = 1 << 17  # particles per phi_step chunk (one stream and one pool task), tuples per batched draw
 _SAVE_BLOCK = 1 << 16  # cloud values encoded or decoded per block (~1 MB of text)
 _BATCHES = 100  # batch means behind every batched standard error (here and in beta)
+_TASKS = 10  # groups of consecutive batches per batched draw: one stream and one pool task each
 
 
 class CloudFormatError(ValueError):
@@ -45,6 +46,28 @@ def z_score(diff: float, se: float) -> float:
     if se > 0:
         return float(diff / se)
     return 0.0 if diff == 0 else math.copysign(math.inf, diff)
+
+
+def _batch_sums(kernel, batch: int, rng) -> np.ndarray:
+    """Per-batch sums of _BATCHES batches of `batch` tuples, shape
+    (_BATCHES, ...).  `kernel(sub, k, m)` draws k batches of m tuples from
+    `sub` (each draw of k*m values in one call) and returns their k sums.
+
+    The batches are drawn in _TASKS groups of consecutive batches, each group
+    one pool task on its own stream from `rng.spawn(_TASKS)`.  Within a group
+    every draw holds at most _CHUNK tuples: as many whole batches as fit, or,
+    for batches larger than _CHUNK, one batch in pieces whose sums are added
+    up in turn.  The result does not depend on the number of workers."""
+    per = _BATCHES // _TASKS
+
+    def group(sub):
+        if batch <= _CHUNK:
+            step = _CHUNK // batch
+            return np.concatenate([kernel(sub, min(step, per - lo), batch) for lo in range(0, per, step)])
+        pieces = [min(_CHUNK, batch - done) for done in range(0, batch, _CHUNK)]
+        return np.concatenate([sum(kernel(sub, 1, m) for m in pieces) for _ in range(per)])
+
+    return np.concatenate(list(pool().map(group, rng.spawn(_TASKS))))
 
 
 @dataclass(eq=False)
@@ -236,18 +259,24 @@ def _g_funcs(g_spec):
 
 
 def check_identity(cloud: ParticleCloud, g_spec, rng) -> Residual:
-    """Monte Carlo residual of E[X(X-1)g'(X)] + E[g(X)] - E[g(X1+X2)] with
-    cloud-size many X, X1, X2 resampled from the cloud; zero at the fixed
-    point.  Standard error by _BATCHES batch means."""
+    """Monte Carlo residual of E[X(X-1)g'(X)] + E[g(X)] - E[g(X1+X2)] over
+    _BATCHES batches of M // _BATCHES tuples (X, X1, X2) resampled from a
+    cloud of M particles; zero at the fixed point.  Standard error by the
+    batch means.  The batches are drawn by `_batch_sums`, in groups on
+    spawned streams on the thread pool; X1 is X, and each draw takes the X
+    indices, then the X2 indices."""
     g, gp = _g_funcs(g_spec)
     s = cloud.samples
-    n = s.size
-    x = s[rng.integers(0, n, size=n)]
-    y = s[rng.integers(0, n, size=n)]
-    res = x * (x - 1.0) * gp(x) + g(x) - g(x + y)
-    m = n // _BATCHES
-    bmeans = res[: m * _BATCHES].reshape(_BATCHES, m).mean(axis=1)
-    return Residual(float(res.mean()), se_of_mean(bmeans))
+    batch = max(s.size // _BATCHES, 1)
+
+    def kernel(sub, k, m):
+        x = s[sub.integers(0, s.size, size=(k, m))]
+        y = s[sub.integers(0, s.size, size=(k, m))]
+        y += x
+        return np.sum(x * (x - 1.0) * gp(x) + g(x) - g(y), axis=1)
+
+    bmeans = _batch_sums(kernel, batch, rng) / batch
+    return Residual(float(bmeans.mean()), se_of_mean(bmeans))
 
 
 def laplace_ode_residual(cloud: ParticleCloud, ell_grid) -> list[Residual]:
@@ -278,10 +307,10 @@ def laplace_ode_residual(cloud: ParticleCloud, ell_grid) -> list[Residual]:
         np.square(s, out=t)
         t /= 4.0
         t *= e
-        res_b, res = (2.0 * ell * d2 + ell * d1 + p * p - p for p, d1, d2 in zip(phi, dphi, means(t)))
-        return Residual(float(res), se_of_mean(res_b))
+        return [2.0 * ell * d2 + ell * d1 + p * p - p for p, d1, d2 in zip(phi, dphi, means(t))]
 
-    return list(pool().map(residual, np.asarray(ell_grid, dtype=np.float64)))
+    return [Residual(float(res), se_of_mean(res_b))
+            for res_b, res in pool().map(residual, np.asarray(ell_grid, dtype=np.float64))]
 
 
 # ---------------------------------------------------------------------------

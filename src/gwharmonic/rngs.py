@@ -6,9 +6,12 @@ seed alone, independent of scheduling.  Philox is counter-based, which makes
 the derived streams cheap and collision-free.
 
 Work that draws from its own spawned stream (the chunks of one `rde.phi_step`,
-the estimator runs of one `beta.cross_validate`) or from no stream at all runs
-on `pool()`: one thread per usable core, with no setting.  Each task writes
-only its own output, so results are the same on any number of cores.
+the batch groups of every beta estimator and of `rde.check_identity`, the
+sub-cloud splits of `beta.cross_validate`) or from no stream at all (the
+kappa table's columns, the Laplace residuals' l values) runs on `pool()`:
+one thread per usable core, with no setting.  The callers submit from their
+own thread and no task submits to the pool.  Each task writes only its own
+output, so results are the same on any number of cores.
 """
 
 from __future__ import annotations

@@ -25,8 +25,12 @@ replaced by its harmonic-ray chain.  `phi_step_serial` is `rde.phi_step`
 without the thread pool, at any chunk size, and
 `laplace_ode_residual_serial` is `rde.laplace_ode_residual` one l at a time
 over whole-expression temporaries; `phi_step_coupled` checks the
-contraction rate of `rde.phi_step` behind `residual_bias_bound`, and
-`kappa` is the direct Monte Carlo that `beta.kappa_table` tabulates.
+contraction rate of `rde.phi_step` behind `residual_bias_bound`,
+`kappa` is the direct Monte Carlo that `beta.kappa_table` tabulates,
+`kappa_table_serial` is `beta.kappa_table` as one column loop in the calling
+thread, on the same draws, and `batch_sums_serial` replays the grouped
+batch draws of `rde._batch_sums` behind every beta estimator and
+`rde.check_identity`, one group after another.
 `content_hash` fingerprints a report for the reproducibility tests.
 """
 
@@ -40,9 +44,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from gwharmonic.beta import _CHUNK
+from gwharmonic.beta import _SUBTABLE_PAIRS, _SUBTABLES, TABLE_GRID
 from gwharmonic.offspring import OffspringDistribution, OffspringError, survival_probs
-from gwharmonic.rde import _BATCHES, ParticleCloud, Residual, se_of_mean
+from gwharmonic.rde import _BATCHES, _CHUNK, _TASKS, ParticleCloud, Residual, se_of_mean
 from gwharmonic.trees import (
     LevelForest,
     PlaneTree,
@@ -715,6 +719,41 @@ def kappa(cloud: ParticleCloud, r, pair_count: int, rng) -> float:
         total += float(np.sum(r * a / (r + a + b - 1.0)))
         done += m
     return total / pair_count
+
+
+def batch_sums_serial(rng, batch: int, summands, chunk: int) -> np.ndarray:
+    """`rde._batch_sums` replayed group by group, in the calling thread:
+    each stream of rng.spawn(_TASKS) draws its _BATCHES // _TASKS batches in
+    turn, as many whole batches per draw as fit in `chunk` tuples, else one
+    batch in pieces of at most `chunk`.  summands(sub, n) draws n tuples
+    from sub and returns their summands, one row per tuple."""
+    per = _BATCHES // _TASKS
+    sums = []
+    for sub in rng.spawn(_TASKS):
+        if batch <= chunk:
+            step = chunk // batch
+            for lo in range(0, per, step):
+                k = min(step, per - lo)
+                vals = summands(sub, k * batch)
+                sums.extend(vals.reshape(k, batch, *vals.shape[1:]).sum(axis=1))
+        else:
+            for _ in range(per):
+                sums.append(sum(summands(sub, min(chunk, batch - done)).sum(axis=0)
+                                for done in range(0, batch, chunk)))
+    return np.array(sums)
+
+
+def kappa_table_serial(cloud: ParticleCloud, rng) -> np.ndarray:
+    """`beta.kappa_table` without the thread pool: the same pairs, then one
+    column of sub-table means per grid node, in turn."""
+    s = cloud.samples
+    shape = (_SUBTABLES, _SUBTABLE_PAIRS)
+    a = s[rng.integers(0, s.size, size=shape)]
+    d = a + s[rng.integers(0, s.size, size=shape)] - 1.0
+    table = np.empty((_SUBTABLES, TABLE_GRID.size))
+    for j, x in enumerate(TABLE_GRID):
+        table[:, j] = np.mean(a / (1.0 + x * d), axis=1)
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import oracles as orc
 import pytest
 from scipy.integrate import quad
 
-from gwharmonic import beta, rde
+from gwharmonic import beta, rde, rngs
 from gwharmonic.rngs import task_stream
 
 
@@ -99,33 +102,91 @@ def test_beta_shift_error_bar_is_calibrated(solved_cloud):
     assert 0.6 <= spread / np.mean([e.total_std_error for e in ests]) <= 1.6
 
 
-def test_beta_shift_matches_direct_interpolation(solved_cloud):
+# a batch of 20 tuples in pieces of 7, 7 and 6; 3 batches per draw; all 10 of a group in one draw
+CHUNKS = [7, 64, rde._CHUNK]
+
+
+def test_beta_moment_matches_the_replayed_groups(solved_cloud, monkeypatch):
+    s = solved_cloud.samples
+
+    def summands(sub, n):
+        c0 = s[sub.integers(0, s.size, size=n)]
+        c1 = s[sub.integers(0, s.size, size=n)]
+        return (c0 * c1 / (c0 + c1 - 1.0))[:, None]
+
+    a = s.mean()
+    for chunk in CHUNKS:
+        monkeypatch.setattr(rde, "_CHUNK", chunk)
+        b = orc.batch_sums_serial(task_stream(24, "beta", 24), 20, summands, chunk)[:, 0] / 20
+        est = beta.beta_moment(solved_cloud, 20 * beta._BATCHES, task_stream(24, "beta", 24))
+        assert est.value == pytest.approx(0.5 * (a * a / b.mean() - 1.0), rel=1e-12)
+        assert est.std_error == pytest.approx(
+            0.5 * a * a / b.mean() ** 2 * b.std(ddof=1) / np.sqrt(beta._BATCHES), rel=1e-9)
+
+
+def test_beta_triple_matches_the_replayed_groups(solved_cloud, monkeypatch):
+    s = solved_cloud.samples
+
+    def summands(sub, n):
+        r, t, u = (s[sub.integers(0, s.size, size=n)] for _ in range(3))
+        return np.stack([2.0 * r * t / (r + t + u - 1.0) * np.log((t + u) / t),
+                         t * u / (t + u - 1.0)], axis=1)
+
+    for chunk in CHUNKS:
+        monkeypatch.setattr(rde, "_CHUNK", chunk)
+        sums = orc.batch_sums_serial(task_stream(25, "beta", 25), 20, summands, chunk)
+        est = beta.beta_triple(solved_cloud, 20 * beta._BATCHES, task_stream(25, "beta", 25))
+        ratios = sums[:, 0] / sums[:, 1]
+        assert est.value == pytest.approx(sums[:, 0].mean() / sums[:, 1].mean(), rel=1e-12)
+        assert est.std_error == pytest.approx(ratios.std(ddof=1) / np.sqrt(beta._BATCHES), rel=1e-9)
+
+
+def test_beta_shift_matches_direct_interpolation(solved_cloud, monkeypatch):
     # reference loop on the same draws: weights read by np.interp, from the
     # mean table for the value and batch means, from each sub-table for the
     # table error
-    budget = 20 * beta._BATCHES
-    rng = task_stream(22, "beta", 22)
-    table = beta.kappa_table(solved_cloud, rng)
     s = solved_cloud.samples
-    num = np.zeros((beta._BATCHES, 1 + table.shape[0]))  # mean table, then each sub-table
-    den = np.zeros_like(num)
-    for k in range(beta._BATCHES):
-        c1 = s[rng.integers(0, s.size, size=20)]
-        c2 = s[rng.integers(0, s.size, size=20)]
-        u = rng.random(20)
+    table = beta.kappa_table(solved_cloud, task_stream(22, "beta", 22))
+    rows = [table.mean(axis=0), *table]  # mean table, then each sub-table
+
+    def summands(sub, n):
+        c1 = s[sub.integers(0, s.size, size=n)]
+        c2 = s[sub.integers(0, s.size, size=n)]
+        u = sub.random(n)
         frac = c1 / (c1 + c2)
-        for i, row in enumerate([table.mean(axis=0), *table]):
-            w = np.interp(u + (1.0 - u) / (c1 + c2), beta.TABLE_GRID, row)
-            num[k, i] = np.sum(w * frac * np.log(frac))
-            den[k, i] = np.sum(w * -np.log1p(-u))
-    est = beta.beta_shift(solved_cloud, budget, task_stream(22, "beta", 22))
-    ratios = -2.0 * num / den
-    assert est.value == pytest.approx(-2.0 * num[:, 0].sum() / den[:, 0].sum(), rel=1e-12)
-    assert est.std_error == pytest.approx(
-        ratios[:, 0].std(ddof=1) / np.sqrt(beta._BATCHES), rel=1e-9)
-    per_table = -2.0 * num[:, 1:].sum(axis=0) / den[:, 1:].sum(axis=0)
-    assert est.table_std_error == pytest.approx(
-        per_table.std(ddof=1) / np.sqrt(table.shape[0]), rel=1e-9)
+        w = np.stack([np.interp(u + (1.0 - u) / (c1 + c2), beta.TABLE_GRID, row) for row in rows], axis=1)
+        return np.stack([w * (frac * np.log(frac))[:, None], w * -np.log1p(-u)[:, None]], axis=1)
+
+    for chunk in CHUNKS:
+        monkeypatch.setattr(rde, "_CHUNK", chunk)
+        rng = task_stream(22, "beta", 22)
+        beta.kappa_table(solved_cloud, rng)  # the table's draws come first
+        sums = orc.batch_sums_serial(rng, 20, summands, chunk)
+        num, den = sums[:, 0], sums[:, 1]
+        est = beta.beta_shift(solved_cloud, 20 * beta._BATCHES, task_stream(22, "beta", 22))
+        ratios = -2.0 * num / den
+        assert est.value == pytest.approx(-2.0 * num[:, 0].sum() / den[:, 0].sum(), rel=1e-12)
+        assert est.std_error == pytest.approx(
+            ratios[:, 0].std(ddof=1) / np.sqrt(beta._BATCHES), rel=1e-9)
+        per_table = -2.0 * num[:, 1:].sum(axis=0) / den[:, 1:].sum(axis=0)
+        assert est.table_std_error == pytest.approx(
+            per_table.std(ddof=1) / np.sqrt(table.shape[0]), rel=1e-9)
+
+
+def test_kappa_table_matches_the_serial_column_loop(solved_cloud, monkeypatch):
+    # the same table from the pooled columns, also with more workers than
+    # cores and frequent thread switches, where a lost column write would show
+    ref = orc.kappa_table_serial(solved_cloud, task_stream(26, "beta", 26))
+    assert np.array_equal(beta.kappa_table(solved_cloud, task_stream(26, "beta", 26)), ref)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as ex:
+            monkeypatch.setattr(rngs, "_POOL", ex)
+            table = beta.kappa_table(solved_cloud, task_stream(26, "beta", 26))
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(table, ref)
 
 
 def test_beta_shift_table_error_bar_when_it_dominates(solved_cloud, monkeypatch):

@@ -1,11 +1,12 @@
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import oracles as orc
 import pytest
 
-from gwharmonic import beta, rde, rngs
+from gwharmonic import beta, experiments, rde, rngs
 from gwharmonic.rngs import task_stream
 
 
@@ -43,14 +44,37 @@ def test_phi_step_matches_the_serial_chunk_loop(m, chunk):
     assert (out.iteration_count, out.seed) == (4, 14)
 
 
+class _FlatPool(ThreadPoolExecutor):
+    """A thread pool whose `submit` raises in its own worker threads: a task
+    that waits on the pool would wait forever with one worker."""
+
+    def __init__(self, workers):
+        super().__init__(max_workers=workers, thread_name_prefix="flat-pool")
+
+    def submit(self, *args, **kwargs):
+        if threading.current_thread().name.startswith("flat-pool"):
+            raise RuntimeError("a pool task submitted to the pool")
+        return super().submit(*args, **kwargs)
+
+
 def _under_pool(monkeypatch, workers, run):
-    """run() with the package's thread pool replaced by one of `workers` threads."""
-    with ThreadPoolExecutor(max_workers=workers) as ex:
+    """run() with the package's thread pool replaced by a `_FlatPool` of
+    `workers` threads."""
+    with _FlatPool(workers) as ex:
         monkeypatch.setattr(rngs, "_POOL", ex)
         return run()
 
 
+def test_flat_pool_refuses_a_nested_task(monkeypatch):
+    def nested():
+        return rngs.pool().submit(int).result()
+
+    with pytest.raises(RuntimeError, match="submitted to the pool"):
+        _under_pool(monkeypatch, 2, lambda: rngs.pool().submit(nested).result())
+
+
 def test_results_do_not_depend_on_the_worker_count(monkeypatch):
+    # every pool user, under a pool that refuses nested tasks, with 1 and 2 workers
     m = 3 * 2**17 + 5  # four phi_step chunks, the last one short
 
     def run():
@@ -59,11 +83,18 @@ def test_results_do_not_depend_on_the_worker_count(monkeypatch):
         return (rde.phi_step(cloud, task_stream(17, "rde", 17)).samples, cloud.samples, res.trace,
                 rde.estimate_floor(cloud, task_stream(18, "rde", 18)),
                 rde.laplace_ode_residual(cloud, [0.5, 1.0, 2.0, 4.0]),
-                beta.cross_validate(cloud, 10**5, task_stream(19, "beta", 19)).to_dict())
+                beta.cross_validate(cloud, 10**5, task_stream(19, "beta", 19)).to_dict(),
+                [rde.check_identity(cloud, spec, task_stream(20, "rde", 20))
+                 for spec in (("monomial", 1), ("monomial", 2), ("exp", 1.0))],
+                beta.kappa_table(cloud, task_stream(21, "beta", 21)),
+                [fn(cloud, 10**5, task_stream(22, "beta", 22)).to_dict()
+                 for fn in (beta.beta_moment, beta.beta_triple, beta.beta_shift)],
+                experiments.beta_reference(cloud, task_stream(23, "beta", 23)).to_dict())
 
     one, two = (_under_pool(monkeypatch, w, run) for w in (1, 2))
     assert np.array_equal(one[0], two[0]) and np.array_equal(one[1], two[1])
-    assert one[2:] == two[2:]
+    assert np.array_equal(one[7], two[7])
+    assert one[2:7] == two[2:7] and one[8:] == two[8:]
     assert two[5]["estimates"][0]["cloud_std_error"] > 0  # the sub-cloud runs took part
     # the floor is the serial draw: both index vectors from one stream, a's first
     rng, s = task_stream(18, "rde", 18), one[1]
@@ -192,6 +223,25 @@ def test_moment_identities_at_fixed_point(solved_cloud):
     # same identities phrased through raw moments, 3 combined-scale sigmas
     assert m2 - 2 * m1 == pytest.approx(0.0, abs=3 * g1.std_error)
     assert m3 - 1.5 * m2 - m1**2 == pytest.approx(0.0, abs=1.5 * 3 * g2.std_error)
+
+
+def test_check_identity_matches_the_replayed_groups(solved_cloud, monkeypatch):
+    cloud = rde.ParticleCloud(solved_cloud.samples[::500].copy())  # 2000 particles: batches of 20
+    s = cloud.samples
+    g, gp = (lambda x: np.exp(-x / 2.0)), (lambda x: -0.5 * np.exp(-x / 2.0))
+
+    def summands(sub, n):
+        x = s[sub.integers(0, s.size, size=n)]
+        y = s[sub.integers(0, s.size, size=n)]
+        return x * (x - 1.0) * gp(x) + g(x) - g(x + y)
+
+    # a batch of 20 tuples in pieces of 7, 7 and 6; 3 batches per draw; all 10 of a group in one draw
+    for chunk in (7, 64, rde._CHUNK):
+        monkeypatch.setattr(rde, "_CHUNK", chunk)
+        bmeans = orc.batch_sums_serial(task_stream(27, "rde", 27), 20, summands, chunk) / 20
+        chk = rde.check_identity(cloud, ("exp", 1.0), task_stream(27, "rde", 27))
+        assert chk.residual == pytest.approx(bmeans.mean(), rel=1e-12)
+        assert chk.std_error == pytest.approx(bmeans.std(ddof=1) / np.sqrt(rde._BATCHES), rel=1e-9)
 
 
 def test_identity_negative_controls(solved_cloud):
