@@ -1,14 +1,15 @@
-"""Compare the JSON and CSV reports of two run directories.
+"""Compare the JSON and CSV reports and the cloud files of two run directories.
 
 Usage: python scripts/compare_reports.py DIR_A DIR_B
 
-Every `*.json` and `*.csv` file in either directory is compared with its
-namesake in the other; `wall_clock_s` and `config.out` are ignored, and a
-string that starts with its report's own `config.out` + "/" (such as the
-cloud path) is compared by the remainder after that prefix.  For each file
-that differs, the first differing key path is printed (CSV paths read
-`file.csv:row[i].column`).  Exits 1 on any difference, 0 when the
-directories match.
+Every `*.json`, `*.csv` and `*.txt` file in either directory is compared
+with its namesake in the other.  In the reports, `wall_clock_s` and
+`config.out` are ignored, and a string that starts with its report's own
+`config.out` + "/" (such as the cloud path) is compared by the remainder
+after that prefix; for each report that differs, the first differing key
+path is printed (CSV paths read `file.csv:row[i].column`).  `*.txt` files
+(the clouds) are compared byte for byte and print `<name> differs`.  Exits
+1 on any difference, 0 when the directories match.
 """
 
 from __future__ import annotations
@@ -72,14 +73,18 @@ def _format(name: str, path: tuple) -> str:
 
 
 def compare(dir_a: Path, dir_b: Path) -> list[str]:
-    """One line per differing or unmatched report file."""
+    """One line per differing or unmatched report or cloud file."""
     names = sorted({p.name for d in (dir_a, dir_b) for p in d.iterdir()
-                    if p.suffix in (".json", ".csv")})
+                    if p.suffix in (".json", ".csv", ".txt")})
     lines = []
     for name in names:
         pa, pb = dir_a / name, dir_b / name
         if not (pa.exists() and pb.exists()):
             lines.append(f"{name}: only in {dir_a if pa.exists() else dir_b}")
+            continue
+        if pa.suffix == ".txt":
+            if pa.read_bytes() != pb.read_bytes():
+                lines.append(f"{name} differs")
             continue
         a, b = _load(pa), _load(pb)
         found = first_difference(a, b, prefixes=(_out_prefix(a), _out_prefix(b)))

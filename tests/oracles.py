@@ -24,8 +24,10 @@ The continuum section holds the whole-tree sampler that `continuum`
 replaced by its harmonic-ray chain.  `phi_step_serial` is `rde.phi_step`
 without the thread pool, at any chunk size, and
 `laplace_ode_residual_serial` is `rde.laplace_ode_residual` one l at a time
-over whole-expression temporaries; `phi_step_coupled` checks the
-contraction rate of `rde.phi_step` behind `residual_bias_bound`,
+over whole-expression temporaries; `wasserstein1_grid` is
+`rde.wasserstein1` with both quantile functions gathered on the full grid;
+`phi_step_coupled` checks the contraction rate of `rde.phi_step` behind
+`residual_bias_bound`,
 `kappa` is the direct Monte Carlo that `beta.kappa_table` tabulates,
 `kappa_table_serial` is `beta.kappa_table` as one column loop in the calling
 thread, on the same draws, and `batch_sums_serial` replays the grouped
@@ -686,6 +688,21 @@ def laplace_ode_residual_serial(cloud: ParticleCloud, ell_grid) -> list[Residual
         res = 2.0 * ell * np.mean(s**2 / 4.0 * full) + ell * np.mean(-s / 2.0 * full) + phi * phi - phi
         out.append(Residual(float(res), se_of_mean(res_b)))
     return out
+
+
+def wasserstein1_grid(a: ParticleCloud, b: ParticleCloud) -> float:
+    """`rde.wasserstein1` on the full quantile grid: both clouds' lower
+    empirical quantiles gathered at the max(size) levels (k+1/2)/K."""
+    x, y = a.samples, b.samples
+    if x.size == 0 or y.size == 0:
+        raise ValueError("empty cloud")
+    if x.size == y.size:
+        return float(np.mean(np.abs(x - y)))
+    k = max(x.size, y.size)
+    u = (np.arange(k) + 0.5) / k
+    qx = x[(u * x.size).astype(np.int64)]
+    qy = y[(u * y.size).astype(np.int64)]
+    return float(np.mean(np.abs(qx - qy)))
 
 
 def phi_step_coupled(a: ParticleCloud, b: ParticleCloud, rng):

@@ -58,6 +58,20 @@ def test_one_perturbed_cell_fails(tmp_path):
     assert "levelset_geometric_1.json:cells[1].mean differs" in res.stdout.splitlines()
 
 
+def test_one_flipped_cloud_byte_fails(tmp_path):
+    cloud = b"GAMMA-CLOUD v2 2 1 3\n3ff0000000000000\n4000000000000000\n"
+    for d in ("a", "b"):
+        _write_run(tmp_path / d, 1.0, "runs")
+        (tmp_path / d / "cloud.txt").write_bytes(cloud)
+    assert _run(tmp_path / "a", tmp_path / "b").stdout.strip() == "reports match"
+    flipped = bytearray(cloud)
+    flipped[-2] ^= 1  # last digit of the last value: 0 -> 1
+    (tmp_path / "b" / "cloud.txt").write_bytes(bytes(flipped))
+    res = _run(tmp_path / "a", tmp_path / "b")
+    assert res.returncode == 1
+    assert res.stdout.splitlines() == ["cloud.txt differs"]
+
+
 def test_missing_report_fails(tmp_path):
     _write_run(tmp_path / "a", 1.0, "runs")
     _write_run(tmp_path / "b", 1.0, "runs")

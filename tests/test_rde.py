@@ -1,5 +1,6 @@
 import struct
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -135,6 +136,45 @@ def test_wasserstein_unequal_sizes_consistency():
     b = rde.ParticleCloud(np.sort(1.0 + rng.random(3 * 10**4)))
     d = rde.wasserstein1(a, b)
     assert 0.0 <= d < 0.02
+
+
+# sizes fixed in advance: equal sizes, small clouds, powers of two (where
+# (2i+1)n/2K lands on integers), and n just short of K
+_D1_SIZES = [(n, k) for k in (10**4, 2**16, 3 * 2**16 + 17)
+             for n in (1, 2, 3, 200, 256, 1000, k // 2, k - 1, k)]
+
+
+@pytest.mark.parametrize("n, k", _D1_SIZES)
+def test_wasserstein1_matches_the_grid_oracle(n, k):
+    rng = task_stream(24, "rde", 24)
+    a = rde.ParticleCloud(np.sort(1.0 + rng.exponential(size=n)))
+    b = rde.ParticleCloud(np.sort(1.0 + rng.exponential(size=k)))
+    assert rde.wasserstein1(a, b) == orc.wasserstein1_grid(a, b)
+    assert rde.wasserstein1(b, a) == orc.wasserstein1_grid(b, a)
+    if n == k:
+        # the floor is the equal-size d1 of two sorted resamples, both index
+        # vectors from one stream, a's first
+        floor = rde.estimate_floor(b, task_stream(25, "rde", 25))
+        rng, s = task_stream(25, "rde", 25), b.samples
+        ra = rde.ParticleCloud(np.sort(s[rng.integers(0, k, size=k)]))
+        rb = rde.ParticleCloud(np.sort(s[rng.integers(0, k, size=k)]))
+        assert floor == orc.wasserstein1_grid(ra, rb)
+
+
+@pytest.mark.parametrize("n, k", [(200, 2**20), (2**20, 200), (2**20, 2**20)])
+def test_d1_allocates_one_cloud_buffer(n, k):
+    rng = task_stream(26, "rde", 26)
+    a = rde.ParticleCloud(np.sort(1.0 + rng.random(n)))
+    b = rde.ParticleCloud(np.sort(1.0 + rng.random(k)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        rde.wasserstein1(a, b)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * max(a.samples.nbytes, b.samples.nbytes)
 
 
 def test_contraction_audit():
