@@ -5,9 +5,9 @@ directly, as level forests of at most FOREST_CHUNK trees per n (per-tree
 statistics are independent, so chunking is exact), run the exact network
 computations over each forest, assert the per-sample invariants fail-fast,
 and check the mean mid-level size against the exact q_{n-h}/q_n.  The
-fixed-size experiment keeps each tree of N edges as its preorder depths up
-to n, and reduces and sweeps them as one level forest per batch; theorem1
-and fixed-size compute their per-tree exit statistics in one pass.
+fixed-size experiment keeps the child counts of generations 0..n-1 of each
+tree of N edges, and reduces and sweeps them as one level forest per batch;
+theorem1 and fixed-size compute their per-tree exit statistics in one pass.
 Every experiment returns an ExperimentReport of its results, whose config
 holds the experiment's own parameters; the CLI stamps in the flags and the
 wall clock, and the flags reproduce the run bit-for-bit under the same seed.
@@ -45,8 +45,8 @@ from .trees import (
 # Trees per level forest in theorem1 and conductance: bounds peak memory at
 # large n and trial counts.
 FOREST_CHUNK = 2000
-# Kept vertices per fixed-size forest: bounds the memory of its reduce and
-# sweep without a per-tree pass.
+# Entries of generations 0..n-1 per fixed-size forest: bounds the memory of
+# its reduce and sweep without a per-tree pass.
 FIXED_SIZE_BATCH_VERTICES = 2**16
 
 
@@ -320,10 +320,10 @@ def run_corollary_fixed_size(dist, N, n, trials, rng, beta_ref, delta):
     masses, sizes, batch, u = [], [], [], np.empty(trials)
     attempts = 0
     for i in range(trials):
-        depths, tcount = sample_fixed_size_conditioned(dist, N, n, rng)
+        counts, tcount = sample_fixed_size_conditioned(dist, N, n, rng)
         attempts += tcount
         u[i] = rng.random()  # each tree's boundary uniform, drawn before the next tree
-        batch.append(depths[depths <= n])
+        batch.append(counts)
         if sum(map(len, batch)) >= FIXED_SIZE_BATCH_VERTICES or i == trials - 1:
             forest = reduce_tree(np.concatenate(batch), n)
             masses.append(forest_boundary_log_mass(forest))

@@ -14,13 +14,11 @@ generation g of every tree sits in one array, so the network sweeps are one
 numpy pass per level over all trees.  LevelForest.trees() turns a forest
 into PlaneTrees, the single-tree layout that level_set reads.
 
-Fixed-size trees are their preorder depths, read off the depth-first walk;
-reduce() marks the ancestors of generation n of many of them, back to back,
-bottom-up into one LevelForest, so a batch is reduced and swept at once.
-
-Fixed-size conditioning uses the cycle lemma: a uniformly shuffled step
-multiset has exactly one cyclic rotation that is a valid depth-first walk,
-and rotating to it preserves the conditional law.
+Fixed-size trees are their breadth-first child counts, exchangeable counts
+rotated by the cycle lemma to the one rotation that is a tree.  A tree kept
+for height >= n keeps the counts of generations 0..n-1; reduce() slices the
+generations of many such trees, back to back, into one level-major
+LevelForest and marks the ancestors of generation n bottom-up, with no sort.
 """
 
 from __future__ import annotations
@@ -182,74 +180,62 @@ def _first_passage_rotation(steps: np.ndarray) -> np.ndarray:
     return np.concatenate((steps[m + 1 :], steps[: m + 1]))
 
 
-def _parents_from_preorder_depths(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Parent of preorder vertex k is the last earlier vertex at depth d[k]-1
-    (-1 for a root).
-
-    Returns (bfs_order, parent_in_bfs_ids); bfs_order sorts by (depth,
-    preorder), which is the breadth-first layout (level-major for a forest).
-    In key order d*V + index, that parent holds the largest key below
-    (d[k]-1)*V + k = key[k] - V.
-    """
-    v = d.size
-    key = d * v + np.arange(v)
-    order = np.argsort(key)
-    parent_bfs = np.full(v, -1, np.int64)
-    parent_bfs[1:] = np.searchsorted(key[order], key[order[1:]] - v) - 1
-    return order, parent_bfs
-
-
-def depths_from_preorder_degrees(ks: np.ndarray) -> np.ndarray:
-    """Preorder vertex depths of the tree with preorder child counts ks (a
-    depth-first walk).
-
-    With the Lukasiewicz path s = (0, cumsum(ks - 1)), the subtree of vertex
-    u ends at tau(u), the first k > u with s[k] = s[u] - 1; the depth of
-    vertex j is the number of earlier vertices whose subtree has not ended.
-    """
-    v = ks.size
-    s = np.concatenate(([0], np.cumsum(ks - 1)))
-    key = s * (v + 1) + np.arange(v + 1)  # orders k by (s[k], k)
-    order = np.argsort(key)
-    # key[u] - v is the key of (s[u] - 1, u + 1)
-    tau = order[np.searchsorted(key[order], key[:v] - v)]
-    return np.arange(v) - np.cumsum(np.bincount(tau, minlength=v + 1))[:v]
+def _exchangeable_counts(dist, N: int, rng) -> np.ndarray:
+    """N+1 counts summing to N, iid with law dist given their sum: a bincount
+    of N labels in 0..N.  geometric: every composition of N into N+1 parts
+    is equally likely; they are the strings of 2N bits with N ones, each one
+    labelled by the zeros before it.  The k ones of 2N fair bits become N by
+    flipping a uniform subset of |k-N| majority symbols (a uniform subset of
+    a uniform subset is uniform).  poisson: N uniform labels."""
+    if dist.kind == "geometric":
+        raw = rng.bit_generator.random_raw(-(-2 * N // 64))
+        bits = np.unpackbits(raw.view(np.uint8), count=2 * N).view(bool)
+        k = np.count_nonzero(bits)
+        if k != N:
+            bits[rng.choice(np.flatnonzero(bits == (k > N)), abs(k - N), replace=False)] = k < N
+        labels = np.flatnonzero(bits) - np.arange(N)
+    elif dist.kind == "poisson":
+        labels = rng.integers(0, N + 1, size=N)
+    else:
+        raise UnsupportedDistributionError(
+            f"fixed-size sampling supports geometric and poisson, not {dist.kind}"
+        )
+    return np.bincount(labels, minlength=N + 1)
 
 
 def sample_fixed_size(dist, N: int, rng) -> np.ndarray:
-    """Preorder vertex depths of an exact GW tree conditioned on N edges;
-    geometric and poisson only.
-
-    geometric: a uniformly shuffled (+1)^N (-1)^{N+1} walk, rotated to its
-    first-passage representative, is the depth-first contour of a uniform
-    plane tree with N edges.  poisson: offspring counts conditioned on sum N
-    over N+1 vertices are multinomial; rotate to the valid depth-first order.
-    """
+    """Breadth-first child counts of an exact GW tree conditioned on N edges;
+    geometric and poisson only.  Breadth-first counts form a tree iff the
+    queue of unexplored vertices stays non-empty until the last vertex, the
+    prefix condition of a depth-first walk, so the cycle lemma applies and
+    keeps the law prod theta(k_v)."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    if dist.kind == "geometric":
-        steps = np.concatenate((np.ones(N, np.int64), -np.ones(N + 1, np.int64)))
-        rot = _first_passage_rotation(rng.permutation(steps))
-        return np.concatenate(([0], np.cumsum(rot)[rot == 1]))
-    if dist.kind == "poisson":
-        # N balls in N+1 boxes = offspring vector of iid Poisson(1) given sum N
-        ks = np.bincount(rng.integers(0, N + 1, size=N), minlength=N + 1)
-        return depths_from_preorder_degrees(_first_passage_rotation(ks - 1) + 1)
-    raise UnsupportedDistributionError(
-        f"fixed-size sampling supports geometric and poisson, not {dist.kind}"
-    )
+    return _first_passage_rotation(_exchangeable_counts(dist, N, rng) - 1) + 1
+
+
+def _generation_ends(cs, start: int, n: int) -> list[int]:
+    """Generations 0..n of the tree whose breadth-first child counts begin
+    at `start`, given cs = (0, cumsum(counts)): generation g is
+    [ends[g], ends[g+1]), and the children of generation g are generation
+    g+1.  Stops after the first empty generation."""
+    ends = [start, start + 1]
+    while len(ends) < n + 2 and ends[-1] > ends[-2]:
+        ends.append(ends[-1] + int(cs[ends[-1]] - cs[ends[-2]]))
+    return ends
 
 
 def sample_fixed_size_conditioned(dist, N: int, n: int, rng):
     """Fixed-size tree resampled until height >= n (the joint conditioning of
     the fixed-size experiments), at most DEFAULT_TRIAL_CAP times.  Returns
-    (preorder depths, trials)."""
+    (the breadth-first child counts of generations 0..n-1, trials)."""
     trials = 0
     while trials < DEFAULT_TRIAL_CAP:
-        depths = sample_fixed_size(dist, N, rng)
+        counts = sample_fixed_size(dist, N, rng)
         trials += 1
-        if depths.max() >= n:
-            return depths, trials
+        ends = _generation_ends(np.concatenate(([0], np.cumsum(counts))), 0, n)
+        if ends[-1] > ends[-2]:
+            return counts[: ends[n]].copy(), trials  # a view would pin all N+1 counts
     raise TrialCapError(f"no height-{n} fixed-size sample within {DEFAULT_TRIAL_CAP} trials")
 
 
@@ -258,34 +244,41 @@ def sample_fixed_size_conditioned(dist, N: int, n: int, rng):
 # ---------------------------------------------------------------------------
 
 
-def reduce(depths: np.ndarray, n: int) -> LevelForest:
-    """The ancestors of generation n of a plane forest given by its preorder
-    depths (the trees back to back, each root at depth 0), as one
-    LevelForest; ValueError if a tree does not reach depth n.  Vertices
-    deeper than n go first; sorting the rest by (depth, index) gives the
+def reduce(counts: np.ndarray, n: int) -> LevelForest:
+    """The ancestors of generation n of plane trees given back to back by
+    the breadth-first child counts of their generations 0..n-1, as one
+    LevelForest; ValueError if a tree does not reach generation n.  Each
+    generation of each tree is one slice, moved to its place in the
     level-major order.  Then bottom-up marking: generation n is kept whole,
     a vertex is kept iff it has a kept child, and its reduced child count is
     the number of them."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    d = depths[depths <= n]
-    roots = np.flatnonzero(d == 0)
-    if np.maximum.reduceat(d, roots).min() < n:
-        raise ValueError(f"a tree does not reach depth {n}")
-    order, parent = _parents_from_preorder_depths(d)
-    raw = np.bincount(parent[roots.size :], minlength=d.size)
-    tree = (np.cumsum(d == 0) - 1)[order]
-    off = np.concatenate(([0], np.cumsum(np.bincount(d, minlength=n + 1))))
-    counts, tree_index = [None] * n, [None] * (n + 1)
+    cs = np.concatenate(([0], np.cumsum(counts)))
+    bounds, start = [], 0
+    while start < counts.size:
+        ends = _generation_ends(cs, start, n)
+        if ends[-1] == ends[-2]:
+            raise ValueError(f"a tree does not reach depth {n}")
+        bounds.append(ends[:-1])
+        start = ends[-2]
+    bounds = np.array(bounds)
+    gens = np.diff(bounds, axis=1)  # gens[t, g]: generation-g size of tree t
+    sizes = gens.T.ravel()  # the slices in level-major order
+    pos = np.repeat(bounds[:, :-1].T.ravel() - (np.cumsum(sizes) - sizes), sizes)
+    raw = counts[pos + np.arange(counts.size)]
+    tree = np.repeat(np.tile(np.arange(bounds.shape[0]), n), sizes)
+    off = np.concatenate(([0], np.cumsum(gens.sum(axis=0))))
+    reduced, tree_index = [None] * n, [None] * (n + 1)
     marks = None
     for g in range(n - 1, -1, -1):
         level = slice(off[g], off[g + 1])
         red = raw[level] if marks is None else _segment_sums(marks, raw[level])
         marks = red > 0
-        counts[g] = red[marks]
+        reduced[g] = red[marks]
         tree_index[g] = tree[level][marks]
-    tree_index[n] = np.repeat(tree_index[n - 1], counts[n - 1])
-    return LevelForest(n, counts, tree_index)
+    tree_index[n] = np.repeat(tree_index[n - 1], reduced[n - 1])
+    return LevelForest(n, reduced, tree_index)
 
 
 def level_set(tree: PlaneTree, k: int) -> np.ndarray:

@@ -16,9 +16,12 @@ chosen survivors are reduced together into one LevelForest by
 `acceptance_check` compares the accepted-trial count with the exact q_n,
 `faulty_child_cdf` plants a fault in the direct sampler's table, and
 `pgf_eval` is the map `offspring.survival_probs` iterates.
-`parents_from_preorder_depths` is the per-depth loop behind
-`trees._parents_from_preorder_depths`, and `preorder_depths` turns a
-PlaneTree into the depths that `trees.reduce` takes.
+`reduce_preorder` is `trees.reduce` on a forest stored as its preorder
+depths, the independent path that the breadth-first slices of `trees.reduce`
+are tested against: one sort for every parent (`parents_from_preorder_depths`,
+with `parents_from_preorder_depths_loop` the per-depth loop behind it).
+`preorder_depths` turns a PlaneTree into those depths, and
+`depths_from_preorder_degrees` reads them off a depth-first walk.
 
 The continuum section holds the whole-tree sampler that `continuum`
 replaced by its harmonic-ray chain.  `phi_step_serial` is `rde.phi_step`
@@ -489,8 +492,42 @@ def preorder_depths(tree) -> np.ndarray:
     return np.array(out, np.int64)
 
 
+def depths_from_preorder_degrees(ks: np.ndarray) -> np.ndarray:
+    """Preorder vertex depths of the tree with preorder child counts ks (a
+    depth-first walk).
+
+    With the Lukasiewicz path s = (0, cumsum(ks - 1)), the subtree of vertex
+    u ends at tau(u), the first k > u with s[k] = s[u] - 1; the depth of
+    vertex j is the number of earlier vertices whose subtree has not ended.
+    """
+    v = ks.size
+    s = np.concatenate(([0], np.cumsum(ks - 1)))
+    key = s * (v + 1) + np.arange(v + 1)  # orders k by (s[k], k)
+    order = np.argsort(key)
+    # key[u] - v is the key of (s[u] - 1, u + 1)
+    tau = order[np.searchsorted(key[order], key[:v] - v)]
+    return np.arange(v) - np.cumsum(np.bincount(tau, minlength=v + 1))[:v]
+
+
 def parents_from_preorder_depths(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """trees._parents_from_preorder_depths, one depth at a time: the parent of
+    """Parent of preorder vertex k is the last earlier vertex at depth d[k]-1
+    (-1 for a root).
+
+    Returns (bfs_order, parent_in_bfs_ids); bfs_order sorts by (depth,
+    preorder), which is the breadth-first layout (level-major for a forest).
+    In key order d*V + index, that parent holds the largest key below
+    (d[k]-1)*V + k = key[k] - V.
+    """
+    v = d.size
+    key = d * v + np.arange(v)
+    order = np.argsort(key)
+    parent_bfs = np.full(v, -1, np.int64)
+    parent_bfs[1:] = np.searchsorted(key[order], key[order[1:]] - v) - 1
+    return order, parent_bfs
+
+
+def parents_from_preorder_depths_loop(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """parents_from_preorder_depths, one depth at a time: the parent of
     preorder vertex k is the last earlier vertex at depth d[k]-1."""
     v = d.size
     order = np.argsort(d, kind="stable")
@@ -506,6 +543,34 @@ def parents_from_preorder_depths(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     parent_bfs = np.full(v, -1, np.int64)
     parent_bfs[1:] = inv[parent_pre[order[1:]]]
     return order, parent_bfs
+
+
+def reduce_preorder(depths: np.ndarray, n: int) -> LevelForest:
+    """trees.reduce on a plane forest given by its preorder depths (the
+    trees back to back, each root at depth 0); ValueError if a tree does not
+    reach depth n.  Vertices deeper than n go first; sorting the rest by
+    (depth, index) gives the level-major order.  Then the bottom-up marking
+    of trees.reduce."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    d = depths[depths <= n]
+    roots = np.flatnonzero(d == 0)
+    if np.maximum.reduceat(d, roots).min() < n:
+        raise ValueError(f"a tree does not reach depth {n}")
+    order, parent = parents_from_preorder_depths(d)
+    raw = np.bincount(parent[roots.size :], minlength=d.size)
+    tree = (np.cumsum(d == 0) - 1)[order]
+    off = np.concatenate(([0], np.cumsum(np.bincount(d, minlength=n + 1))))
+    counts, tree_index = [None] * n, [None] * (n + 1)
+    marks = None
+    for g in range(n - 1, -1, -1):
+        level = slice(off[g], off[g + 1])
+        red = raw[level] if marks is None else _segment_sums(marks, raw[level])
+        marks = red > 0
+        counts[g] = red[marks]
+        tree_index[g] = tree[level][marks]
+    tree_index[n] = np.repeat(tree_index[n - 1], counts[n - 1])
+    return LevelForest(n, counts, tree_index)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,11 @@ from gwharmonic import offspring as off
 from gwharmonic import trees as tr
 from gwharmonic.rngs import task_stream
 
-from test_trees import build, path_tree, tree_key
+from test_trees import build, generations, path_tree, tree_key
 
 
 def as_reduced(tree, n):
-    r = orc.views(tr.reduce(orc.preorder_depths(tree), n))[0]
+    r = orc.views(tr.reduce(generations(tree, n), n))[0]
     assert isinstance(r, orc.ReducedTree)
     return r
 

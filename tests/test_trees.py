@@ -4,9 +4,9 @@ from functools import lru_cache
 import numpy as np
 import oracles as orc
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import ks_2samp
+from scipy.stats import chi2, ks_2samp
 
 from gwharmonic import network as net
 from gwharmonic import offspring as off
@@ -47,11 +47,6 @@ def enumerate_plane_trees(edges):
 
 def tree_key(t):
     return tuple(t.parent.tolist())
-
-
-def depths_key(seq):
-    """The preorder depths of the tree with preorder child counts `seq`."""
-    return tuple(tr.depths_from_preorder_degrees(np.array(seq, np.int64)).tolist())
 
 
 def assert_same_forest(a, b):
@@ -195,7 +190,7 @@ def test_reduced_batch_equals_two_step():
     full, _, _ = orc.sample_conditioned_batch(dist, 6, 50, rng1)
     fused, _, _ = orc.sample_conditioned_batch(dist, 6, 50, rng2, reduce_at_n=True)
     for t, r in zip(full, fused):
-        r2 = orc.views(tr.reduce(orc.preorder_depths(t), 6))[0]
+        r2 = orc.views(tr.reduce(generations(t, 6), 6))[0]
         assert tree_key(r2.tree) == tree_key(r.tree)
         assert np.array_equal(r2.boundary, r.boundary)
         orc.validate_reduced(r)
@@ -285,15 +280,39 @@ def test_trial_cap_raises():
 # ---------------------------------------------------------------------------
 
 
+def bfs_tree(counts):
+    """The PlaneTree with breadth-first child counts `counts`."""
+    return build(np.concatenate(([-1], np.repeat(np.arange(len(counts)), counts))))
+
+
+def generations(t, n):
+    """A PlaneTree as trees.reduce takes it: the child counts of its
+    generations 0..n-1."""
+    return t.child_count[: t.gen_offsets[n]]
+
+
+def tree_counts(counts):
+    """Child counts made a tree's: add or drop leaves until they sum to
+    their number less one, then rotate to the valid order."""
+    excess = len(counts) - 1 - sum(counts)
+    for _ in range(excess):
+        counts.remove(0)
+    ks = np.array(counts + [0] * max(0, -excess), np.int64)
+    return tr._first_passage_rotation(ks - 1) + 1
+
+
+TREE_COUNTS = st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=80)
+
+
 def test_fixed_size_edge_count():
-    # preorder depths of a plane tree: one root, then each vertex at most one
-    # deeper than the vertex before it
+    # breadth-first child counts of a plane tree: N+1 of them, and the queue
+    # of unexplored vertices empties at the last vertex and not before
     rng = task_stream(11, "trees", 9)
     for dist in (off.geometric(), off.poisson()):
         for N in (1, 2, 7, 40):
-            d = tr.sample_fixed_size(dist, N, rng)
-            assert d.size == N + 1 and d[0] == 0
-            assert np.all(d[1:] >= 1) and np.all(np.diff(d) <= 1)
+            c = tr.sample_fixed_size(dist, N, rng)
+            s = np.cumsum(c - 1)
+            assert c.size == N + 1 and s[-1] == -1 and np.all(s[:-1] >= 0)
 
 
 def test_fixed_size_unsupported():
@@ -302,49 +321,77 @@ def test_fixed_size_unsupported():
         tr.sample_fixed_size(off.binary(), 4, rng)
 
 
-def test_fixed_size_geometric_n2_uniform():
-    rng = task_stream(13, "trees", 11)
-    dist = off.geometric()
-    keys = [tuple(tr.sample_fixed_size(dist, 2, rng).tolist()) for _ in range(10**5)]
-    path, cherry = (0, 1, 2), (0, 1, 1)  # preorder depths
-    freq_path = np.mean([k == path for k in keys])
-    freq_cherry = np.mean([k == cherry for k in keys])
-    assert abs(freq_path - 0.5) < 0.01
-    assert abs(freq_cherry - 0.5) < 0.01
+# prod theta(k_v) over a tree with N edges, up to a factor of N alone:
+# 2^{-2N-1} (geometric) and e^{-N-1} prod 1/k_v! (poisson)
+LAW_WEIGHT = {"geometric": lambda k: 1.0, "poisson": lambda k: 1.0 / math.factorial(k)}
 
 
-def test_fixed_size_geometric_n3_uniform():
-    rng = task_stream(14, "trees", 12)
-    dist = off.geometric()
-    shapes = [depths_key(s) for s in enumerate_plane_trees(3)]
-    assert len(shapes) == 5
-    draws = {}
-    trials = 10**5
-    for _ in range(trials):
-        k = tuple(tr.sample_fixed_size(dist, 3, rng).tolist())
-        draws[k] = draws.get(k, 0) + 1
-    assert set(draws) == set(shapes)
-    for k in shapes:
-        assert abs(draws[k] / trials - 0.2) < 0.01
+def fixed_size_law_pvalue(law, draws, seed, sample=tr.sample_fixed_size):
+    """Pearson chi-square of `draws` fixed-size trees at each N = 1..7
+    against the exact law over every plane tree, pooled over N into one
+    statistic; per N, the cells expected below 5 are merged into one.  A
+    draw that is not a plane tree with N edges has probability 0 (p = 0)."""
+    dist, rng = off.from_spec(law), task_stream(seed, "trees", 40)
+    stat = dof = 0
+    for N in range(1, 8):
+        seqs = enumerate_plane_trees(N)  # depth-first counts; breadth-first is the same set
+        cell = {s: i for i, s in enumerate(seqs)}
+        obs = np.zeros(len(seqs))
+        for _ in range(draws):
+            i = cell.get(tuple(sample(dist, N, rng).tolist()))
+            if i is None:
+                return 0.0
+            obs[i] += 1
+        w = np.array([math.prod(map(LAW_WEIGHT[law], s)) for s in seqs])
+        exp = draws * w / w.sum()
+        small = exp < 5
+        if small.any():
+            obs = np.append(obs[~small], obs[small].sum())
+            exp = np.append(exp[~small], exp[small].sum())
+        stat += np.sum((obs - exp) ** 2 / exp)
+        dof += obs.size - 1
+    return chi2.sf(stat, dof)
 
 
-def test_fixed_size_poisson_n3_matches_enumeration():
-    # conditioned law weights each tree by prod 1/k_v!
-    import math
+@pytest.mark.parametrize("law", ["geometric", "poisson"])
+def test_fixed_size_law_is_exact(law):
+    # geometric: uniform over the Catalan(N) plane trees; poisson: in
+    # proportion to prod 1/k_v!; 618 and 451 degrees of freedom
+    assert fixed_size_law_pvalue(law, 3000, 21) > 1e-3
 
-    rng = task_stream(15, "trees", 13)
-    dist = off.poisson()
-    seqs = enumerate_plane_trees(3)
-    weights = np.array([np.prod([1.0 / math.factorial(k) for k in s]) for s in seqs])
-    probs = weights / weights.sum()
-    exact = {depths_key(s): p for s, p in zip(seqs, probs)}
-    trials = 10**5
-    draws = {}
-    for _ in range(trials):
-        k = tuple(tr.sample_fixed_size(dist, 3, rng).tolist())
-        draws[k] = draws.get(k, 0) + 1
-    tv = 0.5 * sum(abs(draws.get(k, 0) / trials - p) for k, p in exact.items())
-    assert tv < 0.01
+
+class _FirstChoice:
+    """An rng whose choice without replacement takes the first items."""
+
+    def __init__(self, rng):
+        self.bit_generator = rng.bit_generator
+
+    def choice(self, a, size, replace):
+        assert not replace
+        return a[:size]
+
+
+def _counts_without_the_trailing_run(dist, N, rng):
+    """The geometric counts as the runs of ones before each zero of 2N+1
+    fair bits with N ones: the run after the last zero is lost."""
+    raw = rng.bit_generator.random_raw(-(-(2 * N + 1) // 64))
+    bits = np.unpackbits(raw.view(np.uint8), count=2 * N + 1).view(bool)
+    k = np.count_nonzero(bits)
+    if k != N:
+        bits[rng.choice(np.flatnonzero(bits == (k > N)), abs(k - N), replace=False)] = k < N
+    return np.diff(np.flatnonzero(~bits), prepend=-1) - 1
+
+
+@pytest.mark.parametrize("fault", ["first-majority-positions", "trailing-run-dropped"])
+def test_law_test_fails_on_a_planted_fault(fault, monkeypatch):
+    sample = tr.sample_fixed_size
+    if fault == "first-majority-positions":
+        # flip the first |k-N| majority positions, not a uniform subset
+        def sample(dist, N, rng):
+            return tr.sample_fixed_size(dist, N, _FirstChoice(rng))
+    else:
+        monkeypatch.setattr(tr, "_exchangeable_counts", _counts_without_the_trailing_run)
+    assert fixed_size_law_pvalue("geometric", 3000, 21, sample) < 1e-3
 
 
 def preorder_degrees_oracle(ks):
@@ -362,48 +409,37 @@ def preorder_degrees_oracle(ks):
     return depth
 
 
-@given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=80))
+@given(TREE_COUNTS)
 @settings(max_examples=200, deadline=None)
 def test_preorder_decoder_matches_stack_oracle(counts):
-    # add or drop leaves until sum(ks) = len(ks) - 1, then rotate to a valid walk
-    excess = len(counts) - 1 - sum(counts)
-    for _ in range(excess):
-        counts.remove(0)
-    ks = np.array(counts + [0] * max(0, -excess), np.int64)
-    ks = tr._first_passage_rotation(ks - 1) + 1
-    assert np.array_equal(tr.depths_from_preorder_degrees(ks), preorder_degrees_oracle(ks))
+    ks = tree_counts(counts)
+    assert np.array_equal(orc.depths_from_preorder_degrees(ks), preorder_degrees_oracle(ks))
 
 
-class _GivenWalk:
-    """An rng whose permutation is the given step sequence: feeds
-    sample_fixed_size one chosen walk."""
-
-    def __init__(self, steps):
-        self.steps = np.array(steps, np.int64)
-
-    def permutation(self, x):
-        assert sorted(self.steps.tolist()) == sorted(x.tolist())
-        return self.steps
-
-
-@given(st.integers(1, 300).flatmap(lambda n: st.permutations([1] * n + [-1] * (n + 1))))
-@example([1, -1, -1])
-@example([1, 1, -1, -1, -1])
-@example([1, -1, 1, -1, -1])
-@example([1] * 60 + [-1] * 61)
+@given(st.lists(TREE_COUNTS.map(tree_counts), min_size=1, max_size=4))
+@example([np.array([1, 0])])
+@example([np.array([1, 1, 0]), np.array([2, 0, 0])])
+@example([np.array([1] * 60 + [0])])
 @settings(max_examples=150, deadline=None)
-def test_geometric_decode_matches_the_loop_oracle(steps):
-    # one sort for every parent against the per-depth loop, through the
-    # geometric decode and reduce, bit for bit (N=1, both N=2 trees, a path)
-    dist, n_edges = off.geometric(), (len(steps) - 1) // 2
-    d = tr.sample_fixed_size(dist, n_edges, _GivenWalk(steps))
-    h = int(d.max())
+def test_reduce_matches_the_preorder_path(forest):
+    # breadth-first slices against the preorder depths of the same trees,
+    # reduced by one sort for every parent and by its per-depth loop, bit
+    # for bit: each tree alone and all of them back to back (N=1, both N=2
+    # trees, a path)
+    trees = [bfs_tree(c) for c in forest]
+    h = min(t.height for t in trees)
+    assume(h >= 1)
+    depths = [orc.preorder_depths(t) for t in trees]
     for n in {1, (h + 1) // 2, h}:
-        forest = tr.reduce(d, n)
+        for t, d in zip(trees, depths):
+            one = tr.reduce(generations(t, n), n)
+            assert_same_forest(one, orc.reduce_preorder(d, n))
+            orc.validate_reduced(orc.views(one)[0])
+        whole = tr.reduce(np.concatenate([generations(t, n) for t in trees]), n)
+        assert_same_forest(whole, orc.reduce_preorder(np.concatenate(depths), n))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tr, "_parents_from_preorder_depths", orc.parents_from_preorder_depths)
-            assert_same_forest(forest, tr.reduce(d, n))
-        orc.validate_reduced(orc.views(forest)[0])
+            mp.setattr(orc, "parents_from_preorder_depths", orc.parents_from_preorder_depths_loop)
+            assert_same_forest(whole, orc.reduce_preorder(np.concatenate(depths), n))
 
 
 @given(st.lists(st.tuples(st.sampled_from(["geometric", "poisson"]), st.integers(1, 60)),
@@ -411,19 +447,30 @@ def test_geometric_decode_matches_the_loop_oracle(steps):
        st.integers(0, 2**31 - 1), st.data())
 @settings(max_examples=60, deadline=None)
 def test_reduce_of_a_forest_is_its_trees_reductions(laws_and_sizes, seed, data):
-    # k walks back to back reduce to the k one-tree reductions, level by
+    # k trees back to back reduce to the k one-tree reductions, level by
     # level, with each tree index shifted by the tree's position
     rng = task_stream(seed, "trees", 23)
-    walks = [tr.sample_fixed_size(off.from_spec(law), N, rng) for law, N in laws_and_sizes]
-    n = data.draw(st.integers(1, min(int(w.max()) for w in walks)))
-    ones = [tr.reduce(w, n) for w in walks]
-    assert_same_forest(tr.reduce(np.concatenate(walks), n), orc._concat_forests(ones, n))
+    trees = [bfs_tree(tr.sample_fixed_size(off.from_spec(law), N, rng))
+             for law, N in laws_and_sizes]
+    n = data.draw(st.integers(1, min(t.height for t in trees)))
+    ones = [tr.reduce(generations(t, n), n) for t in trees]
+    whole = tr.reduce(np.concatenate([generations(t, n) for t in trees]), n)
+    assert_same_forest(whole, orc._concat_forests(ones, n))
 
 
 def test_fixed_size_conditioned_height():
+    # generations 0..19 of a tree with 100 edges: the queue of unexplored
+    # vertices never empties, and what is left in it is generation 20; at
+    # n=20 (near the mean height) some trials are rejected
     rng = task_stream(16, "trees", 14)
-    d, trials = tr.sample_fixed_size_conditioned(off.geometric(), 100, 15, rng)
-    assert d.max() >= 15 and d.size == 101 and trials >= 1
+    for dist in (off.geometric(), off.poisson()):
+        total = 0
+        for _ in range(20):
+            c, trials = tr.sample_fixed_size_conditioned(dist, 100, 20, rng)
+            assert c.size <= 100 and np.all(np.cumsum(c - 1) >= 0)
+            assert tr.reduce(c, 20).size == 1
+            total += trials
+        assert total > 20
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +480,7 @@ def test_fixed_size_conditioned_height():
 
 def test_reduce_path_is_identity():
     t = path_tree(5)
-    r = orc.views(tr.reduce(orc.preorder_depths(t), 5))[0]
+    r = orc.views(tr.reduce(generations(t, 5), 5))[0]
     assert tree_key(r.tree) == tree_key(t)
     assert r.boundary.tolist() == [5]
 
@@ -441,12 +488,12 @@ def test_reduce_path_is_identity():
 def test_reduce_prunes_dead_branch():
     # root with a leaf child and a path to depth 3 -> single path
     t = build([-1, 0, 0, 2, 3])
-    r = orc.views(tr.reduce(orc.preorder_depths(t), 3))[0]
+    r = orc.views(tr.reduce(generations(t, 3), 3))[0]
     assert tree_key(r.tree) == tree_key(path_tree(3))
 
 
 def test_reduce_no_survivor():
-    short, tall = orc.preorder_depths(path_tree(3)), orc.preorder_depths(path_tree(7))
+    short, tall = path_tree(3).child_count, generations(path_tree(7), 7)
     with pytest.raises(ValueError, match="depth 7"):
         tr.reduce(short, 7)
     # a forest in which only one tree falls short, first or last
@@ -461,8 +508,8 @@ def test_reduce_idempotent_on_samples():
     rng = task_stream(17, "trees", 15)
     trees, _, _ = orc.sample_conditioned_batch(dist, 8, 40, rng)
     for t in trees:
-        r = orc.views(tr.reduce(orc.preorder_depths(t), 8))[0]
-        r2 = orc.views(tr.reduce(orc.preorder_depths(r.tree), 8))[0]
+        r = orc.views(tr.reduce(generations(t, 8), 8))[0]
+        r2 = orc.views(tr.reduce(generations(r.tree, 8), 8))[0]
         assert tree_key(r.tree) == tree_key(r2.tree)
         orc.validate_reduced(r)
 
@@ -492,6 +539,6 @@ def test_conditioned_sample_properties(n, seed):
     t = orc.sample_conditioned_height(dist, n, rng, max_gen=n)
     orc.validate_tree(t)
     assert t.height == n  # chopped at n, so exactly n
-    r = orc.views(tr.reduce(orc.preorder_depths(t), n))[0]
+    r = orc.views(tr.reduce(generations(t, n), n))[0]
     orc.validate_reduced(r)
     assert r.boundary.size == tr.level_set(t, n).size
