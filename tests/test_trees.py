@@ -321,6 +321,32 @@ def test_fixed_size_unsupported():
         tr.sample_fixed_size(off.binary(), 4, rng)
 
 
+def test_fixed_size_geometric_n2_uniform():
+    rng = task_stream(13, "trees", 11)
+    dist = off.geometric()
+    keys = [tuple(tr.sample_fixed_size(dist, 2, rng).tolist()) for _ in range(10**5)]
+    path, cherry = (1, 1, 0), (2, 0, 0)  # breadth-first child counts
+    freq_path = np.mean([k == path for k in keys])
+    freq_cherry = np.mean([k == cherry for k in keys])
+    assert abs(freq_path - 0.5) < 0.01
+    assert abs(freq_cherry - 0.5) < 0.01
+
+
+def test_fixed_size_geometric_n3_uniform():
+    rng = task_stream(14, "trees", 12)
+    dist = off.geometric()
+    shapes = enumerate_plane_trees(3)  # depth-first counts; breadth-first is the same set
+    assert len(shapes) == 5
+    draws = {}
+    trials = 10**5
+    for _ in range(trials):
+        k = tuple(tr.sample_fixed_size(dist, 3, rng).tolist())
+        draws[k] = draws.get(k, 0) + 1
+    assert set(draws) == set(shapes)
+    for k in shapes:
+        assert abs(draws[k] / trials - 0.2) < 0.01
+
+
 # prod theta(k_v) over a tree with N edges, up to a factor of N alone:
 # 2^{-2N-1} (geometric) and e^{-N-1} prod 1/k_v! (poisson)
 LAW_WEIGHT = {"geometric": lambda k: 1.0, "poisson": lambda k: 1.0 / math.factorial(k)}
