@@ -16,15 +16,15 @@ into PlaneTrees, the single-tree layout that level_set reads.
 
 Fixed-size trees are their breadth-first child counts, exchangeable counts
 rotated by the cycle lemma to the one rotation that is a tree.  A tree kept
-for height >= n keeps the counts of generations 0..n-1; reduce() slices the
-generations of many such trees, back to back, into one level-major
-LevelForest and marks the ancestors of generation n bottom-up, with no sort.
+for height >= n keeps generations 0..n-1, one count array each.  Many such
+trees joined generation by generation are the level-major counts of a
+LevelForest, and reduce() marks their ancestors of generation n bottom-up.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,18 +54,25 @@ class PlaneTree:
 
 @dataclass(eq=False)
 class LevelForest:
-    """Trees of height n, stored generation by generation; the samplers and
-    reduce() keep only the ancestors of generation n.
+    """Trees of height >= n, stored generation by generation up to n.
 
     Generation g of every tree lives in one array: the trees in order, and
     each tree's generation-g vertices in breadth-first order.  The children of
     consecutive vertices are consecutive, so generation g+1 is generation g
-    repeated by its child counts.
+    repeated by its child counts; tree_index follows that rule down from one
+    root per tree.  The forests of sample_reduced_forest and reduce() hold
+    only the ancestors of generation n; the test oracles also hold whole
+    trees chopped at n.
     """
 
     n: int
-    counts: list       # counts[g]: child counts of generation g, for g < n
-    tree_index: list   # tree_index[g]: owning tree of each generation-g vertex, g <= n
+    counts: list  # counts[g]: child counts of generation g, for g < n
+    tree_index: list = field(init=False)  # owning tree of each generation-g vertex, g <= n
+
+    def __post_init__(self):
+        self.tree_index = [np.arange(self.counts[0].size)]
+        for k in self.counts:
+            self.tree_index.append(np.repeat(self.tree_index[-1], k))
 
     @property
     def size(self) -> int:
@@ -144,13 +151,11 @@ def _thinned_child_cdf(pmf: np.ndarray, keep: np.ndarray) -> np.ndarray:
 def sample_reduced_forest(cdf: np.ndarray, count: int, rng) -> LevelForest:
     """`count` iid reduced trees of height n = len(cdf) from the table of
     reduced_child_cdf: one uniform per vertex, one generation at a time."""
-    tree_index = [np.arange(count)]
-    counts = []
+    counts, size = [], count
     for row in cdf:
-        j = np.searchsorted(row, rng.random(tree_index[-1].size), side="right") + 1
-        counts.append(j)
-        tree_index.append(np.repeat(tree_index[-1], j))
-    return LevelForest(cdf.shape[0], counts, tree_index)
+        counts.append(np.searchsorted(row, rng.random(size), side="right") + 1)
+        size = int(counts[-1].sum())
+    return LevelForest(cdf.shape[0], counts)
 
 
 def sample_conditioned_forest(dist, n: int, count: int, rng) -> LevelForest:
@@ -214,12 +219,12 @@ def sample_fixed_size(dist, N: int, rng) -> np.ndarray:
     return _first_passage_rotation(_exchangeable_counts(dist, N, rng) - 1) + 1
 
 
-def _generation_ends(cs, start: int, n: int) -> list[int]:
-    """Generations 0..n of the tree whose breadth-first child counts begin
-    at `start`, given cs = (0, cumsum(counts)): generation g is
-    [ends[g], ends[g+1]), and the children of generation g are generation
-    g+1.  Stops after the first empty generation."""
-    ends = [start, start + 1]
+def _generation_ends(cs, n: int) -> list[int]:
+    """Generations 0..n of the tree with breadth-first child counts c, given
+    cs = (0, cumsum(c)): generation g is [ends[g], ends[g+1]), and the
+    children of generation g are generation g+1.  Stops after the first
+    empty generation."""
+    ends = [0, 1]
     while len(ends) < n + 2 and ends[-1] > ends[-2]:
         ends.append(ends[-1] + int(cs[ends[-1]] - cs[ends[-2]]))
     return ends
@@ -228,14 +233,17 @@ def _generation_ends(cs, start: int, n: int) -> list[int]:
 def sample_fixed_size_conditioned(dist, N: int, n: int, rng):
     """Fixed-size tree resampled until height >= n (the joint conditioning of
     the fixed-size experiments), at most DEFAULT_TRIAL_CAP times.  Returns
-    (the breadth-first child counts of generations 0..n-1, trials)."""
+    (generations 0..n-1 of the tree as n arrays of breadth-first child
+    counts, trials).  The arrays slice one copy of the counts they cover,
+    so they do not pin all N+1 counts."""
     trials = 0
     while trials < DEFAULT_TRIAL_CAP:
         counts = sample_fixed_size(dist, N, rng)
         trials += 1
-        ends = _generation_ends(np.concatenate(([0], np.cumsum(counts))), 0, n)
+        ends = _generation_ends(np.concatenate(([0], np.cumsum(counts))), n)
         if ends[-1] > ends[-2]:
-            return counts[: ends[n]].copy(), trials  # a view would pin all N+1 counts
+            kept = counts[: ends[n]].copy()
+            return [kept[a:b] for a, b in zip(ends[:n], ends[1:])], trials
     raise TrialCapError(f"no height-{n} fixed-size sample within {DEFAULT_TRIAL_CAP} trials")
 
 
@@ -244,41 +252,26 @@ def sample_fixed_size_conditioned(dist, N: int, n: int, rng):
 # ---------------------------------------------------------------------------
 
 
-def reduce(counts: np.ndarray, n: int) -> LevelForest:
-    """The ancestors of generation n of plane trees given back to back by
-    the breadth-first child counts of their generations 0..n-1, as one
-    LevelForest; ValueError if a tree does not reach generation n.  Each
-    generation of each tree is one slice, moved to its place in the
-    level-major order.  Then bottom-up marking: generation n is kept whole,
-    a vertex is kept iff it has a kept child, and its reduced child count is
-    the number of them."""
+def reduce(counts: list, n: int) -> LevelForest:
+    """The ancestors of generation n of plane trees given by counts[g], the
+    level-major child counts of their generation g < n (the trees joined
+    generation by generation), as one LevelForest.  Bottom-up marking:
+    generation n is kept whole, a vertex is kept iff it has a kept child, and
+    its reduced child count is the number of them.  ValueError unless n >= 1,
+    len(counts) == n and every root is kept (every tree reaches depth n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    cs = np.concatenate(([0], np.cumsum(counts)))
-    bounds, start = [], 0
-    while start < counts.size:
-        ends = _generation_ends(cs, start, n)
-        if ends[-1] == ends[-2]:
-            raise ValueError(f"a tree does not reach depth {n}")
-        bounds.append(ends[:-1])
-        start = ends[-2]
-    bounds = np.array(bounds)
-    gens = np.diff(bounds, axis=1)  # gens[t, g]: generation-g size of tree t
-    sizes = gens.T.ravel()  # the slices in level-major order
-    pos = np.repeat(bounds[:, :-1].T.ravel() - (np.cumsum(sizes) - sizes), sizes)
-    raw = counts[pos + np.arange(counts.size)]
-    tree = np.repeat(np.tile(np.arange(bounds.shape[0]), n), sizes)
-    off = np.concatenate(([0], np.cumsum(gens.sum(axis=0))))
-    reduced, tree_index = [None] * n, [None] * (n + 1)
+    if len(counts) != n:
+        raise ValueError(f"{len(counts)} generations of counts, need n = {n}")
+    reduced = [None] * n
     marks = None
     for g in range(n - 1, -1, -1):
-        level = slice(off[g], off[g + 1])
-        red = raw[level] if marks is None else _segment_sums(marks, raw[level])
+        red = counts[g] if marks is None else _segment_sums(marks, counts[g])
         marks = red > 0
         reduced[g] = red[marks]
-        tree_index[g] = tree[level][marks]
-    tree_index[n] = np.repeat(tree_index[n - 1], reduced[n - 1])
-    return LevelForest(n, reduced, tree_index)
+    if not marks.all():
+        raise ValueError(f"a tree does not reach depth {n}")
+    return LevelForest(n, reduced)
 
 
 def level_set(tree: PlaneTree, k: int) -> np.ndarray:

@@ -17,9 +17,10 @@ chosen survivors are reduced together into one LevelForest by
 `faulty_child_cdf` plants a fault in the direct sampler's table, and
 `pgf_eval` is the map `offspring.survival_probs` iterates.
 `reduce_preorder` is `trees.reduce` on a forest stored as its preorder
-depths, the independent path that the breadth-first slices of `trees.reduce`
-are tested against: one sort for every parent (`parents_from_preorder_depths`,
-with `parents_from_preorder_depths_loop` the per-depth loop behind it).
+depths, the independent path that the level-major generations of
+`trees.reduce` are tested against: one sort for every parent
+(`parents_from_preorder_depths`, with `parents_from_preorder_depths_loop`
+the per-depth loop behind it).
 `preorder_depths` turns a PlaneTree into those depths, and
 `depths_from_preorder_degrees` reads them off a depth-first walk.
 
@@ -80,9 +81,8 @@ class ReducedTree:
     def as_forest(self) -> LevelForest:
         """This tree as a one-tree LevelForest (it is already reduced)."""
         off = self.tree.gen_offsets
-        counts = [self.tree.child_count[off[g] : off[g + 1]] for g in range(self.n)]
-        tree_index = [np.zeros(off[g + 1] - off[g], np.int64) for g in range(self.n + 1)]
-        return LevelForest(self.n, counts, tree_index)
+        return LevelForest(self.n, [self.tree.child_count[off[g] : off[g + 1]]
+                                    for g in range(self.n)])
 
 
 def views(forest: LevelForest) -> list[ReducedTree]:
@@ -161,7 +161,7 @@ def validate_reduced(r: ReducedTree) -> None:
     validate_tree(t)
     assert t.height == r.n and r.boundary.size > 0
     f = r.as_forest()
-    kept = _reduce_levels(r.n, lambda g: (f.counts[g], f.tree_index[g]))
+    kept = _reduce_levels(r.n, lambda g: f.counts[g])
     assert [g.size for g in kept.tree_index] == np.diff(t.gen_offsets).tolist()
 
 
@@ -324,7 +324,7 @@ def _wave_levels(counts_levels, labels_levels, chosen):
         lo, hi = np.searchsorted(labels_levels[g], bounds)
         sizes = hi - lo
         idx = np.arange(sizes.sum()) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
-        return counts_levels[g][idx], np.repeat(np.arange(chosen.size), sizes)
+        return counts_levels[g][idx]
 
     return level
 
@@ -332,38 +332,29 @@ def _wave_levels(counts_levels, labels_levels, chosen):
 def _reduce_levels(n: int, level) -> LevelForest:
     """Bottom-up marking: keep the ancestors of generation n of a forest.
 
-    level(g) returns the raw child counts and the tree indices of generation
-    g < n in level order.  Generation n is kept whole; a vertex is kept iff
-    it has a kept child, and its reduced child count is the number of them.
+    level(g) returns the raw child counts of generation g < n in level
+    order.  Generation n is kept whole; a vertex is kept iff it has a kept
+    child, and its reduced child count is the number of them.
     """
     counts = [None] * n
-    tree_index = [None] * (n + 1)
     marks = None
     for g in range(n - 1, -1, -1):
-        raw, tree = level(g)
+        raw = level(g)
         red = raw if marks is None else _segment_sums(marks, raw)
         marks = red > 0
         counts[g] = red[marks]
-        tree_index[g] = tree[marks]
-    tree_index[n] = np.repeat(tree_index[n - 1], counts[n - 1])
-    return LevelForest(n, counts, tree_index)
+    return LevelForest(n, counts)
 
 
 def _whole_levels(n, level) -> LevelForest:
     """The generations of level(g) as given: whole trees chopped at n."""
-    counts, tree_index = map(list, zip(*(level(g) for g in range(n))))
-    tree_index.append(np.repeat(tree_index[n - 1], counts[n - 1]))
-    return LevelForest(n, counts, tree_index)
+    return LevelForest(n, [level(g) for g in range(n)])
 
 
 def _concat_forests(parts: list[LevelForest], n: int) -> LevelForest:
     if len(parts) == 1:
         return parts[0]
-    shift = np.cumsum([0] + [f.size for f in parts])
-    counts = [np.concatenate([f.counts[g] for f in parts]) for g in range(n)]
-    tree_index = [np.concatenate([f.tree_index[g] + k for f, k in zip(parts, shift)])
-                  for g in range(n + 1)]
-    return LevelForest(n, counts, tree_index)
+    return LevelForest(n, [np.concatenate([f.counts[g] for f in parts]) for g in range(n)])
 
 
 def sample_conditioned_forest(
@@ -557,20 +548,17 @@ def reduce_preorder(depths: np.ndarray, n: int) -> LevelForest:
     roots = np.flatnonzero(d == 0)
     if np.maximum.reduceat(d, roots).min() < n:
         raise ValueError(f"a tree does not reach depth {n}")
-    order, parent = parents_from_preorder_depths(d)
+    _, parent = parents_from_preorder_depths(d)
     raw = np.bincount(parent[roots.size :], minlength=d.size)
-    tree = (np.cumsum(d == 0) - 1)[order]
     off = np.concatenate(([0], np.cumsum(np.bincount(d, minlength=n + 1))))
-    counts, tree_index = [None] * n, [None] * (n + 1)
+    counts = [None] * n
     marks = None
     for g in range(n - 1, -1, -1):
         level = slice(off[g], off[g + 1])
         red = raw[level] if marks is None else _segment_sums(marks, raw[level])
         marks = red > 0
         counts[g] = red[marks]
-        tree_index[g] = tree[level][marks]
-    tree_index[n] = np.repeat(tree_index[n - 1], counts[n - 1])
-    return LevelForest(n, counts, tree_index)
+    return LevelForest(n, counts)
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,17 @@ def test_tree_statistics_match_the_per_tree_loop(law):
         ex._tree_statistics(log_mass, off_, u, n, beta, delta)
 
 
+def test_check_mass_rejects_nan():
+    # NaN compares false against any bound: a NaN mass in a tree that
+    # otherwise sums to one, and a tree with every log-mass -inf
+    half = np.log(0.5)
+    faults = (([half, np.nan, half], [0]), ([half, half, -np.inf, -np.inf], [0, 2]))
+    for log_mass, starts in faults:
+        with pytest.raises(AssertionError, match="mass off by nan"), np.errstate(invalid="ignore"):
+            ex._check_mass(np.array(log_mass), np.array(starts))
+    ex._check_mass(np.array([half, half, 0.0]), np.array([0, 2]))
+
+
 def test_run_theorem1_rejects_small_n():
     rng = task_stream(5, "experiments", 5)
     with pytest.raises(ValueError):
@@ -321,8 +332,8 @@ def test_fixed_size_statistics_match_the_per_tree_oracle(law, monkeypatch):
     rng = task_stream(20, "experiments", 20)
     concs, expos = [], []
     for _ in range(trials):
-        tree, _ = tr.sample_fixed_size_conditioned(dist, N, n, rng)
-        tree_mass = net.forest_boundary_log_mass(tr.reduce(tree, n))
+        gens, _ = tr.sample_fixed_size_conditioned(dist, N, n, rng)
+        tree_mass = net.forest_boundary_log_mass(tr.reduce(gens, n))
         expos.append(-tree_mass[orc.sample_boundary(tree_mass, rng)] / np.log(n))
         concs.append(orc.concentration_statistic(tree_mass, n, beta, delta))
     (conc, expo), = seen

@@ -287,8 +287,15 @@ def bfs_tree(counts):
 
 def generations(t, n):
     """A PlaneTree as trees.reduce takes it: the child counts of its
-    generations 0..n-1."""
-    return t.child_count[: t.gen_offsets[n]]
+    generations 0..n-1, one array each (empty beyond its height)."""
+    gens = np.split(t.child_count, t.gen_offsets[1:-1])
+    return (gens + [np.zeros(0, np.int64)] * n)[:n]
+
+
+def joined(*trees):
+    """The generations of several trees joined generation by generation:
+    the level-major counts of the trees as one batch."""
+    return [np.concatenate(g) for g in zip(*trees)]
 
 
 def tree_counts(counts):
@@ -461,7 +468,7 @@ def test_reduce_matches_the_preorder_path(forest):
             one = tr.reduce(generations(t, n), n)
             assert_same_forest(one, orc.reduce_preorder(d, n))
             orc.validate_reduced(orc.views(one)[0])
-        whole = tr.reduce(np.concatenate([generations(t, n) for t in trees]), n)
+        whole = tr.reduce(joined(*(generations(t, n) for t in trees)), n)
         assert_same_forest(whole, orc.reduce_preorder(np.concatenate(depths), n))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(orc, "parents_from_preorder_depths", orc.parents_from_preorder_depths_loop)
@@ -480,23 +487,57 @@ def test_reduce_of_a_forest_is_its_trees_reductions(laws_and_sizes, seed, data):
              for law, N in laws_and_sizes]
     n = data.draw(st.integers(1, min(t.height for t in trees)))
     ones = [tr.reduce(generations(t, n), n) for t in trees]
-    whole = tr.reduce(np.concatenate([generations(t, n) for t in trees]), n)
+    whole = tr.reduce(joined(*(generations(t, n) for t in trees)), n)
     assert_same_forest(whole, orc._concat_forests(ones, n))
+    for g in range(n + 1):  # the derived tree index against each tree's own levels
+        assert whole.level_sizes(g).tolist() == [f.tree_index[g].size for f in ones]
 
 
 def test_fixed_size_conditioned_height():
-    # generations 0..19 of a tree with 100 edges: the queue of unexplored
-    # vertices never empties, and what is left in it is generation 20; at
-    # n=20 (near the mean height) some trials are rejected
+    # generations 0..19 of a tree with 100 edges, each the children of the
+    # one before, sliced from one copy of the counts they cover: the queue
+    # of unexplored vertices never empties, and what is left in it is
+    # generation 20; at n=20 (near the mean height) some trials are rejected
     rng = task_stream(16, "trees", 14)
     for dist in (off.geometric(), off.poisson()):
         total = 0
         for _ in range(20):
-            c, trials = tr.sample_fixed_size_conditioned(dist, 100, 20, rng)
+            gens, trials = tr.sample_fixed_size_conditioned(dist, 100, 20, rng)
+            c = np.concatenate(gens)
+            assert len(gens) == 20 and gens[0].size == 1
+            assert [g.size for g in gens[1:]] == [g.sum() for g in gens[:-1]]
+            assert all(g.base is gens[0].base and g.base.size == c.size for g in gens)
             assert c.size <= 100 and np.all(np.cumsum(c - 1) >= 0)
-            assert tr.reduce(c, 20).size == 1
+            assert tr.reduce(gens, 20).size == 1
             total += trials
         assert total > 20
+
+
+def test_fixed_size_trees_walk_their_generations_once(monkeypatch):
+    # the sampler finds a tree's generations in one walk per trial, and
+    # reduce takes a batch of them with no walk of its own
+    dist, N, n = off.poisson(), 100, 15
+    rng = task_stream(16, "trees", 24)
+    real, calls = tr._generation_ends, []
+
+    def counted(cs, n):
+        calls.append(n)
+        return real(cs, n)
+
+    monkeypatch.setattr(tr, "_generation_ends", counted)
+    batch, total = [], 0
+    for _ in range(6):
+        gens, trials = tr.sample_fixed_size_conditioned(dist, N, n, rng)
+        batch.append(gens)
+        total += trials
+    assert calls == [n] * total
+
+    def walk(cs, n):
+        raise AssertionError("reduce walked the generations")
+
+    monkeypatch.setattr(tr, "_generation_ends", walk)
+    whole = tr.reduce(joined(*batch), n)
+    assert_same_forest(whole, orc._concat_forests([tr.reduce(g, n) for g in batch], n))
 
 
 # ---------------------------------------------------------------------------
@@ -519,14 +560,20 @@ def test_reduce_prunes_dead_branch():
 
 
 def test_reduce_no_survivor():
-    short, tall = path_tree(3).child_count, generations(path_tree(7), 7)
+    short, tall = generations(path_tree(3), 7), generations(path_tree(7), 7)
     with pytest.raises(ValueError, match="depth 7"):
         tr.reduce(short, 7)
-    # a forest in which only one tree falls short, first or last
-    for forest in ((short, tall), (tall, short)):
+    # a batch in which only one tree falls short: first, in the middle, last
+    for batch in ((short, tall), (tall, short, tall), (tall, short)):
         with pytest.raises(ValueError, match="depth 7"):
-            tr.reduce(np.concatenate(forest), 7)
-    assert tr.reduce(np.concatenate((tall, tall)), 7).size == 2
+            tr.reduce(joined(*batch), 7)
+    assert tr.reduce(joined(tall, tall), 7).size == 2
+    # one generation too few or too many, and no generation at all
+    for gens, n in ((tall[:6], 7), (tall, 6)):
+        with pytest.raises(ValueError, match="generations of counts"):
+            tr.reduce(gens, n)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        tr.reduce([], 0)
 
 
 def test_reduce_idempotent_on_samples():
