@@ -315,9 +315,10 @@ def run_levelset(dist, n, p_list, trials, rng):
 
 def run_corollary_fixed_size(dist, N, n, trials, rng, beta_ref, delta):
     """Fixed-size variant: trees with N edges resampled until height >= n,
-    then the same exit statistics as the height-conditioned run."""
-    if n > np.sqrt(N) / 2:
-        raise ValueError(f"need n <= sqrt(N)/2, got n={n}, N={N}")
+    then the same exit statistics as the height-conditioned run.  N and n
+    are checked before any draw."""
+    if N < 1 or not 1 <= n <= math.sqrt(N) / 2:
+        raise ValueError(f"need N >= 1 and 1 <= n <= sqrt(N)/2, got n={n}, N={N}")
     masses, sizes, batch, u = [], [], [], np.empty(trials)
     attempts = entries = 0
     for i in range(trials):

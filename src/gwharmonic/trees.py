@@ -14,9 +14,11 @@ generation g of every tree sits in one array, so the network sweeps are one
 numpy pass per level over all trees.  LevelForest.trees() turns a forest
 into PlaneTrees, the single-tree layout that level_set reads.
 
-Fixed-size trees are their breadth-first child counts, exchangeable counts
-rotated by the cycle lemma to the one rotation that is a tree.  A tree kept
-for height >= n keeps generations 0..n-1, one count array each.  Many such
+Fixed-size trees are their breadth-first child counts: exchangeable counts
+rotated by the cycle lemma to the one rotation that is a tree.  One prefix
+sum of the unrotated counts finds that rotation and walks the generations;
+a tree kept for height >= n rotates only its generations 0..n-1, one count
+array each.  Many such
 trees joined generation by generation are the level-major counts of a
 LevelForest, and reduce() marks their ancestors of generation n bottom-up.
 """
@@ -177,14 +179,6 @@ class UnsupportedDistributionError(ValueError):
     pass
 
 
-def _first_passage_rotation(steps: np.ndarray) -> np.ndarray:
-    """Cycle lemma: steps >= -1 summing to -1 have a unique rotation whose
-    proper prefix sums stay >= 0; it starts right after the first minimum."""
-    s = np.cumsum(steps)
-    m = int(np.argmin(s))
-    return np.concatenate((steps[m + 1 :], steps[: m + 1]))
-
-
 def _exchangeable_counts(dist, N: int, rng) -> np.ndarray:
     """N+1 counts summing to N, iid with law dist given their sum: a bincount
     of N labels in 0..N.  geometric: every composition of N into N+1 parts
@@ -198,7 +192,8 @@ def _exchangeable_counts(dist, N: int, rng) -> np.ndarray:
         k = np.count_nonzero(bits)
         if k != N:
             bits[rng.choice(np.flatnonzero(bits == (k > N)), abs(k - N), replace=False)] = k < N
-        labels = np.flatnonzero(bits) - np.arange(N)
+        labels = np.flatnonzero(bits)
+        labels -= np.arange(N)
     elif dist.kind == "poisson":
         labels = rng.integers(0, N + 1, size=N)
     else:
@@ -208,41 +203,35 @@ def _exchangeable_counts(dist, N: int, rng) -> np.ndarray:
     return np.bincount(labels, minlength=N + 1)
 
 
-def sample_fixed_size(dist, N: int, rng) -> np.ndarray:
-    """Breadth-first child counts of an exact GW tree conditioned on N edges;
-    geometric and poisson only.  Breadth-first counts form a tree iff the
-    queue of unexplored vertices stays non-empty until the last vertex, the
-    prefix condition of a depth-first walk, so the cycle lemma applies and
-    keeps the law prod theta(k_v)."""
+def sample_fixed_size_conditioned(dist, N: int, n: int, rng):
+    """Exact GW tree conditioned on N edges (geometric and poisson only),
+    resampled until height >= n, at most DEFAULT_TRIAL_CAP times.  Returns
+    (generations 0..n-1 as n arrays of breadth-first child counts, trials);
+    the arrays slice one copy of the counts they cover, not all N+1.
+
+    Breadth-first counts form a tree iff the queue of unexplored vertices
+    stays non-empty until the last vertex, so the cycle lemma keeps the law
+    prod theta(k_v): the steps k - 1 sum to -1, and their one rotation that
+    is a tree starts after the first minimum r of their prefix sums s.  Its
+    first e vertices have e + s~(r+e) - s[r] children, with s~(i) =
+    s[i % (N+1)] - i // (N+1), and generation g is [ends[g], ends[g+1]) with
+    ends[g+1] = 1 + the children of the first ends[g] vertices."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    return _first_passage_rotation(_exchangeable_counts(dist, N, rng) - 1) + 1
-
-
-def _generation_ends(cs, n: int) -> list[int]:
-    """Generations 0..n of the tree with breadth-first child counts c, given
-    cs = (0, cumsum(c)): generation g is [ends[g], ends[g+1]), and the
-    children of generation g are generation g+1.  Stops after the first
-    empty generation."""
-    ends = [0, 1]
-    while len(ends) < n + 2 and ends[-1] > ends[-2]:
-        ends.append(ends[-1] + int(cs[ends[-1]] - cs[ends[-2]]))
-    return ends
-
-
-def sample_fixed_size_conditioned(dist, N: int, n: int, rng):
-    """Fixed-size tree resampled until height >= n (the joint conditioning of
-    the fixed-size experiments), at most DEFAULT_TRIAL_CAP times.  Returns
-    (generations 0..n-1 of the tree as n arrays of breadth-first child
-    counts, trials).  The arrays slice one copy of the counts they cover,
-    so they do not pin all N+1 counts."""
-    trials = 0
-    while trials < DEFAULT_TRIAL_CAP:
-        counts = sample_fixed_size(dist, N, rng)
-        trials += 1
-        ends = _generation_ends(np.concatenate(([0], np.cumsum(counts))), n)
-        if ends[-1] > ends[-2]:
-            kept = counts[: ends[n]].copy()
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    size = N + 1
+    for trials in range(1, DEFAULT_TRIAL_CAP + 1):
+        steps = _exchangeable_counts(dist, N, rng)
+        steps -= 1
+        s = np.cumsum(steps)
+        r = int(np.argmin(s))
+        ends = [0, 1]
+        while len(ends) <= n and ends[-1] < size:
+            i = r + ends[-1]
+            ends.append(1 + ends[-1] + int(s[i % size] - s[r]) - i // size)
+        if ends[-1] < size:  # generation n is not empty
+            kept = np.take(steps, np.arange(r + 1, r + 1 + ends[n]), mode="wrap") + 1
             return [kept[a:b] for a, b in zip(ends[:n], ends[1:])], trials
     raise TrialCapError(f"no height-{n} fixed-size sample within {DEFAULT_TRIAL_CAP} trials")
 

@@ -23,6 +23,10 @@ depths, the independent path that the level-major generations of
 the per-depth loop behind it).
 `preorder_depths` turns a PlaneTree into those depths, and
 `depths_from_preorder_degrees` reads them off a depth-first walk.
+`fixed_size_tree` is a whole fixed-size tree, the exchangeable counts
+rotated by `cycle_rotation`: the reference that
+`trees.sample_fixed_size_conditioned`, which rotates only the generations
+it keeps, is replayed against.
 
 The continuum section holds the whole-tree sampler that `continuum`
 replaced by its harmonic-ray chain.  `phi_step_serial` is `rde.phi_step`
@@ -50,6 +54,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from gwharmonic import trees
 from gwharmonic.beta import _SUBTABLE_PAIRS, _SUBTABLES, TABLE_GRID
 from gwharmonic.offspring import OffspringDistribution, OffspringError, survival_probs
 from gwharmonic.rde import _BATCHES, _CHUNK, _TASKS, ParticleCloud, Residual, se_of_mean
@@ -470,6 +475,23 @@ def faulty_child_cdf(dist, n: int):
     """reduced_child_cdf with a planted fault: children thinned with
     q_{n-g} in place of q_{n-g-1}, so reduced trees branch too rarely."""
     return _thinned_child_cdf(dist.pmf, survival_probs(dist, n)[n:0:-1])
+
+
+def cycle_rotation(counts: np.ndarray) -> np.ndarray:
+    """Cycle lemma: child counts summing to their number less one have one
+    rotation that is a tree's breadth-first (and depth-first) counts; it
+    starts right after the first minimum of the prefix sums of counts - 1."""
+    return np.roll(counts, -1 - int(np.argmin(np.cumsum(counts - 1))))
+
+
+def fixed_size_tree(dist, N: int, rng) -> np.ndarray:
+    """Breadth-first child counts of a whole GW tree conditioned on N edges:
+    the exchangeable counts of `trees`, rotated.  The counts are looked up
+    through the module at each call, so a test that patches them patches
+    this oracle too."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    return cycle_rotation(trees._exchangeable_counts(dist, N, rng))
 
 
 def preorder_depths(tree) -> np.ndarray:

@@ -1,5 +1,6 @@
 import argparse
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,25 @@ def test_discrete_fixed_size_rejects_big_n(cloud_file, tmp_path, capsys):
                 "--out", str(tmp_path)])
     assert code == 2
     assert "sqrt(N)/2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--n=-5"], ["--n", "0"], ["--edges=-4"]],
+                         ids=["n-negative", "n-0", "edges-negative"])
+def test_discrete_fixed_size_checks_n_and_edges_before_sampling(cloud_file, tmp_path, capsys,
+                                                               monkeypatch, flags):
+    # a negative n crashed with an IndexError, n = 0 drew every trial before
+    # reduce refused it, and a negative N warned from sqrt
+    drawn = []
+    monkeypatch.setattr(experiments, "sample_fixed_size_conditioned",
+                        lambda *a: drawn.append(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["discrete", "fixed-size", "--offspring", "geometric", *flags,
+                    "--trials", "20", "--cloud", str(cloud_file), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: need N >= 1 and 1 <= n <= sqrt(N)/2")
+    assert drawn == []
 
 
 @pytest.mark.parametrize("n", ["0", "1"])

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -305,7 +307,7 @@ def tree_counts(counts):
     for _ in range(excess):
         counts.remove(0)
     ks = np.array(counts + [0] * max(0, -excess), np.int64)
-    return tr._first_passage_rotation(ks - 1) + 1
+    return orc.cycle_rotation(ks)
 
 
 TREE_COUNTS = st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=80)
@@ -317,7 +319,7 @@ def test_fixed_size_edge_count():
     rng = task_stream(11, "trees", 9)
     for dist in (off.geometric(), off.poisson()):
         for N in (1, 2, 7, 40):
-            c = tr.sample_fixed_size(dist, N, rng)
+            c = orc.fixed_size_tree(dist, N, rng)
             s = np.cumsum(c - 1)
             assert c.size == N + 1 and s[-1] == -1 and np.all(s[:-1] >= 0)
 
@@ -325,13 +327,13 @@ def test_fixed_size_edge_count():
 def test_fixed_size_unsupported():
     rng = task_stream(12, "trees", 10)
     with pytest.raises(tr.UnsupportedDistributionError):
-        tr.sample_fixed_size(off.binary(), 4, rng)
+        tr.sample_fixed_size_conditioned(off.binary(), 4, 1, rng)
 
 
 def test_fixed_size_geometric_n2_uniform():
     rng = task_stream(13, "trees", 11)
     dist = off.geometric()
-    keys = [tuple(tr.sample_fixed_size(dist, 2, rng).tolist()) for _ in range(10**5)]
+    keys = [tuple(orc.fixed_size_tree(dist, 2, rng).tolist()) for _ in range(10**5)]
     path, cherry = (1, 1, 0), (2, 0, 0)  # breadth-first child counts
     freq_path = np.mean([k == path for k in keys])
     freq_cherry = np.mean([k == cherry for k in keys])
@@ -347,7 +349,7 @@ def test_fixed_size_geometric_n3_uniform():
     draws = {}
     trials = 10**5
     for _ in range(trials):
-        k = tuple(tr.sample_fixed_size(dist, 3, rng).tolist())
+        k = tuple(orc.fixed_size_tree(dist, 3, rng).tolist())
         draws[k] = draws.get(k, 0) + 1
     assert set(draws) == set(shapes)
     for k in shapes:
@@ -359,7 +361,7 @@ def test_fixed_size_geometric_n3_uniform():
 LAW_WEIGHT = {"geometric": lambda k: 1.0, "poisson": lambda k: 1.0 / math.factorial(k)}
 
 
-def fixed_size_law_pvalue(law, draws, seed, sample=tr.sample_fixed_size):
+def fixed_size_law_pvalue(law, draws, seed, sample=orc.fixed_size_tree):
     """Pearson chi-square of `draws` fixed-size trees at each N = 1..7
     against the exact law over every plane tree, pooled over N into one
     statistic; per N, the cells expected below 5 are merged into one.  A
@@ -417,11 +419,11 @@ def _counts_without_the_trailing_run(dist, N, rng):
 
 @pytest.mark.parametrize("fault", ["first-majority-positions", "trailing-run-dropped"])
 def test_law_test_fails_on_a_planted_fault(fault, monkeypatch):
-    sample = tr.sample_fixed_size
+    sample = orc.fixed_size_tree
     if fault == "first-majority-positions":
         # flip the first |k-N| majority positions, not a uniform subset
         def sample(dist, N, rng):
-            return tr.sample_fixed_size(dist, N, _FirstChoice(rng))
+            return orc.fixed_size_tree(dist, N, _FirstChoice(rng))
     else:
         monkeypatch.setattr(tr, "_exchangeable_counts", _counts_without_the_trailing_run)
     assert fixed_size_law_pvalue("geometric", 3000, 21, sample) < 1e-3
@@ -483,7 +485,7 @@ def test_reduce_of_a_forest_is_its_trees_reductions(laws_and_sizes, seed, data):
     # k trees back to back reduce to the k one-tree reductions, level by
     # level, with each tree index shifted by the tree's position
     rng = task_stream(seed, "trees", 23)
-    trees = [bfs_tree(tr.sample_fixed_size(off.from_spec(law), N, rng))
+    trees = [bfs_tree(orc.fixed_size_tree(off.from_spec(law), N, rng))
              for law, N in laws_and_sizes]
     n = data.draw(st.integers(1, min(t.height for t in trees)))
     ones = [tr.reduce(generations(t, n), n) for t in trees]
@@ -513,31 +515,65 @@ def test_fixed_size_conditioned_height():
         assert total > 20
 
 
-def test_fixed_size_trees_walk_their_generations_once(monkeypatch):
-    # the sampler finds a tree's generations in one walk per trial, and
-    # reduce takes a batch of them with no walk of its own
-    dist, N, n = off.poisson(), 100, 15
-    rng = task_stream(16, "trees", 24)
-    real, calls = tr._generation_ends, []
+def conditioned_oracle(dist, N, n, rng):
+    """sample_fixed_size_conditioned by its definition: whole trees from the
+    oracle, cut into their PlaneTree generations, until one has height >= n."""
+    for trials in itertools.count(1):
+        t = bfs_tree(orc.fixed_size_tree(dist, N, rng))
+        if t.height >= n:
+            return generations(t, n), trials
 
-    def counted(cs, n):
-        calls.append(n)
-        return real(cs, n)
 
-    monkeypatch.setattr(tr, "_generation_ends", counted)
-    batch, total = [], 0
-    for _ in range(6):
-        gens, trials = tr.sample_fixed_size_conditioned(dist, N, n, rng)
-        batch.append(gens)
-        total += trials
-    assert calls == [n] * total
+@pytest.mark.parametrize("law", ["geometric", "poisson"])
+def test_fixed_size_sampler_matches_the_whole_tree_oracle(law, monkeypatch):
+    # the sampler rotates only the prefix it keeps and walks the generations
+    # on the unrotated prefix sums; on replayed streams it returns the
+    # oracle's generations and trial counts bit for bit.  The cells hold
+    # kept prefixes that wrap past the last count and rejected trees.
+    dist, real, drawn = off.from_spec(law), tr._exchangeable_counts, []
 
-    def walk(cs, n):
-        raise AssertionError("reduce walked the generations")
+    def recorded(*args):
+        drawn.append(real(*args))
+        return drawn[-1]
 
-    monkeypatch.setattr(tr, "_generation_ends", walk)
-    whole = tr.reduce(joined(*batch), n)
-    assert_same_forest(whole, orc._concat_forests([tr.reduce(g, n) for g in batch], n))
+    wrapped = rejected = 0
+    for N, n in [(1, 1), (2, 1), (2, 2), (7, 3), (50, 6), (400, 12), (10000, 40)]:
+        fast, slow = task_stream(N, "trees", 25), task_stream(N, "trees", 25)
+        for _ in range(8):
+            gens, trials = tr.sample_fixed_size_conditioned(dist, N, n, fast)
+            with monkeypatch.context() as mp:
+                mp.setattr(tr, "_exchangeable_counts", recorded)
+                want, want_trials = conditioned_oracle(dist, N, n, slow)
+            assert trials == want_trials
+            for g, w in zip(gens, want, strict=True):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+            rejected += trials - 1
+            r = int(np.argmin(np.cumsum(drawn[-1] - 1)))
+            wrapped += r + 1 + sum(map(len, gens)) > N + 1
+    assert rejected > 0 and wrapped > 0
+
+
+def test_fixed_size_sampler_rejects_empty_trees_and_levels():
+    rng = task_stream(16, "trees", 27)
+    for N, n in [(0, 1), (-4, 1), (5, 0), (5, -5)]:
+        with pytest.raises(ValueError, match="must be >= 1"):
+            tr.sample_fixed_size_conditioned(off.geometric(), N, n, rng)
+
+
+@pytest.mark.parametrize("law", ["geometric", "poisson"])
+def test_fixed_size_trial_holds_two_full_length_arrays(law):
+    # a trial's labels, counts, steps (the counts in place) and their one
+    # prefix sum: at most two arrays of N+1 int64 live at once, and only
+    # the kept prefix is rotated
+    dist, N = off.from_spec(law), 2**16
+    rng = task_stream(17, "trees", 26)
+    tracemalloc.start()
+    try:
+        tr.sample_fixed_size_conditioned(dist, N, 8, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * (N + 1)
 
 
 # ---------------------------------------------------------------------------
