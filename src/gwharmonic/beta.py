@@ -1,10 +1,16 @@
 """Three independent estimators of the dimension exponent from a solved cloud.
 
-All expectations over the conductance law are bootstrap resamples from the
-cloud, so estimation cost is decoupled from fixed-point cost.  Ratio
+All expectations over the conductance law are Monte Carlo readouts of the
+cloud over drawn tuples, so estimation cost is decoupled from fixed-point
+cost.  Each batch of m tuples is one Latin hypercube sample (`_stratified`):
+every coordinate puts one draw in each of its m strata of [0, 1), and a
+cloud value is read at index floor(v M) of the sorted cloud, so the strata
+of v are strata of the conductance law.  Each tuple is still uniform, and
+batches stay independent, so the batch means are unbiased and iid.  Ratio
 estimators report standard errors via 100 batch means; the plug-in moment
 estimator uses the delta method.  The node-shift estimator reads its weights
-from one kappa table per call, whose own Monte Carlo error is reported apart.
+from one kappa table per call, built from iid pairs, whose own Monte Carlo
+error is reported apart.
 
 Every estimator draws its batches through `rde._batch_sums`: ten groups of
 ten consecutive batches, each group one thread-pool task on its own stream
@@ -27,6 +33,7 @@ _TABLE_NODES = 257
 _SUBTABLES = 8
 _SUBTABLE_PAIRS = 25_000
 TABLE_GRID = np.linspace(0.0, 1.0, _TABLE_NODES)
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 @dataclass
@@ -55,15 +62,42 @@ class BetaEstimate:
         }
 
 
+def _stratified(sub, k: int, m: int, dims: int) -> np.ndarray:
+    """k rows of m stratified uniforms per coordinate, shape (dims, k, m):
+    entry i of a row is (p_i + U_i) / m with U iid uniform on [0, 1), p the
+    identity for coordinate 0 and, for each other coordinate, a uniform
+    permutation of 0..m-1 of its own for each row (`Generator.permuted`).
+    Each row is a Latin hypercube sample whose tuples are each uniform on
+    [0, 1)^dims.  Draw order: all the U in one call, then the permutations,
+    coordinate by coordinate and row by row."""
+    v = sub.random((dims, k, m))
+    v[0] += np.arange(m)
+    p = np.empty((k, m))
+    for c in v[1:]:
+        p[:] = np.arange(m)
+        c += sub.permuted(p, axis=-1, out=p)
+    v /= m
+    return v
+
+
+def _cloud_at(s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v with each value replaced by the sorted cloud s at index floor(v M),
+    one coordinate at a time; clip maps the rounding case v M == M to M - 1."""
+    for c in v:
+        c *= s.size
+        np.take(s, c.astype(np.intp), mode="clip", out=c)
+    return v
+
+
 def beta_moment(cloud: ParticleCloud, sample_count: int, rng) -> BetaEstimate:
-    """Plug-in 0.5 ((E C)^2 / E[C0 C1/(C0+C1-1)] - 1) over resampled pairs."""
+    """Plug-in 0.5 ((E C)^2 / E[C0 C1/(C0+C1-1)] - 1) over stratified
+    pairs (c0 | c1)."""
     s = cloud.samples
     a = float(s.mean())
     batch = max(sample_count // _BATCHES, 1)
 
     def kernel(sub, k, m):
-        c0 = s[sub.integers(0, s.size, size=(k, m))]
-        c1 = s[sub.integers(0, s.size, size=(k, m))]
+        c0, c1 = _cloud_at(s, _stratified(sub, k, m, 2))
         return np.sum(c0 * c1 / (c0 + c1 - 1.0), axis=1)
 
     bmeans = _batch_sums(kernel, batch, rng) / batch
@@ -76,14 +110,13 @@ def beta_moment(cloud: ParticleCloud, sample_count: int, rng) -> BetaEstimate:
 
 def beta_triple(cloud: ParticleCloud, sample_count: int, rng) -> BetaEstimate:
     """Ratio of the triple integral 2 E[RS/(R+S+T-1) log((S+T)/S)] to the
-    pair integral E[ST/(S+T-1)]; standard error by batching."""
+    pair integral E[ST/(S+T-1)] over stratified triples (r | t, u);
+    standard error by batching."""
     s = cloud.samples
     batch = max(sample_count // _BATCHES, 1)
 
     def kernel(sub, k, m):
-        r = s[sub.integers(0, s.size, size=(k, m))]
-        t = s[sub.integers(0, s.size, size=(k, m))]
-        u = s[sub.integers(0, s.size, size=(k, m))]
+        r, t, u = _cloud_at(s, _stratified(sub, k, m, 3))
         return np.stack([np.sum(2.0 * r * t / (r + t + u - 1.0) * np.log((t + u) / t), axis=1),
                          np.sum(t * u / (t + u - 1.0), axis=1)], axis=1)
 
@@ -101,8 +134,8 @@ def kappa_table(cloud: ParticleCloud, rng) -> np.ndarray:
     in _TASKS groups on the thread pool."""
     s = cloud.samples
     shape = (_SUBTABLES, _SUBTABLE_PAIRS)
-    a = s[rng.integers(0, s.size, size=shape)]
-    d = a + s[rng.integers(0, s.size, size=shape)] - 1.0
+    a = np.take(s, rng.integers(0, s.size, size=shape), mode="clip")
+    d = a + np.take(s, rng.integers(0, s.size, size=shape), mode="clip") - 1.0
     table = np.empty((_SUBTABLES, _TABLE_NODES))
 
     def columns(nodes):
@@ -116,7 +149,8 @@ def kappa_table(cloud: ParticleCloud, rng) -> np.ndarray:
 def beta_shift(cloud: ParticleCloud, sample_count: int, rng) -> BetaEstimate:
     """Node-shift estimator: importance weights kappa(G(U, C1, C2)) applied to
     the branch entropy and the branch-spacing length.  The weight is the
-    linear interpolation of one kappa table at x = 1/G = U + (1-U)/(C1+C2).
+    linear interpolation of one kappa table at x = 1/G = U + (1-U)/(C1+C2),
+    over stratified tuples (c1 | c2, u).
 
     Interpolation is linear in the table values, so each batch keeps its
     numerator and denominator as per-node coefficient vectors.  Against the
@@ -129,9 +163,9 @@ def beta_shift(cloud: ParticleCloud, sample_count: int, rng) -> BetaEstimate:
     batch = max(sample_count // _BATCHES, 1)
 
     def kernel(sub, k, m):
-        c1 = s[sub.integers(0, s.size, size=k * m)]
-        c2 = s[sub.integers(0, s.size, size=k * m)]
-        u = sub.random(k * m)
+        v = _stratified(sub, k, m, 3).reshape(3, k * m)
+        c1, c2 = _cloud_at(s, v[:2])
+        u = np.minimum(v[2], _BELOW_ONE, out=v[2])  # (m-1+U)/m can round up to 1
         pos = (u + (1.0 - u) / (c1 + c2)) * last
         j = np.minimum(pos.astype(np.intp), last - 1)
         t = pos - j
@@ -217,7 +251,7 @@ def cross_validate(cloud: ParticleCloud, budget: int, rng) -> CrossValidation:
         # the sub-cloud splits are drawn and sorted on the pool while the full-cloud runs use it too
         splits = [pool().submit(_sub_clouds, cloud, streams[3 + i], 10) for i in range(2)]
     ests = [fn(cloud, budget, stream) for fn, stream in zip((beta_moment, beta_triple, beta_shift), streams)]
-    sub_budget = int(min(max(budget // 50, 10**6), 10**7))
+    sub_budget = min(max(budget // 200, 250_000), 2_500_000)
     for i, (fn, split) in enumerate(zip((beta_moment, beta_triple), splits)):
         ests[i].cloud_std_error = _cloud_component(split.result(), fn, streams[3 + i], sub_budget)
     z = np.zeros((3, 3))

@@ -28,7 +28,7 @@ from .rngs import task_stream
 # The value of every unset flag, per command (keys are argparse dests).
 DEFAULTS = {
     "rde solve": {"particles": 10**6, "tol": 2e-3, "max_iters": 60, "polish": 0},
-    "beta": {"trials": 10**7},
+    "beta": {"trials": 5_000_000},
     "discrete theorem1": {"n": [50, 100, 200, 400], "trials": 2000, "delta": 0.25},
     "discrete conductance": {"n": [50, 100, 200, 400], "trials": 10**4},
     "discrete levelset": {"n": 100, "p": [20, 50], "trials": 2000},
@@ -41,14 +41,14 @@ DEFAULTS = {
 PRESETS = {
     "smoke": {
         "rde solve": {"particles": 10**5, "tol": 3e-3},
-        "beta": {"trials": 10**6},
+        "beta": {"trials": 250_000},
         "discrete theorem1": {"n": [16, 32, 64], "trials": 200},
         "discrete conductance": {"n": [10, 25, 50], "trials": 500},
         "discrete levelset": {"n": 50, "p": [10, 25], "trials": 1000},
         "discrete fixed-size": {"edges": 1600, "n": 20, "trials": 100},
         "continuum dimension": {"eps": [2.0**-k for k in range(4, 9)], "trials": 500},
     },
-    "full": {"rde solve": {"polish": 4}, "beta": {"trials": 10**8},
+    "full": {"rde solve": {"polish": 4}, "beta": {"trials": 25_000_000},
              "discrete levelset": {"trials": 10**4}},
 }
 
@@ -293,6 +293,7 @@ def cmd_levelset(args) -> ExperimentReport:
 
 
 def cmd_fixed_size(args) -> ExperimentReport:
+    experiments.check_fixed_size_levels(args.edges, args.n)  # before the cloud is read
     dist, rng = _discrete(args)
     ref = _beta_ref(args, _load_cloud(args.cloud))
     report = experiments.run_corollary_fixed_size(dist, args.edges, args.n, args.trials, rng,
@@ -358,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="negative-control mode: exit 0 if checks fail")
 
     beta_p = _command(sub, "beta", cmd_beta, "triangulate the exponent from a cloud")
-    beta_p.add_argument("--trials", type=int, help="resampled tuples per estimator")
+    beta_p.add_argument("--trials", type=int, help="stratified tuples per estimator")
     beta_p.add_argument("--method", choices=["all", "moment", "triple", "shift"], default="all")
 
     disc = sub.add_parser("discrete", help="discrete-tree experiments").add_subparsers(

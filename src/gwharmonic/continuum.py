@@ -67,7 +67,7 @@ def _given(c: np.ndarray, samples: np.ndarray, rng):
     todo = np.arange(c.size)
     width = 1
     while todo.size:
-        p1, p2 = samples[rng.integers(0, samples.size, size=(2, todo.size, width))]
+        p1, p2 = np.take(samples, rng.integers(0, samples.size, size=(2, todo.size, width)), mode="clip")
         s = p1 + p2
         ok = (s >= c[todo, None]) & (2.0 * (s - 1.0) * rng.random(s.shape) < s)
         hit = ok.any(axis=1)
@@ -89,7 +89,7 @@ def ray_mass_samples(cloud: ParticleCloud, trials: int, eps, rng) -> np.ndarray:
     samples = cloud.samples
     # the root's triple is unconditional
     keep = 1.0 - rng.random(trials)
-    a1, a2 = samples[rng.integers(0, samples.size, size=(2, trials))]
+    a1, a2 = np.take(samples, rng.integers(0, samples.size, size=(2, trials)), mode="clip")
     ray = np.arange(trials)
     h = np.ones(trials)
     logm = np.zeros(trials)

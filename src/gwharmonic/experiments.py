@@ -49,6 +49,9 @@ FOREST_CHUNK = 2000
 # Entries of generations 0..n-1 per fixed-size forest: bounds the memory of
 # its reduce and sweep without a per-tree pass.
 FIXED_SIZE_BATCH_VERTICES = 2**16
+# Stratified tuples behind beta_reference: on a solved cloud of 1e6 its tuple
+# SE reads about 1.5e-4, where 1e6 iid tuples gave about 2e-4.
+BETA_REF_TUPLES = 10**5
 
 
 @dataclass
@@ -126,12 +129,12 @@ def mann_kendall(values, direction: int = 1) -> tuple[int, float]:
     return s, p
 
 
-def beta_reference(cloud: ParticleCloud, rng, budget: int = 10**6) -> BetaEstimate:
+def beta_reference(cloud: ParticleCloud, rng) -> BetaEstimate:
     """Pipeline-consistent exponent readout: the triple estimator on the
-    supplied cloud (never a hard-coded constant), the estimator with the
-    smallest total error.  Its `std_error` is the tuple component only; the
-    cloud component (about 4e-5 at M=1e6) is not estimated here."""
-    return beta_triple(cloud, budget, rng)
+    supplied cloud (never a hard-coded constant) at BETA_REF_TUPLES tuples.
+    Its `std_error` is the tuple component only; the cloud component (about
+    4e-5 at M=1e6) is not estimated here."""
+    return beta_triple(cloud, BETA_REF_TUPLES, rng)
 
 
 def _summary(values: np.ndarray) -> dict:
@@ -313,12 +316,17 @@ def run_levelset(dist, n, p_list, trials, rng):
     return ExperimentReport("levelset", cfg, cells, checks)
 
 
+def check_fixed_size_levels(N, n) -> None:
+    """Refuse an edge count and level the fixed-size run cannot serve."""
+    if N < 1 or not 1 <= n <= math.sqrt(N) / 2:
+        raise ValueError(f"need N >= 1 and 1 <= n <= sqrt(N)/2, got n={n}, N={N}")
+
+
 def run_corollary_fixed_size(dist, N, n, trials, rng, beta_ref, delta):
     """Fixed-size variant: trees with N edges resampled until height >= n,
     then the same exit statistics as the height-conditioned run.  N and n
     are checked before any draw."""
-    if N < 1 or not 1 <= n <= math.sqrt(N) / 2:
-        raise ValueError(f"need N >= 1 and 1 <= n <= sqrt(N)/2, got n={n}, N={N}")
+    check_fixed_size_levels(N, n)
     masses, sizes, batch, u = [], [], [], np.empty(trials)
     attempts = entries = 0
     for i in range(trials):

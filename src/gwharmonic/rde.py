@@ -117,8 +117,8 @@ def phi_step(cloud: ParticleCloud, rng) -> ParticleCloud:
 
     def chunk(lo, sub):
         o = out[lo : lo + _CHUNK]
-        x = s[sub.integers(0, s.size, size=o.size)]
-        x += s[sub.integers(0, s.size, size=o.size)]
+        x = np.take(s, sub.integers(0, s.size, size=o.size), mode="clip")
+        x += np.take(s, sub.integers(0, s.size, size=o.size), mode="clip")
         u = sub.random(o.size)
         # 1 / (u + (1 - u) / x), bit for bit, in place
         np.subtract(1.0, u, out=o)
@@ -218,9 +218,9 @@ def estimate_floor(cloud: ParticleCloud, rng) -> float:
     index vectors come from `rng`, a's first; each resample is sorted and
     `wasserstein1` takes their mean |order-statistic gap|."""
     m = cloud.size
-    a = cloud.samples[rng.integers(0, m, size=m)]
+    a = np.take(cloud.samples, rng.integers(0, m, size=m), mode="clip")
     a_sorted = pool().submit(a.sort)  # in place, while b is drawn and sorted
-    b = cloud.samples[rng.integers(0, m, size=m)]
+    b = np.take(cloud.samples, rng.integers(0, m, size=m), mode="clip")
     b.sort()
     a_sorted.result()
     return wasserstein1(ParticleCloud(a), ParticleCloud(b))
@@ -289,8 +289,8 @@ def check_identity(cloud: ParticleCloud, g_spec, rng) -> Residual:
     batch = max(s.size // _BATCHES, 1)
 
     def kernel(sub, k, m):
-        x = s[sub.integers(0, s.size, size=(k, m))]
-        y = s[sub.integers(0, s.size, size=(k, m))]
+        x = np.take(s, sub.integers(0, s.size, size=(k, m)), mode="clip")
+        y = np.take(s, sub.integers(0, s.size, size=(k, m)), mode="clip")
         y += x
         return np.sum(x * (x - 1.0) * gp(x) + g(x) - g(y), axis=1)
 

@@ -40,7 +40,9 @@ over whole-expression temporaries; `wasserstein1_grid` is
 `kappa_table_serial` is `beta.kappa_table` as one column loop in the calling
 thread, on the same draws, and `batch_sums_serial` replays the grouped
 batch draws of `rde._batch_sums` behind every beta estimator and
-`rde.check_identity`, one group after another.
+`rde.check_identity`, one group after another; `stratified_rows` replays
+the stratified tuples of the beta estimators row by row, and
+`cloud_at_serial` reads the cloud at their indices.
 `content_hash` fingerprints a report for the reproducibility tests.
 """
 
@@ -817,8 +819,9 @@ def batch_sums_serial(rng, batch: int, summands, chunk: int) -> np.ndarray:
     """`rde._batch_sums` replayed group by group, in the calling thread:
     each stream of rng.spawn(_TASKS) draws its _BATCHES // _TASKS batches in
     turn, as many whole batches per draw as fit in `chunk` tuples, else one
-    batch in pieces of at most `chunk`.  summands(sub, n) draws n tuples
-    from sub and returns their summands, one row per tuple."""
+    batch in pieces of at most `chunk`.  summands(sub, k, m) draws k batches
+    of m tuples from sub and returns their summands, one row per tuple,
+    batch after batch."""
     per = _BATCHES // _TASKS
     sums = []
     for sub in rng.spawn(_TASKS):
@@ -826,13 +829,30 @@ def batch_sums_serial(rng, batch: int, summands, chunk: int) -> np.ndarray:
             step = chunk // batch
             for lo in range(0, per, step):
                 k = min(step, per - lo)
-                vals = summands(sub, k * batch)
+                vals = summands(sub, k, batch)
                 sums.extend(vals.reshape(k, batch, *vals.shape[1:]).sum(axis=1))
         else:
             for _ in range(per):
-                sums.append(sum(summands(sub, min(chunk, batch - done)).sum(axis=0)
+                sums.append(sum(summands(sub, 1, min(chunk, batch - done)).sum(axis=0)
                                 for done in range(0, batch, chunk)))
     return np.array(sums)
+
+
+def stratified_rows(sub, k: int, m: int, dims: int) -> np.ndarray:
+    """The (dims, k * m) uniforms of k Latin hypercube rows of m tuples,
+    row after row: U first, one row of one coordinate at a time (coordinate
+    0's rows first); then coordinate 0 of row r holds stratum i at tuple i,
+    and every other coordinate the strata of its own `sub.permutation(m)`
+    per row; each value is (stratum + U) / m."""
+    u = [[sub.random(m) for _ in range(k)] for _ in range(dims)]
+    strata = [[np.arange(m)] * k] + [[sub.permutation(m) for _ in range(k)] for _ in range(dims - 1)]
+    return np.array([np.concatenate([(p + x) / m for p, x in zip(rows, us)])
+                     for rows, us in zip(strata, u)])
+
+
+def cloud_at_serial(s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Sorted cloud values at floor(v M), the last one where v M rounds to M."""
+    return s[np.minimum(np.floor(v * s.size).astype(np.int64), s.size - 1)]
 
 
 def kappa_table_serial(cloud: ParticleCloud, rng) -> np.ndarray:

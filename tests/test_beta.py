@@ -109,9 +109,8 @@ CHUNKS = [7, 64, rde._CHUNK]
 def test_beta_moment_matches_the_replayed_groups(solved_cloud, monkeypatch):
     s = solved_cloud.samples
 
-    def summands(sub, n):
-        c0 = s[sub.integers(0, s.size, size=n)]
-        c1 = s[sub.integers(0, s.size, size=n)]
+    def summands(sub, k, m):
+        c0, c1 = orc.cloud_at_serial(s, orc.stratified_rows(sub, k, m, 2))
         return (c0 * c1 / (c0 + c1 - 1.0))[:, None]
 
     a = s.mean()
@@ -127,8 +126,8 @@ def test_beta_moment_matches_the_replayed_groups(solved_cloud, monkeypatch):
 def test_beta_triple_matches_the_replayed_groups(solved_cloud, monkeypatch):
     s = solved_cloud.samples
 
-    def summands(sub, n):
-        r, t, u = (s[sub.integers(0, s.size, size=n)] for _ in range(3))
+    def summands(sub, k, m):
+        r, t, u = orc.cloud_at_serial(s, orc.stratified_rows(sub, k, m, 3))
         return np.stack([2.0 * r * t / (r + t + u - 1.0) * np.log((t + u) / t),
                          t * u / (t + u - 1.0)], axis=1)
 
@@ -149,10 +148,10 @@ def test_beta_shift_matches_direct_interpolation(solved_cloud, monkeypatch):
     table = beta.kappa_table(solved_cloud, task_stream(22, "beta", 22))
     rows = [table.mean(axis=0), *table]  # mean table, then each sub-table
 
-    def summands(sub, n):
-        c1 = s[sub.integers(0, s.size, size=n)]
-        c2 = s[sub.integers(0, s.size, size=n)]
-        u = sub.random(n)
+    def summands(sub, k, m):
+        v = orc.stratified_rows(sub, k, m, 3)
+        c1, c2 = orc.cloud_at_serial(s, v[:2])
+        u = v[2]
         frac = c1 / (c1 + c2)
         w = np.stack([np.interp(u + (1.0 - u) / (c1 + c2), beta.TABLE_GRID, row) for row in rows], axis=1)
         return np.stack([w * (frac * np.log(frac))[:, None], w * -np.log1p(-u)[:, None]], axis=1)
@@ -256,3 +255,82 @@ def test_cross_validation_report_dict(solved_cloud):
     d = cv.to_dict()
     assert {e["method"] for e in d["estimates"]} == {"moment", "triple", "shift"}
     assert len(d["z_matrix"]) == 3
+
+
+# --- stratified tuples ---------------------------------------------------------
+
+TINY = rde.ParticleCloud(np.array([1.0, 1.1, 1.3, 1.6, 2.2, 3.5, 6.0]))
+STRATIFIED = beta._stratified  # the helper itself, for the patched versions to call
+
+
+def _shared_permutation(sub, k, m, dims):
+    # planted fault: every coordinate after the second reuses the second's strata
+    v = STRATIFIED(sub, k, m, dims)
+    v[2:] = (np.floor(v[1] * m) + v[2:] * m % 1.0) / m
+    return v
+
+
+def _shifted_strata(sub, k, m, dims):
+    # planted fault: every stratum index one higher
+    return STRATIFIED(sub, k, m, dims) + 1.0 / m
+
+
+def _tiny_zs(monkeypatch, draw):
+    """z of each pair and triple mean behind the three estimators on TINY,
+    batch means captured from `_batch_sums`, against the exact mean over
+    all M^2 or M^3 cloud tuples: the moment's pair, the triple's numerator
+    and denominator, the shift's branch entropy and -log(1-U) (exactly 1)."""
+    monkeypatch.setattr(beta, "_stratified", draw)
+    batch = 50  # not a multiple of the cloud size: strata straddle cloud values
+    sums = []
+    monkeypatch.setattr(beta, "_batch_sums",
+                        lambda *a: sums.append(rde._batch_sums(*a)) or sums[-1])
+    beta.beta_moment(TINY, batch * beta._BATCHES, task_stream(30, "beta", 30))
+    beta.beta_triple(TINY, batch * beta._BATCHES, task_stream(31, "beta", 31))
+    beta.beta_shift(TINY, batch * beta._BATCHES, task_stream(32, "beta", 32))
+    means = [sums[0] / batch, *(sums[1] / batch).T, *(sums[2].sum(axis=2) / batch).T]
+    s = TINY.samples
+    r, t, u = np.meshgrid(s, s, s, indexing="ij")
+    frac = t / (t + u)
+    exact = [np.mean(t * u / (t + u - 1.0)),
+             np.mean(2.0 * r * t / (r + t + u - 1.0) * np.log((t + u) / t)),
+             np.mean(t * u / (t + u - 1.0)), np.mean(frac * np.log(frac)), 1.0]
+    return [rde.z_score(b.mean() - e, rde.se_of_mean(b)) for b, e in zip(means, exact)]
+
+
+def test_stratified_pair_and_triple_means_are_unbiased(monkeypatch):
+    zs = _tiny_zs(monkeypatch, STRATIFIED)
+    assert np.max(np.abs(zs)) <= 4, zs
+
+
+@pytest.mark.parametrize("fault", [_shared_permutation, _shifted_strata], ids=["shared", "shifted"])
+def test_stratified_means_catch_a_planted_fault(monkeypatch, fault):
+    zs = _tiny_zs(monkeypatch, fault)
+    assert np.max(np.abs(zs)) > 4, zs
+
+
+@pytest.mark.parametrize("fn", [beta.beta_moment, beta.beta_triple, beta.beta_shift],
+                         ids=["moment", "triple", "shift"])
+def test_stratified_error_bars_are_calibrated(solved_cloud, monkeypatch, fn):
+    # one fixed kappa table, so that the shift's spread is its tuple noise alone
+    table = beta.kappa_table(solved_cloud, task_stream(33, "beta", 33))
+    monkeypatch.setattr(beta, "kappa_table", lambda cloud, rng: table)
+    ests = [fn(solved_cloud, 10**5, task_stream(seed, "beta", 34)) for seed in range(20)]
+    spread = np.std([e.value for e in ests], ddof=1)
+    assert 0.6 <= spread / np.mean([e.std_error for e in ests]) <= 1.6
+
+
+@pytest.mark.parametrize("chunk, rows, sizes", [(7, 1, {7, 6}), (64, 3, {20}), (rde._CHUNK, 10, {20})])
+def test_each_draw_is_stratified_row_by_row(solved_cloud, monkeypatch, chunk, rows, sizes):
+    # a batch of 20 larger than the chunk is drawn, and stratified, in pieces of 7, 7 and 6
+    monkeypatch.setattr(rde, "_CHUNK", chunk)
+    draws = []
+    monkeypatch.setattr(beta, "_stratified",
+                        lambda *a: draws.append(STRATIFIED(*a)) or draws[-1].copy())
+    beta.beta_triple(solved_cloud, 20 * beta._BATCHES, task_stream(35, "beta", 35))
+    assert max(v.shape[1] for v in draws) == rows and {v.shape[2] for v in draws} == sizes
+    for v in draws:
+        m = v.shape[2]
+        strata = np.floor(v * m).astype(int)
+        assert np.all(strata[0] == np.arange(m))
+        assert np.all(np.sort(strata[1:], axis=-1) == np.arange(m))

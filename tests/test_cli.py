@@ -158,10 +158,18 @@ def test_discrete_fixed_size_rejects_big_n(cloud_file, tmp_path, capsys):
 def test_discrete_fixed_size_checks_n_and_edges_before_sampling(cloud_file, tmp_path, capsys,
                                                                monkeypatch, flags):
     # a negative n crashed with an IndexError, n = 0 drew every trial before
-    # reduce refused it, and a negative N warned from sqrt
+    # reduce refused it, and a negative N warned from sqrt; the flags are
+    # checked before the cloud is read or its beta_ref drawn
     drawn = []
     monkeypatch.setattr(experiments, "sample_fixed_size_conditioned",
                         lambda *a: drawn.append(a))
+
+    def reached(*a):
+        drawn.append(a)
+        raise AssertionError("the cloud was read before the flags were checked")
+
+    monkeypatch.setattr(rde, "load_cloud", reached)
+    monkeypatch.setattr(experiments, "beta_reference", reached)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = run(["discrete", "fixed-size", "--offspring", "geometric", *flags,

@@ -69,8 +69,8 @@ def test_beta_reference_sane(solved_cloud):
     b = ex.beta_reference(solved_cloud, rng)
     assert 0.77 < b.value < 0.80
     assert 0.0 < b.std_error < 5e-4
-    # the readout is the triple estimator at budget 1e6 on the given stream
-    assert b.value == beta_triple(solved_cloud, 10**6, task_stream(1, "experiments", 1)).value
+    # the readout is the triple estimator at budget 1e5 on the given stream
+    assert b.value == beta_triple(solved_cloud, 10**5, task_stream(1, "experiments", 1)).value
 
 
 def test_run_levelset_identity(solved_cloud):

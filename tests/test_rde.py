@@ -270,9 +270,9 @@ def test_check_identity_matches_the_replayed_groups(solved_cloud, monkeypatch):
     s = cloud.samples
     g, gp = (lambda x: np.exp(-x / 2.0)), (lambda x: -0.5 * np.exp(-x / 2.0))
 
-    def summands(sub, n):
-        x = s[sub.integers(0, s.size, size=n)]
-        y = s[sub.integers(0, s.size, size=n)]
+    def summands(sub, k, m):
+        x = s[sub.integers(0, s.size, size=k * m)]
+        y = s[sub.integers(0, s.size, size=k * m)]
         return x * (x - 1.0) * gp(x) + g(x) - g(x + y)
 
     # a batch of 20 tuples in pieces of 7, 7 and 6; 3 batches per draw; all 10 of a group in one draw
