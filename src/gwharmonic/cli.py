@@ -168,10 +168,10 @@ def _run(args) -> int:
 
 
 def cmd_rde_solve(args) -> ExperimentReport:
-    if args.particles < 1000:
-        raise CliError("--particles must be >= 1e3")
-    if args.max_iters < 1:
-        raise CliError("--max-iters must be >= 1")
+    for flag, ok, bound in (("particles", args.particles >= 1000, ">= 1e3"), ("tol", args.tol > 0, "> 0"),
+                            ("max-iters", args.max_iters >= 1, ">= 1"), ("polish", args.polish >= 0, ">= 0")):
+        if not ok:
+            raise CliError(f"--{flag} must be {bound}")
     m, tol = args.particles, args.tol
     rng = task_stream(args.seed, "rde", 0)
     result = rde.solve_fixpoint(m, tol, args.max_iters, rng, seed=args.seed, polish=args.polish)
@@ -397,7 +397,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         _fill(args)
         return _run(args)
-    except (CliError, FileNotFoundError, ValueError) as exc:  # CloudFormatError, OffspringError too
+    except (CliError, OSError, ValueError) as exc:  # CloudFormatError, OffspringError, IsADirectoryError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

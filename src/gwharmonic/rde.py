@@ -340,9 +340,6 @@ def laplace_ode_residual(cloud: ParticleCloud, ell_grid) -> list[Residual]:
 CLOUD_MAGIC = "GAMMA-CLOUD"
 CLOUD_VERSION = "v2"
 _LINE = 17  # 16 hex digits and a newline
-_DIGITS = b"0123456789abcdef\n"  # code -> byte: the 16 nibble values, then 16 for the line end
-_ENCODE = _DIGITS.ljust(256, b"\0")
-_DECODE = bytes(_DIGITS.find(b) if b in _DIGITS else len(_DIGITS) for b in range(256))  # 17: no place in a line
 
 
 def save_cloud(cloud: ParticleCloud, path) -> None:
@@ -350,28 +347,27 @@ def save_cloud(cloud: ParticleCloud, path) -> None:
     the 16 lowercase hex digits of the value's big-endian IEEE-754 binary64
     bits (1.0 is `3ff0000000000000`).  Exact and byte-reproducible; any
     language reads a line in one call, in Python
-    `struct.unpack(">d", bytes.fromhex(line))`.  Encoded one block per write:
-    nibble codes, then one table translation to text."""
+    `struct.unpack(">d", bytes.fromhex(line))`.  One `hex` call spells each
+    block, a newline after every 8 bytes but the last; one more ends it."""
     cloud.validate()
     s = cloud.samples
-    codes = np.empty((min(s.size, _SAVE_BLOCK), _LINE), dtype=np.uint8)
-    codes[:, 16] = 16
+    buf = np.empty(min(s.size, _SAVE_BLOCK), dtype=">f8")
     with open(path, "wb") as fh:
         fh.write(f"{CLOUD_MAGIC} {CLOUD_VERSION} {cloud.size} {cloud.seed} {cloud.iteration_count}\n".encode("ascii"))
         for lo in range(0, s.size, _SAVE_BLOCK):
-            blk = s[lo : lo + _SAVE_BLOCK]
-            octets = blk.astype(">f8").view(np.uint8).reshape(blk.size, 8)
-            lines = codes[: blk.size]
-            np.right_shift(octets, 4, out=lines[:, 0:16:2])
-            np.bitwise_and(octets, 15, out=lines[:, 1:16:2])
-            fh.write(lines.tobytes().translate(_ENCODE))
+            blk = buf[: min(_SAVE_BLOCK, s.size - lo)]
+            blk[:] = s[lo : lo + blk.size]
+            fh.writelines((memoryview(blk.view(np.uint8)).hex("\n", 8).encode("ascii"), b"\n"))
 
 
 def load_cloud(path) -> ParticleCloud:
     """Read a `save_cloud` file block by block, rejecting a wrong header or
     length and any byte out of place; the values are then checked by
-    `ParticleCloud.validate`.  Files of other versions are refused: re-run
-    `gwharmonic rde solve` to rebuild them."""
+    `ParticleCloud.validate`.  One `bytes.fromhex` decodes each block; it
+    skips whitespace and takes `A`-`F`, so 8 bytes a line rules out spaces
+    and short lines, a newline at every 17th byte any other line end, and a
+    scan for `A`-`F` capitals; a non-ASCII byte fails the ASCII decode.
+    Files of other versions are refused: re-run `gwharmonic rde solve`."""
     with open(path, "rb") as fh:
         header = fh.readline(256).decode("ascii", errors="replace").split()
         if len(header) != 5:
@@ -392,17 +388,21 @@ def load_cloud(path) -> ParticleCloud:
         if body > _LINE * m:
             raise CloudFormatError(f"{path}: {body - _LINE * m} bytes after line {m}")
         samples = np.empty(m, dtype=np.float64)
+        text = bytearray(_LINE * min(m, _SAVE_BLOCK))
         for lo in range(0, m, _SAVE_BLOCK):
-            k = min(_SAVE_BLOCK, m - lo)
-            codes = np.frombuffer(fh.read(_LINE * k).translate(_DECODE), dtype=np.uint8).reshape(k, _LINE)
-            bad = np.flatnonzero(codes[:, 16] != 16)
-            if bad.size:
-                raise CloudFormatError(f"{path}: value {lo + bad[0]} is not 16 digits and a newline")
-            if np.count_nonzero(codes > 15) != k:  # the k line ends are the only non-digits
-                bad = np.flatnonzero((codes[:, :16] > 15).any(axis=1))
-                raise CloudFormatError(f"{path}: value {lo + bad[0]} holds a byte that is not a lowercase hex digit")
-            octets = codes[:, 0:16:2] * np.uint8(16) + codes[:, 1:16:2]
-            samples[lo : lo + k] = octets.view(">f8").ravel()
+            del text[_LINE * (m - lo) :]  # the last block may be short
+            k = fh.readinto(text) // _LINE
+            try:
+                octets = bytes.fromhex(text.decode("ascii"))
+            except ValueError:  # a non-ASCII byte, or one neither a hex digit nor whitespace
+                octets = b""
+            if len(octets) != 8 * k or text[16::_LINE] != b"\n" * k or any(c in text for c in b"ABCDEF"):
+                lines = np.frombuffer(text, dtype=np.uint8).reshape(k, _LINE)
+                ends = lines[:, 16] != ord("\n")
+                i = np.flatnonzero(ends | ~np.isin(lines[:, :16], list(b"0123456789abcdef")).all(axis=1))[0]
+                raise CloudFormatError(f"{path}: value {lo + i} " + ("is not 16 digits and a newline" if ends[i]
+                                       else "holds a byte that is not a lowercase hex digit"))
+            samples[lo : lo + k] = np.frombuffer(octets, dtype=">f8")
     cloud = ParticleCloud(samples, iteration_count=iters, seed=seed)
     cloud.validate()
     return cloud

@@ -270,13 +270,32 @@ def test_trials_below_two_are_usage_errors(cloud_file, tmp_path, capsys, argv):
     (["rde", "solve", "--particles", "2000", "--max-iters", "0"], "--max-iters must be >= 1"),
     (["discrete", "fixed-size", "--offspring", "geometric", "--edges", "0", "--n", "5",
       "--trials", "20"], "sqrt(N)/2"),
-], ids=["particles-0", "max-iters-0", "edges-0"])
+    (["rde", "solve", "--particles", "2000", "--tol", "0"], "--tol must be > 0"),
+    (["rde", "solve", "--particles", "2000", "--tol", "-1"], "--tol must be > 0"),
+    (["rde", "solve", "--particles", "2000", "--tol", "nan"], "--tol must be > 0"),
+    (["rde", "solve", "--particles", "2000", "--polish", "-2"], "--polish must be >= 0"),
+], ids=["particles-0", "max-iters-0", "edges-0", "tol-0", "tol-negative", "tol-nan", "polish-negative"])
 def test_zero_counts_are_usage_errors(cloud_file, tmp_path, capsys, argv, message):
     # zero is a value, not "use the default": --particles 0 ran a 1e6 solve,
-    # --edges 0 ran N = 40000, and --max-iters 0 wrote a cloud, then crashed
+    # --edges 0 ran N = 40000, and --max-iters 0 wrote a cloud, then crashed;
+    # --tol -1 silently ran every --max-iters step, and --polish -2 ran and
+    # echoed -2 into the report
     assert run([*argv, *_cloud_flag(argv, cloud_file), "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["beta", "--cloud", "{tmp}", "--trials", "2000", "--out", "{tmp}/out"],
+    ["discrete", "levelset", "--offspring", "geometric", "--n", "4", "--p", "2", "--trials", "2",
+     "--out", "{tmp}/file"],
+], ids=["cloud-is-a-directory", "out-is-a-file"])
+def test_io_errors_exit_two_with_one_error_line(tmp_path, capsys, argv):
+    # both died through a traceback with exit code 1, which means "a check failed"
+    (tmp_path / "file").write_text("")
+    assert run([a.format(tmp=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def _cloud_flag(argv, cloud_file):

@@ -362,10 +362,11 @@ def _ieee_hex_cloud(m, seed, iters, values) -> bytes:
     return f"GAMMA-CLOUD v2 {m} {seed} {iters}\n{body}".encode("ascii")
 
 
-@pytest.mark.parametrize("size", [1, 3 * 2**16 + 17])
+@pytest.mark.parametrize("size", [1, 2**16, 3 * 2**16 + 17])
 def test_save_cloud_bytes_match_ieee_hex_lines(tmp_path, solved_cloud, size):
     # awkward values: 1.0, the next double after it, a power of two with an
-    # exponent, a cloud size that is not a multiple of the write block, M=1
+    # exponent, a cloud size that is not a multiple of the write block, one
+    # that is exactly one block, M=1
     awkward = [1.0, 1.0 + 2.0**-52, 1.5, 2.0**40, 2.0**53 + 2.0, 1e300]
     picked = solved_cloud.samples[:max(size - len(awkward), 0)]
     samples = np.sort(np.concatenate((awkward, picked)))[:size]
@@ -375,6 +376,13 @@ def test_save_cloud_bytes_match_ieee_hex_lines(tmp_path, solved_cloud, size):
     assert path.read_bytes() == _ieee_hex_cloud(size, 41, 3, samples)
     back = rde.load_cloud(path).samples
     assert np.array_equal(back.view(np.uint64), samples.view(np.uint64))
+
+
+def _hex_cloud_with(m, i, digit) -> bytes:
+    """An m-value v2 file whose value i ends in `digit`."""
+    text = bytearray(_ieee_hex_cloud(m, 0, 0, 1.0 + np.arange(m) / m))
+    text[-17 * (m - i) + 15] = digit[0]
+    return bytes(text)
 
 
 def test_cloud_format_errors(tmp_path):
@@ -393,9 +401,37 @@ def test_cloud_format_errors(tmp_path):
         (b"GAMMA-CLOUD v2 2 0 0\n3ff00000000000000\n400000000000000\n", "value 0 is not 16 digits and a newline"),
         (b"GAMMA-CLOUD v2 2 0 0\n3ff0000000000000\n7ff8000000000000\n", "non-finite"),
         (b"GAMMA-CLOUD v1 2 0 0\n1\n2\n", "unsupported version 'v1'.*rde solve"),
+        # whitespace and capitals that bytes.fromhex would accept, a non-ASCII byte
+        (b"GAMMA-CLOUD v2 2 0 0\n3ff0000000000000\n40000000 0000000\n", "value 1 .*lowercase hex"),
+        (b"GAMMA-CLOUD v2 2 0 0\n3ff0 00000000 00\n4000000000000000\n", "value 0 .*lowercase hex"),
+        (b"GAMMA-CLOUD v2 2 0 0\n3f\t0000000000000\n4000000000000000\n", "value 0 .*lowercase hex"),
+        (b"GAMMA-CLOUD v2 2 0 0\n3ff0000000000000\r4000000000000000\n", "value 0 is not 16 digits and a newline"),
+        (b"GAMMA-CLOUD v2 2 0 0\n3ff0000000000000\n40000000\xff0000000\n", "value 1 .*lowercase hex"),
+        # a capital in the second block, a bad digit on the last line of a short last block
+        (_hex_cloud_with(2**16 + 2, 2**16 + 1, b"A"), "value 65537 .*lowercase hex"),
+        (_hex_cloud_with(2**16 + 5, 2**16 + 4, b"g"), "value 65540 .*lowercase hex"),
     ]
     path = tmp_path / "bad.txt"
     for text, match in cases:
         path.write_bytes(text)
         with pytest.raises(rde.CloudFormatError, match=match):
             rde.load_cloud(path)
+
+
+def test_cloud_codec_holds_at_most_three_and_a_quarter_blocks_of_text(tmp_path):
+    # the block codec's peak, beyond the samples array load_cloud returns;
+    # a whole-file read would hold 16 blocks
+    m, block_text = 2**20, 17 * 2**16
+    cloud = rde.ParticleCloud(np.sort(1.0 + task_stream(28, "rde", 28).random(m)), 3, 28)
+    path = tmp_path / "cloud.txt"
+    peaks = []
+    tracemalloc.start()
+    try:
+        for call, extra in ((lambda: rde.save_cloud(cloud, path), 0), (lambda: rde.load_cloud(path), 8 * m)):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            peaks.append((tracemalloc.get_traced_memory()[1] - base - extra) / block_text)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) <= 3.25, peaks
