@@ -116,12 +116,6 @@ def _load_cloud(path) -> rde.ParticleCloud:
     return rde.load_cloud(p)
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_report(report: ExperimentReport, outdir: Path, fmt: str) -> list[Path]:
     paths = []
     if fmt in ("json", "both"):
@@ -146,14 +140,16 @@ def _config(args) -> dict:
 def _run(args) -> int:
     """Run the command and report it: its wall clock runs from the parsed
     flags to the finished report, and the flag echo goes under the report's
-    own config entries.  Writes the report, prints its checks, and returns
-    the exit code: 0 when every check passes, 1 otherwise, inverted under
-    --expect-fail."""
+    own config entries.  Makes --out first, so a bad one fails before any
+    work; writes the report, prints its checks, and returns the exit code:
+    0 when every check passes, 1 otherwise, inverted under --expect-fail."""
     t0 = time.perf_counter()
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     report = args.run(args)
     report.wall_clock_s = time.perf_counter() - t0
     report.config = _config(args) | report.config
-    paths = _write_report(report, _outdir(args), args.format)
+    paths = _write_report(report, out, args.format)
     tally = f"{sum(c['passed'] for c in report.checks)}/{len(report.checks)} checks passed; "
     print(f"{report.experiment}: {tally if report.checks else ''}"
           f"wrote {', '.join(map(str, paths))}")
@@ -175,7 +171,7 @@ def cmd_rde_solve(args) -> ExperimentReport:
     m, tol = args.particles, args.tol
     rng = task_stream(args.seed, "rde", 0)
     result = rde.solve_fixpoint(m, tol, args.max_iters, rng, seed=args.seed, polish=args.polish)
-    cloud_path = _outdir(args) / f"cloud_M{m}_seed{args.seed}.txt"
+    cloud_path = Path(args.out) / f"cloud_M{m}_seed{args.seed}.txt"
     rde.save_cloud(result.cloud, cloud_path)
     floor = rde.estimate_floor(result.cloud, task_stream(args.seed, "rde", 1))
     final_d1 = result.trace[-1][1]
@@ -192,6 +188,7 @@ def cmd_rde_solve(args) -> ExperimentReport:
         "mean": rde.moment(result.cloud, 1),
         "K0": rde.estimate_K0(result.cloud),
         "cloud_file": str(cloud_path),
+        "start_law": result.start_law.summary(),  # the grid law whose quantiles it started from
     }
     if summary["tol_below_floor"]:
         print(f"warning: tol {tol:g} is below the measured Monte Carlo floor {floor:.2e} "

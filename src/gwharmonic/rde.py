@@ -4,7 +4,9 @@ The law is the unique fixed point of the map taking X1, X2 iid and U uniform
 to (U + (1-U)/(X1+X2))^{-1}; one population step resamples both arguments
 with replacement from the current cloud.  The map contracts the 1-Wasserstein
 metric at rate 2(1-log 2) ~ 0.6137, so iteration from any start converges to
-the fixed point up to the Monte Carlo floor of the population size.
+the fixed point up to the Monte Carlo floor of the population size.  The
+solver starts at the quantiles of `grid_law`, the map iterated on cell
+masses, so its first step already moves the cloud by Monte Carlo noise alone.
 
 Validation tooling lives here too: moment identities, the tail law
 F(t) = K0/t + 1 - K0 on [1,2], and the exact-moment residual of the
@@ -28,6 +30,8 @@ _CHUNK = 1 << 17  # particles per phi_step chunk (one stream and one pool task),
 _SAVE_BLOCK = 1 << 16  # cloud values encoded or decoded per block (~1 MB of text)
 _BATCHES = 100  # batch means behind every batched standard error (here and in beta)
 _TASKS = 10  # groups of consecutive batches per batched draw: one stream and one pool task each
+_GRID_TOP, _GRID_H = 30.0, 0.02  # the grid law's support [1, top) and cell width; mass beyond top is dropped
+_GRID_L1, _GRID_ITERS = 1e-12, 200  # its stopping rule: successive masses L1-close, or the step cap
 
 
 class CloudFormatError(ValueError):
@@ -97,10 +101,6 @@ class ParticleCloud:
             raise CloudFormatError("cloud values must be sorted ascending")
 
 
-def constant_cloud(m: int, value: float = 1.0, seed: int = 0) -> ParticleCloud:
-    return ParticleCloud(np.full(m, float(value)), iteration_count=0, seed=seed)
-
-
 def phi_step(cloud: ParticleCloud, rng) -> ParticleCloud:
     """One population step: cloud-size many iid draws of G(U, X1, X2) with
     X1, X2 resampled with replacement from the cloud.
@@ -163,12 +163,66 @@ def wasserstein1(a: ParticleCloud, b: ParticleCloud) -> float:
     return float(np.mean(d))
 
 
+def _self_convolution(p: np.ndarray) -> np.ndarray:
+    """The masses of X1 + X2 for X1, X2 iid with masses p on a lattice (entry
+    k sums p[i] p[j] over i + j = k), by one zero-padded rfft."""
+    return np.fft.irfft(np.fft.rfft(p, 2 * p.size) ** 2, 2 * p.size)[: 2 * p.size - 1]
+
+
+@dataclass(eq=False)
+class GridLaw:
+    """The fixed point as its CDF at the edges of the cells [1 + ih, 1 + (i+1)h) of
+    [1, _GRID_TOP): linear in each cell, each cell's mass a midpoint atom for E[C]."""
+
+    edges: np.ndarray
+    cdf: np.ndarray
+    h: float
+
+    def summary(self) -> dict:
+        return {"h": self.h, "top": _GRID_TOP, "mean": float(np.diff(self.cdf) @ (self.edges[1:] - self.h / 2.0)),
+                "K0": 2.0 * float(np.interp(2.0, self.edges, self.cdf))}
+
+    def quantile_cloud(self, m: int, seed: int) -> ParticleCloud:
+        """The quantiles at the levels (i + 1/2)/m, in _CHUNK slices of one output."""
+        out = np.arange(m, dtype=np.float64)
+        out += 0.5
+        out /= m  # the levels, replaced by their quantiles in place
+        for lo in range(0, m, _CHUNK):
+            out[lo : lo + _CHUNK] = np.interp(out[lo : lo + _CHUNK], self.cdf, self.edges)
+        return ParticleCloud(out, 0, seed)
+
+
+def grid_law(h: float = _GRID_H) -> GridLaw:
+    """The map on cell masses, from all mass in the first cell until successive
+    masses are _GRID_L1-close in L1.  The atoms of S = X1 + X2 lie on cell
+    edges, and as 1/G is uniform on [1/S, 1] the new CDF at an edge c is
+    P(S <= c) + (1 - 1/c) E[1/(1 - 1/S); S > c].  FFT round-off leaves tiny
+    negative masses in the far tail, which would double every step: they are
+    clipped to 0 and the masses renormalised.  E[C] converges as h^2."""
+    n = round((_GRID_TOP - 1.0) / h)
+    edges = 1.0 + h * np.arange(n + 1)
+    s = 2.0 + h * np.arange(1, 2 * n)
+    k = np.searchsorted(s, edges, side="right")  # the atoms of S at or below each edge
+    p = np.r_[1.0, np.zeros(n - 1)]  # all mass in the first cell
+    for _ in range(_GRID_ITERS):
+        q = _self_convolution(p)
+        below = np.concatenate(([0.0], np.cumsum(q)))
+        above = np.concatenate((np.cumsum((q / (1.0 - 1.0 / s))[::-1])[::-1], [0.0]))
+        new = np.maximum(np.diff(below[k] + (1.0 - 1.0 / edges) * above[k]), 0.0)
+        new /= new.sum()
+        step, p = np.abs(new - p).sum(), new
+        if step < _GRID_L1:
+            break
+    return GridLaw(edges, np.concatenate(([0.0], np.cumsum(p))), h)
+
+
 @dataclass
 class SolveResult:
     cloud: ParticleCloud
     trace: list  # (iteration, d1 to previous cloud)
     converged: bool
     tol: float
+    start_law: GridLaw | None  # the default start's law; None for an `initial` cloud
 
 
 def solve_fixpoint(
@@ -180,19 +234,18 @@ def solve_fixpoint(
     seed: int = 0,
     polish: int = 0,
 ) -> SolveResult:
-    """Iterate the population step from the all-ones cloud until successive
-    clouds are tol-close in d1.  Non-convergence is reported, never raised.
-
-    The stopping rule measures step size, not distance to the fixed point;
-    stopping the monotone approach from all-ones leaves a residual bias of
-    order tol in smooth functionals.  `polish` extra steps after convergence
-    shrink it by the contraction rate per step.
-    """
+    """Iterate the population step from `initial`, or else from the quantile
+    cloud of `grid_law`, until successive clouds are tol-close in d1.
+    Non-convergence is reported, never raised.  The stopping rule measures
+    step size, not distance to the fixed point; stopping leaves a residual
+    bias of at most order tol in smooth functionals, and `polish` extra steps
+    after convergence shrink it by the contraction rate per step."""
     if m < 1000:
         raise ValueError("population size must be >= 1e3")
     if initial is not None and initial.size != m:
         raise ValueError(f"initial cloud holds {initial.size} particles, not {m}")
-    cloud = initial if initial is not None else constant_cloud(m, 1.0, seed)
+    law = grid_law() if initial is None else None
+    cloud = law.quantile_cloud(m, seed) if initial is None else initial
     trace = []
     converged = False
     for it in range(1, max_iters + 1):
@@ -209,7 +262,7 @@ def solve_fixpoint(
             trace.append((cloud.iteration_count + 1, wasserstein1(nxt, cloud)))
             cloud = nxt
     cloud = ParticleCloud(cloud.samples, cloud.iteration_count, seed)
-    return SolveResult(cloud=cloud, trace=trace, converged=converged, tol=tol)
+    return SolveResult(cloud=cloud, trace=trace, converged=converged, tol=tol, start_law=law)
 
 
 def estimate_floor(cloud: ParticleCloud, rng) -> float:
@@ -376,8 +429,8 @@ def load_cloud(path) -> ParticleCloud:
         if magic != CLOUD_MAGIC:
             raise CloudFormatError(f"{path}: bad magic {magic!r}")
         if version != CLOUD_VERSION:
-            raise CloudFormatError(f"{path}: unsupported version {version!r}; re-run `gwharmonic rde solve` with "
-                                   f"the same seed and flags to rebuild the same samples as {CLOUD_VERSION}")
+            raise CloudFormatError(f"{path}: unsupported version {version!r}; re-run `gwharmonic rde solve` "
+                                   f"to rebuild it as {CLOUD_VERSION}")
         try:
             m, seed, iters = int(m_str), int(seed_str), int(iters_str)
         except ValueError as exc:

@@ -29,7 +29,9 @@ rotated by `cycle_rotation`: the reference that
 it keeps, is replayed against.
 
 The continuum section holds the whole-tree sampler that `continuum`
-replaced by its harmonic-ray chain.  `phi_step_serial` is `rde.phi_step`
+replaced by its harmonic-ray chain.  `constant_cloud` is a cloud with no
+spread: the solver's former all-ones start, and the negative controls'
+cloud.  `phi_step_serial` is `rde.phi_step`
 without the thread pool, at any chunk size, and
 `laplace_ode_residual_serial` is `rde.laplace_ode_residual` one l at a time
 over whole-expression temporaries; `wasserstein1_grid` is
@@ -728,6 +730,10 @@ def tree_ray_mass_samples(cloud: ParticleCloud, eps: float, trials: int, rng) ->
 # ---------------------------------------------------------------------------
 # particle clouds
 # ---------------------------------------------------------------------------
+
+
+def constant_cloud(m: int, value: float = 1.0, seed: int = 0) -> ParticleCloud:
+    return ParticleCloud(np.full(m, float(value)), iteration_count=0, seed=seed)
 
 
 def phi_step_serial(cloud: ParticleCloud, rng, chunk: int = 1 << 20) -> ParticleCloud:

@@ -12,7 +12,7 @@ from gwharmonic.rngs import task_stream
 
 @pytest.fixture(scope="module")
 def ones():
-    return rde.constant_cloud(10**4, 1.0)
+    return orc.constant_cloud(10**4, 1.0)
 
 
 def test_kappa_all_ones_closed_form(ones):

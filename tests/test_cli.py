@@ -3,9 +3,10 @@ import json
 import warnings
 
 import numpy as np
+import oracles as orc
 import pytest
 
-from gwharmonic import cli, continuum, experiments, rde
+from gwharmonic import cli, continuum, experiments, rde, trees
 from gwharmonic.cli import main
 from gwharmonic.rngs import task_stream
 
@@ -29,9 +30,16 @@ def test_solve_writes_cloud_and_trace(cloud_file):
     assert cloud.size == 100000
     trace = (cloud_file.parent / "rde_solve_seed7.csv").read_text().splitlines()
     assert trace[0] == "iteration,d1"
-    assert len(trace) >= 3
     info = json.loads((cloud_file.parent / "rde_solve_seed7.json").read_text())
     assert info["converged"] is True
+    # one row per step, numbered from 1, the last one below tol
+    rows = [line.split(",") for line in trace[1:]]
+    assert [int(i) for i, _ in rows] == list(range(1, info["iterations"] + 1))
+    d1 = np.array([float(d) for _, d in rows])
+    assert np.all(np.isfinite(d1) & (d1 > 0)) and d1[-1] < info["config"]["extras"]["tol"]
+    law = info["start_law"]
+    assert (law["h"], law["top"]) == (0.02, 30.0)
+    assert law["mean"] == pytest.approx(1.72276, abs=1e-4) and law["K0"] == pytest.approx(1.4713, abs=2e-4)
     assert info["config"]["seed"] == 7
     bound = info["residual_bias_bound"]
     assert np.isfinite(bound) and bound > 0
@@ -69,7 +77,7 @@ def test_validate_passes_on_solved(cloud_file, tmp_path):
 
 
 def test_validate_negative_control(tmp_path):
-    ones = rde.constant_cloud(5000, 1.0)
+    ones = orc.constant_cloud(5000, 1.0)
     path = tmp_path / "ones.txt"
     rde.save_cloud(ones, path)
     # fails normally, passes under --expect-fail
@@ -226,8 +234,11 @@ def test_discrete_requires_offspring(cloud_file, tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_levelset_with_zero_se_reports_infinite_z(tmp_path):
-    # binary trees of height 2 all have one vertex at level 1: no spread
+def test_levelset_with_zero_se_reports_infinite_z(tmp_path, monkeypatch):
+    # identical trees, each with one vertex at level 1 and two at level 2: no
+    # spread, and a mean of 1 below the exact q_1/q_2 = 4/3 of binary trees
+    monkeypatch.setattr(experiments, "sample_conditioned_forest", lambda dist, n, trials, rng: (
+        trees.LevelForest(n, [np.ones(trials, np.int64), np.full(trials, 2, np.int64)])))
     code = run(["discrete", "levelset", "--offspring", "binary", "--n", "2", "--p", "1",
                 "--trials", "2", "--seed", "2", "--out", str(tmp_path)])
     cell = json.loads((tmp_path / "levelset_binary_2.json").read_text())["cells"][0]
@@ -294,6 +305,24 @@ def test_io_errors_exit_two_with_one_error_line(tmp_path, capsys, argv):
     # both died through a traceback with exit code 1, which means "a check failed"
     (tmp_path / "file").write_text("")
     assert run([a.format(tmp=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["rde", "solve", "--particles", "2000"], (rde, "solve_fixpoint")),
+    (["discrete", "levelset", "--offspring", "geometric", "--n", "4", "--p", "2", "--trials", "2"],
+     (experiments, "sample_conditioned_forest")),
+], ids=["rde-solve", "discrete-levelset"])
+def test_out_is_checked_before_the_work(tmp_path, capsys, monkeypatch, argv, work):
+    # both ran their whole work (a 0.49 s solve, a 1.0 s levelset at full)
+    # before an --out that is a file failed
+    def reached(*a, **k):
+        raise AssertionError("the work ran before --out was checked")
+
+    monkeypatch.setattr(*work, reached)
+    (tmp_path / "file").write_text("")
+    assert run([*argv, "--out", str(tmp_path / "file")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
 

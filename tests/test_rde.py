@@ -1,4 +1,6 @@
+import inspect
 import struct
+import textwrap
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -18,7 +20,7 @@ from gwharmonic.rngs import task_stream
 
 def test_phi_step_from_all_ones():
     rng = task_stream(1, "rde", 1)
-    cloud = rde.constant_cloud(10**6)
+    cloud = orc.constant_cloud(10**6)
     out = rde.phi_step(cloud, rng)
     # law of 2/(1+U): mean 2 log 2
     assert out.samples.mean() == pytest.approx(2 * np.log(2), abs=0.002)
@@ -106,7 +108,7 @@ def test_results_do_not_depend_on_the_worker_count(monkeypatch):
 def test_two_steps_from_point_mass_at_infinity_proxy():
     # F_{Phi^2(delta_inf)}(t) <= 4/t^2
     rng = task_stream(3, "rde", 3)
-    cloud = rde.constant_cloud(10**5, 1e9)
+    cloud = orc.constant_cloud(10**5, 1e9)
     out = rde.phi_step(rde.phi_step(cloud, rng), rng)
     for t in (4.0, 8.0, 16.0):
         bound = 4.0 / t**2
@@ -180,8 +182,8 @@ def test_d1_allocates_one_cloud_buffer(n, k):
 def test_contraction_audit():
     # coupled steps contract d1 by at most 2(1 - log 2) ~ 0.6137
     rng = task_stream(5, "rde", 5)
-    a = rde.constant_cloud(10**5, 1.0)
-    b = rde.constant_cloud(10**5, 3.0)
+    a = orc.constant_cloud(10**5, 1.0)
+    b = orc.constant_cloud(10**5, 3.0)
     d0 = rde.wasserstein1(a, b)
     assert d0 == pytest.approx(2.0)
     fa, fb = orc.phi_step_coupled(a, b, rng)
@@ -197,7 +199,8 @@ def test_contraction_audit():
 
 
 def test_solver_converges_and_mean(solved_cloud):
-    assert solved_cloud.iteration_count <= 40
+    # from the grid start the first step's d1 is Monte Carlo noise, below tol
+    assert solved_cloud.iteration_count <= 3
     assert rde.moment(solved_cloud, 1) == pytest.approx(1.72, abs=0.03)
 
 
@@ -210,7 +213,7 @@ def test_solver_rejects_tiny_population():
 def test_solver_rejects_initial_cloud_of_another_size():
     rng = task_stream(6, "rde", 6)
     with pytest.raises(ValueError, match="initial cloud"):
-        rde.solve_fixpoint(2000, 1e-2, 10, rng, initial=rde.constant_cloud(1000))
+        rde.solve_fixpoint(2000, 1e-2, 10, rng, initial=orc.constant_cloud(1000))
 
 
 def test_unique_fixed_point_from_two_starts():
@@ -219,10 +222,20 @@ def test_unique_fixed_point_from_two_starts():
     tol = 3e-3
     r1 = rde.solve_fixpoint(3 * 10**5, tol, 60, rng1)
     r3 = rde.solve_fixpoint(
-        3 * 10**5, tol, 60, rng2, initial=rde.constant_cloud(3 * 10**5, 3.0)
+        3 * 10**5, tol, 60, rng2, initial=orc.constant_cloud(3 * 10**5, 3.0)
     )
     assert r1.converged and r3.converged
     assert rde.wasserstein1(r1.cloud, r3.cloud) <= 2 * tol
+
+
+def test_grid_start_and_all_ones_start_agree():
+    tol, m = 3e-3, 3 * 10**5
+    grid = rde.solve_fixpoint(m, tol, 60, task_stream(7, "rde", 7))
+    ones = rde.solve_fixpoint(m, tol, 60, task_stream(8, "rde", 8), initial=orc.constant_cloud(m))
+    assert grid.converged and ones.converged
+    assert grid.start_law is not None and ones.start_law is None
+    assert len(grid.trace) < len(ones.trace)
+    assert rde.wasserstein1(grid.cloud, ones.cloud) <= 2 * tol
 
 
 def test_fixed_point_consistency(solved_cloud):
@@ -237,6 +250,85 @@ def test_nonconvergence_is_reported_not_raised():
     res = rde.solve_fixpoint(10**4, 1e-9, 5, rng)
     assert not res.converged
     assert len(res.trace) == 5
+
+
+# ---------------------------------------------------------------------------
+# the grid law
+# ---------------------------------------------------------------------------
+
+EXACT_MEAN_C = 1.7227572850  # by shooting the Laplace ODE from l = 0
+GRID_STEPS = (0.04, 0.02, 0.01)
+
+
+def _grid_problems(grid_law) -> list[str]:
+    """The checks on `grid_law(h)` over GRID_STEPS, bounds fixed before the
+    first run: E[C] within 1e-4 of exact at h = 0.02, E[C^2] - 2 E[C] (zero
+    for the exact law) within 2e-4 there, and both falling as h^2: each
+    halving of h divides them by 3.5 to 4.5."""
+    err, res = [], []
+    for h in GRID_STEPS:
+        law = grid_law(h)
+        p, x = np.diff(law.cdf), law.edges[1:] - h / 2.0
+        err.append(p @ x - EXACT_MEAN_C)
+        res.append(p @ x**2 - 2.0 * (p @ x))
+    problems = []
+    for name, v, bound in (("E[C] error", err, 1e-4), ("E[C^2] - 2E[C]", res, 2e-4)):
+        if not abs(v[1]) <= bound:
+            problems.append(f"{name} {v[1]:.2e} at h=0.02")
+        ratios = np.array(v[:-1]) / np.array(v[1:])
+        if not np.all((ratios >= 3.5) & (ratios <= 4.5)):
+            problems.append(f"{name} ratios {ratios} per halving of h")
+    return problems
+
+
+def test_grid_law_converges_as_h_squared():
+    assert _grid_problems(rde.grid_law) == []
+    assert rde.grid_law().summary()["K0"] == pytest.approx(1.4713, abs=2e-4)
+
+
+def _mutated(fn, old: str, new: str):
+    """fn recompiled in its module's namespace from its source, with the one
+    occurrence of `old` replaced by `new`."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1
+    namespace = dict(vars(inspect.getmodule(fn)))
+    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
+    return namespace[fn.__name__]
+
+
+def test_grid_law_checks_fail_on_planted_faults(monkeypatch):
+    # the tail term without its (1 - 1/c)
+    no_factor = _mutated(rde.grid_law, "(1.0 - 1.0 / edges) * above[k]", "above[k]")
+    with np.errstate(invalid="ignore"):
+        assert _grid_problems(no_factor) != []
+    # S built from one copy of the law: the masses of 2 X1, not X1 + X2
+    monkeypatch.setattr(rde, "_self_convolution",
+                        lambda p: np.bincount(2 * np.arange(p.size), p, 2 * p.size - 1))
+    assert _grid_problems(rde.grid_law) != []
+
+
+def test_self_convolution_is_the_direct_sum():
+    p = task_stream(29, "rde", 29).random(777)
+    assert np.allclose(rde._self_convolution(p), np.convolve(p, p), rtol=1e-12, atol=1e-12)
+
+
+def test_quantile_cloud_is_one_chunked_output():
+    law = rde.grid_law()
+    m = 4 * rde._CHUNK + 12345
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        cloud = law.quantile_cloud(m, 5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the output, which holds the levels, and one chunk of interp output; one
+    # interp over an m-length level array would hold two more clouds' worth
+    assert peak <= 8 * m + 1.5 * 8 * rde._CHUNK
+    assert np.array_equal(cloud.samples, np.interp((np.arange(m) + 0.5) / m, law.cdf, law.edges))
+    assert (cloud.size, cloud.iteration_count, cloud.seed) == (m, 0, 5)
+    cloud.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +378,7 @@ def test_check_identity_matches_the_replayed_groups(solved_cloud, monkeypatch):
 
 def test_identity_negative_controls(solved_cloud):
     rng = task_stream(12, "rde", 12)
-    ones = rde.constant_cloud(10**5, 1.0)
+    ones = orc.constant_cloud(10**5, 1.0)
     chk = rde.check_identity(ones, ("monomial", 1), rng)
     assert chk.std_error == 0.0 and chk.residual == pytest.approx(-1.0)
     assert np.isinf(chk.z)
@@ -335,7 +427,7 @@ def test_laplace_ode_residual_matches_the_serial_loop(m):
 
 
 def test_laplace_ode_negative_control():
-    ones = rde.constant_cloud(10**5, 1.0)
+    ones = orc.constant_cloud(10**5, 1.0)
     chk = rde.laplace_ode_residual(ones, [1.0])[0]
     expected = np.exp(-1.0) - np.exp(-0.5)
     assert chk.residual == pytest.approx(expected, abs=1e-12)
