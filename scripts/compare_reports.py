@@ -6,8 +6,8 @@ Every `*.json`, `*.csv` and `*.txt` file in either directory is compared
 with its namesake in the other.  In the reports, `wall_clock_s` and
 `config.out` are ignored, and a string that starts with its report's own
 `config.out` + "/" (such as the cloud path) is compared by the remainder
-after that prefix; for each report that differs, the first differing key
-path is printed (CSV paths read `file.csv:row[i].column`).  `*.txt` files
+after that prefix; every differing key path is printed, one line each
+(CSV paths read `file.csv:row[i].column`).  `*.txt` files
 (the clouds) are compared byte for byte and print `<name> differs`.  Exits
 1 on any difference, 0 when the directories match.
 """
@@ -30,29 +30,26 @@ def _out_prefix(report) -> str | None:
     return out.rstrip("/") + "/" if isinstance(out, str) else None
 
 
-def first_difference(a, b, path=(), prefixes=(None, None)):
-    """Key path (a tuple) of the first difference between two JSON values, or
-    None; a string starting with its side's prefix is compared without it."""
+def differences(a, b, path=(), prefixes=(None, None)):
+    """Key paths (tuples) of every difference between two JSON values, keys
+    sorted and rows in order; a string starting with its side's prefix is
+    compared without it."""
     if path in IGNORED:
-        return None
+        return
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
-            found = first_difference(a.get(key, MISSING), b.get(key, MISSING), path + (key,),
-                                     prefixes)
-            if found is not None:
-                return found
-        return None
+            yield from differences(a.get(key, MISSING), b.get(key, MISSING), path + (key,), prefixes)
+        return
     if isinstance(a, list) and isinstance(b, list):
         for i in range(max(len(a), len(b))):
-            found = first_difference(a[i] if i < len(a) else MISSING,
-                                     b[i] if i < len(b) else MISSING, path + (i,), prefixes)
-            if found is not None:
-                return found
-        return None
+            yield from differences(a[i] if i < len(a) else MISSING,
+                                   b[i] if i < len(b) else MISSING, path + (i,), prefixes)
+        return
     if isinstance(a, str) and isinstance(b, str):
         a, b = (s.removeprefix(p) if p else s for s, p in zip((a, b), prefixes))
     same = a == b or (a != a and b != b)  # NaN equals NaN here
-    return None if type(a) is type(b) and same else path
+    if type(a) is not type(b) or not same:
+        yield path
 
 
 def _load(path: Path):
@@ -73,7 +70,8 @@ def _format(name: str, path: tuple) -> str:
 
 
 def compare(dir_a: Path, dir_b: Path) -> list[str]:
-    """One line per differing or unmatched report or cloud file."""
+    """One line per differing report key path, and per differing or
+    unmatched report or cloud file."""
     names = sorted({p.name for d in (dir_a, dir_b) for p in d.iterdir()
                     if p.suffix in (".json", ".csv", ".txt")})
     lines = []
@@ -87,9 +85,8 @@ def compare(dir_a: Path, dir_b: Path) -> list[str]:
                 lines.append(f"{name} differs")
             continue
         a, b = _load(pa), _load(pb)
-        found = first_difference(a, b, prefixes=(_out_prefix(a), _out_prefix(b)))
-        if found is not None:
-            lines.append(f"{_format(name, found)} differs")
+        lines += [f"{_format(name, path)} differs"
+                  for path in differences(a, b, prefixes=(_out_prefix(a), _out_prefix(b)))]
     return lines
 
 

@@ -142,7 +142,7 @@ def _run(args) -> int:
     flags to the finished report, and the flag echo goes under the report's
     own config entries.  Makes --out first, so a bad one fails before any
     work; writes the report, prints its checks, and returns the exit code:
-    0 when every check passes, 1 otherwise, inverted under --expect-fail."""
+    0 when every check passes, 1 otherwise."""
     t0 = time.perf_counter()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -155,7 +155,7 @@ def _run(args) -> int:
           f"wrote {', '.join(map(str, paths))}")
     for c in report.checks:
         print(f"  [{'PASS' if c['passed'] else 'FAIL'}] {c['criterion']}: {c['detail']}")
-    return 0 if report.passed != getattr(args, "expect_fail", False) else 1
+    return 0 if report.passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +174,10 @@ def cmd_rde_solve(args) -> ExperimentReport:
     cloud_path = Path(args.out) / f"cloud_M{m}_seed{args.seed}.txt"
     rde.save_cloud(result.cloud, cloud_path)
     floor = rde.estimate_floor(result.cloud, task_stream(args.seed, "rde", 1))
-    final_d1 = result.trace[-1][1]
-    rho = rde.CONTRACTION_RATE
     summary = {
         "converged": result.converged,
         "iterations": result.cloud.iteration_count,
-        "final_d1": final_d1,
-        # d1 from the cloud to the fixed point, for a map contracting by rho
-        "residual_bias_bound": final_d1 * rho / (1.0 - rho),
+        "final_d1": result.trace[-1][1],
         "bootstrap_floor": floor,
         # d1 between successive clouds cannot shrink below the floor: the stopping rule tests noise
         "tol_below_floor": tol < floor,
@@ -290,7 +286,7 @@ def cmd_levelset(args) -> ExperimentReport:
 
 
 def cmd_fixed_size(args) -> ExperimentReport:
-    experiments.check_fixed_size_levels(args.edges, args.n)  # before the cloud is read
+    experiments.check_fixed_size_args(args.edges, args.n, args.delta)  # before the cloud is read
     dist, rng = _discrete(args)
     ref = _beta_ref(args, _load_cloud(args.cloud))
     report = experiments.run_corollary_fixed_size(dist, args.edges, args.n, args.trials, rng,
@@ -352,8 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--max-iters", type=int)
     solve.add_argument("--polish", type=int, help="extra steps after the stopping rule fires")
     validate = _command(rde_sub, "rde validate", cmd_rde_validate, "fixed-point identity checks")
-    validate.add_argument("--expect-fail", action="store_true",
-                          help="negative-control mode: exit 0 if checks fail")
 
     beta_p = _command(sub, "beta", cmd_beta, "triangulate the exponent from a cloud")
     beta_p.add_argument("--trials", type=int, help="stratified tuples per estimator")

@@ -106,27 +106,18 @@ class ExperimentReport:
 
 
 def mann_kendall(values, direction: int = 1) -> tuple[int, float]:
-    """One-sided Mann-Kendall trend test on a short series.
-
-    Returns (S, p) for the alternative `increasing` (direction=+1) or
-    `decreasing` (-1).  Exact permutation null for <= 7 points, normal
-    approximation with continuity correction beyond.  A permutation with
-    `inv` inversions has S = C(n,2) - 2 inv, and the inversion counts of the
-    n! permutations are the coefficients of prod_k (1 + x + ... + x^(k-1)).
-    """
+    """One-sided Mann-Kendall trend test: (S, p) for the alternative
+    `increasing` (direction=+1) or `decreasing` (-1), p from the exact
+    permutation null at every n.  A permutation with `inv` inversions has
+    S = C(n,2) - 2 inv, and the inversion counts of the n! permutations are
+    the coefficients of prod_k (1 + x + ... + x^(k-1)), in Python ints."""
     v = direction * np.asarray(values, dtype=float)
     n = v.size
     s = int(sum(np.sign(v[j] - v[i]) for i in range(n) for j in range(i + 1, n)))
-    if n <= 7:
-        inv = np.ones(1, np.int64)
-        for k in range(2, n + 1):
-            inv = np.convolve(inv, np.ones(k, np.int64))
-        p = int(inv[: (n * (n - 1) // 2 - s) // 2 + 1].sum()) / math.factorial(n)
-    else:
-        var = n * (n - 1) * (2 * n + 5) / 18.0
-        z = (s - 1) / np.sqrt(var) if s > 0 else (s + 1) / np.sqrt(var)
-        p = 0.5 * math.erfc(z / math.sqrt(2.0))
-    return s, p
+    inv = np.ones(1, object)
+    for k in range(2, n + 1):
+        inv = np.convolve(inv, np.ones(k, object))
+    return s, int(inv[: (n * (n - 1) // 2 - s) // 2 + 1].sum()) / math.factorial(n)
 
 
 def beta_reference(cloud: ParticleCloud, rng) -> BetaEstimate:
@@ -215,6 +206,19 @@ def _power_note(n: int) -> str:
     return f"; underpowered: smallest attainable p = {floor:.4f}" if floor >= 0.05 else ""
 
 
+def check_ladder(n_list, least: int) -> None:
+    """Refuse a level below `least`, then a ladder that does not strictly increase."""
+    if min(n_list) < least:
+        raise ValueError(f"n must be >= {least}")
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError(f"the n ladder must strictly increase, got {','.join(map(str, n_list))}")
+
+
+def check_delta(delta) -> None:
+    if not delta > 0:  # an empty concentration window; NaN fails too
+        raise ValueError(f"delta must be > 0, got {delta}")
+
+
 def exponent_trend_check(means, beta_ref) -> dict:
     """One-sided Mann-Kendall test that the gap |mean - beta_ref| shrinks
     along the n ladder.  The direction is fixed before the data are seen, so
@@ -230,8 +234,8 @@ def run_theorem1(dist, n_list, delta, trials, rng, beta_ref):
     -log mu_n(Sigma_n)/log n and the concentration statistic around the
     cloud-derived exponent beta_ref; trend across n is the theorem's content.
     Each forest's boundary uniforms are drawn after the forest."""
-    if min(n_list) < 4:
-        raise ValueError("n must be >= 4")
+    check_ladder(n_list, 4)
+    check_delta(delta)
 
     def exit_statistics(forest):
         return _tree_statistics(forest_boundary_log_mass(forest), forest.boundary_offsets(),
@@ -266,8 +270,7 @@ def run_theorem1(dist, n_list, delta, trials, rng, beta_ref):
 
 def run_conductance_convergence(dist, n_list, trials, cloud, rng):
     """Law of n C_n against the cloud: d1 must fall as n grows."""
-    if min(n_list) < 2:
-        raise ValueError("n must be >= 2")  # below 2 the mid-level is the root
+    check_ladder(n_list, 2)  # below 2 the mid-level is the root
 
     def scaled_conductance(forest):
         c = forest_conductance_to_level(forest)
@@ -316,17 +319,18 @@ def run_levelset(dist, n, p_list, trials, rng):
     return ExperimentReport("levelset", cfg, cells, checks)
 
 
-def check_fixed_size_levels(N, n) -> None:
-    """Refuse an edge count and level the fixed-size run cannot serve."""
+def check_fixed_size_args(N, n, delta) -> None:
+    """Refuse an edge count, level or delta the fixed-size run cannot serve."""
     if N < 1 or not 1 <= n <= math.sqrt(N) / 2:
         raise ValueError(f"need N >= 1 and 1 <= n <= sqrt(N)/2, got n={n}, N={N}")
+    check_delta(delta)
 
 
 def run_corollary_fixed_size(dist, N, n, trials, rng, beta_ref, delta):
     """Fixed-size variant: trees with N edges resampled until height >= n,
     then the same exit statistics as the height-conditioned run.  N and n
-    are checked before any draw."""
-    check_fixed_size_levels(N, n)
+    and delta are checked before any draw."""
+    check_fixed_size_args(N, n, delta)
     masses, sizes, batch, u = [], [], [], np.empty(trials)
     attempts = entries = 0
     for i in range(trials):

@@ -3,10 +3,10 @@
 The law is the unique fixed point of the map taking X1, X2 iid and U uniform
 to (U + (1-U)/(X1+X2))^{-1}; one population step resamples both arguments
 with replacement from the current cloud.  The map contracts the 1-Wasserstein
-metric at rate 2(1-log 2) ~ 0.6137, so iteration from any start converges to
-the fixed point up to the Monte Carlo floor of the population size.  The
-solver starts at the quantiles of `grid_law`, the map iterated on cell
-masses, so its first step already moves the cloud by Monte Carlo noise alone.
+metric at rate 2(1-log 2) ~ 0.6137, so iteration converges to the fixed
+point up to the Monte Carlo floor of the population size.  The solver starts
+at the quantiles of `grid_law`, the map iterated on cell masses, so its first
+step already moves the cloud by Monte Carlo noise alone.
 
 Validation tooling lives here too: moment identities, the tail law
 F(t) = K0/t + 1 - K0 on [1,2], and the exact-moment residual of the
@@ -25,7 +25,6 @@ import numpy as np
 
 from .rngs import pool
 
-CONTRACTION_RATE = 2.0 * (1.0 - math.log(2.0))  # ~0.6137 per iteration
 _CHUNK = 1 << 17  # particles per phi_step chunk (one stream and one pool task), tuples per batched draw
 _SAVE_BLOCK = 1 << 16  # cloud values encoded or decoded per block (~1 MB of text)
 _BATCHES = 100  # batch means behind every batched standard error (here and in beta)
@@ -221,48 +220,26 @@ class SolveResult:
     cloud: ParticleCloud
     trace: list  # (iteration, d1 to previous cloud)
     converged: bool
-    tol: float
-    start_law: GridLaw | None  # the default start's law; None for an `initial` cloud
+    start_law: GridLaw  # the grid law whose quantiles the solver started from
 
 
-def solve_fixpoint(
-    m: int,
-    tol: float,
-    max_iters: int,
-    rng,
-    initial: ParticleCloud | None = None,
-    seed: int = 0,
-    polish: int = 0,
-) -> SolveResult:
-    """Iterate the population step from `initial`, or else from the quantile
-    cloud of `grid_law`, until successive clouds are tol-close in d1.
-    Non-convergence is reported, never raised.  The stopping rule measures
-    step size, not distance to the fixed point; stopping leaves a residual
-    bias of at most order tol in smooth functionals, and `polish` extra steps
-    after convergence shrink it by the contraction rate per step."""
+def solve_fixpoint(m: int, tol: float, max_iters: int, rng, seed: int = 0, polish: int = 0) -> SolveResult:
+    """Step from the quantile cloud of `grid_law` until successive clouds are
+    tol-close in d1, then `polish` steps more; else stop after `max_iters`
+    steps (reported, never raised).  From this start each step's d1 is the
+    population's Monte Carlo noise, not a distance to the fixed point."""
     if m < 1000:
         raise ValueError("population size must be >= 1e3")
-    if initial is not None and initial.size != m:
-        raise ValueError(f"initial cloud holds {initial.size} particles, not {m}")
-    law = grid_law() if initial is None else None
-    cloud = law.quantile_cloud(m, seed) if initial is None else initial
-    trace = []
-    converged = False
-    for it in range(1, max_iters + 1):
+    law = grid_law()
+    cloud = law.quantile_cloud(m, seed)
+    trace, converged, stop = [], False, max_iters
+    while len(trace) < stop:
         nxt = phi_step(cloud, rng)
-        d1 = wasserstein1(nxt, cloud)
-        trace.append((it, d1))
+        trace.append((nxt.iteration_count, wasserstein1(nxt, cloud)))
         cloud = nxt
-        if d1 < tol:
-            converged = True
-            break
-    if converged:
-        for _ in range(polish):
-            nxt = phi_step(cloud, rng)
-            trace.append((cloud.iteration_count + 1, wasserstein1(nxt, cloud)))
-            cloud = nxt
-    cloud = ParticleCloud(cloud.samples, cloud.iteration_count, seed)
-    return SolveResult(cloud=cloud, trace=trace, converged=converged, tol=tol, start_law=law)
+        if not converged and trace[-1][1] < tol:
+            converged, stop = True, len(trace) + polish
+    return SolveResult(cloud, trace, converged, law)
 
 
 def estimate_floor(cloud: ParticleCloud, rng) -> float:

@@ -36,8 +36,8 @@ without the thread pool, at any chunk size, and
 `laplace_ode_residual_serial` is `rde.laplace_ode_residual` one l at a time
 over whole-expression temporaries; `wasserstein1_grid` is
 `rde.wasserstein1` with both quantile functions gathered on the full grid;
-`phi_step_coupled` checks the contraction rate of `rde.phi_step` behind
-`residual_bias_bound`,
+`phi_step_coupled` checks the contraction rate of `rde.phi_step`, and
+`solve_from` is the particle solver's former loop from any start cloud,
 `kappa` is the direct Monte Carlo that `beta.kappa_table` tabulates,
 `kappa_table_serial` is `beta.kappa_table` as one column loop in the calling
 thread, on the same draws, and `batch_sums_serial` replays the grouped
@@ -61,7 +61,16 @@ import scipy.sparse.linalg as spla
 from gwharmonic import trees
 from gwharmonic.beta import _SUBTABLE_PAIRS, _SUBTABLES, TABLE_GRID
 from gwharmonic.offspring import OffspringDistribution, OffspringError, survival_probs
-from gwharmonic.rde import _BATCHES, _CHUNK, _TASKS, ParticleCloud, Residual, se_of_mean
+from gwharmonic.rde import (
+    _BATCHES,
+    _CHUNK,
+    _TASKS,
+    ParticleCloud,
+    Residual,
+    phi_step,
+    se_of_mean,
+    wasserstein1,
+)
 from gwharmonic.trees import (
     LevelForest,
     PlaneTree,
@@ -802,6 +811,19 @@ def phi_step_coupled(a: ParticleCloud, b: ParticleCloud, rng):
         ParticleCloud(np.sort(out_a), a.iteration_count + 1, a.seed),
         ParticleCloud(np.sort(out_b), b.iteration_count + 1, b.seed),
     )
+
+
+def solve_from(cloud: ParticleCloud, tol: float, max_iters: int, rng):
+    """`rde.phi_step` from `cloud` until successive clouds are tol-close in
+    d1, at most max_iters steps: (last cloud, trace of (step, d1), converged)."""
+    trace = []
+    for it in range(1, max_iters + 1):
+        nxt = phi_step(cloud, rng)
+        trace.append((it, wasserstein1(nxt, cloud)))
+        cloud = nxt
+        if trace[-1][1] < tol:
+            return cloud, trace, True
+    return cloud, trace, False
 
 
 def kappa(cloud: ParticleCloud, r, pair_count: int, rng) -> float:

@@ -41,10 +41,7 @@ def test_solve_writes_cloud_and_trace(cloud_file):
     assert (law["h"], law["top"]) == (0.02, 30.0)
     assert law["mean"] == pytest.approx(1.72276, abs=1e-4) and law["K0"] == pytest.approx(1.4713, abs=2e-4)
     assert info["config"]["seed"] == 7
-    bound = info["residual_bias_bound"]
-    assert np.isfinite(bound) and bound > 0
-    rho = rde.CONTRACTION_RATE
-    assert bound == pytest.approx(info["final_d1"] * rho / (1 - rho))
+    assert "residual_bias_bound" not in info  # a step's d1 from the grid start bounds nothing
 
 
 def test_solve_reproducible_byte_for_byte(tmp_path):
@@ -80,10 +77,8 @@ def test_validate_negative_control(tmp_path):
     ones = orc.constant_cloud(5000, 1.0)
     path = tmp_path / "ones.txt"
     rde.save_cloud(ones, path)
-    # fails normally, passes under --expect-fail
+    # a failed check exits 1
     assert run(["rde", "validate", "--cloud", str(path), "--out", str(tmp_path)]) == 1
-    assert run(["rde", "validate", "--cloud", str(path), "--expect-fail",
-                "--out", str(tmp_path)]) == 0
 
 
 def test_validate_corrupt_cloud(tmp_path, capsys):
@@ -198,14 +193,34 @@ def test_discrete_conductance_rejects_levels_below_two(cloud_file, tmp_path, cap
     assert not list(tmp_path.glob("*.json"))
 
 
+LADDERS = [("50,3", "n must be >= 4"), ("50,25", "must strictly increase"),
+           ("25,25", "must strictly increase")]
+
+
+@pytest.mark.parametrize("ladder, message", LADDERS, ids=[n for n, _ in LADDERS])
 def test_discrete_theorem1_checks_the_ladder_before_sampling(cloud_file, tmp_path, capsys,
-                                                             monkeypatch):
+                                                             monkeypatch, ladder, message):
+    # a descending ladder ran and failed both trend checks on values that fell with n
     drawn = []
     monkeypatch.setattr(experiments, "_forest_statistics", lambda dist, n, *a: drawn.append(n))
-    code = run(["discrete", "theorem1", "--offspring", "geometric", "--n", "50,3",
+    code = run(["discrete", "theorem1", "--offspring", "geometric", "--n", ladder,
                 "--trials", "20", "--cloud", str(cloud_file), "--out", str(tmp_path)])
     assert code == 2
-    assert "n must be >= 4" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert drawn == []
+
+
+@pytest.mark.parametrize("ladder, message", [("50,1", "n must be >= 2"), *LADDERS[1:]],
+                         ids=["50,1", *[n for n, _ in LADDERS[1:]]])
+def test_discrete_conductance_checks_the_ladder_before_sampling(cloud_file, tmp_path, capsys,
+                                                                monkeypatch, ladder, message):
+    # --n 40,20,10 failed conductance-d1-decreasing on d1 values that fell with n
+    drawn = []
+    monkeypatch.setattr(experiments, "_forest_statistics", lambda dist, n, *a: drawn.append(n))
+    code = run(["discrete", "conductance", "--offspring", "geometric", "--n", ladder,
+                "--trials", "20", "--cloud", str(cloud_file), "--out", str(tmp_path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
     assert drawn == []
 
 
@@ -276,6 +291,11 @@ def test_trials_below_two_are_usage_errors(cloud_file, tmp_path, capsys, argv):
     assert not list(tmp_path.glob("*.json"))
 
 
+DELTA_COMMANDS = {"theorem1": ["discrete", "theorem1", "--n", "8,16"],
+                  "fixed-size": ["discrete", "fixed-size", "--edges", "400", "--n", "5"]}
+DELTAS = {"0": "0", "negative": "-1", "nan": "nan"}
+
+
 @pytest.mark.parametrize("argv, message", [
     (["rde", "solve", "--particles", "0"], "--particles must be >= 1e3"),
     (["rde", "solve", "--particles", "2000", "--max-iters", "0"], "--max-iters must be >= 1"),
@@ -285,12 +305,15 @@ def test_trials_below_two_are_usage_errors(cloud_file, tmp_path, capsys, argv):
     (["rde", "solve", "--particles", "2000", "--tol", "-1"], "--tol must be > 0"),
     (["rde", "solve", "--particles", "2000", "--tol", "nan"], "--tol must be > 0"),
     (["rde", "solve", "--particles", "2000", "--polish", "-2"], "--polish must be >= 0"),
-], ids=["particles-0", "max-iters-0", "edges-0", "tol-0", "tol-negative", "tol-nan", "polish-negative"])
+    *[([*cmd, "--offspring", "geometric", "--trials", "20", "--delta", delta], "delta must be > 0")
+      for cmd in DELTA_COMMANDS.values() for delta in DELTAS.values()],
+], ids=["particles-0", "max-iters-0", "edges-0", "tol-0", "tol-negative", "tol-nan", "polish-negative",
+        *[f"{cmd}-delta-{d}" for cmd in DELTA_COMMANDS for d in DELTAS]])
 def test_zero_counts_are_usage_errors(cloud_file, tmp_path, capsys, argv, message):
     # zero is a value, not "use the default": --particles 0 ran a 1e6 solve,
     # --edges 0 ran N = 40000, and --max-iters 0 wrote a cloud, then crashed;
-    # --tol -1 silently ran every --max-iters step, and --polish -2 ran and
-    # echoed -2 into the report
+    # --tol -1 silently ran every --max-iters step, --polish -2 ran and
+    # echoed -2 into the report, and --delta -1 reported a concentration of 0
     assert run([*argv, *_cloud_flag(argv, cloud_file), "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert not list(tmp_path.iterdir())

@@ -58,6 +58,21 @@ def test_one_perturbed_cell_fails(tmp_path):
     assert "levelset_geometric_1.json:cells[1].mean differs" in res.stdout.splitlines()
 
 
+def test_every_differing_field_prints_a_line(tmp_path):
+    # only the first differing key path of each file was printed
+    _write_run(tmp_path / "a", 1.0, "runs")
+    _write_run(tmp_path / "b", 1.0, "runs")
+    path = tmp_path / "b" / "levelset_geometric_1.json"
+    report = json.loads(path.read_text())
+    report["cells"][0]["mean"] = 0.3
+    report["checks"][0]["passed"] = False
+    path.write_text(json.dumps(report))
+    res = _run(tmp_path / "a", tmp_path / "b")
+    assert res.returncode == 1
+    assert res.stdout.splitlines() == ["levelset_geometric_1.json:cells[0].mean differs",
+                                       "levelset_geometric_1.json:checks[0].passed differs"]
+
+
 def test_one_flipped_cloud_byte_fails(tmp_path):
     cloud = b"GAMMA-CLOUD v2 2 1 3\n3ff0000000000000\n4000000000000000\n"
     for d in ("a", "b"):

@@ -210,32 +210,37 @@ def test_solver_rejects_tiny_population():
         rde.solve_fixpoint(100, 1e-2, 10, rng)
 
 
-def test_solver_rejects_initial_cloud_of_another_size():
-    rng = task_stream(6, "rde", 6)
-    with pytest.raises(ValueError, match="initial cloud"):
-        rde.solve_fixpoint(2000, 1e-2, 10, rng, initial=orc.constant_cloud(1000))
+@pytest.fixture(scope="module")
+def grid_solved():
+    return rde.solve_fixpoint(3 * 10**5, 3e-3, 60, task_stream(7, "rde", 7))
 
 
-def test_unique_fixed_point_from_two_starts():
-    rng1 = task_stream(7, "rde", 7)
-    rng2 = task_stream(8, "rde", 8)
-    tol = 3e-3
-    r1 = rde.solve_fixpoint(3 * 10**5, tol, 60, rng1)
-    r3 = rde.solve_fixpoint(
-        3 * 10**5, tol, 60, rng2, initial=orc.constant_cloud(3 * 10**5, 3.0)
-    )
-    assert r1.converged and r3.converged
-    assert rde.wasserstein1(r1.cloud, r3.cloud) <= 2 * tol
-
-
-def test_grid_start_and_all_ones_start_agree():
+@pytest.mark.parametrize("value", [1.0, 3.0], ids=["all-ones", "all-threes"])
+def test_unique_fixed_point_from_two_starts(grid_solved, value):
+    # the grid start against a constant start run through the solver's former loop
     tol, m = 3e-3, 3 * 10**5
-    grid = rde.solve_fixpoint(m, tol, 60, task_stream(7, "rde", 7))
-    ones = rde.solve_fixpoint(m, tol, 60, task_stream(8, "rde", 8), initial=orc.constant_cloud(m))
-    assert grid.converged and ones.converged
-    assert grid.start_law is not None and ones.start_law is None
-    assert len(grid.trace) < len(ones.trace)
-    assert rde.wasserstein1(grid.cloud, ones.cloud) <= 2 * tol
+    cloud, trace, converged = orc.solve_from(orc.constant_cloud(m, value), tol, 60,
+                                             task_stream(8, "rde", 8))
+    assert grid_solved.converged and converged
+    assert isinstance(grid_solved.start_law, rde.GridLaw)
+    assert len(grid_solved.trace) < len(trace)
+    assert rde.wasserstein1(grid_solved.cloud, cloud) <= 2 * tol
+
+
+def test_polish_steps_follow_the_first_step_below_tol():
+    # at M = 1e4 and this stream the d1 trace first falls below 7e-3 at step 10,
+    # and two of the three polish steps after it lie above tol
+    m, tol = 10**4, 7e-3
+    plain = rde.solve_fixpoint(m, tol, 20, task_stream(10, "rde", 10))
+    res = rde.solve_fixpoint(m, tol, 20, task_stream(10, "rde", 10), polish=3)
+    first = next(i for i, d in res.trace if d < tol)
+    assert plain.converged and res.converged
+    assert first > 1 and len(res.trace) == first + 3 and res.trace[:first] == plain.trace
+    assert [i for i, _ in res.trace] == list(range(1, first + 4)) and res.cloud.iteration_count == first + 3
+    assert sum(d >= tol for _, d in res.trace[first:]) == 2
+    # without convergence: exactly max_iters steps and no polish step
+    stuck = rde.solve_fixpoint(m, 6e-3, 12, task_stream(10, "rde", 10), polish=3)
+    assert not stuck.converged and len(stuck.trace) == 12 and stuck.cloud.iteration_count == 12
 
 
 def test_fixed_point_consistency(solved_cloud):
