@@ -118,11 +118,11 @@ def _load_cloud(path) -> rde.ParticleCloud:
 
 def _write_report(report: ExperimentReport, outdir: Path, fmt: str) -> list[Path]:
     paths = []
-    if fmt in ("json", "both"):
+    if fmt != "csv" or not report.cells:  # with no rows, only the JSON holds the checks
         p = outdir / f"{report.file_stem()}.json"
         p.write_text(report.to_json())
         paths.append(p)
-    if fmt in ("csv", "both") and report.cells:
+    if fmt != "json" and report.cells:
         p = outdir / f"{report.file_stem()}.csv"
         p.write_text(report.to_csv())
         paths.append(p)
@@ -267,6 +267,7 @@ def _beta_ref(args, cloud: rde.ParticleCloud) -> beta_mod.BetaEstimate:
 
 
 def cmd_theorem1(args) -> ExperimentReport:
+    experiments.check_theorem1_args(args.n, args.delta)  # before the cloud is read
     dist, rng = _discrete(args)
     ref = _beta_ref(args, _load_cloud(args.cloud))
     report = experiments.run_theorem1(dist, args.n, args.delta, args.trials, rng, ref.value)
@@ -275,6 +276,7 @@ def cmd_theorem1(args) -> ExperimentReport:
 
 
 def cmd_conductance(args) -> ExperimentReport:
+    experiments.check_conductance_args(args.n)  # before the cloud is read
     dist, rng = _discrete(args)
     return experiments.run_conductance_convergence(dist, args.n, args.trials,
                                                    _load_cloud(args.cloud), rng)

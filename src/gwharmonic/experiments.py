@@ -2,9 +2,10 @@
 
 The height-conditioned experiments sample the reduced conditioned trees
 directly, as level forests of at most FOREST_CHUNK trees per n (per-tree
-statistics are independent, so chunking is exact), run the exact network
-computations over each forest, assert the per-sample invariants fail-fast,
-and check the mean mid-level size against the exact q_{n-h}/q_n.  The
+statistics are independent, so chunking is exact).  Theorem1 and
+conductance run the exact network computations over each forest, assert
+the per-sample invariants fail-fast, and check the mean mid-level size
+against the exact q_{n-h}/q_n; levelset reads each tree's level sizes.  The
 fixed-size experiment keeps generations 0..n-1 of each tree of N edges as
 n arrays of child counts, joins a batch of trees generation by generation
 into level-major counts, and reduces and sweeps them as one level forest;
@@ -38,13 +39,12 @@ from .trees import (
     level_set,
     reduce as reduce_tree,
     reduced_child_cdf,
-    sample_conditioned_forest,
     sample_fixed_size_conditioned,
     sample_reduced_forest,
 )
 
-# Trees per level forest in theorem1 and conductance: bounds peak memory at
-# large n and trial counts.
+# Trees per level forest in theorem1, conductance and levelset: bounds peak
+# memory at large n and trial counts.
 FOREST_CHUNK = 2000
 # Entries of generations 0..n-1 per fixed-size forest: bounds the memory of
 # its reduce and sweep without a per-tree pass.
@@ -219,6 +219,17 @@ def check_delta(delta) -> None:
         raise ValueError(f"delta must be > 0, got {delta}")
 
 
+def check_theorem1_args(n_list, delta) -> None:
+    """Refuse a ladder or delta the theorem1 run cannot serve."""
+    check_ladder(n_list, 4)
+    check_delta(delta)
+
+
+def check_conductance_args(n_list) -> None:
+    """Refuse a ladder the conductance run cannot serve: below 2 the mid-level is the root."""
+    check_ladder(n_list, 2)
+
+
 def exponent_trend_check(means, beta_ref) -> dict:
     """One-sided Mann-Kendall test that the gap |mean - beta_ref| shrinks
     along the n ladder.  The direction is fixed before the data are seen, so
@@ -234,8 +245,7 @@ def run_theorem1(dist, n_list, delta, trials, rng, beta_ref):
     -log mu_n(Sigma_n)/log n and the concentration statistic around the
     cloud-derived exponent beta_ref; trend across n is the theorem's content.
     Each forest's boundary uniforms are drawn after the forest."""
-    check_ladder(n_list, 4)
-    check_delta(delta)
+    check_theorem1_args(n_list, delta)
 
     def exit_statistics(forest):
         return _tree_statistics(forest_boundary_log_mass(forest), forest.boundary_offsets(),
@@ -270,7 +280,7 @@ def run_theorem1(dist, n_list, delta, trials, rng, beta_ref):
 
 def run_conductance_convergence(dist, n_list, trials, cloud, rng):
     """Law of n C_n against the cloud: d1 must fall as n grows."""
-    check_ladder(n_list, 2)  # below 2 the mid-level is the root
+    check_conductance_args(n_list)
 
     def scaled_conductance(forest):
         c = forest_conductance_to_level(forest)
@@ -298,16 +308,25 @@ def run_conductance_convergence(dist, n_list, trials, cloud, rng):
 
 def run_levelset(dist, n, p_list, trials, rng):
     """Reduced-tree level sizes against the exact identity
-    E[#level(n-p)] = q_p/q_n; the same sampled trees serve every p.  The
-    sizes are read through level_set on the forest's PlaneTrees."""
+    E[#level(n-p)] = q_p/q_n; the same sampled trees serve every p.  They
+    come in level forests from _forest_statistics, as in theorem1 and
+    conductance; its mid-level check is dropped, as the p = n/2 cell tests
+    the same identity.  Each tree's sizes are read through level_set on its
+    generation offsets, the running sum of its level sizes."""
     for p in p_list:
         if not 1 <= p <= n / 2:
             raise ValueError("p must lie in [1, n/2]")
+
+    def level_set_sizes(forest):
+        sizes = np.stack([forest.level_sizes(g) for g in range(n + 1)], axis=1)
+        offsets = np.pad(np.cumsum(sizes, axis=1), ((0, 0), (1, 0)))
+        return tuple(np.array([level_set(row, n - p).size for row in offsets], float)
+                     for p in p_list)
+
+    per_p, _ = _forest_statistics(dist, n, trials, rng, level_set_sizes)
     qs = survival_probs(dist, n)
-    trees = sample_conditioned_forest(dist, n, trials, rng).trees()
     cells, checks = [], []
-    for p in p_list:
-        sizes = np.array([level_set(t, n - p).size for t in trees], float)
+    for p, sizes in zip(p_list, per_p):
         exact = qs[p] / qs[n]
         se = se_of_mean(sizes)
         z = z_score(sizes.mean() - exact, se)

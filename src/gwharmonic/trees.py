@@ -1,18 +1,18 @@
 """Sampling and reduction of critical Galton-Watson plane trees.
 
-Trees live in a flat arena in breadth-first layout: nodes are sorted by depth,
-siblings are consecutive in birth order, and the children of consecutive
-parents form consecutive blocks.  That layout makes the bottom-up and
-top-down passes of the network module single vectorised sweeps per level.
+Every tree lives in one layout, the LevelForest: generation g of all the
+trees of a forest sits in one array, the trees in order and each tree's
+vertices in breadth-first order, so the children of consecutive vertices
+form consecutive blocks.  That makes the bottom-up and top-down passes of
+the network module one numpy pass per level over all trees; a tree's
+generation offsets, the running sum of its level sizes, are what level_set
+reads.
 
 Height-conditioned trees are sampled as their reduced trees directly: the
 ancestors of generation n of a critical GW tree conditioned on height >= n
 form a branching process whose offspring law depends on the generation
-(Fleischmann and Siegmund-Schultze 1977), so each generation is one uniform
-draw per vertex against one CDF row.  The draws fill one LevelForest:
-generation g of every tree sits in one array, so the network sweeps are one
-numpy pass per level over all trees.  LevelForest.trees() turns a forest
-into PlaneTrees, the single-tree layout that level_set reads.
+(Fleischmann and Siegmund-Schultze 1977), so each generation of a forest is
+one uniform draw per vertex against one CDF row.
 
 Fixed-size trees are their breadth-first child counts: exchangeable counts
 rotated by the cycle lemma to the one rotation that is a tree.  One prefix
@@ -37,21 +37,6 @@ DEFAULT_TRIAL_CAP = 10_000_000
 
 class TrialCapError(RuntimeError):
     """Rejection loop exhausted its trial budget (misconfigured n)."""
-
-
-@dataclass(eq=False)
-class PlaneTree:
-    """Arena-indexed ordered rooted tree in breadth-first layout."""
-
-    parent: np.ndarray       # int64; -1 at the root
-    child_start: np.ndarray  # int64; children of v are [child_start[v], +child_count[v])
-    child_count: np.ndarray  # int64
-    depth: np.ndarray        # int64
-    gen_offsets: np.ndarray  # int64; generation d is nodes [gen_offsets[d], gen_offsets[d+1])
-
-    @property
-    def height(self) -> int:
-        return self.gen_offsets.size - 2
 
 
 @dataclass(eq=False)
@@ -87,30 +72,6 @@ class LevelForest:
     def boundary_offsets(self) -> np.ndarray:
         """Tree i owns vertices [off[i], off[i+1]) of generation n."""
         return np.concatenate(([0], np.cumsum(self.level_sizes(self.n))))
-
-    def trees(self) -> list[PlaneTree]:
-        """Every tree as a PlaneTree in breadth-first layout.
-
-        A stable sort by tree index turns the level-major arrays into the
-        trees' breadth-first layouts back to back; each tree slices them.
-        """
-        n, size = self.n, self.size
-        tree = np.concatenate(self.tree_index)
-        order = np.argsort(tree, kind="stable")
-        tree = tree[order]
-        counts = np.concatenate(self.counts + [np.zeros(self.tree_index[n].size, np.int64)])[order]
-        depth = np.repeat(np.arange(n + 1), [t.size for t in self.tree_index])[order]
-        start = np.concatenate(([0], np.cumsum(np.bincount(tree, minlength=size))))
-        first = start[tree]  # global index of each vertex's root
-        parent = np.full(tree.size, -1, np.int64)
-        nonroot = np.arange(tree.size) != first
-        parent[nonroot] = np.repeat(np.arange(tree.size), counts) - first[nonroot]
-        child_start = np.cumsum(counts) - counts - first + tree + 1
-        gens = np.bincount(tree * (n + 1) + depth, minlength=size * (n + 1))
-        gen_offsets = np.zeros((size, n + 2), np.int64)
-        np.cumsum(gens.reshape(size, n + 1), axis=1, out=gen_offsets[:, 1:])
-        return [PlaneTree(parent[s:e], child_start[s:e], counts[s:e], depth[s:e], off)
-                for s, e, off in zip(start[:-1], start[1:], gen_offsets)]
 
 
 def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -158,16 +119,6 @@ def sample_reduced_forest(cdf: np.ndarray, count: int, rng) -> LevelForest:
         counts.append(np.searchsorted(row, rng.random(size), side="right") + 1)
         size = int(counts[-1].sum())
     return LevelForest(cdf.shape[0], counts)
-
-
-def sample_conditioned_forest(dist, n: int, count: int, rng) -> LevelForest:
-    """Exact iid samples of the tree conditioned on height >= n, reduced to
-    the ancestors of generation n, as one LevelForest of `count` trees."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return sample_reduced_forest(reduced_child_cdf(dist, n), count, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +214,11 @@ def reduce(counts: list, n: int) -> LevelForest:
     return LevelForest(n, reduced)
 
 
-def level_set(tree: PlaneTree, k: int) -> np.ndarray:
-    """All depth-k vertices, in order."""
+def level_set(offsets: np.ndarray, k: int) -> np.ndarray:
+    """All depth-k vertices, in order, of a tree in breadth-first layout whose
+    generation d is vertices [offsets[d], offsets[d+1])."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k > tree.height:
+    if k > offsets.size - 2:  # below the height
         return np.array([], np.int64)
-    return np.arange(tree.gen_offsets[k], tree.gen_offsets[k + 1])
-
+    return np.arange(offsets[k], offsets[k + 1])

@@ -1,6 +1,7 @@
 """Reference implementations that the runtime modules are tested against.
 
-Single trees: `PlaneTree` builders, accessors and validators, and
+Single trees: `PlaneTree`, one tree in breadth-first layout (`plane_trees`
+cuts a LevelForest into them), its builders, accessors and validators, and
 `ReducedTree`, one tree of a reduced forest (`views`) that `as_forest`
 sweeps alone.  Its exit law has two independent checks of the network
 sweeps, the sparse harmonic solve and plain walk simulation;
@@ -8,7 +9,8 @@ sweeps, the sparse harmonic solve and plain walk simulation;
 `experiments._tree_statistics`.
 
 Rejection samplers of conditioned Galton-Watson trees, the oracles of the
-direct sampler `trees.sample_conditioned_forest`: trials grow generation by
+direct sampler `trees.sample_reduced_forest` (`direct_forest` draws one
+forest from it): trials grow generation by
 generation (`sample_offspring` draws by inverse CDF) until generation n,
 about 1/q_n per kept tree, in waves so the draws vectorise; each wave's
 chosen survivors are reduced together into one LevelForest by
@@ -73,7 +75,6 @@ from gwharmonic.rde import (
 )
 from gwharmonic.trees import (
     LevelForest,
-    PlaneTree,
     TrialCapError,
     _segment_sums,
     _thinned_child_cdf,
@@ -86,6 +87,46 @@ DEFAULT_TRIAL_CAP = 10_000_000
 # ---------------------------------------------------------------------------
 # single trees and their exit law
 # ---------------------------------------------------------------------------
+
+
+@dataclass(eq=False)
+class PlaneTree:
+    """Arena-indexed ordered rooted tree in breadth-first layout."""
+
+    parent: np.ndarray       # int64; -1 at the root
+    child_start: np.ndarray  # int64; children of v are [child_start[v], +child_count[v])
+    child_count: np.ndarray  # int64
+    depth: np.ndarray        # int64
+    gen_offsets: np.ndarray  # int64; generation d is nodes [gen_offsets[d], gen_offsets[d+1])
+
+    @property
+    def height(self) -> int:
+        return self.gen_offsets.size - 2
+
+
+def plane_trees(forest: LevelForest) -> list[PlaneTree]:
+    """Every tree of a forest as a PlaneTree in breadth-first layout.
+
+    A stable sort by tree index turns the level-major arrays into the
+    trees' breadth-first layouts back to back; each tree slices them.
+    """
+    n, size = forest.n, forest.size
+    tree = np.concatenate(forest.tree_index)
+    order = np.argsort(tree, kind="stable")
+    tree = tree[order]
+    counts = np.concatenate(forest.counts + [np.zeros(forest.tree_index[n].size, np.int64)])[order]
+    depth = np.repeat(np.arange(n + 1), [t.size for t in forest.tree_index])[order]
+    start = np.concatenate(([0], np.cumsum(np.bincount(tree, minlength=size))))
+    first = start[tree]  # global index of each vertex's root
+    parent = np.full(tree.size, -1, np.int64)
+    nonroot = np.arange(tree.size) != first
+    parent[nonroot] = np.repeat(np.arange(tree.size), counts) - first[nonroot]
+    child_start = np.cumsum(counts) - counts - first + tree + 1
+    gens = np.bincount(tree * (n + 1) + depth, minlength=size * (n + 1))
+    gen_offsets = np.zeros((size, n + 2), np.int64)
+    np.cumsum(gens.reshape(size, n + 1), axis=1, out=gen_offsets[:, 1:])
+    return [PlaneTree(parent[s:e], child_start[s:e], counts[s:e], depth[s:e], off)
+            for s, e, off in zip(start[:-1], start[1:], gen_offsets)]
 
 
 @dataclass(eq=False)
@@ -107,7 +148,7 @@ def views(forest: LevelForest) -> list[ReducedTree]:
     """Every tree of a reduced forest as a ReducedTree."""
     n = forest.n
     return [ReducedTree(t, n, np.arange(t.gen_offsets[n], t.gen_offsets[n + 1]))
-            for t in forest.trees()]
+            for t in plane_trees(forest)]
 
 
 def tree_from_parent_depth(parent: np.ndarray, depth: np.ndarray) -> PlaneTree:
@@ -375,6 +416,13 @@ def _concat_forests(parts: list[LevelForest], n: int) -> LevelForest:
     return LevelForest(n, [np.concatenate([f.counts[g] for f in parts]) for g in range(n)])
 
 
+def direct_forest(dist, n: int, count: int, rng) -> LevelForest:
+    """`count` reduced trees of height n from the direct sampler, as
+    experiments._forest_statistics draws one forest; read through the
+    module, so a test that patches trees.reduced_child_cdf reaches it."""
+    return trees.sample_reduced_forest(trees.reduced_child_cdf(dist, n), count, rng)
+
+
 def sample_conditioned_forest(
     dist,
     n: int,
@@ -441,7 +489,7 @@ def sample_conditioned_batch(
     forest, trials, successes, _ = sample_conditioned_forest(
         dist, n, count, rng, node_cap, trial_cap, reduce=reduce_at_n
     )
-    return (views(forest) if reduce_at_n else forest.trees()), trials, successes
+    return (views(forest) if reduce_at_n else plane_trees(forest)), trials, successes
 
 
 def sample_conditioned_height(

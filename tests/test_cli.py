@@ -15,6 +15,10 @@ def run(argv):
     return main(argv)
 
 
+def _cloud_is_not_read(*a, **k):
+    raise AssertionError("the cloud was read before the flags were checked")
+
+
 @pytest.fixture(scope="module")
 def cloud_file(tmp_path_factory):
     out = tmp_path_factory.mktemp("cloudrun")
@@ -71,6 +75,16 @@ def test_validate_passes_on_solved(cloud_file, tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "rde_validate_seed3.json").read_text())
     assert all(c["passed"] for c in report["checks"])
+
+
+def test_csv_of_a_report_with_no_rows_writes_the_json(cloud_file, tmp_path, capsys):
+    # it printed "wrote " and left --out empty: only the JSON holds the checks
+    code = run(["rde", "validate", "--cloud", str(cloud_file), "--format", "csv",
+                "--seed", "3", "--out", str(tmp_path)])
+    path = tmp_path / "rde_validate_seed3.json"
+    assert code == 0 and list(tmp_path.iterdir()) == [path]
+    assert capsys.readouterr().out.splitlines()[0].endswith(f"; wrote {path}")
+    assert json.loads(path.read_text())["checks"]
 
 
 def test_validate_negative_control(tmp_path):
@@ -203,6 +217,7 @@ def test_discrete_theorem1_checks_the_ladder_before_sampling(cloud_file, tmp_pat
     # a descending ladder ran and failed both trend checks on values that fell with n
     drawn = []
     monkeypatch.setattr(experiments, "_forest_statistics", lambda dist, n, *a: drawn.append(n))
+    monkeypatch.setattr(rde, "load_cloud", _cloud_is_not_read)
     code = run(["discrete", "theorem1", "--offspring", "geometric", "--n", ladder,
                 "--trials", "20", "--cloud", str(cloud_file), "--out", str(tmp_path)])
     assert code == 2
@@ -217,6 +232,7 @@ def test_discrete_conductance_checks_the_ladder_before_sampling(cloud_file, tmp_
     # --n 40,20,10 failed conductance-d1-decreasing on d1 values that fell with n
     drawn = []
     monkeypatch.setattr(experiments, "_forest_statistics", lambda dist, n, *a: drawn.append(n))
+    monkeypatch.setattr(rde, "load_cloud", _cloud_is_not_read)
     code = run(["discrete", "conductance", "--offspring", "geometric", "--n", ladder,
                 "--trials", "20", "--cloud", str(cloud_file), "--out", str(tmp_path)])
     assert code == 2
@@ -252,8 +268,8 @@ def test_discrete_requires_offspring(cloud_file, tmp_path, capsys):
 def test_levelset_with_zero_se_reports_infinite_z(tmp_path, monkeypatch):
     # identical trees, each with one vertex at level 1 and two at level 2: no
     # spread, and a mean of 1 below the exact q_1/q_2 = 4/3 of binary trees
-    monkeypatch.setattr(experiments, "sample_conditioned_forest", lambda dist, n, trials, rng: (
-        trees.LevelForest(n, [np.ones(trials, np.int64), np.full(trials, 2, np.int64)])))
+    monkeypatch.setattr(experiments, "sample_reduced_forest", lambda cdf, count, rng: (
+        trees.LevelForest(len(cdf), [np.ones(count, np.int64), np.full(count, 2, np.int64)])))
     code = run(["discrete", "levelset", "--offspring", "binary", "--n", "2", "--p", "1",
                 "--trials", "2", "--seed", "2", "--out", str(tmp_path)])
     cell = json.loads((tmp_path / "levelset_binary_2.json").read_text())["cells"][0]
@@ -309,11 +325,13 @@ DELTAS = {"0": "0", "negative": "-1", "nan": "nan"}
       for cmd in DELTA_COMMANDS.values() for delta in DELTAS.values()],
 ], ids=["particles-0", "max-iters-0", "edges-0", "tol-0", "tol-negative", "tol-nan", "polish-negative",
         *[f"{cmd}-delta-{d}" for cmd in DELTA_COMMANDS for d in DELTAS]])
-def test_zero_counts_are_usage_errors(cloud_file, tmp_path, capsys, argv, message):
+def test_zero_counts_are_usage_errors(cloud_file, tmp_path, capsys, monkeypatch, argv, message):
     # zero is a value, not "use the default": --particles 0 ran a 1e6 solve,
     # --edges 0 ran N = 40000, and --max-iters 0 wrote a cloud, then crashed;
     # --tol -1 silently ran every --max-iters step, --polish -2 ran and
     # echoed -2 into the report, and --delta -1 reported a concentration of 0
+    # (theorem1 read the cloud and ran beta_ref first); none reads the cloud
+    monkeypatch.setattr(rde, "load_cloud", _cloud_is_not_read)
     assert run([*argv, *_cloud_flag(argv, cloud_file), "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
@@ -335,7 +353,7 @@ def test_io_errors_exit_two_with_one_error_line(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv, work", [
     (["rde", "solve", "--particles", "2000"], (rde, "solve_fixpoint")),
     (["discrete", "levelset", "--offspring", "geometric", "--n", "4", "--p", "2", "--trials", "2"],
-     (experiments, "sample_conditioned_forest")),
+     (experiments, "sample_reduced_forest")),
 ], ids=["rde-solve", "discrete-levelset"])
 def test_out_is_checked_before_the_work(tmp_path, capsys, monkeypatch, argv, work):
     # both ran their whole work (a 0.49 s solve, a 1.0 s levelset at full)

@@ -80,6 +80,28 @@ def test_run_levelset_rejects_bad_p():
         ex.run_levelset(off.geometric(), 50, [40], 10, rng)
 
 
+def test_run_levelset_reads_one_direct_forest():
+    # at trials <= FOREST_CHUNK _forest_statistics draws one forest, as one
+    # sample_reduced_forest call on the same stream
+    n, p_list, trials = 30, [5, 15], 400
+    rep = ex.run_levelset(off.poisson(), n, p_list, trials, task_stream(23, "experiments", 23))
+    forest = orc.direct_forest(off.poisson(), n, trials, task_stream(23, "experiments", 23))
+    assert [c["mean"] for c in rep.cells] == [forest.level_sizes(n - p).mean() for p in p_list]
+    assert [c["criterion"] for c in rep.checks] == [f"levelset-z-n{n}-p{p}" for p in p_list]
+
+
+def test_run_levelset_chunks_draw_every_tree(monkeypatch):
+    monkeypatch.setattr(ex, "FOREST_CHUNK", 7)
+    n, p_list = 12, [3, 6]
+    rep = ex.run_levelset(off.geometric(), n, p_list, 20, task_stream(24, "experiments", 24))
+    rng = task_stream(24, "experiments", 24)
+    cdf = tr.reduced_child_cdf(off.geometric(), n)
+    forests = [tr.sample_reduced_forest(cdf, count, rng) for count in (7, 7, 6)]
+    assert [c["mean"] for c in rep.cells] == [
+        np.concatenate([f.level_sizes(n - p) for f in forests]).mean() for p in p_list]
+    assert all(c["trials"] == 20 for c in rep.cells)
+
+
 def test_run_theorem1_structure():
     rng = task_stream(4, "experiments", 4)
     rep = ex.run_theorem1(off.geometric(), [8, 16, 32], 0.25, 250, rng, 0.7845)
@@ -161,8 +183,7 @@ def test_tree_statistics_match_the_per_tree_loop(law):
     # the one-pass statistics against concentration_statistic and
     # sample_boundary run tree by tree on the same uniforms
     n, beta, delta = 30, 0.7845, 0.25
-    forest = tr.sample_conditioned_forest(off.from_spec(law), n, 300,
-                                          task_stream(18, "experiments", 18))
+    forest = orc.direct_forest(off.from_spec(law), n, 300, task_stream(18, "experiments", 18))
     log_mass = net.forest_boundary_log_mass(forest)
     off_ = forest.boundary_offsets()
     u = task_stream(18, "experiments", 19).random(forest.size)

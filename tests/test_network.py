@@ -27,7 +27,7 @@ def star(k):
 def random_reduced(rng, n=None, dist=None):
     dist = dist or off.geometric()
     n = n or int(rng.integers(2, 13))
-    return orc.views(tr.sample_conditioned_forest(dist, n, 1, rng))[0]
+    return orc.views(orc.direct_forest(dist, n, 1, rng))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +190,7 @@ def test_ball_mass_partitions_at_every_radius():
     log_flow = np.concatenate(net._flow_sweep(r.as_forest()))
     t = r.tree
     for rad in range(8):
-        anc = tr.level_set(t, 7 - rad)
+        anc = tr.level_set(t.gen_offsets, 7 - rad)
         assert np.exp(log_flow[anc]).sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -255,7 +255,7 @@ def test_scaled_conductance_second_moment_bounded():
     dist = off.geometric()
     moments = {}
     for n in (50, 100, 200):
-        vals = n * net.forest_conductance_to_level(tr.sample_conditioned_forest(dist, n, 800, rng))
+        vals = n * net.forest_conductance_to_level(orc.direct_forest(dist, n, 800, rng))
         moments[n] = float(np.mean(vals**2))
     # Lemma-style bound: second moments stay bounded (no growth with n)
     assert all(1.0 <= m <= 12.0 for m in moments.values())

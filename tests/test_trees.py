@@ -165,7 +165,7 @@ def test_conditioned_boundary_identity_poisson():
     dist = off.poisson()
     rng = task_stream(7, "trees", 6)
     n = 100
-    reds = orc.views(tr.sample_conditioned_forest(dist, n, 2000, rng))
+    reds = orc.views(orc.direct_forest(dist, n, 2000, rng))
     sizes = np.array([r.boundary.size for r in reds], float)
     qn = off.survival_probs(dist, n)[n]
     z = (sizes.mean() - 1.0 / qn) / (sizes.std(ddof=1) / np.sqrt(sizes.size))
@@ -177,8 +177,8 @@ def test_levelset_identity(n, p):
     # E[#T*n_{n-p}] = q_p/q_n
     dist = off.geometric()
     rng = task_stream(8, "trees", 100 + n + p)
-    reds = orc.views(tr.sample_conditioned_forest(dist, n, 3000, rng))
-    sizes = np.array([tr.level_set(r.tree, n - p).size for r in reds], float)
+    reds = orc.views(orc.direct_forest(dist, n, 3000, rng))
+    sizes = np.array([tr.level_set(r.tree.gen_offsets, n - p).size for r in reds], float)
     q = off.survival_probs(dist, n)
     expect = q[p] / q[n]
     z = (sizes.mean() - expect) / (sizes.std(ddof=1) / np.sqrt(sizes.size))
@@ -221,18 +221,10 @@ def test_reduced_child_cdf_matches_the_binomial_sum():
        st.integers(0, 2**31 - 1))
 @settings(max_examples=30, deadline=None)
 def test_direct_forest_is_reduced(law, n, seed):
-    forest = tr.sample_conditioned_forest(off.from_spec(law), n, 7, task_stream(seed, "trees", 19))
+    forest = orc.direct_forest(off.from_spec(law), n, 7, task_stream(seed, "trees", 19))
     assert forest.size == 7 and all(np.all(c >= 1) for c in forest.counts)
     for r in orc.views(forest):
         orc.validate_reduced(r)
-
-
-def test_sample_conditioned_forest_rejects_bad_sizes():
-    rng = task_stream(20, "trees", 20)
-    with pytest.raises(ValueError):
-        tr.sample_conditioned_forest(off.geometric(), 0, 5, rng)
-    with pytest.raises(ValueError):
-        tr.sample_conditioned_forest(off.geometric(), 5, 0, rng)
 
 
 def _two_sample_stats(forest):
@@ -251,7 +243,7 @@ def _ks_pvalues(law, n):
     """KS p-values of the direct sampler against the rejection oracle, 4,000
     trees a side, on n C_n and on the generation-n//2 sizes."""
     mine = _two_sample_stats(
-        tr.sample_conditioned_forest(off.from_spec(law), n, 4000, task_stream(22, "trees", n)))
+        orc.direct_forest(off.from_spec(law), n, 4000, task_stream(22, "trees", n)))
     return [ks_2samp(a, b).pvalue for a, b in zip(mine, _oracle_stats(law, n))]
 
 
@@ -625,19 +617,21 @@ def test_reduce_idempotent_on_samples():
 
 def test_level_set_basics():
     t = build([-1, 0, 0, 1, 1, 2])
-    assert tr.level_set(t, 0).tolist() == [0]
-    assert tr.level_set(t, 1).tolist() == [1, 2]
-    assert tr.level_set(t, 2).tolist() == [3, 4, 5]
-    assert tr.level_set(t, 9).size == 0
-    assert tr.level_set(path_tree(4), 2).size == 1
+    assert tr.level_set(t.gen_offsets, 0).tolist() == [0]
+    assert tr.level_set(t.gen_offsets, 1).tolist() == [1, 2]
+    assert tr.level_set(t.gen_offsets, 2).tolist() == [3, 4, 5]
+    assert tr.level_set(t.gen_offsets, 9).size == 0
+    assert tr.level_set(path_tree(4).gen_offsets, 2).size == 1
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        tr.level_set(t.gen_offsets, -1)
 
 
 def test_boundary_equals_level_set():
     dist = off.geometric()
     rng = task_stream(18, "trees", 16)
-    reds = orc.views(tr.sample_conditioned_forest(dist, 10, 20, rng))
+    reds = orc.views(orc.direct_forest(dist, 10, 20, rng))
     for r in reds:
-        assert np.array_equal(r.boundary, tr.level_set(r.tree, 10))
+        assert np.array_equal(r.boundary, tr.level_set(r.tree.gen_offsets, 10))
 
 
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**31 - 1))
@@ -650,4 +644,4 @@ def test_conditioned_sample_properties(n, seed):
     assert t.height == n  # chopped at n, so exactly n
     r = orc.views(tr.reduce(generations(t, n), n))[0]
     orc.validate_reduced(r)
-    assert r.boundary.size == tr.level_set(t, n).size
+    assert r.boundary.size == tr.level_set(t.gen_offsets, n).size
