@@ -3,25 +3,27 @@
 Subcommands: `rde solve|validate`, `beta`, `discrete theorem1|conductance|
 levelset|fixed-size`, `continuum dimension`.  Each command accepts only the
 flags it reads, and every flag left unset takes its value from DEFAULTS,
-under --preset's overrides.  A master --seed expands into per-task Philox
-streams keyed on (seed, module, task), so every artifact is
-byte-reproducible from the flags alone.  Every command returns its
-ExperimentReport, and one runner reports them all: it times the command,
-stamps the flag echo into the report's config, writes the report and prints
-its checks.  Exit codes: 0 all checks pass, 1 a statistical check failed,
-2 usage or I/O error.
+under --preset's overrides.  One usage gate, the RULES table, then checks
+every flag's value before --out is made or any work starts.  A master
+--seed expands into per-task Philox streams keyed on (seed, module, task),
+so every artifact is byte-reproducible from the flags alone.  Every command
+returns its ExperimentReport, and one runner reports them all: it times the
+command, stamps the flag echo into the report's config, writes the report
+and prints its checks.  Exit codes: 0 all checks pass, 1 a statistical
+check failed, 2 usage or I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, beta as beta_mod, continuum, experiments, offspring, rde
+from . import __version__, beta as beta_mod, continuum, experiments, offspring, rde, trees
 from .experiments import ExperimentReport
 from .rngs import task_stream
 
@@ -58,22 +60,70 @@ def settings(command: str, preset: str | None = None) -> dict:
     return DEFAULTS.get(command, {}) | PRESETS.get(preset, {}).get(command, {})
 
 
+# The value rules on each command's flags, as (test, message): the usage
+# gate tests them on the filled flags and formats the message with them.
+# Argparse checks only the syntax: comma lists, 2^k tokens, one level.
+TRIALS = (lambda a: a.trials >= 2, "--trials must be >= 2, got {trials}")  # one has no error bar
+DELTA = (lambda a: a.delta > 0, "--delta must be > 0, got {delta}")  # NaN fails too
+
+
+def _ladder(least):
+    """A theorem1 or conductance --n: the trend checks read its cells in order."""
+    return [(lambda a: min(a.n) >= least, f"--n must be >= {least}, got {{n}}"),
+            (lambda a: all(x < y for x, y in zip(a.n, a.n[1:])),
+             "the --n ladder must strictly increase, got {n}")]
+
+
+RULES = {
+    "rde solve": [(lambda a: a.particles >= 1000, "--particles must be >= 1e3, got {particles}"),
+                  (lambda a: a.tol > 0, "--tol must be > 0, got {tol}"),
+                  (lambda a: a.max_iters >= 1, "--max-iters must be >= 1, got {max_iters}"),
+                  (lambda a: a.polish >= 0, "--polish must be >= 0, got {polish}")],
+    "rde validate": [],
+    "beta": [TRIALS],
+    "discrete theorem1": [*_ladder(4), DELTA, TRIALS],
+    "discrete conductance": [*_ladder(2), TRIALS],  # below 2 the mid-level is the root
+    "discrete levelset": [
+        (lambda a: all(1 <= p <= a.n / 2 for p in a.p), "--p must lie in [1, n/2], got {p} at n={n}"),
+        (lambda a: len(set(a.p)) == len(a.p), "repeated p in --p {p}: each p is one row and one check"),
+        TRIALS],
+    "discrete fixed-size": [
+        (lambda a: a.law.kind in trees.FIXED_SIZE_LAWS,
+         f"fixed-size --offspring must be one of {', '.join(trees.FIXED_SIZE_LAWS)}, got {{offspring}}"),
+        (lambda a: a.edges >= 1 and 1 <= a.n <= math.sqrt(a.edges) / 2,
+         "need N >= 1 and 1 <= n <= sqrt(N)/2, got n={n}, N={edges}"),
+        DELTA, TRIALS],
+    "continuum dimension": [
+        (lambda a: all(0 < e < 0.5 for e in a.eps), "every eps must lie in (0, 1/2), got {eps}"),
+        (lambda a: len(set(a.eps)) == len(a.eps), "repeated eps in --eps: one ray pass serves every eps"),
+        TRIALS],
+}
+# The rules every command shares.
+COMMON_RULES = [(lambda a: a.seed >= 0, "--seed must be >= 0, got {seed}"),
+                (lambda a: not hasattr(a, "cloud") or Path(a.cloud).is_file(),
+                 "--cloud {cloud} is not a file; run `gwharmonic rde solve` first")]
+
+
 class CliError(Exception):
     """Usage or I/O problem; exits with code 2."""
 
 
 def _fill(args) -> None:
-    """Set every flag the command line left unset; an error bar needs two trials."""
+    """The usage gate: set every flag the command line left unset, read the
+    offspring law, then refuse the first flag that breaks a rule."""
     for key, value in settings(args.stage, getattr(args, "preset", None)).items():
         if getattr(args, key) is None:
             setattr(args, key, value)
-    if getattr(args, "trials", 2) < 2:
-        raise CliError(f"--trials must be >= 2, got {args.trials}")
+    if hasattr(args, "offspring"):
+        args.law = offspring.from_spec(args.offspring)
+    for test, message in COMMON_RULES + RULES[args.stage]:
+        if not test(args):
+            raise CliError(message.format(**vars(args)))
 
 
 def _parse_list(text, parse=int):
     """Comma-separated values, as an argparse type: argparse reports a ValueError
-    itself, and a CliError (an empty list, an eps out of range) reaches main."""
+    itself, and a CliError (an empty list) reaches main."""
     out = [parse(t.strip()) for t in text.split(",") if t.strip()]
     if not out:
         raise CliError(f"empty list {text!r}")
@@ -81,14 +131,8 @@ def _parse_list(text, parse=int):
 
 
 def _eps_list(text):
-    """Comma-separated distinct eps in (0, 1/2); a token 2^x reads as 2**x."""
-    eps = [2.0 ** float(t[2:]) if t.startswith("2^") else float(t) for t in _parse_list(text, str)]
-    for e in eps:
-        if not 0.0 < e < 0.5:
-            raise CliError(f"eps {e} outside (0, 1/2)")
-    if len(set(eps)) < len(eps):
-        raise CliError(f"repeated eps in {text!r}: one ray pass serves every eps")
-    return eps
+    """Comma-separated eps; a token 2^x reads as 2**x."""
+    return [2.0 ** float(t[2:]) if t.startswith("2^") else float(t) for t in _parse_list(text, str)]
 
 
 def _one_level(text):
@@ -107,13 +151,6 @@ def _with_default(action, value) -> str:
             value = [f"2^{np.log2(e):g}" for e in value]
         value = ",".join(map(str, value if len(value) <= 4 else [*value[:2], "...", value[-1]]))
     return f"{action.help or ''} (default: {value})".lstrip()
-
-
-def _load_cloud(path) -> rde.ParticleCloud:
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"cloud file {p} not found; run `gwharmonic rde solve` first")
-    return rde.load_cloud(p)
 
 
 def _write_report(report: ExperimentReport, outdir: Path, fmt: str) -> list[Path]:
@@ -164,10 +201,6 @@ def _run(args) -> int:
 
 
 def cmd_rde_solve(args) -> ExperimentReport:
-    for flag, ok, bound in (("particles", args.particles >= 1000, ">= 1e3"), ("tol", args.tol > 0, "> 0"),
-                            ("max-iters", args.max_iters >= 1, ">= 1"), ("polish", args.polish >= 0, ">= 0")):
-        if not ok:
-            raise CliError(f"--{flag} must be {bound}")
     m, tol = args.particles, args.tol
     rng = task_stream(args.seed, "rde", 0)
     result = rde.solve_fixpoint(m, tol, args.max_iters, rng, seed=args.seed, polish=args.polish)
@@ -198,7 +231,7 @@ def cmd_rde_solve(args) -> ExperimentReport:
 
 
 def cmd_rde_validate(args) -> ExperimentReport:
-    cloud = _load_cloud(args.cloud)
+    cloud = rde.load_cloud(args.cloud)
     rng = task_stream(args.seed, "rde", 2)
     checks = []
     m1, m2, m3 = (rde.moment(cloud, k) for k in (1, 2, 3))
@@ -229,7 +262,7 @@ def cmd_rde_validate(args) -> ExperimentReport:
 
 
 def cmd_beta(args) -> ExperimentReport:
-    cloud = _load_cloud(args.cloud)
+    cloud = rde.load_cloud(args.cloud)
     rng = task_stream(args.seed, "beta", 0)
     cfg = {"extras": {"budget": args.trials, "method": args.method}}
     if args.method != "all":
@@ -256,8 +289,7 @@ DISCRETE_TASKS = {"theorem1": 0, "conductance": 1, "levelset": 2, "fixed-size": 
 
 def _discrete(args):
     """The offspring law and the experiment's own task stream."""
-    rng = task_stream(args.seed, "experiments", DISCRETE_TASKS[args.experiment])
-    return offspring.from_spec(args.offspring), rng
+    return args.law, task_stream(args.seed, "experiments", DISCRETE_TASKS[args.experiment])
 
 
 def _beta_ref(args, cloud: rde.ParticleCloud) -> beta_mod.BetaEstimate:
@@ -267,19 +299,17 @@ def _beta_ref(args, cloud: rde.ParticleCloud) -> beta_mod.BetaEstimate:
 
 
 def cmd_theorem1(args) -> ExperimentReport:
-    experiments.check_theorem1_args(args.n, args.delta)  # before the cloud is read
     dist, rng = _discrete(args)
-    ref = _beta_ref(args, _load_cloud(args.cloud))
+    ref = _beta_ref(args, rde.load_cloud(args.cloud))
     report = experiments.run_theorem1(dist, args.n, args.delta, args.trials, rng, ref.value)
     report.config["beta_ref_se"] = ref.std_error
     return report
 
 
 def cmd_conductance(args) -> ExperimentReport:
-    experiments.check_conductance_args(args.n)  # before the cloud is read
     dist, rng = _discrete(args)
     return experiments.run_conductance_convergence(dist, args.n, args.trials,
-                                                   _load_cloud(args.cloud), rng)
+                                                   rde.load_cloud(args.cloud), rng)
 
 
 def cmd_levelset(args) -> ExperimentReport:
@@ -288,9 +318,8 @@ def cmd_levelset(args) -> ExperimentReport:
 
 
 def cmd_fixed_size(args) -> ExperimentReport:
-    experiments.check_fixed_size_args(args.edges, args.n, args.delta)  # before the cloud is read
     dist, rng = _discrete(args)
-    ref = _beta_ref(args, _load_cloud(args.cloud))
+    ref = _beta_ref(args, rde.load_cloud(args.cloud))
     report = experiments.run_corollary_fixed_size(dist, args.edges, args.n, args.trials, rng,
                                                   ref.value, args.delta)
     report.config["beta_ref_se"] = ref.std_error
@@ -298,7 +327,7 @@ def cmd_fixed_size(args) -> ExperimentReport:
 
 
 def cmd_continuum(args) -> ExperimentReport:
-    cloud = _load_cloud(args.cloud)
+    cloud = rde.load_cloud(args.cloud)
     ref = _beta_ref(args, cloud)
     curve = continuum.dimension_curve(cloud, args.eps, args.trials,
                                       task_stream(args.seed, "continuum", 0))

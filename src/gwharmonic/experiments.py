@@ -10,8 +10,9 @@ fixed-size experiment keeps generations 0..n-1 of each tree of N edges as
 n arrays of child counts, joins a batch of trees generation by generation
 into level-major counts, and reduces and sweeps them as one level forest;
 theorem1 and fixed-size compute their per-tree exit statistics in one pass.
-Every experiment returns an ExperimentReport of its results, whose config
-holds the experiment's own parameters; the CLI stamps in the flags and the
+Every experiment takes arguments the CLI's usage gate has already checked
+and returns an ExperimentReport of its results, whose config holds the
+experiment's own parameters; the CLI stamps in the flags and the
 wall clock, and the flags reproduce the run bit-for-bit under the same seed.
 The theorems are asymptotic, so the experiments report finite-size trends
 (Mann-Kendall) and identity z-scores rather than exact limits.
@@ -206,30 +207,6 @@ def _power_note(n: int) -> str:
     return f"; underpowered: smallest attainable p = {floor:.4f}" if floor >= 0.05 else ""
 
 
-def check_ladder(n_list, least: int) -> None:
-    """Refuse a level below `least`, then a ladder that does not strictly increase."""
-    if min(n_list) < least:
-        raise ValueError(f"n must be >= {least}")
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError(f"the n ladder must strictly increase, got {','.join(map(str, n_list))}")
-
-
-def check_delta(delta) -> None:
-    if not delta > 0:  # an empty concentration window; NaN fails too
-        raise ValueError(f"delta must be > 0, got {delta}")
-
-
-def check_theorem1_args(n_list, delta) -> None:
-    """Refuse a ladder or delta the theorem1 run cannot serve."""
-    check_ladder(n_list, 4)
-    check_delta(delta)
-
-
-def check_conductance_args(n_list) -> None:
-    """Refuse a ladder the conductance run cannot serve: below 2 the mid-level is the root."""
-    check_ladder(n_list, 2)
-
-
 def exponent_trend_check(means, beta_ref) -> dict:
     """One-sided Mann-Kendall test that the gap |mean - beta_ref| shrinks
     along the n ladder.  The direction is fixed before the data are seen, so
@@ -245,7 +222,6 @@ def run_theorem1(dist, n_list, delta, trials, rng, beta_ref):
     -log mu_n(Sigma_n)/log n and the concentration statistic around the
     cloud-derived exponent beta_ref; trend across n is the theorem's content.
     Each forest's boundary uniforms are drawn after the forest."""
-    check_theorem1_args(n_list, delta)
 
     def exit_statistics(forest):
         return _tree_statistics(forest_boundary_log_mass(forest), forest.boundary_offsets(),
@@ -280,7 +256,6 @@ def run_theorem1(dist, n_list, delta, trials, rng, beta_ref):
 
 def run_conductance_convergence(dist, n_list, trials, cloud, rng):
     """Law of n C_n against the cloud: d1 must fall as n grows."""
-    check_conductance_args(n_list)
 
     def scaled_conductance(forest):
         c = forest_conductance_to_level(forest)
@@ -313,9 +288,6 @@ def run_levelset(dist, n, p_list, trials, rng):
     conductance; its mid-level check is dropped, as the p = n/2 cell tests
     the same identity.  Each tree's sizes are read through level_set on its
     generation offsets, the running sum of its level sizes."""
-    for p in p_list:
-        if not 1 <= p <= n / 2:
-            raise ValueError("p must lie in [1, n/2]")
 
     def level_set_sizes(forest):
         sizes = np.stack([forest.level_sizes(g) for g in range(n + 1)], axis=1)
@@ -338,18 +310,9 @@ def run_levelset(dist, n, p_list, trials, rng):
     return ExperimentReport("levelset", cfg, cells, checks)
 
 
-def check_fixed_size_args(N, n, delta) -> None:
-    """Refuse an edge count, level or delta the fixed-size run cannot serve."""
-    if N < 1 or not 1 <= n <= math.sqrt(N) / 2:
-        raise ValueError(f"need N >= 1 and 1 <= n <= sqrt(N)/2, got n={n}, N={N}")
-    check_delta(delta)
-
-
 def run_corollary_fixed_size(dist, N, n, trials, rng, beta_ref, delta):
     """Fixed-size variant: trees with N edges resampled until height >= n,
-    then the same exit statistics as the height-conditioned run.  N and n
-    and delta are checked before any draw."""
-    check_fixed_size_args(N, n, delta)
+    then the same exit statistics as the height-conditioned run."""
     masses, sizes, batch, u = [], [], [], np.empty(trials)
     attempts = entries = 0
     for i in range(trials):

@@ -228,8 +228,6 @@ def solve_fixpoint(m: int, tol: float, max_iters: int, rng, seed: int = 0, polis
     tol-close in d1, then `polish` steps more; else stop after `max_iters`
     steps (reported, never raised).  From this start each step's d1 is the
     population's Monte Carlo noise, not a distance to the fixed point."""
-    if m < 1000:
-        raise ValueError("population size must be >= 1e3")
     law = grid_law()
     cloud = law.quantile_cloud(m, seed)
     trace, converged, stop = [], False, max_iters

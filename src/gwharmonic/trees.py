@@ -130,6 +130,10 @@ class UnsupportedDistributionError(ValueError):
     pass
 
 
+# The offspring laws (their `kind`) whose fixed-size trees _exchangeable_counts draws.
+FIXED_SIZE_LAWS = ("geometric", "poisson")
+
+
 def _exchangeable_counts(dist, N: int, rng) -> np.ndarray:
     """N+1 counts summing to N, iid with law dist given their sum: a bincount
     of N labels in 0..N.  geometric: every composition of N into N+1 parts
@@ -137,6 +141,9 @@ def _exchangeable_counts(dist, N: int, rng) -> np.ndarray:
     labelled by the zeros before it.  The k ones of 2N fair bits become N by
     flipping a uniform subset of |k-N| majority symbols (a uniform subset of
     a uniform subset is uniform).  poisson: N uniform labels."""
+    if dist.kind not in FIXED_SIZE_LAWS:
+        raise UnsupportedDistributionError(
+            f"fixed-size sampling supports {' and '.join(FIXED_SIZE_LAWS)}, not {dist.kind}")
     if dist.kind == "geometric":
         raw = rng.bit_generator.random_raw(-(-2 * N // 64))
         bits = np.unpackbits(raw.view(np.uint8), count=2 * N).view(bool)
@@ -145,12 +152,8 @@ def _exchangeable_counts(dist, N: int, rng) -> np.ndarray:
             bits[rng.choice(np.flatnonzero(bits == (k > N)), abs(k - N), replace=False)] = k < N
         labels = np.flatnonzero(bits)
         labels -= np.arange(N)
-    elif dist.kind == "poisson":
-        labels = rng.integers(0, N + 1, size=N)
     else:
-        raise UnsupportedDistributionError(
-            f"fixed-size sampling supports geometric and poisson, not {dist.kind}"
-        )
+        labels = rng.integers(0, N + 1, size=N)
     return np.bincount(labels, minlength=N + 1)
 
 

@@ -337,6 +337,67 @@ def test_zero_counts_are_usage_errors(cloud_file, tmp_path, capsys, monkeypatch,
     assert not list(tmp_path.iterdir())
 
 
+USAGE_ERRORS = {
+    "particles-0": (["rde", "solve", "--particles", "0"], "--particles must be >= 1e3"),
+    "validate-seed-negative": (["rde", "validate", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    "beta-trials-1": (["beta", "--trials", "1"], "--trials must be >= 2"),
+    "theorem1-seed-negative": (["discrete", "theorem1", "--offspring", "geometric", "--seed", "-1"],
+                               "--seed must be >= 0, got -1"),
+    "theorem1-law": (["discrete", "theorem1", "--offspring", "pary:1"], "p-ary needs p >= 2"),
+    "theorem1-n-1": (["discrete", "theorem1", "--offspring", "geometric", "--n", "1"],
+                     "n must be >= 4"),
+    "conductance-n-1": (["discrete", "conductance", "--offspring", "geometric", "--n", "1"],
+                        "n must be >= 2"),
+    "levelset-p-repeated": (["discrete", "levelset", "--offspring", "geometric", "--n", "30",
+                             "--p", "5,5"], "repeated p"),
+    "levelset-p-above-half-n": (["discrete", "levelset", "--offspring", "geometric", "--n", "30",
+                              "--p", "5,16"], "--p must lie in [1, n/2]"),
+    "levelset-p-0": (["discrete", "levelset", "--offspring", "geometric", "--n", "30", "--p", "0"],
+                     "--p must lie in [1, n/2]"),
+    "fixed-size-binary": (["discrete", "fixed-size", "--offspring", "binary"],
+                          "--offspring must be one of geometric, poisson, got binary"),
+    "continuum-eps": (["continuum", "dimension", "--eps", "2^-6,0.7"], "(0, 1/2)"),
+    "continuum-no-cloud": (["continuum", "dimension", "--cloud", "{tmp}/nope.txt"], "rde solve"),
+}
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_errors_exit_two_before_any_work(tmp_path, capsys, monkeypatch, argv, message):
+    # fixed-size --offspring binary read the cloud, drew its beta_ref and made
+    # --out before the sampler refused the law; a repeated --p wrote two
+    # identical rows and two checks of one name; --seed -1 failed in numpy
+    # after --out was made.  The gate refuses each before --out is made,
+    # before the cloud is read and before a task stream is drawn from.
+    def reached(*a, **k):
+        raise AssertionError("the work started before the flags were checked")
+
+    monkeypatch.setattr(rde, "load_cloud", reached)
+    monkeypatch.setattr(cli, "task_stream", reached)
+    (tmp_path / "cloud.txt").write_text("")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if argv[:2] not in (["rde", "solve"], ["discrete", "levelset"]) and "--cloud" not in argv:
+        argv += ["--cloud", str(tmp_path / "cloud.txt")]
+    out = tmp_path / "out"  # does not exist yet
+    assert run([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not out.exists()
+
+
+def test_every_command_passes_the_gate_under_defaults_and_presets(tmp_path):
+    # a value in DEFAULTS or PRESETS that breaks a rule (say delta 0 in a
+    # preset) would make every run that leaves the flag unset a usage error
+    cloud = tmp_path / "cloud.txt"
+    cloud.write_text("")
+    for stage, parser in _leaf_parsers(cli.build_parser()).items():
+        dests = {a.dest for a in parser._actions}
+        argv = [*stage.split(), *["--cloud", str(cloud)] * ("cloud" in dests),
+                *["--offspring", "geometric"] * ("offspring" in dests)]
+        for preset in [None, *cli.PRESETS] if "preset" in dests else [None]:
+            args = cli.build_parser().parse_args([*argv, *["--preset", preset] * bool(preset)])
+            cli._fill(args)  # raises CliError on a broken rule
+
+
 @pytest.mark.parametrize("argv", [
     ["beta", "--cloud", "{tmp}", "--trials", "2000", "--out", "{tmp}/out"],
     ["discrete", "levelset", "--offspring", "geometric", "--n", "4", "--p", "2", "--trials", "2",

@@ -74,12 +74,6 @@ def test_run_levelset_identity(solved_cloud):
     assert rep.passed
 
 
-def test_run_levelset_rejects_bad_p():
-    rng = task_stream(3, "experiments", 3)
-    with pytest.raises(ValueError):
-        ex.run_levelset(off.geometric(), 50, [40], 10, rng)
-
-
 def test_run_levelset_reads_one_direct_forest():
     # at trials <= FOREST_CHUNK _forest_statistics draws one forest, as one
     # sample_reduced_forest call on the same stream
@@ -209,12 +203,6 @@ def test_check_mass_rejects_nan():
         with pytest.raises(AssertionError, match="mass off by nan"), np.errstate(invalid="ignore"):
             ex._check_mass(np.array(log_mass), np.array(starts))
     ex._check_mass(np.array([half, half, 0.0]), np.array([0, 2]))
-
-
-def test_run_theorem1_rejects_small_n():
-    rng = task_stream(5, "experiments", 5)
-    with pytest.raises(ValueError):
-        ex.run_theorem1(off.geometric(), [2], 0.25, 10, rng, 0.7845)
 
 
 def test_run_conductance_convergence(solved_cloud, monkeypatch):
@@ -363,12 +351,6 @@ def test_fixed_size_report_does_not_depend_on_the_batch_budget(monkeypatch):
     default = report()
     monkeypatch.setattr(ex, "FIXED_SIZE_BATCH_VERTICES", 1)
     assert report() == default
-
-
-def test_corollary_rejects_deep_n():
-    rng = task_stream(8, "experiments", 8)
-    with pytest.raises(ValueError):
-        ex.run_corollary_fixed_size(off.geometric(), 400, 30, 5, rng, 0.78, 0.25)
 
 
 def test_report_roundtrip_and_hash(solved_cloud):

@@ -209,13 +209,6 @@ def test_exit_exponent_point_mass_is_zero():
     assert -log_mass[0] / np.log(9) == 0.0
 
 
-def test_exit_exponent_rejects_small_n():
-    rng = task_stream(31, "network", 11)
-    for n in (1, 3):
-        with pytest.raises(ValueError):
-            ex.run_theorem1(off.geometric(), [n], 0.25, 10, rng, 0.7845)
-
-
 def test_exit_exponent_mean_range_n200():
     rng = task_stream(32, "network", 12)
     rep = ex.run_theorem1(off.geometric(), [200], 0.25, 400, rng, 0.7845)

@@ -204,12 +204,6 @@ def test_solver_converges_and_mean(solved_cloud):
     assert rde.moment(solved_cloud, 1) == pytest.approx(1.72, abs=0.03)
 
 
-def test_solver_rejects_tiny_population():
-    rng = task_stream(6, "rde", 6)
-    with pytest.raises(ValueError):
-        rde.solve_fixpoint(100, 1e-2, 10, rng)
-
-
 @pytest.fixture(scope="module")
 def grid_solved():
     return rde.solve_fixpoint(3 * 10**5, 3e-3, 60, task_stream(7, "rde", 7))
