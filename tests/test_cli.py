@@ -351,7 +351,7 @@ USAGE_ERRORS = {
     "levelset-p-repeated": (["discrete", "levelset", "--offspring", "geometric", "--n", "30",
                              "--p", "5,5"], "repeated p"),
     "levelset-p-above-half-n": (["discrete", "levelset", "--offspring", "geometric", "--n", "30",
-                              "--p", "5,16"], "--p must lie in [1, n/2]"),
+                                 "--p", "5,16"], "--p must lie in [1, n/2]"),
     "levelset-p-0": (["discrete", "levelset", "--offspring", "geometric", "--n", "30", "--p", "0"],
                      "--p must lie in [1, n/2]"),
     "fixed-size-binary": (["discrete", "fixed-size", "--offspring", "binary"],
@@ -375,8 +375,8 @@ def test_usage_errors_exit_two_before_any_work(tmp_path, capsys, monkeypatch, ar
     monkeypatch.setattr(cli, "task_stream", reached)
     (tmp_path / "cloud.txt").write_text("")
     argv = [a.format(tmp=tmp_path) for a in argv]
-    if argv[:2] not in (["rde", "solve"], ["discrete", "levelset"]) and "--cloud" not in argv:
-        argv += ["--cloud", str(tmp_path / "cloud.txt")]
+    if "--cloud" not in argv:
+        argv += _cloud_flag(argv, tmp_path / "cloud.txt")
     out = tmp_path / "out"  # does not exist yet
     assert run([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
