@@ -194,16 +194,12 @@ class CrossValidation:
     estimates: list
     z_matrix: np.ndarray
     flagged: bool
-    budget: int
-    seed: int = 0
 
     def to_dict(self) -> dict:
         return {
             "estimates": [e.to_dict() for e in self.estimates],
             "z_matrix": self.z_matrix.tolist(),
             "flagged": self.flagged,
-            "budget": self.budget,
-            "seed": self.seed,
         }
 
 
@@ -260,10 +256,4 @@ def cross_validate(cloud: ParticleCloud, budget: int, rng) -> CrossValidation:
             if i != j:
                 z[i, j] = z_score(abs(ests[i].value - ests[j].value),
                                   np.hypot(ests[i].total_std_error, ests[j].total_std_error))
-    return CrossValidation(
-        estimates=ests,
-        z_matrix=z,
-        flagged=bool(np.any(z > 3.0)),
-        budget=budget,
-        seed=cloud.seed,
-    )
+    return CrossValidation(estimates=ests, z_matrix=z, flagged=bool(np.any(z > 3.0)))

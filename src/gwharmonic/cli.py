@@ -8,8 +8,8 @@ every flag's value before --out is made or any work starts.  A master
 --seed expands into per-task Philox streams keyed on (seed, module, task),
 so every artifact is byte-reproducible from the flags alone.  Every command
 returns its ExperimentReport, and one runner reports them all: it times the
-command, stamps the flag echo into the report's config, writes the report
-and prints its checks.  Exit codes: 0 all checks pass, 1 a statistical
+command, writes every flag's filled value into the report's config, writes
+the report and prints its checks.  Exit codes: 0 all checks pass, 1 a statistical
 check failed, 2 usage or I/O error.
 """
 
@@ -131,8 +131,11 @@ def _parse_list(text, parse=int):
 
 
 def _eps_list(text):
-    """Comma-separated eps; a token 2^x reads as 2**x."""
-    return [2.0 ** float(t[2:]) if t.startswith("2^") else float(t) for t in _parse_list(text, str)]
+    """Comma-separated eps; a token 2^x reads as 2**x (argparse would not catch its OverflowError)."""
+    try:
+        return [2.0 ** float(t[2:]) if t.startswith("2^") else float(t) for t in _parse_list(text, str)]
+    except OverflowError:
+        raise CliError(f"--eps {text!r}: a 2^x token overflows") from None
 
 
 def _one_level(text):
@@ -166,26 +169,32 @@ def _write_report(report: ExperimentReport, outdir: Path, fmt: str) -> list[Path
     return paths
 
 
-def _config(args) -> dict:
-    """The flags that shaped the run; a command's own values go under `extras`."""
-    cfg = {"subcommand": args.stage, "seed": args.seed, "out": args.out, "format": args.format,
-           "offspring": getattr(args, "offspring", None), "cloud": getattr(args, "cloud", None),
-           "preset": getattr(args, "preset", None)}
-    return {k: v for k, v in cfg.items() if v is not None} | {"extras": {}}
+# The flags a report's config holds at its top level; a command's other
+# flags go under config.extras.
+SHARED_FLAGS = ("seed", "out", "format", "offspring", "cloud", "preset")
+
+
+def _config(args, computed: dict) -> dict:
+    """What ran: the subcommand and every value flag under its dest, as the usage gate
+    filled it (an unset --preset left out), with `computed` beside the command's own."""
+    flags = {dest: getattr(args, dest) for dest in args.flags}
+    return {"subcommand": args.stage,
+            **{k: v for k, v in flags.items() if k in SHARED_FLAGS and v is not None},
+            "extras": {k: v for k, v in flags.items() if k not in SHARED_FLAGS} | computed}
 
 
 def _run(args) -> int:
     """Run the command and report it: its wall clock runs from the parsed
-    flags to the finished report, and the flag echo goes under the report's
-    own config entries.  Makes --out first, so a bad one fails before any
-    work; writes the report, prints its checks, and returns the exit code:
-    0 when every check passes, 1 otherwise."""
+    flags to the finished report, and its config is the flag echo, plus
+    what the command put in config.extras.  Makes --out first, so a bad one
+    fails before any work; writes the report, prints its checks, and returns
+    the exit code: 0 when every check passes, 1 otherwise."""
     t0 = time.perf_counter()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report = args.run(args)
     report.wall_clock_s = time.perf_counter() - t0
-    report.config = _config(args) | report.config
+    report.config = _config(args, report.config.get("extras", {}))
     paths = _write_report(report, out, args.format)
     tally = f"{sum(c['passed'] for c in report.checks)}/{len(report.checks)} checks passed; "
     print(f"{report.experiment}: {tally if report.checks else ''}"
@@ -224,10 +233,8 @@ def cmd_rde_solve(args) -> ExperimentReport:
               f"at M={m}", file=sys.stderr)
     print(f"cloud written to {cloud_path} (converged={result.converged}, "
           f"iters={summary['iterations']}, E[C]={summary['mean']:.4f})")
-    extras = {"particles": m, "tol": tol, "polish": args.polish, "max_iters": args.max_iters}
     trace = [{"iteration": i, "d1": d} for i, d in result.trace]
-    return ExperimentReport("rde_solve", {"extras": extras}, trace, [], rows_key="trace",
-                            summary=summary)
+    return ExperimentReport("rde_solve", trace, [], rows_key="trace", summary=summary)
 
 
 def cmd_rde_validate(args) -> ExperimentReport:
@@ -257,21 +264,20 @@ def cmd_rde_validate(args) -> ExperimentReport:
         checks.append({"criterion": f"laplace-ode-l{ell:g}",
                        "passed": bool(abs(chk.z) <= 3),
                        "detail": f"residual={chk.residual:.3e} z={chk.z:+.2f}"})
-    cfg = {"extras": {"moments": {"m1": m1, "m2": m2, "m3": m3}}}
-    return ExperimentReport("rde_validate", cfg, [], checks)
+    # the one computed config entry: perfbench reads the moments there
+    return ExperimentReport("rde_validate", [], checks,
+                            config={"extras": {"moments": {"m1": m1, "m2": m2, "m3": m3}}})
 
 
 def cmd_beta(args) -> ExperimentReport:
     cloud = rde.load_cloud(args.cloud)
     rng = task_stream(args.seed, "beta", 0)
-    cfg = {"extras": {"budget": args.trials, "method": args.method}}
     if args.method != "all":
         fn = {"moment": beta_mod.beta_moment, "triple": beta_mod.beta_triple,
               "shift": beta_mod.beta_shift}[args.method]
         est = fn(cloud, args.trials, rng)
         print(f"beta[{est.method}] = {est.value:.5f} +- {est.total_std_error:.5f}")
-        return ExperimentReport(f"beta_{args.method}", cfg, [est.to_dict()], [],
-                                rows_key="estimates")
+        return ExperimentReport(f"beta_{args.method}", [est.to_dict()], [], rows_key="estimates")
     cv = beta_mod.cross_validate(cloud, args.trials, rng)
     for e in cv.estimates:
         print(f"beta[{e.method}] = {e.value:.5f} +- {e.total_std_error:.5f}")
@@ -279,7 +285,7 @@ def cmd_beta(args) -> ExperimentReport:
     rows = summary.pop("estimates")
     checks = [{"criterion": "beta-cross-validate", "passed": not cv.flagged,
                "detail": f"max pairwise |z| = {np.max(cv.z_matrix):.2f} (flag above 3)"}]
-    return ExperimentReport("beta_cross_validate", cfg, rows, checks, rows_key="estimates",
+    return ExperimentReport("beta_cross_validate", rows, checks, rows_key="estimates",
                             summary=summary)
 
 
@@ -298,12 +304,17 @@ def _beta_ref(args, cloud: rde.ParticleCloud) -> beta_mod.BetaEstimate:
     return experiments.beta_reference(cloud, task_stream(args.seed, "beta", 1))
 
 
+def _with_beta_ref(report: ExperimentReport, ref: beta_mod.BetaEstimate) -> ExperimentReport:
+    """The report with the exponent it tested against, and its SE, at its top level."""
+    report.summary |= {"beta_ref": ref.value, "beta_ref_se": ref.std_error}
+    return report
+
+
 def cmd_theorem1(args) -> ExperimentReport:
     dist, rng = _discrete(args)
     ref = _beta_ref(args, rde.load_cloud(args.cloud))
-    report = experiments.run_theorem1(dist, args.n, args.delta, args.trials, rng, ref.value)
-    report.config["beta_ref_se"] = ref.std_error
-    return report
+    return _with_beta_ref(
+        experiments.run_theorem1(dist, args.n, args.delta, args.trials, rng, ref.value), ref)
 
 
 def cmd_conductance(args) -> ExperimentReport:
@@ -320,10 +331,8 @@ def cmd_levelset(args) -> ExperimentReport:
 def cmd_fixed_size(args) -> ExperimentReport:
     dist, rng = _discrete(args)
     ref = _beta_ref(args, rde.load_cloud(args.cloud))
-    report = experiments.run_corollary_fixed_size(dist, args.edges, args.n, args.trials, rng,
-                                                  ref.value, args.delta)
-    report.config["beta_ref_se"] = ref.std_error
-    return report
+    return _with_beta_ref(experiments.run_corollary_fixed_size(
+        dist, args.edges, args.n, args.trials, rng, ref.value, args.delta), ref)
 
 
 def cmd_continuum(args) -> ExperimentReport:
@@ -334,11 +343,10 @@ def cmd_continuum(args) -> ExperimentReport:
     if curve.extrapolated is not None:
         print(f"extrapolated exponent = {curve.extrapolated:.4f} +- {curve.extrapolated_se:.4f}")
     for p in curve.points:
-        print(f"  eps=2^{np.log2(p.eps):.0f}: exponent {p.exponent:.4f} +- {p.std_error:.4f}")
-    cfg = {"extras": {"eps_list": args.eps, "trials": args.trials}}
-    summary = curve.summary() | {"beta_ref": ref.value, "beta_ref_se": ref.std_error}
-    return ExperimentReport("continuum_dimension", cfg, curve.to_rows(),
-                            [curve.exponent_check(ref.value)], rows_key="points", summary=summary)
+        print(f"  eps=2^{np.log2(p.eps):g}: exponent {p.exponent:.4f} +- {p.std_error:.4f}")
+    return _with_beta_ref(ExperimentReport("continuum_dimension", curve.to_rows(),
+                                           [curve.exponent_check(ref.value)], rows_key="points",
+                                           summary=curve.summary()), ref)
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in (solve, validate, beta_p, theorem1, conductance, levelset, fixed, dimension):
         defaults = settings(p.get_default("stage"))
-        for action in p._actions:
+        flags = [action for action in p._actions if action.nargs != 0]  # those that take a value
+        for action in flags:
             value = defaults.get(action.dest, action.default)
-            if value is not None and action.nargs != 0:  # a flag that takes a value
+            if value is not None:
                 action.help = _with_default(action, value)
+        p.set_defaults(flags=[action.dest for action in flags])  # what the report's config echoes
     return ap
 
 

@@ -11,9 +11,9 @@ n arrays of child counts, joins a batch of trees generation by generation
 into level-major counts, and reduces and sweeps them as one level forest;
 theorem1 and fixed-size compute their per-tree exit statistics in one pass.
 Every experiment takes arguments the CLI's usage gate has already checked
-and returns an ExperimentReport of its results, whose config holds the
-experiment's own parameters; the CLI stamps in the flags and the
-wall clock, and the flags reproduce the run bit-for-bit under the same seed.
+and returns an ExperimentReport of its results alone; the CLI stamps in the
+config (the flags) and the wall clock, and the flags reproduce the run
+bit-for-bit under the same seed.
 The theorems are asymptotic, so the experiments report finite-size trends
 (Mann-Kendall) and identity z-scores rather than exact limits.
 """
@@ -61,16 +61,17 @@ class ExperimentReport:
 
     `cells` are the rows, written under `rows_key` in JSON and one per line
     in CSV; `summary` holds scalar results written at the top level.
-    `wall_clock_s` is the whole command's, set by the CLI.
+    `wall_clock_s` is the whole command's and `config` its flags, both set
+    by the CLI.
     """
 
     experiment: str
-    config: dict
     cells: list
     checks: list
     wall_clock_s: float = 0.0
     rows_key: str = "cells"
     summary: dict = field(default_factory=dict)
+    config: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -249,9 +250,7 @@ def run_theorem1(dist, n_list, delta, trials, rng, beta_ref):
              "detail": f"|mean - beta| = {gap:.4f} at n={max(n_list)}"}
         )
     checks += mids
-    cfg = {"n_list": list(map(int, n_list)), "delta": delta, "trials": trials,
-           "beta_ref": beta_ref}
-    return ExperimentReport("theorem1", cfg, cells, checks)
+    return ExperimentReport("theorem1", cells, checks)
 
 
 def run_conductance_convergence(dist, n_list, trials, cloud, rng):
@@ -277,8 +276,7 @@ def run_conductance_convergence(dist, n_list, trials, cloud, rng):
          "detail": f"d1 ladder {['%.4f' % d for d in d1s]}"},
         *mids,
     ]
-    cfg = {"n_list": list(map(int, n_list)), "trials": trials}
-    return ExperimentReport("conductance", cfg, cells, checks)
+    return ExperimentReport("conductance", cells, checks)
 
 
 def run_levelset(dist, n, p_list, trials, rng):
@@ -306,8 +304,7 @@ def run_levelset(dist, n, p_list, trials, rng):
                       "std_error": se, "exact": float(exact), "z": z})
         checks.append({"criterion": f"levelset-z-n{n}-p{p}", "passed": bool(abs(z) <= 3),
                        "detail": f"z={z:+.2f}"})
-    cfg = {"n": n, "p_list": list(map(int, p_list)), "trials": trials}
-    return ExperimentReport("levelset", cfg, cells, checks)
+    return ExperimentReport("levelset", cells, checks)
 
 
 def run_corollary_fixed_size(dist, N, n, trials, rng, beta_ref, delta):
@@ -338,5 +335,4 @@ def run_corollary_fixed_size(dist, N, n, trials, rng, beta_ref, delta):
          "passed": bool(cell["acceptance_rate"] > 0.05),
          "detail": f"acceptance rate {cell['acceptance_rate']:.3f}"},
     ]
-    cfg = {"N": N, "n": n, "trials": trials, "delta": delta, "beta_ref": beta_ref}
-    return ExperimentReport("fixed_size", cfg, [cell], checks)
+    return ExperimentReport("fixed_size", [cell], checks)

@@ -253,6 +253,7 @@ def test_se_scaling_with_budget(solved_cloud):
 def test_cross_validation_report_dict(solved_cloud):
     cv = beta.cross_validate(solved_cloud, 10**5, task_stream(15, "beta", 15))
     d = cv.to_dict()
+    assert set(d) == {"estimates", "z_matrix", "flagged"}  # results only: the CLI echoes --trials
     assert {e["method"] for e in d["estimates"]} == {"moment", "triple", "shift"}
     assert len(d["z_matrix"]) == 3
 

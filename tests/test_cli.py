@@ -19,11 +19,13 @@ def _cloud_is_not_read(*a, **k):
     raise AssertionError("the cloud was read before the flags were checked")
 
 
+SOLVE_ARGV = ["rde", "solve", "--particles", "100000", "--tol", "3e-3", "--seed", "7"]
+
+
 @pytest.fixture(scope="module")
 def cloud_file(tmp_path_factory):
     out = tmp_path_factory.mktemp("cloudrun")
-    code = run(["rde", "solve", "--particles", "100000", "--tol", "3e-3",
-                "--seed", "7", "--out", str(out)])
+    code = run([*SOLVE_ARGV, "--out", str(out)])
     assert code == 0
     return out / "cloud_M100000_seed7.txt"
 
@@ -252,8 +254,9 @@ def test_beta_ref_is_the_triple_readout_with_its_se(cloud_file, tmp_path):
     reps = [json.loads((tmp_path / name).read_text()) for name in (
         "theorem1_geometric_17.json", "fixed_size_geometric_17.json",
         "continuum_dimension_seed17.json")]
-    for where in (reps[0]["config"], reps[1]["config"], reps[2]):
-        assert (where["beta_ref"], where["beta_ref_se"]) == (ref.value, ref.std_error)
+    for rep in reps:
+        assert (rep["beta_ref"], rep["beta_ref_se"]) == (ref.value, ref.std_error)
+        assert not {"beta_ref", "beta_ref_se"} & (set(rep["config"]) | set(rep["config"]["extras"]))
     assert ref.std_error > 0
 
 
@@ -357,6 +360,7 @@ USAGE_ERRORS = {
     "fixed-size-binary": (["discrete", "fixed-size", "--offspring", "binary"],
                           "--offspring must be one of geometric, poisson, got binary"),
     "continuum-eps": (["continuum", "dimension", "--eps", "2^-6,0.7"], "(0, 1/2)"),
+    "continuum-eps-overflow": (["continuum", "dimension", "--eps", "2^-6,2^2000"], "overflows"),
     "continuum-no-cloud": (["continuum", "dimension", "--cloud", "{tmp}/nope.txt"], "rde solve"),
 }
 
@@ -450,6 +454,17 @@ def test_continuum_dimension(cloud_file, tmp_path):
         ("continuum-exponent", True)]
 
 
+def test_continuum_prints_each_eps_as_the_report_holds_it(cloud_file, tmp_path, capsys):
+    # every eps printed as 2^ of its log2 rounded to an integer: 0.1 read 2^-3
+    assert run(["continuum", "dimension", "--cloud", str(cloud_file), "--eps", "0.1,0.05,0.3",
+                "--trials", "50", "--seed", "5", "--out", str(tmp_path)]) in (0, 1)
+    printed = [line.split("eps=")[1].split(":")[0] for line in capsys.readouterr().out.splitlines()
+               if line.startswith("  eps=")]
+    assert printed == ["2^-3.32193", "2^-4.32193", "2^-1.73697"]
+    rep = json.loads((tmp_path / "continuum_dimension_seed5.json").read_text())
+    assert [p["eps"] for p in rep["points"]] == [0.1, 0.05, 0.3]
+
+
 def test_continuum_exponent_check_fails_on_inflated_ray_masses(cloud_file, tmp_path,
                                                               monkeypatch):
     argv = ["continuum", "dimension", "--cloud", str(cloud_file),
@@ -495,42 +510,72 @@ def _reports(out):
     return reports
 
 
+def _expected_config(argv):
+    """A report's config, read off the parser alone: the subcommand, then
+    every flag of the command that takes a value, at its value on `argv`,
+    else from --preset and DEFAULTS, else the parser's own default; the
+    shared flags at the top (an unset --preset left out), the rest under
+    extras."""
+    args = cli.build_parser().parse_args(argv)
+    parser = _leaf_parsers(cli.build_parser())[args.stage]
+    filled = cli.settings(args.stage, getattr(args, "preset", None))
+    flags = {a.dest: filled.get(a.dest) if getattr(args, a.dest) is None else getattr(args, a.dest)
+             for a in parser._actions if a.option_strings and a.nargs != 0}
+    shared = {"seed", "out", "format", "offspring", "cloud", "preset"}
+    return {"subcommand": args.stage,
+            **{k: v for k, v in flags.items() if k in shared and v is not None},
+            "extras": {k: v for k, v in flags.items() if k not in shared}}
+
+
 def test_every_command_writes_one_schema(cloud_file, tmp_path):
     cloud = str(cloud_file)
     out = str(tmp_path)
-    assert run(["rde", "validate", "--cloud", cloud, "--seed", "3", "--out", out]) == 0
-    assert run(["beta", "--cloud", cloud, "--trials", "100000", "--seed", "3",
-                "--out", out]) == 0
-    assert run(["discrete", "levelset", "--offspring", "geometric", "--n", "20", "--p", "5",
-                "--trials", "200", "--seed", "3", "--out", out]) == 0
-    assert run(["continuum", "dimension", "--cloud", cloud, "--eps", "2^-4,2^-5",
-                "--trials", "100", "--seed", "3", "--out", out]) == 0
     disc = ["--offspring", "geometric", "--trials", "40", "--cloud", cloud, "--seed", "3",
             "--out", out]
-    # two points cannot pass a trend check: theorem1 exits 1
-    assert run(["discrete", "theorem1", "--n", "8,16", *disc]) == 1
-    assert run(["discrete", "conductance", "--n", "8,16", *disc]) == 0
-    assert run(["discrete", "fixed-size", "--edges", "400", "--n", "8", *disc]) == 0
-    paths = [cloud_file.parent / "rde_solve_seed7.json", *sorted(tmp_path.glob("*.json"))]
-    assert sorted(p.name for p in paths[1:]) == [
-        "beta_cross_validate_seed3.json", "conductance_geometric_3.json",
-        "continuum_dimension_seed3.json", "fixed_size_geometric_3.json",
-        "levelset_geometric_3.json", "rde_validate_seed3.json", "theorem1_geometric_3.json"]
+    # every command once, with its exit code; levelset under a preset and one override
+    argvs = {
+        "rde_solve_seed7.json": ([*SOLVE_ARGV, "--out", str(cloud_file.parent)], 0),
+        "rde_validate_seed3.json": (["rde", "validate", "--cloud", cloud, "--seed", "3",
+                                     "--out", out], 0),
+        "beta_cross_validate_seed3.json": (["beta", "--cloud", cloud, "--trials", "100000",
+                                            "--seed", "3", "--out", out], 0),
+        "levelset_geometric_3.json": (["discrete", "levelset", "--offspring", "geometric",
+                                       "--preset", "smoke", "--trials", "200", "--seed", "3",
+                                       "--out", out], 0),
+        "continuum_dimension_seed3.json": (["continuum", "dimension", "--cloud", cloud,
+                                            "--eps", "2^-4,2^-5", "--trials", "100",
+                                            "--seed", "3", "--out", out], 0),
+        # two points cannot pass a trend check: theorem1 exits 1
+        "theorem1_geometric_3.json": (["discrete", "theorem1", "--n", "8,16", *disc], 1),
+        "conductance_geometric_3.json": (["discrete", "conductance", "--n", "8,16", *disc], 0),
+        "fixed_size_geometric_3.json": (["discrete", "fixed-size", "--edges", "400", "--n", "8",
+                                         *disc], 0),
+    }
+    assert {cli.build_parser().parse_args(argv).stage for argv, _ in argvs.values()} \
+        == set(_leaf_parsers(cli.build_parser()))
+    for name, (argv, code) in argvs.items():
+        if name != "rde_solve_seed7.json":  # the cloud fixture ran it
+            assert run(argv) == code, name
+    assert sorted(p.name for p in tmp_path.glob("*.json")) == sorted(set(argvs) - {
+        "rde_solve_seed7.json"})
     rows_key = {"rde_solve_seed7.json": "trace", "beta_cross_validate_seed3.json": "estimates",
                 "continuum_dimension_seed3.json": "points"}
-    for path in paths:
-        rep = json.loads(path.read_text())
+    for name, (argv, _) in argvs.items():
+        rep = json.loads((cloud_file.parent if name.startswith("rde_solve") else tmp_path)
+                         .joinpath(name).read_text())
         assert {"experiment", "version", "config", "checks", "wall_clock_s"} <= set(rep)
         assert rep["wall_clock_s"] > 0
-        assert isinstance(rep[rows_key.get(path.name, "cells")], list)
+        assert isinstance(rep[rows_key.get(name, "cells")], list)
         cfg = rep["config"]
-        assert {"subcommand", "seed", "format", "extras"} <= set(cfg)
-        assert "threads" not in cfg
-        assert all(v is not None for v in cfg.values())
-        assert all(v is not None for v in cfg["extras"].values())
+        if name == "rde_validate_seed3.json":  # the one computed entry, beside no flag of its own
+            assert set(cfg["extras"].pop("moments")) == {"m1", "m2", "m3"}
+        assert cfg == _expected_config(argv), name
+        assert "threads" not in cfg["extras"]
+        assert all(v is not None for v in [*cfg.values(), *cfg["extras"].values()])
     beta = json.loads((tmp_path / "beta_cross_validate_seed3.json").read_text())
     assert [c["criterion"] for c in beta["checks"]] == ["beta-cross-validate"]
     assert beta["checks"][0]["passed"] is not beta["flagged"]
+    assert "budget" not in beta and "seed" not in beta  # config.extras.trials and the cloud say so
 
 
 def test_same_seed_reports_equal_but_wall_clock(cloud_file, tmp_path):

@@ -66,7 +66,7 @@ def test_beta_reference_sane(solved_cloud):
 def test_run_levelset_identity(solved_cloud):
     rng = task_stream(2, "experiments", 2)
     rep = ex.run_levelset(off.geometric(), 50, [10, 25], 2500, rng)
-    assert rep.experiment == "levelset"
+    assert rep.experiment == "levelset" and rep.config == {}
     assert len(rep.cells) == 2
     for cell, check in zip(rep.cells, rep.checks):
         assert abs(cell["z"]) <= 3.5
@@ -99,8 +99,7 @@ def test_run_levelset_chunks_draw_every_tree(monkeypatch):
 def test_run_theorem1_structure():
     rng = task_stream(4, "experiments", 4)
     rep = ex.run_theorem1(off.geometric(), [8, 16, 32], 0.25, 250, rng, 0.7845)
-    assert rep.config == {"n_list": [8, 16, 32], "delta": 0.25, "trials": 250,
-                          "beta_ref": 0.7845}
+    assert rep.config == {} and rep.summary == {}  # the CLI writes what ran, and beta_ref
     assert [c["n"] for c in rep.cells] == [8, 16, 32]
     for c in rep.cells:
         assert 0.0 < c["exponent_mean"] < 1.0
@@ -117,8 +116,7 @@ def test_run_theorem1_structure():
     assert [chk["criterion"] for chk in mids] == [f"reduced-midlevel-n{n}" for n in (8, 16, 32)]
     assert all(chk["passed"] for chk in mids), mids
     flags = {"offspring": "geometric", "seed": 4}
-    assert dataclasses.replace(rep, config=flags | rep.config).file_stem() \
-        == "theorem1_geometric_4"
+    assert dataclasses.replace(rep, config=flags).file_stem() == "theorem1_geometric_4"
 
 
 def test_run_theorem1_trees_do_not_depend_on_beta_ref():
@@ -223,7 +221,7 @@ def test_run_conductance_convergence(solved_cloud, monkeypatch):
     assert [c["criterion"] for c in rep.checks] == [
         "conductance-d1-decreasing", "reduced-midlevel-n10",
         "reduced-midlevel-n25", "reduced-midlevel-n60"]
-    assert rep.passed
+    assert rep.passed and rep.config == {}
     assert all(d > 0 for d in d1s)
     assert d1s[-1] < d1s[0]
     for c in rep.cells:
@@ -306,6 +304,7 @@ def test_acceptance_check_fails_at_a_tiny_node_cap():
 def test_run_corollary_fixed_size():
     rng = task_stream(7, "experiments", 7)
     rep = ex.run_corollary_fixed_size(off.geometric(), 1600, 20, 150, rng, 0.7845, 0.25)
+    assert rep.config == {} and rep.summary == {}  # the CLI writes what ran, and beta_ref
     cell = rep.cells[0]
     assert cell["acceptance_rate"] > 0.3
     # the mean sits near 1 at n=20 (0.991 +- 0.026 on the stream of
@@ -365,9 +364,9 @@ def test_report_roundtrip_and_hash(solved_cloud):
 
 
 def test_report_rows_key_summary_and_stem():
-    rep = ex.ExperimentReport("beta_cross_validate", {"seed": 3},
-                              [{"method": "moment", "value": 0.5}], [], 1.5,
-                              rows_key="estimates", summary={"flagged": False})
+    rep = ex.ExperimentReport("beta_cross_validate", [{"method": "moment", "value": 0.5}], [], 1.5,
+                              rows_key="estimates", summary={"flagged": False},
+                              config={"seed": 3})
     d = rep.to_dict()
     assert d["estimates"] == rep.cells and "cells" not in d and d["flagged"] is False
     assert rep.file_stem() == "beta_cross_validate_seed3"

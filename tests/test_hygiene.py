@@ -3,17 +3,22 @@ module, a test or a script imports must be used in that file, every public
 function and class, and every public method and property of a class, must be
 used somewhere in the package (code that only tests reach belongs in
 tests/oracles.py), the CLI imports no scipy, not even to build a p-ary
-law, nor `concurrent.futures` before the thread pool is first used, and one
-function of the CLI reads the clock: every report is timed in one place."""
+law, nor `concurrent.futures` before the thread pool is first used, one
+function of the CLI reads the clock: every report is timed in one place,
+and pyproject.toml declares only the runtime dependencies the package
+imports, at the version every report writes."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from gwharmonic import __version__
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gwharmonic"
@@ -149,6 +154,19 @@ def test_cli_import_loads_no_scipy():
     # scipy costs about a second of import; only the test oracles need it
     assert _fresh_modules("import gwharmonic.cli; gwharmonic.offspring.from_spec('pary:3')",
                           "scipy") == []
+
+
+def test_pyproject_declares_what_the_package_imports_at_its_version():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    nodes = [node for p in SRC.glob("*.py") for node in ast.walk(ast.parse(p.read_text()))]
+    imported = {name.partition(".")[0] for node in nodes
+                for name in ([a.name for a in node.names] if isinstance(node, ast.Import) else
+                             [node.module] if isinstance(node, ast.ImportFrom) and not node.level
+                             else [])}
+    runtime = {re.match(r"[\w.-]+", dep).group() for dep in project["dependencies"]}
+    assert runtime <= imported  # scipy, which only the tests import, sits in the test extra
+    assert project["version"] == __version__  # every report writes it as `version`
 
 
 def test_thread_pool_is_imported_on_first_use():
