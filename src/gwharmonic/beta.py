@@ -131,7 +131,7 @@ def kappa_table(cloud: ParticleCloud, rng) -> np.ndarray:
     kappa(r) into a smooth function on [0, 1].  Row k is one sub-table: the
     mean over its own cloud pairs, common to every node; rows are independent.
     The pairs are drawn in the calling thread, and the columns are computed
-    in _TASKS groups on the thread pool."""
+    in _TASKS groups on the thread pool, each group in one pairs-sized buffer."""
     s = cloud.samples
     shape = (_SUBTABLES, _SUBTABLE_PAIRS)
     a = np.take(s, rng.integers(0, s.size, size=shape), mode="clip")
@@ -139,8 +139,12 @@ def kappa_table(cloud: ParticleCloud, rng) -> np.ndarray:
     table = np.empty((_SUBTABLES, _TABLE_NODES))
 
     def columns(nodes):
+        buf = np.empty(shape)
         for j in nodes:
-            table[:, j] = np.mean(a / (1.0 + TABLE_GRID[j] * d), axis=1)
+            np.multiply(d, TABLE_GRID[j], out=buf)
+            buf += 1.0
+            np.divide(a, buf, out=buf)
+            table[:, j] = np.mean(buf, axis=1)
 
     list(pool().map(columns, np.array_split(np.arange(_TABLE_NODES), _TASKS)))
     return table

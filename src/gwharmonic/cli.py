@@ -5,7 +5,7 @@ levelset|fixed-size`, `continuum dimension`.  Each command accepts only the
 flags it reads, and every flag left unset takes its value from DEFAULTS,
 under --preset's overrides.  One usage gate, the RULES table, then checks
 every flag's value before --out is made or any work starts.  A master
---seed expands into per-task Philox streams keyed on (seed, module, task),
+--seed expands into per-task SFC64 streams keyed on (seed, module, task),
 so every artifact is byte-reproducible from the flags alone.  Every command
 returns its ExperimentReport, and one runner reports them all: it times the
 command, writes every flag's filled value into the report's config, writes

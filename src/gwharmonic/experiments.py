@@ -153,12 +153,14 @@ def midlevel_check(dist, n, sizes) -> dict:
             "detail": f"h={h} mean={mean:.4f} exact={exact:.4f} z={z:+.2f}"}
 
 
-def _forest_statistics(dist, n, trials, rng, per_forest):
-    """Per-tree statistics of `trials` reduced trees of height n, drawn in
-    level forests of at most FOREST_CHUNK trees from one child-count table:
-    per_forest(forest) returns a tuple of per-tree arrays, each concatenated
-    over the forests.  Returns them with n's reduced-midlevel check."""
-    cdf = reduced_child_cdf(dist, n)
+def _forest_statistics(dist, cdf, trials, rng, per_forest):
+    """Per-tree statistics of `trials` reduced trees of height n = len(cdf),
+    drawn in level forests of at most FOREST_CHUNK trees from the child-count
+    table `cdf`: per_forest(forest) returns a tuple of per-tree arrays, each
+    concatenated over the forests.  Returns them with n's reduced-midlevel
+    check.  Row g of reduced_child_cdf depends on q_{n-g-1} alone, so the
+    last n rows of one table of height max(n) serve every n of a ladder."""
+    n = len(cdf)
     stats, sizes = [], []
     for start in range(0, trials, FOREST_CHUNK):
         forest = sample_reduced_forest(cdf, min(FOREST_CHUNK, trials - start), rng)
@@ -228,9 +230,10 @@ def run_theorem1(dist, n_list, delta, trials, rng, beta_ref):
         return _tree_statistics(forest_boundary_log_mass(forest), forest.boundary_offsets(),
                                 rng.random(forest.size), forest.n, beta_ref, delta)
 
+    table = reduced_child_cdf(dist, max(n_list))
     cells, mids = [], []
     for n in n_list:
-        (concs, expos), mid = _forest_statistics(dist, n, trials, rng, exit_statistics)
+        (concs, expos), mid = _forest_statistics(dist, table[-n:], trials, rng, exit_statistics)
         mids.append(mid)
         cell = {"n": n, "trials": trials, "concentration_mean": float(concs.mean()),
                 "concentration_se": se_of_mean(concs)}
@@ -261,9 +264,10 @@ def run_conductance_convergence(dist, n_list, trials, cloud, rng):
         check_conductance_invariants(forest, c)
         return (forest.n * c,)
 
+    table = reduced_child_cdf(dist, max(n_list))
     cells, mids = [], []
     for n in n_list:
-        (vals,), mid = _forest_statistics(dist, n, trials, rng, scaled_conductance)
+        (vals,), mid = _forest_statistics(dist, table[-n:], trials, rng, scaled_conductance)
         mids.append(mid)
         d1 = wasserstein1(ParticleCloud(np.sort(vals)), cloud)
         cells.append({"n": n, "trials": trials, "d1_to_cloud": float(d1),
@@ -293,7 +297,7 @@ def run_levelset(dist, n, p_list, trials, rng):
         return tuple(np.array([level_set(row, n - p).size for row in offsets], float)
                      for p in p_list)
 
-    per_p, _ = _forest_statistics(dist, n, trials, rng, level_set_sizes)
+    per_p, _ = _forest_statistics(dist, reduced_child_cdf(dist, n), trials, rng, level_set_sizes)
     qs = survival_probs(dist, n)
     cells, checks = [], []
     for p, sizes in zip(p_list, per_p):

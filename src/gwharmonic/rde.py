@@ -12,7 +12,8 @@ Validation tooling lives here too: moment identities, the tail law
 F(t) = K0/t + 1 - K0 on [1,2], and the exact-moment residual of the
 Laplace-transform ODE 2 l phi'' + l phi' + phi^2 - phi = 0.  So do the two
 error-bar rules that every reported check of the package uses:
-`se_of_mean` and `z_score`.
+`se_of_mean` and `z_score`.  Every random draw here comes from an SFC64
+stream made by `rngs`, or from one spawned from it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rngs import pool
+from .rngs import cloud_stream, pool
 
 _CHUNK = 1 << 17  # particles per phi_step chunk (one stream and one pool task), tuples per batched draw
 _SAVE_BLOCK = 1 << 16  # cloud values encoded or decoded per block (~1 MB of text)
@@ -330,11 +331,10 @@ def laplace_ode_residual(cloud: ParticleCloud, ell_grid) -> list[Residual]:
     """Residual of 2 l phi'' + l phi' + phi^2 - phi at each l, with phi and
     its derivatives computed as exact sample averages (no numerical
     differentiation); standard errors by _BATCHES batch means over the cloud
-    in an order drawn from the cloud seed's Philox stream.  The l values run
-    on the thread pool; each computes its summands once, and the batch means
-    and the whole mean read the same values."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cloud.seed)))
-    s = cloud.samples[rng.permutation(cloud.size)]
+    in an order drawn from the cloud seed's SFC64 stream, `rngs.cloud_stream`.
+    The l values run on the thread pool; each computes its summands once, and
+    the batch means and the whole mean read the same values."""
+    s = cloud.samples[cloud_stream(cloud.seed).permutation(cloud.size)]
     m = s.size // _BATCHES
 
     def means(v):

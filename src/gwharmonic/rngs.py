@@ -2,8 +2,9 @@
 
 A single 64-bit master seed expands into independent per-task streams keyed
 on (seed, module id, task index), so every artifact is reproducible from the
-seed alone, independent of scheduling.  Philox is counter-based, which makes
-the derived streams cheap and collision-free.
+seed alone, independent of scheduling.  Every stream is numpy's SFC64 seeded
+by a `SeedSequence`, whose spawn keys keep the streams independent; this is
+the only module of the package that names a bit generator.
 
 Work that draws from its own spawned stream (the chunks of one `rde.phi_step`,
 the batch groups of every beta estimator and of `rde.check_identity`, the
@@ -37,10 +38,19 @@ _POOL = None
 _POOL_LOCK = threading.Lock()
 
 
+def _sfc64(ss: np.random.SeedSequence) -> np.random.Generator:
+    return np.random.Generator(np.random.SFC64(ss))
+
+
 def task_stream(seed: int, module: str, task: int = 0) -> np.random.Generator:
     """Independent generator for task `task` of `module` under `seed`."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(MODULE_IDS[module], task))
-    return np.random.Generator(np.random.Philox(ss))
+    return _sfc64(np.random.SeedSequence(entropy=seed, spawn_key=(MODULE_IDS[module], task)))
+
+
+def cloud_stream(seed: int) -> np.random.Generator:
+    """The generator keyed on a cloud's seed alone (no module or task), which
+    orders `rde.laplace_ode_residual`'s batch means."""
+    return _sfc64(np.random.SeedSequence(seed))
 
 
 def pool():

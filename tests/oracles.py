@@ -60,7 +60,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from gwharmonic import trees
+from gwharmonic import rngs, trees
 from gwharmonic.beta import _SUBTABLE_PAIRS, _SUBTABLES, TABLE_GRID
 from gwharmonic.offspring import OffspringDistribution, OffspringError, survival_probs
 from gwharmonic.rde import (
@@ -812,8 +812,7 @@ def phi_step_serial(cloud: ParticleCloud, rng, chunk: int = 1 << 20) -> Particle
 def laplace_ode_residual_serial(cloud: ParticleCloud, ell_grid) -> list[Residual]:
     """`rde.laplace_ode_residual` as a loop over l, each expression evaluated
     whole, the batch means and the whole-cloud mean apart."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cloud.seed)))
-    s = cloud.samples[rng.permutation(cloud.size)]
+    s = cloud.samples[rngs.cloud_stream(cloud.seed).permutation(cloud.size)]
     m = s.size // _BATCHES
     arr = s[: m * _BATCHES].reshape(_BATCHES, m)
     out = []

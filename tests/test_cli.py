@@ -218,7 +218,7 @@ def test_discrete_theorem1_checks_the_ladder_before_sampling(cloud_file, tmp_pat
                                                              monkeypatch, ladder, message):
     # a descending ladder ran and failed both trend checks on values that fell with n
     drawn = []
-    monkeypatch.setattr(experiments, "_forest_statistics", lambda dist, n, *a: drawn.append(n))
+    monkeypatch.setattr(experiments, "_forest_statistics", lambda *args: drawn.append(args))
     monkeypatch.setattr(rde, "load_cloud", _cloud_is_not_read)
     code = run(["discrete", "theorem1", "--offspring", "geometric", "--n", ladder,
                 "--trials", "20", "--cloud", str(cloud_file), "--out", str(tmp_path)])
@@ -233,7 +233,7 @@ def test_discrete_conductance_checks_the_ladder_before_sampling(cloud_file, tmp_
                                                                 monkeypatch, ladder, message):
     # --n 40,20,10 failed conductance-d1-decreasing on d1 values that fell with n
     drawn = []
-    monkeypatch.setattr(experiments, "_forest_statistics", lambda dist, n, *a: drawn.append(n))
+    monkeypatch.setattr(experiments, "_forest_statistics", lambda *args: drawn.append(args))
     monkeypatch.setattr(rde, "load_cloud", _cloud_is_not_read)
     code = run(["discrete", "conductance", "--offspring", "geometric", "--n", ladder,
                 "--trials", "20", "--cloud", str(cloud_file), "--out", str(tmp_path)])

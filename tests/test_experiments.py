@@ -245,23 +245,22 @@ def test_conductance_chunks_draw_every_tree(solved_cloud, monkeypatch):
     assert rep.cells[0]["trials"] == 5000 and rep.checks[1]["passed"]
 
 
-def _midlevel_check(monkeypatch, law, fault):
-    if fault:
-        monkeypatch.setattr(ex, "reduced_child_cdf", orc.faulty_child_cdf)
+def _midlevel_check(law, fault):
+    cdf = (orc.faulty_child_cdf if fault else tr.reduced_child_cdf)(law, 12)
     rng = task_stream(17, "experiments", 17)
-    return ex._forest_statistics(law, 12, 20000, rng, lambda forest: ())[1]
+    return ex._forest_statistics(law, cdf, 20000, rng, lambda forest: ())[1]
 
 
 @pytest.mark.parametrize("law", ["geometric", "poisson"])
-def test_midlevel_check_passes_on_the_direct_sampler(law, monkeypatch):
-    chk = _midlevel_check(monkeypatch, off.from_spec(law), fault=False)
+def test_midlevel_check_passes_on_the_direct_sampler(law):
+    chk = _midlevel_check(off.from_spec(law), fault=False)
     assert chk["criterion"] == "reduced-midlevel-n12"
     assert chk["passed"], chk["detail"]
 
 
 @pytest.mark.parametrize("law", ["geometric", "poisson"])
-def test_midlevel_check_fails_on_a_planted_fault(law, monkeypatch):
-    chk = _midlevel_check(monkeypatch, off.from_spec(law), fault=True)
+def test_midlevel_check_fails_on_a_planted_fault(law):
+    chk = _midlevel_check(off.from_spec(law), fault=True)
     assert not chk["passed"], chk["detail"]
     assert float(chk["detail"].split("z=")[1]) < -4
 
@@ -294,11 +293,13 @@ def test_acceptance_check_fails_at_a_tiny_node_cap():
     chk = _acceptance(off.geometric(), 20, 20, 14, node_cap=60)
     assert not chk["passed"]
     assert int(chk["detail"].split("capped=")[1].split()[0]) > 0
-    # a few capped trials fail the check even when z alone would pass
-    chk = _acceptance(off.geometric(), 20, 200, 16, node_cap=1000)
+    # one capped trial fails the check even when the survivors sit at their
+    # exact expectation: geometric q_20 = 1/21, so 10 of 210 trials, z = 0
+    assert off.survival_probs(off.geometric(), 20)[20] * 210 == pytest.approx(10)
+    assert orc.acceptance_check(off.geometric(), 20, 210, 10, capped=0)["passed"]
+    chk = orc.acceptance_check(off.geometric(), 20, 210, 10, capped=1)
     assert not chk["passed"]
-    assert int(chk["detail"].split("capped=")[1].split()[0]) > 0
-    assert abs(float(chk["detail"].split("z=")[1])) <= 4
+    assert float(chk["detail"].split("z=")[1]) == 0
 
 
 def test_run_corollary_fixed_size():

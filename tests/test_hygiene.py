@@ -5,8 +5,9 @@ used somewhere in the package (code that only tests reach belongs in
 tests/oracles.py), the CLI imports no scipy, not even to build a p-ary
 law, nor `concurrent.futures` before the thread pool is first used, one
 function of the CLI reads the clock: every report is timed in one place,
-and pyproject.toml declares only the runtime dependencies the package
-imports, at the version every report writes."""
+pyproject.toml declares only the runtime dependencies the package
+imports, at the version every report writes, and `rngs` is the one module
+that names a bit generator."""
 
 import ast
 import os
@@ -16,9 +17,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gwharmonic import __version__
+from gwharmonic import __version__, rngs
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gwharmonic"
@@ -174,3 +176,42 @@ def test_thread_pool_is_imported_on_first_use():
     assert _fresh_modules("import gwharmonic.cli", "concurrent") == []
     assert "concurrent.futures" in _fresh_modules("import gwharmonic.rngs; gwharmonic.rngs.pool()",
                                                   "concurrent")
+
+
+# numpy's bit generators by class name, and its seeding shortcut
+BIT_GENERATORS = {name for name in dir(np.random) if isinstance(getattr(np.random, name), type)
+                  and issubclass(getattr(np.random, name), np.random.BitGenerator)}
+
+
+def generator_names(source: str) -> list[str]:
+    """Each bit generator class or `default_rng` that a module names, as an
+    attribute (`np.random.SFC64`) or a bare name, in source order."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if name in BIT_GENERATORS | {"default_rng"}:
+            names.append((node.lineno, node.col_offset, name))
+    return [name for *_, name in sorted(names)]
+
+
+def test_only_rngs_names_a_bit_generator():
+    found = {p.stem: generator_names(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {module: names for module, names in found.items() if names} == {"rngs": ["SFC64"]}
+
+
+def test_generator_name_detector():
+    assert {"Philox", "PCG64", "SFC64", "MT19937"} <= BIT_GENERATORS
+    source = ("import numpy as np\nfrom numpy.random import PCG64\n"
+              "g = np.random.Generator(np.random.Philox(1))\nh = np.random.default_rng(2)\n"
+              "k = PCG64(3)\nrng.random(4)\n")
+    assert generator_names(source) == ["Philox", "default_rng", "PCG64"]
+
+
+def test_task_streams_are_sfc64_keyed_on_seed_module_and_task():
+    draws = rngs.task_stream(5, "rde", 3).random(8)
+    assert isinstance(rngs.task_stream(5, "rde", 3).bit_generator, np.random.SFC64)
+    assert np.array_equal(rngs.task_stream(5, "rde", 3).random(8), draws)
+    for other in (rngs.task_stream(5, "rde", 4), rngs.task_stream(5, "beta", 3),
+                  rngs.task_stream(6, "rde", 3), rngs.cloud_stream(5)):
+        assert not np.any(other.random(8) == draws)
+    assert np.array_equal(rngs.cloud_stream(5).random(8), rngs.cloud_stream(5).random(8))

@@ -217,6 +217,22 @@ def test_reduced_child_cdf_matches_the_binomial_sum():
         assert np.allclose(cdf[-1], np.cumsum(top), rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("spec", ["geometric", "poisson", "binary", "pary:3", "strict-pary:3",
+                                  "custom"])
+def test_reduced_child_cdf_rows_are_shared_along_a_ladder(spec, tmp_path):
+    # row g reads q_{n-g-1} alone, so the last n rows of the height-200 table
+    # are the height-n table bit for bit: theorem1 and conductance build one
+    # table per ladder and levelset one per n
+    if spec == "custom":
+        path = tmp_path / "pmf.txt"
+        path.write_text("0 0.4\n1 0.4\n3 0.2\n")
+        spec = f"custom:{path}"
+    dist = off.from_spec(spec)
+    table = tr.reduced_child_cdf(dist, 200)
+    for n in (1, 2, 7, 25, 50, 100, 199, 200):
+        assert np.array_equal(table[-n:], tr.reduced_child_cdf(dist, n))
+
+
 @given(st.sampled_from(["geometric", "poisson", "binary"]), st.integers(1, 15),
        st.integers(0, 2**31 - 1))
 @settings(max_examples=30, deadline=None)
@@ -233,17 +249,26 @@ def _two_sample_stats(forest):
     return n * net.forest_conductance_to_level(forest), forest.level_sizes(n // 2)
 
 
+# Trees a side per n.  The planted fault's KS distance shrinks like 1/n, and
+# at n = 25 with 4,000 trees it sat near the 1e-3 gate (one stream read
+# p = 0.012, a scaled KS distance of 1.6 against the gate's 1.95).  That
+# distance grows as sqrt(trees), so 16,000 trees double it to about 3.2
+# (p near 3e-9).
+_TREES = {12: 4000, 25: 16000}
+
+
 @lru_cache(maxsize=None)
 def _oracle_stats(law, n):
     rng = task_stream(21, "trees", 1000 + n)
-    return _two_sample_stats(orc.sample_conditioned_forest(off.from_spec(law), n, 4000, rng)[0])
+    forest = orc.sample_conditioned_forest(off.from_spec(law), n, _TREES[n], rng)[0]
+    return _two_sample_stats(forest)
 
 
 def _ks_pvalues(law, n):
-    """KS p-values of the direct sampler against the rejection oracle, 4,000
-    trees a side, on n C_n and on the generation-n//2 sizes."""
+    """KS p-values of the direct sampler against the rejection oracle,
+    _TREES[n] trees a side, on n C_n and on the generation-n//2 sizes."""
     mine = _two_sample_stats(
-        orc.direct_forest(off.from_spec(law), n, 4000, task_stream(22, "trees", n)))
+        orc.direct_forest(off.from_spec(law), n, _TREES[n], task_stream(22, "trees", n)))
     return [ks_2samp(a, b).pvalue for a, b in zip(mine, _oracle_stats(law, n))]
 
 
