@@ -1,15 +1,17 @@
 """End-to-end experiment drivers for the discrete limit theorems.
 
 The height-conditioned experiments sample the reduced conditioned trees
-directly, as level forests of at most FOREST_CHUNK trees per n (per-tree
-statistics are independent, so chunking is exact).  Theorem1 and
-conductance run the exact network computations over each forest, assert
+directly, as level forests of FOREST_VERTICES expected vertices: a tree of
+height n has sum_g q_{n-g}/q_n of them, known before any draw (per-tree
+statistics are independent, so splitting into forests is exact).  Theorem1
+and conductance run the exact network computations over each forest, assert
 the per-sample invariants fail-fast, and check the mean mid-level size
 against the exact q_{n-h}/q_n; levelset reads each tree's level sizes.  The
-fixed-size experiment keeps generations 0..n-1 of each tree of N edges as
-n arrays of child counts, joins a batch of trees generation by generation
-into level-major counts, and reduces and sweeps them as one level forest;
-theorem1 and fixed-size compute their per-tree exit statistics in one pass.
+fixed-size experiment keeps generations 0..n-1 of each tree of N edges as n
+arrays of child counts, joins trees generation by generation into level-major
+counts until a batch holds FOREST_VERTICES entries, and reduces and sweeps
+the batch as one level forest; theorem1 and fixed-size compute their
+per-tree exit statistics in one pass.
 Every experiment takes arguments the CLI's usage gate has already checked
 and returns an ExperimentReport of its results alone; the CLI stamps in the
 config (the flags) and the wall clock, and the flags reproduce the run
@@ -44,12 +46,10 @@ from .trees import (
     sample_reduced_forest,
 )
 
-# Trees per level forest in theorem1, conductance and levelset: bounds peak
-# memory at large n and trial counts.
-FOREST_CHUNK = 2000
-# Entries of generations 0..n-1 per fixed-size forest: bounds the memory of
-# its reduce and sweep without a per-tree pass.
-FIXED_SIZE_BATCH_VERTICES = 2**16
+# Vertices per level forest: the expected reduced vertices of the forests
+# of theorem1, conductance and levelset, and the kept entries of a
+# fixed-size batch.  Bounds peak memory at every n and trial count.
+FOREST_VERTICES = 2**20
 # Stratified tuples behind beta_reference: on a solved cloud of 1e6 its tuple
 # SE reads about 1.5e-4, where 1e6 iid tuples gave about 2e-4.
 BETA_REF_TUPLES = 10**5
@@ -155,18 +155,21 @@ def midlevel_check(dist, n, sizes) -> dict:
 
 def _forest_statistics(dist, cdf, trials, rng, per_forest):
     """Per-tree statistics of `trials` reduced trees of height n = len(cdf),
-    drawn in level forests of at most FOREST_CHUNK trees from the child-count
-    table `cdf`: per_forest(forest) returns a tuple of per-tree arrays, each
-    concatenated over the forests.  Returns them with n's reduced-midlevel
-    check.  Row g of reduced_child_cdf depends on q_{n-g-1} alone, so the
-    last n rows of one table of height max(n) serve every n of a ladder."""
+    drawn from the child-count table `cdf` in level forests of `per` trees,
+    FOREST_VERTICES expected vertices: per_forest(forest) returns a tuple of
+    per-tree arrays, each concatenated over the forests.  Returns them with
+    n's reduced-midlevel check.  Row g of reduced_child_cdf depends on
+    q_{n-g-1} alone, so the last n rows of one table of height max(n) serve
+    every n of a ladder."""
     n = len(cdf)
+    q = survival_probs(dist, n)
+    per = max(1, int(FOREST_VERTICES * q[n] / q.sum()))
     stats, sizes = [], []
-    for start in range(0, trials, FOREST_CHUNK):
-        forest = sample_reduced_forest(cdf, min(FOREST_CHUNK, trials - start), rng)
+    for start in range(0, trials, per):
+        forest = sample_reduced_forest(cdf, min(per, trials - start), rng)
         stats.append(per_forest(forest))
         sizes.append(forest.level_sizes(n // 2))
-        del forest  # free this chunk before the next one is drawn
+        del forest  # free this forest before the next one is drawn
     return [np.concatenate(s) for s in zip(*stats)], midlevel_check(dist, n, np.concatenate(sizes))
 
 
@@ -227,7 +230,7 @@ def run_theorem1(dist, n_list, delta, trials, rng, beta_ref):
     Each forest's boundary uniforms are drawn after the forest."""
 
     def exit_statistics(forest):
-        return _tree_statistics(forest_boundary_log_mass(forest), forest.boundary_offsets(),
+        return _tree_statistics(forest_boundary_log_mass(forest), forest.offsets[forest.n],
                                 rng.random(forest.size), forest.n, beta_ref, delta)
 
     table = reduced_child_cdf(dist, max(n_list))
@@ -322,7 +325,7 @@ def run_corollary_fixed_size(dist, N, n, trials, rng, beta_ref, delta):
         u[i] = rng.random()  # each tree's boundary uniform, drawn before the next tree
         batch.append(gens)
         entries += sum(map(len, gens))
-        if entries >= FIXED_SIZE_BATCH_VERTICES or i == trials - 1:
+        if entries >= FOREST_VERTICES or i == trials - 1:
             forest = reduce_tree([np.concatenate(g) for g in zip(*batch)], n)
             masses.append(forest_boundary_log_mass(forest))
             sizes.append(forest.level_sizes(n))

@@ -26,8 +26,8 @@ def _conductance_sweep(forest: LevelForest):
     other trees of the forest."""
     n = forest.n
     c, log_r = [None] * (n + 1), [None] * (n + 1)
-    c[n] = np.full(forest.tree_index[n].size, np.inf)
-    log_r[n] = np.zeros(forest.tree_index[n].size)
+    c[n] = np.full(forest.offsets[n][-1], np.inf)
+    log_r[n] = np.zeros(forest.offsets[n][-1])
     for g in range(n - 1, -1, -1):
         k = forest.counts[g]
         s = np.bincount(np.repeat(np.arange(k.size), k), weights=np.exp(log_r[g + 1]),
@@ -58,7 +58,7 @@ def forest_conductance_to_level(forest: LevelForest) -> np.ndarray:
 
 def forest_boundary_log_mass(forest: LevelForest) -> np.ndarray:
     """Exit-law log-masses of generation n of every tree, in forest order;
-    tree i owns the slice forest.boundary_offsets()[i:i+2]."""
+    tree i owns the slice forest.offsets[n][i:i+2]."""
     return _flow_sweep(forest)[forest.n]
 
 

@@ -4,9 +4,10 @@ Every tree lives in one layout, the LevelForest: generation g of all the
 trees of a forest sits in one array, the trees in order and each tree's
 vertices in breadth-first order, so the children of consecutive vertices
 form consecutive blocks.  That makes the bottom-up and top-down passes of
-the network module one numpy pass per level over all trees; a tree's
-generation offsets, the running sum of its level sizes, are what level_set
-reads.
+the network module one numpy pass per level over all trees.  Per-tree
+offsets, one entry per tree and generation, mark where each tree's block of
+each generation starts; a tree's generation offsets, the running sum of its
+level sizes, are what level_set reads.
 
 Height-conditioned trees are sampled as their reduced trees directly: the
 ancestors of generation n of a critical GW tree conditioned on height >= n
@@ -45,33 +46,29 @@ class LevelForest:
 
     Generation g of every tree lives in one array: the trees in order, and
     each tree's generation-g vertices in breadth-first order.  The children of
-    consecutive vertices are consecutive, so generation g+1 is generation g
-    repeated by its child counts; tree_index follows that rule down from one
-    root per tree.  The forests of sample_reduced_forest and reduce() hold
-    only the ancestors of generation n; the test oracles also hold whole
-    trees chopped at n.
+    consecutive vertices are consecutive, so tree i's generation-g block is
+    [offsets[g][i], offsets[g][i+1]) and its children's block starts at the
+    running sum of counts[g] there, from one root per tree.  The forests of
+    sample_reduced_forest and reduce() hold only the ancestors of generation
+    n; the test oracles also hold whole trees chopped at n.
     """
 
     n: int
     counts: list  # counts[g]: child counts of generation g, for g < n
-    tree_index: list = field(init=False)  # owning tree of each generation-g vertex, g <= n
+    offsets: list = field(init=False)  # offsets[g][i:i+2]: tree i's block of generation g <= n
 
     def __post_init__(self):
-        self.tree_index = [np.arange(self.counts[0].size)]
+        self.offsets = [np.arange(self.counts[0].size + 1)]
         for k in self.counts:
-            self.tree_index.append(np.repeat(self.tree_index[-1], k))
+            self.offsets.append(np.concatenate(([0], np.cumsum(k)))[self.offsets[-1]])
 
     @property
     def size(self) -> int:
-        return self.tree_index[0].size
+        return self.offsets[0].size - 1
 
     def level_sizes(self, g: int) -> np.ndarray:
         """Generation-g vertex count of every tree."""
-        return np.bincount(self.tree_index[g], minlength=self.size)
-
-    def boundary_offsets(self) -> np.ndarray:
-        """Tree i owns vertices [off[i], off[i+1]) of generation n."""
-        return np.concatenate(([0], np.cumsum(self.level_sizes(self.n))))
+        return np.diff(self.offsets[g])
 
 
 def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Reference implementations that the runtime modules are tested against.
 
 Single trees: `PlaneTree`, one tree in breadth-first layout (`plane_trees`
-cuts a LevelForest into them), its builders, accessors and validators, and
+cuts a LevelForest into them by `tree_index`, each vertex's tree rebuilt from
+the forest's level sizes), its builders, accessors and validators, and
 `ReducedTree`, one tree of a reduced forest (`views`) that `as_forest`
 sweeps alone.  Its exit law has two independent checks of the network
 sweeps, the sparse harmonic solve and plain walk simulation;
@@ -104,6 +105,12 @@ class PlaneTree:
         return self.gen_offsets.size - 2
 
 
+def tree_index(forest: LevelForest) -> list[np.ndarray]:
+    """Per generation g <= n, the owning tree of each vertex, from the
+    forest's level sizes."""
+    return [np.repeat(np.arange(forest.size), forest.level_sizes(g)) for g in range(forest.n + 1)]
+
+
 def plane_trees(forest: LevelForest) -> list[PlaneTree]:
     """Every tree of a forest as a PlaneTree in breadth-first layout.
 
@@ -111,11 +118,12 @@ def plane_trees(forest: LevelForest) -> list[PlaneTree]:
     trees' breadth-first layouts back to back; each tree slices them.
     """
     n, size = forest.n, forest.size
-    tree = np.concatenate(forest.tree_index)
+    index = tree_index(forest)
+    tree = np.concatenate(index)
     order = np.argsort(tree, kind="stable")
     tree = tree[order]
-    counts = np.concatenate(forest.counts + [np.zeros(forest.tree_index[n].size, np.int64)])[order]
-    depth = np.repeat(np.arange(n + 1), [t.size for t in forest.tree_index])[order]
+    counts = np.concatenate(forest.counts + [np.zeros(index[n].size, np.int64)])[order]
+    depth = np.repeat(np.arange(n + 1), [t.size for t in index])[order]
     start = np.concatenate(([0], np.cumsum(np.bincount(tree, minlength=size))))
     first = start[tree]  # global index of each vertex's root
     parent = np.full(tree.size, -1, np.int64)
@@ -221,7 +229,7 @@ def validate_reduced(r: ReducedTree) -> None:
     assert t.height == r.n and r.boundary.size > 0
     f = r.as_forest()
     kept = _reduce_levels(r.n, lambda g: f.counts[g])
-    assert [g.size for g in kept.tree_index] == np.diff(t.gen_offsets).tolist()
+    assert [g.size for g in tree_index(kept)] == np.diff(t.gen_offsets).tolist()
 
 
 def hitting_distribution_linsolve(reduced: ReducedTree) -> np.ndarray:

@@ -1,7 +1,11 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from functools import lru_cache
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import oracles as orc
@@ -75,8 +79,8 @@ def test_run_levelset_identity(solved_cloud):
 
 
 def test_run_levelset_reads_one_direct_forest():
-    # at trials <= FOREST_CHUNK _forest_statistics draws one forest, as one
-    # sample_reduced_forest call on the same stream
+    # 400 trees fit in one forest of FOREST_VERTICES, so _forest_statistics
+    # draws them as one sample_reduced_forest call on the same stream
     n, p_list, trials = 30, [5, 15], 400
     rep = ex.run_levelset(off.poisson(), n, p_list, trials, task_stream(23, "experiments", 23))
     forest = orc.direct_forest(off.poisson(), n, trials, task_stream(23, "experiments", 23))
@@ -84,13 +88,37 @@ def test_run_levelset_reads_one_direct_forest():
     assert [c["criterion"] for c in rep.checks] == [f"levelset-z-n{n}-p{p}" for p in p_list]
 
 
+def _drawn_forest_sizes(monkeypatch):
+    """The tree count of every forest that the experiments draw, in order."""
+    sizes = []
+
+    def record(cdf, count, rng):
+        sizes.append(count)
+        return tr.sample_reduced_forest(cdf, count, rng)
+
+    monkeypatch.setattr(ex, "sample_reduced_forest", record)
+    return sizes
+
+
+def _geometric_trees_per_forest(vertices, n):
+    # geometric q_m = 1/(m+1): a reduced tree of height n has (n+1) H_{n+1}
+    # expected vertices
+    return int(vertices / ((n + 1) * sum(1 / (m + 1) for m in range(n + 1))))
+
+
 def test_run_levelset_chunks_draw_every_tree(monkeypatch):
-    monkeypatch.setattr(ex, "FOREST_CHUNK", 7)
+    # 300 vertices hold 7 trees of height 12 (41.3 expected vertices each),
+    # so 20 trees come in forests of 7, 7 and 6
+    monkeypatch.setattr(ex, "FOREST_VERTICES", 300)
+    drawn = _drawn_forest_sizes(monkeypatch)
     n, p_list = 12, [3, 6]
+    per = _geometric_trees_per_forest(300, n)
+    assert per == 7
     rep = ex.run_levelset(off.geometric(), n, p_list, 20, task_stream(24, "experiments", 24))
+    assert drawn == [per, per, 20 - 2 * per]
     rng = task_stream(24, "experiments", 24)
     cdf = tr.reduced_child_cdf(off.geometric(), n)
-    forests = [tr.sample_reduced_forest(cdf, count, rng) for count in (7, 7, 6)]
+    forests = [tr.sample_reduced_forest(cdf, count, rng) for count in (per, per, 20 - 2 * per)]
     assert [c["mean"] for c in rep.cells] == [
         np.concatenate([f.level_sizes(n - p) for f in forests]).mean() for p in p_list]
     assert all(c["trials"] == 20 for c in rep.cells)
@@ -177,7 +205,7 @@ def test_tree_statistics_match_the_per_tree_loop(law):
     n, beta, delta = 30, 0.7845, 0.25
     forest = orc.direct_forest(off.from_spec(law), n, 300, task_stream(18, "experiments", 18))
     log_mass = net.forest_boundary_log_mass(forest)
-    off_ = forest.boundary_offsets()
+    off_ = forest.offsets[n]
     u = task_stream(18, "experiments", 19).random(forest.size)
     conc, expo = ex._tree_statistics(log_mass, off_, u, n, beta, delta)
     for i in range(forest.size):
@@ -230,8 +258,11 @@ def test_run_conductance_convergence(solved_cloud, monkeypatch):
 
 
 def test_conductance_chunks_draw_every_tree(solved_cloud, monkeypatch):
-    # 5,000 trees in forests of at most FOREST_CHUNK, read through the
-    # per-forest invariant hook
+    # 5,000 trees of height 8 in forests of 50,000 expected vertices (1963
+    # trees of 25.5 vertices each), read through the per-forest invariant hook
+    monkeypatch.setattr(ex, "FOREST_VERTICES", 50_000)
+    per = _geometric_trees_per_forest(50_000, 8)
+    assert per == 1963
     sizes = []
 
     def record(forest, c_level):
@@ -241,8 +272,38 @@ def test_conductance_chunks_draw_every_tree(solved_cloud, monkeypatch):
     monkeypatch.setattr(ex, "check_conductance_invariants", record)
     rep = ex.run_conductance_convergence(off.geometric(), [8], 5000, solved_cloud,
                                          task_stream(19, "experiments", 19))
-    assert sizes == [ex.FOREST_CHUNK, ex.FOREST_CHUNK, 5000 - 2 * ex.FOREST_CHUNK]
+    assert sizes == [per, per, 5000 - 2 * per]
     assert rep.cells[0]["trials"] == 5000 and rep.checks[1]["passed"]
+
+
+# theorem1 at n = 400 with 2,000 trials, in a fresh process
+_THEOREM1_N400 = """
+from gwharmonic import experiments as ex, offspring as off
+from gwharmonic.rngs import task_stream
+ex.run_theorem1(off.geometric(), [400], 0.25, 2000, task_stream(1, "experiments", 1), 0.7845)
+"""
+# Spawns argv[1] as a child and prints its exit code and ru_maxrss in MB.
+# Linux carries a parent's peak RSS into its children's ru_maxrss, so the
+# child is spawned by this small process and not by the test runner.
+_PEAK_RSS = """
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, "-c", sys.argv[1]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024)
+"""
+
+
+def test_theorem1_at_n400_stays_under_100_mb():
+    # forests of FOREST_VERTICES expected vertices split the 2,000 trees;
+    # one forest of all of them peaks near 250 MB
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    res = subprocess.run([sys.executable, "-c", _PEAK_RSS, _THEOREM1_N400], env=env,
+                         capture_output=True, text=True, timeout=300)
+    code, rss = res.stdout.split()
+    assert code == "0", res.stderr
+    assert float(rss) < 100
 
 
 def _midlevel_check(law, fault):
@@ -342,15 +403,26 @@ def test_fixed_size_statistics_match_the_per_tree_oracle(law, monkeypatch):
 
 
 def test_fixed_size_report_does_not_depend_on_the_batch_budget(monkeypatch):
-    # the default budget holds every tree in one forest; a budget of one
-    # vertex sweeps each tree alone
+    # 40 trees keep at most 40 * 1601 counts, so the default budget holds
+    # every tree in one forest; a budget of one vertex sweeps each tree alone
+    sizes = []
+
+    def record(counts, n):
+        forest = tr.reduce(counts, n)
+        sizes.append(forest.size)
+        return forest
+
     def report():
         return ex.run_corollary_fixed_size(off.poisson(), 1600, 20, 40,
                                            task_stream(21, "experiments", 21), 0.7845, 0.25)
 
+    monkeypatch.setattr(ex, "reduce_tree", record)
+    assert 40 * 1601 < ex.FOREST_VERTICES
     default = report()
-    monkeypatch.setattr(ex, "FIXED_SIZE_BATCH_VERTICES", 1)
+    assert sizes == [40]
+    monkeypatch.setattr(ex, "FOREST_VERTICES", 1)
     assert report() == default
+    assert sizes == [40] + [1] * 40
 
 
 def test_report_roundtrip_and_hash(solved_cloud):

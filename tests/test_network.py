@@ -295,7 +295,7 @@ def test_forest_matches_single_tree_oracles(law, n, seed):
     assert forest.size == len(views) == len(full) == 6
     c_level = net.forest_conductance_to_level(forest)
     log_mass = net.forest_boundary_log_mass(forest)
-    off_ = forest.boundary_offsets()
+    off_ = forest.offsets[n]
     for i, (t, view) in enumerate(zip(full, views)):
         assert tree_key(view.tree) == tree_key(as_reduced(t, n).tree)
         orc.validate_reduced(view)

@@ -15,6 +15,11 @@ STAGE_REPORTS = ["beta_cross_validate_seed1.json", "conductance_geometric_1.json
                  "continuum_dimension_seed1.json", "fixed_size_geometric_1.json",
                  "levelset_geometric_1.json", "levelset_poisson_1.json", "rde_solve_seed1.json",
                  "rde_validate_seed1.json", "theorem1_geometric_1.json"]
+# The pipeline's closing table: its header, and the stages in the order they run.
+TABLE_HEAD = ["stage", "exit", "wall_s", "rss_mb"]
+STAGES = ["rde solve", "rde validate", "beta", "discrete theorem1 geometric",
+          "discrete conductance geometric", "discrete fixed-size geometric",
+          "discrete levelset geometric", "discrete levelset poisson", "continuum dimension"]
 
 
 def test_smoke_pipeline_writes_the_cloud_and_every_stage_report(tmp_path):
@@ -32,3 +37,11 @@ def test_smoke_pipeline_writes_the_cloud_and_every_stage_report(tmp_path):
     for name in STAGE_REPORTS:
         report = json.loads((tmp_path / name).read_text())
         assert report["config"]["seed"] == 1 and "checks" in report, name
+    # the per-stage table: one row per stage process, its exit code, wall
+    # seconds and peak RSS in MB
+    lines = res.stdout.splitlines()
+    head = [line.split() for line in lines].index(TABLE_HEAD)
+    rows = [line.rsplit(maxsplit=3) for line in lines[head + 1 :]]
+    assert [r[0] for r in rows] == STAGES
+    for _, code, wall, rss in rows:
+        assert int(code) in (0, 1) and float(wall) > 0 and float(rss) > 0

@@ -53,7 +53,7 @@ def tree_key(t):
 
 def assert_same_forest(a, b):
     assert a.n == b.n
-    for x, y in zip(a.counts + a.tree_index, b.counts + b.tree_index, strict=True):
+    for x, y in zip(a.counts + a.offsets, b.counts + b.offsets, strict=True):
         assert np.array_equal(x, y)
 
 
@@ -500,7 +500,7 @@ def test_reduce_matches_the_preorder_path(forest):
 @settings(max_examples=60, deadline=None)
 def test_reduce_of_a_forest_is_its_trees_reductions(laws_and_sizes, seed, data):
     # k trees back to back reduce to the k one-tree reductions, level by
-    # level, with each tree index shifted by the tree's position
+    # level, with each tree's block after the blocks of the trees before it
     rng = task_stream(seed, "trees", 23)
     trees = [bfs_tree(orc.fixed_size_tree(off.from_spec(law), N, rng))
              for law, N in laws_and_sizes]
@@ -508,8 +508,9 @@ def test_reduce_of_a_forest_is_its_trees_reductions(laws_and_sizes, seed, data):
     ones = [tr.reduce(generations(t, n), n) for t in trees]
     whole = tr.reduce(joined(*(generations(t, n) for t in trees)), n)
     assert_same_forest(whole, orc._concat_forests(ones, n))
-    for g in range(n + 1):  # the derived tree index against each tree's own levels
-        assert whole.level_sizes(g).tolist() == [f.tree_index[g].size for f in ones]
+    for g in range(n + 1):  # the derived offsets against each tree's own levels
+        sizes = [f.offsets[g][-1] for f in ones]
+        assert whole.offsets[g].tolist() == np.cumsum([0] + sizes).tolist()
 
 
 def test_fixed_size_conditioned_height():
