@@ -8,8 +8,10 @@ with its namesake in the other.  In the reports, `wall_clock_s` and
 `config.out` + "/" (such as the cloud path) is compared by the remainder
 after that prefix; every differing key path is printed, one line each
 (CSV paths read `file.csv:row[i].column`).  `*.txt` files
-(the clouds) are compared byte for byte and print `<name> differs`.  Exits
-1 on any difference, 0 when the directories match.
+(the clouds) are compared byte for byte; a difference prints
+`<name> differs in the header`, or `<name> differs at value <i>` for the
+first differing 8-byte value after the header line.  Exits 1 on any
+difference, 0 when the directories match.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import csv
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 IGNORED = {("wall_clock_s",), ("config", "out")}
 MISSING = object()
@@ -69,6 +73,20 @@ def _format(name: str, path: tuple) -> str:
     return out
 
 
+def cloud_difference(a: bytes, b: bytes) -> str | None:
+    """Where two cloud files first differ: "in the header", "at value <i>"
+    (the i-th 8-byte value of the body, counted from 0), or None if equal."""
+    if a == b:
+        return None
+    head_a, head_b = a.find(b"\n") + 1, b.find(b"\n") + 1
+    if a[:head_a] != b[:head_b]:
+        return "in the header"
+    body_a, body_b = memoryview(a)[head_a:], memoryview(b)[head_b:]
+    n = min(len(body_a), len(body_b))
+    diff = np.flatnonzero(np.frombuffer(body_a, np.uint8, n) != np.frombuffer(body_b, np.uint8, n))
+    return f"at value {(diff[0] if diff.size else n) // 8}"
+
+
 def compare(dir_a: Path, dir_b: Path) -> list[str]:
     """One line per differing report key path, and per differing or
     unmatched report or cloud file."""
@@ -81,8 +99,9 @@ def compare(dir_a: Path, dir_b: Path) -> list[str]:
             lines.append(f"{name}: only in {dir_a if pa.exists() else dir_b}")
             continue
         if pa.suffix == ".txt":
-            if pa.read_bytes() != pb.read_bytes():
-                lines.append(f"{name} differs")
+            where = cloud_difference(pa.read_bytes(), pb.read_bytes())
+            if where:
+                lines.append(f"{name} differs {where}")
             continue
         a, b = _load(pa), _load(pb)
         lines += [f"{_format(name, path)} differs"

@@ -14,6 +14,9 @@ Laplace-transform ODE 2 l phi'' + l phi' + phi^2 - phi = 0.  So do the two
 error-bar rules that every reported check of the package uses:
 `se_of_mean` and `z_score`.  Every random draw here comes from an SFC64
 stream made by `rngs`, or from one spawned from it.
+
+The cloud file (`save_cloud`, `load_cloud`) is one ASCII header line, then
+the values as little-endian IEEE-754 binary64, read and written in one call.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from .rngs import cloud_stream, pool
 
 _CHUNK = 1 << 17  # particles per phi_step chunk (one stream and one pool task), tuples per batched draw
-_SAVE_BLOCK = 1 << 16  # cloud values encoded or decoded per block (~1 MB of text)
+_VALIDATE_BLOCK = 1 << 15  # neighbour pairs per comparison in validate (a 32 KiB mask)
 _BATCHES = 100  # batch means behind every batched standard error (here and in beta)
 _TASKS = 10  # groups of consecutive batches per batched draw: one stream and one pool task each
 _GRID_TOP, _GRID_H = 30.0, 0.02  # the grid law's support [1, top) and cell width; mass beyond top is dropped
@@ -90,14 +93,21 @@ class ParticleCloud:
         return self.samples.size
 
     def validate(self) -> None:
+        """Raise CloudFormatError unless the cloud is non-empty, finite, in
+        [1, inf) and ascending.  One pass compares neighbours block by block,
+        holding no cloud-size temporary; `b >= a` is false at a NaN, so an
+        ordered cloud with finite ends is finite throughout."""
         s = self.samples
         if s.size == 0:
             raise CloudFormatError("empty cloud")
-        if not np.all(np.isfinite(s)):
+        a, b = s[:-1], s[1:]
+        ordered = all(np.all(b[lo : lo + _VALIDATE_BLOCK] >= a[lo : lo + _VALIDATE_BLOCK])
+                      for lo in range(0, a.size, _VALIDATE_BLOCK))
+        if not (ordered and np.isfinite(s[0]) and np.isfinite(s[-1])) and not np.all(np.isfinite(s)):
             raise CloudFormatError("cloud holds non-finite values")
         if s[0] < 1.0:
             raise CloudFormatError("cloud support must lie in [1, inf)")
-        if np.any(s[1:] < s[:-1]):  # no NaN gets here, so this is diff(s) < 0
+        if not ordered:
             raise CloudFormatError("cloud values must be sorted ascending")
 
 
@@ -361,41 +371,33 @@ def laplace_ode_residual(cloud: ParticleCloud, ell_grid) -> list[Residual]:
 
 
 # ---------------------------------------------------------------------------
-# cloud file format (text, one IEEE-754 bit pattern per line; consumed by the
-# beta and continuum modules)
+# cloud file format (an ASCII header line, then the values as little-endian
+# binary64; consumed by the beta and continuum modules)
 # ---------------------------------------------------------------------------
 
 CLOUD_MAGIC = "GAMMA-CLOUD"
-CLOUD_VERSION = "v2"
-_LINE = 17  # 16 hex digits and a newline
+CLOUD_VERSION = "v3"
+_CLOUD_DTYPE = "<f8"  # an explicit byte order, so the bytes do not depend on the host
 
 
 def save_cloud(cloud: ParticleCloud, path) -> None:
-    """`GAMMA-CLOUD v2 <M> <seed> <iterations>` then M ascending lines, each
-    the 16 lowercase hex digits of the value's big-endian IEEE-754 binary64
-    bits (1.0 is `3ff0000000000000`).  Exact and byte-reproducible; any
-    language reads a line in one call, in Python
-    `struct.unpack(">d", bytes.fromhex(line))`.  One `hex` call spells each
-    block, a newline after every 8 bytes but the last; one more ends it."""
+    """`GAMMA-CLOUD v3 <M> <seed> <iterations>` and a newline, then exactly
+    8*M bytes: the M ascending values as little-endian IEEE-754 binary64
+    (1.0 is the bytes `00 00 00 00 00 00 f0 3f`).  Exact and
+    byte-reproducible; numpy reads the values in one call,
+    `np.fromfile(path, "<f8", offset=len(header_line))`.  One `tofile`
+    writes them, with no copy on a little-endian host."""
     cloud.validate()
-    s = cloud.samples
-    buf = np.empty(min(s.size, _SAVE_BLOCK), dtype=">f8")
     with open(path, "wb") as fh:
         fh.write(f"{CLOUD_MAGIC} {CLOUD_VERSION} {cloud.size} {cloud.seed} {cloud.iteration_count}\n".encode("ascii"))
-        for lo in range(0, s.size, _SAVE_BLOCK):
-            blk = buf[: min(_SAVE_BLOCK, s.size - lo)]
-            blk[:] = s[lo : lo + blk.size]
-            fh.writelines((memoryview(blk.view(np.uint8)).hex("\n", 8).encode("ascii"), b"\n"))
+        cloud.samples.astype(_CLOUD_DTYPE, copy=False).tofile(fh)
 
 
 def load_cloud(path) -> ParticleCloud:
-    """Read a `save_cloud` file block by block, rejecting a wrong header or
-    length and any byte out of place; the values are then checked by
-    `ParticleCloud.validate`.  One `bytes.fromhex` decodes each block; it
-    skips whitespace and takes `A`-`F`, so 8 bytes a line rules out spaces
-    and short lines, a newline at every 17th byte any other line end, and a
-    scan for `A`-`F` capitals; a non-ASCII byte fails the ASCII decode.
-    Files of other versions are refused: re-run `gwharmonic rde solve`."""
+    """Read a `save_cloud` file, rejecting a wrong header, and a body that is
+    not exactly 8*M bytes before anything is allocated; one `np.fromfile`
+    reads the values, which `ParticleCloud.validate` then checks.  Files of
+    other versions are refused: re-run `gwharmonic rde solve`."""
     with open(path, "rb") as fh:
         header = fh.readline(256).decode("ascii", errors="replace").split()
         if len(header) != 5:
@@ -411,26 +413,9 @@ def load_cloud(path) -> ParticleCloud:
         except ValueError as exc:
             raise CloudFormatError(f"{path}: non-integer header field") from exc
         body = os.fstat(fh.fileno()).st_size - fh.tell()
-        if m < 0 or body < _LINE * m:
-            raise CloudFormatError(f"{path}: count field says {m}, file holds {body // _LINE} lines")
-        if body > _LINE * m:
-            raise CloudFormatError(f"{path}: {body - _LINE * m} bytes after line {m}")
-        samples = np.empty(m, dtype=np.float64)
-        text = bytearray(_LINE * min(m, _SAVE_BLOCK))
-        for lo in range(0, m, _SAVE_BLOCK):
-            del text[_LINE * (m - lo) :]  # the last block may be short
-            k = fh.readinto(text) // _LINE
-            try:
-                octets = bytes.fromhex(text.decode("ascii"))
-            except ValueError:  # a non-ASCII byte, or one neither a hex digit nor whitespace
-                octets = b""
-            if len(octets) != 8 * k or text[16::_LINE] != b"\n" * k or any(c in text for c in b"ABCDEF"):
-                lines = np.frombuffer(text, dtype=np.uint8).reshape(k, _LINE)
-                ends = lines[:, 16] != ord("\n")
-                i = np.flatnonzero(ends | ~np.isin(lines[:, :16], list(b"0123456789abcdef")).all(axis=1))[0]
-                raise CloudFormatError(f"{path}: value {lo + i} " + ("is not 16 digits and a newline" if ends[i]
-                                       else "holds a byte that is not a lowercase hex digit"))
-            samples[lo : lo + k] = np.frombuffer(octets, dtype=">f8")
+        if body != 8 * m:
+            raise CloudFormatError(f"{path}: count field says {m} values, the body holds {body} bytes, not 8 each")
+        samples = np.fromfile(fh, dtype=_CLOUD_DTYPE, count=m)
     cloud = ParticleCloud(samples, iteration_count=iters, seed=seed)
     cloud.validate()
     return cloud

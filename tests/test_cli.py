@@ -1,5 +1,6 @@
 import argparse
 import json
+import struct
 import warnings
 
 import numpy as np
@@ -99,7 +100,7 @@ def test_validate_negative_control(tmp_path):
 
 def test_validate_corrupt_cloud(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
-    bad.write_text("GAMMA-CLOUD v2 10 0 0\n3ff0000000000000\n")
+    bad.write_bytes(b"GAMMA-CLOUD v3 10 0 0\n" + struct.pack("<d", 1.0))  # 1 value of 10
     assert run(["rde", "validate", "--cloud", str(bad), "--out", str(tmp_path)]) == 2
     assert "count" in capsys.readouterr().err
 

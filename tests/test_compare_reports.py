@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -74,17 +75,23 @@ def test_every_differing_field_prints_a_line(tmp_path):
 
 
 def test_one_flipped_cloud_byte_fails(tmp_path):
-    cloud = b"GAMMA-CLOUD v2 2 1 3\n3ff0000000000000\n4000000000000000\n"
+    cloud = b"GAMMA-CLOUD v3 3 1 3\n" + struct.pack("<3d", 1.0, 2.0, 3.0)
     for d in ("a", "b"):
         _write_run(tmp_path / d, 1.0, "runs")
         (tmp_path / d / "cloud.txt").write_bytes(cloud)
     assert _run(tmp_path / "a", tmp_path / "b").stdout.strip() == "reports match"
-    flipped = bytearray(cloud)
-    flipped[-2] ^= 1  # last digit of the last value: 0 -> 1
-    (tmp_path / "b" / "cloud.txt").write_bytes(bytes(flipped))
-    res = _run(tmp_path / "a", tmp_path / "b")
-    assert res.returncode == 1
-    assert res.stdout.splitlines() == ["cloud.txt differs"]
+    # the low mantissa byte of value 1, the last byte of value 1, a header
+    # field, and a body cut after value 1
+    for flip, expected in ((-16, "at value 1"), (-9, "at value 1"), (17, "in the header"), (None, "at value 2")):
+        changed = bytearray(cloud)
+        if flip is None:
+            del changed[-8:]
+        else:
+            changed[flip] ^= 1
+        (tmp_path / "b" / "cloud.txt").write_bytes(bytes(changed))
+        res = _run(tmp_path / "a", tmp_path / "b")
+        assert res.returncode == 1
+        assert res.stdout.splitlines() == [f"cloud.txt differs {expected}"]
 
 
 def test_missing_report_fails(tmp_path):

@@ -32,7 +32,10 @@ def test_smoke_pipeline_writes_the_cloud_and_every_stage_report(tmp_path):
     # checks on three levels cannot pass); 2 is a usage or I/O error
     assert res.returncode in (0, 1), res.stdout + res.stderr
     particles = settings("rde solve", "smoke")["particles"]
-    assert (tmp_path / f"cloud_M{particles}_seed1.txt").is_file()
+    cloud = (tmp_path / f"cloud_M{particles}_seed1.txt").read_bytes()
+    header = cloud[: cloud.index(b"\n") + 1]
+    assert header.startswith(f"GAMMA-CLOUD v3 {particles} 1 ".encode("ascii")), header
+    assert len(cloud) == len(header) + 8 * particles
     assert sorted(p.name for p in tmp_path.glob("*.json")) == STAGE_REPORTS
     for name in STAGE_REPORTS:
         report = json.loads((tmp_path / name).read_text())

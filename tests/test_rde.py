@@ -1,5 +1,6 @@
 import inspect
 import struct
+import sys
 import textwrap
 import threading
 import tracemalloc
@@ -465,60 +466,49 @@ def test_cloud_roundtrip(tmp_path, solved_cloud):
     assert back.iteration_count == 12 and back.seed == 777
 
 
-def _ieee_hex_cloud(m, seed, iters, values) -> bytes:
-    """The v2 file spelled one value at a time, independently of rde."""
-    body = "".join(struct.pack(">d", x).hex() + "\n" for x in values)
-    return f"GAMMA-CLOUD v2 {m} {seed} {iters}\n{body}".encode("ascii")
+def _binary_cloud(m, seed, iters, values) -> bytes:
+    """The v3 file spelled one value at a time, independently of rde."""
+    body = b"".join(struct.pack("<d", x) for x in values)
+    return f"GAMMA-CLOUD v3 {m} {seed} {iters}\n".encode("ascii") + body
 
 
 @pytest.mark.parametrize("size", [1, 2**16, 3 * 2**16 + 17])
-def test_save_cloud_bytes_match_ieee_hex_lines(tmp_path, solved_cloud, size):
+def test_save_cloud_bytes_match_little_endian_binary64(tmp_path, solved_cloud, size):
     # awkward values: 1.0, the next double after it, a power of two with an
-    # exponent, a cloud size that is not a multiple of the write block, one
-    # that is exactly one block, M=1
+    # exponent, a cloud size that is not a power of two, one that is, M=1
     awkward = [1.0, 1.0 + 2.0**-52, 1.5, 2.0**40, 2.0**53 + 2.0, 1e300]
     picked = solved_cloud.samples[:max(size - len(awkward), 0)]
     samples = np.sort(np.concatenate((awkward, picked)))[:size]
     cloud = rde.ParticleCloud(samples, 3, 41)
     path = tmp_path / "cloud.txt"
     rde.save_cloud(cloud, path)
-    assert path.read_bytes() == _ieee_hex_cloud(size, 41, 3, samples)
+    assert path.read_bytes() == _binary_cloud(size, 41, 3, samples)
     back = rde.load_cloud(path).samples
     assert np.array_equal(back.view(np.uint64), samples.view(np.uint64))
 
 
-def _hex_cloud_with(m, i, digit) -> bytes:
-    """An m-value v2 file whose value i ends in `digit`."""
-    text = bytearray(_ieee_hex_cloud(m, 0, 0, 1.0 + np.arange(m) / m))
-    text[-17 * (m - i) + 15] = digit[0]
-    return bytes(text)
+def _v3(m, *values) -> bytes:
+    """A v3 file whose count field says m, holding `values` (floats, or raw
+    8-byte patterns as ints)."""
+    body = b"".join(struct.pack("<Q", x) if isinstance(x, int) else struct.pack("<d", x) for x in values)
+    return f"GAMMA-CLOUD v3 {m} 0 0\n".encode("ascii") + body
 
 
 def test_cloud_format_errors(tmp_path):
     cases = [
-        (b"WRONG v2 2 0 0\n3ff0000000000000\n4000000000000000\n", "magic"),
-        (b"GAMMA-CLOUD v9 2 0 0\n3ff0000000000000\n4000000000000000\n", "version"),
-        (b"GAMMA-CLOUD v2 5 0 0\n3ff0000000000000\n4000000000000000\n", "count"),
-        (b"GAMMA-CLOUD v2 2 0 0\n4000000000000000\n3ff0000000000000\n", "sorted"),
-        (b"GAMMA-CLOUD v2 2 0 0\n3fe0000000000000\n3ff8000000000000\n", "support"),
-        # the last line cut short by its newline
-        (b"GAMMA-CLOUD v2 2 0 0\n3ff0000000000000\n4000000000000000", "count"),
-        (b"GAMMA-CLOUD v2 1 0 0\n3ff0000000000000\n4000000000000000\n", "bytes after line 1"),
-        (b"GAMMA-CLOUD v2 2 0 0\n3ff0000000000000\n400000000000000g\n", "value 1 .*lowercase hex"),
-        (b"GAMMA-CLOUD v2 2 0 0\n3FF0000000000000\n4000000000000000\n", "value 0 .*lowercase hex"),
-        # 17 digits then 15: two values of the right total length
-        (b"GAMMA-CLOUD v2 2 0 0\n3ff00000000000000\n400000000000000\n", "value 0 is not 16 digits and a newline"),
-        (b"GAMMA-CLOUD v2 2 0 0\n3ff0000000000000\n7ff8000000000000\n", "non-finite"),
+        (b"WRONG" + _v3(2, 1.0, 2.0)[11:], "magic"),
+        (_v3(2, 1.0, 2.0).replace(b"v3", b"v9"), "version"),
+        (b"GAMMA-CLOUD v3 2 0 x\n" + _v3(2, 1.0, 2.0)[21:], "non-integer"),
+        (_v3(2, 1.0), "count"),  # a short body
+        (_v3(2, 1.0, 2.0)[:-1], "count"),  # one byte short
+        (_v3(2, 1.0, 2.0) + b"\n", "count"),  # one trailing byte
+        (_v3(2, 2.0, 1.0), "sorted"),
+        (_v3(2, 0.5, 1.5), "support"),
+        (_v3(2, 1.0, 0x7FF8000000000000), "non-finite"),  # a NaN bit pattern
+        (_v3(2, 1.0, 0x7FF0000000000000), "non-finite"),  # +inf
+        (_v3(0), "empty"),
+        (b"GAMMA-CLOUD v2 2 0 0\n3ff0000000000000\n4000000000000000\n", "unsupported version 'v2'.*rde solve"),
         (b"GAMMA-CLOUD v1 2 0 0\n1\n2\n", "unsupported version 'v1'.*rde solve"),
-        # whitespace and capitals that bytes.fromhex would accept, a non-ASCII byte
-        (b"GAMMA-CLOUD v2 2 0 0\n3ff0000000000000\n40000000 0000000\n", "value 1 .*lowercase hex"),
-        (b"GAMMA-CLOUD v2 2 0 0\n3ff0 00000000 00\n4000000000000000\n", "value 0 .*lowercase hex"),
-        (b"GAMMA-CLOUD v2 2 0 0\n3f\t0000000000000\n4000000000000000\n", "value 0 .*lowercase hex"),
-        (b"GAMMA-CLOUD v2 2 0 0\n3ff0000000000000\r4000000000000000\n", "value 0 is not 16 digits and a newline"),
-        (b"GAMMA-CLOUD v2 2 0 0\n3ff0000000000000\n40000000\xff0000000\n", "value 1 .*lowercase hex"),
-        # a capital in the second block, a bad digit on the last line of a short last block
-        (_hex_cloud_with(2**16 + 2, 2**16 + 1, b"A"), "value 65537 .*lowercase hex"),
-        (_hex_cloud_with(2**16 + 5, 2**16 + 4, b"g"), "value 65540 .*lowercase hex"),
     ]
     path = tmp_path / "bad.txt"
     for text, match in cases:
@@ -527,20 +517,56 @@ def test_cloud_format_errors(tmp_path):
             rde.load_cloud(path)
 
 
-def test_cloud_codec_holds_at_most_three_and_a_quarter_blocks_of_text(tmp_path):
-    # the block codec's peak, beyond the samples array load_cloud returns;
-    # a whole-file read would hold 16 blocks
-    m, block_text = 2**20, 17 * 2**16
+@pytest.mark.parametrize("count", [10**15, -1])
+def test_cloud_count_is_checked_before_any_allocation(tmp_path, monkeypatch, count):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(f"GAMMA-CLOUD v3 {count} 0 0\n".encode("ascii").ljust(40, b"\0"))
+    assert path.stat().st_size == 40
+
+    def refused(*a, **k):
+        raise AssertionError("the body was read before the count was checked")
+
+    monkeypatch.setattr(np, "fromfile", refused)
+    monkeypatch.setattr(np, "empty", refused)
+    with pytest.raises(rde.CloudFormatError, match="count"):
+        rde.load_cloud(path)
+
+
+def test_cloud_codec_holds_at_most_64_kib_beyond_the_samples(tmp_path):
+    # beyond the samples array load_cloud returns, neither side holds a copy
+    # of the values or of the file; save_cloud writes without one on a
+    # little-endian host, where "<f8" is the native float64
+    m = 2**20
     cloud = rde.ParticleCloud(np.sort(1.0 + task_stream(28, "rde", 28).random(m)), 3, 28)
     path = tmp_path / "cloud.txt"
+    calls = [(lambda: rde.load_cloud(path), 8 * m)]
+    if sys.byteorder == "little":
+        calls.insert(0, (lambda: rde.save_cloud(cloud, path), 0))
+    else:
+        rde.save_cloud(cloud, path)
     peaks = []
     tracemalloc.start()
     try:
-        for call, extra in ((lambda: rde.save_cloud(cloud, path), 0), (lambda: rde.load_cloud(path), 8 * m)):
+        for call, extra in calls:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             call()
-            peaks.append((tracemalloc.get_traced_memory()[1] - base - extra) / block_text)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base - extra)
     finally:
         tracemalloc.stop()
-    assert max(peaks) <= 3.25, peaks
+    assert max(peaks) <= 64 * 1024, peaks
+
+
+@pytest.mark.parametrize("i", [0, 2**15 - 2, 2**15 - 1, 2**15, 2**16 + 3])
+def test_validate_finds_a_fault_at_every_block_edge(i):
+    # validate compares neighbours in blocks of 2^15 pairs; a fault on
+    # either side of an edge is found, and a NaN or inf inside an ordered
+    # run is named as non-finite, not as unsorted
+    s = 1.0 + np.arange(2**16 + 5) / 2**16
+    swapped = s.copy()
+    swapped[[i, i + 1]] = s[[i + 1, i]]
+    for bad, match in ((swapped, "sorted"), (np.where(np.arange(s.size) == i + 1, np.nan, s), "non-finite"),
+                       (np.where(np.arange(s.size) >= i + 1, np.inf, s), "non-finite")):
+        with pytest.raises(rde.CloudFormatError, match=match):
+            rde.ParticleCloud(bad).validate()
+    rde.ParticleCloud(s).validate()
