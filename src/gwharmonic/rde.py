@@ -8,10 +8,10 @@ point up to the Monte Carlo floor of the population size.  The solver starts
 at the quantiles of `grid_law`, the map iterated on cell masses, so its first
 step already moves the cloud by Monte Carlo noise alone.
 
-Validation tooling lives here too: moment identities, the tail law
-F(t) = K0/t + 1 - K0 on [1,2], and the exact-moment residual of the
-Laplace-transform ODE 2 l phi'' + l phi' + phi^2 - phi = 0.  So do the two
-error-bar rules that every reported check of the package uses:
+Validation tooling lives here too: the tail law F(t) = K0/t + 1 - K0 on
+[1,2], and `fixed_point_residuals`, the tuple identities and the Laplace ODE
+2 l phi'' + l phi' + phi^2 - phi = 0 as exact averages over the cloud.  So
+do the two error-bar rules that every reported check of the package uses:
 `se_of_mean` and `z_score`.  Every random draw here comes from an SFC64
 stream made by `rngs`, or from one spawned from it.
 
@@ -57,8 +57,9 @@ def z_score(diff: float, se: float) -> float:
 
 def _batch_sums(kernel, batch: int, rng) -> np.ndarray:
     """Per-batch sums of _BATCHES batches of `batch` tuples, shape
-    (_BATCHES, ...).  `kernel(sub, k, m)` draws k batches of m tuples from
-    `sub` (each draw of k*m values in one call) and returns their k sums.
+    (_BATCHES, ...), for the beta estimators.  `kernel(sub, k, m)` draws k
+    batches of m tuples from `sub` (each draw of k*m values in one call) and
+    returns their k sums.
 
     The batches are drawn in _TASKS groups of consecutive batches, each group
     one pool task on its own stream from `rng.spawn(_TASKS)`.  Within a group
@@ -294,8 +295,7 @@ def moment(cloud: ParticleCloud, m: int) -> float:
 
 @dataclass
 class Residual:
-    """A Monte Carlo residual that is zero at the fixed point, and its
-    standard error."""
+    """A residual that is zero at the fixed point, and its standard error."""
 
     residual: float
     std_error: float
@@ -305,53 +305,37 @@ class Residual:
         return z_score(self.residual, self.std_error)
 
 
-def _g_funcs(g_spec):
-    kind, arg = g_spec
-    if kind == "monomial":
-        m = int(arg)
-        return lambda x: x**m, lambda x: m * x ** (m - 1) if m > 1 else np.ones_like(x)
-    if kind == "exp":
-        ell = float(arg)
-        return lambda x: np.exp(-ell * x / 2.0), lambda x: -(ell / 2.0) * np.exp(-ell * x / 2.0)
-    raise ValueError(f"unknown identity test function {g_spec!r}")
+def fixed_point_residuals(cloud: ParticleCloud, ell_grid) -> tuple[dict, dict]:
+    """Every fixed-point identity of `rde validate`, keyed by its check name,
+    as an exact average over the cloud, and the cloud's moments m1, m2, m3.
 
+    With X1, X2 iid from the cloud, E[X(X-1)g'(X)] + E[g(X)] - E[g(X1+X2)]
+    is m2 - 2 m1 at g = x ("moment-identity-x"), 2 m3 - 3 m2 - 2 m1^2 at
+    g = x^2 ("moment-identity-x2"), and -(2 phi'' + phi' + phi^2 - phi) at
+    l = 1 for g = exp(-x/2): "integrated-laplace" is the negated
+    "laplace-ode-l1" row, so ell_grid must hold 1.  "laplace-ode-l{l}" is
+    2 l phi'' + l phi' + phi^2 - phi, with phi(l) = E exp(-l X/2) and its
+    derivatives in l exact averages (no numerical differentiation).
 
-def check_identity(cloud: ParticleCloud, g_spec, rng) -> Residual:
-    """Monte Carlo residual of E[X(X-1)g'(X)] + E[g(X)] - E[g(X1+X2)] over
-    _BATCHES batches of M // _BATCHES tuples (X, X1, X2) resampled from a
-    cloud of M particles; zero at the fixed point.  Standard error by the
-    batch means.  The batches are drawn by `_batch_sums`, in groups on
-    spawned streams on the thread pool; X1 is X, and each draw takes the X
-    indices, then the X2 indices."""
-    g, gp = _g_funcs(g_spec)
-    s = cloud.samples
-    batch = max(s.size // _BATCHES, 1)
-
-    def kernel(sub, k, m):
-        x = np.take(s, sub.integers(0, s.size, size=(k, m)), mode="clip")
-        y = np.take(s, sub.integers(0, s.size, size=(k, m)), mode="clip")
-        y += x
-        return np.sum(x * (x - 1.0) * gp(x) + g(x) - g(y), axis=1)
-
-    bmeans = _batch_sums(kernel, batch, rng) / batch
-    return Residual(float(bmeans.mean()), se_of_mean(bmeans))
-
-
-def laplace_ode_residual(cloud: ParticleCloud, ell_grid) -> list[Residual]:
-    """Residual of 2 l phi'' + l phi' + phi^2 - phi at each l, with phi and
-    its derivatives computed as exact sample averages (no numerical
-    differentiation); standard errors by _BATCHES batch means over the cloud
-    in an order drawn from the cloud seed's SFC64 stream, `rngs.cloud_stream`.
-    The l values run on the thread pool; each computes its summands once, and
-    the batch means and the whole mean read the same values."""
+    Each residual is a polynomial of whole-cloud means; its standard error is
+    that of the same polynomial of _BATCHES batch means over the cloud in an
+    order drawn from `rngs.cloud_stream(cloud.seed)`.  The moment identities
+    and each l are one pool task of at most two cloud-size buffers, so the
+    result does not depend on the number of workers."""
     s = cloud.samples[cloud_stream(cloud.seed).permutation(cloud.size)]
     m = s.size // _BATCHES
 
-    def means(v):
-        """The _BATCHES batch means of v and its whole mean."""
-        return v[: m * _BATCHES].reshape(_BATCHES, m).mean(axis=1), v.mean()
+    def batch_means(v):
+        return v[: m * _BATCHES].reshape(_BATCHES, m).mean(axis=1)
 
-    def residual(ell):
+    def moment_identities():
+        moments = [moment(cloud, k) for k in (1, 2, 3)]  # the whole means, over the sorted cloud
+        t = np.square(s)
+        batches = batch_means(s), batch_means(t), batch_means(np.multiply(t, s, out=t))  # x, x^2, x^3
+        res_b, res = ([m2 - 2.0 * m1, 2.0 * m3 - 3.0 * m2 - 2.0 * m1 * m1] for m1, m2, m3 in (batches, moments))
+        return zip(res_b, res), moments
+
+    def laplace(ell):
         # exp(-l x/2), -x/2 exp(-l x/2) and x^2/4 exp(-l x/2) over the cloud,
         # each operation of those expressions in turn, in two cloud-size buffers
         e = np.multiply(s, -ell)
@@ -360,14 +344,25 @@ def laplace_ode_residual(cloud: ParticleCloud, ell_grid) -> list[Residual]:
         t = np.negative(s)
         t /= 2.0
         t *= e
-        phi, dphi = means(e), means(t)
+        phi, dphi = (batch_means(e), e.mean()), (batch_means(t), t.mean())
         np.square(s, out=t)
         t /= 4.0
         t *= e
-        return [2.0 * ell * d2 + ell * d1 + p * p - p for p, d1, d2 in zip(phi, dphi, means(t))]
+        d2phi = batch_means(t), t.mean()
+        return [2.0 * ell * d2 + ell * d1 + p * p - p for p, d1, d2 in zip(phi, dphi, d2phi)]
 
-    return [Residual(float(res), se_of_mean(res_b))
-            for res_b, res in pool().map(residual, np.asarray(ell_grid, dtype=np.float64))]
+    def residual(res_b, res):
+        return Residual(float(res), se_of_mean(res_b))
+
+    ells = np.asarray(ell_grid, dtype=np.float64)
+    tasks = [pool().submit(moment_identities), *(pool().submit(laplace, ell) for ell in ells)]
+    pairs, moments = tasks[0].result()
+    x, x2 = (residual(*pair) for pair in pairs)
+    odes = {f"laplace-ode-l{ell:g}": residual(*task.result()) for ell, task in zip(ells, tasks[1:])}
+    l1 = odes["laplace-ode-l1"]
+    rows = {"moment-identity-x": x, "moment-identity-x2": x2,
+            "integrated-laplace": Residual(-l1.residual, l1.std_error), **odes}
+    return rows, dict(zip(("m1", "m2", "m3"), moments))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ by a `SeedSequence`, whose spawn keys keep the streams independent; this is
 the only module of the package that names a bit generator.
 
 Work that draws from its own spawned stream (the chunks of one `rde.phi_step`,
-the batch groups of every beta estimator and of `rde.check_identity`, the
-sub-cloud splits of `beta.cross_validate`) or from no stream at all (the
-kappa table's columns, the Laplace residuals' l values) runs on `pool()`:
+the batch groups of every beta estimator, the sub-cloud splits of
+`beta.cross_validate`) or from no stream at all (the kappa table's columns,
+the row families of `rde.fixed_point_residuals`) runs on `pool()`:
 one thread per usable core, with no setting.  The callers submit from their
 own thread and no task submits to the pool.  Each task writes only its own
 output, so results are the same on any number of cores.
@@ -49,7 +49,7 @@ def task_stream(seed: int, module: str, task: int = 0) -> np.random.Generator:
 
 def cloud_stream(seed: int) -> np.random.Generator:
     """The generator keyed on a cloud's seed alone (no module or task), which
-    orders `rde.laplace_ode_residual`'s batch means."""
+    orders the batch means of `rde.fixed_point_residuals`."""
     return _sfc64(np.random.SeedSequence(seed))
 
 

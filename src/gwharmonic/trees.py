@@ -98,12 +98,18 @@ def reduced_child_cdf(dist, n: int) -> np.ndarray:
 
 
 def _thinned_child_cdf(pmf: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """CDF rows over j = 1..K of Binomial(K, keep[g]) given >= 1, K ~ pmf,
-    as one (len(keep), K+1, K+1) product over (g, k, j)."""
-    k = np.arange(pmf.size)
-    comb = np.array([[math.comb(a, b) for b in k] for a in k], float)  # 0 for j > k
-    fail = (1.0 - keep)[:, None, None] ** np.maximum(k[:, None] - k[None, :], 0)
-    mass = np.einsum("k,kj,gkj->gj", pmf, comb, fail) * keep[:, None] ** k
+    """CDF rows over j = 1..K of Binomial(K, keep[g]) given >= 1, K ~ pmf: one
+    Binomial(k, keep) pmf per k in the law's support, for every generation at
+    once and in log space, so no C(k, j) overflows; memory O(len(keep) K)."""
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(pmf.size)])
+    log_keep = np.log(keep)[:, None]
+    log_fail = np.log1p(-keep, out=np.full(keep.size, -np.inf), where=keep < 1.0)[:, None]
+    mass = np.zeros((keep.size, pmf.size))
+    for k in np.flatnonzero(pmf):
+        j = np.arange(k + 1)
+        log_b = log_fact[k] - log_fact[j] - log_fact[k - j] + j * log_keep
+        log_b[:, :k] += (k - j[:k]) * log_fail  # (1-q)^0 = 1 at j = k, also where q = 1
+        mass[:, : k + 1] += pmf[k] * np.exp(log_b)
     cdf = np.cumsum(mass[:, 1:], axis=1)
     return cdf / cdf[:, -1:]  # x/x is exactly 1, so each row ends at 1
 

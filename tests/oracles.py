@@ -36,16 +36,16 @@ replaced by its harmonic-ray chain.  `constant_cloud` is a cloud with no
 spread: the solver's former all-ones start, and the negative controls'
 cloud.  `phi_step_serial` is `rde.phi_step`
 without the thread pool, at any chunk size, and
-`laplace_ode_residual_serial` is `rde.laplace_ode_residual` one l at a time
-over whole-expression temporaries; `wasserstein1_grid` is
+`fixed_point_residuals_serial` is `rde.fixed_point_residuals` row by row and
+batch by batch, over whole-expression temporaries; `wasserstein1_grid` is
 `rde.wasserstein1` with both quantile functions gathered on the full grid;
 `phi_step_coupled` checks the contraction rate of `rde.phi_step`, and
 `solve_from` is the particle solver's former loop from any start cloud,
 `kappa` is the direct Monte Carlo that `beta.kappa_table` tabulates,
 `kappa_table_serial` is `beta.kappa_table` as one column loop in the calling
 thread, on the same draws, and `batch_sums_serial` replays the grouped
-batch draws of `rde._batch_sums` behind every beta estimator and
-`rde.check_identity`, one group after another; `stratified_rows` replays
+batch draws of `rde._batch_sums` behind every beta estimator, one group
+after another; `stratified_rows` replays
 the stratified tuples of the beta estimators row by row, and
 `cloud_at_serial` reads the cloud at their indices.
 `content_hash` fingerprints a report for the reproducibility tests.
@@ -817,24 +817,31 @@ def phi_step_serial(cloud: ParticleCloud, rng, chunk: int = 1 << 20) -> Particle
     return ParticleCloud(np.sort(np.concatenate(parts)), cloud.iteration_count + 1, cloud.seed)
 
 
-def laplace_ode_residual_serial(cloud: ParticleCloud, ell_grid) -> list[Residual]:
-    """`rde.laplace_ode_residual` as a loop over l, each expression evaluated
-    whole, the batch means and the whole-cloud mean apart."""
+def fixed_point_residuals_serial(cloud: ParticleCloud, ell_grid) -> tuple[dict, dict]:
+    """`rde.fixed_point_residuals` row by row, each batch's means taken one
+    batch after another over whole-expression temporaries, and the whole
+    means apart."""
     s = cloud.samples[rngs.cloud_stream(cloud.seed).permutation(cloud.size)]
     m = s.size // _BATCHES
-    arr = s[: m * _BATCHES].reshape(_BATCHES, m)
-    out = []
+    parts = [s[i * m : (i + 1) * m] for i in range(_BATCHES)]
+    moments = [float(np.mean(cloud.samples**k)) for k in (1, 2, 3)]  # over the sorted cloud
+
+    def identities(m1, m2, m3):
+        return m2 - 2.0 * m1, 2.0 * m3 - 3.0 * m2 - 2.0 * m1 * m1
+
+    per_batch = [identities(np.mean(b), np.mean(b * b), np.mean(b * b * b)) for b in parts]
+    x, x2 = (Residual(float(res), se_of_mean(res_b)) for res, res_b in zip(identities(*moments), zip(*per_batch)))
+    rows = {"moment-identity-x": x, "moment-identity-x2": x2}
     for ell in np.asarray(ell_grid, dtype=np.float64):
-        e = np.exp(-ell * arr / 2.0)
-        phi_b = e.mean(axis=1)
-        dphi_b = np.mean(-arr / 2.0 * e, axis=1)
-        d2phi_b = np.mean(arr**2 / 4.0 * e, axis=1)
-        res_b = 2.0 * ell * d2phi_b + ell * dphi_b + phi_b**2 - phi_b
-        full = np.exp(-ell * s / 2.0)
-        phi = full.mean()
-        res = 2.0 * ell * np.mean(s**2 / 4.0 * full) + ell * np.mean(-s / 2.0 * full) + phi * phi - phi
-        out.append(Residual(float(res), se_of_mean(res_b)))
-    return out
+        def ode(v):
+            e = np.exp(-ell * v / 2.0)
+            phi = np.mean(e)
+            return 2.0 * ell * np.mean(v**2 / 4.0 * e) + ell * np.mean(-v / 2.0 * e) + phi * phi - phi
+
+        rows[f"laplace-ode-l{ell:g}"] = Residual(float(ode(s)), se_of_mean([ode(b) for b in parts]))
+    l1 = rows["laplace-ode-l1"]
+    rows["integrated-laplace"] = Residual(-l1.residual, l1.std_error)
+    return rows, dict(zip(("m1", "m2", "m3"), moments))
 
 
 def wasserstein1_grid(a: ParticleCloud, b: ParticleCloud) -> float:

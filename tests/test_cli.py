@@ -80,6 +80,25 @@ def test_validate_passes_on_solved(cloud_file, tmp_path):
     assert all(c["passed"] for c in report["checks"])
 
 
+def test_validate_reads_the_cloud_alone(cloud_file, tmp_path):
+    # every identity is an exact average over the cloud: --seed names the report and draws nothing
+    reports = []
+    for seed in ("1", "2"):
+        assert run(["rde", "validate", "--cloud", str(cloud_file), "--seed", seed,
+                    "--out", str(tmp_path)]) == 0
+        reports.append(json.loads((tmp_path / f"rde_validate_seed{seed}.json").read_text()))
+    assert reports[0]["checks"] == reports[1]["checks"]
+    assert reports[0]["config"]["extras"]["moments"] == reports[1]["config"]["extras"]["moments"]
+
+
+def test_theorem1_runs_a_law_with_a_thousand_children(cloud_file, tmp_path, capsys):
+    # the reduced-child table once held C(k, j) as floats, which overflow past k = 1029
+    code = run(["discrete", "theorem1", "--offspring", "strict-pary:1100", "--n", "4,5",
+                "--trials", "10", "--cloud", str(cloud_file), "--out", str(tmp_path)])
+    assert code in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
 def test_csv_of_a_report_with_no_rows_writes_the_json(cloud_file, tmp_path, capsys):
     # it printed "wrote " and left --out empty: only the JSON holds the checks
     code = run(["rde", "validate", "--cloud", str(cloud_file), "--format", "csv",

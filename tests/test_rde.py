@@ -86,10 +86,8 @@ def test_results_do_not_depend_on_the_worker_count(monkeypatch):
         cloud = res.cloud
         return (rde.phi_step(cloud, task_stream(17, "rde", 17)).samples, cloud.samples, res.trace,
                 rde.estimate_floor(cloud, task_stream(18, "rde", 18)),
-                rde.laplace_ode_residual(cloud, [0.5, 1.0, 2.0, 4.0]),
+                rde.fixed_point_residuals(cloud, [0.5, 1.0, 2.0, 4.0]),
                 beta.cross_validate(cloud, 10**5, task_stream(19, "beta", 19)).to_dict(),
-                [rde.check_identity(cloud, spec, task_stream(20, "rde", 20))
-                 for spec in (("monomial", 1), ("monomial", 2), ("exp", 1.0))],
                 beta.kappa_table(cloud, task_stream(21, "beta", 21)),
                 [fn(cloud, 10**5, task_stream(22, "beta", 22)).to_dict()
                  for fn in (beta.beta_moment, beta.beta_triple, beta.beta_shift)],
@@ -97,8 +95,8 @@ def test_results_do_not_depend_on_the_worker_count(monkeypatch):
 
     one, two = (_under_pool(monkeypatch, w, run) for w in (1, 2))
     assert np.array_equal(one[0], two[0]) and np.array_equal(one[1], two[1])
-    assert np.array_equal(one[7], two[7])
-    assert one[2:7] == two[2:7] and one[8:] == two[8:]
+    assert np.array_equal(one[6], two[6])
+    assert one[2:6] == two[2:6] and one[7:] == two[7:]
     assert two[5]["estimates"][0]["cloud_std_error"] > 0  # the sub-cloud runs took part
     # the floor is the serial draw: both index vectors from one stream, a's first
     rng, s = task_stream(18, "rde", 18), one[1]
@@ -361,48 +359,68 @@ def test_se_of_mean_and_z_score():
     assert rde.z_score(2.0, 0.0) == np.inf and rde.z_score(-2.0, 0.0) == -np.inf
 
 
+ELLS = [0.5, 1.0, 2.0, 4.0]
+IDENTITY_ROWS = ["moment-identity-x", "moment-identity-x2", "integrated-laplace",
+                 *(f"laplace-ode-l{ell:g}" for ell in ELLS)]
+
+
 def test_moment_identities_at_fixed_point(solved_cloud):
-    rng = task_stream(11, "rde", 11)
-    m1 = rde.moment(solved_cloud, 1)
-    m2 = rde.moment(solved_cloud, 2)
-    m3 = rde.moment(solved_cloud, 3)
-    g1 = rde.check_identity(solved_cloud, ("monomial", 1), rng)
-    g2 = rde.check_identity(solved_cloud, ("monomial", 2), rng)
-    ge = rde.check_identity(solved_cloud, ("exp", 1.0), rng)
-    assert abs(g1.z) < 3 and abs(g2.z) < 3 and abs(ge.z) < 3
-    # same identities phrased through raw moments, 3 combined-scale sigmas
-    assert m2 - 2 * m1 == pytest.approx(0.0, abs=3 * g1.std_error)
-    assert m3 - 1.5 * m2 - m1**2 == pytest.approx(0.0, abs=1.5 * 3 * g2.std_error)
+    rows, moments = rde.fixed_point_residuals(solved_cloud, ELLS)
+    assert list(rows) == IDENTITY_ROWS
+    for label, chk in rows.items():
+        assert abs(chk.z) < 3, f"{label}: z={chk.z}"
+    # the report's moments are `moment`'s, and the rows their polynomials
+    m1, m2, m3 = (rde.moment(solved_cloud, k) for k in (1, 2, 3))
+    assert moments == {"m1": m1, "m2": m2, "m3": m3}
+    assert rows["moment-identity-x"].residual == m2 - 2 * m1
+    assert rows["moment-identity-x2"].residual == 2 * m3 - 3 * m2 - 2 * m1 * m1
 
 
-def test_check_identity_matches_the_replayed_groups(solved_cloud, monkeypatch):
-    cloud = rde.ParticleCloud(solved_cloud.samples[::500].copy())  # 2000 particles: batches of 20
-    s = cloud.samples
-    g, gp = (lambda x: np.exp(-x / 2.0)), (lambda x: -0.5 * np.exp(-x / 2.0))
-
-    def summands(sub, k, m):
-        x = s[sub.integers(0, s.size, size=k * m)]
-        y = s[sub.integers(0, s.size, size=k * m)]
-        return x * (x - 1.0) * gp(x) + g(x) - g(x + y)
-
-    # a batch of 20 tuples in pieces of 7, 7 and 6; 3 batches per draw; all 10 of a group in one draw
-    for chunk in (7, 64, rde._CHUNK):
-        monkeypatch.setattr(rde, "_CHUNK", chunk)
-        bmeans = orc.batch_sums_serial(task_stream(27, "rde", 27), 20, summands, chunk) / 20
-        chk = rde.check_identity(cloud, ("exp", 1.0), task_stream(27, "rde", 27))
-        assert chk.residual == pytest.approx(bmeans.mean(), rel=1e-12)
-        assert chk.std_error == pytest.approx(bmeans.std(ddof=1) / np.sqrt(rde._BATCHES), rel=1e-9)
+def test_integrated_laplace_is_the_negated_l1_row(solved_cloud):
+    rows, _ = rde.fixed_point_residuals(solved_cloud, ELLS)
+    chk, l1 = rows["integrated-laplace"], rows["laplace-ode-l1"]
+    assert (chk.residual, chk.std_error) == (-l1.residual, l1.std_error)
+    # and it is the tuple identity E[X(X-1)g'(X)] + E[g(X)] - E[g(X1+X2)] at g = exp(-x/2)
+    x = solved_cloud.samples
+    g = np.exp(-x / 2.0)
+    assert chk.residual == pytest.approx(np.mean(-x * (x - 1.0) / 2.0 * g) + g.mean() - g.mean() ** 2,
+                                         rel=1e-9, abs=1e-15)
 
 
 def test_identity_negative_controls(solved_cloud):
-    rng = task_stream(12, "rde", 12)
     ones = orc.constant_cloud(10**5, 1.0)
-    chk = rde.check_identity(ones, ("monomial", 1), rng)
-    assert chk.std_error == 0.0 and chk.residual == pytest.approx(-1.0)
+    chk = rde.fixed_point_residuals(ones, [1.0])[0]["moment-identity-x"]
+    assert chk.std_error == 0.0 and chk.residual == -1.0
     assert np.isinf(chk.z)
     # a wrong continuum law with real spread also fails loudly
     wrong = rde.ParticleCloud(np.sort(1.0 + 2.0 * task_stream(13, "rde", 13).random(10**5)))
-    assert abs(rde.check_identity(wrong, ("monomial", 1), rng).z) > 5
+    assert abs(rde.fixed_point_residuals(wrong, [1.0])[0]["moment-identity-x"].z) > 5
+
+
+def test_every_identity_fails_on_a_scaled_cloud(solved_cloud):
+    # a planted fault: the solved law stretched by 10% keeps its order and support
+    scaled = rde.ParticleCloud(1.1 * solved_cloud.samples, solved_cloud.iteration_count, solved_cloud.seed)
+    rows, _ = rde.fixed_point_residuals(scaled, ELLS)
+    assert {label: abs(chk.z) > 5 for label, chk in rows.items()} == dict.fromkeys(IDENTITY_ROWS, True)
+
+
+def test_fixed_point_residuals_hold_two_clouds_per_task(monkeypatch):
+    m = 10**5
+    cloud = rde.ParticleCloud(np.sort(1.0 + task_stream(30, "rde", 30).exponential(size=m)), 0, 30)
+
+    def run():
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rde.fixed_point_residuals(cloud, ELLS)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    # one worker: the permuted copy and one task's two buffers (or, while the
+    # copy is made, its index vector), and the batch means; a third buffer would add 8m
+    assert _under_pool(monkeypatch, 1, run) <= 3.1 * 8 * m
 
 
 def test_K0_value_and_bounds(solved_cloud):
@@ -430,10 +448,7 @@ def test_tail_law_on_12(solved_cloud):
 
 
 def test_laplace_ode_residuals(solved_cloud):
-    ells = [0.5, 1.0, 2.0, 4.0]
-    for ell, chk in zip(ells, rde.laplace_ode_residual(solved_cloud, ells)):
-        assert abs(chk.z) < 3, f"l={ell}: z={chk.z}"
-    small = rde.laplace_ode_residual(solved_cloud, [1e-6])[0]
+    small = rde.fixed_point_residuals(solved_cloud, [1e-6, 1.0])[0]["laplace-ode-l1e-06"]
     assert abs(small.residual) < 1e-5  # residual -> phi(0)^2 - phi(0) = 0
 
 
@@ -441,15 +456,17 @@ def test_laplace_ode_residuals(solved_cloud):
 def test_laplace_ode_residual_matches_the_serial_loop(m):
     cloud = rde.ParticleCloud(np.sort(1.0 + task_stream(20, "rde", 20).exponential(size=m)), 0, 20)
     ells = [1e-6, 0.5, 1.0, 2.0, 4.0]
-    assert rde.laplace_ode_residual(cloud, ells) == orc.laplace_ode_residual_serial(cloud, ells)
+    assert rde.fixed_point_residuals(cloud, ells) == orc.fixed_point_residuals_serial(cloud, ells)
 
 
 def test_laplace_ode_negative_control():
     ones = orc.constant_cloud(10**5, 1.0)
-    chk = rde.laplace_ode_residual(ones, [1.0])[0]
+    rows, _ = rde.fixed_point_residuals(ones, [1.0])
+    chk = rows["laplace-ode-l1"]
     expected = np.exp(-1.0) - np.exp(-0.5)
     assert chk.residual == pytest.approx(expected, abs=1e-12)
     assert chk.std_error == 0.0 and np.isinf(abs(chk.z))
+    assert rows["integrated-laplace"].residual == -chk.residual
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -199,19 +200,22 @@ def test_reduced_batch_equals_two_step():
 
 
 def test_reduced_child_cdf_matches_the_binomial_sum():
-    # P(J = j) = sum_k theta(k) C(k, j) q^j (1-q)^(k-j) / q_{n-g}, q = q_{n-g-1}
+    # P(J = j) = sum_k theta(k) C(k, j) q^j (1-q)^(k-j) / q_{n-g}, q = q_{n-g-1},
+    # in exact rationals from the float pmf and survival probabilities
     n = 9
     for dist in (off.geometric(), off.poisson(), off.binary(), off.pary(3)):
-        q = off.survival_probs(dist, n)
+        q = [Fraction(x) for x in off.survival_probs(dist, n)]
+        pmf = [Fraction(x) for x in dist.pmf]
+        kmax = len(pmf) - 1
         cdf = tr.reduced_child_cdf(dist, n)
-        kmax = dist.pmf.size - 1
         assert cdf.shape == (n, kmax)
         for g in range(n):
-            s = q[n - g - 1]
-            pj = [sum(dist.pmf[k] * math.comb(k, j) * s**j * (1 - s) ** (k - j)
-                      for k in range(j, kmax + 1)) / q[n - g]
+            keep = [q[n - g - 1] ** i for i in range(kmax + 1)]
+            fail = [(1 - q[n - g - 1]) ** i for i in range(kmax + 1)]
+            pj = [sum(pmf[k] * math.comb(k, j) * keep[j] * fail[k - j] for k in range(j, kmax + 1))
                   for j in range(1, kmax + 1)]
-            assert np.max(np.abs(cdf[g] - np.cumsum(pj))) < 1e-13
+            exact = list(itertools.accumulate(pj))
+            assert max(abs(c - float(e / exact[-1])) for c, e in zip(cdf[g], exact)) < 1e-13
         # the last generation keeps every child: K given K >= 1
         top = dist.pmf[1:] / (1.0 - dist.pmf[0])
         assert np.allclose(cdf[-1], np.cumsum(top), rtol=0, atol=1e-14)
