@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, beta as beta_mod, continuum, experiments, offspring, rde, trees
-from .experiments import ExperimentReport
+from .experiments import ExperimentReport, check, z_check
 from .rngs import task_stream
 
 # The value of every unset flag, per command (keys are argparse dests).
@@ -244,21 +244,20 @@ def cmd_rde_validate(args) -> ExperimentReport:
     checks = []
     for label, note in [("moment-identity-x", ""), ("moment-identity-x2", ""),
                         ("integrated-laplace", " (= -laplace-ode-l1: the identity at g = exp(-x/2))")]:
-        chk = rows[label]
-        checks.append({"criterion": label, "passed": bool(abs(chk.z) <= 3),
-                       "detail": f"residual={chk.residual:.3e} se={chk.std_error:.3e} z={chk.z:+.2f}{note}"})
+        res = rows[label]
+        checks.append(z_check(label, res.residual, res.std_error, 3, tail=note,
+                              lead=f"residual={res.residual:.3e} se={res.std_error:.3e} "))
     k0 = rde.estimate_K0(cloud)
-    checks.append({"criterion": "K0-range", "passed": bool(1.0 <= k0 <= 2.0),
-                   "detail": f"K0={k0:.4f}"})
+    checks.append(check("K0-range", 1.0 <= k0 <= 2.0, f"K0={k0:.4f}", statistic=k0))
     ts = np.linspace(1.0, 2.0, 101)
     sup_gap = max(abs(rde.tail_cdf(cloud, t) - (k0 / t + 1 - k0)) for t in ts)
     fit_tol = 5e-3 if cloud.size >= 10**7 else 5e-3 * np.sqrt(10**7 / cloud.size)
-    checks.append({"criterion": "tail-law-on-[1,2]", "passed": bool(sup_gap <= fit_tol),
-                   "detail": f"sup gap {sup_gap:.2e} (tol {fit_tol:.2e})"})
+    checks.append(check("tail-law-on-[1,2]", sup_gap <= fit_tol,
+                        f"sup gap {sup_gap:.2e} (tol {fit_tol:.2e})", statistic=sup_gap, bound=fit_tol))
     for label in [f"laplace-ode-l{ell:g}" for ell in ells]:
-        chk = rows[label]
-        checks.append({"criterion": label, "passed": bool(abs(chk.z) <= 3),
-                       "detail": f"residual={chk.residual:.3e} z={chk.z:+.2f}"})
+        res = rows[label]
+        checks.append(z_check(label, res.residual, res.std_error, 3,
+                              lead=f"residual={res.residual:.3e} "))
     # the one computed config entry: perfbench reads the moments there
     return ExperimentReport("rde_validate", [], checks, config={"extras": {"moments": moments}})
 
@@ -277,8 +276,9 @@ def cmd_beta(args) -> ExperimentReport:
         print(f"beta[{e.method}] = {e.value:.5f} +- {e.total_std_error:.5f}")
     summary = cv.to_dict()
     rows = summary.pop("estimates")
-    checks = [{"criterion": "beta-cross-validate", "passed": not cv.flagged,
-               "detail": f"max pairwise |z| = {np.max(cv.z_matrix):.2f} (flag above 3)"}]
+    z_max = np.max(cv.z_matrix)
+    checks = [check("beta-cross-validate", not cv.flagged,
+                    f"max pairwise |z| = {z_max:.2f} (flag above 3)", statistic=z_max, bound=3.0)]
     return ExperimentReport("beta_cross_validate", rows, checks, rows_key="estimates",
                             summary=summary)
 
@@ -334,13 +334,20 @@ def cmd_continuum(args) -> ExperimentReport:
     ref = _beta_ref(args, cloud)
     curve = continuum.dimension_curve(cloud, args.eps, args.trials,
                                       task_stream(args.seed, "continuum", 0))
-    if curve.extrapolated is not None:
+    if curve.extrapolated is None:
+        need = "points at two or more eps" if len(curve.points) < 2 else "more rays than eps"
+        chk = check("continuum-exponent", False, f"no fit: needs {need}")
+    else:
         print(f"extrapolated exponent = {curve.extrapolated:.4f} +- {curve.extrapolated_se:.4f}")
+        chi2 = "n/a" if curve.chi2_dof is None else f"{curve.chi2_dof:.2f}"
+        chk = z_check("continuum-exponent", curve.extrapolated - ref.value, curve.extrapolated_se, 3.0,
+                      lead=f"intercept {curve.extrapolated:.4f} +- {curve.extrapolated_se:.4f} "
+                           f"against beta_ref {ref.value:.4f}: ",
+                      tail=f" (bound 3); slope {curve.slope:.4f} +- {curve.slope_se:.4f}, chi2/dof {chi2}")
     for p in curve.points:
         print(f"  eps=2^{np.log2(p.eps):g}: exponent {p.exponent:.4f} +- {p.std_error:.4f}")
-    return _with_beta_ref(ExperimentReport("continuum_dimension", curve.to_rows(),
-                                           [curve.exponent_check(ref.value)], rows_key="points",
-                                           summary=curve.summary()), ref)
+    return _with_beta_ref(ExperimentReport("continuum_dimension", curve.to_rows(), [chk],
+                                           rows_key="points", summary=curve.summary()), ref)
 
 
 # ---------------------------------------------------------------------------

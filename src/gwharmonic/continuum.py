@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rde import ParticleCloud, se_of_mean, z_score
+from .rde import ParticleCloud, se_of_mean
 
 # Proposals per pending entry in one round of `_given`, at most: about
 # 3 MB of work arrays.  An entry at the cloud maximum can need about M
@@ -146,20 +146,6 @@ class DimensionCurve:
     def summary(self) -> dict:
         return {"extrapolated": self.extrapolated, "extrapolated_se": self.extrapolated_se,
                 "slope": self.slope, "slope_se": self.slope_se, "chi2_dof": self.chi2_dof}
-
-    def exponent_check(self, beta_ref: float) -> dict:
-        """Passes when the intercept lies within 3 of its standard errors of
-        the cloud's `beta_reference`."""
-        if self.extrapolated is None:
-            need = "points at two or more eps" if len(self.points) < 2 else "more rays than eps"
-            return {"criterion": "continuum-exponent", "passed": False,
-                    "detail": f"no fit: needs {need}"}
-        z = z_score(self.extrapolated - beta_ref, self.extrapolated_se)
-        chi2 = "n/a" if self.chi2_dof is None else f"{self.chi2_dof:.2f}"
-        return {"criterion": "continuum-exponent", "passed": bool(abs(z) <= 3.0),
-                "detail": f"intercept {self.extrapolated:.4f} +- {self.extrapolated_se:.4f} "
-                          f"against beta_ref {beta_ref:.4f}: z={z:+.2f} (bound 3); "
-                          f"slope {self.slope:.4f} +- {self.slope_se:.4f}, chi2/dof {chi2}"}
 
 
 def _fit(points: list, cov: np.ndarray) -> DimensionCurve:

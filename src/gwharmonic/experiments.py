@@ -17,7 +17,8 @@ and returns an ExperimentReport of its results alone; the CLI stamps in the
 config (the flags) and the wall clock, and the flags reproduce the run
 bit-for-bit under the same seed.
 The theorems are asymptotic, so the experiments report finite-size trends
-(Mann-Kendall) and identity z-scores rather than exact limits.
+(Mann-Kendall) and identity z-scores rather than exact limits.  `check`,
+`z_check` and `trend_check` build every check row of every report.
 """
 
 from __future__ import annotations
@@ -122,6 +123,32 @@ def mann_kendall(values, direction: int = 1) -> tuple[int, float]:
     return s, int(inv[: (n * (n - 1) // 2 - s) // 2 + 1].sum()) / math.factorial(n)
 
 
+def check(criterion: str, passed, detail: str, **numbers) -> dict:
+    """One check row: name, verdict, printed line, and the numbers it tests:
+    `statistic`, with `std_error`, `z` and `bound` for a z rule, `p` and
+    `bound` for a trend, or `bound` alone for the rule statistic <= bound."""
+    return {"criterion": criterion, "passed": bool(passed), "detail": detail, **numbers}
+
+
+def z_check(criterion: str, diff, se, bound, lead: str = "", tail: str = "") -> dict:
+    """A row that passes when |z| <= bound, z = rde.z_score(diff, se); its
+    line is `lead`, then z=+x.xx, then `tail`."""
+    z = z_score(diff, se)
+    return check(criterion, abs(z) <= bound, f"{lead}z={z:+.2f}{tail}",
+                 statistic=diff, std_error=se, z=z, bound=bound)
+
+
+def trend_check(criterion: str, values, direction: int, tail: str = "") -> dict:
+    """A row that passes when `mann_kendall(values, direction)` reads p < 0.05;
+    its line ends in a note when no series of this length can pass (a
+    strictly monotone one attains the smallest p)."""
+    s, p = mann_kendall(values, direction)
+    floor = mann_kendall(range(len(values)), 1)[1]
+    note = f"; underpowered: smallest attainable p = {floor:.4f}" if floor >= 0.05 else ""
+    return check(criterion, p < 0.05, f"MK S={s} p={p:.4f}{tail}{note}",
+                 statistic=s, p=p, bound=0.05)
+
+
 def beta_reference(cloud: ParticleCloud, rng) -> BetaEstimate:
     """Pipeline-consistent exponent readout: the triple estimator on the
     supplied cloud (never a hard-coded constant) at BETA_REF_TUPLES tuples.
@@ -148,9 +175,8 @@ def midlevel_check(dist, n, sizes) -> dict:
     q = survival_probs(dist, n)
     exact = q[n - h] / q[n]
     mean = sizes.mean()
-    z = z_score(mean - exact, se_of_mean(sizes))
-    return {"criterion": f"reduced-midlevel-n{n}", "passed": bool(abs(z) <= 4),
-            "detail": f"h={h} mean={mean:.4f} exact={exact:.4f} z={z:+.2f}"}
+    return z_check(f"reduced-midlevel-n{n}", mean - exact, se_of_mean(sizes), 4,
+                   lead=f"h={h} mean={mean:.4f} exact={exact:.4f} ")
 
 
 def _forest_statistics(dist, cdf, trials, rng, per_forest):
@@ -206,23 +232,6 @@ def _tree_statistics(log_mass, off, u, n, beta, delta):
     return conc, -log_mass[b] / ln
 
 
-def _power_note(n: int) -> str:
-    """Marks a trend check on n points that cannot pass: the smallest p that
-    `mann_kendall` attains (a strictly monotone series) is not below 0.05."""
-    floor = mann_kendall(range(n), 1)[1]
-    return f"; underpowered: smallest attainable p = {floor:.4f}" if floor >= 0.05 else ""
-
-
-def exponent_trend_check(means, beta_ref) -> dict:
-    """One-sided Mann-Kendall test that the gap |mean - beta_ref| shrinks
-    along the n ladder.  The direction is fixed before the data are seen, so
-    the approach may come from either side of beta_ref."""
-    s, p = mann_kendall(np.abs(np.asarray(means) - beta_ref), -1)
-    return {"criterion": "theorem1-exponent-trend", "passed": bool(p < 0.05),
-            "detail": f"MK S={s} p={p:.4f} on |mean - beta| decreasing, beta={beta_ref:.4f}"
-                      + _power_note(len(means))}
-
-
 def run_theorem1(dist, n_list, delta, trials, rng, beta_ref):
     """Mass-concentration experiment: per n, the exact exit-exponent sample
     -log mu_n(Sigma_n)/log n and the concentration statistic around the
@@ -242,19 +251,19 @@ def run_theorem1(dist, n_list, delta, trials, rng, beta_ref):
                 "concentration_se": se_of_mean(concs)}
         cell.update({f"exponent_{k}": v for k, v in _summary(expos).items()})
         cells.append(cell)
-    means = [c["exponent_mean"] for c in cells]
-    s_conc, p_conc = mann_kendall([c["concentration_mean"] for c in cells], 1)
+    # the gap |mean - beta_ref| must shrink along the ladder; the direction is
+    # fixed before the data are seen, so the approach may come from either side
+    gaps = np.abs(np.array([c["exponent_mean"] for c in cells]) - beta_ref)
     checks = [
-        exponent_trend_check(means, beta_ref),
-        {"criterion": "theorem1-concentration-trend", "passed": bool(p_conc < 0.05),
-         "detail": f"MK S={s_conc} p={p_conc:.4f}" + _power_note(len(cells))},
+        trend_check("theorem1-exponent-trend", gaps, -1,
+                    tail=f" on |mean - beta| decreasing, beta={beta_ref:.4f}"),
+        trend_check("theorem1-concentration-trend", [c["concentration_mean"] for c in cells], 1),
     ]
     if max(n_list) >= 400:
-        gap = abs(means[int(np.argmax(n_list))] - beta_ref)
-        checks.append(
-            {"criterion": "theorem1-exponent-at-nmax", "passed": bool(gap <= 0.1),
-             "detail": f"|mean - beta| = {gap:.4f} at n={max(n_list)}"}
-        )
+        gap = gaps[int(np.argmax(n_list))]
+        checks.append(check("theorem1-exponent-at-nmax", gap <= 0.1,
+                            f"|mean - beta| = {gap:.4f} at n={max(n_list)}",
+                            statistic=gap, bound=0.1))
     checks += mids
     return ExperimentReport("theorem1", cells, checks)
 
@@ -277,10 +286,10 @@ def run_conductance_convergence(dist, n_list, trials, cloud, rng):
                       "mean": float(vals.mean()),
                       "second_moment": float(np.mean(vals**2))})
     d1s = [c["d1_to_cloud"] for c in cells]
+    rises = sum(not b < a for a, b in zip(d1s, d1s[1:]))  # steps where d1 did not fall
     checks = [
-        {"criterion": "conductance-d1-decreasing",
-         "passed": bool(all(b < a for a, b in zip(d1s, d1s[1:]))),
-         "detail": f"d1 ladder {['%.4f' % d for d in d1s]}"},
+        check("conductance-d1-decreasing", rises == 0,
+              f"d1 ladder {['%.4f' % d for d in d1s]}", statistic=rises),
         *mids,
     ]
     return ExperimentReport("conductance", cells, checks)
@@ -305,12 +314,10 @@ def run_levelset(dist, n, p_list, trials, rng):
     cells, checks = [], []
     for p, sizes in zip(p_list, per_p):
         exact = qs[p] / qs[n]
-        se = se_of_mean(sizes)
-        z = z_score(sizes.mean() - exact, se)
+        chk = z_check(f"levelset-z-n{n}-p{p}", sizes.mean() - exact, se_of_mean(sizes), 3)
         cells.append({"n": n, "p": p, "trials": trials, "mean": float(sizes.mean()),
-                      "std_error": se, "exact": float(exact), "z": z})
-        checks.append({"criterion": f"levelset-z-n{n}-p{p}", "passed": bool(abs(z) <= 3),
-                       "detail": f"z={z:+.2f}"})
+                      "std_error": chk["std_error"], "exact": float(exact), "z": chk["z"]})
+        checks.append(chk)
     return ExperimentReport("levelset", cells, checks)
 
 
@@ -337,9 +344,7 @@ def run_corollary_fixed_size(dist, N, n, trials, rng, beta_ref, delta):
             "concentration_mean": float(concs.mean()),
             "concentration_se": se_of_mean(concs)}
     cell.update({f"exponent_{k}": v for k, v in _summary(expos).items()})
-    checks = [
-        {"criterion": "fixed-size-height-acceptance",
-         "passed": bool(cell["acceptance_rate"] > 0.05),
-         "detail": f"acceptance rate {cell['acceptance_rate']:.3f}"},
-    ]
+    rate = cell["acceptance_rate"]
+    checks = [check("fixed-size-height-acceptance", rate > 0.05,
+                    f"acceptance rate {rate:.3f}", statistic=rate)]
     return ExperimentReport("fixed_size", [cell], checks)

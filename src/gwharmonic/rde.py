@@ -6,7 +6,10 @@ with replacement from the current cloud.  The map contracts the 1-Wasserstein
 metric at rate 2(1-log 2) ~ 0.6137, so iteration converges to the fixed
 point up to the Monte Carlo floor of the population size.  The solver starts
 at the quantiles of `grid_law`, the map iterated on cell masses, so its first
-step already moves the cloud by Monte Carlo noise alone.
+step already moves the cloud by Monte Carlo noise alone.  That first d1
+compares one noisy cloud with the noise-free start, and every later one two
+noisy clouds, so step 1 reads lower (at M = 1e4, 5.6e-3 against a median of
+1.1e-2 over steps 2-52) and the stopping rule fires there more easily.
 
 Validation tooling lives here too: the tail law F(t) = K0/t + 1 - K0 on
 [1,2], and `fixed_point_residuals`, the tuple identities and the Laplace ODE
@@ -239,7 +242,9 @@ def solve_fixpoint(m: int, tol: float, max_iters: int, rng, seed: int = 0, polis
     """Step from the quantile cloud of `grid_law` until successive clouds are
     tol-close in d1, then `polish` steps more; else stop after `max_iters`
     steps (reported, never raised).  From this start each step's d1 is the
-    population's Monte Carlo noise, not a distance to the fixed point."""
+    population's Monte Carlo noise, not a distance to the fixed point.  Step
+    1 measures one noisy cloud against the noise-free start, later steps two
+    noisy clouds, so step 1's d1 reads lower and meets tol more easily."""
     law = grid_law()
     cloud = law.quantile_cloud(m, seed)
     trace, converged, stop = [], False, max_iters
@@ -299,10 +304,6 @@ class Residual:
 
     residual: float
     std_error: float
-
-    @property
-    def z(self) -> float:
-        return z_score(self.residual, self.std_error)
 
 
 def fixed_point_residuals(cloud: ParticleCloud, ell_grid) -> tuple[dict, dict]:

@@ -63,6 +63,7 @@ import scipy.sparse.linalg as spla
 
 from gwharmonic import rngs, trees
 from gwharmonic.beta import _SUBTABLE_PAIRS, _SUBTABLES, TABLE_GRID
+from gwharmonic.experiments import check
 from gwharmonic.offspring import OffspringDistribution, OffspringError, survival_probs
 from gwharmonic.rde import (
     _BATCHES,
@@ -535,9 +536,8 @@ def acceptance_check(dist, n, trials, successes, capped) -> dict:
     dropped at the node cap (a silent bias against large trees)."""
     q = survival_probs(dist, n)[n]
     z = (successes - trials * q) / np.sqrt(trials * q * (1.0 - q))
-    return {"criterion": f"conditioned-acceptance-n{n}",
-            "passed": bool(abs(z) <= 4 and capped == 0),
-            "detail": f"trials={trials} survivors={successes} capped={capped} z={z:+.2f}"}
+    return check(f"conditioned-acceptance-n{n}", abs(z) <= 4 and capped == 0,
+                 f"trials={trials} survivors={successes} capped={capped} z={z:+.2f}", z=z)
 
 
 def faulty_child_cdf(dist, n: int):

@@ -510,13 +510,15 @@ def test_bad_eps_rejected(cloud_file, tmp_path, capsys):
 
 
 def test_continuum_dimension_with_too_few_rays_has_no_fit(cloud_file, tmp_path):
-    # two rays over three eps: the rays' covariance has rank 1
-    assert run(["continuum", "dimension", "--cloud", str(cloud_file), "--eps",
-                "2^-4,2^-5,2^-6", "--trials", "2", "--seed", "3", "--out", str(tmp_path)]) == 1
-    rep = json.loads((tmp_path / "continuum_dimension_seed3.json").read_text())
-    assert rep["extrapolated"] is None and len(rep["points"]) == 3
-    (check,) = rep["checks"]
-    assert not check["passed"] and check["detail"].startswith("no fit")
+    # two rays over three eps: the rays' covariance has rank 1; one eps: no line
+    for eps, trials, need in (("2^-4,2^-5,2^-6", "2", "more rays than eps"),
+                              ("2^-4", "50", "points at two or more eps")):
+        assert run(["continuum", "dimension", "--cloud", str(cloud_file), "--eps", eps,
+                    "--trials", trials, "--seed", "3", "--out", str(tmp_path)]) == 1
+        rep = json.loads((tmp_path / "continuum_dimension_seed3.json").read_text())
+        assert rep["extrapolated"] is None and len(rep["points"]) == eps.count(",") + 1
+        assert rep["checks"] == [{"criterion": "continuum-exponent", "passed": False,
+                                  "detail": f"no fit: needs {need}"}]
 
 
 def _reports(out):

@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import chi2
 
 from gwharmonic import continuum as co
+from gwharmonic import experiments as ex
 from gwharmonic import rde
 from gwharmonic.rngs import task_stream
 
@@ -409,7 +410,6 @@ def test_fit_matches_numpy_weighted_polyfit():
     # one eps, or a singular covariance: no line
     assert co._fit(pts[:1], np.diag(se[:1] ** 2)).extrapolated is None
     assert co._fit(pts[:3], np.full((3, 3), 1e-6)).extrapolated is None
-    assert not co.DimensionCurve(pts[:1]).exponent_check(0.78)["passed"]
 
 
 def test_fit_on_correlated_points_matches_whitened_lstsq():
@@ -437,6 +437,8 @@ def test_fit_on_correlated_points_matches_whitened_lstsq():
 
 
 def test_exponent_check_with_zero_se_fails_without_raising():
-    curve = co.DimensionCurve([], extrapolated=0.8, extrapolated_se=0.0, slope=0.0, slope_se=0.0)
-    chk = curve.exponent_check(0.78)
-    assert not chk["passed"] and "z=+inf" in chk["detail"]
+    # the continuum-exponent row is a z_check on intercept - beta_ref
+    for diff, z in ((0.02, np.inf), (-0.02, -np.inf)):
+        chk = ex.z_check("continuum-exponent", diff, 0.0, 3.0, tail=" (bound 3)")
+        assert not chk["passed"] and chk["z"] == z
+        assert chk["detail"] == f"z={z:+.2f} (bound 3)"

@@ -161,20 +161,27 @@ def test_run_theorem1_trees_do_not_depend_on_beta_ref():
     assert len(mids[0]) == 2 and mids[0] == mids[1]
 
 
+def gap_trend(means, beta_ref=0.7845):
+    """theorem1's exponent trend row: |mean - beta_ref| decreasing."""
+    return ex.trend_check("theorem1-exponent-trend", np.abs(np.array(means) - beta_ref), -1,
+                          tail=" on |mean - beta| decreasing")
+
+
 def test_exponent_trend_passes_approaching_from_below():
-    chk = ex.exponent_trend_check([0.70, 0.74, 0.76, 0.78], 0.7845)
+    chk = gap_trend([0.70, 0.74, 0.76, 0.78])
     assert chk["criterion"] == "theorem1-exponent-trend"
     assert chk["passed"], chk["detail"]
-    assert "S=6" in chk["detail"] and "|mean - beta| decreasing" in chk["detail"]
+    assert chk["detail"] == "MK S=6 p=0.0417 on |mean - beta| decreasing"
+    # S and p are the row's own fields, and p < 0.05 is its rule
+    assert (chk["statistic"], chk["p"], chk["bound"]) == (6, 1 / 24, 0.05)
     # 4 points reach p = 1/4! < 0.05: not marked; 3 points cannot pass
-    assert "underpowered" not in chk["detail"]
-    chk = ex.exponent_trend_check([0.74, 0.76, 0.78], 0.7845)
-    assert not chk["passed"]
+    chk = gap_trend([0.74, 0.76, 0.78])
+    assert not chk["passed"] and chk["p"] == 1 / 6
     assert chk["detail"].endswith("; underpowered: smallest attainable p = 0.1667")
 
 
 def test_exponent_trend_passes_approaching_from_above():
-    chk = ex.exponent_trend_check([0.87, 0.83, 0.80, 0.79], 0.7845)
+    chk = gap_trend([0.87, 0.83, 0.80, 0.79])
     assert chk["passed"], chk["detail"]
 
 
@@ -183,9 +190,9 @@ def test_exponent_trend_fails_moving_away():
     # (beta_ref >= first mean, so "increasing") passed this series
     means = [0.77, 0.79, 0.81, 0.85]
     assert ex.mann_kendall(means, 1)[1] < 0.05
-    chk = ex.exponent_trend_check(means, 0.7845)
+    chk = gap_trend(means)
     assert not chk["passed"], chk["detail"]
-    assert not ex.exponent_trend_check([0.78, 0.76, 0.74, 0.70], 0.7845)["passed"]
+    assert not gap_trend([0.78, 0.76, 0.74, 0.70])["passed"]
 
 
 class _FixedUniform:
@@ -323,7 +330,7 @@ def test_midlevel_check_passes_on_the_direct_sampler(law):
 def test_midlevel_check_fails_on_a_planted_fault(law):
     chk = _midlevel_check(off.from_spec(law), fault=True)
     assert not chk["passed"], chk["detail"]
-    assert float(chk["detail"].split("z=")[1]) < -4
+    assert chk["z"] < -4 and chk["bound"] == 4
 
 
 def _acceptance(law, n, count, seed, node_cap=orc.DEFAULT_NODE_CAP, checked_law=None):
@@ -346,8 +353,7 @@ def test_acceptance_check_fails_against_the_wrong_law():
     # Poisson samples against the geometric q_n, which is about half as large
     chk = _acceptance(off.poisson(), 40, 400, 13, checked_law=off.geometric())
     assert not chk["passed"]
-    z = float(chk["detail"].split("z=")[1])
-    assert z > 4
+    assert chk["z"] > 4
 
 
 def test_acceptance_check_fails_at_a_tiny_node_cap():
@@ -360,7 +366,7 @@ def test_acceptance_check_fails_at_a_tiny_node_cap():
     assert orc.acceptance_check(off.geometric(), 20, 210, 10, capped=0)["passed"]
     chk = orc.acceptance_check(off.geometric(), 20, 210, 10, capped=1)
     assert not chk["passed"]
-    assert float(chk["detail"].split("z=")[1]) == 0
+    assert chk["z"] == pytest.approx(0, abs=1e-9)
 
 
 def test_run_corollary_fixed_size():

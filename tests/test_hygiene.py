@@ -5,6 +5,7 @@ used somewhere in the package (code that only tests reach belongs in
 tests/oracles.py), the CLI imports no scipy, not even to build a p-ary
 law, nor `concurrent.futures` before the thread pool is first used, one
 function of the CLI reads the clock: every report is timed in one place,
+`experiments.check` is the one place that writes a check row,
 pyproject.toml declares only the runtime dependencies the package
 imports, at the version every report writes, and `rngs` is the one module
 that names a bit generator."""
@@ -105,11 +106,10 @@ def test_unreferenced_definition_detector():
 CLOCKS = {"time", "perf_counter"}
 
 
-def clock_reads(source: str) -> list[str]:
-    """The innermost function around each `time.time` or `time.perf_counter`
-    of a module ("<module>" outside any), in source order; a clock imported
-    by name from `time` counts where it is imported."""
-    reads, scope = [], ["<module>"]
+def scopes_of(source: str, hits) -> list[str]:
+    """The innermost function around each node of a module ("<module>"
+    outside any), once per hit that `hits(node)` counts, in source order."""
+    found, scope = [], ["<module>"]
 
     class Visitor(ast.NodeVisitor):
         def visit_FunctionDef(self, node):
@@ -117,17 +117,25 @@ def clock_reads(source: str) -> list[str]:
             self.generic_visit(node)
             scope.pop()
 
-        def visit_Attribute(self, node):
-            if isinstance(node.value, ast.Name) and node.value.id == "time" and node.attr in CLOCKS:
-                reads.append(scope[-1])
-            self.generic_visit(node)
-
-        def visit_ImportFrom(self, node):
-            if node.module == "time":
-                reads.extend(scope[-1] for alias in node.names if alias.name in CLOCKS)
+        def generic_visit(self, node):
+            found.extend(scope[-1:] * hits(node))
+            super().generic_visit(node)
 
     Visitor().visit(ast.parse(source))
-    return reads
+    return found
+
+
+def clock_reads(source: str) -> list[str]:
+    """The function around each `time.time` or `time.perf_counter` of a
+    module (see scopes_of); a clock imported by name from `time` counts
+    where it is imported."""
+    def hits(node):
+        if isinstance(node, ast.ImportFrom) and node.module == "time":
+            return sum(alias.name in CLOCKS for alias in node.names)
+        return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "time" and node.attr in CLOCKS)
+
+    return scopes_of(source, hits)
 
 
 def test_only_the_cli_runner_reads_the_clock():
@@ -140,6 +148,30 @@ def test_clock_read_detector():
               "    def g():\n        return time.perf_counter() - t\n\n    return g\n\n"
               "x = time.sleep\n")
     assert clock_reads(source) == ["<module>", "f", "g"]
+
+
+def check_rows(source: str) -> list[str]:
+    """The function around each dict literal with a "criterion" key, or
+    `dict(criterion=...)` call, of a module (see scopes_of)."""
+    def hits(node):
+        if isinstance(node, ast.Dict):
+            return any(isinstance(k, ast.Constant) and k.value == "criterion" for k in node.keys)
+        return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict"
+                and any(kw.arg == "criterion" for kw in node.keywords))
+
+    return scopes_of(source, hits)
+
+
+def test_only_experiments_check_builds_a_check_row():
+    rows = {p.stem: check_rows(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {module: funcs for module, funcs in rows.items() if funcs} == {"experiments": ["check"]}
+
+
+def test_check_row_detector():
+    source = ("ROW = {'criterion': 'a', 'passed': True}\n\ndef f(z):\n"
+              "    return [{'detail': 'x', 'criterion': 'b'}, {'passed': z}, {**ROW}]\n\n"
+              "def g():\n    return dict(criterion='c', passed=False)\n")
+    assert check_rows(source) == ["<module>", "f", "g"]
 
 
 def _fresh_modules(code: str, package: str) -> list[str]:
