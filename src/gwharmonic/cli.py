@@ -76,6 +76,8 @@ def _ladder(least):
 
 RULES = {
     "rde solve": [(lambda a: a.particles >= 1000, "--particles must be >= 1e3, got {particles}"),
+                  # the bootstrap floor draws its indices as int32
+                  (lambda a: a.particles < 2**31, "--particles must be < 2^31, got {particles}"),
                   (lambda a: a.tol > 0, "--tol must be > 0, got {tol}"),
                   (lambda a: a.max_iters >= 1, "--max-iters must be >= 1, got {max_iters}"),
                   (lambda a: a.polish >= 0, "--polish must be >= 0, got {polish}")],

@@ -10,6 +10,10 @@ step already moves the cloud by Monte Carlo noise alone.  That first d1
 compares one noisy cloud with the noise-free start, and every later one two
 noisy clouds, so step 1 reads lower (at M = 1e4, 5.6e-3 against a median of
 1.1e-2 over steps 2-52) and the stopping rule fires there more easily.
+Every cloud-length pass of the solver holds at most two clouds: the steps
+write in turn into the start cloud's buffer and one more, and d1 and the
+bootstrap floor sum their gaps block by block, in numpy's own pairwise
+order, so every bit is that of whole-array arithmetic.
 
 Validation tooling lives here too: the tail law F(t) = K0/t + 1 - K0 on
 [1,2], and `fixed_point_residuals`, the tuple identities and the Laplace ODE
@@ -33,6 +37,7 @@ import numpy as np
 from .rngs import cloud_stream, pool
 
 _CHUNK = 1 << 17  # particles per phi_step chunk (one stream and one pool task), tuples per batched draw
+_BLOCK = 1 << 14  # values per draw or gap block of a cloud-length pass (a 128 KiB buffer)
 _VALIDATE_BLOCK = 1 << 15  # neighbour pairs per comparison in validate (a 32 KiB mask)
 _BATCHES = 100  # batch means behind every batched standard error (here and in beta)
 _TASKS = 10  # groups of consecutive batches per batched draw: one stream and one pool task each
@@ -115,34 +120,57 @@ class ParticleCloud:
             raise CloudFormatError("cloud values must be sorted ascending")
 
 
-def phi_step(cloud: ParticleCloud, rng) -> ParticleCloud:
+def phi_step(cloud: ParticleCloud, rng, out: np.ndarray | None = None) -> ParticleCloud:
     """One population step: cloud-size many iid draws of G(U, X1, X2) with
-    X1, X2 resampled with replacement from the cloud.
+    X1, X2 resampled with replacement from the cloud, written sorted into
+    `out` (a new array when None; never `cloud.samples` itself).
 
     Output indices are produced in fixed chunks of _CHUNK, each from its own
     spawned stream (draw order per chunk: X1 indices, X2 indices, U) into
     its own slice of the output, and the chunks run on the thread pool; the
     result does not depend on the number of workers.  A cloud of at most
-    _CHUNK particles is one chunk.
+    _CHUNK particles is one chunk.  A chunk draws all its X1 indices, then
+    all X2 indices, then all U, each in _BLOCK pieces straight into its
+    slice of `out` (a stream's draws do not depend on how they are split;
+    see `rngs`), so a task holds two block buffers and the step no cloud
+    beyond `out`.
     """
     s = cloud.samples
-    out = np.empty(s.size)
+    out = np.empty(s.size) if out is None else out
     starts = range(0, s.size, _CHUNK)
 
     def chunk(lo, sub):
         o = out[lo : lo + _CHUNK]
-        x = np.take(s, sub.integers(0, s.size, size=o.size), mode="clip")
-        x += np.take(s, sub.integers(0, s.size, size=o.size), mode="clip")
-        u = sub.random(o.size)
-        # 1 / (u + (1 - u) / x), bit for bit, in place
-        np.subtract(1.0, u, out=o)
-        o /= x
-        o += u
-        np.divide(1.0, o, out=o)
+        blocks = [o[b : b + _BLOCK] for b in range(0, o.size, _BLOCK)]
+        t, u = np.empty(blocks[0].size), np.empty(blocks[0].size)
+        for ob in blocks:  # X1
+            np.take(s, sub.integers(0, s.size, size=ob.size), out=ob, mode="clip")
+        for ob in blocks:  # + X2
+            ob += np.take(s, sub.integers(0, s.size, size=ob.size), out=t[: ob.size], mode="clip")
+        for ob in blocks:
+            ub = sub.random(out=u[: ob.size])
+            # 1 / (u + (1 - u) / x), bit for bit, x in ob
+            tb = np.subtract(1.0, ub, out=t[: ob.size])
+            tb /= ob
+            tb += ub
+            np.divide(1.0, tb, out=ob)
 
     list(pool().map(chunk, starts, rng.spawn(len(starts))))
     out.sort()
     return ParticleCloud(out, cloud.iteration_count + 1, cloud.seed)
+
+
+def _pairwise_sum(block, lo: int, hi: int):
+    """The sum of a sequence over [lo, hi), `block(i, j)` giving its values
+    on [i, j), equal bit for bit to `np.add.reduce` of the whole range:
+    numpy's own pairwise order (halve the length, the first half rounded
+    down to a multiple of 8) down to parts of at most _BLOCK, each summed by
+    `np.add.reduce`.  Only one block is held at a time."""
+    if hi - lo <= _BLOCK:
+        return np.add.reduce(block(lo, hi))
+    half = (hi - lo) // 2
+    half -= half % 8
+    return _pairwise_sum(block, lo, lo + half) + _pairwise_sum(block, lo + half, hi)
 
 
 def wasserstein1(a: ParticleCloud, b: ParticleCloud) -> float:
@@ -155,9 +183,11 @@ def wasserstein1(a: ParticleCloud, b: ParticleCloud) -> float:
     levels i with ((i+1/2)/K*n).astype(int64) == j, a run that starts at the
     least i with (i+1/2)n/K >= j in exact arithmetic, or one level later
     where that index rounds down to j-1; so the index is evaluated once per
-    step, at that level.  The gaps are taken, made absolute and averaged in
-    one K-length buffer.  The result is bit for bit the full-grid gather
-    for n*K < 2^51; past that, the rounding could move a step by one level.
+    step, at that level, and the smaller cloud is spread over the K levels
+    in one K-length buffer (none for equal sizes).  The gaps are taken and
+    made absolute block by block and summed by `_pairwise_sum`, so the mean
+    is bit for bit `np.mean` of the K gaps, and so the full-grid gather for
+    n*K < 2^51; past that, the rounding could move a step by one level.
     """
     x, y = a.samples, b.samples
     if x.size == 0 or y.size == 0:
@@ -165,16 +195,17 @@ def wasserstein1(a: ParticleCloud, b: ParticleCloud) -> float:
     if x.size > y.size:
         x, y = y, x  # |x - y| is symmetric in floating point
     n, k = x.size, y.size
-    if n == k:
-        d = x - y
-    else:
+    if n < k:
         j = np.arange(1, n)
         first = -((n - 2 * j * k) // (2 * n))  # ceil(jK/n - 1/2) in integers
         first += ((first + 0.5) / k * n).astype(np.int64) < j
-        d = np.repeat(x, np.diff(first, prepend=0, append=k))
-        d -= y
-    np.abs(d, out=d)
-    return float(np.mean(d))
+        x = np.repeat(x, np.diff(first, prepend=0, append=k))
+
+    def gaps(lo, hi):
+        d = x[lo:hi] - y[lo:hi]
+        return np.abs(d, out=d)
+
+    return float(_pairwise_sum(gaps, 0, k) / k)
 
 
 def _self_convolution(p: np.ndarray) -> np.ndarray:
@@ -246,12 +277,12 @@ def solve_fixpoint(m: int, tol: float, max_iters: int, rng, seed: int = 0, polis
     1 measures one noisy cloud against the noise-free start, later steps two
     noisy clouds, so step 1's d1 reads lower and meets tol more easily."""
     law = grid_law()
-    cloud = law.quantile_cloud(m, seed)
+    cloud, spare = law.quantile_cloud(m, seed), np.empty(m)
     trace, converged, stop = [], False, max_iters
     while len(trace) < stop:
-        nxt = phi_step(cloud, rng)
+        nxt = phi_step(cloud, rng, out=spare)
         trace.append((nxt.iteration_count, wasserstein1(nxt, cloud)))
-        cloud = nxt
+        cloud, spare = nxt, cloud.samples
         if not converged and trace[-1][1] < tol:
             converged, stop = True, len(trace) + polish
     return SolveResult(cloud, trace, converged, law)
@@ -260,15 +291,25 @@ def solve_fixpoint(m: int, tol: float, max_iters: int, rng, seed: int = 0, polis
 def estimate_floor(cloud: ParticleCloud, rng) -> float:
     """Monte Carlo floor estimate: d1 between two independent bootstrap
     resamples of the cloud (the scale below which d1 cannot shrink).  Both
-    index vectors come from `rng`, a's first; each resample is sorted and
-    `wasserstein1` takes their mean |order-statistic gap|."""
-    m = cloud.size
-    a = np.take(cloud.samples, rng.integers(0, m, size=m), mode="clip")
+    index vectors come from `rng`, a's first, as int32 (the values and the
+    stream state of int64 draws).  On an ascending cloud s[sort(i)] is
+    sort(s[i]), so the indices are sorted instead of the resamples, and the
+    mean |order-statistic gap| is summed block by block by `_pairwise_sum`,
+    bit for bit `wasserstein1` of the two sorted resamples: two int32
+    vectors, one cloud's bytes, are all the floor holds."""
+    s, m = cloud.samples, cloud.size
+    a = rng.integers(0, m, size=m, dtype=np.int32)
     a_sorted = pool().submit(a.sort)  # in place, while b is drawn and sorted
-    b = np.take(cloud.samples, rng.integers(0, m, size=m), mode="clip")
+    b = rng.integers(0, m, size=m, dtype=np.int32)
     b.sort()
     a_sorted.result()
-    return wasserstein1(ParticleCloud(a), ParticleCloud(b))
+
+    def gaps(lo, hi):
+        d = np.take(s, a[lo:hi])
+        d -= np.take(s, b[lo:hi])
+        return np.abs(d, out=d)
+
+    return float(_pairwise_sum(gaps, 0, m) / m)
 
 
 # ---------------------------------------------------------------------------

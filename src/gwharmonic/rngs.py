@@ -13,6 +13,12 @@ the row families of `rde.fixed_point_residuals`) runs on `pool()`:
 one thread per usable core, with no setting.  The callers submit from their
 own thread and no task submits to the pool.  Each task writes only its own
 output, so results are the same on any number of cores.
+
+The package relies on SFC64's draws not depending on how a draw is split:
+bounded integers and doubles drawn in pieces (`rde.phi_step` draws in
+blocks, `random(out=)` into slices) equal one call of the whole size, and
+int32 bounded integers (`rde.estimate_floor`) equal int64 ones, with the
+same stream state after; tests/test_rde.py pins both.
 """
 
 from __future__ import annotations

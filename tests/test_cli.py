@@ -362,6 +362,7 @@ def test_zero_counts_are_usage_errors(cloud_file, tmp_path, capsys, monkeypatch,
 
 USAGE_ERRORS = {
     "particles-0": (["rde", "solve", "--particles", "0"], "--particles must be >= 1e3"),
+    "particles-2-31": (["rde", "solve", "--particles", str(2**31)], "--particles must be < 2^31"),
     "validate-seed-negative": (["rde", "validate", "--seed", "-1"], "--seed must be >= 0, got -1"),
     "beta-trials-1": (["beta", "--trials", "1"], "--trials must be >= 2"),
     "theorem1-seed-negative": (["discrete", "theorem1", "--offspring", "geometric", "--seed", "-1"],

@@ -408,6 +408,14 @@ def test_fixed_size_statistics_match_the_per_tree_oracle(law, monkeypatch):
     assert rep.cells[0]["exponent_mean"] == ex._summary(np.array(expos))["mean"]
 
 
+def test_quantiles_are_numpys_bit_for_bit():
+    qs = [0.0, 0.1, 0.25, 0.5, 0.9, 1.0]
+    rng = task_stream(34, "experiments", 34)
+    for n in [*range(1, 400), 2000, 10000, 40001]:
+        for values in (rng.standard_normal(n), np.round(rng.random(n), 2)):  # the second with ties
+            assert np.array_equal(ex._quantiles(values, qs), np.quantile(values, qs)), n
+
+
 def test_fixed_size_report_does_not_depend_on_the_batch_budget(monkeypatch):
     # 40 trees keep at most 40 * 1601 counts, so the default budget holds
     # every tree in one forest; a budget of one vertex sweeps each tree alone

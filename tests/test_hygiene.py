@@ -3,7 +3,8 @@ module, a test or a script imports must be used in that file, every public
 function and class, and every public method and property of a class, must be
 used somewhere in the package (code that only tests reach belongs in
 tests/oracles.py), the CLI imports no scipy, not even to build a p-ary
-law, nor `concurrent.futures` before the thread pool is first used, one
+law, nor `concurrent.futures` before the thread pool is first used,
+theorem1 runs without `numpy.ma`, one
 function of the CLI reads the clock: every report is timed in one place,
 `experiments.check` is the one place that writes a check row,
 pyproject.toml declares only the runtime dependencies the package
@@ -188,6 +189,14 @@ def test_cli_import_loads_no_scipy():
     # scipy costs about a second of import; only the test oracles need it
     assert _fresh_modules("import gwharmonic.cli; gwharmonic.offspring.from_spec('pary:3')",
                           "scipy") == []
+
+
+def test_theorem1_loads_no_numpy_ma():
+    # np.quantile imports numpy.ma on its first call, about 10 ms of a stage
+    code = ("from gwharmonic import experiments as ex, offspring as off; "
+            "from gwharmonic.rngs import task_stream; "
+            "ex.run_theorem1(off.geometric(), [8, 16], 0.25, 50, task_stream(1, 'experiments', 1), 0.7845)")
+    assert "numpy.ma" not in _fresh_modules(code, "numpy")
 
 
 def test_pyproject_declares_what_the_package_imports_at_its_version():

@@ -48,6 +48,28 @@ def test_phi_step_matches_the_serial_chunk_loop(m, chunk):
     assert (out.iteration_count, out.seed) == (4, 14)
 
 
+def _same_state(a, b) -> bool:
+    x, y = a.bit_generator.state, b.bit_generator.state
+    return (np.array_equal(x["state"]["state"], y["state"]["state"])
+            and (x["has_uint32"], x["uinteger"]) == (y["has_uint32"], y["uinteger"]))
+
+
+@pytest.mark.parametrize("m", [1000, 10**6, 2**31 - 1])
+def test_task_stream_draws_do_not_depend_on_how_a_draw_is_split(m):
+    # phi_step draws each chunk's indices and uniforms in blocks, and
+    # estimate_floor its indices as int32: both rely on these equalities
+    n, pieces = 10**6, [1, 3, 65536, 131071]
+    one, split, narrow = (task_stream(31, "rde", 31) for _ in range(3))
+    whole = one.integers(0, m, size=n)
+    parts = [split.integers(0, m, size=k) for k in [*pieces, n - sum(pieces)]]
+    assert np.array_equal(whole, np.concatenate(parts)) and _same_state(one, split)
+    assert np.array_equal(whole, narrow.integers(0, m, size=n, dtype=np.int32)) and _same_state(one, narrow)
+    u, v = one.random(n), np.empty(n)
+    for lo, hi in zip([0, 1, 4, 65540, 196611], [1, 4, 65540, 196611, n]):
+        split.random(out=v[lo:hi])
+    assert np.array_equal(u, v) and _same_state(one, split)
+
+
 class _FlatPool(ThreadPoolExecutor):
     """A thread pool whose `submit` raises in its own worker threads: a task
     that waits on the pool would wait forever with one worker."""
@@ -162,20 +184,49 @@ def test_wasserstein1_matches_the_grid_oracle(n, k):
         assert floor == orc.wasserstein1_grid(ra, rb)
 
 
+def _traced_peak(run) -> int:
+    """The traced peak of run() above the memory traced when it starts."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 128, 129, rde._BLOCK, rde._BLOCK + 1, 3 * 2**17 + 5, 10**6])
+def test_pairwise_sum_is_numpys_whole_array_sum(n):
+    v = task_stream(32, "rde", 32).standard_normal(n) * 1e3
+    assert rde._pairwise_sum(lambda lo, hi: v[lo:hi], 0, n) == np.add.reduce(v)
+
+
 @pytest.mark.parametrize("n, k", [(200, 2**20), (2**20, 200), (2**20, 2**20)])
 def test_d1_allocates_one_cloud_buffer(n, k):
     rng = task_stream(26, "rde", 26)
     a = rde.ParticleCloud(np.sort(1.0 + rng.random(n)))
     b = rde.ParticleCloud(np.sort(1.0 + rng.random(k)))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        rde.wasserstein1(a, b)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * max(a.samples.nbytes, b.samples.nbytes)
+    peak = _traced_peak(lambda: rde.wasserstein1(a, b))
+    # unequal sizes spread the smaller cloud over the K levels; equal sizes
+    # hold one gap block at a time
+    assert peak <= (2**20 if n == k else 1.5 * max(a.samples.nbytes, b.samples.nbytes))
+
+
+def test_floor_holds_two_int32_index_vectors():
+    m = 2**20
+    cloud = rde.ParticleCloud(np.sort(1.0 + task_stream(33, "rde", 33).random(m)))
+    # two int32 index vectors: one cloud's bytes
+    assert _traced_peak(lambda: rde.estimate_floor(cloud, task_stream(34, "rde", 34))) <= 8 * m + 2**20
+
+
+def test_solver_holds_two_clouds(monkeypatch):
+    m = 2**20
+    # the start cloud's buffer and one more, which the steps write in turn;
+    # each of the two workers holds a few _BLOCK buffers
+    peak = _under_pool(monkeypatch, 2, lambda: _traced_peak(
+        lambda: rde.solve_fixpoint(m, 1e-9, 2, task_stream(35, "rde", 35), seed=35)))
+    assert peak <= 2 * 8 * m + 2 * 2**20
 
 
 def test_contraction_audit():
