@@ -12,7 +12,7 @@ estimator uses the delta method.  The node-shift estimator reads its weights
 from one kappa table per call, built from iid pairs, whose own Monte Carlo
 error is reported apart.
 
-Every estimator draws its batches through `rde._batch_sums`: ten groups of
+Every estimator draws its batches through `_batch_sums`: ten groups of
 ten consecutive batches, each group one thread-pool task on its own stream
 spawned from the estimator's generator, so an estimate is the same on any
 number of cores.  The estimators themselves run in the calling thread.
@@ -24,8 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rde import _BATCHES, _TASKS, ParticleCloud, _batch_sums, se_of_mean, z_score
+from .rde import ParticleCloud, se_of_mean, z_score
 from .rngs import pool
+
+_CHUNK = 1 << 17  # tuples per batched draw
+_BATCHES = 100  # batch means behind every batched standard error
+_TASKS = 10  # groups of consecutive batches per batched draw: one stream and one pool task each
 
 # kappa table: a uniform grid on x = 1/G in [0, 1], estimated as independent
 # sub-tables whose spread is the table's Monte Carlo error.
@@ -60,6 +64,26 @@ class BetaEstimate:
             "total_std_error": self.total_std_error,
             "samples": self.sample_count,
         }
+
+
+def _batch_sums(kernel, batch: int, rng) -> np.ndarray:
+    """Per-batch sums of _BATCHES batches of `batch` tuples, shape
+    (_BATCHES, ...); `kernel(sub, k, m)` draws k batches of m tuples from
+    `sub` in one call and returns their k sums.  The batches are drawn in
+    _TASKS groups of consecutive batches, each one pool task on its own
+    stream of `rng.spawn(_TASKS)`, and each draw holds at most _CHUNK
+    tuples: as many whole batches as fit, or one batch in pieces whose sums
+    are added up in turn.  The result does not depend on the number of workers."""
+    per = _BATCHES // _TASKS
+
+    def group(sub):
+        if batch <= _CHUNK:
+            step = _CHUNK // batch
+            return np.concatenate([kernel(sub, min(step, per - lo), batch) for lo in range(0, per, step)])
+        pieces = [min(_CHUNK, batch - done) for done in range(0, batch, _CHUNK)]
+        return np.concatenate([sum(kernel(sub, 1, m) for m in pieces) for _ in range(per)])
+
+    return np.concatenate(list(pool().map(group, rng.spawn(_TASKS))))
 
 
 def _stratified(sub, k: int, m: int, dims: int) -> np.ndarray:

@@ -17,10 +17,10 @@ order, so every bit is that of whole-array arithmetic.
 
 Validation tooling lives here too: the tail law F(t) = K0/t + 1 - K0 on
 [1,2], and `fixed_point_residuals`, the tuple identities and the Laplace ODE
-2 l phi'' + l phi' + phi^2 - phi = 0 as exact averages over the cloud.  So
-do the two error-bar rules that every reported check of the package uses:
-`se_of_mean` and `z_score`.  Every random draw here comes from an SFC64
-stream made by `rngs`, or from one spawned from it.
+2 l phi'' + l phi' + phi^2 - phi = 0 as exact averages over the cloud with
+delta-method errors.  So do the two error-bar rules that every reported
+check of the package uses: `se_of_mean` and `z_score`.  Every random draw
+here comes from an SFC64 stream handed in, or from one spawned from it.
 
 The cloud file (`save_cloud`, `load_cloud`) is one ASCII header line, then
 the values as little-endian IEEE-754 binary64, read and written in one call.
@@ -34,13 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rngs import cloud_stream, pool
+from .rngs import pool
 
-_CHUNK = 1 << 17  # particles per phi_step chunk (one stream and one pool task), tuples per batched draw
-_BLOCK = 1 << 14  # values per draw or gap block of a cloud-length pass (a 128 KiB buffer)
-_VALIDATE_BLOCK = 1 << 15  # neighbour pairs per comparison in validate (a 32 KiB mask)
-_BATCHES = 100  # batch means behind every batched standard error (here and in beta)
-_TASKS = 10  # groups of consecutive batches per batched draw: one stream and one pool task each
+_CHUNK = 1 << 17  # particles per phi_step chunk (one stream and one pool task)
+_BLOCK = 1 << 14  # values per draw, gap or comparison block of a cloud-length pass (128 KiB of float64)
 _GRID_TOP, _GRID_H = 30.0, 0.02  # the grid law's support [1, top) and cell width; mass beyond top is dropped
 _GRID_L1, _GRID_ITERS = 1e-12, 200  # its stopping rule: successive masses L1-close, or the step cap
 
@@ -63,29 +60,6 @@ def z_score(diff: float, se: float) -> float:
     return 0.0 if diff == 0 else math.copysign(math.inf, diff)
 
 
-def _batch_sums(kernel, batch: int, rng) -> np.ndarray:
-    """Per-batch sums of _BATCHES batches of `batch` tuples, shape
-    (_BATCHES, ...), for the beta estimators.  `kernel(sub, k, m)` draws k
-    batches of m tuples from `sub` (each draw of k*m values in one call) and
-    returns their k sums.
-
-    The batches are drawn in _TASKS groups of consecutive batches, each group
-    one pool task on its own stream from `rng.spawn(_TASKS)`.  Within a group
-    every draw holds at most _CHUNK tuples: as many whole batches as fit, or,
-    for batches larger than _CHUNK, one batch in pieces whose sums are added
-    up in turn.  The result does not depend on the number of workers."""
-    per = _BATCHES // _TASKS
-
-    def group(sub):
-        if batch <= _CHUNK:
-            step = _CHUNK // batch
-            return np.concatenate([kernel(sub, min(step, per - lo), batch) for lo in range(0, per, step)])
-        pieces = [min(_CHUNK, batch - done) for done in range(0, batch, _CHUNK)]
-        return np.concatenate([sum(kernel(sub, 1, m) for m in pieces) for _ in range(per)])
-
-    return np.concatenate(list(pool().map(group, rng.spawn(_TASKS))))
-
-
 @dataclass(eq=False)
 class ParticleCloud:
     """Sorted empirical approximation of the conductance law."""
@@ -103,15 +77,14 @@ class ParticleCloud:
 
     def validate(self) -> None:
         """Raise CloudFormatError unless the cloud is non-empty, finite, in
-        [1, inf) and ascending.  One pass compares neighbours block by block,
-        holding no cloud-size temporary; `b >= a` is false at a NaN, so an
-        ordered cloud with finite ends is finite throughout."""
+        [1, inf) and ascending.  One pass compares neighbours _BLOCK pairs at
+        a time, holding no cloud-size temporary; `b >= a` is false at a NaN,
+        so an ordered cloud with finite ends is finite throughout."""
         s = self.samples
         if s.size == 0:
             raise CloudFormatError("empty cloud")
         a, b = s[:-1], s[1:]
-        ordered = all(np.all(b[lo : lo + _VALIDATE_BLOCK] >= a[lo : lo + _VALIDATE_BLOCK])
-                      for lo in range(0, a.size, _VALIDATE_BLOCK))
+        ordered = all(np.all(b[lo : lo + _BLOCK] >= a[lo : lo + _BLOCK]) for lo in range(0, a.size, _BLOCK))
         if not (ordered and np.isfinite(s[0]) and np.isfinite(s[-1])) and not np.all(np.isfinite(s)):
             raise CloudFormatError("cloud holds non-finite values")
         if s[0] < 1.0:
@@ -359,23 +332,26 @@ def fixed_point_residuals(cloud: ParticleCloud, ell_grid) -> tuple[dict, dict]:
     2 l phi'' + l phi' + phi^2 - phi, with phi(l) = E exp(-l X/2) and its
     derivatives in l exact averages (no numerical differentiation).
 
-    Each residual is a polynomial of whole-cloud means; its standard error is
-    that of the same polynomial of _BATCHES batch means over the cloud in an
-    order drawn from `rngs.cloud_stream(cloud.seed)`.  The moment identities
-    and each l are one pool task of at most two cloud-size buffers, so the
-    result does not depend on the number of workers."""
-    s = cloud.samples[cloud_stream(cloud.seed).permutation(cloud.size)]
-    m = s.size // _BATCHES
-
-    def batch_means(v):
-        return v[: m * _BATCHES].reshape(_BATCHES, m).mean(axis=1)
+    Each residual is a polynomial of whole-cloud means; its standard error
+    is `se_of_mean` of its influence, the polynomial's gradient applied to
+    the per-value functions: x^2 - 2x, 2x^3 - 3x^2 - 4 m1 x, and
+    e ((2 phi - 1) - (l/2) x + (l/2) x^2), e = exp(-l x/2), less its constant
+    (2 phi - 1) e[0], so that its values keep their precision as l -> 0 and
+    a constant cloud's error is exactly 0.  Nothing is drawn.  The moment
+    identities and each l are one pool task of at most two cloud-size buffers."""
+    s = cloud.samples
 
     def moment_identities():
-        moments = [moment(cloud, k) for k in (1, 2, 3)]  # the whole means, over the sorted cloud
-        t = np.square(s)
-        batches = batch_means(s), batch_means(t), batch_means(np.multiply(t, s, out=t))  # x, x^2, x^3
-        res_b, res = ([m2 - 2.0 * m1, 2.0 * m3 - 3.0 * m2 - 2.0 * m1 * m1] for m1, m2, m3 in (batches, moments))
-        return zip(res_b, res), moments
+        t = np.square(s)  # the moments bit for bit as `moment` takes them, but in t
+        m1, m2, m3 = moments = [float(s.mean()), float(t.mean()), float(np.power(s, 3, out=t).mean())]
+        np.subtract(s, 2.0, out=t)
+        t *= s  # x^2 - 2x
+        x = Residual(m2 - 2.0 * m1, se_of_mean(t))
+        t *= 2.0
+        t += s
+        t -= 4.0 * m1
+        t *= s  # x (2 (x^2 - 2x) + x - 4 m1) = 2x^3 - 3x^2 - 4 m1 x
+        return x, Residual(2.0 * m3 - 3.0 * m2 - 2.0 * m1 * m1, se_of_mean(t)), moments
 
     def laplace(ell):
         # exp(-l x/2), -x/2 exp(-l x/2) and x^2/4 exp(-l x/2) over the cloud,
@@ -386,21 +362,26 @@ def fixed_point_residuals(cloud: ParticleCloud, ell_grid) -> tuple[dict, dict]:
         t = np.negative(s)
         t /= 2.0
         t *= e
-        phi, dphi = (batch_means(e), e.mean()), (batch_means(t), t.mean())
+        phi, dphi = float(e.mean()), float(t.mean())
         np.square(s, out=t)
         t /= 4.0
         t *= e
-        d2phi = batch_means(t), t.mean()
-        return [2.0 * ell * d2 + ell * d1 + p * p - p for p, d1, d2 in zip(phi, dphi, d2phi)]
-
-    def residual(res_b, res):
-        return Residual(float(res), se_of_mean(res_b))
+        d2phi = float(t.mean())
+        # the influence less its constant: e (l/2) (x^2 - x) + (2 phi - 1) (e - e[0])
+        np.multiply(s, ell / 2.0, out=t)
+        t -= ell / 2.0
+        t *= s
+        t *= e
+        e -= e[0]
+        e *= 2.0 * phi - 1.0
+        t += e
+        del e  # freed before se_of_mean makes its temporary
+        return Residual(float(2.0 * ell * d2phi + ell * dphi + phi * phi - phi), se_of_mean(t))
 
     ells = np.asarray(ell_grid, dtype=np.float64)
     tasks = [pool().submit(moment_identities), *(pool().submit(laplace, ell) for ell in ells)]
-    pairs, moments = tasks[0].result()
-    x, x2 = (residual(*pair) for pair in pairs)
-    odes = {f"laplace-ode-l{ell:g}": residual(*task.result()) for ell, task in zip(ells, tasks[1:])}
+    x, x2, moments = tasks[0].result()
+    odes = {f"laplace-ode-l{ell:g}": task.result() for ell, task in zip(ells, tasks[1:])}
     l1 = odes["laplace-ode-l1"]
     rows = {"moment-identity-x": x, "moment-identity-x2": x2,
             "integrated-laplace": Residual(-l1.residual, l1.std_error), **odes}

@@ -4,7 +4,9 @@ A single 64-bit master seed expands into independent per-task streams keyed
 on (seed, module id, task index), so every artifact is reproducible from the
 seed alone, independent of scheduling.  Every stream is numpy's SFC64 seeded
 by a `SeedSequence`, whose spawn keys keep the streams independent; this is
-the only module of the package that names a bit generator.
+the only module of the package that names a bit generator.  Only `cli`
+calls its one factory, `task_stream`; the other modules draw from the
+generators they are handed.
 
 Work that draws from its own spawned stream (the chunks of one `rde.phi_step`,
 the batch groups of every beta estimator, the sub-cloud splits of
@@ -44,19 +46,10 @@ _POOL = None
 _POOL_LOCK = threading.Lock()
 
 
-def _sfc64(ss: np.random.SeedSequence) -> np.random.Generator:
-    return np.random.Generator(np.random.SFC64(ss))
-
-
 def task_stream(seed: int, module: str, task: int = 0) -> np.random.Generator:
     """Independent generator for task `task` of `module` under `seed`."""
-    return _sfc64(np.random.SeedSequence(entropy=seed, spawn_key=(MODULE_IDS[module], task)))
-
-
-def cloud_stream(seed: int) -> np.random.Generator:
-    """The generator keyed on a cloud's seed alone (no module or task), which
-    orders the batch means of `rde.fixed_point_residuals`."""
-    return _sfc64(np.random.SeedSequence(seed))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(MODULE_IDS[module], task))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def pool():

@@ -36,15 +36,15 @@ replaced by its harmonic-ray chain.  `constant_cloud` is a cloud with no
 spread: the solver's former all-ones start, and the negative controls'
 cloud.  `phi_step_serial` is `rde.phi_step`
 without the thread pool, at any chunk size, and
-`fixed_point_residuals_serial` is `rde.fixed_point_residuals` row by row and
-batch by batch, over whole-expression temporaries; `wasserstein1_grid` is
+`fixed_point_residuals_serial` is `rde.fixed_point_residuals` row by row,
+each standard error from the covariance of its per-value functions; `wasserstein1_grid` is
 `rde.wasserstein1` with both quantile functions gathered on the full grid;
 `phi_step_coupled` checks the contraction rate of `rde.phi_step`, and
 `solve_from` is the particle solver's former loop from any start cloud,
 `kappa` is the direct Monte Carlo that `beta.kappa_table` tabulates,
 `kappa_table_serial` is `beta.kappa_table` as one column loop in the calling
 thread, on the same draws, and `batch_sums_serial` replays the grouped
-batch draws of `rde._batch_sums` behind every beta estimator, one group
+batch draws of `beta._batch_sums` behind every beta estimator, one group
 after another; `stratified_rows` replays
 the stratified tuples of the beta estimators row by row, and
 `cloud_at_serial` reads the cloud at their indices.
@@ -61,20 +61,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from gwharmonic import rngs, trees
-from gwharmonic.beta import _SUBTABLE_PAIRS, _SUBTABLES, TABLE_GRID
+from gwharmonic import trees
+from gwharmonic.beta import _BATCHES, _CHUNK, _SUBTABLE_PAIRS, _SUBTABLES, _TASKS, TABLE_GRID
 from gwharmonic.experiments import check
 from gwharmonic.offspring import OffspringDistribution, OffspringError, survival_probs
-from gwharmonic.rde import (
-    _BATCHES,
-    _CHUNK,
-    _TASKS,
-    ParticleCloud,
-    Residual,
-    phi_step,
-    se_of_mean,
-    wasserstein1,
-)
+from gwharmonic.rde import ParticleCloud, Residual, phi_step, wasserstein1
 from gwharmonic.trees import (
     LevelForest,
     TrialCapError,
@@ -818,29 +809,30 @@ def phi_step_serial(cloud: ParticleCloud, rng, chunk: int = 1 << 20) -> Particle
 
 
 def fixed_point_residuals_serial(cloud: ParticleCloud, ell_grid) -> tuple[dict, dict]:
-    """`rde.fixed_point_residuals` row by row, each batch's means taken one
-    batch after another over whole-expression temporaries, and the whole
-    means apart."""
-    s = cloud.samples[rngs.cloud_stream(cloud.seed).permutation(cloud.size)]
-    m = s.size // _BATCHES
-    parts = [s[i * m : (i + 1) * m] for i in range(_BATCHES)]
-    moments = [float(np.mean(cloud.samples**k)) for k in (1, 2, 3)]  # over the sorted cloud
+    """`rde.fixed_point_residuals` row by row over whole-expression
+    temporaries: each residual a polynomial g of the means of stacked
+    per-value functions F, and its delta-method standard error
+    sqrt(grad_g' cov(F) grad_g / M)."""
+    x = cloud.samples
+    moments = [float(np.mean(x**k)) for k in (1, 2, 3)]
+    m1, m2, m3 = moments
 
-    def identities(m1, m2, m3):
-        return m2 - 2.0 * m1, 2.0 * m3 - 3.0 * m2 - 2.0 * m1 * m1
+    def residual(res, grad, funcs):
+        grad = np.asarray(grad)
+        return Residual(float(res), float(np.sqrt(grad @ np.cov(np.stack(funcs)) @ grad / x.size)))
 
-    per_batch = [identities(np.mean(b), np.mean(b * b), np.mean(b * b * b)) for b in parts]
-    x, x2 = (Residual(float(res), se_of_mean(res_b)) for res, res_b in zip(identities(*moments), zip(*per_batch)))
-    rows = {"moment-identity-x": x, "moment-identity-x2": x2}
+    odes = {}
     for ell in np.asarray(ell_grid, dtype=np.float64):
-        def ode(v):
-            e = np.exp(-ell * v / 2.0)
-            phi = np.mean(e)
-            return 2.0 * ell * np.mean(v**2 / 4.0 * e) + ell * np.mean(-v / 2.0 * e) + phi * phi - phi
-
-        rows[f"laplace-ode-l{ell:g}"] = Residual(float(ode(s)), se_of_mean([ode(b) for b in parts]))
-    l1 = rows["laplace-ode-l1"]
-    rows["integrated-laplace"] = Residual(-l1.residual, l1.std_error)
+        e = np.exp(-ell * x / 2.0)
+        funcs = [e, -x / 2.0 * e, x**2 / 4.0 * e]  # phi, phi', phi'' per value
+        phi, dphi, d2phi = (float(np.mean(f)) for f in funcs)
+        odes[f"laplace-ode-l{ell:g}"] = residual(2.0 * ell * d2phi + ell * dphi + phi * phi - phi,
+                                                 [2.0 * phi - 1.0, ell, 2.0 * ell], funcs)
+    l1 = odes["laplace-ode-l1"]
+    rows = {"moment-identity-x": residual(m2 - 2.0 * m1, [-2.0, 1.0], [x, x**2]),
+            "moment-identity-x2": residual(2.0 * m3 - 3.0 * m2 - 2.0 * m1 * m1, [-4.0 * m1, -3.0, 2.0],
+                                           [x, x**2, x**3]),
+            "integrated-laplace": Residual(-l1.residual, l1.std_error), **odes}
     return rows, dict(zip(("m1", "m2", "m3"), moments))
 
 
@@ -906,7 +898,7 @@ def kappa(cloud: ParticleCloud, r, pair_count: int, rng) -> float:
 
 
 def batch_sums_serial(rng, batch: int, summands, chunk: int) -> np.ndarray:
-    """`rde._batch_sums` replayed group by group, in the calling thread:
+    """`beta._batch_sums` replayed group by group, in the calling thread:
     each stream of rng.spawn(_TASKS) draws its _BATCHES // _TASKS batches in
     turn, as many whole batches per draw as fit in `chunk` tuples, else one
     batch in pieces of at most `chunk`.  summands(sub, k, m) draws k batches

@@ -103,7 +103,7 @@ def test_beta_shift_error_bar_is_calibrated(solved_cloud):
 
 
 # a batch of 20 tuples in pieces of 7, 7 and 6; 3 batches per draw; all 10 of a group in one draw
-CHUNKS = [7, 64, rde._CHUNK]
+CHUNKS = [7, 64, beta._CHUNK]
 
 
 def test_beta_moment_matches_the_replayed_groups(solved_cloud, monkeypatch):
@@ -115,7 +115,7 @@ def test_beta_moment_matches_the_replayed_groups(solved_cloud, monkeypatch):
 
     a = s.mean()
     for chunk in CHUNKS:
-        monkeypatch.setattr(rde, "_CHUNK", chunk)
+        monkeypatch.setattr(beta, "_CHUNK", chunk)
         b = orc.batch_sums_serial(task_stream(24, "beta", 24), 20, summands, chunk)[:, 0] / 20
         est = beta.beta_moment(solved_cloud, 20 * beta._BATCHES, task_stream(24, "beta", 24))
         assert est.value == pytest.approx(0.5 * (a * a / b.mean() - 1.0), rel=1e-12)
@@ -132,7 +132,7 @@ def test_beta_triple_matches_the_replayed_groups(solved_cloud, monkeypatch):
                          t * u / (t + u - 1.0)], axis=1)
 
     for chunk in CHUNKS:
-        monkeypatch.setattr(rde, "_CHUNK", chunk)
+        monkeypatch.setattr(beta, "_CHUNK", chunk)
         sums = orc.batch_sums_serial(task_stream(25, "beta", 25), 20, summands, chunk)
         est = beta.beta_triple(solved_cloud, 20 * beta._BATCHES, task_stream(25, "beta", 25))
         ratios = sums[:, 0] / sums[:, 1]
@@ -157,7 +157,7 @@ def test_beta_shift_matches_direct_interpolation(solved_cloud, monkeypatch):
         return np.stack([w * (frac * np.log(frac))[:, None], w * -np.log1p(-u)[:, None]], axis=1)
 
     for chunk in CHUNKS:
-        monkeypatch.setattr(rde, "_CHUNK", chunk)
+        monkeypatch.setattr(beta, "_CHUNK", chunk)
         rng = task_stream(22, "beta", 22)
         beta.kappa_table(solved_cloud, rng)  # the table's draws come first
         sums = orc.batch_sums_serial(rng, 20, summands, chunk)
@@ -283,9 +283,8 @@ def _tiny_zs(monkeypatch, draw):
     and denominator, the shift's branch entropy and -log(1-U) (exactly 1)."""
     monkeypatch.setattr(beta, "_stratified", draw)
     batch = 50  # not a multiple of the cloud size: strata straddle cloud values
-    sums = []
-    monkeypatch.setattr(beta, "_batch_sums",
-                        lambda *a: sums.append(rde._batch_sums(*a)) or sums[-1])
+    sums, batch_sums = [], beta._batch_sums
+    monkeypatch.setattr(beta, "_batch_sums", lambda *a: sums.append(batch_sums(*a)) or sums[-1])
     beta.beta_moment(TINY, batch * beta._BATCHES, task_stream(30, "beta", 30))
     beta.beta_triple(TINY, batch * beta._BATCHES, task_stream(31, "beta", 31))
     beta.beta_shift(TINY, batch * beta._BATCHES, task_stream(32, "beta", 32))
@@ -321,10 +320,10 @@ def test_stratified_error_bars_are_calibrated(solved_cloud, monkeypatch, fn):
     assert 0.6 <= spread / np.mean([e.std_error for e in ests]) <= 1.6
 
 
-@pytest.mark.parametrize("chunk, rows, sizes", [(7, 1, {7, 6}), (64, 3, {20}), (rde._CHUNK, 10, {20})])
+@pytest.mark.parametrize("chunk, rows, sizes", [(7, 1, {7, 6}), (64, 3, {20}), (beta._CHUNK, 10, {20})])
 def test_each_draw_is_stratified_row_by_row(solved_cloud, monkeypatch, chunk, rows, sizes):
     # a batch of 20 larger than the chunk is drawn, and stratified, in pieces of 7, 7 and 6
-    monkeypatch.setattr(rde, "_CHUNK", chunk)
+    monkeypatch.setattr(beta, "_CHUNK", chunk)
     draws = []
     monkeypatch.setattr(beta, "_stratified",
                         lambda *a: draws.append(STRATIFIED(*a)) or draws[-1].copy())

@@ -117,6 +117,20 @@ def test_validate_negative_control(tmp_path):
     assert run(["rde", "validate", "--cloud", str(path), "--out", str(tmp_path)]) == 1
 
 
+def test_validate_gives_a_tiny_cloud_finite_error_bars(tmp_path):
+    # 100 batch means of a 50-value cloud were empty: every identity row read
+    # std_error NaN and z +-inf, and numpy warned "Mean of empty slice"
+    path = tmp_path / "tiny.txt"
+    rde.save_cloud(rde.ParticleCloud(np.sort(1.0 + task_stream(40, "rde", 40).exponential(size=50))), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["rde", "validate", "--cloud", str(path), "--out", str(tmp_path)]) in (0, 1)
+    rows = [c for c in json.loads((tmp_path / "rde_validate_seed0.json").read_text())["checks"] if "z" in c]
+    assert [c["criterion"] for c in rows] == ["moment-identity-x", "moment-identity-x2", "integrated-laplace",
+                                              *(f"laplace-ode-l{ell}" for ell in ("0.5", "1", "2", "4"))]
+    assert all(np.isfinite(c["std_error"]) and c["std_error"] > 0 and np.isfinite(c["z"]) for c in rows), rows
+
+
 def test_validate_corrupt_cloud(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"GAMMA-CLOUD v3 10 0 0\n" + struct.pack("<d", 1.0))  # 1 value of 10

@@ -8,8 +8,8 @@ theorem1 runs without `numpy.ma`, one
 function of the CLI reads the clock: every report is timed in one place,
 `experiments.check` is the one place that writes a check row,
 pyproject.toml declares only the runtime dependencies the package
-imports, at the version every report writes, and `rngs` is the one module
-that names a bit generator."""
+imports, at the version every report writes, `rngs` is the one module
+that names a bit generator, and only `cli` calls its stream factory."""
 
 import ast
 import os
@@ -253,6 +253,33 @@ def test_task_streams_are_sfc64_keyed_on_seed_module_and_task():
     assert isinstance(rngs.task_stream(5, "rde", 3).bit_generator, np.random.SFC64)
     assert np.array_equal(rngs.task_stream(5, "rde", 3).random(8), draws)
     for other in (rngs.task_stream(5, "rde", 4), rngs.task_stream(5, "beta", 3),
-                  rngs.task_stream(6, "rde", 3), rngs.cloud_stream(5)):
+                  rngs.task_stream(6, "rde", 3)):
         assert not np.any(other.random(8) == draws)
-    assert np.array_equal(rngs.cloud_stream(5).random(8), rngs.cloud_stream(5).random(8))
+
+
+def stream_makers(source: str) -> list[str]:
+    """The function around each call of `task_stream` or `SeedSequence` of a
+    module (see scopes_of), by bare name or as an attribute."""
+    def hits(node):
+        if not isinstance(node, ast.Call):
+            return False
+        name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        return name in {"task_stream", "SeedSequence"}
+
+    return scopes_of(source, hits)
+
+
+def test_only_the_cli_makes_a_stream():
+    # rngs seeds one factory, the cli calls it once per stage stream, and
+    # every other module draws from the generator it is handed
+    made = {p.stem: stream_makers(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {module: funcs for module, funcs in made.items() if funcs} == {
+        "cli": ["cmd_rde_solve", "cmd_rde_solve", "cmd_beta", "_discrete", "_beta_ref", "cmd_continuum"],
+        "rngs": ["task_stream"]}
+
+
+def test_stream_maker_detector():
+    source = ("import numpy as np\nfrom .rngs import task_stream\n\ndef f(seed):\n"
+              "    return task_stream(seed, 'rde')\n\ndef g():\n    ss = np.random.SeedSequence(1)\n"
+              "    return rng.spawn(2), task_stream\n")
+    assert stream_makers(source) == ["f", "g"]

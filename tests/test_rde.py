@@ -474,9 +474,29 @@ def test_fixed_point_residuals_hold_two_clouds_per_task(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    # one worker: the permuted copy and one task's two buffers (or, while the
-    # copy is made, its index vector), and the batch means; a third buffer would add 8m
-    assert _under_pool(monkeypatch, 1, run) <= 3.1 * 8 * m
+    # one worker: one task's two buffers, e and t or t and se_of_mean's
+    # temporary; a third buffer would add 8m
+    assert _under_pool(monkeypatch, 1, run) <= 2.1 * 8 * m
+
+
+def test_fixed_point_residuals_read_the_values_alone():
+    # no stream keyed on the header's seed: equal samples give equal rows
+    s = np.sort(1.0 + task_stream(31, "rde", 31).exponential(size=5000))
+    one, two = (rde.fixed_point_residuals(rde.ParticleCloud(s.copy(), 4, seed), ELLS) for seed in (1, 2))
+    assert one == two
+
+
+def test_fixed_point_residual_error_bars_are_calibrated():
+    # over iid clouds the spread of each row matches its mean standard error;
+    # a wrong gradient term (the -4 m1 x of moment-identity-x2, the factor e of
+    # the Laplace rows) reads well outside the band
+    rng = task_stream(32, "rde", 32)
+    runs = [rde.fixed_point_residuals(rde.ParticleCloud(np.sort(1.0 + rng.exponential(size=2000))), ELLS)[0]
+            for _ in range(400)]
+    for label in IDENTITY_ROWS:
+        spread = np.std([rows[label].residual for rows in runs], ddof=1)
+        ratio = spread / np.mean([rows[label].std_error for rows in runs])
+        assert 0.85 <= ratio <= 1.15, f"{label}: {ratio:.3f}"
 
 
 def test_K0_value_and_bounds(solved_cloud):
@@ -508,11 +528,18 @@ def test_laplace_ode_residuals(solved_cloud):
     assert abs(small.residual) < 1e-5  # residual -> phi(0)^2 - phi(0) = 0
 
 
-@pytest.mark.parametrize("m", [1000, 12345])  # 12345: the batch means leave out 45 values
+@pytest.mark.parametrize("m", [1000, 12345])
 def test_laplace_ode_residual_matches_the_serial_loop(m):
+    # the residuals bit for bit; each standard error against the covariance
+    # of the row's per-value functions
     cloud = rde.ParticleCloud(np.sort(1.0 + task_stream(20, "rde", 20).exponential(size=m)), 0, 20)
     ells = [1e-6, 0.5, 1.0, 2.0, 4.0]
-    assert rde.fixed_point_residuals(cloud, ells) == orc.fixed_point_residuals_serial(cloud, ells)
+    (rows, moments), (want, want_moments) = (fn(cloud, ells) for fn in (rde.fixed_point_residuals,
+                                                                         orc.fixed_point_residuals_serial))
+    assert moments == want_moments and list(rows) == list(want)
+    for label, res in rows.items():
+        assert res.residual == want[label].residual, label
+        assert res.std_error == pytest.approx(want[label].std_error, rel=1e-12, abs=0), label
 
 
 def test_laplace_ode_negative_control():
@@ -632,9 +659,9 @@ def test_cloud_codec_holds_at_most_64_kib_beyond_the_samples(tmp_path):
 
 @pytest.mark.parametrize("i", [0, 2**15 - 2, 2**15 - 1, 2**15, 2**16 + 3])
 def test_validate_finds_a_fault_at_every_block_edge(i):
-    # validate compares neighbours in blocks of 2^15 pairs; a fault on
-    # either side of an edge is found, and a NaN or inf inside an ordered
-    # run is named as non-finite, not as unsorted
+    # validate compares neighbours in blocks of 2^14 pairs, so 2^15 is an
+    # edge; a fault on either side of an edge is found, and a NaN or inf
+    # inside an ordered run is named as non-finite, not as unsorted
     s = 1.0 + np.arange(2**16 + 5) / 2**16
     swapped = s.copy()
     swapped[[i, i + 1]] = s[[i + 1, i]]
