@@ -18,9 +18,8 @@ import argparse
 import os
 import sys
 import time
-from pathlib import Path
 
-from gwharmonic.cli import settings
+from gwharmonic.cli import cloud_file, settings
 
 
 def label(argv) -> str:
@@ -43,8 +42,7 @@ def run(argv):
 
 
 def pipeline(preset: str, seed: int, out: str) -> int:
-    particles = settings("rde solve", preset)["particles"]
-    cloud = str(Path(out) / f"cloud_M{particles}_seed{seed}.txt")
+    cloud = str(cloud_file(out, settings("rde solve", preset)["particles"], seed))
     seed_out = ["--seed", str(seed), "--out", out]
     base = ["--preset", preset, *seed_out]
     stages = [["rde", "solve", *base],

@@ -30,6 +30,7 @@ from .rngs import pool
 _CHUNK = 1 << 17  # tuples per batched draw
 _BATCHES = 100  # batch means behind every batched standard error
 _TASKS = 10  # groups of consecutive batches per batched draw: one stream and one pool task each
+_SPLIT = 10  # disjoint sub-clouds behind the finite-cloud std errors
 
 # kappa table: a uniform grid on x = 1/G in [0, 1], estimated as independent
 # sub-tables whose spread is the table's Monte Carlo error.
@@ -217,20 +218,6 @@ def beta_shift(cloud: ParticleCloud, sample_count: int, rng) -> BetaEstimate:
                         table_std_error=table_std_error)
 
 
-@dataclass
-class CrossValidation:
-    estimates: list
-    z_matrix: np.ndarray
-    flagged: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "estimates": [e.to_dict() for e in self.estimates],
-            "z_matrix": self.z_matrix.tolist(),
-            "flagged": self.flagged,
-        }
-
-
 def _sub_clouds(cloud: ParticleCloud, rng, k: int) -> list:
     """k disjoint random sub-clouds of size M/k, each sorted, from one
     permutation of the cloud drawn from rng."""
@@ -252,36 +239,38 @@ def _cloud_component(subs: list, runner, rng, sub_budget: int) -> float:
     return float(np.sqrt(var_sub / len(subs)))
 
 
-def cross_validate(cloud: ParticleCloud, budget: int, rng) -> CrossValidation:
-    """Run the three estimators on derived streams and compare pairwise;
-    |z| > 3 between any two flags the report.  The estimator runs and the
-    sub-cloud runs each draw from their own stream, one after another in the
-    calling thread; each run spreads its own draws over the thread pool, and
-    the two sub-cloud splits are made there while the full-cloud runs draw.
+def cross_validate(cloud: ParticleCloud, budget: int, rng) -> tuple[list, np.ndarray]:
+    """Run the three estimators on derived streams and compare them pairwise:
+    the estimates, and the 3x3 matrix of pairwise |z| (|z| > 3 flags the
+    report).  The estimator runs and the sub-cloud runs each draw from their
+    own stream, one after another in the calling thread; each run spreads its
+    own draws over the thread pool, and the sub-cloud split is made there
+    while the full-cloud runs draw.
 
     The two expectation-style estimators are smooth functionals of the
     empirical cloud, so their values carry a finite-cloud error of order
-    M^{-1/2} that tuple resampling cannot see; on clouds of 1e5 or more
-    particles it is estimated by disjoint sub-cloud splits and folded into
+    M^{-1/2} that tuple resampling cannot see; it is estimated from one split
+    into 10 disjoint sub-clouds, which both estimators read, and folded into
     the pairwise z denominators ("agreement within combined statistical
     error").  The shift estimator's finite-cloud error is not estimated, so
     its `total_std_error` may be too small (at M=1e6 its tuple error is of
     the order of the triple's cloud error); its kappa-table error is always
-    folded in.
+    folded in.  A cloud of fewer than 10 values, which would leave a
+    sub-cloud empty, is refused with a ValueError before any draw.
     """
+    if cloud.size < _SPLIT:
+        raise ValueError(f"beta cross-validation splits the cloud into {_SPLIT} sub-clouds: "
+                         f"needs M >= {_SPLIT}, got M={cloud.size}")
     streams = rng.spawn(5)
-    splits = []
-    if cloud.size >= 10**5:
-        # the sub-cloud splits are drawn and sorted on the pool while the full-cloud runs use it too
-        splits = [pool().submit(_sub_clouds, cloud, streams[3 + i], 10) for i in range(2)]
+    split = pool().submit(_sub_clouds, cloud, streams[3], _SPLIT)
     ests = [fn(cloud, budget, stream) for fn, stream in zip((beta_moment, beta_triple, beta_shift), streams)]
     sub_budget = min(max(budget // 200, 250_000), 2_500_000)
-    for i, (fn, split) in enumerate(zip((beta_moment, beta_triple), splits)):
-        ests[i].cloud_std_error = _cloud_component(split.result(), fn, streams[3 + i], sub_budget)
+    for est, fn, stream in zip(ests, (beta_moment, beta_triple), streams[3:]):
+        est.cloud_std_error = _cloud_component(split.result(), fn, stream, sub_budget)
     z = np.zeros((3, 3))
     for i in range(3):
         for j in range(3):
             if i != j:
                 z[i, j] = z_score(abs(ests[i].value - ests[j].value),
                                   np.hypot(ests[i].total_std_error, ests[j].total_std_error))
-    return CrossValidation(estimates=ests, z_matrix=z, flagged=bool(np.any(z > 3.0)))
+    return ests, z

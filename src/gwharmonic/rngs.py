@@ -9,7 +9,7 @@ calls its one factory, `task_stream`; the other modules draw from the
 generators they are handed.
 
 Work that draws from its own spawned stream (the chunks of one `rde.phi_step`,
-the batch groups of every beta estimator, the sub-cloud splits of
+the batch groups of every beta estimator, the sub-cloud split of
 `beta.cross_validate`) or from no stream at all (the kappa table's columns,
 the row families of `rde.fixed_point_residuals`) runs on `pool()`:
 one thread per usable core, with no setting.  The callers submit from their

@@ -218,28 +218,28 @@ def test_beta_moment_duplication_invariance(solved_cloud):
 
 def test_estimators_agree_near_paper_value(solved_cloud):
     rng = task_stream(10, "beta", 10)
-    cv = beta.cross_validate(solved_cloud, 2 * 10**6, rng)
-    for est in cv.estimates:
+    ests, z = beta.cross_validate(solved_cloud, 2 * 10**6, rng)
+    for est in ests:
         assert 0.75 < est.value < 0.82
         assert 0.0 < est.value < 1.0
         assert est.std_error > 0
-    shift = cv.estimates[2]
+    shift = ests[2]
     assert shift.method == "shift" and shift.table_std_error > 0
     assert shift.total_std_error == pytest.approx(np.hypot(shift.std_error, shift.table_std_error))
-    assert not cv.flagged
-    assert np.max(cv.z_matrix) <= 3.0
+    assert not np.any(z > 3.0)
+    assert np.max(z) <= 3.0
 
 
 def test_cross_validate_flags_all_ones(ones):
     rng = task_stream(11, "beta", 11)
-    cv = beta.cross_validate(ones, 10**5, rng)
-    assert cv.flagged  # moment says 0, triple says log 2
+    _, z = beta.cross_validate(ones, 10**5, rng)
+    assert np.any(z > 3.0)  # moment says 0, triple says log 2
 
 
 def test_cross_validate_deterministic(solved_cloud):
     a = beta.cross_validate(solved_cloud, 10**5, task_stream(12, "beta", 12))
     b = beta.cross_validate(solved_cloud, 10**5, task_stream(12, "beta", 12))
-    for x, y in zip(a.estimates, b.estimates):
+    for x, y in zip(a[0], b[0]):
         assert x.to_dict() == y.to_dict()
 
 
@@ -251,11 +251,28 @@ def test_se_scaling_with_budget(solved_cloud):
 
 
 def test_cross_validation_report_dict(solved_cloud):
-    cv = beta.cross_validate(solved_cloud, 10**5, task_stream(15, "beta", 15))
-    d = cv.to_dict()
-    assert set(d) == {"estimates", "z_matrix", "flagged"}  # results only: the CLI echoes --trials
-    assert {e["method"] for e in d["estimates"]} == {"moment", "triple", "shift"}
-    assert len(d["z_matrix"]) == 3
+    result = beta.cross_validate(solved_cloud, 10**5, task_stream(15, "beta", 15))
+    assert len(result) == 2  # results only: the CLI echoes --trials
+    ests, z = result
+    assert {e.method for e in ests} == {"moment", "triple", "shift"}
+    assert z.shape == (3, 3)
+
+
+def test_cross_validate_draws_one_sub_cloud_split(solved_cloud, monkeypatch):
+    calls = []
+    sub_clouds = beta._sub_clouds
+    monkeypatch.setattr(beta, "_sub_clouds", lambda *a: calls.append(a) or sub_clouds(*a))
+    result = beta.cross_validate(solved_cloud, 10**5, task_stream(16, "beta", 16))
+    assert len(calls) == 1
+    moment, triple, _ = result[0]
+    assert moment.cloud_std_error > 0 and triple.cloud_std_error > 0  # both cloud terms read it
+
+
+@pytest.mark.parametrize("m", [1, 5, 9])
+def test_cross_validate_refuses_a_cloud_smaller_than_the_split(m):
+    # below 10 values a sub-cloud would be empty; with no generator, any draw would fail otherwise
+    with pytest.raises(ValueError, match=f"M={m}"):
+        beta.cross_validate(orc.constant_cloud(m, 1.5), 10**3, None)
 
 
 # --- stratified tuples ---------------------------------------------------------

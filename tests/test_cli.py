@@ -131,6 +131,17 @@ def test_validate_gives_a_tiny_cloud_finite_error_bars(tmp_path):
     assert all(np.isfinite(c["std_error"]) and c["std_error"] > 0 and np.isfinite(c["z"]) for c in rows), rows
 
 
+def test_validate_refuses_a_one_value_cloud(tmp_path, capsys):
+    # one value has no spread: the identity rows read se=nan and z=+-inf after numpy's
+    # "Degrees of freedom <= 0" warning
+    path = tmp_path / "one.txt"
+    path.write_bytes(b"GAMMA-CLOUD v3 1 0 0\n" + struct.pack("<d", 1.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["rde", "validate", "--cloud", str(path), "--out", str(tmp_path)]) == 2
+    assert "got 1" in capsys.readouterr().err
+
+
 def test_validate_corrupt_cloud(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"GAMMA-CLOUD v3 10 0 0\n" + struct.pack("<d", 1.0))  # 1 value of 10
@@ -155,6 +166,28 @@ def test_beta_report(cloud_file, tmp_path):
     csv = (tmp_path / "beta_cross_validate_seed5.csv").read_text().splitlines()
     assert csv[0].startswith("method,value")
     assert len(csv) == 4
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_beta_carries_the_cloud_error_of_a_small_cloud(tmp_path, seed):
+    # at M = 2e4 the cloud error of the moment and triple (about 6e-3) dwarfs
+    # their tuple error; without it the check read |z| 18.2 and 16.4 here
+    assert run(["rde", "solve", "--particles", "20000", "--tol", "2e-2", "--seed", str(seed),
+                "--out", str(tmp_path)]) == 0
+    assert run(["beta", "--cloud", str(tmp_path / f"cloud_M20000_seed{seed}.txt"), "--trials", "1000000",
+                "--seed", str(seed), "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / f"beta_cross_validate_seed{seed}.json").read_text())
+    assert rep["checks"][0]["passed"] and not rep["flagged"]
+    moment, triple, _ = rep["estimates"]
+    assert moment["cloud_std_error"] > 0 and triple["cloud_std_error"] > 0
+
+
+@pytest.mark.parametrize("m, code", [(5, 2), (10, 0)])
+def test_beta_needs_a_value_per_sub_cloud(tmp_path, capsys, m, code):
+    path = tmp_path / "small.txt"
+    rde.save_cloud(rde.ParticleCloud(1.0 + 0.3 * np.arange(m)), path)
+    assert run(["beta", "--cloud", str(path), "--trials", "1000", "--out", str(tmp_path)]) == code
+    assert (f"M={m}" in capsys.readouterr().err) == (code == 2)
 
 
 def test_beta_single_method(cloud_file, tmp_path):
