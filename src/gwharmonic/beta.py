@@ -16,11 +16,19 @@ Every estimator draws its batches through `_batch_sums`: ten groups of
 ten consecutive batches, each group one thread-pool task on its own stream
 spawned from the estimator's generator, so an estimate is the same on any
 number of cores.  The estimators themselves run in the calling thread.
+Each estimator's kernel (`_pair_sums`, `_triple_sums`,
+`_shift_coefficients`) works in place in the rows of its draw and one
+scratch row (the shift also in its node index), each operation in the
+order of the expression it computes, so a pool task holds a few rows of at
+most _CHUNK tuples.  `cross_validate` holds one int32 permutation of the
+cloud and one sub-cloud at a time: nothing it holds is a cloud-size
+temporary of float64.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -105,13 +113,91 @@ def _stratified(sub, k: int, m: int, dims: int) -> np.ndarray:
     return v
 
 
-def _cloud_at(s: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _cloud_at(s: np.ndarray, v: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """v with each value replaced by the sorted cloud s at index floor(v M),
-    one coordinate at a time; clip maps the rounding case v M == M to M - 1."""
+    in place, one coordinate at a time through `idx`, an intp buffer of one
+    coordinate's shape (the cast truncates as `astype` does); clip maps the
+    rounding case v M == M to M - 1."""
     for c in v:
         c *= s.size
-        np.take(s, c.astype(np.intp), mode="clip", out=c)
+        np.copyto(idx, c, casting="unsafe")
+        np.take(s, idx, mode="clip", out=c)
     return v
+
+
+def _pair_sums(s: np.ndarray, sub, k: int, m: int) -> np.ndarray:
+    """The moment's k batch sums of c0 c1 / (c0 + c1 - 1) over stratified
+    pairs (c0 | c1), in the draw's own rows and one scratch row."""
+    v = _stratified(sub, k, m, 2)
+    w = np.empty((k, m))
+    c0, c1 = _cloud_at(s, v, w.view(np.intp))
+    np.add(c0, c1, out=w)
+    w -= 1.0
+    c0 *= c1
+    c0 /= w
+    return np.sum(c0, axis=1)
+
+
+def _triple_sums(s: np.ndarray, sub, k: int, m: int) -> np.ndarray:
+    """The triple's k batch sums of 2 r t / (r + t + u - 1) log((t + u) / t)
+    and of t u / (t + u - 1) over stratified triples (r | t, u), shape
+    (k, 2), in the draw's own rows and one scratch row: r and t take the
+    summands once they are no longer read."""
+    v = _stratified(sub, k, m, 3)
+    w = np.empty((k, m))
+    r, t, u = _cloud_at(s, v, w.view(np.intp))
+    np.add(r, t, out=w)
+    w += u
+    w -= 1.0
+    np.multiply(2.0, r, out=r)
+    r *= t
+    r /= w
+    np.add(t, u, out=w)
+    w /= t
+    r *= np.log(w, out=w)
+    np.add(t, u, out=w)
+    w -= 1.0
+    t *= u
+    t /= w
+    return np.stack([np.sum(r, axis=1), np.sum(t, axis=1)], axis=1)
+
+
+def _shift_coefficients(s: np.ndarray, sub, k: int, m: int) -> np.ndarray:
+    """The shift's per-node coefficients of k batches, shape (k, 2,
+    _TABLE_NODES): the branch entropy frac log frac, frac = c1 / (c1 + c2),
+    and -log(1 - u), each split linearly between the two table nodes around
+    x = u + (1 - u) / (c1 + c2), over stratified tuples (c1 | c2, u).  In the
+    draw's own rows, one scratch row and the node index j: c2 holds x's
+    position on the grid and then its fraction past node j, c1 frac and then
+    each summand, the scratch row c1 + c2, the logs and each bincount weight."""
+    last = _TABLE_NODES - 1
+    v = _stratified(sub, k, m, 3).reshape(3, k * m)
+    w = np.empty(k * m)
+    c1, c2 = _cloud_at(s, v[:2], w.view(np.intp))
+    u = np.minimum(v[2], _BELOW_ONE, out=v[2])  # (m-1+U)/m can round up to 1
+    np.add(c1, c2, out=w)
+    np.subtract(1.0, u, out=c2)
+    c2 /= w
+    np.add(u, c2, out=c2)
+    c2 *= last
+    j = c2.astype(np.intp)
+    np.minimum(j, last - 1, out=j)
+    c2 -= j
+    c1 /= w
+    bins = k * _TABLE_NODES
+    j.reshape(k, m)[:] += np.arange(0, bins, _TABLE_NODES)[:, None]  # node n of batch i is bin i*_TABLE_NODES + n
+    coef = np.empty((k, 2, _TABLE_NODES))
+
+    def spread(c, f):  # summand f split between nodes j and j + 1 as 1 - t and t, t in c2
+        np.multiply(np.subtract(1.0, c2, out=w), f, out=w)
+        coef[:, c] = np.bincount(j, w, minlength=bins).reshape(k, -1)
+        np.multiply(c2, f, out=w)
+        coef[:, c, 1:] += np.bincount(j, w, minlength=bins).reshape(k, -1)[:, :-1]
+
+    spread(0, np.multiply(c1, np.log(c1, out=w), out=c1))  # frac log frac
+    np.negative(u, out=c1)
+    spread(1, np.negative(np.log1p(c1, out=c1), out=c1))  # -log(1 - u)
+    return coef
 
 
 def beta_moment(cloud: ParticleCloud, sample_count: int, rng) -> BetaEstimate:
@@ -120,12 +206,7 @@ def beta_moment(cloud: ParticleCloud, sample_count: int, rng) -> BetaEstimate:
     s = cloud.samples
     a = float(s.mean())
     batch = max(sample_count // _BATCHES, 1)
-
-    def kernel(sub, k, m):
-        c0, c1 = _cloud_at(s, _stratified(sub, k, m, 2))
-        return np.sum(c0 * c1 / (c0 + c1 - 1.0), axis=1)
-
-    bmeans = _batch_sums(kernel, batch, rng) / batch
+    bmeans = _batch_sums(partial(_pair_sums, s), batch, rng) / batch
     b = float(bmeans.mean())
     se_b = se_of_mean(bmeans)
     value = 0.5 * (a * a / b - 1.0)
@@ -137,15 +218,8 @@ def beta_triple(cloud: ParticleCloud, sample_count: int, rng) -> BetaEstimate:
     """Ratio of the triple integral 2 E[RS/(R+S+T-1) log((S+T)/S)] to the
     pair integral E[ST/(S+T-1)] over stratified triples (r | t, u);
     standard error by batching."""
-    s = cloud.samples
     batch = max(sample_count // _BATCHES, 1)
-
-    def kernel(sub, k, m):
-        r, t, u = _cloud_at(s, _stratified(sub, k, m, 3))
-        return np.stack([np.sum(2.0 * r * t / (r + t + u - 1.0) * np.log((t + u) / t), axis=1),
-                         np.sum(t * u / (t + u - 1.0), axis=1)], axis=1)
-
-    num_b, den_b = (_batch_sums(kernel, batch, rng) / batch).T
+    num_b, den_b = (_batch_sums(partial(_triple_sums, cloud.samples), batch, rng) / batch).T
     value = float(num_b.mean() / den_b.mean())
     std_error = se_of_mean(num_b / den_b)
     return BetaEstimate(value, std_error, "triple", batch * _BATCHES)
@@ -187,27 +261,8 @@ def beta_shift(cloud: ParticleCloud, sample_count: int, rng) -> BetaEstimate:
     sub-table they give one estimate per sub-table, whose spread is the
     table error that all tuples share and batch means cannot see."""
     table = kappa_table(cloud, rng)
-    s = cloud.samples
-    last = _TABLE_NODES - 1
     batch = max(sample_count // _BATCHES, 1)
-
-    def kernel(sub, k, m):
-        v = _stratified(sub, k, m, 3).reshape(3, k * m)
-        c1, c2 = _cloud_at(s, v[:2])
-        u = np.minimum(v[2], _BELOW_ONE, out=v[2])  # (m-1+U)/m can round up to 1
-        pos = (u + (1.0 - u) / (c1 + c2)) * last
-        j = np.minimum(pos.astype(np.intp), last - 1)
-        t = pos - j
-        frac = c1 / (c1 + c2)
-        bins = k * _TABLE_NODES
-        j += np.repeat(np.arange(0, bins, _TABLE_NODES), m)  # node n of batch i is bin i*_TABLE_NODES + n
-        coef = np.empty((k, 2, _TABLE_NODES))
-        for c, f in enumerate((frac * np.log(frac), -np.log1p(-u))):
-            coef[:, c] = np.bincount(j, (1.0 - t) * f, minlength=bins).reshape(k, -1)
-            coef[:, c, 1:] += np.bincount(j, t * f, minlength=bins).reshape(k, -1)[:, :-1]
-        return coef
-
-    num_c, den_c = _batch_sums(kernel, batch, rng).transpose(1, 0, 2)
+    num_c, den_c = _batch_sums(partial(_shift_coefficients, cloud.samples), batch, rng).transpose(1, 0, 2)
     mean_table = table.mean(axis=0)
     num, den = num_c.sum(axis=0), den_c.sum(axis=0)
     value = float(-2.0 * (num @ mean_table) / (den @ mean_table))
@@ -218,25 +273,30 @@ def beta_shift(cloud: ParticleCloud, sample_count: int, rng) -> BetaEstimate:
                         table_std_error=table_std_error)
 
 
-def _sub_clouds(cloud: ParticleCloud, rng, k: int) -> list:
-    """k disjoint random sub-clouds of size M/k, each sorted, from one
-    permutation of the cloud drawn from rng."""
-    parts = np.array_split(rng.permutation(cloud.size), k)
-    return [ParticleCloud(np.sort(cloud.samples[part])) for part in parts]
+def _sub_clouds(cloud: ParticleCloud, rng, k: int):
+    """k disjoint random sub-clouds of size M/k, from one permutation of the
+    cloud drawn from rng: an int32 arange shuffled in place, the values and
+    the stream state of `rng.permutation(M)` (M < 2^31, as `rde solve`
+    allows).  The iterator gathers each sub-cloud and sorts it in place only
+    when it is reached."""
+    perm = np.arange(cloud.size, dtype=np.int32)
+    rng.shuffle(perm)
+
+    def gather(part):
+        values = np.take(cloud.samples, part)
+        values.sort()
+        return ParticleCloud(values)
+
+    return map(gather, np.array_split(perm, k))
 
 
-def _cloud_component(subs: list, runner, rng, sub_budget: int) -> float:
+def _cloud_component(runs) -> float:
     """Finite-cloud std error of an estimator at the full cloud size, from
-    its spread over k disjoint sub-clouds of size M/k, each read with
-    sub_budget tuples drawn from streams spawned from rng (tuple noise
-    subtracted, scaled down by sqrt(k))."""
-    vals, tup = [], []
-    for sub in subs:
-        est = runner(sub, sub_budget, rng)
-        vals.append(est.value)
-        tup.append(est.std_error**2)
-    var_sub = max(float(np.var(vals, ddof=1)) - float(np.mean(tup)), 0.0)
-    return float(np.sqrt(var_sub / len(subs)))
+    its runs on k disjoint sub-clouds of size M/k (tuple noise subtracted,
+    scaled down by sqrt(k))."""
+    var_sub = max(float(np.var([est.value for est in runs], ddof=1))
+                  - float(np.mean([est.std_error**2 for est in runs])), 0.0)
+    return float(np.sqrt(var_sub / len(runs)))
 
 
 def cross_validate(cloud: ParticleCloud, budget: int, rng) -> tuple[list, np.ndarray]:
@@ -244,8 +304,10 @@ def cross_validate(cloud: ParticleCloud, budget: int, rng) -> tuple[list, np.nda
     the estimates, and the 3x3 matrix of pairwise |z| (|z| > 3 flags the
     report).  The estimator runs and the sub-cloud runs each draw from their
     own stream, one after another in the calling thread; each run spreads its
-    own draws over the thread pool, and the sub-cloud split is made there
-    while the full-cloud runs draw.
+    own draws over the thread pool, and the split's permutation is shuffled
+    there while the full-cloud runs draw.  Each sub-cloud is then gathered
+    and sorted when its moment and triple runs come, which keep the order of
+    their spawns on their own streams.
 
     The two expectation-style estimators are smooth functionals of the
     empirical cloud, so their values carry a finite-cloud error of order
@@ -265,8 +327,10 @@ def cross_validate(cloud: ParticleCloud, budget: int, rng) -> tuple[list, np.nda
     split = pool().submit(_sub_clouds, cloud, streams[3], _SPLIT)
     ests = [fn(cloud, budget, stream) for fn, stream in zip((beta_moment, beta_triple, beta_shift), streams)]
     sub_budget = min(max(budget // 200, 250_000), 2_500_000)
-    for est, fn, stream in zip(ests, (beta_moment, beta_triple), streams[3:]):
-        est.cloud_std_error = _cloud_component(split.result(), fn, stream, sub_budget)
+    runs = [(beta_moment(sub, sub_budget, streams[3]), beta_triple(sub, sub_budget, streams[4]))
+            for sub in split.result()]
+    for est, column in zip(ests, zip(*runs)):
+        est.cloud_std_error = _cloud_component(column)
     z = np.zeros((3, 3))
     for i in range(3):
         for j in range(3):

@@ -18,7 +18,9 @@ order, so every bit is that of whole-array arithmetic.
 Validation tooling lives here too: the tail law F(t) = K0/t + 1 - K0 on
 [1,2], and `fixed_point_residuals`, the tuple identities and the Laplace ODE
 2 l phi'' + l phi' + phi^2 - phi = 0 as exact averages over the cloud with
-delta-method errors.  So do the two error-bar rules that every reported
+delta-method errors, summed in passes of _LEAF values in the same pairwise
+order, so they too hold no cloud-size buffer and equal whole-cloud
+arithmetic bit for bit.  So do the two error-bar rules that every reported
 check of the package uses: `se_of_mean` and `z_score`.  Every random draw
 here comes from an SFC64 stream handed in, or from one spawned from it.
 
@@ -38,6 +40,7 @@ from .rngs import pool
 
 _CHUNK = 1 << 17  # particles per phi_step chunk (one stream and one pool task)
 _BLOCK = 1 << 14  # values per draw, gap or comparison block of a cloud-length pass (128 KiB of float64)
+_LEAF = 1 << 16  # values per part of a validate pass: its Python overhead stays below its arithmetic
 _GRID_TOP, _GRID_H = 30.0, 0.02  # the grid law's support [1, top) and cell width; mass beyond top is dropped
 _GRID_L1, _GRID_ITERS = 1e-12, 200  # its stopping rule: successive masses L1-close, or the step cap
 
@@ -133,17 +136,19 @@ def phi_step(cloud: ParticleCloud, rng, out: np.ndarray | None = None) -> Partic
     return ParticleCloud(out, cloud.iteration_count + 1, cloud.seed)
 
 
-def _pairwise_sum(block, lo: int, hi: int):
+def _pairwise_sum(block, lo: int, hi: int, leaf: int = _BLOCK):
     """The sum of a sequence over [lo, hi), `block(i, j)` giving its values
     on [i, j), equal bit for bit to `np.add.reduce` of the whole range:
     numpy's own pairwise order (halve the length, the first half rounded
-    down to a multiple of 8) down to parts of at most _BLOCK, each summed by
-    `np.add.reduce`.  Only one block is held at a time."""
-    if hi - lo <= _BLOCK:
-        return np.add.reduce(block(lo, hi))
+    down to a multiple of 8) down to parts of at most `leaf`, each summed by
+    `np.add.reduce`.  Only one block is held at a time.  A block may hold
+    the rows of several sequences, shape (k, j - i); a last-axis reduce sums
+    each row in that same order, so the k sums come in one pass."""
+    if hi - lo <= leaf:
+        return np.add.reduce(block(lo, hi), axis=-1)
     half = (hi - lo) // 2
     half -= half % 8
-    return _pairwise_sum(block, lo, lo + half) + _pairwise_sum(block, lo + half, hi)
+    return _pairwise_sum(block, lo, lo + half, leaf) + _pairwise_sum(block, lo + half, hi, leaf)
 
 
 def wasserstein1(a: ParticleCloud, b: ParticleCloud) -> float:
@@ -320,6 +325,23 @@ class Residual:
     std_error: float
 
 
+def _means_and_errors(rows, n: int):
+    """The means of the rows of a (k, n) sequence, and each row's
+    `se_of_mean`, bit for bit those of the materialized rows; `rows(i, j)`
+    gives columns [i, j) as a fresh (k, j - i) array.  Two passes of
+    `_pairwise_sum` in _LEAF columns follow np.std's own order: the sum over
+    n, then each deviation from that mean squared, their sum over n - 1, and
+    the root over sqrt(n)."""
+    means = _pairwise_sum(rows, 0, n, _LEAF) / n
+
+    def squares(lo, hi):
+        d = rows(lo, hi)
+        d -= means[:, None]
+        return np.square(d, out=d)
+
+    return means, np.sqrt(_pairwise_sum(squares, 0, n, _LEAF) / (n - 1)) / np.sqrt(n)
+
+
 def fixed_point_residuals(cloud: ParticleCloud, ell_grid) -> tuple[dict, dict]:
     """Every fixed-point identity of `rde validate`, keyed by its check name,
     as an exact average over the cloud, and the cloud's moments m1, m2, m3.
@@ -338,45 +360,71 @@ def fixed_point_residuals(cloud: ParticleCloud, ell_grid) -> tuple[dict, dict]:
     e ((2 phi - 1) - (l/2) x + (l/2) x^2), e = exp(-l x/2), less its constant
     (2 phi - 1) e[0], so that its values keep their precision as l -> 0 and
     a constant cloud's error is exactly 0.  Nothing is drawn.  The moment
-    identities and each l are one pool task of at most two cloud-size buffers."""
-    s = cloud.samples
+    identities and each l are one pool task of three passes over the cloud,
+    _LEAF values at a time: the means, then `_means_and_errors` of the
+    influences.  Each pass applies each operation of the per-value
+    expressions in turn, so every number is bit for bit that of whole-cloud
+    buffers, and a task holds a few leaf rows, no cloud-size buffer."""
+    s, n = cloud.samples, cloud.size
 
     def moment_identities():
-        t = np.square(s)  # the moments bit for bit as `moment` takes them, but in t
-        m1, m2, m3 = moments = [float(s.mean()), float(t.mean()), float(np.power(s, 3, out=t).mean())]
-        np.subtract(s, 2.0, out=t)
-        t *= s  # x^2 - 2x
-        x = Residual(m2 - 2.0 * m1, se_of_mean(t))
-        t *= 2.0
-        t += s
-        t -= 4.0 * m1
-        t *= s  # x (2 (x^2 - 2x) + x - 4 m1) = 2x^3 - 3x^2 - 4 m1 x
-        return x, Residual(2.0 * m3 - 3.0 * m2 - 2.0 * m1 * m1, se_of_mean(t)), moments
+        def powers(lo, hi):  # x, x^2 and x^3, as `moment` takes them
+            x, r = s[lo:hi], np.empty((3, hi - lo))
+            r[0] = x
+            np.square(x, out=r[1])
+            np.power(x, 3, out=r[2])
+            return r
+
+        m1, m2, m3 = moments = [float(v) for v in _pairwise_sum(powers, 0, n, _LEAF) / n]
+
+        def influences(lo, hi):  # x^2 - 2x, and x (2 (x^2 - 2x) + x - 4 m1) = 2x^3 - 3x^2 - 4 m1 x
+            x, r = s[lo:hi], np.empty((2, hi - lo))
+            np.subtract(x, 2.0, out=r[0])
+            r[0] *= x
+            np.multiply(r[0], 2.0, out=r[1])
+            r[1] += x
+            r[1] -= 4.0 * m1
+            r[1] *= x
+            return r
+
+        se = _means_and_errors(influences, n)[1]
+        return (Residual(m2 - 2.0 * m1, float(se[0])),
+                Residual(2.0 * m3 - 3.0 * m2 - 2.0 * m1 * m1, float(se[1])), moments)
 
     def laplace(ell):
-        # exp(-l x/2), -x/2 exp(-l x/2) and x^2/4 exp(-l x/2) over the cloud,
-        # each operation of those expressions in turn, in two cloud-size buffers
-        e = np.multiply(s, -ell)
-        e /= 2.0
-        np.exp(e, out=e)
-        t = np.negative(s)
-        t /= 2.0
-        t *= e
-        phi, dphi = float(e.mean()), float(t.mean())
-        np.square(s, out=t)
-        t /= 4.0
-        t *= e
-        d2phi = float(t.mean())
-        # the influence less its constant: e (l/2) (x^2 - x) + (2 phi - 1) (e - e[0])
-        np.multiply(s, ell / 2.0, out=t)
-        t -= ell / 2.0
-        t *= s
-        t *= e
-        e -= e[0]
-        e *= 2.0 * phi - 1.0
-        t += e
-        del e  # freed before se_of_mean makes its temporary
-        return Residual(float(2.0 * ell * d2phi + ell * dphi + phi * phi - phi), se_of_mean(t))
+        def weight(x, out):  # exp(-l x/2)
+            np.multiply(x, -ell, out=out)
+            out /= 2.0
+            return np.exp(out, out=out)
+
+        def terms(lo, hi):  # exp(-l x/2), -x/2 exp(-l x/2) and x^2/4 exp(-l x/2)
+            x, r = s[lo:hi], np.empty((3, hi - lo))
+            e = weight(x, r[0])
+            np.negative(x, out=r[1])
+            r[1] /= 2.0
+            r[1] *= e
+            np.square(x, out=r[2])
+            r[2] /= 4.0
+            r[2] *= e
+            return r
+
+        phi, dphi, d2phi = (float(v) for v in _pairwise_sum(terms, 0, n, _LEAF) / n)
+        e0 = weight(s[:1], np.empty(1))[0]
+
+        def influence(lo, hi):  # e (l/2) (x^2 - x) + (2 phi - 1) (e - e[0])
+            x, r = s[lo:hi], np.empty((1, hi - lo))
+            e, t = weight(x, np.empty(hi - lo)), r[0]
+            np.multiply(x, ell / 2.0, out=t)
+            t -= ell / 2.0
+            t *= x
+            t *= e
+            e -= e0
+            e *= 2.0 * phi - 1.0
+            t += e
+            return r
+
+        se = _means_and_errors(influence, n)[1]
+        return Residual(float(2.0 * ell * d2phi + ell * dphi + phi * phi - phi), float(se[0]))
 
     ells = np.asarray(ell_grid, dtype=np.float64)
     tasks = [pool().submit(moment_identities), *(pool().submit(laplace, ell) for ell in ells)]

@@ -9,8 +9,8 @@ calls its one factory, `task_stream`; the other modules draw from the
 generators they are handed.
 
 Work that draws from its own spawned stream (the chunks of one `rde.phi_step`,
-the batch groups of every beta estimator, the sub-cloud split of
-`beta.cross_validate`) or from no stream at all (the kappa table's columns,
+the batch groups of every beta estimator, the shuffle behind the sub-cloud
+split of `beta.cross_validate`) or from no stream at all (the kappa table's columns,
 the row families of `rde.fixed_point_residuals`) runs on `pool()`:
 one thread per usable core, with no setting.  The callers submit from their
 own thread and no task submits to the pool.  Each task writes only its own
@@ -18,9 +18,10 @@ output, so results are the same on any number of cores.
 
 The package relies on SFC64's draws not depending on how a draw is split:
 bounded integers and doubles drawn in pieces (`rde.phi_step` draws in
-blocks, `random(out=)` into slices) equal one call of the whole size, and
-int32 bounded integers (`rde.estimate_floor`) equal int64 ones, with the
-same stream state after; tests/test_rde.py pins both.
+blocks, `random(out=)` into slices) equal one call of the whole size,
+int32 bounded integers (`rde.estimate_floor`) equal int64 ones, and a
+shuffled int32 `arange(n)` (`beta._sub_clouds`) equals `permutation(n)`,
+each with the same stream state after; tests/test_rde.py pins all three.
 """
 
 from __future__ import annotations

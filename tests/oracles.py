@@ -36,7 +36,9 @@ replaced by its harmonic-ray chain.  `constant_cloud` is a cloud with no
 spread: the solver's former all-ones start, and the negative controls'
 cloud.  `phi_step_serial` is `rde.phi_step`
 without the thread pool, at any chunk size, and
-`fixed_point_residuals_serial` is `rde.fixed_point_residuals` row by row,
+`fixed_point_residuals_whole` is `rde.fixed_point_residuals` over
+whole-cloud buffers, the exact oracle of its blocked passes, and
+`fixed_point_residuals_serial` is it row by row,
 each standard error from the covariance of its per-value functions; `wasserstein1_grid` is
 `rde.wasserstein1` with both quantile functions gathered on the full grid;
 `phi_step_coupled` checks the contraction rate of `rde.phi_step`, and
@@ -47,7 +49,10 @@ thread, on the same draws, and `batch_sums_serial` replays the grouped
 batch draws of `beta._batch_sums` behind every beta estimator, one group
 after another; `stratified_rows` replays
 the stratified tuples of the beta estimators row by row, and
-`cloud_at_serial` reads the cloud at their indices.
+`cloud_at_serial` reads the cloud at their indices; on those draws
+`pair_sums_whole`, `triple_sums_whole` and `shift_coefficients_whole` are
+the in-place beta kernels as whole-temporary expressions, which they must
+equal bit for bit.
 `content_hash` fingerprints a report for the reproducibility tests.
 """
 
@@ -65,7 +70,7 @@ from gwharmonic import trees
 from gwharmonic.beta import _BATCHES, _CHUNK, _SUBTABLE_PAIRS, _SUBTABLES, _TASKS, TABLE_GRID
 from gwharmonic.experiments import check
 from gwharmonic.offspring import OffspringDistribution, OffspringError, survival_probs
-from gwharmonic.rde import ParticleCloud, Residual, phi_step, wasserstein1
+from gwharmonic.rde import ParticleCloud, Residual, phi_step, se_of_mean, wasserstein1
 from gwharmonic.trees import (
     LevelForest,
     TrialCapError,
@@ -808,6 +813,50 @@ def phi_step_serial(cloud: ParticleCloud, rng, chunk: int = 1 << 20) -> Particle
     return ParticleCloud(np.sort(np.concatenate(parts)), cloud.iteration_count + 1, cloud.seed)
 
 
+def fixed_point_residuals_whole(cloud: ParticleCloud, ell_grid) -> tuple[dict, dict]:
+    """`rde.fixed_point_residuals` over whole-cloud buffers, serially: each
+    operation of its per-value expressions in turn on the whole cloud, and
+    every standard error `se_of_mean` of the materialized influence.  The
+    blocked passes must equal it bit for bit."""
+    s = cloud.samples
+    t = np.square(s)
+    m1, m2, m3 = moments = [float(s.mean()), float(t.mean()), float(np.power(s, 3, out=t).mean())]
+    np.subtract(s, 2.0, out=t)
+    t *= s
+    x = Residual(m2 - 2.0 * m1, se_of_mean(t))
+    t *= 2.0
+    t += s
+    t -= 4.0 * m1
+    t *= s
+    x2 = Residual(2.0 * m3 - 3.0 * m2 - 2.0 * m1 * m1, se_of_mean(t))
+    odes = {}
+    for ell in np.asarray(ell_grid, dtype=np.float64):
+        e = np.multiply(s, -ell)
+        e /= 2.0
+        np.exp(e, out=e)
+        t = np.negative(s)
+        t /= 2.0
+        t *= e
+        phi, dphi = float(e.mean()), float(t.mean())
+        np.square(s, out=t)
+        t /= 4.0
+        t *= e
+        d2phi = float(t.mean())
+        np.multiply(s, ell / 2.0, out=t)
+        t -= ell / 2.0
+        t *= s
+        t *= e
+        e -= e[0]
+        e *= 2.0 * phi - 1.0
+        t += e
+        odes[f"laplace-ode-l{ell:g}"] = Residual(float(2.0 * ell * d2phi + ell * dphi + phi * phi - phi),
+                                                 se_of_mean(t))
+    l1 = odes["laplace-ode-l1"]
+    rows = {"moment-identity-x": x, "moment-identity-x2": x2,
+            "integrated-laplace": Residual(-l1.residual, l1.std_error), **odes}
+    return rows, dict(zip(("m1", "m2", "m3"), moments))
+
+
 def fixed_point_residuals_serial(cloud: ParticleCloud, ell_grid) -> tuple[dict, dict]:
     """`rde.fixed_point_residuals` row by row over whole-expression
     temporaries: each residual a polynomial g of the means of stacked
@@ -935,6 +984,43 @@ def stratified_rows(sub, k: int, m: int, dims: int) -> np.ndarray:
 def cloud_at_serial(s: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Sorted cloud values at floor(v M), the last one where v M rounds to M."""
     return s[np.minimum(np.floor(v * s.size).astype(np.int64), s.size - 1)]
+
+
+def pair_sums_whole(s: np.ndarray, sub, k: int, m: int) -> np.ndarray:
+    """`beta._pair_sums` as one expression over whole temporaries, on the
+    same draws: the k batch sums of c0 c1 / (c0 + c1 - 1)."""
+    c0, c1 = cloud_at_serial(s, stratified_rows(sub, k, m, 2))
+    return np.sum((c0 * c1 / (c0 + c1 - 1.0)).reshape(k, m), axis=1)
+
+
+def triple_sums_whole(s: np.ndarray, sub, k: int, m: int) -> np.ndarray:
+    """`beta._triple_sums` as two expressions over whole temporaries, on
+    the same draws."""
+    r, t, u = cloud_at_serial(s, stratified_rows(sub, k, m, 3))
+    return np.stack([np.sum((2.0 * r * t / (r + t + u - 1.0) * np.log((t + u) / t)).reshape(k, m), axis=1),
+                     np.sum((t * u / (t + u - 1.0)).reshape(k, m), axis=1)], axis=1)
+
+
+def shift_coefficients_whole(s: np.ndarray, sub, k: int, m: int) -> np.ndarray:
+    """`beta._shift_coefficients` over whole temporaries, on the same draws:
+    each weight and summand a fresh array, each node index offset by its
+    batch through a repeated offset vector."""
+    nodes = TABLE_GRID.size
+    last = nodes - 1
+    v = stratified_rows(sub, k, m, 3)
+    c1, c2 = cloud_at_serial(s, v[:2])
+    u = np.minimum(v[2], np.nextafter(1.0, 0.0))
+    pos = (u + (1.0 - u) / (c1 + c2)) * last
+    j = np.minimum(pos.astype(np.intp), last - 1)
+    t = pos - j
+    frac = c1 / (c1 + c2)
+    bins = k * nodes
+    j += np.repeat(np.arange(0, bins, nodes), m)
+    coef = np.empty((k, 2, nodes))
+    for c, f in enumerate((frac * np.log(frac), -np.log1p(-u))):
+        coef[:, c] = np.bincount(j, (1.0 - t) * f, minlength=bins).reshape(k, -1)
+        coef[:, c, 1:] += np.bincount(j, t * f, minlength=bins).reshape(k, -1)[:, :-1]
+    return coef
 
 
 def kappa_table_serial(cloud: ParticleCloud, rng) -> np.ndarray:

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -140,6 +141,17 @@ def test_beta_triple_matches_the_replayed_groups(solved_cloud, monkeypatch):
         assert est.std_error == pytest.approx(ratios.std(ddof=1) / np.sqrt(beta._BATCHES), rel=1e-9)
 
 
+@pytest.mark.parametrize("k, m", [(1, 1), (1, 7), (3, 20), (10, 20), (6, 21_845), (1, beta._CHUNK)])
+@pytest.mark.parametrize("kernel, whole", [(beta._pair_sums, orc.pair_sums_whole),
+                                           (beta._triple_sums, orc.triple_sums_whole),
+                                           (beta._shift_coefficients, orc.shift_coefficients_whole)],
+                         ids=["moment", "triple", "shift"])
+def test_in_place_kernels_equal_the_whole_expressions(solved_cloud, kernel, whole, k, m):
+    s = solved_cloud.samples
+    got, want = (fn(s, task_stream(26, "beta", m), k, m) for fn in (kernel, whole))
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
 def test_beta_shift_matches_direct_interpolation(solved_cloud, monkeypatch):
     # reference loop on the same draws: weights read by np.interp, from the
     # mean table for the value and batch means, from each sub-table for the
@@ -266,6 +278,28 @@ def test_cross_validate_draws_one_sub_cloud_split(solved_cloud, monkeypatch):
     assert len(calls) == 1
     moment, triple, _ = result[0]
     assert moment.cloud_std_error > 0 and triple.cloud_std_error > 0  # both cloud terms read it
+
+
+def test_cross_validate_holds_no_cloud_size_temporary(solved_cloud, monkeypatch):
+    # one worker, so the live peak is one task's: the split's int32
+    # permutation (half a cloud) with the kappa table's pairs, their index
+    # and their gather; the sub-clouds are gathered one at a time, and the
+    # kernels work in their draws' rows.  An int64 permutation and ten
+    # gathered sub-clouds held more than two clouds.
+    def run():
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            beta.cross_validate(solved_cloud, 10**5, task_stream(17, "beta", 17))
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    with ThreadPoolExecutor(max_workers=1) as ex:
+        monkeypatch.setattr(rngs, "_POOL", ex)
+        peak = run()
+    assert peak <= 4 * solved_cloud.size + 4 * 8 * beta._SUBTABLES * beta._SUBTABLE_PAIRS
 
 
 @pytest.mark.parametrize("m", [1, 5, 9])

@@ -70,6 +70,15 @@ def test_task_stream_draws_do_not_depend_on_how_a_draw_is_split(m):
     assert np.array_equal(u, v) and _same_state(one, split)
 
 
+@pytest.mark.parametrize("n", [1, 2, 12_345, 10**6])
+def test_a_shuffled_int32_arange_is_the_permutation(n):
+    # beta._sub_clouds shuffles an int32 arange in place for `permutation(n)`
+    one, other = task_stream(38, "beta", 38), task_stream(38, "beta", 38)
+    perm = np.arange(n, dtype=np.int32)
+    other.shuffle(perm)
+    assert np.array_equal(one.permutation(n), perm) and _same_state(one, other)
+
+
 class _FlatPool(ThreadPoolExecutor):
     """A thread pool whose `submit` raises in its own worker threads: a task
     that waits on the pool would wait forever with one worker."""
@@ -464,23 +473,29 @@ def test_every_identity_fails_on_a_scaled_cloud(solved_cloud):
     assert {label: abs(z_of(chk)) > 5 for label, chk in rows.items()} == dict.fromkeys(IDENTITY_ROWS, True)
 
 
-def test_fixed_point_residuals_hold_two_clouds_per_task(monkeypatch):
-    m = 10**5
+def test_fixed_point_residuals_hold_no_cloud_size_buffer(monkeypatch):
+    m = 10**6  # many leaves: at 10^5 one leaf is half the cloud
     cloud = rde.ParticleCloud(np.sort(1.0 + task_stream(30, "rde", 30).exponential(size=m)), 0, 30)
+    # one worker: one task at a time, holding a leaf of three rows (the
+    # moments, or phi and its derivatives); whole-cloud buffers held two clouds
+    peak = _under_pool(monkeypatch, 1, lambda: _traced_peak(lambda: rde.fixed_point_residuals(cloud, ELLS)))
+    assert peak <= 4 * 8 * rde._LEAF < 8 * m
 
-    def run():
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            rde.fixed_point_residuals(cloud, ELLS)
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
 
-    # one worker: one task's two buffers, e and t or t and se_of_mean's
-    # temporary; a third buffer would add 8m
-    assert _under_pool(monkeypatch, 1, run) <= 2.1 * 8 * m
+@pytest.mark.parametrize("n", [2, 7, 8, 9, rde._LEAF - 1, rde._LEAF, rde._LEAF + 1, 3 * rde._LEAF + 5])
+def test_block_means_and_errors_are_numpys_bit_for_bit(n):
+    rows = task_stream(36, "rde", 36).standard_normal((3, n)) * 1e3 + 5e3
+    means, errors = rde._means_and_errors(lambda lo, hi: rows[:, lo:hi].copy(), n)
+    assert [float(v) for v in means] == [float(np.mean(r)) for r in rows]
+    assert [float(v) for v in errors] == [rde.se_of_mean(r) for r in rows]
+
+
+@pytest.mark.parametrize("m", [2, 9, 12_345, rde._LEAF + 1, 3 * rde._LEAF + 5, None], ids=str)
+def test_fixed_point_residuals_equal_the_whole_cloud_buffers(m, solved_cloud):
+    # None: the solved cloud, many leaves long
+    cloud = solved_cloud if m is None else rde.ParticleCloud(
+        np.sort(1.0 + task_stream(37, "rde", m).exponential(size=m)))
+    assert rde.fixed_point_residuals(cloud, ELLS) == orc.fixed_point_residuals_whole(cloud, ELLS)
 
 
 def test_fixed_point_residuals_read_the_values_alone():
