@@ -315,9 +315,10 @@ def cross_validate(cloud: ParticleCloud, budget: int, rng) -> tuple[list, np.nda
     into 10 disjoint sub-clouds, which both estimators read, and folded into
     the pairwise z denominators ("agreement within combined statistical
     error").  The shift estimator's finite-cloud error is not estimated, so
-    its `total_std_error` may be too small (at M=1e6 its tuple error is of
-    the order of the triple's cloud error); its kappa-table error is always
-    folded in.  A cloud of fewer than 10 values, which would leave a
+    its `total_std_error` is too small until it is (ROADMAP item 1): at
+    `--preset full`, seed 1, its tuple error reads 8.4e-6 against the
+    triple's cloud error of 4.4e-5.  Its kappa-table error is always folded
+    in.  A cloud of fewer than 10 values, which would leave a
     sub-cloud empty, is refused with a ValueError before any draw.
     """
     if cloud.size < _SPLIT:

@@ -11,9 +11,11 @@ compares one noisy cloud with the noise-free start, and every later one two
 noisy clouds, so step 1 reads lower (at M = 1e4, 5.6e-3 against a median of
 1.1e-2 over steps 2-52) and the stopping rule fires there more easily.
 Every cloud-length pass of the solver holds at most two clouds: the steps
-write in turn into the start cloud's buffer and one more, and d1 and the
-bootstrap floor sum their gaps block by block, in numpy's own pairwise
-order, so every bit is that of whole-array arithmetic.
+write in turn into the start cloud's buffer and one more, and d1 sums its
+gaps block by block, in numpy's own pairwise order, so every bit is that of
+whole-array arithmetic.  The floor, `estimate_floor`, is the expected d1 of
+two bootstrap resamples of the cloud, one such pass over its gaps with
+nothing drawn.
 
 Validation tooling lives here too: the tail law F(t) = K0/t + 1 - K0 on
 [1,2], and `fixed_point_residuals`, the tuple identities and the Laplace ODE
@@ -266,28 +268,25 @@ def solve_fixpoint(m: int, tol: float, max_iters: int, rng, seed: int = 0, polis
     return SolveResult(cloud, trace, converged, law)
 
 
-def estimate_floor(cloud: ParticleCloud, rng) -> float:
-    """Monte Carlo floor estimate: d1 between two independent bootstrap
-    resamples of the cloud (the scale below which d1 cannot shrink).  Both
-    index vectors come from `rng`, a's first, as int32 (the values and the
-    stream state of int64 draws).  On an ascending cloud s[sort(i)] is
-    sort(s[i]), so the indices are sorted instead of the resamples, and the
-    mean |order-statistic gap| is summed block by block by `_pairwise_sum`,
-    bit for bit `wasserstein1` of the two sorted resamples: two int32
-    vectors, one cloud's bytes, are all the floor holds."""
+def estimate_floor(cloud: ParticleCloud) -> float:
+    """The Monte Carlo floor, below which d1 between clouds of this size
+    cannot shrink: the expected d1 of two independent bootstrap resamples of
+    the cloud, (2/sqrt(pi M)) sum_i (s[i] - s[i-1]) sqrt(q (1 - q)) at q = i/M.
+    On [s[i-1], s[i]) the resamples' CDFs differ by about N(0, 2 q (1 - q)/M),
+    whose mean absolute value this sums: the mean of del Barrio, Gine and
+    Matran's limit sqrt(M) W1 -> int |B(F(x))| dx (Ann. Probab. 27, 1999),
+    with the variance doubled for the two resamples.  Nothing is drawn; the
+    gap terms are summed block by block by `_pairwise_sum`."""
     s, m = cloud.samples, cloud.size
-    a = rng.integers(0, m, size=m, dtype=np.int32)
-    a_sorted = pool().submit(a.sort)  # in place, while b is drawn and sorted
-    b = rng.integers(0, m, size=m, dtype=np.int32)
-    b.sort()
-    a_sorted.result()
 
-    def gaps(lo, hi):
-        d = np.take(s, a[lo:hi])
-        d -= np.take(s, b[lo:hi])
-        return np.abs(d, out=d)
+    def terms(lo, hi):  # (s[i] - s[i-1]) sqrt(q (1 - q)), q = i/M, i in (lo, hi]
+        q = np.arange(lo + 1, hi + 1) / m
+        q *= 1.0 - q
+        np.sqrt(q, out=q)
+        q *= s[lo + 1 : hi + 1] - s[lo:hi]
+        return q
 
-    return float(_pairwise_sum(gaps, 0, m) / m)
+    return float(2.0 * _pairwise_sum(terms, 0, m - 1) / math.sqrt(math.pi * m))
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +303,6 @@ def tail_cdf(cloud: ParticleCloud, t: float) -> float:
 def estimate_K0(cloud: ParticleCloud) -> float:
     """K0 = 2 P(C < 2), the density at 1; the tail on [1,2] is K0/t + 1 - K0."""
     return 2.0 * (1.0 - tail_cdf(cloud, 2.0))
-
-
-def moment(cloud: ParticleCloud, m: int) -> float:
-    if m < 1:
-        raise ValueError("moment order must be >= 1")
-    return float(np.mean(cloud.samples**m))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +361,7 @@ def fixed_point_residuals(cloud: ParticleCloud, ell_grid) -> tuple[dict, dict]:
     s, n = cloud.samples, cloud.size
 
     def moment_identities():
-        def powers(lo, hi):  # x, x^2 and x^3, as `moment` takes them
+        def powers(lo, hi):  # x, x^2 and x^3, as the oracle `moment` takes them
             x, r = s[lo:hi], np.empty((3, hi - lo))
             r[0] = x
             np.square(x, out=r[1])

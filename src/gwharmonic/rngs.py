@@ -19,9 +19,9 @@ output, so results are the same on any number of cores.
 The package relies on SFC64's draws not depending on how a draw is split:
 bounded integers and doubles drawn in pieces (`rde.phi_step` draws in
 blocks, `random(out=)` into slices) equal one call of the whole size,
-int32 bounded integers (`rde.estimate_floor`) equal int64 ones, and a
-shuffled int32 `arange(n)` (`beta._sub_clouds`) equals `permutation(n)`,
-each with the same stream state after; tests/test_rde.py pins all three.
+and a shuffled int32 `arange(n)` (`beta._sub_clouds`) equals
+`permutation(n)`, each with the same stream state after; tests/test_rde.py
+pins both.
 """
 
 from __future__ import annotations

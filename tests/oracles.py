@@ -34,7 +34,9 @@ it keeps, is replayed against.
 The continuum section holds the whole-tree sampler that `continuum`
 replaced by its harmonic-ray chain.  `constant_cloud` is a cloud with no
 spread: the solver's former all-ones start, and the negative controls'
-cloud.  `phi_step_serial` is `rde.phi_step`
+cloud.  `moment` is a cloud's moment, and `bootstrap_d1` the d1 of two
+bootstrap resamples, one draw of the floor that `rde.estimate_floor` gives
+as its mean.  `phi_step_serial` is `rde.phi_step`
 without the thread pool, at any chunk size, and
 `fixed_point_residuals_whole` is `rde.fixed_point_residuals` over
 whole-cloud buffers, the exact oracle of its blocked passes, and
@@ -795,6 +797,23 @@ def tree_ray_mass_samples(cloud: ParticleCloud, eps: float, trials: int, rng) ->
 
 def constant_cloud(m: int, value: float = 1.0, seed: int = 0) -> ParticleCloud:
     return ParticleCloud(np.full(m, float(value)), iteration_count=0, seed=seed)
+
+
+def moment(cloud: ParticleCloud, m: int) -> float:
+    """The cloud's m-th moment, the mean of its values to the power m."""
+    if m < 1:
+        raise ValueError("moment order must be >= 1")
+    return float(np.mean(cloud.samples**m))
+
+
+def bootstrap_d1(cloud: ParticleCloud, rng) -> float:
+    """d1 between two independent bootstrap resamples of a sorted cloud, the
+    index vectors drawn from rng, a's first: one draw of the Monte Carlo
+    floor, whose mean `rde.estimate_floor` is."""
+    s, m = cloud.samples, cloud.size
+    a = np.sort(s[rng.integers(0, m, size=m)])
+    b = np.sort(s[rng.integers(0, m, size=m)])
+    return float(np.mean(np.abs(a - b)))
 
 
 def phi_step_serial(cloud: ParticleCloud, rng, chunk: int = 1 << 20) -> ParticleCloud:

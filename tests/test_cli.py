@@ -72,6 +72,19 @@ def test_solve_warns_below_floor(tmp_path, capsys):
         assert ("Monte Carlo floor" in capsys.readouterr().err) is below
 
 
+def test_solve_reports_the_expected_floor_of_its_cloud(tmp_path, monkeypatch):
+    streams = []
+    monkeypatch.setattr(cli, "task_stream", lambda *key: streams.append(key) or task_stream(*key))
+    assert run(["rde", "solve", "--particles", "20000", "--max-iters", "3", "--seed", "1",
+                "--out", str(tmp_path)]) == 0
+    info = json.loads((tmp_path / "rde_solve_seed1.json").read_text())
+    cloud = rde.load_cloud(info["cloud_file"])
+    # the floor is drawn from no stream: a function of the solved cloud alone
+    assert streams == [(1, "rde", 0)]
+    assert info["bootstrap_floor"] == rde.estimate_floor(cloud)
+    assert info["mean"] == orc.moment(cloud, 1)
+
+
 def test_validate_passes_on_solved(cloud_file, tmp_path):
     code = run(["rde", "validate", "--cloud", str(cloud_file),
                 "--seed", "3", "--out", str(tmp_path)])

@@ -274,7 +274,7 @@ def test_only_the_cli_makes_a_stream():
     # every other module draws from the generator it is handed
     made = {p.stem: stream_makers(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert {module: funcs for module, funcs in made.items() if funcs} == {
-        "cli": ["cmd_rde_solve", "cmd_rde_solve", "cmd_beta", "_discrete", "_beta_ref", "cmd_continuum"],
+        "cli": ["cmd_rde_solve", "cmd_beta", "_discrete", "_beta_ref", "cmd_continuum"],
         "rngs": ["task_stream"]}
 
 

@@ -56,14 +56,12 @@ def _same_state(a, b) -> bool:
 
 @pytest.mark.parametrize("m", [1000, 10**6, 2**31 - 1])
 def test_task_stream_draws_do_not_depend_on_how_a_draw_is_split(m):
-    # phi_step draws each chunk's indices and uniforms in blocks, and
-    # estimate_floor its indices as int32: both rely on these equalities
+    # phi_step draws each chunk's indices and uniforms in blocks: it relies on these equalities
     n, pieces = 10**6, [1, 3, 65536, 131071]
-    one, split, narrow = (task_stream(31, "rde", 31) for _ in range(3))
+    one, split = (task_stream(31, "rde", 31) for _ in range(2))
     whole = one.integers(0, m, size=n)
     parts = [split.integers(0, m, size=k) for k in [*pieces, n - sum(pieces)]]
     assert np.array_equal(whole, np.concatenate(parts)) and _same_state(one, split)
-    assert np.array_equal(whole, narrow.integers(0, m, size=n, dtype=np.int32)) and _same_state(one, narrow)
     u, v = one.random(n), np.empty(n)
     for lo, hi in zip([0, 1, 4, 65540, 196611], [1, 4, 65540, 196611, n]):
         split.random(out=v[lo:hi])
@@ -120,7 +118,7 @@ def test_results_do_not_depend_on_the_worker_count(monkeypatch):
         res = rde.solve_fixpoint(m, 5e-3, 20, task_stream(16, "rde", 16), seed=16)
         cloud = res.cloud
         return (rde.phi_step(cloud, task_stream(17, "rde", 17)).samples, cloud.samples, res.trace,
-                rde.estimate_floor(cloud, task_stream(18, "rde", 18)),
+                rde.estimate_floor(cloud),
                 rde.fixed_point_residuals(cloud, [0.5, 1.0, 2.0, 4.0]),
                 _estimates_and_z(*beta.cross_validate(cloud, 10**5, task_stream(19, "beta", 19))),
                 beta.kappa_table(cloud, task_stream(21, "beta", 21)),
@@ -133,10 +131,6 @@ def test_results_do_not_depend_on_the_worker_count(monkeypatch):
     assert np.array_equal(one[6], two[6])
     assert one[2:6] == two[2:6] and one[7:] == two[7:]
     assert two[5][0][0]["cloud_std_error"] > 0  # the sub-cloud runs took part
-    # the floor is the serial draw: both index vectors from one stream, a's first
-    rng, s = task_stream(18, "rde", 18), one[1]
-    a = np.sort(s[rng.integers(0, m, size=m)])
-    assert two[3] == float(np.mean(np.abs(a - np.sort(s[rng.integers(0, m, size=m)]))))
 
 
 def test_two_steps_from_point_mass_at_infinity_proxy():
@@ -187,14 +181,6 @@ def test_wasserstein1_matches_the_grid_oracle(n, k):
     b = rde.ParticleCloud(np.sort(1.0 + rng.exponential(size=k)))
     assert rde.wasserstein1(a, b) == orc.wasserstein1_grid(a, b)
     assert rde.wasserstein1(b, a) == orc.wasserstein1_grid(b, a)
-    if n == k:
-        # the floor is the equal-size d1 of two sorted resamples, both index
-        # vectors from one stream, a's first
-        floor = rde.estimate_floor(b, task_stream(25, "rde", 25))
-        rng, s = task_stream(25, "rde", 25), b.samples
-        ra = rde.ParticleCloud(np.sort(s[rng.integers(0, k, size=k)]))
-        rb = rde.ParticleCloud(np.sort(s[rng.integers(0, k, size=k)]))
-        assert floor == orc.wasserstein1_grid(ra, rb)
 
 
 def _traced_peak(run) -> int:
@@ -226,11 +212,11 @@ def test_d1_allocates_one_cloud_buffer(n, k):
     assert peak <= (2**20 if n == k else 1.5 * max(a.samples.nbytes, b.samples.nbytes))
 
 
-def test_floor_holds_two_int32_index_vectors():
+def test_floor_holds_no_cloud_size_buffer():
     m = 2**20
     cloud = rde.ParticleCloud(np.sort(1.0 + task_stream(33, "rde", 33).random(m)))
-    # two int32 index vectors: one cloud's bytes
-    assert _traced_peak(lambda: rde.estimate_floor(cloud, task_stream(34, "rde", 34))) <= 8 * m + 2**20
+    # a few _BLOCK buffers of gap terms
+    assert _traced_peak(lambda: rde.estimate_floor(cloud)) <= 2**20
 
 
 def test_solver_holds_two_clouds(monkeypatch):
@@ -264,7 +250,7 @@ def test_contraction_audit():
 def test_solver_converges_and_mean(solved_cloud):
     # from the grid start the first step's d1 is Monte Carlo noise, below tol
     assert solved_cloud.iteration_count <= 3
-    assert rde.moment(solved_cloud, 1) == pytest.approx(1.72, abs=0.03)
+    assert orc.moment(solved_cloud, 1) == pytest.approx(1.72, abs=0.03)
 
 
 # The two-starts test's M.  Its d1 bound 2 tol must hold the constant start's
@@ -321,8 +307,44 @@ def test_polish_steps_follow_the_first_step_below_tol():
 def test_fixed_point_consistency(solved_cloud):
     rng = task_stream(9, "rde", 9)
     stepped = rde.phi_step(solved_cloud, rng)
-    floor = rde.estimate_floor(solved_cloud, rng)
+    floor = rde.estimate_floor(solved_cloud)
     assert rde.wasserstein1(solved_cloud, stepped) <= 2e-3 + 2 * floor
+
+
+def _floor_problems(estimate_floor) -> list[int]:
+    """The M, of 1e3 and 1e4, at which estimate_floor of the grid law's quantile
+    cloud lies 3 or more standard errors from the mean of 200 oracle
+    bootstrap d1s (their SD is about 0.38 of their mean, so 3 SE is 8%)."""
+    problems = []
+    for m in (10**3, 10**4):
+        cloud, rng = rde.grid_law().quantile_cloud(m, 0), task_stream(36, "rde", 36)
+        d1s = [orc.bootstrap_d1(cloud, rng) for _ in range(200)]
+        if abs(rde.z_score(estimate_floor(cloud) - np.mean(d1s), rde.se_of_mean(d1s))) >= 3:
+            problems.append(m)
+    return problems
+
+
+def test_floor_is_the_mean_bootstrap_d1():
+    assert _floor_problems(rde.estimate_floor) == []
+
+
+@pytest.mark.parametrize("old, new", [("math.sqrt(math.pi * m)", "math.sqrt(math.pi) * m"),  # 1/M, not 1/sqrt(M)
+                                      ("q *= 1.0 - q", "q *= 1.0")],  # sqrt(q), not sqrt(q (1 - q))
+                         ids=["one-over-M", "sqrt-q"])
+def test_floor_check_fails_on_planted_faults(old, new):
+    assert _floor_problems(_mutated(rde.estimate_floor, old, new)) == [10**3, 10**4]
+
+
+@pytest.mark.parametrize("m", [2, 2**10, 3 * 2**16 + 5])
+def test_floor_of_an_equally_spaced_cloud_is_the_riemann_sum(m):
+    # every gap is h exactly, so the sum is h M times the Riemann sum of
+    # int_0^1 sqrt(q (1 - q)) dq = pi/8, whose error the ends' square roots
+    # keep below M^-3/2
+    h = 2.0**-20
+    riemann = sum(np.sqrt(i / m * (1 - i / m)) for i in range(1, m)) / m
+    floor = rde.estimate_floor(rde.ParticleCloud(1.0 + h * np.arange(m)))
+    assert floor == pytest.approx(2 * h * m * riemann / np.sqrt(np.pi * m), rel=1e-12)
+    assert abs(riemann - np.pi / 8) < m**-1.5
 
 
 def test_nonconvergence_is_reported_not_raised():
@@ -439,7 +461,7 @@ def test_moment_identities_at_fixed_point(solved_cloud):
     for label, chk in rows.items():
         assert abs(z_of(chk)) < 3, f"{label}: z={z_of(chk)}"
     # the report's moments are `moment`'s, and the rows their polynomials
-    m1, m2, m3 = (rde.moment(solved_cloud, k) for k in (1, 2, 3))
+    m1, m2, m3 = (orc.moment(solved_cloud, k) for k in (1, 2, 3))
     assert moments == {"m1": m1, "m2": m2, "m3": m3}
     assert rows["moment-identity-x"].residual == m2 - 2 * m1
     assert rows["moment-identity-x2"].residual == 2 * m3 - 3 * m2 - 2 * m1 * m1
