@@ -9,20 +9,19 @@ of v are strata of the conductance law.  Each tuple is still uniform, and
 batches stay independent, so the batch means are unbiased and iid.  Ratio
 estimators report standard errors via 100 batch means; the plug-in moment
 estimator uses the delta method.  The node-shift estimator reads its weights
-from one kappa table per call, built from iid pairs, whose own Monte Carlo
-error is reported apart.
+from one kappa table per call, a functional of the cloud with nothing drawn:
+one self-convolution of the cloud's lattice split.
 
 Every estimator draws its batches through `_batch_sums`: ten groups of
 ten consecutive batches, each group one thread-pool task on its own stream
 spawned from the estimator's generator, so an estimate is the same on any
 number of cores.  The estimators themselves run in the calling thread.
-Each estimator's kernel (`_pair_sums`, `_triple_sums`,
-`_shift_coefficients`) works in place in the rows of its draw and one
-scratch row (the shift also in its node index), each operation in the
-order of the expression it computes, so a pool task holds a few rows of at
-most _CHUNK tuples.  `cross_validate` holds one int32 permutation of the
-cloud and one sub-cloud at a time: nothing it holds is a cloud-size
-temporary of float64.
+Each estimator's kernel (`_pair_sums`, `_triple_sums`, `_shift_sums`)
+works in place in the rows of its draw and one scratch row (the shift also
+in its node index), each operation in the order of the expression it
+computes, so a pool task holds a few rows of at most _CHUNK tuples.
+`cross_validate` holds one int32 permutation of the cloud and one sub-cloud
+at a time: nothing it holds is a cloud-size temporary of float64.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from .rde import ParticleCloud, se_of_mean, z_score
+from .rde import ParticleCloud, _rebin, _self_convolution, se_of_mean, z_score
 from .rngs import pool
 
 _CHUNK = 1 << 17  # tuples per batched draw
@@ -40,12 +39,7 @@ _BATCHES = 100  # batch means behind every batched standard error
 _TASKS = 10  # groups of consecutive batches per batched draw: one stream and one pool task each
 _SPLIT = 10  # disjoint sub-clouds behind the finite-cloud std errors
 
-# kappa table: a uniform grid on x = 1/G in [0, 1], estimated as independent
-# sub-tables whose spread is the table's Monte Carlo error.
-_TABLE_NODES = 257
-_SUBTABLES = 8
-_SUBTABLE_PAIRS = 25_000
-TABLE_GRID = np.linspace(0.0, 1.0, _TABLE_NODES)
+TABLE_GRID = np.linspace(0.0, 1.0, 257)  # the kappa table's nodes: a uniform grid on x = 1/G in [0, 1]
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
@@ -56,12 +50,10 @@ class BetaEstimate:
     method: str
     sample_count: int
     cloud_std_error: float = 0.0  # finite-cloud component, when estimated
-    table_std_error: float = 0.0  # kappa-table component (shift only)
 
     @property
     def total_std_error(self) -> float:
-        return float(np.sqrt(self.std_error**2 + self.cloud_std_error**2
-                             + self.table_std_error**2))
+        return float(np.sqrt(self.std_error**2 + self.cloud_std_error**2))
 
     def to_dict(self) -> dict:
         return {
@@ -69,7 +61,6 @@ class BetaEstimate:
             "value": self.value,
             "std_error": self.std_error,
             "cloud_std_error": self.cloud_std_error,
-            "table_std_error": self.table_std_error,
             "total_std_error": self.total_std_error,
             "samples": self.sample_count,
         }
@@ -162,42 +153,37 @@ def _triple_sums(s: np.ndarray, sub, k: int, m: int) -> np.ndarray:
     return np.stack([np.sum(r, axis=1), np.sum(t, axis=1)], axis=1)
 
 
-def _shift_coefficients(s: np.ndarray, sub, k: int, m: int) -> np.ndarray:
-    """The shift's per-node coefficients of k batches, shape (k, 2,
-    _TABLE_NODES): the branch entropy frac log frac, frac = c1 / (c1 + c2),
-    and -log(1 - u), each split linearly between the two table nodes around
-    x = u + (1 - u) / (c1 + c2), over stratified tuples (c1 | c2, u).  In the
-    draw's own rows, one scratch row and the node index j: c2 holds x's
-    position on the grid and then its fraction past node j, c1 frac and then
-    each summand, the scratch row c1 + c2, the logs and each bincount weight."""
-    last = _TABLE_NODES - 1
-    v = _stratified(sub, k, m, 3).reshape(3, k * m)
-    w = np.empty(k * m)
+def _shift_sums(s: np.ndarray, table: np.ndarray, sub, k: int, m: int) -> np.ndarray:
+    """The shift's k batch sums of w frac log frac, frac = c1 / (c1 + c2), and
+    of w (-log(1 - u)) over stratified tuples (c1 | c2, u), shape (k, 2): w
+    is the table read linearly at x = u + (1 - u) / (c1 + c2), table[j] +
+    t diff(table)[j] with x on the grid at node j plus t.  In the draw's own
+    rows, one scratch row and the node index j: c1 takes frac and then its
+    summand, c2 x's position on the grid, then t and t diff(table)[j], u its
+    summand, and the scratch row c1 + c2, the log and then w."""
+    last = table.size - 1
+    v = _stratified(sub, k, m, 3)
+    w = np.empty((k, m))
     c1, c2 = _cloud_at(s, v[:2], w.view(np.intp))
     u = np.minimum(v[2], _BELOW_ONE, out=v[2])  # (m-1+U)/m can round up to 1
     np.add(c1, c2, out=w)
+    c1 /= w
     np.subtract(1.0, u, out=c2)
     c2 /= w
     np.add(u, c2, out=c2)
     c2 *= last
+    c1 *= np.log(c1, out=w)  # frac log frac
+    np.negative(u, out=u)
+    np.negative(np.log1p(u, out=u), out=u)  # -log(1 - u)
     j = c2.astype(np.intp)
     np.minimum(j, last - 1, out=j)
     c2 -= j
-    c1 /= w
-    bins = k * _TABLE_NODES
-    j.reshape(k, m)[:] += np.arange(0, bins, _TABLE_NODES)[:, None]  # node n of batch i is bin i*_TABLE_NODES + n
-    coef = np.empty((k, 2, _TABLE_NODES))
-
-    def spread(c, f):  # summand f split between nodes j and j + 1 as 1 - t and t, t in c2
-        np.multiply(np.subtract(1.0, c2, out=w), f, out=w)
-        coef[:, c] = np.bincount(j, w, minlength=bins).reshape(k, -1)
-        np.multiply(c2, f, out=w)
-        coef[:, c, 1:] += np.bincount(j, w, minlength=bins).reshape(k, -1)[:, :-1]
-
-    spread(0, np.multiply(c1, np.log(c1, out=w), out=c1))  # frac log frac
-    np.negative(u, out=c1)
-    spread(1, np.negative(np.log1p(c1, out=c1), out=c1))  # -log(1 - u)
-    return coef
+    c2 *= np.take(np.diff(table), j, out=w, mode="clip")
+    np.take(table, j, out=w, mode="clip")
+    w += c2
+    c1 *= w
+    u *= w
+    return np.stack([np.sum(c1, axis=1), np.sum(u, axis=1)], axis=1)
 
 
 def beta_moment(cloud: ParticleCloud, sample_count: int, rng) -> BetaEstimate:
@@ -225,52 +211,37 @@ def beta_triple(cloud: ParticleCloud, sample_count: int, rng) -> BetaEstimate:
     return BetaEstimate(value, std_error, "triple", batch * _BATCHES)
 
 
-def kappa_table(cloud: ParticleCloud, rng) -> np.ndarray:
+def kappa_table(cloud: ParticleCloud) -> np.ndarray:
     """kappa(x) = E[S / (1 + x (S+T-1))] on TABLE_GRID, where x = 1/r turns
-    kappa(r) into a smooth function on [0, 1].  Row k is one sub-table: the
-    mean over its own cloud pairs, common to every node; rows are independent.
-    The pairs are drawn in the calling thread, and the columns are computed
-    in _TASKS groups on the thread pool, each group in one pairs-sized buffer."""
-    s = cloud.samples
-    shape = (_SUBTABLES, _SUBTABLE_PAIRS)
-    a = np.take(s, rng.integers(0, s.size, size=shape), mode="clip")
-    d = a + np.take(s, rng.integers(0, s.size, size=shape), mode="clip") - 1.0
-    table = np.empty((_SUBTABLES, _TABLE_NODES))
-
-    def columns(nodes):
-        buf = np.empty(shape)
-        for j in nodes:
-            np.multiply(d, TABLE_GRID[j], out=buf)
-            buf += 1.0
-            np.divide(a, buf, out=buf)
-            table[:, j] = np.mean(buf, axis=1)
-
-    list(pool().map(columns, np.array_split(np.arange(_TABLE_NODES), _TASKS)))
-    return table
+    kappa(r) into a smooth function on [0, 1].  As E[S | S+T] = (S+T)/2,
+    kappa(x) = E[(R/2) / (1 + x (R-1))] with R = S+T, the sum of two cloud
+    draws: `rde._rebin` splits the cloud onto the lattice 1 + ih, one
+    `rde._self_convolution` gives R's masses q_k on the nodes r_k = 2 + kh,
+    and kappa(x) = sum_k q_k (r_k/2) / (1 + x (r_k - 1)).  Nothing is drawn:
+    the table is a functional of the cloud, kappa(0) its mean and kappa(1)
+    = 1/2 up to round-off.  On a full-preset cloud, halving h = 0.01 moves
+    the shift by about 1e-7, far below its cloud error."""
+    p, h = _rebin(cloud.samples)
+    q = _self_convolution(p)
+    r = 2.0 + h * np.arange(q.size)
+    q *= 0.5 * r
+    r -= 1.0
+    return np.array([np.sum(q / (1.0 + x * r)) for x in TABLE_GRID])
 
 
 def beta_shift(cloud: ParticleCloud, sample_count: int, rng) -> BetaEstimate:
-    """Node-shift estimator: importance weights kappa(G(U, C1, C2)) applied to
-    the branch entropy and the branch-spacing length.  The weight is the
-    linear interpolation of one kappa table at x = 1/G = U + (1-U)/(C1+C2),
-    over stratified tuples (c1 | c2, u).
-
-    Interpolation is linear in the table values, so each batch keeps its
-    numerator and denominator as per-node coefficient vectors.  Against the
-    mean table they give the batch means (tuple error); against each
-    sub-table they give one estimate per sub-table, whose spread is the
-    table error that all tuples share and batch means cannot see."""
-    table = kappa_table(cloud, rng)
+    """Node-shift estimator: importance weights kappa(G) applied to the
+    branch entropy frac log frac, frac = C1 / (C1 + C2), and to the
+    branch-spacing length -log(1 - U), as -2 E[kappa(G) frac log frac] /
+    E[kappa(G) (-log(1 - U))] over stratified tuples (c1 | c2, u).  The
+    weight is the kappa table read linearly at x = 1/G = U + (1-U)/(C1+C2);
+    standard error by batching, as the triple's."""
+    table = kappa_table(cloud)
     batch = max(sample_count // _BATCHES, 1)
-    num_c, den_c = _batch_sums(partial(_shift_coefficients, cloud.samples), batch, rng).transpose(1, 0, 2)
-    mean_table = table.mean(axis=0)
-    num, den = num_c.sum(axis=0), den_c.sum(axis=0)
-    value = float(-2.0 * (num @ mean_table) / (den @ mean_table))
-    ratios = -2.0 * (num_c @ mean_table) / (den_c @ mean_table)
-    std_error = se_of_mean(ratios)
-    table_std_error = se_of_mean(-2.0 * (table @ num) / (table @ den))
-    return BetaEstimate(value, std_error, "shift", batch * _BATCHES,
-                        table_std_error=table_std_error)
+    num_b, den_b = (_batch_sums(partial(_shift_sums, cloud.samples, table), batch, rng) / batch).T
+    value = float(-2.0 * num_b.mean() / den_b.mean())
+    std_error = se_of_mean(-2.0 * num_b / den_b)
+    return BetaEstimate(value, std_error, "shift", batch * _BATCHES)
 
 
 def _sub_clouds(cloud: ParticleCloud, rng, k: int):
@@ -278,12 +249,13 @@ def _sub_clouds(cloud: ParticleCloud, rng, k: int):
     cloud drawn from rng: an int32 arange shuffled in place, the values and
     the stream state of `rng.permutation(M)` (M < 2^31, as `rde solve`
     allows).  The iterator gathers each sub-cloud and sorts it in place only
-    when it is reached."""
+    when it is reached; indexing by the int32 part holds no intp copy of it,
+    where `np.take` would."""
     perm = np.arange(cloud.size, dtype=np.int32)
     rng.shuffle(perm)
 
     def gather(part):
-        values = np.take(cloud.samples, part)
+        values = cloud.samples[part]
         values.sort()
         return ParticleCloud(values)
 
@@ -306,30 +278,29 @@ def cross_validate(cloud: ParticleCloud, budget: int, rng) -> tuple[list, np.nda
     own stream, one after another in the calling thread; each run spreads its
     own draws over the thread pool, and the split's permutation is shuffled
     there while the full-cloud runs draw.  Each sub-cloud is then gathered
-    and sorted when its moment and triple runs come, which keep the order of
-    their spawns on their own streams.
+    and sorted when its moment, triple and shift runs come, which keep the
+    order of their spawns on their own streams.
 
-    The two expectation-style estimators are smooth functionals of the
-    empirical cloud, so their values carry a finite-cloud error of order
-    M^{-1/2} that tuple resampling cannot see; it is estimated from one split
-    into 10 disjoint sub-clouds, which both estimators read, and folded into
-    the pairwise z denominators ("agreement within combined statistical
-    error").  The shift estimator's finite-cloud error is not estimated, so
-    its `total_std_error` is too small until it is (ROADMAP item 1): at
-    `--preset full`, seed 1, its tuple error reads 8.4e-6 against the
-    triple's cloud error of 4.4e-5.  Its kappa-table error is always folded
-    in.  A cloud of fewer than 10 values, which would leave a
-    sub-cloud empty, is refused with a ValueError before any draw.
+    All three estimators are smooth functionals of the empirical cloud (the
+    shift through its tuples and its kappa table both), so their values
+    carry a finite-cloud error of order M^{-1/2} that tuple resampling
+    cannot see; it is estimated from one split into 10 disjoint sub-clouds,
+    which all three read, and folded into the pairwise z denominators
+    ("agreement within combined statistical error").  A cloud of fewer than
+    10 values, which would leave a sub-cloud empty, is refused with a
+    ValueError before any draw.
     """
     if cloud.size < _SPLIT:
         raise ValueError(f"beta cross-validation splits the cloud into {_SPLIT} sub-clouds: "
                          f"needs M >= {_SPLIT}, got M={cloud.size}")
-    streams = rng.spawn(5)
+    streams = rng.spawn(6)
     split = pool().submit(_sub_clouds, cloud, streams[3], _SPLIT)
-    ests = [fn(cloud, budget, stream) for fn, stream in zip((beta_moment, beta_triple, beta_shift), streams)]
+    estimators = (beta_moment, beta_triple, beta_shift)
+    ests = [fn(cloud, budget, stream) for fn, stream in zip(estimators, streams)]
     sub_budget = min(max(budget // 200, 250_000), 2_500_000)
-    runs = [(beta_moment(sub, sub_budget, streams[3]), beta_triple(sub, sub_budget, streams[4]))
-            for sub in split.result()]
+    # map drops each sub-cloud before it gathers the next
+    runs = list(map(lambda sub: [fn(sub, sub_budget, stream) for fn, stream in zip(estimators, streams[3:])],
+                    split.result()))
     for est, column in zip(ests, zip(*runs)):
         est.cloud_std_error = _cloud_component(column)
     z = np.zeros((3, 3))

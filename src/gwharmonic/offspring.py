@@ -39,6 +39,9 @@ class OffspringDistribution:
         self.pmf = np.asarray(self.pmf, dtype=np.float64)
         if self.pmf.ndim != 1 or self.pmf.size == 0:
             raise OffspringError("pmf must be a nonempty 1-d array")
+        bad = np.flatnonzero(~np.isfinite(self.pmf))  # NaN passes every comparison below
+        if bad.size:
+            raise OffspringError(f"pmf has a non-finite entry at k={bad[0]}")
         if np.any(self.pmf < 0):
             raise OffspringError("pmf has negative entries")
         total = float(self.pmf.sum())
@@ -138,6 +141,9 @@ def from_spec(spec: str) -> OffspringDistribution:
         ks = rows[:, 0]
         if np.any(ks != np.round(ks)):
             raise OffspringError(f"{path}: child counts must be integers")
+        counts, repeats = np.unique(ks, return_counts=True)
+        if np.any(repeats > 1):
+            raise OffspringError(f"{path}: child count k={counts[repeats > 1][0]:.0f} is given on more than one row")
         return custom({int(k): float(v) for k, v in rows})
     raise OffspringError(f"unknown offspring spec {spec!r}")
 

@@ -15,7 +15,10 @@ write in turn into the start cloud's buffer and one more, and d1 sums its
 gaps block by block, in numpy's own pairwise order, so every bit is that of
 whole-array arithmetic.  The floor, `estimate_floor`, is the expected d1 of
 two bootstrap resamples of the cloud, one such pass over its gaps with
-nothing drawn.
+nothing drawn.  The lattice routines sit beside the grid law: `_rebin`
+splits a sorted cloud onto a lattice block by block, and
+`_self_convolution` gives the law of a sum of two draws from it, which
+`beta.kappa_table` reads.
 
 Validation tooling lives here too: the tail law F(t) = K0/t + 1 - K0 on
 [1,2], and `fixed_point_residuals`, the tuple identities and the Laplace ODE
@@ -45,6 +48,7 @@ _BLOCK = 1 << 14  # values per draw, gap or comparison block of a cloud-length p
 _LEAF = 1 << 16  # values per part of a validate pass: its Python overhead stays below its arithmetic
 _GRID_TOP, _GRID_H = 30.0, 0.02  # the grid law's support [1, top) and cell width; mass beyond top is dropped
 _GRID_L1, _GRID_ITERS = 1e-12, 200  # its stopping rule: successive masses L1-close, or the step cap
+_LATTICE_H, _LATTICE_NODES = 0.01, 1 << 16  # `_rebin`'s node spacing, and its cap on nodes
 
 
 class CloudFormatError(ValueError):
@@ -186,6 +190,32 @@ def wasserstein1(a: ParticleCloud, b: ParticleCloud) -> float:
         return np.abs(d, out=d)
 
     return float(_pairwise_sum(gaps, 0, k) / k)
+
+
+def _rebin(s: np.ndarray) -> tuple[np.ndarray, float]:
+    """The sorted cloud s split linearly onto the nodes 1 + ih: a value at
+    1 + (i + f) h puts 1 - f of its mass 1/M on node i and f on node i + 1,
+    so the lattice law keeps the cloud's mean.  Returns the node masses and
+    h, which is _LATTICE_H unless the largest value would need more than
+    _LATTICE_NODES nodes: then h coarsens to fit them, so one outlier
+    cannot exhaust memory.  The split runs _BLOCK sorted values at a time,
+    each block's nodes a contiguous run, so nothing cloud-size is held."""
+    h = max(_LATTICE_H, (s[-1] - 1.0) / (_LATTICE_NODES - 2))
+    p = np.zeros(int((s[-1] - 1.0) / h) + 2)
+    for lo in range(0, s.size, _BLOCK):
+        f = s[lo : lo + _BLOCK] - 1.0
+        f /= h
+        i = f.astype(np.intp)
+        f -= i  # the fraction past node i
+        base = i[0]
+        i -= base
+        upper = np.bincount(i, f)
+        p[base + 1 : base + 1 + upper.size] += upper
+        np.subtract(1.0, f, out=f)
+        lower = np.bincount(i, f)
+        p[base : base + lower.size] += lower
+    p /= s.size
+    return p, h
 
 
 def _self_convolution(p: np.ndarray) -> np.ndarray:

@@ -10,8 +10,8 @@ generators they are handed.
 
 Work that draws from its own spawned stream (the chunks of one `rde.phi_step`,
 the batch groups of every beta estimator, the shuffle behind the sub-cloud
-split of `beta.cross_validate`) or from no stream at all (the kappa table's columns,
-the row families of `rde.fixed_point_residuals`) runs on `pool()`:
+split of `beta.cross_validate`) or from no stream at all (the row families of
+`rde.fixed_point_residuals`) runs on `pool()`:
 one thread per usable core, with no setting.  The callers submit from their
 own thread and no task submits to the pool.  Each task writes only its own
 output, so results are the same on any number of cores.

@@ -45,14 +45,13 @@ each standard error from the covariance of its per-value functions; `wasserstein
 `rde.wasserstein1` with both quantile functions gathered on the full grid;
 `phi_step_coupled` checks the contraction rate of `rde.phi_step`, and
 `solve_from` is the particle solver's former loop from any start cloud,
-`kappa` is the direct Monte Carlo that `beta.kappa_table` tabulates,
-`kappa_table_serial` is `beta.kappa_table` as one column loop in the calling
-thread, on the same draws, and `batch_sums_serial` replays the grouped
+`kappa` is the direct Monte Carlo that `beta.kappa_table` computes from
+the cloud's lattice law, and `batch_sums_serial` replays the grouped
 batch draws of `beta._batch_sums` behind every beta estimator, one group
 after another; `stratified_rows` replays
 the stratified tuples of the beta estimators row by row, and
 `cloud_at_serial` reads the cloud at their indices; on those draws
-`pair_sums_whole`, `triple_sums_whole` and `shift_coefficients_whole` are
+`pair_sums_whole`, `triple_sums_whole` and `shift_sums_whole` are
 the in-place beta kernels as whole-temporary expressions, which they must
 equal bit for bit.
 `content_hash` fingerprints a report for the reproducibility tests.
@@ -69,7 +68,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from gwharmonic import trees
-from gwharmonic.beta import _BATCHES, _CHUNK, _SUBTABLE_PAIRS, _SUBTABLES, _TASKS, TABLE_GRID
+from gwharmonic.beta import _BATCHES, _CHUNK, _TASKS
 from gwharmonic.experiments import check
 from gwharmonic.offspring import OffspringDistribution, OffspringError, survival_probs
 from gwharmonic.rde import ParticleCloud, Residual, phi_step, se_of_mean, wasserstein1
@@ -1020,39 +1019,19 @@ def triple_sums_whole(s: np.ndarray, sub, k: int, m: int) -> np.ndarray:
                      np.sum((t * u / (t + u - 1.0)).reshape(k, m), axis=1)], axis=1)
 
 
-def shift_coefficients_whole(s: np.ndarray, sub, k: int, m: int) -> np.ndarray:
-    """`beta._shift_coefficients` over whole temporaries, on the same draws:
-    each weight and summand a fresh array, each node index offset by its
-    batch through a repeated offset vector."""
-    nodes = TABLE_GRID.size
-    last = nodes - 1
+def shift_sums_whole(s: np.ndarray, table: np.ndarray, sub, k: int, m: int) -> np.ndarray:
+    """`beta._shift_sums` as two expressions over whole temporaries, on the
+    same draws: the weight table[j] + t diff(table)[j] a fresh array."""
+    last = table.size - 1
     v = stratified_rows(sub, k, m, 3)
     c1, c2 = cloud_at_serial(s, v[:2])
     u = np.minimum(v[2], np.nextafter(1.0, 0.0))
     pos = (u + (1.0 - u) / (c1 + c2)) * last
     j = np.minimum(pos.astype(np.intp), last - 1)
-    t = pos - j
+    w = table[j] + (pos - j) * np.diff(table)[j]
     frac = c1 / (c1 + c2)
-    bins = k * nodes
-    j += np.repeat(np.arange(0, bins, nodes), m)
-    coef = np.empty((k, 2, nodes))
-    for c, f in enumerate((frac * np.log(frac), -np.log1p(-u))):
-        coef[:, c] = np.bincount(j, (1.0 - t) * f, minlength=bins).reshape(k, -1)
-        coef[:, c, 1:] += np.bincount(j, t * f, minlength=bins).reshape(k, -1)[:, :-1]
-    return coef
-
-
-def kappa_table_serial(cloud: ParticleCloud, rng) -> np.ndarray:
-    """`beta.kappa_table` without the thread pool: the same pairs, then one
-    column of sub-table means per grid node, in turn."""
-    s = cloud.samples
-    shape = (_SUBTABLES, _SUBTABLE_PAIRS)
-    a = s[rng.integers(0, s.size, size=shape)]
-    d = a + s[rng.integers(0, s.size, size=shape)] - 1.0
-    table = np.empty((_SUBTABLES, TABLE_GRID.size))
-    for j, x in enumerate(TABLE_GRID):
-        table[:, j] = np.mean(a / (1.0 + x * d), axis=1)
-    return table
+    return np.stack([np.sum((w * (frac * np.log(frac))).reshape(k, m), axis=1),
+                     np.sum((w * -np.log1p(-u)).reshape(k, m), axis=1)], axis=1)
 
 
 # ---------------------------------------------------------------------------

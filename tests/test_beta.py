@@ -1,4 +1,3 @@
-import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -63,42 +62,40 @@ def test_beta_shift_all_ones_quad_oracle(ones):
     den = quad(lambda u: -np.log(1.0 - u) * 2.0 / (3.0 + u), 0, 1)[0]
     expect = num / den
     assert est.value == pytest.approx(expect, abs=4 * est.std_error + 1e-4)
-    # every sub-table sees the same pairs (1, 1), so the table has no error
-    assert est.table_std_error == 0.0
     assert est.total_std_error == est.std_error
 
 
-def _table_mean_and_se(table):
-    return table.mean(axis=0), table.std(axis=0, ddof=1) / np.sqrt(table.shape[0])
-
-
 def test_kappa_table_end_nodes(solved_cloud):
-    # x = 1: kappa = E[S/(S+T)] = 1/2 by exchangeability; x = 0: kappa = E[S]
-    mean, se = _table_mean_and_se(beta.kappa_table(solved_cloud, task_stream(16, "beta", 16)))
+    # x = 1: kappa = E[S/(S+T)] = 1/2 by exchangeability; x = 0: kappa = E[S],
+    # which the lattice split keeps
+    table = beta.kappa_table(solved_cloud)
     assert beta.TABLE_GRID[0] == 0.0 and beta.TABLE_GRID[-1] == 1.0
-    assert abs(mean[-1] - 0.5) <= 4 * se[-1]
-    assert abs(mean[0] - solved_cloud.samples.mean()) <= 4 * se[0]
-    assert np.all(np.diff(mean) < 0)
+    assert abs(table[-1] - 0.5) <= 1e-12
+    assert abs(table[0] - solved_cloud.samples.mean()) <= 1e-12
+    assert np.all(np.diff(table) < 0)
 
 
 def test_kappa_table_matches_kappa_oracle(solved_cloud):
-    table = beta.kappa_table(solved_cloud, task_stream(17, "beta", 17))
-    mean, se = _table_mean_and_se(table)
-    pairs, table_pairs = 10**6, beta._SUBTABLES * beta._SUBTABLE_PAIRS
+    table = beta.kappa_table(solved_cloud)
     rng = task_stream(17, "beta", 18)
     for j in (16, 64, 128, 256):
-        direct = orc.kappa(solved_cloud, 1.0 / beta.TABLE_GRID[j], pairs, rng)
-        # the same per-pair variance, over the table's pairs and over `pairs`
-        combined = se[j] * np.sqrt(1.0 + table_pairs / pairs)
-        assert abs(direct - mean[j]) <= 4 * combined
+        direct = [orc.kappa(solved_cloud, 1.0 / beta.TABLE_GRID[j], 50_000, rng) for _ in range(20)]
+        assert abs(np.mean(direct) - table[j]) <= 4 * rde.se_of_mean(direct)
     # linear interpolation errs by about |second difference| / 8 between nodes
-    assert np.max(np.abs(np.diff(mean, 2)) / 8 / mean[1:-1]) <= 1e-4
+    assert np.max(np.abs(np.diff(table, 2)) / 8 / table[1:-1]) <= 1e-4
+
+
+def test_beta_shift_moves_little_when_the_lattice_halves(solved_cloud, monkeypatch):
+    # the same tuples, read through tables at h and h/2
+    coarse = beta.beta_shift(solved_cloud, 10**6, task_stream(18, "beta", 18))
+    monkeypatch.setattr(rde, "_LATTICE_H", rde._LATTICE_H / 2)
+    fine = beta.beta_shift(solved_cloud, 10**6, task_stream(18, "beta", 18))
+    assert abs(fine.value - coarse.value) < 1e-6
 
 
 def test_beta_shift_error_bar_is_calibrated(solved_cloud):
     ests = [beta.beta_shift(solved_cloud, 10**5, task_stream(seed, "beta", 20))
             for seed in range(20)]
-    assert all(e.table_std_error > 0 for e in ests)
     spread = np.std([e.value for e in ests], ddof=1)
     assert 0.6 <= spread / np.mean([e.total_std_error for e in ests]) <= 1.6
 
@@ -144,77 +141,42 @@ def test_beta_triple_matches_the_replayed_groups(solved_cloud, monkeypatch):
 @pytest.mark.parametrize("k, m", [(1, 1), (1, 7), (3, 20), (10, 20), (6, 21_845), (1, beta._CHUNK)])
 @pytest.mark.parametrize("kernel, whole", [(beta._pair_sums, orc.pair_sums_whole),
                                            (beta._triple_sums, orc.triple_sums_whole),
-                                           (beta._shift_coefficients, orc.shift_coefficients_whole)],
+                                           (beta._shift_sums, orc.shift_sums_whole)],
                          ids=["moment", "triple", "shift"])
 def test_in_place_kernels_equal_the_whole_expressions(solved_cloud, kernel, whole, k, m):
     s = solved_cloud.samples
-    got, want = (fn(s, task_stream(26, "beta", m), k, m) for fn in (kernel, whole))
+    head = (s, beta.kappa_table(solved_cloud)) if kernel is beta._shift_sums else (s,)
+    got, want = (fn(*head, task_stream(26, "beta", m), k, m) for fn in (kernel, whole))
     assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_beta_shift_matches_direct_interpolation(solved_cloud, monkeypatch):
-    # reference loop on the same draws: weights read by np.interp, from the
-    # mean table for the value and batch means, from each sub-table for the
-    # table error
+    # reference loop on the same draws: weights read from the table by np.interp
     s = solved_cloud.samples
-    table = beta.kappa_table(solved_cloud, task_stream(22, "beta", 22))
-    rows = [table.mean(axis=0), *table]  # mean table, then each sub-table
+    table = beta.kappa_table(solved_cloud)
 
     def summands(sub, k, m):
         v = orc.stratified_rows(sub, k, m, 3)
         c1, c2 = orc.cloud_at_serial(s, v[:2])
         u = v[2]
         frac = c1 / (c1 + c2)
-        w = np.stack([np.interp(u + (1.0 - u) / (c1 + c2), beta.TABLE_GRID, row) for row in rows], axis=1)
-        return np.stack([w * (frac * np.log(frac))[:, None], w * -np.log1p(-u)[:, None]], axis=1)
+        w = np.interp(u + (1.0 - u) / (c1 + c2), beta.TABLE_GRID, table)
+        return np.stack([w * frac * np.log(frac), w * -np.log1p(-u)], axis=1)
 
     for chunk in CHUNKS:
         monkeypatch.setattr(beta, "_CHUNK", chunk)
-        rng = task_stream(22, "beta", 22)
-        beta.kappa_table(solved_cloud, rng)  # the table's draws come first
-        sums = orc.batch_sums_serial(rng, 20, summands, chunk)
-        num, den = sums[:, 0], sums[:, 1]
+        sums = orc.batch_sums_serial(task_stream(22, "beta", 22), 20, summands, chunk)
         est = beta.beta_shift(solved_cloud, 20 * beta._BATCHES, task_stream(22, "beta", 22))
-        ratios = -2.0 * num / den
-        assert est.value == pytest.approx(-2.0 * num[:, 0].sum() / den[:, 0].sum(), rel=1e-12)
-        assert est.std_error == pytest.approx(
-            ratios[:, 0].std(ddof=1) / np.sqrt(beta._BATCHES), rel=1e-9)
-        per_table = -2.0 * num[:, 1:].sum(axis=0) / den[:, 1:].sum(axis=0)
-        assert est.table_std_error == pytest.approx(
-            per_table.std(ddof=1) / np.sqrt(table.shape[0]), rel=1e-9)
-
-
-def test_kappa_table_matches_the_serial_column_loop(solved_cloud, monkeypatch):
-    # the same table from the pooled columns, also with more workers than
-    # cores and frequent thread switches, where a lost column write would show
-    ref = orc.kappa_table_serial(solved_cloud, task_stream(26, "beta", 26))
-    assert np.array_equal(beta.kappa_table(solved_cloud, task_stream(26, "beta", 26)), ref)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as ex:
-            monkeypatch.setattr(rngs, "_POOL", ex)
-            table = beta.kappa_table(solved_cloud, task_stream(26, "beta", 26))
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(table, ref)
-
-
-def test_beta_shift_table_error_bar_when_it_dominates(solved_cloud, monkeypatch):
-    # with 20 pairs per sub-table the table error outweighs the tuple error
-    monkeypatch.setattr(beta, "_SUBTABLE_PAIRS", 20)
-    ests = [beta.beta_shift(solved_cloud, 10**6, task_stream(seed, "beta", 23))
-            for seed in range(20)]
-    assert np.mean([e.table_std_error for e in ests]) > 1.5 * np.mean([e.std_error for e in ests])
-    spread = np.std([e.value for e in ests], ddof=1)
-    assert 0.6 <= spread / np.mean([e.total_std_error for e in ests]) <= 1.6
+        ratios = -2.0 * sums[:, 0] / sums[:, 1]
+        assert est.value == pytest.approx(-2.0 * sums[:, 0].mean() / sums[:, 1].mean(), rel=1e-12)
+        assert est.std_error == pytest.approx(ratios.std(ddof=1) / np.sqrt(beta._BATCHES), rel=1e-9)
 
 
 def test_beta_shift_detects_a_planted_table_fault(solved_cloud, monkeypatch):
     clean = beta.beta_shift(solved_cloud, 10**6, task_stream(21, "beta", 21))
     table = beta.kappa_table
     monkeypatch.setattr(beta, "kappa_table",
-                        lambda cloud, rng: table(cloud, rng) * (1.0 + 0.05 * beta.TABLE_GRID))
+                        lambda cloud: table(cloud) * (1.0 + 0.05 * beta.TABLE_GRID))
     faulty = beta.beta_shift(solved_cloud, 10**6, task_stream(21, "beta", 21))
     assert abs(faulty.value - clean.value) > 4 * clean.total_std_error
 
@@ -236,8 +198,8 @@ def test_estimators_agree_near_paper_value(solved_cloud):
         assert 0.0 < est.value < 1.0
         assert est.std_error > 0
     shift = ests[2]
-    assert shift.method == "shift" and shift.table_std_error > 0
-    assert shift.total_std_error == pytest.approx(np.hypot(shift.std_error, shift.table_std_error))
+    assert shift.method == "shift" and shift.cloud_std_error > 0
+    assert shift.total_std_error == pytest.approx(np.hypot(shift.std_error, shift.cloud_std_error))
     assert not np.any(z > 3.0)
     assert np.max(z) <= 3.0
 
@@ -276,16 +238,16 @@ def test_cross_validate_draws_one_sub_cloud_split(solved_cloud, monkeypatch):
     monkeypatch.setattr(beta, "_sub_clouds", lambda *a: calls.append(a) or sub_clouds(*a))
     result = beta.cross_validate(solved_cloud, 10**5, task_stream(16, "beta", 16))
     assert len(calls) == 1
-    moment, triple, _ = result[0]
-    assert moment.cloud_std_error > 0 and triple.cloud_std_error > 0  # both cloud terms read it
+    assert all(est.cloud_std_error > 0 for est in result[0])  # all three cloud terms read it
 
 
 def test_cross_validate_holds_no_cloud_size_temporary(solved_cloud, monkeypatch):
     # one worker, so the live peak is one task's: the split's int32
-    # permutation (half a cloud) with the kappa table's pairs, their index
-    # and their gather; the sub-clouds are gathered one at a time, and the
-    # kernels work in their draws' rows.  An int64 permutation and ten
-    # gathered sub-clouds held more than two clouds.
+    # permutation (half a cloud), one gathered sub-cloud, and the rows of one
+    # kernel's draw, at most ten sub-cloud batches of 2,500 tuples: three
+    # rows of the draw, a scratch row, the shift's node index and numpy's
+    # casting buffers.  An int64 permutation and ten gathered sub-clouds held
+    # more than two clouds.
     def run():
         tracemalloc.start()
         try:
@@ -299,7 +261,8 @@ def test_cross_validate_holds_no_cloud_size_temporary(solved_cloud, monkeypatch)
     with ThreadPoolExecutor(max_workers=1) as ex:
         monkeypatch.setattr(rngs, "_POOL", ex)
         peak = run()
-    assert peak <= 4 * solved_cloud.size + 4 * 8 * beta._SUBTABLES * beta._SUBTABLE_PAIRS
+    m = solved_cloud.size
+    assert peak <= 4 * m + 8 * (m // beta._SPLIT) + 6 * 8 * 25_000
 
 
 @pytest.mark.parametrize("m", [1, 5, 9])
@@ -331,15 +294,17 @@ def _tiny_zs(monkeypatch, draw):
     """z of each pair and triple mean behind the three estimators on TINY,
     batch means captured from `_batch_sums`, against the exact mean over
     all M^2 or M^3 cloud tuples: the moment's pair, the triple's numerator
-    and denominator, the shift's branch entropy and -log(1-U) (exactly 1)."""
+    and denominator, the shift's branch entropy and -log(1-U) (exactly 1),
+    under a kappa table of ones."""
     monkeypatch.setattr(beta, "_stratified", draw)
+    monkeypatch.setattr(beta, "kappa_table", lambda cloud: np.ones(beta.TABLE_GRID.size))
     batch = 50  # not a multiple of the cloud size: strata straddle cloud values
     sums, batch_sums = [], beta._batch_sums
     monkeypatch.setattr(beta, "_batch_sums", lambda *a: sums.append(batch_sums(*a)) or sums[-1])
     beta.beta_moment(TINY, batch * beta._BATCHES, task_stream(30, "beta", 30))
     beta.beta_triple(TINY, batch * beta._BATCHES, task_stream(31, "beta", 31))
     beta.beta_shift(TINY, batch * beta._BATCHES, task_stream(32, "beta", 32))
-    means = [sums[0] / batch, *(sums[1] / batch).T, *(sums[2].sum(axis=2) / batch).T]
+    means = [sums[0] / batch, *(sums[1] / batch).T, *(sums[2] / batch).T]
     s = TINY.samples
     r, t, u = np.meshgrid(s, s, s, indexing="ij")
     frac = t / (t + u)
@@ -362,10 +327,8 @@ def test_stratified_means_catch_a_planted_fault(monkeypatch, fault):
 
 @pytest.mark.parametrize("fn", [beta.beta_moment, beta.beta_triple, beta.beta_shift],
                          ids=["moment", "triple", "shift"])
-def test_stratified_error_bars_are_calibrated(solved_cloud, monkeypatch, fn):
-    # one fixed kappa table, so that the shift's spread is its tuple noise alone
-    table = beta.kappa_table(solved_cloud, task_stream(33, "beta", 33))
-    monkeypatch.setattr(beta, "kappa_table", lambda cloud, rng: table)
+def test_stratified_error_bars_are_calibrated(solved_cloud, fn):
+    # the kappa table is a function of the cloud, so the shift's spread is its tuple noise alone
     ests = [fn(solved_cloud, 10**5, task_stream(seed, "beta", 34)) for seed in range(20)]
     spread = np.std([e.value for e in ests], ddof=1)
     assert 0.6 <= spread / np.mean([e.std_error for e in ests]) <= 1.6

@@ -496,6 +496,15 @@ def test_io_errors_exit_two_with_one_error_line(tmp_path, capsys, argv):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def test_a_nan_in_a_custom_pmf_exits_two_naming_the_pmf(tmp_path, capsys):
+    # the NaN passed every check of the law and failed later, as "cannot convert float NaN to integer"
+    path = tmp_path / "pmf.txt"
+    path.write_text("0 0.5\n1 nan\n2 0.5\n")
+    assert run(["discrete", "levelset", "--offspring", f"custom:{path}", "--n", "4", "--p", "2",
+                "--trials", "2", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: pmf has a non-finite entry at k=1"]
+
+
 @pytest.mark.parametrize("argv, work", [
     (["rde", "solve", "--particles", "2000"], (rde, "solve_fixpoint")),
     (["discrete", "levelset", "--offspring", "geometric", "--n", "4", "--p", "2", "--trials", "2"],

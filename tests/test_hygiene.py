@@ -2,7 +2,8 @@
 module, a test or a script imports must be used in that file, every public
 function and class, and every public method and property of a class, must be
 used somewhere in the package (code that only tests reach belongs in
-tests/oracles.py), the CLI imports no scipy, not even to build a p-ary
+tests/oracles.py), and so must every name a module-level assignment binds,
+private ones too, the CLI imports no scipy, not even to build a p-ary
 law, nor `concurrent.futures` before the thread pool is first used,
 theorem1 runs without `numpy.ma`, one
 function of the CLI reads the clock: every report is timed in one place,
@@ -102,6 +103,35 @@ def test_unreferenced_definition_detector():
     members = {"a": "class C:\n    @property\n    def p(self):\n        return self.p\n\n"
                     "    def m(self):\n        pass\n\n    def _q(self):\n        pass\n\nC().m()\n"}
     assert unreferenced_definitions(members) == ["a.C.p"]
+
+
+def _constants(tree):
+    """(name, node) of each name bound by a top-level assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        yield sub.id, node
+
+
+def unread_constants(sources: dict[str, str]) -> list[str]:
+    """Names bound by top-level assignments of the given modules, private
+    ones too, that no module reads outside their own assignment."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    used = Counter(ref for tree in trees.values() for ref in _references(tree))
+    return [f"{name}.{const}" for name, tree in trees.items() for const, node in _constants(tree)
+            if used[const] == Counter(_references(node))[const]]
+
+
+def test_every_constant_is_read_in_the_package():
+    assert unread_constants({p.stem: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+def test_unread_constant_detector():
+    sources = {"a": "_N = 8\nX, _Y = 1, 2\nZ: int = X\nW = W_OLD = 3\n\ndef f():\n    return _Y + W\n",
+               "b": "from .a import Z as k\n_T = _T\n"}
+    assert unread_constants(sources) == ["a._N", "a.W_OLD", "b._T"]
 
 
 CLOCKS = {"time", "perf_counter"}

@@ -154,3 +154,18 @@ def test_from_spec_custom_file(tmp_path):
     dist = off.from_spec(f"custom:{path}")
     assert dist.pmf[0] == 0.5 and dist.pmf[2] == 0.5
     assert dist.variance == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_constructor_refuses_a_non_finite_entry(bad):
+    # NaN passes every comparison of the other checks; [0.5, nan, 0.5] was a valid law
+    with pytest.raises(off.OffspringError, match="non-finite entry at k=1"):
+        off.OffspringDistribution("custom", [0.5, bad, 0.5])
+
+
+def test_from_spec_refuses_a_repeated_child_count(tmp_path):
+    # the dict kept the last row for k=0 and dropped the other
+    path = tmp_path / "pmf.txt"
+    path.write_text("0 0.5\n2 0.5\n0 0.5\n")
+    with pytest.raises(off.OffspringError, match="k=0 is given on more than one row"):
+        off.from_spec(f"custom:{path}")

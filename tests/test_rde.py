@@ -121,7 +121,7 @@ def test_results_do_not_depend_on_the_worker_count(monkeypatch):
                 rde.estimate_floor(cloud),
                 rde.fixed_point_residuals(cloud, [0.5, 1.0, 2.0, 4.0]),
                 _estimates_and_z(*beta.cross_validate(cloud, 10**5, task_stream(19, "beta", 19))),
-                beta.kappa_table(cloud, task_stream(21, "beta", 21)),
+                beta.kappa_table(cloud),
                 [fn(cloud, 10**5, task_stream(22, "beta", 22)).to_dict()
                  for fn in (beta.beta_moment, beta.beta_triple, beta.beta_shift)],
                 experiments.beta_reference(cloud, task_stream(23, "beta", 23)).to_dict())
@@ -412,6 +412,26 @@ def test_grid_law_checks_fail_on_planted_faults(monkeypatch):
 def test_self_convolution_is_the_direct_sum():
     p = task_stream(29, "rde", 29).random(777)
     assert np.allclose(rde._self_convolution(p), np.convolve(p, p), rtol=1e-12, atol=1e-12)
+
+
+def test_rebin_splits_each_value_between_its_two_nodes():
+    # 1.005 halves between nodes 0 and 1, 1.0 and 1.02 sit on nodes 0 and 2
+    p, h = rde._rebin(np.array([1.0, 1.005, 1.02]))
+    assert h == rde._LATTICE_H and p.size == 4
+    assert p == pytest.approx([0.5, 1 / 6, 1 / 3, 0.0], abs=1e-12)
+    s = np.sort(1.0 + task_stream(34, "rde", 34).exponential(size=2**20 + 5))
+    p, h = rde._rebin(s)
+    assert p.sum() == pytest.approx(1.0, abs=1e-12)
+    assert p @ (1.0 + h * np.arange(p.size)) == pytest.approx(s.mean(), rel=1e-12)
+    assert _traced_peak(lambda: rde._rebin(s)) <= 2**20  # a few _BLOCK buffers and the masses
+
+
+def test_rebin_bounds_the_lattice_whatever_the_largest_value():
+    # one value at 1e12 would need 1e14 nodes at h = 0.01: h coarsens instead
+    s = np.r_[np.linspace(1.0, 3.0, 999), 1e12]
+    p, h = rde._rebin(s)
+    assert p.size <= 2**16 and h > rde._LATTICE_H
+    assert p @ (1.0 + h * np.arange(p.size)) == pytest.approx(s.mean(), rel=1e-12)
 
 
 def test_quantile_cloud_is_one_chunked_output():
