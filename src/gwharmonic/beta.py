@@ -20,8 +20,13 @@ Each estimator's kernel (`_pair_sums`, `_triple_sums`, `_shift_sums`)
 works in place in the rows of its draw and one scratch row (the shift also
 in its node index), each operation in the order of the expression it
 computes, so a pool task holds a few rows of at most _CHUNK tuples.
-`cross_validate` holds one int32 permutation of the cloud and one sub-cloud
-at a time: nothing it holds is a cloud-size temporary of float64.
+
+The error that comes from the cloud itself draws no tuple: `cross_validate`
+splits the cloud into ten sub-clouds and takes each estimator's lattice
+value on each (`_lattice_values`), an exact functional of the sub-cloud's
+split onto a lattice, by rfft convolutions of lattice vectors.  It holds one
+int32 permutation of the cloud and one gathered sub-cloud per pool worker:
+nothing it holds is a cloud-size temporary of float64.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from functools import partial
 
 import numpy as np
 
-from .rde import ParticleCloud, _rebin, _self_convolution, se_of_mean, z_score
+from .rde import ParticleCloud, _convolve, _rebin, _self_convolution, se_of_mean, z_score
 from .rngs import pool
 
 _CHUNK = 1 << 17  # tuples per batched draw
@@ -211,6 +216,15 @@ def beta_triple(cloud: ParticleCloud, sample_count: int, rng) -> BetaEstimate:
     return BetaEstimate(value, std_error, "triple", batch * _BATCHES)
 
 
+def _kappa(q: np.ndarray, h: float) -> np.ndarray:
+    """kappa on TABLE_GRID from the masses q of R = S+T on the nodes 2 + kh:
+    sum_k q_k (r_k/2) / (1 + x (r_k - 1))."""
+    r = 2.0 + h * np.arange(q.size)
+    w = q * (0.5 * r)
+    r -= 1.0
+    return np.array([np.sum(w / (1.0 + x * r)) for x in TABLE_GRID])
+
+
 def kappa_table(cloud: ParticleCloud) -> np.ndarray:
     """kappa(x) = E[S / (1 + x (S+T-1))] on TABLE_GRID, where x = 1/r turns
     kappa(r) into a smooth function on [0, 1].  As E[S | S+T] = (S+T)/2,
@@ -222,11 +236,7 @@ def kappa_table(cloud: ParticleCloud) -> np.ndarray:
     = 1/2 up to round-off.  On a full-preset cloud, halving h = 0.01 moves
     the shift by about 1e-7, far below its cloud error."""
     p, h = _rebin(cloud.samples)
-    q = _self_convolution(p)
-    r = 2.0 + h * np.arange(q.size)
-    q *= 0.5 * r
-    r -= 1.0
-    return np.array([np.sum(q / (1.0 + x * r)) for x in TABLE_GRID])
+    return _kappa(_self_convolution(p), h)
 
 
 def beta_shift(cloud: ParticleCloud, sample_count: int, rng) -> BetaEstimate:
@@ -244,65 +254,114 @@ def beta_shift(cloud: ParticleCloud, sample_count: int, rng) -> BetaEstimate:
     return BetaEstimate(value, std_error, "shift", batch * _BATCHES)
 
 
-def _sub_clouds(cloud: ParticleCloud, rng, k: int):
-    """k disjoint random sub-clouds of size M/k, from one permutation of the
-    cloud drawn from rng: an int32 arange shuffled in place, the values and
-    the stream state of `rng.permutation(M)` (M < 2^31, as `rde solve`
-    allows).  The iterator gathers each sub-cloud and sorts it in place only
-    when it is reached; indexing by the int32 part holds no intp copy of it,
-    where `np.take` would."""
+def _split(cloud: ParticleCloud, rng, k: int) -> list:
+    """The indices of k disjoint random sub-clouds of size M/k, from one
+    permutation of the cloud drawn from rng: an int32 arange shuffled in
+    place, the values and the stream state of `rng.permutation(M)` (M <
+    2^31, as `rde solve` allows), cut into k int32 views."""
     perm = np.arange(cloud.size, dtype=np.int32)
     rng.shuffle(perm)
-
-    def gather(part):
-        values = cloud.samples[part]
-        values.sort()
-        return ParticleCloud(values)
-
-    return map(gather, np.array_split(perm, k))
+    return np.array_split(perm, k)
 
 
-def _cloud_component(runs) -> float:
-    """Finite-cloud std error of an estimator at the full cloud size, from
-    its runs on k disjoint sub-clouds of size M/k (tuple noise subtracted,
-    scaled down by sqrt(k))."""
-    var_sub = max(float(np.var([est.value for est in runs], ddof=1))
-                  - float(np.mean([est.std_error**2 for est in runs])), 0.0)
-    return float(np.sqrt(var_sub / len(runs)))
+def _antiderivatives(x: np.ndarray) -> tuple:
+    """Antiderivatives of (1, x) and of (-log(1-x), -x log(1-x)), these in
+    y = 1 - x, with y log y = 0 at x = 1."""
+    y = 1.0 - x
+    ylogy = y * np.log(np.where(y > 0.0, y, 1.0))
+    return (x, 0.5 * x * x), (ylogy + x, ylogy - y - 0.5 * y * ylogy + 0.25 * y * y)
+
+
+def _table_means(table: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each lo in [0, 1) and U uniform on [0, 1), the means over x = U +
+    (1 - U) lo of the table read linearly, A, and of the table times -log(1 -
+    U), B.  As x is uniform on [lo, 1] and -log(1 - U) = -log(1 - x) + log(1 -
+    lo), A = I0 / (1 - lo) and B = I1 / (1 - lo) + log(1 - lo) A, with I0 and
+    I1 the integrals over [lo, 1] of the table and of the table times -log(1
+    - x).  On each cell of TABLE_GRID the table is a line c + d x, so both
+    are closed forms through `_antiderivatives`: exact for the table that the
+    shift's tuples read, with no quadrature."""
+    last = table.size - 1
+    d = np.diff(table) * last
+    c = table[:-1] - d * TABLE_GRID[:-1]
+    j = np.minimum((lo * last).astype(np.intp), last - 1)  # the cell that holds lo
+    integrals = []
+    for (f0, f1), (g0, g1) in zip(_antiderivatives(TABLE_GRID), _antiderivatives(lo)):
+        cells = c * np.diff(f0) + d * np.diff(f1)
+        from_node = np.cumsum(cells[::-1])[::-1]  # the integral from node j to 1
+        integrals.append(from_node[j] - c[j] * (g0 - f0[j]) - d[j] * (g1 - f1[j]))
+    a = integrals[0] / (1.0 - lo)
+    return a, integrals[1] / (1.0 - lo) + np.log1p(-lo) * a
+
+
+def _lattice_values(s: np.ndarray) -> tuple[float, float, float]:
+    """The moment, the triple and the shift as exact functionals of the
+    sorted cloud s's split onto the nodes x_i = 1 + ih (`rde._rebin`, masses
+    p), with nothing drawn.  A pair sum sigma = x_i + x_j sits on the node
+    sigma_n = 2 + nh, so every expectation over a pair is a sum over n of a
+    zero-padded rfft convolution of lattice vectors, at O(K log K) for K
+    nodes:
+    - moment: a = sum x p and b = sum_n conv(xp, xp)_n / (sigma_n - 1);
+    - triple: with g_n = E_R[R / (R + sigma_n - 1)] = sum_k (xp)_k / (2 +
+      (k+n)h), one correlation, the numerator 2 sum_n g_n (log sigma_n
+      conv(xp, p)_n - conv(xp log x, p)_n) over b;
+    - shift: kappa from the masses q = conv(p, p) of S+T, as `kappa_table`
+      builds it, and -2 sum_n (A_n / sigma_n) (conv(xp log x, p)_n - log
+      sigma_n conv(xp, p)_n) over sum_n q_n B_n, with A and B the table's
+      means over 1/G given sigma (`_table_means`).
+    Each converges to the cloud's own value as h^2 while `_rebin` keeps
+    h = _LATTICE_H: a coarsened lattice bounds memory, not accuracy."""
+    p, h = _rebin(s)
+    x = 1.0 + h * np.arange(p.size)
+    xp = x * p
+    xlp = xp * np.log(x)
+    sigma = 2.0 + h * np.arange(2 * p.size - 1)
+    log_sigma = np.log(sigma)
+    a = float(np.sum(xp))
+    b = float(np.sum(_convolve(xp, xp) / (sigma - 1.0)))
+    x_p, xl_p = _convolve(xp, p), _convolve(xlp, p)
+    g = _convolve(xp[::-1], 1.0 / (2.0 + h * np.arange(3 * p.size - 2)))[p.size - 1 : 3 * p.size - 2]
+    triple = 2.0 * float(np.sum(g * (log_sigma * x_p - xl_p))) / b
+    q = _self_convolution(p)
+    mean_a, mean_b = _table_means(_kappa(q, h), 1.0 / sigma)
+    shift = -2.0 * float(np.sum(mean_a / sigma * (xl_p - log_sigma * x_p))) / float(np.sum(q * mean_b))
+    return 0.5 * (a * a / b - 1.0), triple, shift
 
 
 def cross_validate(cloud: ParticleCloud, budget: int, rng) -> tuple[list, np.ndarray]:
     """Run the three estimators on derived streams and compare them pairwise:
     the estimates, and the 3x3 matrix of pairwise |z| (|z| > 3 flags the
-    report).  The estimator runs and the sub-cloud runs each draw from their
-    own stream, one after another in the calling thread; each run spreads its
-    own draws over the thread pool, and the split's permutation is shuffled
-    there while the full-cloud runs draw.  Each sub-cloud is then gathered
-    and sorted when its moment, triple and shift runs come, which keep the
-    order of their spawns on their own streams.
+    report).  The estimator runs each draw from their own stream, one after
+    another in the calling thread, each spreading its draws over the thread
+    pool; the split's permutation is shuffled there, on a fourth stream,
+    while they draw.
 
     All three estimators are smooth functionals of the empirical cloud (the
     shift through its tuples and its kappa table both), so their values
     carry a finite-cloud error of order M^{-1/2} that tuple resampling
-    cannot see; it is estimated from one split into 10 disjoint sub-clouds,
-    which all three read, and folded into the pairwise z denominators
-    ("agreement within combined statistical error").  A cloud of fewer than
-    10 values, which would leave a sub-cloud empty, is refused with a
-    ValueError before any draw.
+    cannot see.  It is read from one split into 10 disjoint sub-clouds: one
+    pool task per sub-cloud gathers and sorts it and takes the three
+    estimators' lattice values on it (`_lattice_values`), with no tuple
+    drawn, and each estimator's cloud std error is the standard error of
+    the mean of its 10 values.  It is folded into the pairwise z
+    denominators ("agreement within combined statistical error").  A cloud
+    of fewer than 10 values, which would leave a sub-cloud empty, is refused
+    with a ValueError before any draw.
     """
     if cloud.size < _SPLIT:
         raise ValueError(f"beta cross-validation splits the cloud into {_SPLIT} sub-clouds: "
                          f"needs M >= {_SPLIT}, got M={cloud.size}")
-    streams = rng.spawn(6)
-    split = pool().submit(_sub_clouds, cloud, streams[3], _SPLIT)
-    estimators = (beta_moment, beta_triple, beta_shift)
-    ests = [fn(cloud, budget, stream) for fn, stream in zip(estimators, streams)]
-    sub_budget = min(max(budget // 200, 250_000), 2_500_000)
-    # map drops each sub-cloud before it gathers the next
-    runs = list(map(lambda sub: [fn(sub, sub_budget, stream) for fn, stream in zip(estimators, streams[3:])],
-                    split.result()))
-    for est, column in zip(ests, zip(*runs)):
-        est.cloud_std_error = _cloud_component(column)
+    streams = rng.spawn(4)
+    split = pool().submit(_split, cloud, streams[3], _SPLIT)
+    ests = [fn(cloud, budget, stream) for fn, stream in zip((beta_moment, beta_triple, beta_shift), streams)]
+
+    def values(part):
+        s = cloud.samples[part]  # indexing by the int32 part holds no intp copy of it, where np.take would
+        s.sort()
+        return _lattice_values(s)
+
+    for est, column in zip(ests, zip(*pool().map(values, split.result()))):
+        est.cloud_std_error = se_of_mean(column)
     z = np.zeros((3, 3))
     for i in range(3):
         for j in range(3):

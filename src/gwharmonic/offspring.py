@@ -129,10 +129,14 @@ def from_spec(spec: str) -> OffspringDistribution:
         return poisson()
     if spec == "binary":
         return binary()
-    if spec.startswith("pary:"):
-        return pary(int(spec.split(":", 1)[1]))
-    if spec.startswith("strict-pary:"):
-        return strict_pary(int(spec.split(":", 1)[1]))
+    for prefix, family in (("pary:", pary), ("strict-pary:", strict_pary)):
+        if spec.startswith(prefix):
+            value = spec[len(prefix):]
+            try:
+                p = int(value)
+            except ValueError:
+                raise OffspringError(f"offspring spec {spec!r}: p must be an integer, got {value!r}") from None
+            return family(p)
     if spec.startswith("custom:"):
         path = Path(spec.split(":", 1)[1])
         rows = np.loadtxt(path, dtype=np.float64, ndmin=2)

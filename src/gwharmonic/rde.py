@@ -16,9 +16,10 @@ gaps block by block, in numpy's own pairwise order, so every bit is that of
 whole-array arithmetic.  The floor, `estimate_floor`, is the expected d1 of
 two bootstrap resamples of the cloud, one such pass over its gaps with
 nothing drawn.  The lattice routines sit beside the grid law: `_rebin`
-splits a sorted cloud onto a lattice block by block, and
+splits a sorted cloud onto a lattice block by block,
 `_self_convolution` gives the law of a sum of two draws from it, which
-`beta.kappa_table` reads.
+`beta.kappa_table` reads, and `_convolve` convolves two lattice vectors,
+as beta's lattice values do.
 
 Validation tooling lives here too: the tail law F(t) = K0/t + 1 - K0 on
 [1,2], and `fixed_point_residuals`, the tuple identities and the Laplace ODE
@@ -222,6 +223,12 @@ def _self_convolution(p: np.ndarray) -> np.ndarray:
     """The masses of X1 + X2 for X1, X2 iid with masses p on a lattice (entry
     k sums p[i] p[j] over i + j = k), by one zero-padded rfft."""
     return np.fft.irfft(np.fft.rfft(p, 2 * p.size) ** 2, 2 * p.size)[: 2 * p.size - 1]
+
+
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entry n sums a[i] b[j] over i + j = n, by one zero-padded rfft."""
+    n = a.size + b.size - 1
+    return np.fft.irfft(np.fft.rfft(a, n) * np.fft.rfft(b, n), n)
 
 
 @dataclass(eq=False)

@@ -11,7 +11,8 @@ generators they are handed.
 Work that draws from its own spawned stream (the chunks of one `rde.phi_step`,
 the batch groups of every beta estimator, the shuffle behind the sub-cloud
 split of `beta.cross_validate`) or from no stream at all (the row families of
-`rde.fixed_point_residuals`) runs on `pool()`:
+`rde.fixed_point_residuals`, the lattice values of each sub-cloud of
+`beta.cross_validate`) runs on `pool()`:
 one thread per usable core, with no setting.  The callers submit from their
 own thread and no task submits to the pool.  Each task writes only its own
 output, so results are the same on any number of cores.
@@ -19,7 +20,7 @@ output, so results are the same on any number of cores.
 The package relies on SFC64's draws not depending on how a draw is split:
 bounded integers and doubles drawn in pieces (`rde.phi_step` draws in
 blocks, `random(out=)` into slices) equal one call of the whole size,
-and a shuffled int32 `arange(n)` (`beta._sub_clouds`) equals
+and a shuffled int32 `arange(n)` (`beta._split`) equals
 `permutation(n)`, each with the same stream state after; tests/test_rde.py
 pins both.
 """

@@ -53,7 +53,9 @@ the stratified tuples of the beta estimators row by row, and
 `cloud_at_serial` reads the cloud at their indices; on those draws
 `pair_sums_whole`, `triple_sums_whole` and `shift_sums_whole` are
 the in-place beta kernels as whole-temporary expressions, which they must
-equal bit for bit.
+equal bit for bit.  `moment_and_triple_exact` is the moment and the triple
+as exact means over every pair and triple of a small cloud, the O(M^3)
+oracle of their lattice values (`beta._lattice_values`).
 `content_hash` fingerprints a report for the reproducibility tests.
 """
 
@@ -1032,6 +1034,17 @@ def shift_sums_whole(s: np.ndarray, table: np.ndarray, sub, k: int, m: int) -> n
     frac = c1 / (c1 + c2)
     return np.stack([np.sum((w * (frac * np.log(frac))).reshape(k, m), axis=1),
                      np.sum((w * -np.log1p(-u)).reshape(k, m), axis=1)], axis=1)
+
+
+def moment_and_triple_exact(s: np.ndarray) -> tuple[float, float]:
+    """0.5 ((E C)^2 / E[C0 C1/(C0+C1-1)] - 1), and 2 E[R T/(R+T+U-1) log((T+U)/T)]
+    over E[T U/(T+U-1)], as exact means over all M^2 pairs and M^3 triples of
+    the cloud values s, one M x M plane of triples per value of R."""
+    t, u = np.meshgrid(s, s, indexing="ij")
+    a, b = s.mean(), np.mean(t * u / (t + u - 1.0))
+    log_ratio = np.log((t + u) / t)
+    num = np.mean([np.mean(2.0 * r * t / (r + t + u - 1.0) * log_ratio) for r in s])
+    return 0.5 * (a * a / b - 1.0), num / b
 
 
 # ---------------------------------------------------------------------------

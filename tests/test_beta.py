@@ -1,3 +1,6 @@
+import inspect
+import sys
+import textwrap
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -234,8 +237,8 @@ def test_cross_validation_report_dict(solved_cloud):
 
 def test_cross_validate_draws_one_sub_cloud_split(solved_cloud, monkeypatch):
     calls = []
-    sub_clouds = beta._sub_clouds
-    monkeypatch.setattr(beta, "_sub_clouds", lambda *a: calls.append(a) or sub_clouds(*a))
+    split = beta._split
+    monkeypatch.setattr(beta, "_split", lambda *a: calls.append(a) or split(*a))
     result = beta.cross_validate(solved_cloud, 10**5, task_stream(16, "beta", 16))
     assert len(calls) == 1
     assert all(est.cloud_std_error > 0 for est in result[0])  # all three cloud terms read it
@@ -243,11 +246,11 @@ def test_cross_validate_draws_one_sub_cloud_split(solved_cloud, monkeypatch):
 
 def test_cross_validate_holds_no_cloud_size_temporary(solved_cloud, monkeypatch):
     # one worker, so the live peak is one task's: the split's int32
-    # permutation (half a cloud), one gathered sub-cloud, and the rows of one
-    # kernel's draw, at most ten sub-cloud batches of 2,500 tuples: three
-    # rows of the draw, a scratch row, the shift's node index and numpy's
-    # casting buffers.  An int64 permutation and ten gathered sub-clouds held
-    # more than two clouds.
+    # permutation (half a cloud), one gathered sub-cloud, and `rde._rebin`'s
+    # buffers of a few blocks while it lattices the sub-cloud; the lattice
+    # vectors and the full-cloud draws of ten batches of 1,000 tuples hold
+    # less.  An int64 permutation and ten gathered sub-clouds held more than
+    # two clouds; the sub-cloud runs' draws of 25,000 tuples held 1.2 MB.
     def run():
         tracemalloc.start()
         try:
@@ -262,7 +265,7 @@ def test_cross_validate_holds_no_cloud_size_temporary(solved_cloud, monkeypatch)
         monkeypatch.setattr(rngs, "_POOL", ex)
         peak = run()
     m = solved_cloud.size
-    assert peak <= 4 * m + 8 * (m // beta._SPLIT) + 6 * 8 * 25_000
+    assert peak <= 4 * m + 8 * (m // beta._SPLIT) + 4 * 8 * rde._BLOCK
 
 
 @pytest.mark.parametrize("m", [1, 5, 9])
@@ -270,6 +273,127 @@ def test_cross_validate_refuses_a_cloud_smaller_than_the_split(m):
     # below 10 values a sub-cloud would be empty; with no generator, any draw would fail otherwise
     with pytest.raises(ValueError, match=f"M={m}"):
         beta.cross_validate(orc.constant_cloud(m, 1.5), 10**3, None)
+
+
+# --- lattice values of the sub-clouds -----------------------------------------
+
+def _mutant(fn, old: str, new: str):
+    """fn recompiled from its source with `old` (which must occur once)
+    replaced by `new`, in a copy of its module's namespace: a planted fault."""
+    src = textwrap.dedent(inspect.getsource(fn))
+    assert src.count(old) == 1, old
+    namespace = dict(vars(sys.modules[fn.__module__]))
+    exec(compile(src.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
+    return namespace[fn.__name__]
+
+
+LATTICE_FAULTS = {  # each planted in `beta._lattice_values` or `beta._table_means`
+    "g-without-x-weight": ("_lattice_values", "_convolve(xp[::-1], ", "_convolve(p[::-1], "),
+    "sigma-for-sigma-minus-one": ("_lattice_values", "/ (sigma - 1.0)", "/ sigma"),
+    "B-without-its-A-term": ("_table_means", " + np.log1p(-lo) * a", ""),
+}
+LATTICE_H = [0.01, 0.005, 0.0025, 0.00125]
+
+
+@pytest.fixture(scope="module")
+def small_cloud(solved_cloud):
+    """200 sorted values of the fixture cloud, one from each of its 200 quantile blocks."""
+    return solved_cloud.samples[2500::5000].copy()
+
+
+def _converges_as_h_squared(values, s, monkeypatch) -> bool:
+    """Whether the moment and the triple of values(s) converge to their exact
+    means over all pairs and triples of s as h^2 on LATTICE_H.  The moment
+    stays within its split bound: a value split onto two nodes about itself
+    has variance at most h^2/4, so it moves E[C0 C1/(C0+C1-1)] by at most
+    h^2/8 times the largest |second derivative| in its argument, at most
+    1/2 for C >= 1; that is h^2/8 over both arguments, and the moment moves
+    by 0.5 a^2/b^2 times that.  Each halving of h divides both
+    errors by 4 (within 3.5 to 4.5), and at the finest h both lie within
+    1e-7."""
+    exact = orc.moment_and_triple_exact(s)
+    scale = 0.5 * (2.0 * exact[0] + 1.0) ** 2 / s.mean() ** 2  # 0.5 a^2/b^2, as a^2/b = 2 moment + 1
+    errors = []
+    for h in LATTICE_H:
+        monkeypatch.setattr(rde, "_LATTICE_H", h)
+        errors.append(np.subtract(values(s)[:2], exact))
+    errors = np.array(errors)
+    within = np.all(np.abs(errors[:, 0]) <= scale * np.square(LATTICE_H) / 8.0)
+    ratios = errors[:-1] / errors[1:]
+    return bool(within and np.all((3.5 <= ratios) & (ratios <= 4.5)) and np.max(np.abs(errors[-1])) <= 1e-7)
+
+
+def test_lattice_values_converge_to_the_exact_means_as_h_squared(small_cloud, monkeypatch):
+    assert _converges_as_h_squared(beta._lattice_values, small_cloud, monkeypatch)
+
+
+@pytest.mark.parametrize("fault", ["g-without-x-weight", "sigma-for-sigma-minus-one"])
+def test_lattice_convergence_catches_a_planted_fault(small_cloud, monkeypatch, fault):
+    name, old, new = LATTICE_FAULTS[fault]
+    assert not _converges_as_h_squared(_mutant(getattr(beta, name), old, new), small_cloud, monkeypatch)
+
+
+def _table_means_match_quadrature(table_means, table) -> bool:
+    """Whether A and B of `beta._table_means` equal their defining means over
+    U, the table read by np.interp at x = U + (1 - U) lo, by adaptive
+    quadrature with a break at every node of the table, to 1e-12."""
+    grid = beta.TABLE_GRID
+    lo = 1.0 / np.array([2.0, 2.01, 2.5, 3.7, 10.0, 123.4, 1e6])
+    got = table_means(table, lo)
+    for i, x in enumerate(lo):
+        def read(u):
+            return np.interp(u + (1.0 - u) * x, grid, table)
+
+        breaks = (grid[(grid > x) & (grid < 1.0)] - x) / (1.0 - x)
+        want = [quad(read, 0.0, 1.0, points=breaks, limit=1000)[0],
+                quad(lambda u: read(u) * -np.log1p(-u), 0.0, 1.0, points=breaks, limit=1000)[0]]
+        if np.max(np.abs(np.subtract([got[0][i], got[1][i]], want))) > 1e-12:
+            return False
+    return True
+
+
+def test_table_means_are_exact_for_the_read_table(solved_cloud):
+    assert _table_means_match_quadrature(beta._table_means, beta.kappa_table(solved_cloud))
+
+
+def test_table_means_catch_a_planted_fault(solved_cloud):
+    name, old, new = LATTICE_FAULTS["B-without-its-A-term"]
+    assert not _table_means_match_quadrature(_mutant(getattr(beta, name), old, new),
+                                             beta.kappa_table(solved_cloud))
+
+
+def _lattice_zs(solved_cloud) -> list:
+    """z of each lattice value of the fixture cloud against its estimator's
+    tuple estimate, over the tuple standard error alone: the cloud is the same."""
+    lattice = beta._lattice_values(solved_cloud.samples)
+    ests = [fn(solved_cloud, 10**6, task_stream(40, "beta", i))
+            for i, fn in enumerate((beta.beta_moment, beta.beta_triple, beta.beta_shift))]
+    return [rde.z_score(v - e.value, e.std_error) for v, e in zip(lattice, ests)]
+
+
+def test_lattice_values_agree_with_the_tuple_estimates(solved_cloud):
+    assert np.max(np.abs(_lattice_zs(solved_cloud))) <= 4
+
+
+def test_lattice_agreement_catches_a_planted_table_fault(solved_cloud, monkeypatch):
+    name, old, new = LATTICE_FAULTS["B-without-its-A-term"]
+    monkeypatch.setattr(beta, name, _mutant(getattr(beta, name), old, new))
+    assert abs(_lattice_zs(solved_cloud)[2]) > 4
+
+
+def test_lattice_values_keep_an_outlier_within_the_node_cap(small_cloud, monkeypatch):
+    sizes, convolve = [], rde._convolve
+    monkeypatch.setattr(beta, "_convolve", lambda a, b: sizes.append(a.size + b.size) or convolve(a, b))
+    values = beta._lattice_values(np.append(small_cloud, 1e12))
+    assert np.all(np.isfinite(values))
+    assert max(sizes) <= 4 * rde._LATTICE_NODES
+
+
+def test_cloud_terms_are_the_spread_of_the_sub_cloud_lattice_values(solved_cloud):
+    ests, _ = beta.cross_validate(solved_cloud, 10**5, task_stream(41, "beta", 41))
+    parts = beta._split(solved_cloud, task_stream(41, "beta", 41).spawn(4)[3], beta._SPLIT)
+    values = np.array([beta._lattice_values(np.sort(solved_cloud.samples[part])) for part in parts])
+    assert [e.cloud_std_error for e in ests] == [rde.se_of_mean(column) for column in values.T]
 
 
 # --- stratified tuples ---------------------------------------------------------

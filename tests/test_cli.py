@@ -279,6 +279,14 @@ def test_discrete_fixed_size_checks_n_and_edges_before_sampling(cloud_file, tmp_
     assert drawn == []
 
 
+def test_a_non_integer_pary_spec_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(rde, "load_cloud", _cloud_is_not_read)
+    code = run(["discrete", "conductance", "--offspring", "strict-pary:abc", "--n", "4",
+                "--trials", "20", "--cloud", str(tmp_path / "cloud.txt"), "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: offspring spec 'strict-pary:abc': p must be an integer, got 'abc'\n"
+
+
 @pytest.mark.parametrize("n", ["0", "1"])
 def test_discrete_conductance_rejects_levels_below_two(cloud_file, tmp_path, capsys, n):
     # below n = 2 the mid-level check reads the root, whose size is always 1

@@ -221,6 +221,12 @@ def test_cli_import_loads_no_scipy():
                           "scipy") == []
 
 
+def test_cli_import_loads_no_numpy_fft_or_polynomial():
+    # numpy loads both on first use; only the lattice routines call numpy.fft, and nothing numpy.polynomial
+    loaded = _fresh_modules("import gwharmonic.cli", "numpy")
+    assert [m for m in loaded if m.startswith(("numpy.fft", "numpy.polynomial"))] == []
+
+
 def test_theorem1_loads_no_numpy_ma():
     # np.quantile imports numpy.ma on its first call, about 10 ms of a stage
     code = ("from gwharmonic import experiments as ex, offspring as off; "

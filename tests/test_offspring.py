@@ -140,6 +140,14 @@ def test_from_spec_named():
         off.from_spec("cauchy")
 
 
+@pytest.mark.parametrize("spec", ["pary:abc", "strict-pary:2.5", "pary:"])
+def test_from_spec_names_a_non_integer_p(spec):
+    # int() raised a bare ValueError that named neither the spec nor p
+    value = spec.partition(":")[2]
+    with pytest.raises(off.OffspringError, match=f"offspring spec '{spec}': p must be an integer, got '{value}'"):
+        off.from_spec(spec)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 12, 40])
 def test_pary_pmf_matches_scipy_binomial(p):
     from scipy.stats import binom

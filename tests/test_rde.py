@@ -70,7 +70,7 @@ def test_task_stream_draws_do_not_depend_on_how_a_draw_is_split(m):
 
 @pytest.mark.parametrize("n", [1, 2, 12_345, 10**6])
 def test_a_shuffled_int32_arange_is_the_permutation(n):
-    # beta._sub_clouds shuffles an int32 arange in place for `permutation(n)`
+    # beta._split shuffles an int32 arange in place for `permutation(n)`
     one, other = task_stream(38, "beta", 38), task_stream(38, "beta", 38)
     perm = np.arange(n, dtype=np.int32)
     other.shuffle(perm)
@@ -412,6 +412,12 @@ def test_grid_law_checks_fail_on_planted_faults(monkeypatch):
 def test_self_convolution_is_the_direct_sum():
     p = task_stream(29, "rde", 29).random(777)
     assert np.allclose(rde._self_convolution(p), np.convolve(p, p), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("sizes", [(1, 1), (777, 300), (300, 2330)])
+def test_convolve_is_the_direct_sum(sizes):
+    a, b = (task_stream(30, "rde", n).random(n) for n in sizes)
+    assert np.allclose(rde._convolve(a, b), np.convolve(a, b), rtol=1e-12, atol=1e-12)
 
 
 def test_rebin_splits_each_value_between_its_two_nodes():
